@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,6 +33,7 @@ from .moebius import (
     apply,
     classify,
     cp1,
+    normalize_stack,
 )
 from .hyperbolic import (
     GeodesicH3,
@@ -185,6 +188,143 @@ def uhp_geodesic_point(p: complex, q: complex, s: float) -> complex:
     return complex(g.z.real, g.t)
 
 
+def element_keys(mats: np.ndarray) -> list[bytes]:
+    """Dedup keys of group elements given as an (N, 2, 2) stack of
+    normalized matrices: entries rounded to 9 decimals, with -0.0 folded
+    into 0.0 so that one element cannot get two keys."""
+    return [m.tobytes() for m in np.round(mats, 9) + 0.0]
+
+
+def _quotient_real(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re(a / b) elementwise, by the same steps as Python's complex
+    division (so it matches PointCP1.as_complex().real bit for bit)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        by_real = np.abs(b.real) >= np.abs(b.imag)
+        ratio = np.where(by_real, b.imag / b.real, b.real / b.imag)
+        return np.where(
+            by_real,
+            (a.real + a.imag * ratio) / (b.real + b.imag * ratio),
+            (a.real * ratio + a.imag) / (b.real * ratio + b.imag),
+        )
+
+
+def _real_ends(ends: np.ndarray) -> np.ndarray:
+    """Real coordinates (PointCP1.as_complex().real) of (..., 2) homogeneous
+    pairs, nan where PointCP1.is_infinity holds."""
+    z0, z1 = ends[..., 0], ends[..., 1]
+    at_inf = np.hypot(z1.real, z1.imag) <= TOL_GEO * np.hypot(z0.real, z0.imag)
+    return np.where(at_inf, np.nan, _quotient_real(z0, z1))
+
+
+def _sphere_coords(z: np.ndarray) -> np.ndarray:
+    """PointCP1.sphere_coords for (..., 2) homogeneous pairs: (..., 3)."""
+    z0, z1 = z[..., 0], z[..., 1]
+    n = np.hypot(np.hypot(z0.real, z0.imag), np.hypot(z1.real, z1.imag))
+    ar, ai = z0.real / n, z0.imag / n
+    br, bi = z1.real / n, z1.imag / n
+    m0, m1 = np.hypot(ar, ai) ** 2, np.hypot(br, bi) ** 2
+    den = m0 + m1
+    return np.stack(
+        [(2.0 * ar * br + 2.0 * ai * bi) / den,
+         (2.0 * ai * br - 2.0 * ar * bi) / den,
+         (m0 - m1) / den],
+        axis=-1,
+    )
+
+
+def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise tuple comparison a < b of (N, 3) arrays."""
+    return (a[:, 0] < b[:, 0]) | ((a[:, 0] == b[:, 0]) & (
+        (a[:, 1] < b[:, 1]) | ((a[:, 1] == b[:, 1]) & (a[:, 2] < b[:, 2]))))
+
+
+class LeafTable(Sequence):
+    """Leaf lifts as columns.  Row i is the LiftedLeaf built from row i of
+    each column, made on first access and then kept.
+
+    Columns, one entry per leaf:
+      ends        (L, 2, 2) complex: homogeneous pairs (z0, z1) of the
+                  repelling and the attracting endpoint
+      weight      (L,) float
+      curve       (L,) int, the multicurve entry the leaf lifts
+      conjugator  (L,) int, an element of the BFS tree, spelled by ``word``
+
+    The array methods (``sides``, ``distances``, ``real_ends``) read the
+    leaf geometry the way the rows' ``circle`` and ``distance_to_leaf`` do,
+    so callers test every leaf without building rows.
+    """
+
+    def __init__(self, ends, weight, curve, conjugator, parent, letter):
+        self.ends = ends
+        self.weight = weight
+        self.curve = curve
+        self.conjugator = conjugator
+        self._parent = parent
+        self._letter = letter
+        self._rows = [None] * len(ends)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("leaf index out of range")
+        row = self._rows[i]
+        if row is None:
+            (p0, p1), (q0, q1) = self.ends[i]
+            row = LiftedLeaf(
+                geodesic=GeodesicH3(
+                    PointCP1(complex(p0), complex(p1)), PointCP1(complex(q0), complex(q1))
+                ),
+                weight=float(self.weight[i]),
+                curve_index=int(self.curve[i]),
+                conjugator=self.word(int(self.conjugator[i])),
+            )
+            self._rows[i] = row
+        return row
+
+    def word(self, element: int) -> GroupWord:
+        letters = []
+        while element:
+            letters.append(int(self._letter[element]))
+            element = int(self._parent[element])
+        return GroupWord(tuple(reversed(letters)))
+
+    @cached_property
+    def real_ends(self) -> np.ndarray:
+        """(L, 2) real coordinates of the endpoints, nan at infinity."""
+        return _real_ends(self.ends)
+
+    @cached_property
+    def _frame(self):
+        """(line, a, b): leaf Re z = a where ``line``, otherwise the half
+        circle over a and b (the geometry of ``_geodesic_circle``)."""
+        x = self.real_ends
+        at_inf = np.isnan(x)
+        line = at_inf.any(axis=1)
+        a = np.where(at_inf[:, 0], x[:, 1], x[:, 0])
+        b = np.where(line, np.nan, x[:, 1])
+        return line, a, b
+
+    def sides(self, z: complex) -> np.ndarray:
+        """Side value of z for every leaf, with the sign of the row circle's
+        ``evaluate``: (x - a)(x - b) + y^2, or x - a for a vertical leaf."""
+        line, a, b = self._frame
+        x, y = z.real, z.imag
+        return np.where(line, x - a, (x - a) * (x - b) + y * y)
+
+    def distances(self, z: complex) -> np.ndarray:
+        """Hyperbolic distance from the UHP point z to every leaf."""
+        line, a, b = self._frame
+        width = np.where(line, 1.0, np.abs(b - a))
+        return np.arcsinh(np.abs(self.sides(z)) / (z.imag * width))
+
+
 def enumerate_leaf_lifts(
     hol: FuchsianHolonomy,
     mc: WeightedMulticurve,
@@ -192,14 +332,25 @@ def enumerate_leaf_lifts(
     focus: list[complex],
     margin: float = 4.0,
     max_elements: int = 500_000,
-) -> list[LiftedLeaf]:
+) -> LeafTable:
     """All distinct lifts w . axis(gamma_i) for conjugators w of length <=
-    depth whose orbit point stays within reach of the focus set.
+    depth whose orbit point stays within reach of the focus set, as a
+    LeafTable (columns: endpoints, weight, curve index, conjugator).
 
     Any leaf crossing the focus region has a conjugator representative
     (slide along the curve's own powers) whose orbit point comes within
     d(x0, axis) + length/2 of the crossing, so pruning the BFS at that
     radius plus a hyperbolicity margin keeps every relevant prefix chain.
+
+    The BFS runs level by level on (N, 2, 2) stacks.  Within a level the
+    candidates come in frontier order, then in LETTER_ORDER; a candidate is
+    kept unless its orbit point x0 is farther than the radius from every
+    focus point or an earlier element has the same ``element_keys`` key.
+    Lifts whose endpoints contract below resolution are dropped.  Rows are
+    sorted by ``LiftedLeaf.key`` (curve index, then the two rounded
+    endpoint sphere coordinates) and the keys are unique; each row's
+    conjugator is the first element, in BFS order, whose image of the axis
+    has that key.
     """
     x0 = hol.basepoint
     base_axes = []
@@ -216,75 +367,105 @@ def enumerate_leaf_lifts(
     reach = max(distance_to_leaf(x0, g) for g in base_axes) if base_axes else 0.0
     radius = reach + (max(half_lengths) if half_lengths else 0.0) + margin
 
-    # BFS over group elements, deduplicated by sign-normalized matrices.
-    letters = {l: hol.generator(l) for l in LETTER_ORDER}
-    seen_elements = {MoebiusMap.identity().matrix.round(9).tobytes()}
-    frontier = [(MoebiusMap.identity(), GroupWord(()))]
-    elements = [(MoebiusMap.identity(), GroupWord(()))]
-    targets = [x0] + list(focus)
+    # Level-wise BFS; elements form a tree (parent id, last letter), id 0
+    # the identity.
+    gens = {l: hol.generator(l).matrix for l in LETTER_ORDER}
+    start = cp1(x0).normalized().vector()
+    targets = np.array([x0] + list(focus), dtype=complex)
+    level = MoebiusMap.identity().matrix[None]
+    seen = set(element_keys(level))
+    level_ids, level_last = np.array([0]), np.array([0])
+    stacks, parents, letters = [level], [np.array([-1])], [np.array([0])]
+    count = 1
     for _ in range(depth):
-        nxt = []
-        for m, word in frontier:
-            for l in LETTER_ORDER:
-                if word.letters and word.letters[-1] == -l:
-                    continue
-                m2 = m @ letters[l]
-                key = m2.matrix.round(9).tobytes()
-                if key in seen_elements:
-                    continue
-                orbit = m2(x0)
-                if min(hyperbolic_distance_uhp(orbit, f) for f in targets) > radius:
-                    continue
-                seen_elements.add(key)
-                w2 = GroupWord(word.letters + (l,))
-                nxt.append((m2, w2))
-                elements.append((m2, w2))
-                if len(elements) > max_elements:
-                    raise RuntimeError(
-                        f"leaf lift enumeration exceeded {max_elements} elements"
-                    )
-        frontier = nxt
+        blocks, froms, lasts, orders = [], [], [], []
+        for rank, l in enumerate(LETTER_ORDER):
+            idx = np.nonzero(level_last != -l)[0]
+            blocks.append(level[idx] @ gens[l])
+            froms.append(idx)
+            lasts.append(np.full(len(idx), l))
+            orders.append(idx * len(LETTER_ORDER) + rank)
+        order = np.argsort(np.concatenate(orders), kind="stable")
+        cand = normalize_stack(np.concatenate(blocks)[order])
+        cand_from = np.concatenate(froms)[order]
+        cand_last = np.concatenate(lasts)[order]
 
-    leaves = []
-    seen_axes = set()
-    for m, word in elements:
-        for i, (g, weight) in enumerate(zip(base_axes, mc.weights)):
-            try:
-                moved = g.transform(m)
-                leaf = LiftedLeaf(geodesic=moved, weight=weight, curve_index=i, conjugator=word)
-                leaf.circle  # force construction; degenerate axes are skipped
-            except DegenerateInputError:
-                # Endpoints contracted below resolution: the lift is too deep
-                # in a funnel to cross anything near the focus.
-                continue
-            k = leaf.key()
-            if k not in seen_axes:
-                seen_axes.add(k)
-                leaves.append(leaf)
-    leaves.sort(key=lambda lf: lf.key())
-    return leaves
+        orbit = cand @ start
+        z = (orbit[:, 0] / orbit[:, 1])[:, None]
+        x = 1.0 + np.abs(z - targets) ** 2 / (2.0 * z.imag * targets.imag)
+        near = np.arccosh(np.maximum(x, 1.0)).min(axis=1) <= radius
+        alive = np.nonzero(near)[0]
+        keep = np.zeros(len(cand), dtype=bool)
+        for i, key in zip(alive, element_keys(cand[alive])):
+            if key not in seen:
+                seen.add(key)
+                keep[i] = True
+
+        level = cand[keep]
+        level_last = cand_last[keep]
+        stacks.append(level)
+        parents.append(level_ids[cand_from[keep]])
+        letters.append(level_last)
+        level_ids = count + np.arange(len(level))
+        count += len(level)
+        if count > max_elements:
+            raise RuntimeError(f"leaf lift enumeration exceeded {max_elements} elements")
+
+    # Candidate lifts, element-major then curve: (E * C, 2 endpoints, 2).
+    elements = np.concatenate(stacks)
+    n_curves = len(base_axes)
+    ends = np.empty((len(elements), n_curves, 2, 2), dtype=complex)
+    for i, g in enumerate(base_axes):
+        ends[:, i, 0] = elements @ g.p.normalized().vector()
+        ends[:, i, 1] = elements @ g.q.normalized().vector()
+    ends = ends.reshape(-1, 2, 2)
+    cand_element = np.repeat(np.arange(len(elements)), n_curves)
+    cand_curve = np.tile(np.arange(n_curves), len(elements))
+
+    # Drop the lifts whose endpoints contracted below resolution (closer
+    # than TOL_GEO, both at infinity, or a circle OrientedCircle rejects):
+    # they lie too deep in a funnel to cross anything near the focus.
+    sphere = _sphere_coords(ends)
+    chord = np.sqrt(((sphere[:, 0] - sphere[:, 1]) ** 2).sum(axis=1))
+    xr = _real_ends(ends)
+    at_inf = np.isnan(xr)
+    c, r = (xr[:, 0] + xr[:, 1]) / 2.0, np.abs(xr[:, 1] - xr[:, 0]) / 2.0
+    bad_circle = (r < TOL_GEO) | ((c * c - r * r) - c * c >= -1e-300)
+    ok = (chord >= TOL_GEO) & ~at_inf.all(axis=1) & (at_inf.any(axis=1) | ~bad_circle)
+
+    # Keys: curve, then the two rounded endpoint triples, smaller first.
+    # A stable sort keeps equal keys in candidate order, so the first of a
+    # run is the first occurrence.
+    sel = np.nonzero(ok)[0]
+    rounded = np.round(sphere[sel], 9)
+    a, b = rounded[:, 0], rounded[:, 1]
+    swap = _lex_less(b, a)[:, None]
+    lo, hi = np.where(swap, b, a), np.where(swap, a, b)
+    key = np.column_stack([cand_curve[sel], lo, hi])
+    order = np.lexsort(key.T[::-1])
+    key = key[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (key[1:] != key[:-1]).any(axis=1)
+    rows = sel[order[first]]
+    return LeafTable(
+        ends=ends[rows],
+        weight=np.array(mc.weights, dtype=float)[cand_curve[rows]],
+        curve=cand_curve[rows],
+        conjugator=cand_element[rows],
+        parent=np.concatenate(parents),
+        letter=np.concatenate(letters),
+    )
 
 
 def check_multicurve(hol: FuchsianHolonomy, mc: WeightedMulticurve, depth: int = 4):
     """Raise InvalidMulticurveError when any two leaf lifts (up to the given
     conjugation depth) cross transversally."""
     leaves = enumerate_leaf_lifts(hol, mc, depth, focus=[hol.basepoint], margin=8.0)
-    ends = []
-    for leaf in leaves:
-        ends.append((leaf.geodesic.p, leaf.geodesic.q))
     # Move all endpoints away from infinity with a real Moebius map.
-    finite_vals = [
-        e.as_complex().real for pair in ends for e in pair if not e.is_infinity
-    ]
-    mu = max((abs(v) for v in finite_vals), default=0.0) + 1.618033988749895
-    reals = []
-    for p, q in ends:
-        def shift(e):
-            if e.is_infinity:
-                return 0.0
-            return -1.0 / (e.as_complex().real - mu)
-        reals.append(sorted((shift(p), shift(q))))
-    arr = np.array(reals)  # (L, 2) sorted endpoint intervals
+    ends = leaves.real_ends
+    finite = ~np.isnan(ends)
+    mu = (np.max(np.abs(ends[finite])) if finite.any() else 0.0) + 1.618033988749895
+    arr = np.sort(np.where(finite, -1.0 / (ends - mu), 0.0), axis=1)
     lo, hi = arr[:, 0], arr[:, 1]
     inside_lo = (lo[:, None] < lo[None, :]) & (lo[None, :] < hi[:, None])
     inside_hi = (lo[:, None] < hi[None, :]) & (hi[None, :] < hi[:, None])
@@ -337,31 +518,29 @@ def lift_crossings(
     q: complex,
     mc: WeightedMulticurve,
     depth: int,
-    leaves: list[LiftedLeaf] | None = None,
+    leaves: LeafTable | None = None,
 ) -> list[Crossing]:
     """Lifted leaves crossing the geodesic segment [p, q], ordered along it.
 
     Endpoints must keep clear of every leaf; an endpoint within TOL_GEO of
-    a leaf raises PerturbInputError with a suggested offset.
+    a leaf raises PerturbInputError with a suggested offset.  The endpoint
+    guard and the side test run on the table's columns; only the crossed
+    leaves are built as rows and located by bisection.
     """
     if leaves is None:
         leaves = enumerate_leaf_lifts(hol, mc, depth, focus=[p, q])
     for z, name in ((p, "start"), (q, "end")):
-        for leaf in leaves:
-            if distance_to_leaf(z, leaf.geodesic) < TOL_GEO:
-                raise PerturbInputError(
-                    f"segment {name}point lies on a lifted leaf",
-                    suggested_offset=perturbation_offset(z, leaves),
-                )
+        if np.any(leaves.distances(z) < TOL_GEO):
+            raise PerturbInputError(
+                f"segment {name}point lies on a lifted leaf",
+                suggested_offset=perturbation_offset(z, leaves),
+            )
     frame = _segment_frame(p, q)
     out = []
-    for leaf in leaves:
-        sp = leaf.circle.evaluate(embed_cp1(p))
-        sq = leaf.circle.evaluate(embed_cp1(q))
-        if sp * sq >= 0:
-            continue
+    for i in np.nonzero(leaves.sides(p) * leaves.sides(q) < 0)[0]:
+        leaf = leaves[i]
         # Bisection on the sign of the side value along the segment.
-        lo, hi, flo = 0.0, 1.0, sp
+        lo, hi, flo = 0.0, 1.0, leaf.circle.evaluate(embed_cp1(p))
         for _ in range(60):
             mid = (lo + hi) / 2.0
             fm = leaf.circle.evaluate(embed_cp1(uhp_geodesic_point(p, q, mid)))
@@ -378,14 +557,14 @@ def lift_crossings(
     return out
 
 
-def perturbation_offset(z: complex, leaves: list[LiftedLeaf]) -> complex:
+def perturbation_offset(z: complex, leaves: LeafTable) -> complex:
     """Deterministic offset (multiples of 1e-4) moving z off every leaf."""
     direction = complex(0.7548776662466927, 0.6557406991565868)
     for k in range(1, 64):
         cand = z + k * 1e-4 * direction
         if cand.imag <= 0:
             cand = complex(cand.real, z.imag)
-        if all(distance_to_leaf(cand, lf.geodesic) > 10 * TOL_GEO for lf in leaves):
+        if np.all(leaves.distances(cand) > 10 * TOL_GEO):
             return cand - z
     raise DegenerateInputError("could not perturb the basepoint off the leaves")
 
@@ -435,7 +614,7 @@ class GraftedStructure:
     depth: int = 8
 
     @cached_property
-    def base_leaves(self) -> tuple:
+    def base_leaves(self) -> LeafTable:
         """Leaf lifts around the basepoint, reused by holonomy and meshes."""
         x0 = self.hol.basepoint
         focus = [x0]
@@ -444,17 +623,14 @@ class GraftedStructure:
             focus.append(target)
             for s in (0.25, 0.5, 0.75):
                 focus.append(uhp_geodesic_point(x0, target, s))
-        return tuple(
-            enumerate_leaf_lifts(self.hol, self.multicurve, self.depth, focus=focus)
-        )
+        return enumerate_leaf_lifts(self.hol, self.multicurve, self.depth, focus=focus)
 
     @cached_property
     def basepoint(self) -> complex:
         x0 = self.hol.basepoint
-        leaves = self.base_leaves
-        if all(distance_to_leaf(x0, lf.geodesic) > TOL_GEO for lf in leaves):
+        if np.all(self.base_leaves.distances(x0) > TOL_GEO):
             return x0
-        return x0 + perturbation_offset(x0, list(leaves))
+        return x0 + perturbation_offset(x0, self.base_leaves)
 
     @cached_property
     def rho_prime(self) -> DeformedHolonomy:
@@ -501,7 +677,7 @@ def grafted_holonomy(
     check_multicurve(hol, mc, depth=min(depth, 4))
     gs = structure if structure is not None else GraftedStructure(hol, mc, depth)
     x0 = gs.basepoint
-    leaves = list(gs.base_leaves)
+    leaves = gs.base_leaves
     gens = []
     for i in range(4):
         g = hol.generators[i]
@@ -614,10 +790,8 @@ def pleated_surface(
     rotation about the shared leaf by its weight."""
     gs = structure if structure is not None else GraftedStructure(hol, mc, depth)
     x0 = gs.basepoint
-    leaves = [
-        lf for lf in gs.base_leaves
-        if distance_to_leaf(x0, lf.geodesic) < truncation_radius
-    ]
+    table = gs.base_leaves
+    leaves = [table[i] for i in np.nonzero(table.distances(x0) < truncation_radius)[0]]
     if truncation_radius <= 0:
         raise DegenerateInputError("truncation radius must be positive")
 
@@ -697,7 +871,7 @@ def pleated_surface(
         if separates(i, sample) is False:
             sample = n.inverse()(abs(w) * cmath.exp(1j * (math.pi / 2.0 + step * 0.5)))
         crossings = lift_crossings(
-            hol, x0, sample, mc, depth=gs.depth, leaves=list(gs.base_leaves)
+            hol, x0, sample, mc, depth=gs.depth, leaves=table
         )
         b = MoebiusMap.identity()
         for crossing in crossings:

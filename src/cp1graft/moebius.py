@@ -139,6 +139,19 @@ def _sign_normalize(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def normalize_stack(mats: np.ndarray) -> np.ndarray:
+    """MoebiusMap's normalization on an (N, 2, 2) stack: divide each matrix
+    by the square root of its determinant, then apply the sign rule of
+    ``_sign_normalize``.  Bit for bit the matrices MoebiusMap would store."""
+    det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+    mats = mats / np.sqrt(det)[:, None, None]
+    flat = mats.reshape(len(mats), 4)
+    big = np.abs(flat) > TOL_ALG
+    lead = flat[np.arange(len(flat)), np.argmax(big, axis=1)]
+    flip = big.any(axis=1) & ((lead.real < 0) | ((lead.real == 0) & (lead.imag < 0)))
+    return np.where(flip[:, None, None], -mats, mats)
+
+
 @dataclass(frozen=True)
 class MoebiusMap:
     """Element of PSL(2,C): SL(2,C) matrix stored up to a normalized sign."""

@@ -4,14 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from cp1graft.moebius import MoebiusMap, chordal_distance, cp1
+from cp1graft.moebius import TOL_GEO, DegenerateInputError, MoebiusMap, chordal_distance, cp1
 from cp1graft.hyperbolic import apply_isometry, nearest_point_projection, PlaneH3, OrientedCircle
-from cp1graft.surface import FNCoordinates, GroupWord, fuchsian_from_fn
+from cp1graft.surface import FNCoordinates, GroupWord, axis, fuchsian_from_fn
 from cp1graft.grafting import (
     CrescentChart,
     CrescentPoint,
     GraftedStructure,
     InvalidMulticurveError,
+    LiftedLeaf,
     LiftFailure,
     PerturbInputError,
     StratumPoint,
@@ -21,8 +22,11 @@ from cp1graft.grafting import (
     crescent_develop,
     develop_and_lift,
     distance_to_leaf,
+    element_keys,
     embed_h3,
+    enumerate_leaf_lifts,
     grafted_holonomy,
+    hyperbolic_distance_uhp,
     leaf_normalizer,
     lift_crossings,
     pleated_surface,
@@ -30,6 +34,16 @@ from cp1graft.grafting import (
 from oracles import segment_crossing_count
 
 TWO_PI = 2.0 * math.pi
+
+# The three cuffs a1, a1^-1 b2, b2^-1 of the pants decomposition.
+CUFF_MULTICURVE = WeightedMulticurve(
+    ((GroupWord((1,)), 1.0), (GroupWord((-1, 4)), 2.0), (GroupWord((-4,)), 0.5))
+)
+# FN instances 0 and 2 of the acceptance suite.
+SEGMENT_INSTANCES = (
+    FNCoordinates((2.0, 2.5, 1.7), (0.3, -0.8, 1.1)),
+    FNCoordinates((2.8, 1.4, 2.1), (-0.5, 0.9, 0.2)),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -63,10 +77,7 @@ def test_crescent_out_of_chart():
 
 
 def test_cuff_multicurve_valid(holonomy):
-    mc = WeightedMulticurve(
-        ((GroupWord((1,)), 1.0), (GroupWord((-1, 4)), 2.0), (GroupWord((-4,)), 0.5))
-    )
-    check_multicurve(holonomy, mc, depth=4)  # should not raise
+    check_multicurve(holonomy, CUFF_MULTICURVE, depth=4)  # should not raise
 
 
 def test_crossing_curves_rejected(holonomy):
@@ -94,17 +105,110 @@ def test_lift_crossings_reversed_segment(two_pi_structure):
     assert [c.sign for c in fwd] == [-c.sign for c in reversed(bwd)]
 
 
+def _oracle_crossings(hol, mc, p, q, depth):
+    mats = {l: hol.generator(l).matrix for l in (1, -1, 2, -2, 3, -3, 4, -4)}
+    return segment_crossing_count(
+        mats, [hol.rho(word).matrix for word in mc.words], p, q, depth=depth
+    )
+
+
 def test_lift_crossings_count_vs_oracle(holonomy):
     mc = WeightedMulticurve(((GroupWord((1,)), 1.0),))
     p, q = -0.6 + 0.7j, 1.2 + 1.1j
     crossings = lift_crossings(holonomy, p, q, mc, depth=4)
-    mats = {}
-    for l in (1, -1, 2, -2, 3, -3, 4, -4):
-        mats[l] = holonomy.generator(l).matrix
-    want = segment_crossing_count(
-        mats, [holonomy.rho(GroupWord((1,))).matrix], p, q, depth=4
+    assert len(crossings) == _oracle_crossings(holonomy, mc, p, q, 4)
+    # The four generator segments [x0, g x0] of the bending cocycle, for the
+    # three-cuff multicurve on two FN instances.
+    for fn in SEGMENT_INSTANCES:
+        hol = fuchsian_from_fn(fn)
+        x0 = GraftedStructure(hol, CUFF_MULTICURVE, depth=4).basepoint
+        for g in hol.generators:
+            q = g(x0)
+            got = len(lift_crossings(hol, x0, q, CUFF_MULTICURVE, depth=4))
+            want = _oracle_crossings(hol, CUFF_MULTICURVE, x0, q, 4)
+            assert got == want, (fn, g, got, want)
+
+
+def test_leaf_table_keys_and_conjugators(holonomy):
+    table = enumerate_leaf_lifts(
+        holonomy, CUFF_MULTICURVE, 4, focus=[holonomy.basepoint, 0.5 + 2.0j]
     )
-    assert len(crossings) == want
+    keys = [leaf.key() for leaf in table]
+    assert len(keys) > 100
+    assert keys == sorted(keys)
+    assert len(set(keys)) == len(keys)
+    base = [axis(holonomy.rho(word)) for word in CUFF_MULTICURVE.words]
+    for leaf in table:
+        moved = base[leaf.curve_index].transform(holonomy.rho(leaf.conjugator))
+        assert chordal_distance(moved.p, leaf.geodesic.p) < 1e-9
+        assert chordal_distance(moved.q, leaf.geodesic.q) < 1e-9
+        assert leaf.weight == CUFF_MULTICURVE.weights[leaf.curve_index]
+
+
+def _per_object_leaf_lifts(hol, mc, depth, focus, margin=4.0):
+    """Reference for enumerate_leaf_lifts: the BFS one MoebiusMap at a time
+    and one LiftedLeaf per candidate lift, deduplicated and sorted by key."""
+    x0 = hol.basepoint
+    base_axes = [axis(hol.rho(word)) for word in mc.words]
+    half = [math.acosh(math.sqrt(max(hol.rho(w).trace_squared().real, 4.0)) / 2.0)
+            for w in mc.words]
+    radius = max(distance_to_leaf(x0, g) for g in base_axes) + max(half) + margin
+    targets = [x0] + list(focus)
+    seen = set(element_keys(MoebiusMap.identity().matrix[None]))
+    frontier = elements = [(MoebiusMap.identity(), GroupWord(()))]
+    for _ in range(depth):
+        nxt = []
+        for m, word in frontier:
+            for l in (1, -1, 2, -2, 3, -3, 4, -4):
+                if word.letters and word.letters[-1] == -l:
+                    continue
+                m2 = m @ hol.generator(l)
+                (key,) = element_keys(m2.matrix[None])
+                if key in seen:
+                    continue
+                if min(hyperbolic_distance_uhp(m2(x0), f) for f in targets) > radius:
+                    continue
+                seen.add(key)
+                nxt.append((m2, GroupWord(word.letters + (l,))))
+        elements = elements + nxt
+        frontier = nxt
+    leaves, seen_axes = [], set()
+    for m, word in elements:
+        for i, (g, weight) in enumerate(zip(base_axes, mc.weights)):
+            try:
+                leaf = LiftedLeaf(g.transform(m), weight, i, word)
+                leaf.circle  # noqa: B018 -- degenerate lifts are dropped
+            except DegenerateInputError:
+                continue
+            if leaf.key() not in seen_axes:
+                seen_axes.add(leaf.key())
+                leaves.append(leaf)
+    return sorted(leaves, key=LiftedLeaf.key)
+
+
+def test_leaf_table_matches_per_object_reference(holonomy):
+    single = WeightedMulticurve(((GroupWord((1,)), 1.0),))
+    other = fuchsian_from_fn(SEGMENT_INSTANCES[1])
+    for hol, mc, depth in ((holonomy, single, 6), (other, CUFF_MULTICURVE, 4)):
+        focus = [hol.basepoint] + [g(hol.basepoint) for g in hol.generators]
+        table = enumerate_leaf_lifts(hol, mc, depth, focus=focus)
+        want = _per_object_leaf_lifts(hol, mc, depth, focus)
+        assert len(table) == len(want)
+        for got, ref in zip(table, want):
+            assert got.key() == ref.key()
+            assert got.conjugator == ref.conjugator
+            assert (got.curve_index, got.weight) == (ref.curve_index, ref.weight)
+            bits = [np.array([g.p.z0, g.p.z1, g.q.z0, g.q.z1]).tobytes()
+                    for g in (got.geodesic, ref.geodesic)]
+            assert bits[0] == bits[1]
+
+
+def test_element_key_folds_signed_zero():
+    plus = np.array([[[1.0, 4e-12], [0.0, 1.0]]], dtype=complex)
+    minus = np.array([[[1.0, -4e-12], [0.0, 1.0]]], dtype=complex)
+    # Rounding leaves 0.0 in one and -0.0 in the other.
+    assert plus.round(9).tobytes() != minus.round(9).tobytes()
+    assert element_keys(plus) == element_keys(minus)
 
 
 def test_endpoint_on_leaf_perturbation(holonomy):
@@ -114,6 +218,15 @@ def test_endpoint_on_leaf_perturbation(holonomy):
         lift_crossings(holonomy, 1j, 0.5 + 1j, mc, depth=3)
     offset = err.value.suggested_offset
     assert 0 < abs(offset) < 1e-2
+    # Near the axis: the guard holds within TOL_GEO and lets go beyond it.
+    leaf = axis(holonomy.rho(GroupWord((1,))))
+    near = complex(math.sinh(0.5 * TOL_GEO), 1.0)
+    assert distance_to_leaf(near, leaf) == pytest.approx(0.5 * TOL_GEO, rel=1e-6)
+    with pytest.raises(PerturbInputError):
+        lift_crossings(holonomy, near, 0.5 + 1j, mc, depth=3)
+    clear = complex(math.sinh(10 * TOL_GEO), 1.0)
+    assert distance_to_leaf(clear, leaf) == pytest.approx(10 * TOL_GEO, rel=1e-6)
+    assert lift_crossings(holonomy, clear, 0.5 + 1j, mc, depth=3) == []
 
 
 # ---------------------------------------------------------------------------
