@@ -499,7 +499,8 @@ def cmd_verify(config: RunConfig, which: str, out_dir: str) -> int:
             if d > config.margin * 1.5:
                 loops.append(loop)
         report = verify_covering(
-            gs, loops, margin=config.margin, limit_depth=config.limit_depth
+            gs, loops, margin=config.margin, limit_depth=config.limit_depth,
+            limit_xyz=limit_xyz,
         )
         return _report_exit(report, path)
 

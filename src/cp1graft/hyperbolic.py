@@ -239,13 +239,13 @@ def _lift_circle_to_disk(points, ids, outward):
                         best_area, tri = area, (a, b, c)
     p, q, r = (points[ids[k]] for k in tri)
     circ = circle_through(p, q, r)
-    cap = _cap_point(points, ids, outward)
+    cap = _cap_point(outward)
     if circ.evaluate(cap) > 0:
         circ = circ.reversed()
     return circ
 
 
-def _cap_point(points, ids, outward):
+def _cap_point(outward):
     """Back-projection of the outward unit normal: a point in the outward cap."""
     n = outward / np.linalg.norm(outward)
     x, y, u = n
@@ -468,22 +468,6 @@ def _fit_plane(xs):
     n = vh[-1]
     n = n / np.linalg.norm(n)
     return n, float(np.dot(n, centroid))
-
-
-def conformal_cap(circle: OrientedCircle) -> PointCP1:
-    """Conformal center of the disk side: the sphere point where the normal
-    of the circle's plane pierces the disk cap."""
-    pts = circle.boundary_points(3)
-    xs = _sphere(pts)
-    n = np.cross(xs[1] - xs[0], xs[2] - xs[0])
-    norm = np.linalg.norm(n)
-    if norm < 1e-14:
-        raise DegenerateInputError("degenerate circle")
-    n = n / norm
-    sample = circle.sample_disk_point()
-    if np.dot(n, sample.sphere_coords() - xs[0]) < 0:
-        n = -n
-    return _cap_point(None, None, n)
 
 
 def euler_characteristic(mesh: DomeMesh) -> int:

@@ -105,10 +105,6 @@ def chordal_distance(p: PointCP1, q: PointCP1) -> float:
     return float(np.linalg.norm(p.sphere_coords() - q.sphere_coords()))
 
 
-def points_equal(p: PointCP1, q: PointCP1, tol: float = TOL_GEO) -> bool:
-    return chordal_distance(p, q) < tol
-
-
 def bracket(p: PointCP1, q: PointCP1) -> complex:
     """Determinant [p, q] = p0 q1 - p1 q0 of normalized representatives."""
     pn, qn = p.normalized(), q.normalized()
@@ -229,6 +225,36 @@ def apply(m: MoebiusMap, p: PointCP1) -> PointCP1:
     """Projective action on homogeneous coordinates (no special case at infinity)."""
     v = m.matrix @ p.normalized().vector()
     return PointCP1(complex(v[0]), complex(v[1]))
+
+
+def apply_stack(m: MoebiusMap, pairs: np.ndarray) -> np.ndarray:
+    """``apply`` on an (N, 2) stack of normalized homogeneous pairs.
+
+    The rows are the pairs ``apply`` would build, bit for bit: the product
+    is written out per column (``pairs @ m.T`` rounds differently).  A row
+    that PointCP1 would reject raises the same error, in row order."""
+    a = m.matrix
+    out = np.empty_like(pairs)
+    out[:, 0] = a[0, 0] * pairs[:, 0] + a[0, 1] * pairs[:, 1]
+    out[:, 1] = a[1, 0] * pairs[:, 0] + a[1, 1] * pairs[:, 1]
+    # numpy's abs may differ from CPython's in the last bit, so rows outside
+    # a safe range get PointCP1's own check.
+    n = (np.abs(out) ** 2).sum(axis=1)
+    for i in np.flatnonzero(~((n > 1e-290) & (n < 1e290))):
+        PointCP1(complex(out[i, 0]), complex(out[i, 1]))
+    return out
+
+
+def affine_stack(pairs: np.ndarray) -> list[complex]:
+    """``as_complex`` of every row of an (N, 2) stack, bit for bit: CPython's
+    complex division and abs (numpy's differ in the last bits).  Raises, like
+    ``as_complex``, at the first row at infinity."""
+    out = []
+    for z0, z1 in pairs.tolist():
+        if abs(z1) <= TOL_GEO * abs(z0):
+            raise DegenerateInputError("point is at infinity")
+        out.append(z0 / z1)
+    return out
 
 
 def moebius_three_points(p: PointCP1, q: PointCP1, r: PointCP1) -> MoebiusMap:

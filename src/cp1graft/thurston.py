@@ -3,18 +3,19 @@ enclosing disks, ideal points and cores, stratification checks, the
 transverse bending measure, the nearest-point projection, recovery of
 grafting weights, and path-lifting verification in the discontinuity domain.
 
-Domains are finite-data models: either a finite ideal set Lambda (the domain
-is its complement) or a compact convex polygon complement sampled along its
-boundary.  Ideal points of maximal disks are realized as contact points of
-the transported complement with the minimal enclosing circle.
+Domains are finite-data models: the domain is the complement of a finite
+ideal set Lambda, held once as arrays.  Ideal points of maximal disks are
+realized as contact points of the transported complement with the minimal
+enclosing circle.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -27,8 +28,10 @@ from .moebius import (
     OrientedCircle,
     PointCP1,
     RoundDisk,
+    affine_stack,
     angle_between,
     apply,
+    apply_stack,
     chordal_distance,
     cp1,
     inversive_product,
@@ -46,6 +49,10 @@ from .grafting import (
 
 TOL_CONTACT = 1e-6  # relative band for boundary-contact detection
 TOL_MEASURE = 1e-5
+TOL_SAME_DISK = 1e-6  # Frobenius distance of Hermitian forms of one disk
+# Relative band around a threshold inside which a batched value, which may
+# differ from its scalar counterpart in the last bits, is not trusted.
+BATCH_BAND = 1e-12
 
 
 class PreconditionError(ValueError):
@@ -62,43 +69,47 @@ class TransversalityError(RuntimeError):
 
 @dataclass(frozen=True)
 class DiskComplementDomain:
-    """Domain U = CP^1 minus a finite complement sample.
+    """Domain U = CP^1 minus a finite complement sample (the ideal set).
 
-    Two models: a finite ideal set (the complement itself), or a convex
-    compact polygon whose boundary is sampled at a fixed density.
+    The complement is also held as arrays, built from the per-point methods
+    so that their bits are the same: ``pairs`` (N, 2), the normalized
+    homogeneous pairs, and ``xyz`` (N, 3), the sphere coordinates.
     """
 
     complement: tuple  # PointCP1
-    kind: str = "ideal_points"
+    pairs: np.ndarray = field(init=False, repr=False, compare=False)
+    xyz: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple(cp1(p) for p in self.complement)
         if len(pts) < 2:
             raise DegenerateInputError("complement must contain more than one point")
         object.__setattr__(self, "complement", pts)
+        unit = [p.normalized() for p in pts]
+        pairs = np.array([(q.z0, q.z1) for q in unit], dtype=complex)
+        xyz = np.array([p.sphere_coords() for p in pts])
+        for name, arr in (("pairs", pairs), ("xyz", xyz)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @staticmethod
     def from_ideal_points(points) -> "DiskComplementDomain":
-        return DiskComplementDomain(tuple(points), kind="ideal_points")
-
-    @staticmethod
-    def from_polygon(vertices, samples_per_edge: int = 32) -> "DiskComplementDomain":
-        """Convex compact polygon K in C; the complement is realized by its
-        vertices plus evenly spaced boundary samples."""
-        verts = [complex(v) for v in vertices]
-        if len(verts) < 2:
-            raise DegenerateInputError("polygon needs at least 2 vertices")
-        pts = []
-        n = len(verts)
-        for i in range(n):
-            a, b = verts[i], verts[(i + 1) % n]
-            for k in range(samples_per_edge):
-                pts.append(a + (b - a) * k / samples_per_edge)
-        return DiskComplementDomain(tuple(pts), kind="polygon")
+        return DiskComplementDomain(tuple(points))
 
     def contains(self, x: PointCP1, margin: float = TOL_GEO) -> bool:
+        """Whether x is farther than margin from every complement point, in
+        the chordal metric."""
         x = cp1(x)
-        return all(chordal_distance(x, p) > margin for p in self.complement)
+        dist = np.linalg.norm(self.xyz - x.sphere_coords(), axis=1)
+        if dist.min() > margin * (1.0 + BATCH_BAND):
+            return True
+        # The scalar metric decides the points this close to the margin.
+        near = np.abs(dist - margin) <= BATCH_BAND * margin
+        if not (dist[~near] > margin).all():
+            return False
+        return all(
+            chordal_distance(x, self.complement[i]) > margin for i in np.flatnonzero(near)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +138,19 @@ class CoreRegion:
 class MaximalDiskRecord:
     disk: RoundDisk  # oriented: disk side is the maximal disk
     ideal_points: tuple  # contact points of the complement, original coords
-    core: CoreRegion
+    ideal_ids: tuple  # their indices in the domain's complement
     normalized: MinimalDisk  # enclosing disk of the transported complement
     query: PointCP1
+    frame_maps: tuple = field(repr=False, compare=False)  # (unit-disk map, normalizer)
+    boundary: tuple = field(repr=False, compare=False)  # ideal points in the unit-disk frame
 
-    def same_disk(self, other: "MaximalDiskRecord", tol: float = 1e-6) -> bool:
+    @cached_property
+    def core(self) -> CoreRegion:
+        """The core, built on first access."""
+        u, t = self.frame_maps
+        return _core_region(u @ t, self.boundary)
+
+    def same_disk(self, other: "MaximalDiskRecord", tol: float = TOL_SAME_DISK) -> bool:
         return self.disk.circle.proj_distance(other.disk.circle) < tol
 
 
@@ -143,19 +162,59 @@ def _normalizer_to_infinity(x: PointCP1) -> MoebiusMap:
     return MoebiusMap(np.array([[0.0, 1.0], [1.0, -z]], dtype=complex))
 
 
-def _poincare_geodesic(u: complex, v: complex) -> OrientedCircle:
-    """Geodesic of the unit disk between boundary points u, v, as the circle
-    orthogonal to the unit circle (or a diameter)."""
+def _geodesic_center(u: complex, v: complex):
+    """Center and squared radius of the circle orthogonal to the unit circle
+    through boundary points u, v; None when the geodesic is a diameter."""
     denom = 1.0 + (u * np.conj(v)).real
     if abs(denom) < 1e-12:
-        # Diameter through u and -u: the line through the origin.
-        h = np.array([[0.0, 1j * u], [-1j * np.conj(u), 0.0]], dtype=complex)
-        return OrientedCircle(h)
+        return None
     m = (u + v) / denom
     r2 = abs(m) ** 2 - 1.0
     if r2 <= 0:
         raise DegenerateInputError("degenerate hull edge")
+    return m, r2
+
+
+def _poincare_geodesic(u: complex, v: complex) -> OrientedCircle:
+    """Geodesic of the unit disk between boundary points u, v, as the circle
+    orthogonal to the unit circle (or a diameter)."""
+    geo = _geodesic_center(u, v)
+    if geo is None:
+        # Diameter through u and -u: the line through the origin.
+        h = np.array([[0.0, 1j * u], [-1j * np.conj(u), 0.0]], dtype=complex)
+        return OrientedCircle(h)
+    m, r2 = geo
     return OrientedCircle.from_center_radius(m, math.sqrt(r2))
+
+
+def _hull_edges(k: int) -> list:
+    """Index pairs of the hull edges of k cyclically ordered ideal points."""
+    return [(0, 1)] if k == 2 else [(j, (j + 1) % k) for j in range(k)]
+
+
+def _check_hull_edge(u: complex, v: complex) -> None:
+    """Raise now what building the core's edge from u to v would raise.
+    Unless the edge is nearly degenerate (squared radius r2 below 1e-9), the
+    circle's own det < 0 check cannot fail: det comes out as -r2 within
+    1e-14 * (1 + r2)."""
+    geo = _geodesic_center(u, v)
+    if geo is not None and geo[1] < 1e-9:
+        _poincare_geodesic(u, v)
+
+
+def _core_region(frame: MoebiusMap, ws: tuple) -> CoreRegion:
+    """The core from the ideal points ws in the unit-disk frame, in angular
+    order: one geodesic for two points, else the hull edges, each oriented
+    with the next ideal point on its disk side."""
+    units = [w / abs(w) for w in ws]
+    edges = []
+    for a, b in _hull_edges(len(ws)):
+        edge = _poincare_geodesic(units[a], units[b])
+        if len(ws) != 2 and edge.evaluate(PointCP1.from_complex(ws[(a + 2) % len(ws)])) > 0:
+            edge = edge.reversed()
+        edges.append(edge)
+    angles = tuple(math.atan2(w.imag, w.real) for w in ws)
+    return CoreRegion(frame=frame, boundary_angles=angles, edges=tuple(edges))
 
 
 def maximal_disk_at(
@@ -166,13 +225,15 @@ def maximal_disk_at(
 ) -> MaximalDiskRecord:
     """The maximal disk whose core contains x: normalize x to infinity, take
     the minimal enclosing disk of the transported complement, and return its
-    complement; ideal points are the boundary contacts."""
+    complement; ideal points are the boundary contacts.  The record's core is
+    built on first access, but every error building it could raise is raised
+    here."""
     x = cp1(x)
     if not dom.contains(x):
         raise PreconditionError("query point is too close to the complement")
     t = _normalizer_to_infinity(x)
-    transported = [apply(t, p) for p in dom.complement]
-    zs = [p.as_complex() for p in transported]
+    transported = apply_stack(t, dom.pairs)
+    zs = affine_stack(transported)
     med = minimal_enclosing_disk(zs, seed=seed)
     contacts = [
         i for i, z in enumerate(zs)
@@ -181,40 +242,22 @@ def maximal_disk_at(
     if len(contacts) < 2:
         contacts = sorted(set(contacts) | set(med.support))
     circle_norm = OrientedCircle.from_center_radius(med.center, med.radius, disk_inside=False)
-    tinv = t.inverse()
-    disk = RoundDisk(circle_norm.transform(tinv))
+    disk = RoundDisk(circle_norm.transform(t.inverse()))
 
     # Unit-disk frame: z -> radius / (z - center) maps the exterior (with
     # the query at infinity) onto the unit disk with the query at 0.
     u = MoebiusMap(np.array([[0.0, med.radius], [1.0, -med.center]], dtype=complex))
-    frame = u @ t
-    boundary = []
-    for i in contacts:
-        w = apply(u, transported[i])
-        boundary.append((i, w.as_complex()))
-    boundary.sort(key=lambda iw: math.atan2(iw[1].imag, iw[1].real))
-    angles = tuple(math.atan2(w.imag, w.real) for _, w in boundary)
-    ordered_ids = [i for i, _ in boundary]
-
-    edges = []
-    k = len(boundary)
-    if k == 2:
-        edges.append(_poincare_geodesic(boundary[0][1] / abs(boundary[0][1]),
-                                        boundary[1][1] / abs(boundary[1][1])))
-    else:
-        for j in range(k):
-            u1 = boundary[j][1] / abs(boundary[j][1])
-            u2 = boundary[(j + 1) % k][1] / abs(boundary[(j + 1) % k][1])
-            edge = _poincare_geodesic(u1, u2)
-            other = boundary[(j + 2) % k][1]
-            if edge.evaluate(PointCP1.from_complex(other)) > 0:
-                edge = edge.reversed()
-            edges.append(edge)
-
-    core = CoreRegion(frame=frame, boundary_angles=angles, edges=tuple(edges))
-    ideal = tuple(dom.complement[i] for i in ordered_ids)
+    boundary = sorted(
+        ((i, apply(u, PointCP1(*transported[i].tolist())).as_complex()) for i in contacts),
+        key=lambda iw: math.atan2(iw[1].imag, iw[1].real),
+    )
+    ws = tuple(w for _, w in boundary)
+    for a, b in _hull_edges(len(ws)):
+        _check_hull_edge(ws[a] / abs(ws[a]), ws[b] / abs(ws[b]))
+    ids = tuple(i for i, _ in boundary)
     return MaximalDiskRecord(
-        disk=disk, ideal_points=ideal, core=core, normalized=med, query=x
+        disk=disk, ideal_points=tuple(dom.complement[i] for i in ids), ideal_ids=ids,
+        normalized=med, query=x, frame_maps=(u, t), boundary=ws,
     )
 
 
@@ -238,73 +281,25 @@ def stratification_check(
         except (PreconditionError, DegenerateInputError) as exc:
             failures.append({"sample": i, "error": str(exc)})
 
-    # Group samples by disk.
-    groups = []
-    for i, rec in records:
-        for g in groups:
-            if rec.same_disk(g["record"]):
-                g["samples"].append(i)
-                break
-        else:
-            groups.append({"record": rec, "samples": [i]})
-
-    violations = []
-    for fail in failures:
-        violations.append({"kind": "no-disk", **fail})
+    groups = _group_by_disk(records)
+    violations = [{"kind": "no-disk", **fail} for fail in failures]
 
     # (iii) identical disks share ideal points (as sets; the stored cyclic
     # order depends on the query frame).
-    def same_ideal_sets(a, b):
-        if len(a) != len(b):
-            return False
-        return all(
-            any(chordal_distance(p, q) < 10 * TOL_GEO for q in b) for p in a
-        )
-
-    for g in groups:
-        rec0 = g["record"]
-        for i, rec in records:
-            if i in g["samples"] and rec is not rec0:
-                if not same_ideal_sets(rec.ideal_points, rec0.ideal_points):
-                    violations.append({"kind": "ideal-point-mismatch", "sample": i})
+    for members in groups:
+        rec0 = members[0][1]
+        for i, rec in members[1:]:
+            if not _same_ideal_sets(rec, rec0):
+                violations.append({"kind": "ideal-point-mismatch", "sample": i})
 
     # (ii) distinct disks: no nesting (which would contradict maximality),
     # and cores on opposite sides of the separating form H1 - H2.  The side
     # test holds whether or not the disks intersect: an ideal point of D1
     # lies on its own circle and outside the open D2, so its H1 - H2 value
     # is nonpositive, and symmetrically for D2.
-    def nested(ra, rb):
-        # Only circles that do not meet can nest; then rb is inside ra iff
-        # its boundary and its disk sample are.
-        if abs(inversive_product(ra.disk.circle, rb.disk.circle)) <= 1.0 + TOL_GEO:
-            return False
-        pts = rb.disk.circle.boundary_points(3) + [rb.disk.circle.sample_disk_point()]
-        return all(ra.disk.circle.evaluate(p) < -TOL_GEO for p in pts)
-
-    for a in range(len(groups)):
-        for b in range(a + 1, len(groups)):
-            ra, rb = groups[a]["record"], groups[b]["record"]
-            ha, hb = ra.disk.circle.hermitian, rb.disk.circle.hermitian
-            if nested(ra, rb) or nested(rb, ra):
-                violations.append({"kind": "nested-disks", "groups": [a, b]})
-                continue
-            s = ha - hb  # separating circle through the lens vertices
-            worst_a = max(
-                float((np.conj(v) @ s @ v).real)
-                for v in (p.normalized().vector() for p in ra.ideal_points)
-            )
-            worst_b = min(
-                float((np.conj(v) @ s @ v).real)
-                for v in (p.normalized().vector() for p in rb.ideal_points)
-            )
-            if worst_a > TOL_GEO or worst_b < -TOL_GEO:
-                violations.append(
-                    {
-                        "kind": "core-overlap",
-                        "groups": [a, b],
-                        "side_values": [worst_a, worst_b],
-                    }
-                )
+    firsts = [members[0][1] for members in groups]
+    for a, b in _pairs_to_test(dom, firsts):
+        _check_pair(firsts[a], firsts[b], a, b, violations)
 
     return {
         "checks": [
@@ -318,6 +313,115 @@ def stratification_check(
         "violations": violations,
         "values": {"distinct_disks": len(groups)},
     }
+
+
+def _group_by_disk(records) -> list:
+    """(sample, record) pairs grouped by disk, groups in order of first
+    appearance: a record joins the first group whose first record is its
+    ``same_disk``, tested against a stack of all groups at once."""
+    groups = []
+    stack = np.empty((len(records), 4), dtype=complex)
+    for i, rec in records:
+        h = rec.disk.circle.hermitian.ravel()
+        dist = np.linalg.norm(stack[: len(groups)] - h, axis=1)
+        # same_disk itself decides the distances this close to its threshold.
+        for g in np.flatnonzero(dist < TOL_SAME_DISK * (1.0 + BATCH_BAND)):
+            if dist[g] < TOL_SAME_DISK * (1.0 - BATCH_BAND) or rec.same_disk(groups[g][0][1]):
+                groups[g].append((i, rec))
+                break
+        else:
+            stack[len(groups)] = h
+            groups.append([(i, rec)])
+    return groups
+
+
+def _same_ideal_sets(a: MaximalDiskRecord, b: MaximalDiskRecord) -> bool:
+    if len(a.ideal_points) != len(b.ideal_points):
+        return False
+    # A complement point is at chordal distance 0 from itself.
+    if set(a.ideal_ids) == set(b.ideal_ids):
+        return True
+    return all(
+        any(chordal_distance(p, q) < 10 * TOL_GEO for q in b.ideal_points)
+        for p in a.ideal_points
+    )
+
+
+def _form_values(pairs: np.ndarray, a, b, d) -> np.ndarray:
+    """v* H v for every normalized pair v (rows) and every Hermitian form
+    H = [[a, b], [conj b, d]] (columns)."""
+    p0, p1 = pairs[:, 0], pairs[:, 1]
+    q = np.conj(p0) * p1
+    return (
+        np.outer(np.abs(p0) ** 2, a) + np.outer(np.abs(p1) ** 2, d)
+        + 2.0 * (np.outer(q.real, b.real) - np.outer(q.imag, b.imag))
+    )
+
+
+def _pairs_to_test(dom: DiskComplementDomain, recs: list) -> np.ndarray:
+    """Pairs (a, b), a < b in lexicographic order, of disks that ``_check_pair``
+    might report; every other pair is nested in neither order and has both
+    side values within their bounds.  All pairs are tested at once: the
+    inversive products as one matrix, the side values from one matrix of
+    complement points x disks.  A value within a relative BATCH_BAND of a
+    threshold counts as crossing it."""
+    h = np.array([r.disk.circle.hermitian for r in recs]).reshape(len(recs), 4)
+    a, b, d = h[:, 0].real, h[:, 1], h[:, 3].real
+    # A form of det -1 has scale >= 2, and its values at unit vectors round
+    # by less than scale * 1e-15, so this band covers every rounding below.
+    scale = np.abs(a) + 2.0 * np.abs(b) + np.abs(d)
+    band = BATCH_BAND * np.outer(scale, scale)
+
+    # Nesting needs disjoint circles, |inversive product| > 1 + TOL_GEO,
+    # and every test point of the inner disk inside the outer one; the
+    # first boundary point is one of them.
+    ip = np.outer(b.real, b.real) + np.outer(b.imag, b.imag)
+    ip -= (np.outer(a, d) + np.outer(d, a)) / 2.0
+    nests = np.abs(ip) > 1.0 + TOL_GEO - band  # nests[outer, inner]
+    inner = np.flatnonzero(nests.any(axis=0))
+    probe_pts = [recs[j].disk.circle.boundary_points(1)[0].normalized() for j in inner]
+    if probe_pts:
+        probe = _form_values(np.array([(p.z0, p.z1) for p in probe_pts]), a, b, d)
+        nests[:, inner] &= probe.T < -TOL_GEO + band[:, inner]
+
+    # worst[a, b]: the largest H_a - H_b value over the ideal points of a,
+    # which is the scalar test's worst_a; its worst_b is -worst[b, a].
+    forms = _form_values(dom.pairs, a, b, d)
+    worst = np.empty_like(band)
+    for k, r in enumerate(recs):
+        rows = forms[list(r.ideal_ids)]
+        worst[k] = (rows[:, k : k + 1] - rows).max(axis=0)
+    overlap = worst > TOL_GEO - band
+    return np.argwhere(np.triu(nests | nests.T | overlap | overlap.T, 1))
+
+
+def _nested(ra: MaximalDiskRecord, rb: MaximalDiskRecord) -> bool:
+    """Whether rb's disk lies inside ra's.  Only circles that do not meet
+    can nest; then rb is inside ra iff its boundary and its disk sample are."""
+    if abs(inversive_product(ra.disk.circle, rb.disk.circle)) <= 1.0 + TOL_GEO:
+        return False
+    pts = rb.disk.circle.boundary_points(3) + [rb.disk.circle.sample_disk_point()]
+    return all(ra.disk.circle.evaluate(p) < -TOL_GEO for p in pts)
+
+
+def _check_pair(ra, rb, a: int, b: int, violations: list) -> None:
+    """The disjointness test of groups a < b; appends what it finds."""
+    if _nested(ra, rb) or _nested(rb, ra):
+        violations.append({"kind": "nested-disks", "groups": [a, b]})
+        return
+    s = ra.disk.circle.hermitian - rb.disk.circle.hermitian  # separating circle
+    worst_a = max(
+        float((np.conj(v) @ s @ v).real)
+        for v in (p.normalized().vector() for p in ra.ideal_points)
+    )
+    worst_b = min(
+        float((np.conj(v) @ s @ v).real)
+        for v in (p.normalized().vector() for p in rb.ideal_points)
+    )
+    if worst_a > TOL_GEO or worst_b < -TOL_GEO:
+        violations.append(
+            {"kind": "core-overlap", "groups": [a, b], "side_values": [worst_a, worst_b]}
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -748,6 +852,7 @@ def verify_covering(
     limit_depth: int = 5,
     steps_per_loop: int = 512,
     max_steps: int = 100_000,
+    limit_xyz: np.ndarray | None = None,
 ) -> dict:
     """Numerically verify path lifting over the discontinuity domain for a
     2 pi-multiple grafted structure: every closed null-homotopic loop whose
@@ -757,12 +862,14 @@ def verify_covering(
     Loops too close to the limit set raise PreconditionError (a guard, not
     a covering violation).  Reports per-loop embedding-radius estimates:
     the minimal chordal distance to the support boundary along the lift.
+    ``limit_xyz`` is the limit-set sample as sphere coordinates, when the
+    caller has it; otherwise it is sampled to ``limit_depth``.
     """
     if not gs.all_weights_two_pi_multiples():
         raise PreconditionError("verify_covering requires weights in 2 pi Z")
 
-    limit_pts = limit_set_sample(gs.hol, limit_depth)
-    limit_xyz = np.array([p.sphere_coords() for p in limit_pts])
+    if limit_xyz is None:
+        limit_xyz = np.array([p.sphere_coords() for p in limit_set_sample(gs.hol, limit_depth)])
 
     def chordal_to_limit(w: complex) -> float:
         xyz = PointCP1.from_complex(w).sphere_coords()
@@ -775,6 +882,13 @@ def verify_covering(
         if lf.weight > 0.0
     ]
     normalizers = [leaf_normalizer(gs, lf) for lf in all_leaves]
+    # Stratum sign just below each leaf's crescent (at angle pi/2 - 0.05 in
+    # the leaf's frame): the side a lift enters the crescent from.
+    low_signs = [
+        1.0 if _leaf_side_values([lf], n.inverse()(cmath.exp(1j * (math.pi / 2.0 - 0.05))))[0] > 0
+        else -1.0
+        for lf, n in zip(all_leaves, normalizers)
+    ]
 
     def locus_of(w: complex):
         """All lifts of the point w: at most one stratum locus plus one
@@ -790,16 +904,11 @@ def verify_covering(
                 k0 += 1
             psi = arg + 2.0 * math.pi * k0
             while psi < math.pi / 2.0 + lf.weight:
-                low_sign = _stratum_sign_near(all_leaves, normalizers, j, low=True)
                 loci.append(
-                    _Locus(kind="crescent", leaf_index=j, psi=psi, enter_sign=low_sign)
+                    _Locus(kind="crescent", leaf_index=j, psi=psi, enter_sign=low_signs[j])
                 )
                 psi += 2.0 * math.pi
         return loci
-
-    def _stratum_sign_near(leaves, norms, j, low: bool) -> float:
-        zz = norms[j].inverse()(cmath.exp(1j * (math.pi / 2.0 + (-0.05 if low else 0.05))))
-        return 1.0 if _leaf_side_values([leaves[j]], zz)[0] > 0 else -1.0
 
     loops = list(loops)
     checks = []
@@ -830,7 +939,7 @@ def verify_covering(
             values["lifts_tested"] += 1
             state = _Locus(**vars(locus))
             ok, radius, msg = _march_loop(
-                state, list(fine), all_leaves, normalizers, max_steps
+                state, list(fine), all_leaves, normalizers, low_signs, max_steps
             )
             if not ok:
                 violations.append({"kind": "lift-failure", "loop": li, "detail": msg})
@@ -854,7 +963,7 @@ def verify_covering(
     return {"checks": checks, "violations": violations, "values": values}
 
 
-def _march_loop(state: _Locus, fine, leaves, normalizers, max_steps) -> tuple:
+def _march_loop(state: _Locus, fine, leaves, normalizers, low_signs, max_steps) -> tuple:
     """Advance a lift along the sampled loop; returns (ok, min_radius, msg)."""
     steps = 0
     min_radius = math.inf
@@ -883,8 +992,7 @@ def _march_loop(state: _Locus, fine, leaves, normalizers, max_steps) -> tuple:
                 continue
             j = flips[0]
             arg = cmath.phase(normalizers[j](w_next))
-            low_sign = 1.0 if _leaf_side_values([leaves[j]], normalizers[j].inverse()(
-                cmath.exp(1j * (math.pi / 2.0 - 0.05))))[0] > 0 else -1.0
+            low_sign = low_signs[j]
             entering_from_low = state.signs[j] == low_sign
             if entering_from_low:
                 psi = arg if arg > 0 else arg + 2.0 * math.pi

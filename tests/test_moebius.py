@@ -12,8 +12,10 @@ from cp1graft.moebius import (
     NoIntersectionError,
     OrientedCircle,
     PointCP1,
+    affine_stack,
     angle_between,
     apply,
+    apply_stack,
     chordal_distance,
     circle_through,
     classify,
@@ -286,3 +288,19 @@ def test_med_support_on_boundary():
     assert 2 <= len(d.support) <= 3
     for i in d.support:
         assert abs(abs(pts[i] - d.center) - d.radius) < 1e-9
+
+
+def test_apply_stack_matches_apply_bit_for_bit():
+    rng = np.random.default_rng(41)
+    pts = [cp1(complex(*rng.normal(size=2))) for _ in range(12)] + [INFINITY]
+    pairs = np.array([(q.z0, q.z1) for q in (p.normalized() for p in pts)])
+    for _ in range(40):
+        m = MoebiusMap(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        rows = apply_stack(m, pairs)
+        images = [apply(m, p) for p in pts]
+        assert rows.tolist() == [[q.z0, q.z1] for q in images]
+        finite = [q.as_complex() for q in images if not q.is_infinity]
+        if len(finite) == len(images):
+            assert affine_stack(rows) == finite
+    with pytest.raises(DegenerateInputError, match="at infinity"):
+        affine_stack(pairs)

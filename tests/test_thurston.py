@@ -1,14 +1,30 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from cp1graft.moebius import INFINITY, chordal_distance, cp1
+import cp1graft.thurston as thurston
+from cp1graft.moebius import (
+    INFINITY,
+    TOL_GEO,
+    DegenerateInputError,
+    MoebiusMap,
+    OrientedCircle,
+    PointCP1,
+    RoundDisk,
+    apply,
+    chordal_distance,
+    cp1,
+    inversive_product,
+    minimal_enclosing_disk,
+)
 from cp1graft.hyperbolic import dome
 from cp1graft.surface import GroupWord
 from cp1graft.grafting import GraftedStructure, WeightedMulticurve
 from cp1graft.thurston import (
+    TOL_CONTACT,
     DiskComplementDomain,
     PreconditionError,
     dome_measure_report,
@@ -95,6 +111,148 @@ def test_cores_partition_samples():
     assert a.core.contains(cp1(0.4 - 0.9j))
 
 
+def cube_points():
+    """Cube vertices on the sphere, (1,1,1)/sqrt3 turned to the north pole
+    (infinity); each face gives a cocircular quadruple."""
+    u = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
+    k = np.cross(u, [0.0, 0.0, 1.0])
+    s, c = np.linalg.norm(k), u[2]
+    k = k / s
+    kx = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
+    rot = np.eye(3) + s * kx + (1 - c) * kx @ kx
+    verts = np.array([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]) / math.sqrt(3.0)
+    return [
+        INFINITY if z > 1 - 1e-12 else cp1(complex(x, y) / (1.0 - z))
+        for x, y, z in verts @ rot.T
+    ]
+
+
+def sample_queries(dom, count, seed, margin=1e-3):
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        z = complex(*rng.uniform(-3, 3, 2))
+        if dom.contains(cp1(z), margin=margin):
+            out.append(z)
+    return out
+
+
+def test_contains_matches_scalar_metric():
+    rng = np.random.default_rng(23)
+    pts = [cp1(complex(*rng.uniform(-2, 2, 2))) for _ in range(9)] + [INFINITY]
+    dom = DiskComplementDomain.from_ideal_points(pts)
+
+    def reference(x, margin):
+        return all(chordal_distance(x, p) > margin for p in pts)
+
+    for _ in range(300):
+        x = cp1(complex(*rng.uniform(-3, 3, 2)))
+        for margin in (TOL_GEO, 1e-3, 0.3, 0.8):
+            assert dom.contains(x, margin) == reference(x, margin)
+    # Margins a few ulps either side of the nearest point's distance, where
+    # a batched norm and chordal_distance can disagree in the last bit.
+    flips = 0
+    for _ in range(200):
+        x = cp1(pts[rng.integers(len(pts) - 1)].as_complex() + 0.05 * complex(*rng.normal(size=2)))
+        d = min(chordal_distance(x, p) for p in pts)
+        for steps in range(-3, 4):
+            margin = d
+            for _ in range(abs(steps)):
+                margin = np.nextafter(margin, 2.0 if steps > 0 else 0.0)
+            want = reference(x, float(margin))
+            assert dom.contains(x, float(margin)) == want
+            flips += want
+    assert 0 < flips < 1400
+
+
+def _reference_geodesic(u, v):
+    denom = 1.0 + (u * np.conj(v)).real
+    if abs(denom) < 1e-12:
+        h = np.array([[0.0, 1j * u], [-1j * np.conj(u), 0.0]], dtype=complex)
+        return OrientedCircle(h)
+    m = (u + v) / denom
+    r2 = abs(m) ** 2 - 1.0
+    if r2 <= 0:
+        raise DegenerateInputError("degenerate hull edge")
+    return OrientedCircle.from_center_radius(m, math.sqrt(r2))
+
+
+def eager_core_reference(dom, x, seed=0):
+    """The core built eagerly, point by point, as maximal_disk_at once did:
+    (frame, boundary angles, edges)."""
+    x = cp1(x)
+    t = MoebiusMap(np.array([[0.0, 1.0], [1.0, -x.as_complex()]], dtype=complex))
+    transported = [apply(t, p) for p in dom.complement]
+    zs = [p.as_complex() for p in transported]
+    med = minimal_enclosing_disk(zs, seed=seed)
+    contacts = [
+        i for i, z in enumerate(zs)
+        if abs(abs(z - med.center) - med.radius) <= TOL_CONTACT * med.radius
+    ]
+    if len(contacts) < 2:
+        contacts = sorted(set(contacts) | set(med.support))
+    u = MoebiusMap(np.array([[0.0, med.radius], [1.0, -med.center]], dtype=complex))
+    boundary = sorted(
+        ((i, apply(u, transported[i]).as_complex()) for i in contacts),
+        key=lambda iw: math.atan2(iw[1].imag, iw[1].real),
+    )
+    angles = tuple(math.atan2(w.imag, w.real) for _, w in boundary)
+    ws = [w for _, w in boundary]
+    k = len(ws)
+    if k == 2:
+        edges = [_reference_geodesic(ws[0] / abs(ws[0]), ws[1] / abs(ws[1]))]
+    else:
+        edges = []
+        for j in range(k):
+            edge = _reference_geodesic(ws[j] / abs(ws[j]), ws[(j + 1) % k] / abs(ws[(j + 1) % k]))
+            if edge.evaluate(PointCP1.from_complex(ws[(j + 2) % k])) > 0:
+                edge = edge.reversed()
+            edges.append(edge)
+    return (u @ t), angles, edges
+
+
+@pytest.mark.parametrize("name", ["tetrahedron", "hexagon", "cube"])
+def test_lazy_core_matches_eager_reference(name, tetrahedron_points):
+    pts = {
+        "tetrahedron": tetrahedron_points,
+        "hexagon": [cp1(0)] + [cp1(cmath.exp(1j * math.pi * k / 3.0)) for k in range(6)],
+        "cube": cube_points(),
+    }[name]
+    dom = DiskComplementDomain.from_ideal_points(pts)
+    sizes = set()
+    for z in sample_queries(dom, 60, seed=31):
+        rec = maximal_disk_at(dom, cp1(z))
+        frame, angles, edges = eager_core_reference(dom, z)
+        core = rec.core
+        assert core is rec.core  # built once
+        assert core.frame.matrix.tobytes() == frame.matrix.tobytes()
+        assert [a.hex() for a in core.boundary_angles] == [a.hex() for a in angles]
+        assert [e.hermitian.tobytes() for e in core.edges] == [
+            e.hermitian.tobytes() for e in edges
+        ]
+        sizes.add(len(angles))
+    assert 2 in sizes and max(sizes) >= 3
+
+
+def test_coincident_points_raise_in_maximal_disk_at():
+    # Two copies of 1 give a hull edge of zero length; the error comes from
+    # maximal_disk_at itself, and a record it returns has a core that builds.
+    dom = DiskComplementDomain.from_ideal_points(
+        [cp1(0), cp1(1), cp1(1), INFINITY, cp1(2j)]
+    )
+    raised = 0
+    for k in range(12):
+        z = 1 + 0.3 * cmath.exp(2j * math.pi * k / 12)
+        try:
+            rec = maximal_disk_at(dom, cp1(z))
+        except DegenerateInputError as exc:
+            assert str(exc) == "degenerate hull edge"
+            raised += 1
+            continue
+        assert rec.core.edges
+    assert raised > 0
+
+
 # ---------------------------------------------------------------------------
 # stratification
 
@@ -127,6 +285,190 @@ def test_stratification_tetrahedron(tetrahedron_points):
     ]
     probe_report = stratification_check(dom, face_probes)
     assert probe_report["values"]["distinct_disks"] == 4
+
+
+def per_pair_stratification_reference(dom, samples, seed=0):
+    """stratification_check written pair by pair, as it once was: the
+    reference for the batched grouping and pair tests."""
+    records, failures = [], []
+    for i, x in enumerate(samples):
+        try:
+            records.append((i, thurston.maximal_disk_at(dom, x, seed=seed)))
+        except (PreconditionError, DegenerateInputError) as exc:
+            failures.append({"sample": i, "error": str(exc)})
+    groups = []
+    for i, rec in records:
+        for g in groups:
+            if rec.same_disk(g["record"]):
+                g["samples"].append(i)
+                break
+        else:
+            groups.append({"record": rec, "samples": [i]})
+    violations = [{"kind": "no-disk", **fail} for fail in failures]
+
+    def same_ideal_sets(a, b):
+        return len(a) == len(b) and all(
+            any(chordal_distance(p, q) < 10 * TOL_GEO for q in b) for p in a
+        )
+
+    for g in groups:
+        rec0 = g["record"]
+        for i, rec in records:
+            if i in g["samples"] and rec is not rec0:
+                if not same_ideal_sets(rec.ideal_points, rec0.ideal_points):
+                    violations.append({"kind": "ideal-point-mismatch", "sample": i})
+
+    def nested(ra, rb):
+        if abs(inversive_product(ra.disk.circle, rb.disk.circle)) <= 1.0 + TOL_GEO:
+            return False
+        pts = rb.disk.circle.boundary_points(3) + [rb.disk.circle.sample_disk_point()]
+        return all(ra.disk.circle.evaluate(p) < -TOL_GEO for p in pts)
+
+    for a in range(len(groups)):
+        for b in range(a + 1, len(groups)):
+            ra, rb = groups[a]["record"], groups[b]["record"]
+            if nested(ra, rb) or nested(rb, ra):
+                violations.append({"kind": "nested-disks", "groups": [a, b]})
+                continue
+            s = ra.disk.circle.hermitian - rb.disk.circle.hermitian
+            side = [
+                [float((np.conj(v) @ s @ v).real) for v in (p.normalized().vector() for p in r.ideal_points)]
+                for r in (ra, rb)
+            ]
+            worst_a, worst_b = max(side[0]), min(side[1])
+            if worst_a > TOL_GEO or worst_b < -TOL_GEO:
+                violations.append(
+                    {"kind": "core-overlap", "groups": [a, b], "side_values": [worst_a, worst_b]}
+                )
+    kinds = [v["kind"] for v in violations]
+    return {
+        "checks": [
+            {"name": "every-sample-assigned", "passed": not failures,
+             "details": {"samples": len(samples), "assigned": len(records)}},
+            {"name": "core-disjointness",
+             "passed": "core-overlap" not in kinds and "nested-disks" not in kinds},
+            {"name": "ideal-point-consistency", "passed": "ideal-point-mismatch" not in kinds},
+        ],
+        "violations": violations,
+        "values": {"distinct_disks": len(groups)},
+    }
+
+
+def six_point_set():
+    """The 6-point ideal set of acceptance criterion 3."""
+    rng = np.random.default_rng(42)
+    return [cp1(complex(rng.uniform(-2, 2), rng.uniform(-2, 2))) for _ in range(6)]
+
+
+ACCEPTANCE_SETS = {
+    "tetrahedron": [cp1(0), cp1(1), INFINITY, cp1(OMEGA)],
+    "6-point": six_point_set(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACCEPTANCE_SETS))
+def test_stratification_matches_per_pair_reference(name):
+    dom = DiskComplementDomain.from_ideal_points(ACCEPTANCE_SETS[name])
+    samples = sample_queries(dom, 150, seed=8) + [0.5 + 1e-9j]
+    report = stratification_check(dom, samples)
+    assert report == per_pair_stratification_reference(dom, samples)
+    assert report["values"]["distinct_disks"] > 10
+
+
+def _plant(change, targets):
+    """maximal_disk_at with the record at each target query replaced by
+    change(record)."""
+
+    def planted(dom, x, seed=0):
+        rec = maximal_disk_at(dom, x, seed=seed)
+        return change(rec) if x in targets else rec
+
+    return planted
+
+
+def _moved_disk(rec):
+    m = MoebiusMap(np.array([[1.05, 0.02], [0.0, 1.0]], dtype=complex))
+    return dataclasses.replace(rec, disk=RoundDisk(rec.disk.circle.transform(m)))
+
+
+def _shrunk_disk(rec):
+    """The disk at half its radius about its center, or twice the radius
+    for an exterior disk: nested in the true one."""
+    circle = rec.disk.circle
+    if circle.is_line:
+        return rec
+    c, r = circle.center_radius()
+    if circle.hermitian[0, 0].real > 0:
+        circle = OrientedCircle.from_center_radius(c, 0.5 * r)
+    else:
+        circle = OrientedCircle.from_center_radius(c, 2.0 * r, disk_inside=False)
+    return dataclasses.replace(rec, disk=RoundDisk(circle))
+
+
+def _ideal_point_dropped(rec):
+    return dataclasses.replace(
+        rec, ideal_points=rec.ideal_points[:-1], ideal_ids=rec.ideal_ids[:-1]
+    )
+
+
+def _nudged_disk(rec):
+    """The disk's form moved by 0.9e-6 (Frobenius) along a direction that
+    keeps det = -1 to first order: the same disk for same_disk."""
+    h = rec.disk.circle.hermitian
+    b = complex(h[0, 1])
+    e = 1j * (b / abs(b) if abs(b) > 1e-9 else 1.0)
+    step = np.array([[0.0, e], [np.conj(e), 0.0]]) * (0.9e-6 / math.sqrt(2.0))
+    disk = RoundDisk(OrientedCircle(h + step))
+    assert 0.8e-6 < disk.circle.proj_distance(rec.disk.circle) < 1e-6
+    return dataclasses.replace(rec, disk=disk)
+
+
+def test_stratification_groups_near_same_disk_threshold(monkeypatch):
+    dom = DiskComplementDomain.from_ideal_points(ACCEPTANCE_SETS["6-point"])
+    samples = sample_queries(dom, 120, seed=9)
+    plain = stratification_check(dom, samples)
+    monkeypatch.setattr(thurston, "maximal_disk_at", _plant(_nudged_disk, set(samples[::3])))
+    report = stratification_check(dom, samples)
+    assert report == per_pair_stratification_reference(dom, samples)
+    assert report["values"] == plain["values"]
+
+
+def test_stratification_nested_disks_with_small_side_values(monkeypatch):
+    # A disk of radius 0.01 inside the unit disk, 5e-8 from touching it at
+    # its one ideal point: the circles are apart (inversive product 1 + 5e-6)
+    # but every side value is within TOL_GEO, so only nesting reports it.
+    r, gap, turn = 0.01, 5e-8, cmath.exp(1j * math.pi / 3.0)
+    touch = (1.0 - gap) * turn
+    dom = DiskComplementDomain.from_ideal_points([cp1(1j), cp1(-1), cp1(-1j), cp1(touch)])
+    outer = RoundDisk(OrientedCircle.from_center_radius(0.0, 1.0))
+    inner = RoundDisk(OrientedCircle.from_center_radius((1.0 - r - gap) * turn, r))
+    fakes = {
+        0.2: dict(disk=outer, ideal_points=dom.complement[:3], ideal_ids=(0, 1, 2)),
+        0.3: dict(disk=inner, ideal_points=dom.complement[3:], ideal_ids=(3,)),
+    }
+
+    def planted(d, x, seed=0):
+        return dataclasses.replace(maximal_disk_at(d, x, seed=seed), **fakes[x])
+
+    monkeypatch.setattr(thurston, "maximal_disk_at", planted)
+    report = stratification_check(dom, list(fakes))
+    assert report == per_pair_stratification_reference(dom, list(fakes))
+    assert report["violations"] == [{"kind": "nested-disks", "groups": [0, 1]}]
+
+
+@pytest.mark.parametrize("change,kind,check", [
+    (_moved_disk, "core-overlap", "core-disjointness"),
+    (_shrunk_disk, "nested-disks", "core-disjointness"),
+    (_ideal_point_dropped, "ideal-point-mismatch", "ideal-point-consistency"),
+])
+def test_stratification_planted_record_reported(monkeypatch, change, kind, check):
+    dom = DiskComplementDomain.from_ideal_points(ACCEPTANCE_SETS["6-point"])
+    samples = sample_queries(dom, 120, seed=9)
+    monkeypatch.setattr(thurston, "maximal_disk_at", _plant(change, set(samples[3::7])))
+    report = stratification_check(dom, samples)
+    assert report == per_pair_stratification_reference(dom, samples)
+    assert any(v["kind"] == kind for v in report["violations"])
+    assert not next(c for c in report["checks"] if c["name"] == check)["passed"]
 
 
 # ---------------------------------------------------------------------------
