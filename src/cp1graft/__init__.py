@@ -48,12 +48,10 @@ from .surface import (
     limit_set_sample,
 )
 from .grafting import (
-    CrescentChart,
     GraftedStructure,
     LiftedLeaf,
     PleatedSurfaceMesh,
     WeightedMulticurve,
-    crescent_develop,
     develop_and_lift,
     grafted_holonomy,
     lift_crossings,

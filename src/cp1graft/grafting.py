@@ -1,6 +1,6 @@
 """Grafting along weighted multicurves on a Fuchsian base: leaf lifts,
 crossing enumeration, the bending cocycle deforming the holonomy, pleated
-surface meshes, developing-map continuation, and the collapsing map.
+surface meshes and developing-map continuation.
 
 Coordinates: the hyperbolic plane is the upper half-plane UHP in C, embedded
 in H^3 as the vertical plane over the real axis.  Leaf lifts are geodesics
@@ -24,7 +24,6 @@ from functools import cached_property
 import numpy as np
 
 from .moebius import (
-    TOL_ALG,
     TOL_GEO,
     DegenerateInputError,
     MoebiusMap,
@@ -61,10 +60,6 @@ class PerturbInputError(ValueError):
     def __init__(self, message: str, suggested_offset: complex):
         super().__init__(message)
         self.suggested_offset = suggested_offset
-
-
-class LiftFailure(RuntimeError):
-    """Analytic continuation left the validity range of a crescent chart."""
 
 
 def embed_cp1(z: complex) -> PointCP1:
@@ -503,15 +498,6 @@ def _segment_frame(p: complex, q: complex) -> MoebiusMap:
     return _real_normalizer(g.p, g.q)
 
 
-def _crossing_sign(frame: MoebiusMap, leaf: LiftedLeaf) -> int:
-    att = apply(frame, leaf.geodesic.q)
-    if att.is_infinity:
-        val = math.inf
-    else:
-        val = att.as_complex().real
-    return 1 if val > 0 else -1
-
-
 def lift_crossings(
     hol: FuchsianHolonomy,
     p: complex,
@@ -525,7 +511,10 @@ def lift_crossings(
     Endpoints must keep clear of every leaf; an endpoint within TOL_GEO of
     a leaf raises PerturbInputError with a suggested offset.  The endpoint
     guard and the side test run on the table's columns; only the crossed
-    leaves are built as rows and located by bisection.
+    leaves are built as rows.  The segment's frame sends its geodesic to the
+    imaginary axis, p to i y_p and q to i y_q; a crossed leaf has endpoints
+    u, v there with u v < 0 and meets the axis at i sqrt(-u v), at the
+    arclength parameter log(y / y_p) / log(y_q / y_p).
     """
     if leaves is None:
         leaves = enumerate_leaf_lifts(hol, mc, depth, focus=[p, q])
@@ -536,25 +525,25 @@ def lift_crossings(
                 suggested_offset=perturbation_offset(z, leaves),
             )
     frame = _segment_frame(p, q)
-    out = []
-    for i in np.nonzero(leaves.sides(p) * leaves.sides(q) < 0)[0]:
-        leaf = leaves[i]
-        # Bisection on the sign of the side value along the segment.
-        lo, hi, flo = 0.0, 1.0, leaf.circle.evaluate(embed_cp1(p))
-        for _ in range(60):
-            mid = (lo + hi) / 2.0
-            fm = leaf.circle.evaluate(embed_cp1(uhp_geodesic_point(p, q, mid)))
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        t = (lo + hi) / 2.0
-        out.append(Crossing(leaf=leaf, parameter=t, sign=_crossing_sign(frame, leaf)))
+    yp, yq = abs(frame(p)), abs(frame(q))
+    rows = np.nonzero(leaves.sides(p) * leaves.sides(q) < 0)[0]
+    u, v = _real_ends(leaves.ends[rows] @ frame.matrix.T).T
+    ts = np.log(np.sqrt(-u * v) / yp) / math.log(yq / yp)
+    out = [
+        Crossing(leaf=leaves[i], parameter=float(t), sign=1 if vi > 0 else -1)
+        for i, t, vi in zip(rows, ts, v)
+    ]
     out.sort(key=lambda c: c.parameter)
     return out
+
+
+def bending_product(crossings) -> MoebiusMap:
+    """Ordered product of the bending rotations about the crossed leaves,
+    each by its signed weight; the identity when nothing is crossed."""
+    m = MoebiusMap.identity()
+    for crossing in crossings:
+        m = m @ rotation_about_geodesic(crossing.leaf.geodesic, crossing.rotation_angle)
+    return m
 
 
 def perturbation_offset(z: complex, leaves: LeafTable) -> complex:
@@ -571,29 +560,6 @@ def perturbation_offset(z: complex, leaves: LeafTable) -> complex:
 
 # ---------------------------------------------------------------------------
 # The grafted structure and its deformed holonomy
-
-
-@dataclass(frozen=True)
-class CrescentChart:
-    """The strip R x [0, theta] developing by exp; the natural transverse
-    measure of the horizontal foliation is the difference of heights."""
-
-    theta: float
-
-    def __post_init__(self):
-        if self.theta <= 0:
-            raise DegenerateInputError("crescent angle must be positive")
-
-    def develop(self, x: float, y: float) -> PointCP1:
-        return crescent_develop(self.theta, (x, y))
-
-
-def crescent_develop(theta: float, point) -> PointCP1:
-    """Developing map of the angle-theta crescent at (x, y), y in [0, theta]."""
-    x, y = point
-    if y < -TOL_ALG or y > theta + TOL_ALG:
-        raise LiftFailure(f"point height {y} outside crescent chart [0, {theta}]")
-    return PointCP1.from_complex(cmath.exp(complex(x, y)))
 
 
 @dataclass(frozen=True)
@@ -646,10 +612,7 @@ class GraftedStructure:
 
     def bending_map(self, z: complex) -> MoebiusMap:
         """Ordered product of bending rotations along [basepoint, z]."""
-        m = MoebiusMap.identity()
-        for crossing in self.crossings_to(z):
-            m = m @ rotation_about_geodesic(crossing.leaf.geodesic, crossing.rotation_angle)
-        return m
+        return bending_product(self.crossings_to(z))
 
     def develop(self, z: complex) -> PointCP1:
         """Developing map on strata, continued from the base stratum."""
@@ -689,10 +652,7 @@ def grafted_holonomy(
         if not crossings:
             gens.append(g)  # empty deformation: exactly the input
             continue
-        b = MoebiusMap.identity()
-        for crossing in crossings:
-            b = b @ rotation_about_geodesic(crossing.leaf.geodesic, crossing.rotation_angle)
-        gens.append(b @ g)
+        gens.append(bending_product(crossings) @ g)
     return DeformedHolonomy(generators=tuple(gens), basepoint=x0)
 
 
@@ -791,28 +751,23 @@ def pleated_surface(
     gs = structure if structure is not None else GraftedStructure(hol, mc, depth)
     x0 = gs.basepoint
     table = gs.base_leaves
-    leaves = [table[i] for i in np.nonzero(table.distances(x0) < truncation_radius)[0]]
+    rows = np.nonzero(table.distances(x0) < truncation_radius)[0]
+    leaves = [table[i] for i in rows]
     if truncation_radius <= 0:
         raise DegenerateInputError("truncation radius must be positive")
 
+    def sides(z: complex) -> np.ndarray:
+        return table.sides(z)[rows]
+
     # Separation structure: leaves separating x0 from each leaf.
-    feet = []
-    for lf in leaves:
-        n = _real_normalizer(lf.geodesic.p, lf.geodesic.q)
-        w = n(x0)
-        feet.append(n.inverse()(1j * abs(w)))
-
-    def separates(a_idx: int, z: complex) -> bool:
-        circ = leaves[a_idx].circle
-        return circ.evaluate(embed_cp1(x0)) * circ.evaluate(embed_cp1(z)) < 0
-
+    base_sides = sides(x0)
     separators = []
     for i, lf in enumerate(leaves):
-        seps = [
-            j for j in range(len(leaves))
-            if j != i and separates(j, feet[i])
-        ]
-        separators.append(seps)
+        n = _real_normalizer(lf.geodesic.p, lf.geodesic.q)
+        foot = n.inverse()(1j * abs(n(x0)))
+        cut = base_sides * sides(foot) < 0
+        cut[i] = False
+        separators.append(np.nonzero(cut)[0].tolist())
 
     ecenter, eradius = _hyperbolic_circle_euclidean(x0, truncation_radius)
 
@@ -831,16 +786,10 @@ def pleated_surface(
         for j in bounding:
             pts.extend(base_chords[j])
         # Truncation arc samples belonging to this region.
+        signature = sides(signature_point) > 0
         for k in range(96):
             zz = ecenter + eradius * cmath.exp(2j * math.pi * k / 96.0)
-            if zz.imag <= 0:
-                continue
-            same = all(
-                (leaves[j].circle.evaluate(embed_cp1(zz)) > 0)
-                == (leaves[j].circle.evaluate(embed_cp1(signature_point)) > 0)
-                for j in range(len(leaves))
-            )
-            if same:
+            if zz.imag > 0 and np.array_equal(sides(zz) > 0, signature):
                 pts.append(zz)
         if not pts:
             return ()
@@ -863,19 +812,13 @@ def pleated_surface(
     order = sorted(range(len(leaves)), key=lambda i: len(separators[i]))
     for i in order:
         lf = leaves[i]
-        # Interior sample just beyond the leaf, on the far side from x0.
+        # Interior sample just beyond the leaf: in the leaf's frame (the leaf
+        # on the imaginary axis), 0.175 rad off it on the side away from x0.
         n = _real_normalizer(lf.geodesic.p, lf.geodesic.q)
         w = n(x0)
         step = -0.35 * math.copysign(1.0, w.real)
         sample = n.inverse()(abs(w) * cmath.exp(1j * (math.pi / 2.0 - step * 0.5)))
-        if separates(i, sample) is False:
-            sample = n.inverse()(abs(w) * cmath.exp(1j * (math.pi / 2.0 + step * 0.5)))
-        crossings = lift_crossings(
-            hol, x0, sample, mc, depth=gs.depth, leaves=table
-        )
-        b = MoebiusMap.identity()
-        for crossing in crossings:
-            b = b @ rotation_about_geodesic(crossing.leaf.geodesic, crossing.rotation_angle)
+        b = bending_product(lift_crossings(hol, x0, sample, mc, depth=gs.depth, leaves=table))
         children = [
             j for j in range(len(leaves))
             if j != i and i in separators[j] and len(separators[j]) == len(separators[i]) + 1
@@ -911,78 +854,30 @@ def pleated_surface(
 
 
 # ---------------------------------------------------------------------------
-# Developing-map continuation and the collapsing map
+# Developing-map continuation
 
 
 @dataclass(frozen=True)
 class LiftResult:
     endpoint: PointCP1
-    ok: bool
     crossings: tuple
-    messages: tuple = ()
 
 
-def develop_and_lift(
-    gs: GraftedStructure,
-    path: list[complex],
-    wraps: list[int] | None = None,
-) -> LiftResult:
+def develop_and_lift(gs: GraftedStructure, path: list[complex]) -> LiftResult:
     """Continue the developing map along a polygonal path in the collapsed
-    coordinates, inserting the crescent continuation at each leaf crossing.
-
-    wraps[k] declares the winding of the k-th crossing through its crescent;
-    it must be a nonnegative integer below weight/(2 pi) + 1, and the
-    continuation fails (chart exit) when 2 pi wraps exceeds the weight.
-    """
+    coordinates: the endpoint is bent by every leaf crossing on the way."""
     if len(path) < 1:
         raise DegenerateInputError("empty path")
     crossings = []
-    b = MoebiusMap.identity()
     leaves = enumerate_leaf_lifts(
         gs.hol, gs.multicurve, gs.depth, focus=list(path) + [gs.basepoint]
     )
     for p, q in zip(path, path[1:]):
         if hyperbolic_distance_uhp(p, q) < 1e-14:
             continue
-        segment_crossings = lift_crossings(
-            gs.hol, p, q, gs.multicurve, gs.depth, leaves=leaves
-        )
-        crossings.extend(segment_crossings)
-    messages = []
-    ok = True
-    for k, crossing in enumerate(crossings):
-        theta = crossing.leaf.weight
-        wrap = 0 if wraps is None or k >= len(wraps) else int(wraps[k])
-        if wrap < 0 or not wrap < theta / (2.0 * math.pi) + 1.0:
-            raise DegenerateInputError(
-                f"wrap count {wrap} inconsistent with weight {theta:.6g}"
-            )
-        if 2.0 * math.pi * wrap > theta + TOL_ALG:
-            ok = False
-            messages.append(
-                f"crossing {k}: declared wrap {wrap} exits chart [0, {theta:.6g}]"
-            )
-        b = b @ rotation_about_geodesic(crossing.leaf.geodesic, crossing.rotation_angle)
-    endpoint = apply(b, embed_cp1(path[-1]))
-    return LiftResult(
-        endpoint=endpoint, ok=ok, crossings=tuple(crossings), messages=tuple(messages)
-    )
-
-
-@dataclass(frozen=True)
-class StratumPoint:
-    z: complex
-
-
-@dataclass(frozen=True)
-class CrescentPoint:
-    """Point of an inserted crescent in leaf-adapted coordinates: x is the
-    arclength along the leaf (origin at the foot of the basepoint), y the
-    transverse height in [0, weight]."""
-
-    leaf: LiftedLeaf
-    x: float
-    y: float
+        crossings.extend(lift_crossings(gs.hol, p, q, gs.multicurve, gs.depth, leaves=leaves))
+    endpoint = apply(bending_product(crossings), embed_cp1(path[-1]))
+    return LiftResult(endpoint=endpoint, crossings=tuple(crossings))
 
 
 def leaf_normalizer(gs: GraftedStructure, leaf: LiftedLeaf) -> MoebiusMap:
@@ -993,16 +888,3 @@ def leaf_normalizer(gs: GraftedStructure, leaf: LiftedLeaf) -> MoebiusMap:
     scale = MoebiusMap(np.array([[s, 0.0], [0.0, 1.0 / s]], dtype=complex))
     return scale @ n
 
-
-def collapse(gs: GraftedStructure, point) -> complex:
-    """Collapsing map to the hyperbolic base: identity on strata; a crescent
-    point (x, y) maps to the leaf point at arclength x for every y."""
-    if isinstance(point, StratumPoint):
-        return point.z
-    if isinstance(point, CrescentPoint):
-        theta = point.leaf.weight
-        if point.y < -TOL_ALG or point.y > theta + TOL_ALG:
-            raise LiftFailure(f"crescent height {point.y} outside [0, {theta:.6g}]")
-        n = leaf_normalizer(gs, point.leaf)
-        return n.inverse()(1j * math.exp(point.x))
-    raise TypeError(f"not a grafted-surface point: {point!r}")

@@ -816,19 +816,6 @@ def recover_weight_from_grafted(
 # Path lifting in the domain of discontinuity
 
 
-def _leaf_side_values(leaves, w: complex) -> np.ndarray:
-    vals = np.empty(len(leaves))
-    for j, lf in enumerate(leaves):
-        circ = lf.circle
-        if circ.is_line:
-            a = -circ.hermitian[1, 1].real / (2.0 * circ.hermitian[0, 1].real)
-            vals[j] = w.real - a
-        else:
-            c, r = circ.center_radius()
-            vals[j] = abs(w - c) ** 2 - r * r
-    return vals
-
-
 @dataclass
 class _Locus:
     kind: str  # "stratum" | "crescent"
@@ -875,35 +862,33 @@ def verify_covering(
         xyz = PointCP1.from_complex(w).sphere_coords()
         return float(np.min(np.linalg.norm(limit_xyz - xyz, axis=1)))
 
-    all_leaves = [
-        lf for lf in enumerate_leaf_lifts(
-            gs.hol, gs.multicurve, gs.depth, focus=[gs.basepoint]
-        )
-        if lf.weight > 0.0
-    ]
-    normalizers = [leaf_normalizer(gs, lf) for lf in all_leaves]
+    table = enumerate_leaf_lifts(gs.hol, gs.multicurve, gs.depth, focus=[gs.basepoint])
+    rows = np.nonzero(table.weight > 0.0)[0]
+    weights = table.weight[rows].tolist()
+    normalizers = [leaf_normalizer(gs, table[i]) for i in rows]
+
+    def signs_at(w: complex) -> tuple:
+        """Side of w (+1 or -1) for every leaf of positive weight."""
+        return tuple(np.where(table.sides(w)[rows] > 0, 1, -1).tolist())
+
     # Stratum sign just below each leaf's crescent (at angle pi/2 - 0.05 in
     # the leaf's frame): the side a lift enters the crescent from.
-    low_signs = [
-        1.0 if _leaf_side_values([lf], n.inverse()(cmath.exp(1j * (math.pi / 2.0 - 0.05))))[0] > 0
-        else -1.0
-        for lf, n in zip(all_leaves, normalizers)
-    ]
+    low = cmath.exp(1j * (math.pi / 2.0 - 0.05))
+    low_signs = [float(signs_at(n.inverse()(low))[j]) for j, n in enumerate(normalizers)]
 
     def locus_of(w: complex):
         """All lifts of the point w: at most one stratum locus plus one
         crescent locus per leaf and full 2 pi winding branch."""
         loci = []
         if w.imag > 0:
-            signs = tuple(1 if v > 0 else -1 for v in _leaf_side_values(all_leaves, w))
-            loci.append(_Locus(kind="stratum", signs=signs))
-        for j, lf in enumerate(all_leaves):
+            loci.append(_Locus(kind="stratum", signs=signs_at(w)))
+        for j, weight in enumerate(weights):
             arg = cmath.phase(normalizers[j](w))
             k0 = 0
             while arg + 2.0 * math.pi * k0 <= math.pi / 2.0:
                 k0 += 1
             psi = arg + 2.0 * math.pi * k0
-            while psi < math.pi / 2.0 + lf.weight:
+            while psi < math.pi / 2.0 + weight:
                 loci.append(
                     _Locus(kind="crescent", leaf_index=j, psi=psi, enter_sign=low_signs[j])
                 )
@@ -918,6 +903,8 @@ def verify_covering(
 
     for li, loop in enumerate(loops):
         loop_pts = [complex(z) for z in loop]
+        if len(loop_pts) < 2:
+            raise DegenerateInputError(f"loop {li} needs at least two points")
         if abs(loop_pts[0] - loop_pts[-1]) > 1e-12:
             loop_pts.append(loop_pts[0])
         # Guard: the loop must respect the limit-set margin.
@@ -939,7 +926,7 @@ def verify_covering(
             values["lifts_tested"] += 1
             state = _Locus(**vars(locus))
             ok, radius, msg = _march_loop(
-                state, list(fine), all_leaves, normalizers, low_signs, max_steps
+                state, list(fine), signs_at, weights, normalizers, low_signs, max_steps
             )
             if not ok:
                 violations.append({"kind": "lift-failure", "loop": li, "detail": msg})
@@ -963,22 +950,25 @@ def verify_covering(
     return {"checks": checks, "violations": violations, "values": values}
 
 
-def _march_loop(state: _Locus, fine, leaves, normalizers, low_signs, max_steps) -> tuple:
-    """Advance a lift along the sampled loop; returns (ok, min_radius, msg)."""
+def _march_loop(
+    state: _Locus, fine, signs_at, weights, normalizers, low_signs, max_steps
+) -> tuple:
+    """Advance a lift along the sampled loop; returns (ok, min_radius, msg).
+    In a crescent, ``nw`` is the current point in its leaf's frame."""
     steps = 0
     min_radius = math.inf
     i = 0
     n = len(fine)
     w = fine[0]
+    nw = normalizers[state.leaf_index](w) if state.kind == "crescent" else None
     while i < n - 1:
         steps += 1
         if steps > max_steps:
             return False, min_radius, "step budget exceeded"
         w_next = fine[i + 1]
         if state.kind == "stratum":
-            vals = _leaf_side_values(leaves, w_next)
-            signs_next = tuple(1 if v > 0 else -1 for v in vals)
-            flips = [j for j in range(len(leaves)) if signs_next[j] != state.signs[j]]
+            signs_next = signs_at(w_next)
+            flips = [j for j, (a, b) in enumerate(zip(signs_next, state.signs)) if a != b]
             if not flips:
                 min_radius = min(min_radius, 2.0 * abs(w_next.imag) / (1.0 + abs(w_next) ** 2))
                 w = w_next
@@ -991,35 +981,33 @@ def _march_loop(state: _Locus, fine, leaves, normalizers, low_signs, max_steps) 
                 n += 1
                 continue
             j = flips[0]
-            arg = cmath.phase(normalizers[j](w_next))
+            nw = normalizers[j](w_next)
+            arg = cmath.phase(nw)
             low_sign = low_signs[j]
             entering_from_low = state.signs[j] == low_sign
             if entering_from_low:
                 psi = arg if arg > 0 else arg + 2.0 * math.pi
             else:
-                psi = arg + leaves[j].weight
+                psi = arg + weights[j]
             state.kind = "crescent"
             state.leaf_index = j
             state.psi = psi
             state.enter_sign = low_sign
-            state.signs = state.signs  # kept for exit bookkeeping
             w = w_next
             i += 1
             continue
         # Crescent marching.
         j = state.leaf_index
-        theta = leaves[j].weight
-        nw = normalizers[j](w_next)
-        nw_prev = normalizers[j](w)
-        dphi = cmath.phase(nw / nw_prev)
-        psi_next = state.psi + dphi
+        theta = weights[j]
+        nw_next = normalizers[j](w_next)
+        psi_next = state.psi + cmath.phase(nw_next / nw)
+        nw = nw_next
         if abs(math.log(abs(nw))) > 30.0:
             return False, min_radius, "escape toward a leaf endpoint"
         if psi_next < math.pi / 2.0 - 1e-12 or psi_next > math.pi / 2.0 + theta + 1e-12:
             # Exit into the stratum on the corresponding side.
             exiting_low = psi_next < math.pi / 2.0
-            vals = _leaf_side_values(leaves, w_next)
-            signs = [1 if v > 0 else -1 for v in vals]
+            signs = list(signs_at(w_next))
             want = state.enter_sign if exiting_low else -state.enter_sign
             signs[j] = int(want)
             state.kind = "stratum"

@@ -4,22 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from cp1graft.moebius import TOL_GEO, DegenerateInputError, MoebiusMap, chordal_distance, cp1
+from cp1graft.moebius import TOL_GEO, DegenerateInputError, MoebiusMap, apply, chordal_distance, cp1
 from cp1graft.hyperbolic import apply_isometry, nearest_point_projection, PlaneH3, OrientedCircle
 from cp1graft.surface import FNCoordinates, GroupWord, axis, fuchsian_from_fn
 from cp1graft.grafting import (
-    CrescentChart,
-    CrescentPoint,
     GraftedStructure,
     InvalidMulticurveError,
     LiftedLeaf,
-    LiftFailure,
     PerturbInputError,
-    StratumPoint,
     WeightedMulticurve,
+    _hyperbolic_circle_euclidean,
+    _real_normalizer,
+    _segment_frame,
     check_multicurve,
-    collapse,
-    crescent_develop,
     develop_and_lift,
     distance_to_leaf,
     element_keys,
@@ -27,9 +24,9 @@ from cp1graft.grafting import (
     enumerate_leaf_lifts,
     grafted_holonomy,
     hyperbolic_distance_uhp,
-    leaf_normalizer,
     lift_crossings,
     pleated_surface,
+    uhp_geodesic_point,
 )
 from oracles import segment_crossing_count
 
@@ -44,32 +41,6 @@ SEGMENT_INSTANCES = (
     FNCoordinates((2.0, 2.5, 1.7), (0.3, -0.8, 1.1)),
     FNCoordinates((2.8, 1.4, 2.1), (-0.5, 0.9, 0.2)),
 )
-
-
-# ---------------------------------------------------------------------------
-# crescent charts
-
-
-def test_crescent_develop_basic():
-    p = crescent_develop(math.pi, (0.0, math.pi / 2.0))
-    assert chordal_distance(p, cp1(1j)) < 1e-12
-    q = crescent_develop(2.5, (0.0, 0.0))
-    assert chordal_distance(q, cp1(1.0)) < 1e-12
-
-
-def test_crescent_modulus_law():
-    rng = np.random.default_rng(7)
-    theta = 1.8
-    chart = CrescentChart(theta)
-    for _ in range(50):
-        x = rng.uniform(-2, 2)
-        y = rng.uniform(0, theta)
-        assert abs(chart.develop(x, y).as_complex()) == pytest.approx(math.exp(x), rel=1e-12)
-
-
-def test_crescent_out_of_chart():
-    with pytest.raises(LiftFailure):
-        crescent_develop(1.0, (0.0, 1.5))
 
 
 # ---------------------------------------------------------------------------
@@ -112,21 +83,62 @@ def _oracle_crossings(hol, mc, p, q, depth):
     )
 
 
-def test_lift_crossings_count_vs_oracle(holonomy):
-    mc = WeightedMulticurve(((GroupWord((1,)), 1.0),))
-    p, q = -0.6 + 0.7j, 1.2 + 1.1j
-    crossings = lift_crossings(holonomy, p, q, mc, depth=4)
-    assert len(crossings) == _oracle_crossings(holonomy, mc, p, q, 4)
-    # The four generator segments [x0, g x0] of the bending cocycle, for the
-    # three-cuff multicurve on two FN instances.
+def _oracle_segments(holonomy):
+    """(hol, multicurve, p, q): one segment for the cuff-1 curve, then the
+    four generator segments [x0, g x0] of the bending cocycle, for the
+    three-cuff multicurve on two FN instances."""
+    yield holonomy, WeightedMulticurve(((GroupWord((1,)), 1.0),)), -0.6 + 0.7j, 1.2 + 1.1j
     for fn in SEGMENT_INSTANCES:
         hol = fuchsian_from_fn(fn)
         x0 = GraftedStructure(hol, CUFF_MULTICURVE, depth=4).basepoint
         for g in hol.generators:
-            q = g(x0)
-            got = len(lift_crossings(hol, x0, q, CUFF_MULTICURVE, depth=4))
-            want = _oracle_crossings(hol, CUFF_MULTICURVE, x0, q, 4)
-            assert got == want, (fn, g, got, want)
+            yield hol, CUFF_MULTICURVE, x0, g(x0)
+
+
+def test_lift_crossings_count_vs_oracle(holonomy):
+    for hol, mc, p, q in _oracle_segments(holonomy):
+        got = len(lift_crossings(hol, p, q, mc, depth=4))
+        want = _oracle_crossings(hol, mc, p, q, 4)
+        assert got == want, (p, q, got, want)
+
+
+def _bisection_crossings(hol, p, q, mc, depth):
+    """Reference for lift_crossings: the side test on each leaf's circle, a
+    60-step bisection of the side value along the segment, and the sign of
+    the attracting endpoint in the segment's frame."""
+    frame = _segment_frame(p, q)
+    out = []
+    for leaf in enumerate_leaf_lifts(hol, mc, depth, focus=[p, q]):
+        flo = leaf.circle.evaluate(cp1(p))
+        if not flo * leaf.circle.evaluate(cp1(q)) < 0:
+            continue
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = (lo + hi) / 2.0
+            fm = leaf.circle.evaluate(cp1(uhp_geodesic_point(p, q, mid)))
+            if fm == 0.0:
+                lo = hi = mid
+                break
+            if (fm > 0) == (flo > 0):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        att = apply(frame, leaf.geodesic.q)
+        sign = 1 if att.is_infinity or att.as_complex().real > 0 else -1
+        out.append((leaf.key(), sign, (lo + hi) / 2.0))
+    return sorted(out, key=lambda c: c[2])
+
+
+def test_lift_crossings_closed_form_matches_bisection(holonomy):
+    total = 0
+    for hol, mc, p, q in _oracle_segments(holonomy):
+        got = lift_crossings(hol, p, q, mc, depth=4)
+        want = _bisection_crossings(hol, p, q, mc, 4)
+        assert [(c.leaf.key(), c.sign) for c in got] == [w[:2] for w in want]
+        for c, w in zip(got, want):
+            assert abs(c.parameter - w[2]) <= 1e-11
+        total += len(got)
+    assert total >= 9  # nine crossings over the oracle segments
 
 
 def test_leaf_table_keys_and_conjugators(holonomy):
@@ -364,20 +376,66 @@ def test_pleated_projection_relation(holonomy, half_pi_structure):
         assert np.linalg.norm(psi.coords() - beta.coords()) < 1e-6
 
 
+def test_pleated_strata_match_circle_sides(holonomy):
+    # Separators and region membership, recomputed from each leaf's circle;
+    # the cuff-1 axis (0, infinity) is one of the leaves.
+    gs = GraftedStructure(holonomy, CUFF_MULTICURVE, depth=4)
+    radius = 3.0
+    mesh = pleated_surface(
+        holonomy, CUFF_MULTICURVE, depth=4, truncation_radius=radius, structure=gs
+    )
+    leaves = [e.leaf for e in mesh.edges]
+    assert any(lf.geodesic.p.is_infinity or lf.geodesic.q.is_infinity for lf in leaves)
+    x0 = gs.basepoint
+
+    def side(lf, z):
+        return lf.circle.evaluate(cp1(z))
+
+    separators = []
+    for i, lf in enumerate(leaves):
+        n = _real_normalizer(lf.geodesic.p, lf.geodesic.q)
+        foot = n.inverse()(1j * abs(n(x0)))
+        separators.append([
+            j for j, other in enumerate(leaves)
+            if j != i and side(other, x0) * side(other, foot) < 0
+        ])
+    assert any(separators)
+    order = sorted(range(len(leaves)), key=lambda i: len(separators[i]))
+    assert [f.entering_leaf.key() for f in mesh.faces[1:]] == [leaves[i].key() for i in order]
+    face_of = {i: k + 1 for k, i in enumerate(order)}
+    for i, e in enumerate(mesh.edges):
+        seps = separators[i]
+        outer = face_of[max(seps, key=lambda j: len(separators[j]))] if seps else 0
+        assert e.face_ids == (outer, face_of[i])
+        # Each face's sample lies beyond the leaf it enters by.
+        sample = mesh.faces[face_of[i]].sample
+        assert side(e.leaf, x0) * side(e.leaf, sample) < 0
+
+    ecenter, eradius = _hyperbolic_circle_euclidean(x0, radius)
+    arc = [ecenter + eradius * cmath.exp(2j * math.pi * k / 96.0) for k in range(96)]
+    arc = [z for z in arc if z.imag > 0]
+    for face in mesh.faces:
+        want = [
+            z for z in arc
+            if all((side(lf, z) > 0) == (side(lf, face.sample) > 0) for lf in leaves)
+        ]
+        assert set(face.polygon) & set(arc) == set(want)
+
+
 # ---------------------------------------------------------------------------
-# developing continuation and collapse
+# developing continuation
 
 
 def test_develop_constant_path(two_pi_structure):
     res = develop_and_lift(two_pi_structure, [0.2 + 1.1j])
-    assert res.ok
+    assert not res.crossings
     assert chordal_distance(res.endpoint, cp1(0.2 + 1.1j)) < 1e-12
 
 
 def test_develop_null_homotopic_square(two_pi_structure):
     square = [0.1 + 0.9j, 0.3 + 0.9j, 0.3 + 1.1j, 0.1 + 1.1j, 0.1 + 0.9j]
     res = develop_and_lift(two_pi_structure, square)
-    assert res.ok and not res.crossings
+    assert not res.crossings
     assert chordal_distance(res.endpoint, cp1(square[0])) < 1e-9
 
 
@@ -385,58 +443,9 @@ def test_develop_crossing_cylinder_with_wrap(two_pi_structure):
     gs = two_pi_structure
     # Cross the cuff-1 axis (the vertical geodesic) and come back.
     path = [0.3 + 1.0j, -0.3 + 1.0j, -0.3 + 1.2j, 0.3 + 1.2j, 0.3 + 1.0j]
-    res = develop_and_lift(gs, path, wraps=[1, 1])
+    res = develop_and_lift(gs, path)
     assert len(res.crossings) == 2
-    assert res.ok
     assert chordal_distance(res.endpoint, cp1(path[0])) < 1e-9
-
-
-def test_develop_invalid_wrap_fails(two_pi_structure, holonomy):
-    mc = WeightedMulticurve(((GroupWord((1,)), math.pi / 2.0),))
-    gs = GraftedStructure(holonomy, mc, depth=5)
-    path = [0.3 + 1.0j, -0.3 + 1.0j]
-    res = develop_and_lift(gs, path, wraps=[1])
-    assert not res.ok
-    assert "chart" in res.messages[0]
-
-
-def test_develop_wrap_precondition(two_pi_structure):
-    path = [0.3 + 1.0j, -0.3 + 1.0j]
-    from cp1graft.moebius import DegenerateInputError
-
-    with pytest.raises(DegenerateInputError):
-        develop_and_lift(two_pi_structure, path, wraps=[3])
-
-
-def test_collapse_stratum_identity(two_pi_structure):
-    z = 0.3 + 1.4j
-    assert collapse(two_pi_structure, StratumPoint(z)) == z
-
-
-def test_collapse_crescent_fiber(two_pi_structure):
-    gs = two_pi_structure
-    leaf = gs.base_leaves[0]
-    a = collapse(gs, CrescentPoint(leaf, x=0.4, y=0.1))
-    b = collapse(gs, CrescentPoint(leaf, x=0.4, y=leaf.weight - 0.1))
-    assert abs(a - b) < 1e-12
-
-
-def test_collapse_seam_continuity(two_pi_structure):
-    gs = two_pi_structure
-    leaf = gs.base_leaves[0]
-    n = leaf_normalizer(gs, leaf)
-    x = 0.7
-    # Stratum point on the leaf at arclength parameter x.
-    on_leaf = n.inverse()(1j * math.exp(x))
-    via_crescent = collapse(gs, CrescentPoint(leaf, x=x, y=0.0))
-    assert abs(on_leaf - via_crescent) < 1e-9
-
-
-def test_collapse_out_of_chart(two_pi_structure):
-    gs = two_pi_structure
-    leaf = gs.base_leaves[0]
-    with pytest.raises(LiftFailure):
-        collapse(gs, CrescentPoint(leaf, x=0.0, y=leaf.weight + 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -619,6 +619,12 @@ def test_covering_margin_guard(two_pi_structure):
         verify_covering(two_pi_structure, [loop], margin=0.05, limit_depth=4)
 
 
+def test_covering_degenerate_loops_raise(two_pi_structure):
+    for loop in ([], [0.4 + 0.9j]):
+        with pytest.raises(DegenerateInputError):
+            verify_covering(two_pi_structure, [loop], margin=0.05, limit_depth=4)
+
+
 def test_covering_requires_two_pi_weights(half_pi_structure):
     loop = [complex(0.4, 0.9) + 0.05 * np.exp(2j * math.pi * k / 12) for k in range(13)]
     with pytest.raises(PreconditionError):
