@@ -47,6 +47,7 @@ from .thurston import (
     PreconditionError,
     TransversalityError,
     dome_measure_report,
+    limit_margin,
     recover_weight_from_grafted,
     stratification_check,
     verify_covering,
@@ -492,11 +493,7 @@ def cmd_verify(config: RunConfig, which: str, out_dir: str) -> int:
                 continue
             r = 0.08 + 0.1 * rng.random()
             loop = [c + r * np.exp(2j * math.pi * k / 24) for k in range(25)]
-            d = min(
-                np.min(np.linalg.norm(limit_xyz - cp1(z).sphere_coords(), axis=1))
-                for z in loop
-            )
-            if d > config.margin * 1.5:
+            if limit_margin(loop, limit_xyz) > config.margin * 1.5:
                 loops.append(loop)
         report = verify_covering(
             gs, loops, margin=config.margin, limit_depth=config.limit_depth,

@@ -211,10 +211,6 @@ class DomeMesh:
     faces: tuple  # DomeFace
     edges: tuple  # DomeEdge
 
-    @property
-    def is_flat(self) -> bool:
-        return len(self.faces) == 1
-
 
 def _sphere(points):
     return np.array([p.sphere_coords() for p in points])

@@ -816,20 +816,45 @@ def recover_weight_from_grafted(
 # Path lifting in the domain of discontinuity
 
 
-@dataclass
-class _Locus:
-    kind: str  # "stratum" | "crescent"
-    signs: tuple | None = None
-    leaf_index: int | None = None
-    psi: float | None = None
-    enter_sign: float | None = None  # stratum sign on the low-angle side
+# Fine steps a loop is sampled at, and the most steps one lift may take.
+STEPS_PER_LOOP = 512
+MAX_STEPS = 100_000
 
-    def closes_with(self, other: "_Locus", tol: float = 1e-6) -> bool:
-        if self.kind != other.kind:
-            return False
-        if self.kind == "stratum":
-            return self.signs == other.signs
-        return self.leaf_index == other.leaf_index and abs(self.psi - other.psi) < tol
+
+def limit_margin(points, limit_xyz: np.ndarray) -> float:
+    """Least chordal distance from the points to a limit-set sample given
+    as sphere coordinates."""
+    return min(float(np.min(np.linalg.norm(
+        limit_xyz - PointCP1.from_complex(z).sphere_coords(), axis=1))) for z in points)
+
+
+class _LoopSamples:
+    """What every lift reads at the points z of a sampled loop, computed
+    once: ``positive[i, j]``, the side of positive-weight leaf j at point i;
+    ``radius[i]``, the stratum embedding radius; and ``frame(j, i)``, point
+    i in leaf j's frame.  ``leaves`` is (table, rows, normalizers)."""
+
+    def __init__(self, z: list, leaves: tuple):
+        self.z, self.leaves = z, leaves
+        table, rows, self._normalizers = leaves
+        self.positive = table.sides(np.array(z, dtype=complex)[:, None])[:, rows] > 0
+        self.radius = [2.0 * abs(w.imag) / (1.0 + abs(w) ** 2) for w in z]
+        unit = (PointCP1.from_complex(w).normalized() for w in z)
+        self._pairs = np.array([(q.z0, q.z1) for q in unit], dtype=complex)
+        self._frames = {}
+
+    def frame(self, j: int, i: int) -> complex:
+        """Leaf j's frame is applied to all points on its first read.  If a
+        point lies at infinity in it, the column stays homogeneous and is
+        converted per read, so that only reading that point raises."""
+        col = self._frames.get(j)
+        if col is None:
+            col = self._frames[j] = apply_stack(self._normalizers[j], self._pairs)
+            try:
+                col = self._frames[j] = affine_stack(col)
+            except DegenerateInputError:
+                pass
+        return col[i] if isinstance(col, list) else affine_stack(col[i:i + 1])[0]
 
 
 def verify_covering(
@@ -837,8 +862,6 @@ def verify_covering(
     loops,
     margin: float = 0.05,
     limit_depth: int = 5,
-    steps_per_loop: int = 512,
-    max_steps: int = 100_000,
     limit_xyz: np.ndarray | None = None,
 ) -> dict:
     """Numerically verify path lifting over the discontinuity domain for a
@@ -851,6 +874,9 @@ def verify_covering(
     the minimal chordal distance to the support boundary along the lift.
     ``limit_xyz`` is the limit-set sample as sphere coordinates, when the
     caller has it; otherwise it is sampled to ``limit_depth``.
+
+    A lift is (signs, None, None) in the stratum with leaf sides ``signs``,
+    or (None, j, psi) in the crescent of leaf j at angle psi of its frame.
     """
     if not gs.all_weights_two_pi_multiples():
         raise PreconditionError("verify_covering requires weights in 2 pi Z")
@@ -858,42 +884,15 @@ def verify_covering(
     if limit_xyz is None:
         limit_xyz = np.array([p.sphere_coords() for p in limit_set_sample(gs.hol, limit_depth)])
 
-    def chordal_to_limit(w: complex) -> float:
-        xyz = PointCP1.from_complex(w).sphere_coords()
-        return float(np.min(np.linalg.norm(limit_xyz - xyz, axis=1)))
-
     table = enumerate_leaf_lifts(gs.hol, gs.multicurve, gs.depth, focus=[gs.basepoint])
     rows = np.nonzero(table.weight > 0.0)[0]
     weights = table.weight[rows].tolist()
     normalizers = [leaf_normalizer(gs, table[i]) for i in rows]
 
-    def signs_at(w: complex) -> tuple:
-        """Side of w (+1 or -1) for every leaf of positive weight."""
-        return tuple(np.where(table.sides(w)[rows] > 0, 1, -1).tolist())
-
-    # Stratum sign just below each leaf's crescent (at angle pi/2 - 0.05 in
+    # Stratum side just below each leaf's crescent (at angle pi/2 - 0.05 in
     # the leaf's frame): the side a lift enters the crescent from.
     low = cmath.exp(1j * (math.pi / 2.0 - 0.05))
-    low_signs = [float(signs_at(n.inverse()(low))[j]) for j, n in enumerate(normalizers)]
-
-    def locus_of(w: complex):
-        """All lifts of the point w: at most one stratum locus plus one
-        crescent locus per leaf and full 2 pi winding branch."""
-        loci = []
-        if w.imag > 0:
-            loci.append(_Locus(kind="stratum", signs=signs_at(w)))
-        for j, weight in enumerate(weights):
-            arg = cmath.phase(normalizers[j](w))
-            k0 = 0
-            while arg + 2.0 * math.pi * k0 <= math.pi / 2.0:
-                k0 += 1
-            psi = arg + 2.0 * math.pi * k0
-            while psi < math.pi / 2.0 + weight:
-                loci.append(
-                    _Locus(kind="crescent", leaf_index=j, psi=psi, enter_sign=low_signs[j])
-                )
-                psi += 2.0 * math.pi
-        return loci
+    low_positive = [bool(table.sides(n.inverse()(low))[r] > 0) for n, r in zip(normalizers, rows)]
 
     loops = list(loops)
     checks = []
@@ -908,36 +907,49 @@ def verify_covering(
         if abs(loop_pts[0] - loop_pts[-1]) > 1e-12:
             loop_pts.append(loop_pts[0])
         # Guard: the loop must respect the limit-set margin.
-        sub = max(2, steps_per_loop // (len(loop_pts) - 1))
+        sub = max(2, STEPS_PER_LOOP // (len(loop_pts) - 1))
         fine = []
         for a, b in zip(loop_pts, loop_pts[1:]):
             for k in range(sub):
                 fine.append(a + (b - a) * k / sub)
         fine.append(loop_pts[-1])
-        margin_actual = min(chordal_to_limit(w) for w in fine)
+        margin_actual = limit_margin(fine, limit_xyz)
         if margin_actual <= margin:
             raise PreconditionError(
                 f"loop {li} violates the limit-set margin "
                 f"({margin_actual:.4g} <= {margin})"
             )
 
-        starting = locus_of(fine[0])
-        for locus in starting:
+        # All lifts of the first point: its stratum (in the upper half-plane)
+        # plus one crescent lift per leaf and full 2 pi winding branch.
+        samples = _LoopSamples(fine, (table, rows, normalizers))
+        starts = [(samples.positive[0], None, None)] if fine[0].imag > 0 else []
+        for j, weight in enumerate(weights):
+            arg = cmath.phase(samples.frame(j, 0))
+            k0 = 0
+            while arg + 2.0 * math.pi * k0 <= math.pi / 2.0:
+                k0 += 1
+            psi = arg + 2.0 * math.pi * k0
+            while psi < math.pi / 2.0 + weight:
+                starts.append((None, j, psi))
+                psi += 2.0 * math.pi
+        path = [(samples, i) for i in range(len(fine))]
+        for start in starts:
             values["lifts_tested"] += 1
-            state = _Locus(**vars(locus))
-            ok, radius, msg = _march_loop(
-                state, list(fine), signs_at, weights, normalizers, low_signs, max_steps
-            )
-            if not ok:
+            end, radius, msg = _march_loop(start, list(path), weights, low_positive)
+            if end is None:
                 violations.append({"kind": "lift-failure", "loop": li, "detail": msg})
                 continue
             embedding_radii.append(radius)
-            if state.closes_with(locus):
+            (s0, j0, psi0), (s1, j1, psi1) = start, end
+            if j0 == j1 and (abs(psi0 - psi1) < 1e-6 if j0 is not None
+                             else np.array_equal(s0, s1)):
                 values["closures"] += 1
             else:
                 violations.append(
                     {"kind": "no-closure", "loop": li,
-                     "start": locus.kind, "end": state.kind}
+                     "start": "stratum" if j0 is None else "crescent",
+                     "end": "stratum" if j1 is None else "crescent"}
                 )
 
     checks.append({"name": "all-lifts-close", "passed": not violations,
@@ -950,79 +962,68 @@ def verify_covering(
     return {"checks": checks, "violations": violations, "values": values}
 
 
-def _march_loop(
-    state: _Locus, fine, signs_at, weights, normalizers, low_signs, max_steps
-) -> tuple:
-    """Advance a lift along the sampled loop; returns (ok, min_radius, msg).
-    In a crescent, ``nw`` is the current point in its leaf's frame."""
+def _march_loop(lift: tuple, path: list, weights, low_positive) -> tuple:
+    """Advance a lift along the sampled loop ``path``, a list of (samples,
+    row) pairs; returns (end lift or None, min_radius, msg).  In a
+    crescent, ``nw`` is the current point in its leaf's frame."""
+    signs, j, psi = lift
     steps = 0
     min_radius = math.inf
     i = 0
-    n = len(fine)
-    w = fine[0]
-    nw = normalizers[state.leaf_index](w) if state.kind == "crescent" else None
-    while i < n - 1:
+    s, k = path[0]
+    w = s.z[k]
+    nw = s.frame(j, k) if j is not None else None
+    while i < len(path) - 1:
         steps += 1
-        if steps > max_steps:
-            return False, min_radius, "step budget exceeded"
-        w_next = fine[i + 1]
-        if state.kind == "stratum":
-            signs_next = signs_at(w_next)
-            flips = [j for j, (a, b) in enumerate(zip(signs_next, state.signs)) if a != b]
-            if not flips:
-                min_radius = min(min_radius, 2.0 * abs(w_next.imag) / (1.0 + abs(w_next) ** 2))
-                w = w_next
-                i += 1
-                continue
+        if steps > MAX_STEPS:
+            return None, min_radius, "step budget exceeded"
+        s, k = path[i + 1]
+        w_next = s.z[k]
+        if j is None:
+            flips = np.flatnonzero(s.positive[k] != signs)
             if len(flips) > 1:
                 # Subdivide to isolate a single transition.
-                mid = (w + w_next) / 2.0
-                fine.insert(i + 1, mid)
-                n += 1
+                path.insert(i + 1, (_LoopSamples([(w + w_next) / 2.0], s.leaves), 0))
                 continue
-            j = flips[0]
-            nw = normalizers[j](w_next)
-            arg = cmath.phase(nw)
-            low_sign = low_signs[j]
-            entering_from_low = state.signs[j] == low_sign
-            if entering_from_low:
-                psi = arg if arg > 0 else arg + 2.0 * math.pi
+            if len(flips):
+                j = int(flips[0])
+                nw = s.frame(j, k)
+                arg = cmath.phase(nw)
+                if signs[j] == low_positive[j]:
+                    psi = arg if arg > 0 else arg + 2.0 * math.pi
+                else:
+                    psi = arg + weights[j]
+                signs = None
             else:
-                psi = arg + weights[j]
-            state.kind = "crescent"
-            state.leaf_index = j
-            state.psi = psi
-            state.enter_sign = low_sign
-            w = w_next
-            i += 1
-            continue
-        # Crescent marching.
-        j = state.leaf_index
-        theta = weights[j]
-        nw_next = normalizers[j](w_next)
-        psi_next = state.psi + cmath.phase(nw_next / nw)
-        nw = nw_next
-        if abs(math.log(abs(nw))) > 30.0:
-            return False, min_radius, "escape toward a leaf endpoint"
-        if psi_next < math.pi / 2.0 - 1e-12 or psi_next > math.pi / 2.0 + theta + 1e-12:
-            # Exit into the stratum on the corresponding side.
-            exiting_low = psi_next < math.pi / 2.0
-            signs = list(signs_at(w_next))
-            want = state.enter_sign if exiting_low else -state.enter_sign
-            signs[j] = int(want)
-            state.kind = "stratum"
-            state.signs = tuple(signs)
-            state.leaf_index = None
-            state.psi = None
-            w = w_next
-            i += 1
-            continue
-        state.psi = psi_next
-        min_radius = min(
-            min_radius,
-            min(abs(psi_next - math.pi / 2.0), abs(math.pi / 2.0 + theta - psi_next))
-            * 2.0 * abs(nw) / (1.0 + abs(nw) ** 2),
-        )
+                min_radius = min(min_radius, s.radius[k])
+        else:
+            # Crescent marching.
+            theta = weights[j]
+            nw_next = s.frame(j, k)
+            psi_next = psi + cmath.phase(nw_next / nw)
+            if abs(math.log(abs(nw_next))) > 30.0:
+                return None, min_radius, "escape toward a leaf endpoint"
+            if psi_next < math.pi / 2.0 - 1e-12 or psi_next > math.pi / 2.0 + theta + 1e-12:
+                here, row = path[i]
+                crossed = s.positive[k] != here.positive[row]
+                crossed[j] = False
+                if crossed.any():
+                    # Another leaf is crossed too: subdivide, so that the
+                    # lift enters the stratum where it leaves this crescent.
+                    path.insert(i + 1, (_LoopSamples([(w + w_next) / 2.0], s.leaves), 0))
+                    continue
+                # Exit into the stratum on the corresponding side.
+                signs = s.positive[k].copy()
+                signs[j] = low_positive[j] if psi_next < math.pi / 2.0 else not low_positive[j]
+                j = psi = None
+            else:
+                nw = nw_next
+                psi = psi_next
+                min_radius = min(
+                    min_radius,
+                    min(abs(psi_next - math.pi / 2.0), abs(math.pi / 2.0 + theta - psi_next))
+                    * 2.0 * abs(nw) / (1.0 + abs(nw) ** 2),
+                )
         w = w_next
         i += 1
-    return True, min_radius, ""
+    return (signs, j, psi), min_radius, ""

@@ -594,12 +594,32 @@ def test_recover_weight_accepts_string(two_pi_structure):
 # covering
 
 
-def test_covering_contractible_loops(two_pi_structure):
+def _circle_loop(c, r=0.1, n=20):
+    return [c + r * np.exp(2j * math.pi * k / n) for k in range(n + 1)]
+
+
+def _contractible_loops():
     rng = np.random.default_rng(3)
-    loops = []
-    for _ in range(6):
-        c = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.6, 2.0))
-        loops.append([c + 0.1 * np.exp(2j * math.pi * k / 20) for k in range(21)])
+    return [
+        _circle_loop(complex(rng.uniform(-1.5, 1.5), rng.uniform(0.6, 2.0)))
+        for _ in range(6)
+    ]
+
+
+LOWER_HALF_PLANE_LOOP = _circle_loop(complex(0.4, -0.9), r=0.08)
+
+
+@pytest.fixture(scope="module")
+def three_cuff_structure(holonomy):
+    """The three cuffs a1, a1^-1 b2, b2^-1, each grafted by 2 pi."""
+    words = (GroupWord((1,)), GroupWord((-1, 4)), GroupWord((-4,)))
+    return GraftedStructure(
+        holonomy, WeightedMulticurve(tuple((w, TWO_PI) for w in words)), depth=4
+    )
+
+
+def test_covering_contractible_loops(two_pi_structure):
+    loops = _contractible_loops()
     report = verify_covering(two_pi_structure, loops, margin=0.05, limit_depth=4)
     assert not report["violations"]
     assert report["values"]["closures"] == report["values"]["lifts_tested"]
@@ -607,10 +627,93 @@ def test_covering_contractible_loops(two_pi_structure):
 
 
 def test_covering_lower_half_plane_loop(two_pi_structure):
-    loop = [complex(0.4, -0.9) + 0.08 * np.exp(2j * math.pi * k / 20) for k in range(21)]
-    report = verify_covering(two_pi_structure, [loop], margin=0.05, limit_depth=4)
+    report = verify_covering(
+        two_pi_structure, [LOWER_HALF_PLANE_LOOP], margin=0.05, limit_depth=4
+    )
     assert not report["violations"]
     assert report["values"]["lifts_tested"] > 0
+
+
+# (lifts_tested, closures, min_embedding_radius as float.hex): recorded
+# reports that the per-loop sample table must reproduce bit for bit.
+COVERING_GOLDEN = {
+    "contractible": (102, 102, "0x1.9da6cbe6f4e7ap-12"),
+    "lower-half-plane": (16, 16, "0x1.96528f8210defp+0"),
+    "three-cuff": (805, 805, "0x1.49b34aca8b7c9p-3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COVERING_GOLDEN))
+def test_covering_reports_match_golden(case, request):
+    if case == "three-cuff":
+        gs = request.getfixturevalue("three_cuff_structure")
+        loops = [_circle_loop(-0.3 + 1.2j), _circle_loop(0.8 - 1.4j)]
+    else:
+        gs = request.getfixturevalue("two_pi_structure")
+        loops = _contractible_loops() if case == "contractible" else [LOWER_HALF_PLANE_LOOP]
+    report = verify_covering(gs, loops, margin=0.05, limit_depth=4)
+    values = report["values"]
+    lifts, closures, radius = COVERING_GOLDEN[case]
+    assert report["violations"] == []
+    assert (values["lifts_tested"], values["closures"]) == (lifts, closures)
+    assert float.hex(values["min_embedding_radius"]) == radius
+
+
+def test_covering_coarse_steps_subdivide_and_close(three_cuff_structure, monkeypatch):
+    """At two steps per loop edge, steps of the chord from -0.1 + 0.2i to
+    1.9 + 0.2i cross two leaves at once, both in the stratum and when
+    leaving a crescent; the subdivided lifts must still close."""
+    midpoints = []
+
+    class Recording(thurston._LoopSamples):
+        def __init__(self, z, leaves):
+            if len(z) == 1:
+                midpoints.append(z[0])
+            super().__init__(z, leaves)
+
+    monkeypatch.setattr(thurston, "_LoopSamples", Recording)
+    monkeypatch.setattr(thurston, "STEPS_PER_LOOP", 2)
+    arc = [0.9 + 0.2j + np.exp(1j * math.pi * k / 200) for k in range(201)]
+    report = verify_covering(
+        three_cuff_structure, [[-0.1 + 0.2j] + arc], margin=0.05, limit_depth=4
+    )
+    assert midpoints
+    assert report["violations"] == []
+    assert report["values"]["closures"] == report["values"]["lifts_tested"] > 0
+
+
+def test_covering_step_budget_reports_lift_failure(two_pi_structure, monkeypatch):
+    monkeypatch.setattr(thurston, "MAX_STEPS", 10)
+    report = verify_covering(
+        two_pi_structure, [_circle_loop(0.3 + 1.2j)], margin=0.05, limit_depth=4
+    )
+    failures = [v for v in report["violations"] if v["kind"] == "lift-failure"]
+    assert len(failures) == report["values"]["lifts_tested"] > 0
+    assert failures[0]["detail"] == "step budget exceeded"
+    assert not report["checks"][0]["passed"]
+
+
+def test_covering_detects_rotated_leaf_frame(two_pi_structure, monkeypatch):
+    """Rotating the frame of the vertical leaf by pi/2 moves its crescent:
+    a loop that starts left of the leaf and crosses it then cannot close."""
+    loop = [0.03 + 1.2j - 0.1 * np.exp(2j * math.pi * k / 20) for k in range(21)]
+    report = verify_covering(two_pi_structure, [loop], margin=0.05, limit_depth=4)
+    assert report["violations"] == []
+
+    frame = thurston.leaf_normalizer
+    turn = cmath.exp(0.25j * math.pi)
+    quarter = MoebiusMap(np.diag([turn, 1.0 / turn]))
+
+    def rotated(gs, leaf):
+        vertical = leaf.geodesic.p.is_infinity or leaf.geodesic.q.is_infinity
+        return quarter @ frame(gs, leaf) if vertical else frame(gs, leaf)
+
+    monkeypatch.setattr(thurston, "leaf_normalizer", rotated)
+    report = verify_covering(two_pi_structure, [loop], margin=0.05, limit_depth=4)
+    assert {"kind": "no-closure", "loop": 0, "start": "stratum", "end": "crescent"} in (
+        report["violations"]
+    )
+    assert not report["checks"][0]["passed"]
 
 
 def test_covering_margin_guard(two_pi_structure):
