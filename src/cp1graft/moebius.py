@@ -16,6 +16,7 @@ Conventions
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -559,6 +560,15 @@ def _contains(center, radius, p, eps):
     return abs(p - center) <= radius * (1.0 + eps) + eps
 
 
+@functools.lru_cache(maxsize=256)
+def _insertion_order(n: int, seed: int) -> tuple:
+    """range(n) shuffled by random.Random(seed); it depends on n and the
+    seed only, so it is drawn once per pair."""
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    return tuple(order)
+
+
 def minimal_enclosing_disk(points, seed: int = 0) -> MinimalDisk:
     """Smallest closed disk containing all (finite) points.
 
@@ -574,8 +584,7 @@ def minimal_enclosing_disk(points, seed: int = 0) -> MinimalDisk:
     scale = max(1.0, max(abs(p) for p in pts))
     eps = 1e-12
 
-    order = list(range(len(pts)))
-    random.Random(seed).shuffle(order)
+    order = _insertion_order(len(pts), seed)
 
     def med_two_known(limit, i1, i2):
         c, r = _disk_two(pts[i1], pts[i2])

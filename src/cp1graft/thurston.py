@@ -36,6 +36,7 @@ from .moebius import (
     cp1,
     inversive_product,
     minimal_enclosing_disk,
+    moebius_two_points,
 )
 from .hyperbolic import PlaneH3, PointH3, nearest_point_projection
 from .surface import GroupWord, limit_set_sample
@@ -242,7 +243,11 @@ def maximal_disk_at(
     if len(contacts) < 2:
         contacts = sorted(set(contacts) | set(med.support))
     circle_norm = OrientedCircle.from_center_radius(med.center, med.radius, disk_inside=False)
-    disk = RoundDisk(circle_norm.transform(t.inverse()))
+    # The push-forward by t^-1 is t* H t.  t has det -1 exactly, so the
+    # double inversion inside ``transform(t.inverse())`` gives back t's
+    # entries (up to the signs of zeros) and this form has the same bits.
+    m = t.matrix
+    disk = RoundDisk(OrientedCircle(m.conj().T @ circle_norm.hermitian @ m))
 
     # Unit-disk frame: z -> radius / (z - center) maps the exterior (with
     # the query at infinity) onto the unit disk with the query at 0.
@@ -504,15 +509,27 @@ def transverse_measure(
 # Dome vs. transverse measure
 
 
+# Band around every stratum boundary inside which a probe's label is left to
+# maximal_disk_at.  It is at least 50 times each threshold it guards: the
+# contact band (a relative TOL_CONTACT is a contact value of about -2e-6,
+# see ``_contact_values``), the 1e-6 face-circle match, the TOL_GEO margin
+# of ``contains`` and the 1e-9 squared radius below which a hull edge is
+# built, and may raise.
+STRATA_BAND = 1e-4
+
+
+def _face_frame(face) -> MoebiusMap:
+    """Face disk -> unit disk: the face plane's half-plane map, then Cayley."""
+    cayley = MoebiusMap(np.array([[1.0, -1j], [1.0, 1j]], dtype=complex))
+    return cayley @ face.plane.to_halfplane_map()
+
+
 def face_core_point(dom: DiskComplementDomain, face, seed: int = 0) -> PointCP1:
     """A point of the two-dimensional core of a dome face: searched along
     the mean vertex direction in the face's disk frame and verified by the
     maximal-disk computation itself."""
     circle = face.plane.boundary
-    plane = face.plane
-    half = plane.to_halfplane_map()
-    cayley = MoebiusMap(np.array([[1.0, -1j], [1.0, 1j]], dtype=complex))
-    frame = cayley @ half  # face disk -> unit disk
+    frame = _face_frame(face)
     finv = frame.inverse()
     us = []
     for i in face.vertex_ids:
@@ -567,7 +584,146 @@ def _classify_on_path(dom, mesh, edge, z, seed: int = 0) -> str:
     return "other"
 
 
-def _single_edge_subpath(dom, mesh, edge, path, seed: int = 0, probes: int = 33):
+def _contact_values(hz: np.ndarray, hp: np.ndarray, zs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """(z* H z)(p* H p) / |[p, z]|^2 for probes z (rows) and points p
+    (columns), given the form values hz at the probes and hp at the points
+    (one row per probe when each probe has its own form).  The value is
+    Moebius invariant; with z at infinity it is |p - c|^2 / R^2 - 1 for
+    the center c and radius R of the circle, so the contact test of
+    ``maximal_disk_at`` on a point the disk misses reads value >= -2e-6."""
+    bracket = np.outer(zs[:, 1], ps[:, 0]) - np.outer(zs[:, 0], ps[:, 1])
+    return hz[:, None] * hp / np.abs(bracket) ** 2
+
+
+class _FaceCore:
+    """The core of a dome face, to test probes against: its hull geodesics
+    (from ``_core_region``) as form columns in the face's unit-disk frame,
+    the vertices there, and the face circle at the other complement points.
+    ``edges`` is None when the core cannot be built."""
+
+    def __init__(self, dom: DiskComplementDomain, face):
+        try:
+            self.frame = _face_frame(face)
+            ws = sorted(
+                (apply(self.frame, dom.complement[i]).as_complex() for i in face.vertex_ids),
+                key=lambda w: math.atan2(w.imag, w.real),
+            )
+            core = _core_region(self.frame, tuple(ws))
+        except DegenerateInputError:
+            self.edges = None
+            return
+        h = np.array([e.hermitian for e in core.edges]).reshape(-1, 4)
+        self.edges = (h[:, 0].real, h[:, 1], h[:, 3].real)
+        self.units = np.array([w / abs(w) for w in ws])
+        hf = face.plane.boundary.hermitian.reshape(1, 4)
+        self.form = (hf[:, 0].real, hf[:, 1], hf[:, 3].real)
+        others = np.ones(len(dom.complement), dtype=bool)
+        others[list(face.vertex_ids)] = False
+        self.others = dom.pairs[others]
+        self.hp = _form_values(self.others, *self.form)[:, 0]
+
+    def certified(self, zs: np.ndarray) -> np.ndarray:
+        """Probes (normalized pairs) that lie in the core by more than the
+        band, whose maximal disk has exactly the face's vertices as contacts,
+        and whose hull edges maximal_disk_at accepts without a check."""
+        band = STRATA_BAND
+        q = apply_stack(self.frame, zs)
+        q /= np.linalg.norm(q, axis=1)[:, None]
+        mod0, mod1 = np.abs(q[:, 0]) ** 2, np.abs(q[:, 1]) ** 2
+        ok = (mod0 - mod1 < -band) & (_form_values(q, *self.edges) < -band).all(axis=1)
+        hz = _form_values(zs, *self.form)[:, 0]
+        ok &= (_contact_values(hz, self.hp, zs, self.others) < -band).all(axis=1)
+        # Every pair of vertices, seen from the probe (moved to 0), is far
+        # enough apart that its geodesic's squared radius exceeds the band.
+        zeta = (np.where(ok, q[:, 0], 0.0) / np.where(ok, q[:, 1], 1.0))[:, None]
+        seen = (self.units - zeta) / (1.0 - np.conj(zeta) * self.units)
+        seen /= np.abs(seen)
+        a, b = np.triu_indices(len(self.units), 1)
+        nearest = (seen[:, a] * np.conj(seen[:, b])).real.max(axis=1)
+        return ok & (1.0 - nearest > band * (1.0 + nearest))
+
+
+class _EdgeStrata:
+    """The strata a measure path of one dome edge crosses: the two face
+    cores, and the lune of the edge's two-contact disks.  With the edge's
+    vertices at 0 and infinity (frame ``n``) each face circle is a line
+    through 0, and the disk side of face k lies toward ``sides[k]``; the
+    lune is the open sector between the two sides, and a probe there has
+    as maximal disk the half-plane toward its own direction.
+
+    ``labels`` gives each probe the label ``_classify_on_path`` gives it:
+    in closed form where the probe is certified, from maximal_disk_at
+    otherwise."""
+
+    def __init__(self, dom: DiskComplementDomain, mesh, edge, cores: list):
+        self.dom, self.mesh, self.edge = dom, mesh, edge
+        self.faces = [mesh.faces[i] for i in edge.face_ids]
+        va, vb = (mesh.vertices[i] for i in edge.vertex_ids)
+        self.n = moebius_two_points(va, vb)
+        self.ninv = self.n.inverse()
+        bs = [complex(f.plane.boundary.transform(self.n).hermitian[0, 1]) for f in self.faces]
+        # Line {Re(conj(B) z) = 0}; the disk side is the -B half-plane.
+        self.phis = [cmath.phase(1j * b) for b in bs]
+        self.sides = [-b / abs(b) for b in bs]
+        self.bs = np.array(bs)
+        s1, s2 = self.sides
+        self.turn = (np.conj(s1) * s2).imag
+        self.cores = [cores[i] for i in edge.face_ids]
+        # The edge is labelled in closed form only if the complement is the
+        # dome's vertex set, both cores are built and the strata are apart.
+        self.closed_form = (
+            len(mesh.vertices) == len(dom.complement)
+            and all(c.edges is not None for c in self.cores)
+            and self.faces[0].plane.boundary.proj_distance(self.faces[1].plane.boundary)
+            > STRATA_BAND
+            and abs(self.turn) > STRATA_BAND
+        )
+        others = np.ones(len(dom.complement), dtype=bool)
+        others[list(edge.vertex_ids)] = False
+        self.others = apply_stack(self.n, dom.pairs[others])
+        # proj_distance in the original frame is at least the one in the
+        # edge frame divided by the squared largest singular value of n,
+        # which is at most the squared Frobenius norm.
+        self.stretch = float(np.sum(np.abs(self.n.matrix) ** 2))
+
+    def _in_lune(self, zs: np.ndarray) -> np.ndarray:
+        """Probes in the lune whose maximal disk differs from both face
+        circles by more than the band and has exactly two contacts."""
+        band = STRATA_BAND
+        w = apply_stack(self.n, zs)
+        d = w[:, 0] * np.conj(w[:, 1])
+        d /= np.abs(d)
+        s1, s2 = self.sides
+        ok = ((np.conj(d) * s2).imag / self.turn > 0) & ((np.conj(s1) * d).imag / self.turn > 0)
+        # The probe's disk is the line form with B = -d.
+        apart = math.sqrt(2.0) * np.abs(-d[:, None] - self.bs).min(axis=1) / self.stretch
+        ok &= apart > band
+        hz = -2.0 * np.abs(w[:, 0] * w[:, 1])
+        hp = 2.0 * (-d[:, None] * np.conj(self.others[:, 0]) * self.others[:, 1]).real
+        return ok & (_contact_values(hz, hp, w, self.others) < -band).all(axis=1)
+
+    def labels(self, points: list, seed: int = 0) -> list:
+        """Labels of the path points, as ``_classify_on_path`` gives them."""
+        out = [None] * len(points)
+        if self.closed_form:
+            z = np.array(points, dtype=complex)
+            zs = np.stack([z, np.ones_like(z)], axis=1) / np.sqrt(1.0 + np.abs(z) ** 2)[:, None]
+            xyz = np.stack([2.0 * z.real, 2.0 * z.imag, np.abs(z) ** 2 - 1.0], axis=1)
+            xyz /= (1.0 + np.abs(z) ** 2)[:, None]
+            clear = np.linalg.norm(self.dom.xyz - xyz[:, None], axis=2).min(axis=1) > STRATA_BAND
+            tests = [c.certified(zs) for c in self.cores] + [self._in_lune(zs)]
+            alone = clear & (np.sum(tests, axis=0) == 1)
+            for lab, test in zip(("face1", "face2", "family"), tests):
+                for i in np.flatnonzero(alone & test):
+                    out[i] = lab
+        return [
+            lab if lab is not None else _classify_on_path(
+                self.dom, self.mesh, self.edge, z, seed=seed)
+            for z, lab in zip(points, out)
+        ]
+
+
+def _single_edge_subpath(strata: _EdgeStrata, path, seed: int = 0, probes: int = 33):
     """Walk the path coarsely looking for a contiguous stretch whose disk
     labels read (one face core) [this edge's family] (other face core); on
     success return the trimmed polyline between the two face cores."""
@@ -584,13 +740,11 @@ def _single_edge_subpath(dom, mesh, edge, path, seed: int = 0, probes: int = 33)
             acc += length
         return path[-1]
 
-    samples = []
-    for k in range(probes + 1):
-        target = total * k / probes
-        samples.append((target, _classify_on_path(dom, mesh, edge, point_at(target), seed=seed)))
+    targets = [total * k / probes for k in range(probes + 1)]
+    labels = strata.labels([point_at(t) for t in targets], seed=seed)
 
     blocks = []
-    for target, lab in samples:
+    for target, lab in zip(targets, labels):
         if not blocks or blocks[-1][0] != lab:
             blocks.append([lab, target, target])
         else:
@@ -621,30 +775,18 @@ def _path_vertices_between(path, seg_lengths, t_a, t_b):
             yield acc, b
 
 
-def _edge_measure_paths(dom, mesh, edge, seed: int = 0):
+def _edge_measure_paths(strata: _EdgeStrata, seed: int = 0):
     """Candidate polylines crossing the given dome edge.
 
     With the edge's ideal vertices at 0 and infinity both face circles are
     lines through the origin and the edge's disk family is the pencil of
     lines in the wedge between them, so arcs sweeping the wedge are natural
     candidates; each candidate still gets validated by the caller."""
-    from .moebius import moebius_two_points
-
-    f1 = mesh.faces[edge.face_ids[0]]
-    f2 = mesh.faces[edge.face_ids[1]]
-    va = mesh.vertices[edge.vertex_ids[0]]
-    vb = mesh.vertices[edge.vertex_ids[1]]
-    n = moebius_two_points(va, vb)
-    ninv = n.inverse()
-
-    def line_angle(circle):
-        h = circle.transform(n).hermitian
-        b = complex(h[0, 1])
-        # Line {Re(conj(B) z) = 0}; the disk side is the -B half-plane.
-        return cmath.phase(1j * b), -b / abs(b)
-
-    phi1, side1 = line_angle(f1.plane.boundary)
-    phi2, side2 = line_angle(f2.plane.boundary)
+    dom, mesh, edge = strata.dom, strata.mesh, strata.edge
+    f1, f2 = strata.faces
+    n, ninv = strata.n, strata.ninv
+    phi1, phi2 = strata.phis
+    side1, side2 = strata.sides
 
     def wedge_sweep(delta, r1, r2, samples=48):
         """Arc (log-spiral when r1 != r2) crossing the edge's disk family:
@@ -711,13 +853,15 @@ def dome_measure_report(ideal_points, tol: float = TOL_MEASURE, seed: int = 0) -
     pts = [cp1(p) for p in ideal_points]
     mesh = dome(pts)
     dom = DiskComplementDomain.from_ideal_points(pts)
+    cores = [_FaceCore(dom, f) for f in mesh.faces]
     checks = []
     violations = []
     edge_values = []
     for ei, edge in enumerate(mesh.edges):
+        strata = _EdgeStrata(dom, mesh, edge, cores)
         path = None
-        for candidate in _edge_measure_paths(dom, mesh, edge, seed=seed):
-            path = _single_edge_subpath(dom, mesh, edge, candidate, seed=seed)
+        for candidate in _edge_measure_paths(strata, seed=seed):
+            path = _single_edge_subpath(strata, candidate, seed=seed)
             if path is not None:
                 break
         if path is None:
@@ -819,6 +963,9 @@ def recover_weight_from_grafted(
 # Fine steps a loop is sampled at, and the most steps one lift may take.
 STEPS_PER_LOOP = 512
 MAX_STEPS = 100_000
+# A crescent exit is checked against the leaf side of its point unless the
+# point is within this angle (radians) of the leaf, in the leaf's frame.
+EXIT_BAND = 1e-6
 
 
 def limit_margin(points, limit_xyz: np.ndarray) -> float:
@@ -1012,9 +1159,12 @@ def _march_loop(lift: tuple, path: list, weights, low_positive) -> tuple:
                     # lift enters the stratum where it leaves this crescent.
                     path.insert(i + 1, (_LoopSamples([(w + w_next) / 2.0], s.leaves), 0))
                     continue
-                # Exit into the stratum on the corresponding side.
+                # Exit into the stratum on the corresponding side, which
+                # must be the side the point is on, off the leaf's band.
                 signs = s.positive[k].copy()
                 signs[j] = low_positive[j] if psi_next < math.pi / 2.0 else not low_positive[j]
+                if signs[j] != s.positive[k][j] and abs(nw_next.real) > EXIT_BAND * abs(nw_next):
+                    return None, min_radius, "crescent exit on the wrong side of its leaf"
                 j = psi = None
             else:
                 nw = nw_next

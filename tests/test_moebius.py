@@ -1,10 +1,12 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cp1graft.moebius as moebius
 from cp1graft.moebius import (
     INFINITY,
     DegenerateInputError,
@@ -264,6 +266,15 @@ def test_med_three_points_vs_oracle():
     oc, orad = brute_force_minimal_disk([0, 1, 1j])
     assert abs(d.center - oc) < 1e-12
     assert d.radius == pytest.approx(orad, abs=1e-12)
+
+
+def test_med_insertion_order_is_a_fresh_shuffle():
+    """The cached order is the one a new random.Random(seed) draws."""
+    for n in range(1, 21):
+        for seed in range(4):
+            order = list(range(n))
+            random.Random(seed).shuffle(order)
+            assert moebius._insertion_order(n, seed) == tuple(order)
 
 
 def test_med_empty_rejected():

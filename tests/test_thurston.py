@@ -1,6 +1,9 @@
 import cmath
 import dataclasses
+import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from cp1graft.moebius import (
     inversive_product,
     minimal_enclosing_disk,
 )
+from cp1graft.cli import RunConfig
 from cp1graft.hyperbolic import dome
 from cp1graft.surface import GroupWord
 from cp1graft.grafting import GraftedStructure, WeightedMulticurve
@@ -516,6 +520,105 @@ def test_dome_measure_report_random_domain():
     assert all(c["passed"] for c in report["checks"])
 
 
+# The benchmark's domain round: eight ideal sets drawn from the seed as
+# ``bench/workloads.py`` draws them, and the domains of ``configs/``.
+REPO = Path(__file__).resolve().parent.parent
+DOME_GOLDEN = json.loads((REPO / "tests" / "data" / "dome_measure_golden.json").read_text())
+
+
+def _domain_round_sets(seed):
+    sys.path.insert(0, str(REPO / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(REPO / "bench"))
+    rng = np.random.default_rng(seed)
+    turn = cmath.exp(2j * math.pi * rng.uniform())
+    sets = [workloads._moved(p, turn, rng, 0.0) for p in workloads._fixed_sets()] + [
+        workloads._moved(workloads._scattered_set(n, with_infinity=bool(i % 2)), turn, rng, 0.003)
+        for i, n in enumerate(workloads.DOMAIN_SCATTERED_SIZES)
+    ]
+    return [[INFINITY if z == "inf" else cp1(complex(z)) for z in s] for s in sets]
+
+
+@pytest.fixture(scope="module")
+def dome_measure_runs():
+    """dome_measure_report on every set of DOME_GOLDEN, recording each
+    batch of probe labels (set name, strata, points, labels) and the probes
+    sent to ``_classify_on_path``."""
+    runs = [(f"seed{seed}-set{k}", pts, {})
+            for seed in (1, 7, 100) for k, pts in enumerate(_domain_round_sets(seed))]
+    for name in ("sixpoint_domain", "tetrahedron_dome"):
+        config = RunConfig.load(str(REPO / "configs" / f"{name}.json"))
+        runs.append((name, list(config.domain_points),
+                     {"tol": config.tol("measure", 1e-5), "seed": config.seed}))
+    batches, fallbacks, reports = [], [], {}
+    labels, classify = thurston._EdgeStrata.labels, thurston._classify_on_path
+    current = []
+
+    def recording(self, points, seed=0):
+        out = labels(self, points, seed=seed)
+        batches.append((current[-1], self, list(points), out))
+        return out
+
+    def counting(*args, **kwargs):
+        fallbacks.append(args[3])
+        return classify(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(thurston._EdgeStrata, "labels", recording)
+        mp.setattr(thurston, "_classify_on_path", counting)
+        for name, pts, kwargs in runs:
+            current.append(name)
+            reports[name] = dome_measure_report(pts, **kwargs)
+    return reports, batches, fallbacks
+
+
+def test_dome_measure_reports_match_golden(dome_measure_runs):
+    """Reports recorded when every probe was labelled by maximal_disk_at:
+    face count, violations and the bits of every edge's theta."""
+    reports, _, _ = dome_measure_runs
+    assert sorted(reports) == sorted(DOME_GOLDEN)
+    for name, report in reports.items():
+        got = {"faces": report["values"]["faces"], "violations": report["violations"],
+               "theta": [float.hex(ev["theta"]) for ev in report["values"]["edges"]]}
+        assert got == DOME_GOLDEN[name], name
+
+
+def test_strata_labels_match_maximal_disk_labels(dome_measure_runs):
+    """Every probe of every run gets the label of ``_classify_on_path``, and
+    the closed form decides all but a few of them."""
+    _, batches, fallbacks = dome_measure_runs
+    probes = 0
+    for name, strata, points, labels in batches:
+        for z, label in zip(points, labels):
+            probes += 1
+            ref = thurston._classify_on_path(strata.dom, strata.mesh, strata.edge, z)
+            assert label == ref, (name, z)
+    assert probes > 10_000
+    assert len(fallbacks) <= probes // 500
+
+
+def test_maximal_disk_matches_two_inversions(dome_measure_runs):
+    """The disk of maximal_disk_at is bit for bit the push-forward by
+    ``t.inverse()`` through ``OrientedCircle.transform``, on every probe of
+    the seed-7 round."""
+    _, batches, _ = dome_measure_runs
+    checked = 0
+    for name, strata, points, _ in batches:
+        if not name.startswith("seed7-"):
+            continue
+        for z in points:
+            rec = maximal_disk_at(strata.dom, cp1(z))
+            t = rec.frame_maps[1]
+            med = rec.normalized
+            circle = OrientedCircle.from_center_radius(med.center, med.radius, disk_inside=False)
+            old = circle.transform(t.inverse()).hermitian
+            assert rec.disk.circle.hermitian.tobytes() == old.tobytes(), z
+            checked += 1
+    assert checked > 3000
+
+
 # ---------------------------------------------------------------------------
 # projection
 
@@ -693,13 +796,8 @@ def test_covering_step_budget_reports_lift_failure(two_pi_structure, monkeypatch
     assert not report["checks"][0]["passed"]
 
 
-def test_covering_detects_rotated_leaf_frame(two_pi_structure, monkeypatch):
-    """Rotating the frame of the vertical leaf by pi/2 moves its crescent:
-    a loop that starts left of the leaf and crosses it then cannot close."""
-    loop = [0.03 + 1.2j - 0.1 * np.exp(2j * math.pi * k / 20) for k in range(21)]
-    report = verify_covering(two_pi_structure, [loop], margin=0.05, limit_depth=4)
-    assert report["violations"] == []
-
+def _rotate_vertical_leaf_frame(monkeypatch):
+    """Turn the frame of every vertical leaf by pi/2."""
     frame = thurston.leaf_normalizer
     turn = cmath.exp(0.25j * math.pi)
     quarter = MoebiusMap(np.diag([turn, 1.0 / turn]))
@@ -709,10 +807,35 @@ def test_covering_detects_rotated_leaf_frame(two_pi_structure, monkeypatch):
         return quarter @ frame(gs, leaf) if vertical else frame(gs, leaf)
 
     monkeypatch.setattr(thurston, "leaf_normalizer", rotated)
+
+
+def test_covering_detects_rotated_leaf_frame(two_pi_structure, monkeypatch):
+    """Rotating the frame of the vertical leaf by pi/2 moves its crescent:
+    a loop that starts left of the leaf and crosses it then cannot close."""
+    loop = [0.03 + 1.2j - 0.1 * np.exp(2j * math.pi * k / 20) for k in range(21)]
+    report = verify_covering(two_pi_structure, [loop], margin=0.05, limit_depth=4)
+    assert report["violations"] == []
+
+    _rotate_vertical_leaf_frame(monkeypatch)
     report = verify_covering(two_pi_structure, [loop], margin=0.05, limit_depth=4)
     assert {"kind": "no-closure", "loop": 0, "start": "stratum", "end": "crescent"} in (
         report["violations"]
     )
+    assert not report["checks"][0]["passed"]
+
+
+def test_covering_exit_side_detects_rotated_leaf_frame(two_pi_structure, monkeypatch):
+    """A loop that starts right of the vertical leaf enters its crescent
+    from the high side; under the rotated frame its lift leaves the crescent
+    far from the leaf, on the side the forced sign does not give."""
+    loop = [1j + 0.3 * np.exp(2j * math.pi * k / 20) for k in range(21)]
+    report = verify_covering(two_pi_structure, [loop], margin=0.05, limit_depth=4)
+    assert report["violations"] == []
+
+    _rotate_vertical_leaf_frame(monkeypatch)
+    report = verify_covering(two_pi_structure, [loop], margin=0.05, limit_depth=4)
+    assert {"kind": "lift-failure", "loop": 0,
+            "detail": "crescent exit on the wrong side of its leaf"} in report["violations"]
     assert not report["checks"][0]["passed"]
 
 
