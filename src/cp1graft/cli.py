@@ -47,7 +47,6 @@ from .thurston import (
     PreconditionError,
     TransversalityError,
     dome_measure_report,
-    limit_margin,
     recover_weight_from_grafted,
     stratification_check,
     verify_covering,
@@ -258,8 +257,7 @@ def moebius_entries(m: MoebiusMap) -> list:
 def dome_mesh_json(mesh: DomeMesh) -> dict:
     return {
         "vertices": [
-            [p.sphere_coords()[0], p.sphere_coords()[1], p.sphere_coords()[2]]
-            if p.is_infinity
+            list(p.sphere_coords()) if p.is_infinity
             else [p.as_complex().real, p.as_complex().imag]
             for p in mesh.vertices
         ],
@@ -478,26 +476,22 @@ def cmd_verify(config: RunConfig, which: str, out_dir: str) -> int:
         hol = fuchsian_from_fn(config.fn)
         gs = GraftedStructure(hol, config.multicurve(), depth=config.depth)
         rng = np.random.default_rng(config.seed)
-        limit = limit_set_sample(hol, config.limit_depth)
-        limit_xyz = np.array([p.sphere_coords() for p in limit])
+        limit = DiskComplementDomain(limit_set_sample(hol, config.limit_depth))
         loops = []
         attempts = 0
         while len(loops) < config.loops:
             attempts += 1
             if attempts > 200 * config.loops:
-                raise ConfigError(
-                    "could not place loops outside the limit-set margin"
-                )
+                raise ConfigError("could not place loops outside the limit-set margin")
             c = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.5, 2.5))
             if abs(c.imag) < 0.3:
                 continue
             r = 0.08 + 0.1 * rng.random()
             loop = [c + r * np.exp(2j * math.pi * k / 24) for k in range(25)]
-            if limit_margin(loop, limit_xyz) > config.margin * 1.5:
+            if limit.distances(loop).min() > config.margin * 1.5:
                 loops.append(loop)
         report = verify_covering(
-            gs, loops, margin=config.margin, limit_depth=config.limit_depth,
-            limit_xyz=limit_xyz,
+            gs, loops, margin=config.margin, limit_depth=config.limit_depth, limit=limit
         )
         return _report_exit(report, path)
 

@@ -343,7 +343,7 @@ def _attracting_points(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v, ok
 
 
-def limit_set_sample(hol, depth: int, dedup_tol: float = TOL_GEO) -> list[PointCP1]:
+def limit_set_sample(hol, depth: int) -> list[PointCP1]:
     """Attracting fixed points of all hyperbolic/loxodromic images of words
     of length <= depth, deduplicated on the sphere; deterministic order."""
     if depth < 1:
@@ -380,7 +380,7 @@ def limit_set_sample(hol, depth: int, dedup_tol: float = TOL_GEO) -> list[PointC
     # Deduplicate via rounded sphere coordinates, keeping first occurrences.
     seen = set()
     out = []
-    decimals = max(1, int(-math.log10(dedup_tol)))
+    decimals = max(1, int(-math.log10(TOL_GEO)))
     for p in points:
         key = tuple(np.round(p.sphere_coords(), decimals))
         if key not in seen:

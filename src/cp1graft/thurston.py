@@ -3,8 +3,8 @@ enclosing disks, ideal points and cores, stratification checks, the
 transverse bending measure, the nearest-point projection, recovery of
 grafting weights, and path-lifting verification in the discontinuity domain.
 
-Domains are finite-data models: the domain is the complement of a finite
-ideal set Lambda, held once as arrays.  Ideal points of maximal disks are
+Domains are finite-data models: the complement of a finite ideal set, or of
+a limit-set sample, held once as arrays.  Ideal points of maximal disks are
 realized as contact points of the transported complement with the minimal
 enclosing circle.
 """
@@ -12,6 +12,7 @@ enclosing circle.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,8 +39,8 @@ from .moebius import (
     minimal_enclosing_disk,
     moebius_two_points,
 )
-from .hyperbolic import PlaneH3, PointH3, nearest_point_projection
-from .surface import GroupWord, limit_set_sample
+from .hyperbolic import PlaneH3, PointH3, dome, nearest_point_projection
+from .surface import GroupWord, axis, limit_set_sample
 from .grafting import (
     GraftedStructure,
     LiftedLeaf,
@@ -68,17 +69,29 @@ class TransversalityError(RuntimeError):
 # Domains
 
 
+# Distances to a domain's complement are taken in blocks of about this many:
+# one row per point for a limit-set sample, a whole batch for an ideal set.
+ROW_BLOCK = 2048
+
+
+def _unit_pairs(points) -> np.ndarray:
+    """(N, 2) normalized homogeneous pairs, from ``PointCP1.normalized``."""
+    unit = (cp1(p).normalized() for p in points)
+    return np.array([(q.z0, q.z1) for q in unit], dtype=complex)
+
+
 @dataclass(frozen=True)
 class DiskComplementDomain:
-    """Domain U = CP^1 minus a finite complement sample (the ideal set).
+    """CP^1 minus a finite sample: the ideal set of a dome, or a limit-set
+    sample standing for the limit set of the domain of discontinuity.
 
     The complement is also held as arrays, built from the per-point methods
-    so that their bits are the same: ``pairs`` (N, 2), the normalized
-    homogeneous pairs, and ``xyz`` (N, 3), the sphere coordinates.
+    so that their bits are the same: ``xyz`` (N, 3), the sphere coordinates,
+    and ``pairs`` (N, 2), the normalized homogeneous pairs, built when first
+    read.  Queries take one point or a sequence of points.
     """
 
     complement: tuple  # PointCP1
-    pairs: np.ndarray = field(init=False, repr=False, compare=False)
     xyz: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -86,25 +99,54 @@ class DiskComplementDomain:
         if len(pts) < 2:
             raise DegenerateInputError("complement must contain more than one point")
         object.__setattr__(self, "complement", pts)
-        unit = [p.normalized() for p in pts]
-        pairs = np.array([(q.z0, q.z1) for q in unit], dtype=complex)
         xyz = np.array([p.sphere_coords() for p in pts])
-        for name, arr in (("pairs", pairs), ("xyz", xyz)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        xyz.setflags(write=False)
+        object.__setattr__(self, "xyz", xyz)
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        pairs = _unit_pairs(self.complement)
+        pairs.setflags(write=False)
+        return pairs
 
     @staticmethod
     def from_ideal_points(points) -> "DiskComplementDomain":
         return DiskComplementDomain(tuple(points))
 
-    def contains(self, x: PointCP1, margin: float = TOL_GEO) -> bool:
-        """Whether x is farther than margin from every complement point, in
-        the chordal metric."""
-        x = cp1(x)
-        dist = np.linalg.norm(self.xyz - x.sphere_coords(), axis=1)
+    def _rows(self, xyz: np.ndarray) -> np.ndarray:
+        """Chordal distances from the points with sphere coordinates xyz,
+        (3,) or (B, 3), to every complement point: (N,) or (B, N)."""
+        d = self.xyz - xyz[..., None, :]
+        # np.linalg.norm(d, axis=-1), the same operations without its checks.
+        return np.sqrt(np.add.reduce(d * d, axis=-1))
+
+    def distances(self, points) -> np.ndarray:
+        """Least chordal distance from each point to the complement, from
+        blocks of about ROW_BLOCK distances."""
+        xyz = np.array([cp1(p).sphere_coords() for p in points]).reshape(-1, 3)
+        step = max(1, ROW_BLOCK // len(self.xyz))
+        out = np.empty(len(xyz))
+        for s in range(0, len(xyz), step):
+            out[s : s + step] = self._rows(xyz[s : s + step]).min(axis=1)
+        return out
+
+    def contains(self, points, margin: float = TOL_GEO):
+        """Whether a point is farther than margin from every complement
+        point, in the chordal metric: a bool for one point, a bool array for
+        a list, tuple or array of points."""
+        if not isinstance(points, (list, tuple, np.ndarray)):
+            return self._contains_one(cp1(points), margin)
+        pts = [cp1(p) for p in points]
+        out = self.distances(pts) > margin * (1.0 + BATCH_BAND)
+        for k in np.flatnonzero(~out):
+            out[k] = self._contains_one(pts[k], margin)
+        return out
+
+    def _contains_one(self, x: PointCP1, margin: float) -> bool:
+        dist = self._rows(x.sphere_coords())
         if dist.min() > margin * (1.0 + BATCH_BAND):
             return True
-        # The scalar metric decides the points this close to the margin.
+        # The scalar metric decides the distances this close to the margin.
         near = np.abs(dist - margin) <= BATCH_BAND * margin
         if not (dist[~near] > margin).all():
             return False
@@ -156,11 +198,9 @@ class MaximalDiskRecord:
 
 
 def _normalizer_to_infinity(x: PointCP1) -> MoebiusMap:
-    x = cp1(x)
     if x.is_infinity:
         return MoebiusMap.identity()
-    z = x.as_complex()
-    return MoebiusMap(np.array([[0.0, 1.0], [1.0, -z]], dtype=complex))
+    return MoebiusMap(np.array([[0.0, 1.0], [1.0, -x.as_complex()]], dtype=complex))
 
 
 def _geodesic_center(u: complex, v: complex):
@@ -222,7 +262,6 @@ def maximal_disk_at(
     dom: DiskComplementDomain,
     x,
     seed: int = 0,
-    tol_contact: float = TOL_CONTACT,
 ) -> MaximalDiskRecord:
     """The maximal disk whose core contains x: normalize x to infinity, take
     the minimal enclosing disk of the transported complement, and return its
@@ -238,7 +277,7 @@ def maximal_disk_at(
     med = minimal_enclosing_disk(zs, seed=seed)
     contacts = [
         i for i, z in enumerate(zs)
-        if abs(abs(z - med.center) - med.radius) <= tol_contact * med.radius
+        if abs(abs(z - med.center) - med.radius) <= TOL_CONTACT * med.radius
     ]
     if len(contacts) < 2:
         contacts = sorted(set(contacts) | set(med.support))
@@ -433,6 +472,41 @@ def _check_pair(ra, rb, a: int, b: int, violations: list) -> None:
 # Transverse measure
 
 
+# Refinement of the transverse measure: the first level's subdivision, and
+# the most dyadic refinements taken.
+MEASURE_SUBDIVISION = 4
+MEASURE_MAX_LEVELS = 16
+
+
+class _Polyline:
+    """A polyline walked by arclength; ``starts[k]`` is the arclength at
+    vertex k."""
+
+    def __init__(self, pts):
+        self.pts = [complex(p) for p in pts]
+        self.lengths = [abs(b - a) for a, b in zip(self.pts, self.pts[1:])]
+        self.starts = [0.0, *itertools.accumulate(self.lengths)]
+        self.total = self.starts[-1]
+
+    def at(self, target: float, clamp: bool = True) -> complex:
+        """The point at arclength target, on the first segment that reaches
+        it.  Clamped, the last segment takes every target past the end and
+        the parameter is cut to [0, 1].  Unclamped, as paths are probed, the
+        parameter may exceed 1 by a few ulps at the end, and a target past
+        the end gives the last vertex."""
+        last = len(self.lengths) - 1
+        for k, length in enumerate(self.lengths):
+            if target <= self.starts[k + 1] or (clamp and k == last):
+                s = (target - self.starts[k]) / length if length > 0 else 0.0
+                a, b = self.pts[k], self.pts[k + 1]
+                return a + (b - a) * (min(max(s, 0.0), 1.0) if clamp else s)
+        return self.pts[-1]
+
+    def vertices_between(self, t_a: float, t_b: float) -> list:
+        """The vertices at arclength strictly between t_a and t_b."""
+        return [z for z, acc in zip(self.pts[1:], self.starts[1:]) if t_a < acc < t_b]
+
+
 @dataclass(frozen=True)
 class MeasureResult:
     value: float
@@ -445,44 +519,29 @@ def transverse_measure(
     dom: DiskComplementDomain,
     path,
     tol_measure: float = TOL_MEASURE,
-    max_levels: int = 16,
-    initial_subdivision: int = 4,
     seed: int = 0,
 ) -> MeasureResult:
     """Transverse measure of a path: Theta = sum of angles between maximal
     disks at consecutive subdivision points, refined dyadically until the
     increments fall below tol_measure.  Consecutive disks must intersect;
-    refinement is the remedy, and failure at max_levels raises."""
-    pts = [complex(p) for p in path]
-    if len(pts) < 2:
+    refinement is the remedy, and failure at MEASURE_MAX_LEVELS raises."""
+    line = _Polyline(path)
+    if len(line.pts) < 2:
         raise DegenerateInputError("path needs at least 2 vertices")
-
-    seg_lengths = [abs(b - a) for a, b in zip(pts, pts[1:])]
-    total = sum(seg_lengths)
-    if total <= 0:
+    if line.total <= 0:
         raise DegenerateInputError("path has zero length")
-
-    def eval_point(t: Fraction) -> complex:
-        target = float(t) * total
-        acc = 0.0
-        for (a, b), L in zip(zip(pts, pts[1:]), seg_lengths):
-            if target <= acc + L or (a, b) == (pts[-2], pts[-1]):
-                s = (target - acc) / L if L > 0 else 0.0
-                return a + (b - a) * min(max(s, 0.0), 1.0)
-            acc += L
-        return pts[-1]
 
     disk_cache: dict = {}
 
     def disk_at(t: Fraction) -> MaximalDiskRecord:
         if t not in disk_cache:
-            disk_cache[t] = maximal_disk_at(dom, eval_point(t), seed=seed)
+            disk_cache[t] = maximal_disk_at(dom, line.at(float(t) * line.total), seed=seed)
         return disk_cache[t]
 
     trace = []
     prev = None
-    for level in range(max_levels + 1):
-        n = initial_subdivision * (2**level)
+    for level in range(MEASURE_MAX_LEVELS + 1):
+        n = MEASURE_SUBDIVISION * (2**level)
         params = [Fraction(i, n) for i in range(n + 1)]
         try:
             theta = 0.0
@@ -502,7 +561,9 @@ def transverse_measure(
         raise TransversalityError(
             "consecutive maximal disks do not intersect at maximal refinement"
         )
-    return MeasureResult(value=trace[-1], trace=tuple(trace), levels=max_levels, converged=False)
+    return MeasureResult(
+        value=trace[-1], trace=tuple(trace), levels=MEASURE_MAX_LEVELS, converged=False
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -528,21 +589,14 @@ def face_core_point(dom: DiskComplementDomain, face, seed: int = 0) -> PointCP1:
     """A point of the two-dimensional core of a dome face: searched along
     the mean vertex direction in the face's disk frame and verified by the
     maximal-disk computation itself."""
-    circle = face.plane.boundary
     frame = _face_frame(face)
     finv = frame.inverse()
-    us = []
-    for i in face.vertex_ids:
-        w = apply(frame, dom.complement[i])
-        wc = w.as_complex()
-        if abs(wc) > 1e-9:
-            us.append(wc / abs(wc))
-    mean = sum(us)
+    ws = [apply(frame, dom.complement[i]).as_complex() for i in face.vertex_ids]
+    mean = sum(w / abs(w) for w in ws if abs(w) > 1e-9)
     direction = mean / abs(mean) if abs(mean) > 1e-9 else 0.0j
     # Cores of faces whose vertices hug a short boundary arc are thin
     # slivers near the circle, so the radial search must go deep.
-    radii = [k / 24.0 for k in range(24)] + [0.97, 0.985, 0.993]
-    for r in radii:
+    for r in [k / 24.0 for k in range(24)] + [0.97, 0.985, 0.993]:
         cand = apply(finv, PointCP1.from_complex(r * direction if direction else 0.0j))
         if cand.is_infinity or not dom.contains(cand):
             continue
@@ -550,7 +604,7 @@ def face_core_point(dom: DiskComplementDomain, face, seed: int = 0) -> PointCP1:
             rec = maximal_disk_at(dom, cand, seed=seed)
         except (PreconditionError, DegenerateInputError):
             continue
-        if rec.disk.circle.proj_distance(circle) < 1e-6:
+        if rec.disk.circle.proj_distance(face.plane.boundary) < 1e-6:
             return cand
     raise DegenerateInputError("no core point found for dome face")
 
@@ -558,28 +612,21 @@ def face_core_point(dom: DiskComplementDomain, face, seed: int = 0) -> PointCP1:
 def _classify_on_path(dom, mesh, edge, z, seed: int = 0) -> str:
     """Label a path point: in a face core of the edge, in the edge's own
     two-contact family, or somewhere else."""
-    f1 = mesh.faces[edge.face_ids[0]]
-    f2 = mesh.faces[edge.face_ids[1]]
     try:
         rec = maximal_disk_at(dom, cp1(z), seed=seed)
     except (PreconditionError, DegenerateInputError):
         return "other"
-    if rec.disk.circle.proj_distance(f1.plane.boundary) < 1e-6:
-        return "face1"
-    if rec.disk.circle.proj_distance(f2.plane.boundary) < 1e-6:
-        return "face2"
+    for label, f in zip(("face1", "face2"), edge.face_ids):
+        if rec.disk.circle.proj_distance(mesh.faces[f].plane.boundary) < 1e-6:
+            return label
     if len(rec.ideal_points) == 2:
-        va = mesh.vertices[edge.vertex_ids[0]]
-        vb = mesh.vertices[edge.vertex_ids[1]]
-        got = rec.ideal_points
-        match = (
-            chordal_distance(got[0], va) < 10 * TOL_GEO
-            and chordal_distance(got[1], vb) < 10 * TOL_GEO
-        ) or (
-            chordal_distance(got[0], vb) < 10 * TOL_GEO
-            and chordal_distance(got[1], va) < 10 * TOL_GEO
-        )
-        if match:
+        p, q = rec.ideal_points
+        va, vb = (mesh.vertices[i] for i in edge.vertex_ids)
+
+        def near(u, v):
+            return chordal_distance(u, v) < 10 * TOL_GEO
+
+        if (near(p, va) and near(q, vb)) or (near(p, vb) and near(q, va)):
             return "family"
     return "other"
 
@@ -660,7 +707,6 @@ class _EdgeStrata:
         self.faces = [mesh.faces[i] for i in edge.face_ids]
         va, vb = (mesh.vertices[i] for i in edge.vertex_ids)
         self.n = moebius_two_points(va, vb)
-        self.ninv = self.n.inverse()
         bs = [complex(f.plane.boundary.transform(self.n).hermitian[0, 1]) for f in self.faces]
         # Line {Re(conj(B) z) = 0}; the disk side is the -B half-plane.
         self.phis = [cmath.phase(1j * b) for b in bs]
@@ -669,11 +715,10 @@ class _EdgeStrata:
         s1, s2 = self.sides
         self.turn = (np.conj(s1) * s2).imag
         self.cores = [cores[i] for i in edge.face_ids]
-        # The edge is labelled in closed form only if the complement is the
-        # dome's vertex set, both cores are built and the strata are apart.
+        # The edge is labelled in closed form only if both cores are built
+        # and the strata are apart.
         self.closed_form = (
-            len(mesh.vertices) == len(dom.complement)
-            and all(c.edges is not None for c in self.cores)
+            all(c.edges is not None for c in self.cores)
             and self.faces[0].plane.boundary.proj_distance(self.faces[1].plane.boundary)
             > STRATA_BAND
             and abs(self.turn) > STRATA_BAND
@@ -708,9 +753,7 @@ class _EdgeStrata:
         if self.closed_form:
             z = np.array(points, dtype=complex)
             zs = np.stack([z, np.ones_like(z)], axis=1) / np.sqrt(1.0 + np.abs(z) ** 2)[:, None]
-            xyz = np.stack([2.0 * z.real, 2.0 * z.imag, np.abs(z) ** 2 - 1.0], axis=1)
-            xyz /= (1.0 + np.abs(z) ** 2)[:, None]
-            clear = np.linalg.norm(self.dom.xyz - xyz[:, None], axis=2).min(axis=1) > STRATA_BAND
+            clear = self.dom.distances(points) > STRATA_BAND
             tests = [c.certified(zs) for c in self.cores] + [self._in_lune(zs)]
             alone = clear & (np.sum(tests, axis=0) == 1)
             for lab, test in zip(("face1", "face2", "family"), tests):
@@ -723,25 +766,22 @@ class _EdgeStrata:
         ]
 
 
-def _single_edge_subpath(strata: _EdgeStrata, path, seed: int = 0, probes: int = 33):
+# Intervals a candidate path is probed at, evenly in arclength.
+PATH_PROBES = 33
+# Points of a wedge-sweep arc.
+WEDGE_SAMPLES = 48
+
+
+def _single_edge_subpath(strata: _EdgeStrata, path, seed: int = 0):
     """Walk the path coarsely looking for a contiguous stretch whose disk
     labels read (one face core) [this edge's family] (other face core); on
     success return the trimmed polyline between the two face cores."""
-    seg_lengths = [abs(b - a) for a, b in zip(path, path[1:])]
-    total = sum(seg_lengths)
-    if total <= 0:
+    line = _Polyline(path)
+    if line.total <= 0:
         return None
 
-    def point_at(target):
-        acc = 0.0
-        for (a, b), length in zip(zip(path, path[1:]), seg_lengths):
-            if target <= acc + length:
-                return a + (b - a) * ((target - acc) / length if length > 0 else 0.0)
-            acc += length
-        return path[-1]
-
-    targets = [total * k / probes for k in range(probes + 1)]
-    labels = strata.labels([point_at(t) for t in targets], seed=seed)
+    targets = [line.total * k / PATH_PROBES for k in range(PATH_PROBES + 1)]
+    labels = strata.labels([line.at(t, clamp=False) for t in targets], seed=seed)
 
     blocks = []
     for target, lab in zip(targets, labels):
@@ -759,20 +799,9 @@ def _single_edge_subpath(strata: _EdgeStrata, path, seed: int = 0, probes: int =
             if blocks[j][0] == other:
                 t_a = (blocks[i][1] + blocks[i][2]) / 2.0
                 t_b = (blocks[j][1] + blocks[j][2]) / 2.0
-                trimmed = [point_at(t_a)]
-                for acc, z in _path_vertices_between(path, seg_lengths, t_a, t_b):
-                    trimmed.append(z)
-                trimmed.append(point_at(t_b))
-                return trimmed
+                ends = [line.at(t, clamp=False) for t in (t_a, t_b)]
+                return [ends[0], *line.vertices_between(t_a, t_b), ends[1]]
     return None
-
-
-def _path_vertices_between(path, seg_lengths, t_a, t_b):
-    acc = 0.0
-    for (a, b), length in zip(zip(path, path[1:]), seg_lengths):
-        acc += length
-        if t_a < acc < t_b:
-            yield acc, b
 
 
 def _edge_measure_paths(strata: _EdgeStrata, seed: int = 0):
@@ -784,11 +813,10 @@ def _edge_measure_paths(strata: _EdgeStrata, seed: int = 0):
     candidates; each candidate still gets validated by the caller."""
     dom, mesh, edge = strata.dom, strata.mesh, strata.edge
     f1, f2 = strata.faces
-    n, ninv = strata.n, strata.ninv
+    n, ninv = strata.n, strata.n.inverse()
     phi1, phi2 = strata.phis
-    side1, side2 = strata.sides
 
-    def wedge_sweep(delta, r1, r2, samples=48):
+    def wedge_sweep(delta, r1, r2):
         """Arc (log-spiral when r1 != r2) crossing the edge's disk family:
         the family cores fill the sector of angular size edge.weight centered
         on the wedge midline, and the face cores begin just past its ends."""
@@ -797,33 +825,30 @@ def _edge_measure_paths(strata: _EdgeStrata, seed: int = 0):
             for s2 in (phi2, phi2 + math.pi):
                 span = ((s2 - s1 + math.pi) % (2.0 * math.pi)) - math.pi  # signed
                 mid = s1 + span / 2.0
-                inside1 = (cmath.exp(1j * mid) * np.conj(side1)).real > 0
-                inside2 = (cmath.exp(1j * mid) * np.conj(side2)).real > 0
-                if inside1 and inside2 and (best is None or abs(span) < abs(best[1])):
+                inside = all((cmath.exp(1j * mid) * np.conj(side)).real > 0 for side in strata.sides)
+                if inside and (best is None or abs(span) < abs(best[1])):
                     best = (s1, span)
         if best is None:
             return None
         s1, span = best
         mid = s1 + span / 2.0
         half = edge.weight / 2.0 + delta
-        ts = np.linspace(0.0, 1.0, samples)
-        path = []
-        for t in ts:
-            psi = mid - half + 2.0 * half * t
-            r = math.exp((1.0 - t) * math.log(r1) + t * math.log(r2))
-            w = apply(ninv, PointCP1.from_complex(r * cmath.exp(1j * psi)))
-            if w.is_infinity or not dom.contains(w):
-                return None
-            path.append(w.as_complex())
-        return path
+        arc = [
+            math.exp((1.0 - t) * math.log(r1) + t * math.log(r2))
+            * cmath.exp(1j * (mid - half + 2.0 * half * t))
+            for t in np.linspace(0.0, 1.0, WEDGE_SAMPLES)
+        ]
+        w = apply_stack(ninv, _unit_pairs(arc))
+        try:
+            path = affine_stack(w)
+        except DegenerateInputError:
+            return None
+        return path if dom.contains(path).all() else None
 
     def contact_radii():
+        ws = [apply(n, mesh.vertices[i]) for f in (f1, f2) for i in f.vertex_ids]
         mags = sorted(
-            abs(apply(n, mesh.vertices[i]).as_complex())
-            for f in (f1, f2)
-            for i in f.vertex_ids
-            if not apply(n, mesh.vertices[i]).is_infinity
-            and abs(apply(n, mesh.vertices[i]).as_complex()) > 1e-9
+            abs(w.as_complex()) for w in ws if not w.is_infinity and abs(w.as_complex()) > 1e-9
         )
         if not mags:
             return [1.0]
@@ -848,15 +873,11 @@ def dome_measure_report(ideal_points, tol: float = TOL_MEASURE, seed: int = 0) -
     """Compare the transverse measure across every dome edge against the
     edge's exterior dihedral angle, integrating along a validated path
     that crosses only that edge between the two adjacent face cores."""
-    from .hyperbolic import dome
-
-    pts = [cp1(p) for p in ideal_points]
-    mesh = dome(pts)
-    dom = DiskComplementDomain.from_ideal_points(pts)
+    mesh = dome(ideal_points)
+    # The dome's vertices: the input less the points it dropped as duplicates.
+    dom = DiskComplementDomain(mesh.vertices)
     cores = [_FaceCore(dom, f) for f in mesh.faces]
-    checks = []
-    violations = []
-    edge_values = []
+    checks, violations, edge_values = [], [], []
     for ei, edge in enumerate(mesh.edges):
         strata = _EdgeStrata(dom, mesh, edge, cores)
         path = None
@@ -867,9 +888,7 @@ def dome_measure_report(ideal_points, tol: float = TOL_MEASURE, seed: int = 0) -
         if path is None:
             violations.append({"kind": "no-measure-path", "edge": ei})
             edge_values.append(
-                {"edge": ei, "theta": math.nan, "dihedral": edge.weight,
-                 "error": math.inf}
-            )
+                {"edge": ei, "theta": math.nan, "dihedral": edge.weight, "error": math.inf})
             continue
         res = transverse_measure(dom, path, tol_measure=tol, seed=seed)
         err = abs(res.value - edge.weight)
@@ -885,8 +904,7 @@ def dome_measure_report(ideal_points, tol: float = TOL_MEASURE, seed: int = 0) -
          "details": {"edges": len(mesh.edges)}}
     )
     return {"checks": checks, "violations": violations,
-            "values": {"edges": edge_values,
-                       "faces": len(mesh.faces)}}
+            "values": {"edges": edge_values, "faces": len(mesh.faces)}}
 
 
 # ---------------------------------------------------------------------------
@@ -913,16 +931,12 @@ def recover_weight_from_grafted(
     if isinstance(curve, str):
         curve = GroupWord.parse(curve)
     try:
-        gs.multicurve.weight_of(curve)
+        weight = gs.multicurve.weight_of(curve)
     except KeyError as exc:
         raise PreconditionError(str(exc)) from None
-
-    from .surface import axis as _axis
-
-    leaf_axis = _axis(gs.hol.rho(curve))
-    weight = gs.multicurve.weight_of(curve)
     canonical = LiftedLeaf(
-        geodesic=leaf_axis, weight=weight, curve_index=-1, conjugator=GroupWord(())
+        geodesic=axis(gs.hol.rho(curve)), weight=weight, curve_index=-1,
+        conjugator=GroupWord(()),
     )
     n = leaf_normalizer(gs, canonical)
     ninv = n.inverse()
@@ -932,19 +946,14 @@ def recover_weight_from_grafted(
         za = ninv(cmath.exp(1j * (math.pi / 2.0 - phi)))
         zb = ninv(cmath.exp(1j * (math.pi / 2.0 + phi)))
         crossings = lift_crossings(gs.hol, za, zb, gs.multicurve, gs.depth)
-        ours = [
-            c for c in crossings
-            if c.leaf.key()[1:] == canonical.key()[1:]
-        ]
-        others = [c for c in crossings if c.leaf.key()[1:] != canonical.key()[1:]]
-        if len(ours) == 1 and not others:
+        ours = [c for c in crossings if c.leaf.key()[1:] == canonical.key()[1:]]
+        if len(crossings) == len(ours) == 1:
             break
         phi /= 2.0
     else:
         raise TransversalityError("could not isolate a transversal through the cylinder")
 
-    crossing = ours[0]
-    theta = crossing.leaf.weight
+    theta = ours[0].leaf.weight
     if theta == 0.0:
         return 0.0
     # Integrate the transverse coordinate through the crescent chart: sample
@@ -968,13 +977,6 @@ MAX_STEPS = 100_000
 EXIT_BAND = 1e-6
 
 
-def limit_margin(points, limit_xyz: np.ndarray) -> float:
-    """Least chordal distance from the points to a limit-set sample given
-    as sphere coordinates."""
-    return min(float(np.min(np.linalg.norm(
-        limit_xyz - PointCP1.from_complex(z).sphere_coords(), axis=1))) for z in points)
-
-
 class _LoopSamples:
     """What every lift reads at the points z of a sampled loop, computed
     once: ``positive[i, j]``, the side of positive-weight leaf j at point i;
@@ -986,8 +988,7 @@ class _LoopSamples:
         table, rows, self._normalizers = leaves
         self.positive = table.sides(np.array(z, dtype=complex)[:, None])[:, rows] > 0
         self.radius = [2.0 * abs(w.imag) / (1.0 + abs(w) ** 2) for w in z]
-        unit = (PointCP1.from_complex(w).normalized() for w in z)
-        self._pairs = np.array([(q.z0, q.z1) for q in unit], dtype=complex)
+        self._pairs = _unit_pairs(z)
         self._frames = {}
 
     def frame(self, j: int, i: int) -> complex:
@@ -1009,7 +1010,7 @@ def verify_covering(
     loops,
     margin: float = 0.05,
     limit_depth: int = 5,
-    limit_xyz: np.ndarray | None = None,
+    limit: DiskComplementDomain | None = None,
 ) -> dict:
     """Numerically verify path lifting over the discontinuity domain for a
     2 pi-multiple grafted structure: every closed null-homotopic loop whose
@@ -1019,8 +1020,8 @@ def verify_covering(
     Loops too close to the limit set raise PreconditionError (a guard, not
     a covering violation).  Reports per-loop embedding-radius estimates:
     the minimal chordal distance to the support boundary along the lift.
-    ``limit_xyz`` is the limit-set sample as sphere coordinates, when the
-    caller has it; otherwise it is sampled to ``limit_depth``.
+    ``limit`` is the domain off the limit-set sample when the caller has
+    one; otherwise the limit set is sampled to ``limit_depth``.
 
     A lift is (signs, None, None) in the stratum with leaf sides ``signs``,
     or (None, j, psi) in the crescent of leaf j at angle psi of its frame.
@@ -1028,22 +1029,17 @@ def verify_covering(
     if not gs.all_weights_two_pi_multiples():
         raise PreconditionError("verify_covering requires weights in 2 pi Z")
 
-    if limit_xyz is None:
-        limit_xyz = np.array([p.sphere_coords() for p in limit_set_sample(gs.hol, limit_depth)])
+    if limit is None:
+        limit = DiskComplementDomain(limit_set_sample(gs.hol, limit_depth))
 
     table = enumerate_leaf_lifts(gs.hol, gs.multicurve, gs.depth, focus=[gs.basepoint])
     rows = np.nonzero(table.weight > 0.0)[0]
     weights = table.weight[rows].tolist()
     normalizers = [leaf_normalizer(gs, table[i]) for i in rows]
-
-    # Stratum side just below each leaf's crescent (at angle pi/2 - 0.05 in
-    # the leaf's frame): the side a lift enters the crescent from.
-    low = cmath.exp(1j * (math.pi / 2.0 - 0.05))
-    low_positive = [bool(table.sides(n.inverse()(low))[r] > 0) for n, r in zip(normalizers, rows)]
+    low_positive = _low_sides(table, rows)
 
     loops = list(loops)
-    checks = []
-    violations = []
+    checks, violations = [], []
     values = {"loops": len(loops), "lifts_tested": 0, "closures": 0}
     embedding_radii = []
 
@@ -1055,12 +1051,9 @@ def verify_covering(
             loop_pts.append(loop_pts[0])
         # Guard: the loop must respect the limit-set margin.
         sub = max(2, STEPS_PER_LOOP // (len(loop_pts) - 1))
-        fine = []
-        for a, b in zip(loop_pts, loop_pts[1:]):
-            for k in range(sub):
-                fine.append(a + (b - a) * k / sub)
+        fine = [a + (b - a) * k / sub for a, b in zip(loop_pts, loop_pts[1:]) for k in range(sub)]
         fine.append(loop_pts[-1])
-        margin_actual = limit_margin(fine, limit_xyz)
+        margin_actual = float(limit.distances(fine).min())
         if margin_actual <= margin:
             raise PreconditionError(
                 f"loop {li} violates the limit-set margin "
@@ -1107,6 +1100,17 @@ def verify_covering(
                        "passed": values["min_embedding_radius"] > 0.0,
                        "details": {"min": values["min_embedding_radius"]}})
     return {"checks": checks, "violations": violations, "values": values}
+
+
+def _low_sides(table, rows) -> list:
+    """For each leaf row, whether the stratum just below its crescent (the
+    side a lift enters the crescent from) is the leaf's positive side.  The
+    leaf's frame, a real map, sends the repelling end p to 0 and the
+    attracting end q to infinity; the low side is that of the positive
+    reals, the arc of the real line from p to q: outside the half circle
+    when p > q, right of a vertical leaf when q is at infinity."""
+    p, q = table.real_ends[rows].T
+    return (np.isnan(q) | (p > q)).tolist()
 
 
 def _march_loop(lift: tuple, path: list, weights, low_positive) -> tuple:

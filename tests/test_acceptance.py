@@ -246,8 +246,7 @@ def test_criterion_6_path_lifting():
     mc = WeightedMulticurve(((GroupWord((1,)), TWO_PI),))
     gs = GraftedStructure(hol, mc, depth=6)
     rng = np.random.default_rng(7)
-    limit = limit_set_sample(hol, 4)
-    limit_xyz = np.array([p.sphere_coords() for p in limit])
+    limit = DiskComplementDomain(limit_set_sample(hol, 4))
     loops = []
     while len(loops) < 50:
         c = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.2, 2.2))
@@ -255,11 +254,7 @@ def test_criterion_6_path_lifting():
             continue
         r = 0.06 + 0.08 * rng.random()
         loop = [c + r * np.exp(2j * math.pi * k / 24) for k in range(25)]
-        d = min(
-            np.min(np.linalg.norm(limit_xyz - cp1(z).sphere_coords(), axis=1))
-            for z in loop
-        )
-        if d > 0.075:
+        if limit.distances(loop).min() > 0.075:
             loops.append(loop)
     report = verify_covering(gs, loops, margin=0.05, limit_depth=4)
     failures = [v for v in report["violations"]]

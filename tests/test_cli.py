@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -198,3 +200,47 @@ def test_covering_unsatisfiable_margin(tmp_path):
 
 def test_missing_config(tmp_path):
     assert main(["graft", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+# Every subcommand on every file in configs/: exit code and sha256 of each
+# output file.  Recorded from a checkout whose outputs were already checked
+# byte for byte against earlier ones; a change that moves any output byte
+# fails here.
+CLI_COMMANDS = (
+    ("graft",),
+    ("verify", "two-pi"),
+    ("verify", "goldman"),
+    ("verify", "stratification"),
+    ("verify", "covering"),
+    ("verify", "dome-measure"),
+    ("export", "pleat"),
+    ("export", "dome"),
+    ("export", "limitset"),
+    ("export", "holonomy"),
+)
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+CLI_GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+
+
+def cli_digests(out_root) -> dict:
+    """Run every subcommand on every config; key "<config> <command>"."""
+    digests = {}
+    for config in sorted(CONFIG_DIR.glob("*.json")):
+        for command in CLI_COMMANDS:
+            key = f"{config.name} {' '.join(command)}"
+            out = Path(out_root) / key.replace(" ", "_")
+            code = main([*command, "--config", str(config), "--out", str(out)])
+            files = {}
+            if out.exists():
+                for f in sorted(out.iterdir()):
+                    files[f.name] = hashlib.sha256(f.read_bytes()).hexdigest()
+            digests[key] = {"exit": code, "files": files}
+    return digests
+
+
+def test_cli_outputs_match_golden(tmp_path):
+    golden = json.loads(CLI_GOLDEN_PATH.read_text())
+    got = cli_digests(tmp_path)
+    assert set(got) == set(golden)
+    for key in golden:
+        assert got[key] == golden[key], key

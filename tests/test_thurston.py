@@ -25,8 +25,13 @@ from cp1graft.moebius import (
 )
 from cp1graft.cli import RunConfig
 from cp1graft.hyperbolic import dome
-from cp1graft.surface import GroupWord
-from cp1graft.grafting import GraftedStructure, WeightedMulticurve
+from cp1graft.surface import GroupWord, fuchsian_from_fn, limit_set_sample
+from cp1graft.grafting import (
+    GraftedStructure,
+    WeightedMulticurve,
+    enumerate_leaf_lifts,
+    leaf_normalizer,
+)
 from cp1graft.thurston import (
     TOL_CONTACT,
     DiskComplementDomain,
@@ -149,10 +154,12 @@ def test_contains_matches_scalar_metric():
     def reference(x, margin):
         return all(chordal_distance(x, p) > margin for p in pts)
 
-    for _ in range(300):
-        x = cp1(complex(*rng.uniform(-3, 3, 2)))
-        for margin in (TOL_GEO, 1e-3, 0.3, 0.8):
-            assert dom.contains(x, margin) == reference(x, margin)
+    queries = [cp1(complex(*rng.uniform(-3, 3, 2))) for _ in range(300)]
+    for margin in (TOL_GEO, 1e-3, 0.3, 0.8):
+        want = [reference(x, margin) for x in queries]
+        assert [dom.contains(x, margin) for x in queries] == want
+        got = dom.contains(queries, margin)  # a list gets one decision per point
+        assert got.dtype == bool and got.tolist() == want
     # Margins a few ulps either side of the nearest point's distance, where
     # a batched norm and chordal_distance can disagree in the last bit.
     flips = 0
@@ -165,8 +172,30 @@ def test_contains_matches_scalar_metric():
                 margin = np.nextafter(margin, 2.0 if steps > 0 else 0.0)
             want = reference(x, float(margin))
             assert dom.contains(x, float(margin)) == want
+            assert dom.contains([queries[0], x], float(margin))[1] == want
             flips += want
     assert 0 < flips < 1400
+
+
+def test_distances_match_per_point_norm(holonomy):
+    """``distances`` is bit for bit the per-point minimum of np.linalg.norm
+    over the complement's sphere coordinates, and the minimum of the row
+    ``contains`` reads: for a limit-set sample (one row per block) and for
+    ideal sets (many rows per block)."""
+    rng = np.random.default_rng(31)
+    zs = [complex(*rng.uniform(-3, 3, 2)) for _ in range(400)]
+    ideal = [cp1(complex(*rng.uniform(-2, 2, 2))) for _ in range(12)] + [INFINITY]
+    for pts in (limit_set_sample(holonomy, 4), ideal, ideal[:4]):
+        dom = DiskComplementDomain(pts)
+        xyz = np.array([p.sphere_coords() for p in pts])
+        ref = np.array([
+            np.min(np.linalg.norm(xyz - PointCP1.from_complex(z).sphere_coords(), axis=1))
+            for z in zs
+        ])
+        got = dom.distances(zs)
+        assert got.tobytes() == ref.tobytes()
+        rows = np.array([dom._rows(cp1(z).sphere_coords()).min() for z in zs[:40]])
+        assert rows.tobytes() == got[:40].tobytes()
 
 
 def _reference_geodesic(u, v):
@@ -520,6 +549,23 @@ def test_dome_measure_report_random_domain():
     assert all(c["passed"] for c in report["checks"])
 
 
+@pytest.mark.parametrize("where", ["appended", "inserted"])
+def test_dome_measure_drops_near_duplicate_points(tetrahedron_points, where):
+    """A point within TOL_GEO of an earlier one is dropped by the dome, and
+    so from the measured domain: the report is the tetrahedron's."""
+    pts = list(tetrahedron_points)
+    if where == "appended":
+        pts.append(cp1(1.0 + 1e-9))
+    else:
+        pts.insert(1, cp1(1e-9))
+    want = dome_measure_report(tetrahedron_points)
+    got = dome_measure_report(pts)
+    assert got["violations"] == [] == want["violations"]
+    assert got["values"]["faces"] == want["values"]["faces"]
+    assert [float.hex(e["theta"]) for e in got["values"]["edges"]] == [
+        float.hex(e["theta"]) for e in want["values"]["edges"]]
+
+
 # The benchmark's domain round: eight ideal sets drawn from the seed as
 # ``bench/workloads.py`` draws them, and the domains of ``configs/``.
 REPO = Path(__file__).resolve().parent.parent
@@ -837,6 +883,33 @@ def test_covering_exit_side_detects_rotated_leaf_frame(two_pi_structure, monkeyp
     assert {"kind": "lift-failure", "loop": 0,
             "detail": "crescent exit on the wrong side of its leaf"} in report["violations"]
     assert not report["checks"][0]["passed"]
+
+
+def test_low_sides_match_leaf_frames():
+    """The low side of every positive-weight leaf, read off its endpoints,
+    is the side of the point at angle pi/2 - 0.05 in the leaf's frame (the
+    reference below): five FN instances, a1 alone and the three cuffs at
+    2 pi, depth 5, leaves around the basepoint."""
+    from test_acceptance import FN_INSTANCES
+
+    low = cmath.exp(1j * (math.pi / 2.0 - 0.05))
+    cuffs = (GroupWord((1,)), GroupWord((-1, 4)), GroupWord((-4,)))
+    checked = 0
+    for fn in FN_INSTANCES:
+        hol = fuchsian_from_fn(fn)
+        for words in (cuffs[:1], cuffs):
+            gs = GraftedStructure(
+                hol, WeightedMulticurve(tuple((w, TWO_PI) for w in words)), depth=5
+            )
+            table = enumerate_leaf_lifts(hol, gs.multicurve, gs.depth, focus=[gs.basepoint])
+            rows = np.nonzero(table.weight > 0.0)[0]
+            ref = [
+                bool(table.sides(leaf_normalizer(gs, table[r]).inverse()(low))[r] > 0)
+                for r in rows
+            ]
+            assert thurston._low_sides(table, rows) == ref
+            checked += len(rows)
+    assert checked > 2000
 
 
 def test_covering_margin_guard(two_pi_structure):
