@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from cp1graft import FNCoordinates, GroupWord, fuchsian_from_fn, limit_set_sample
-from cp1graft.surface import cuff_length_from_trace, enumerate_words, jorgensen_flags
+from cp1graft.surface import cuff_length_from_trace, jorgensen_flags
 
 fn = FNCoordinates(lengths=(2.0, 2.5, 1.7), twists=(0.3, -0.8, 1.1))
 hol = fuchsian_from_fn(fn)

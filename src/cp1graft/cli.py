@@ -140,57 +140,101 @@ class RunConfig:
 
     @staticmethod
     def from_dict(raw: dict, overrides: dict | None = None) -> "RunConfig":
-        overrides = overrides or {}
-        surface = raw.get("surface", {})
+        raw = {**_mapping(raw, "config"), **(overrides or {})}
+        surface = _mapping(raw.get("surface", {}), "surface")
         genus = surface.get("genus", 2)
         if genus != 2:
             raise ConfigError("only genus 2 is constructible")
-        lengths = surface.get("lengths")
-        if not lengths or len(lengths) != 3 or any(l <= 0 for l in lengths):
+        lengths = _triple(surface.get("lengths"), "surface.lengths")
+        if not all(l > 0 for l in lengths):
             raise ConfigError("surface.lengths must be three positive numbers")
-        twists = surface.get("twists", [0.0, 0.0, 0.0])
-        fn = FNCoordinates(tuple(lengths), tuple(twists))
+        twists = _triple(surface.get("twists", [0.0, 0.0, 0.0]), "surface.twists")
+        fn = FNCoordinates(lengths, twists)
 
         words, weights = [], []
         for entry in raw.get("multicurve", []):
             try:
-                words.append(GroupWord.parse(entry["word"]))
-            except (KeyError, ValueError) as exc:
+                words.append(GroupWord.parse(str(entry["word"])))
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad multicurve entry {entry!r}: {exc}") from exc
             wt = Weight.parse(entry.get("weight", 0))
             if wt.value < 0:
                 raise ConfigError(f"multicurve weight must be nonnegative: {entry!r}")
             weights.append(wt)
 
-        depth = int(overrides.get("depth", raw.get("depth", 8)))
+        depth = _read(raw, "depth", int, 8)
         if not 1 <= depth <= 16:
             raise ConfigError("depth must be in [1, 16]")
 
         pts = []
-        for p in raw.get("domain", {}).get("points", []):
+        for p in _mapping(raw.get("domain", {}), "domain").get("points", []):
             if p == "inf" or p == ["inf"]:
                 pts.append(INFINITY)
+            elif isinstance(p, (list, tuple)) and len(p) == 2:
+                pts.append(cp1(complex(*(_convert(float, x, "domain point") for x in p))))
             else:
-                pts.append(cp1(complex(p[0], p[1])))
+                raise ConfigError(f'domain point must be [re, im] or "inf": {p!r}')
 
-        return RunConfig(
+        config = RunConfig(
             fn=fn,
             multicurve_words=tuple(words),
             weights=tuple(weights),
             depth=depth,
-            truncation_radius=float(raw.get("truncation_radius", 2.5)),
-            seed=int(overrides.get("seed", raw.get("seed", 0))),
+            truncation_radius=_read(raw, "truncation_radius", float, 2.5),
+            seed=_read(raw, "seed", int, 0),
             domain_points=tuple(pts),
-            samples=int(raw.get("samples", 500)),
-            loops=int(raw.get("loops", 50)),
-            margin=float(raw.get("margin", 0.05)),
-            limit_depth=int(raw.get("limit_depth", 5)),
-            export_word_length=int(raw.get("export_word_length", 2)),
-            tolerances=dict(raw.get("tolerances", {})),
+            samples=_read(raw, "samples", int, 500),
+            loops=_read(raw, "loops", int, 50),
+            margin=_read(raw, "margin", float, 0.05),
+            limit_depth=_read(raw, "limit_depth", int, 5),
+            export_word_length=_read(raw, "export_word_length", int, 2),
+            tolerances={
+                key: _tolerance(key, value)
+                for key, value in _mapping(raw.get("tolerances", {}), "tolerances").items()
+            },
         )
+        if not config.truncation_radius > 0:
+            raise ConfigError("truncation_radius must be positive")
+        if config.limit_depth < 1 or config.export_word_length < 1:
+            raise ConfigError("limit_depth and export_word_length must be >= 1")
+        return config
 
     def tol(self, key: str, default: float) -> float:
         return float(self.tolerances.get(key, default))
+
+
+# Every tolerance a command reads (defaults in ``cmd_verify``).
+TOLERANCE_KEYS = ("two_pi", "goldman", "measure")
+
+
+def _convert(kind, value, what):
+    """kind(value), with a failed conversion reported as a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from exc
+
+
+def _read(raw: dict, key: str, kind, default):
+    return _convert(kind, raw.get(key, default), key)
+
+
+def _mapping(value, what) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _triple(value, what) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ConfigError(f"{what} must be three numbers")
+    return tuple(_convert(float, v, what) for v in value)
+
+
+def _tolerance(key, value) -> float:
+    if key not in TOLERANCE_KEYS:
+        raise ConfigError(f"unknown tolerance {key!r}; known: {', '.join(TOLERANCE_KEYS)}")
+    return _convert(float, value, f"tolerance {key}")
 
 
 # ---------------------------------------------------------------------------
@@ -594,10 +638,7 @@ def _load_config(args) -> RunConfig:
         if "=" not in item:
             raise ConfigError(f"bad --tol-override {item!r}; want KEY=VALUE")
         key, value = item.split("=", 1)
-        try:
-            config.tolerances[key] = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad tolerance value {item!r}") from exc
+        config.tolerances[key] = _tolerance(key, value)
     return config
 
 

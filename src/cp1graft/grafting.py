@@ -46,6 +46,9 @@ from .surface import (
     GroupWord,
     Representation,
     axis,
+    first_rows,
+    word_children,
+    word_products,
     LETTER_ORDER,
 )
 
@@ -380,17 +383,8 @@ def enumerate_leaf_lifts(
     stacks, parents, letters = [level], [np.array([-1])], [np.array([0])]
     count = 1
     for _ in range(depth):
-        blocks, froms, lasts, orders = [], [], [], []
-        for rank, l in enumerate(LETTER_ORDER):
-            idx = np.nonzero(level_last != -l)[0]
-            blocks.append(level[idx] @ gens[l])
-            froms.append(idx)
-            lasts.append(np.full(len(idx), l))
-            orders.append(idx * len(LETTER_ORDER) + rank)
-        order = np.argsort(np.concatenate(orders), kind="stable")
-        cand = normalize_stack(np.concatenate(blocks)[order])
-        cand_from = np.concatenate(froms)[order]
-        cand_last = np.concatenate(lasts)[order]
+        cand_from, cand_last = word_children(level_last)
+        cand = normalize_stack(word_products(level, cand_from, cand_last, gens))
 
         orbit = cand @ start
         z = (orbit[:, 0] / orbit[:, 1])[:, None]
@@ -435,20 +429,14 @@ def enumerate_leaf_lifts(
     bad_circle = (r < TOL_GEO) | ((c * c - r * r) - c * c >= -1e-300)
     ok = (chord >= TOL_GEO) & ~at_inf.all(axis=1) & (at_inf.any(axis=1) | ~bad_circle)
 
-    # Keys: curve, then the two rounded endpoint triples, smaller first.
-    # A stable sort keeps equal keys in candidate order, so the first of a
-    # run is the first occurrence.
+    # Keys: curve, then the two rounded endpoint triples, smaller first;
+    # each key keeps its first candidate, and rows come out in key order.
     sel = np.nonzero(ok)[0]
     rounded = np.round(sphere[sel], 9)
     a, b = rounded[:, 0], rounded[:, 1]
     swap = _lex_less(b, a)[:, None]
     lo, hi = np.where(swap, b, a), np.where(swap, a, b)
-    key = np.column_stack([cand_curve[sel], lo, hi])
-    order = np.lexsort(key.T[::-1])
-    key = key[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (key[1:] != key[:-1]).any(axis=1)
-    rows = sel[order[first]]
+    rows = sel[first_rows(np.column_stack([cand_curve[sel], lo, hi]))]
     return LeafTable(
         ends=ends[rows],
         weight=np.array(mc.weights, dtype=float)[cand_curve[rows]],

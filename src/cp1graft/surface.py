@@ -110,22 +110,46 @@ class GroupWord:
         )
 
 
-def enumerate_words(radius: int, genus: int = 2):
+def word_children(last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One level of the reduced-word tree: for words whose last letters are
+    ``last`` (0 for the empty word), the (parent row, letter) of every
+    reduced one-letter extension, in shortlex order: parent row first, then
+    LETTER_ORDER."""
+    letters = np.array(LETTER_ORDER)
+    rows, ranks = np.nonzero(last[:, None] != -letters)
+    return rows, letters[ranks]
+
+
+def word_products(level: np.ndarray, rows: np.ndarray, letters: np.ndarray, gens) -> np.ndarray:
+    """Matrices ``level[rows[k]] @ gens[letters[k]]`` of the children from
+    ``word_children``, one unnormalized product block per letter."""
+    out = np.empty((len(rows), 2, 2), dtype=complex)
+    for l in LETTER_ORDER:
+        sel = letters == l
+        out[sel] = level[rows[sel]] @ gens[l]
+    return out
+
+
+def first_rows(keys: np.ndarray) -> np.ndarray:
+    """Index of the first occurrence of each distinct row of the (N, K)
+    array keys, in lexicographic order of the rows."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order[first]
+
+
+def enumerate_words(radius: int):
     """All nonempty freely reduced words of length <= radius, shortlex order."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    letters = [l for l in LETTER_ORDER if abs(l) <= 2 * genus]
     out = []
-    level = [()]
+    level, last = [()], np.array([0])
     for _ in range(radius):
-        nxt = []
-        for prefix in level:
-            for l in letters:
-                if prefix and prefix[-1] == -l:
-                    continue
-                nxt.append(prefix + (l,))
-        out.extend(nxt)
-        level = nxt
+        rows, last = word_children(last)
+        level = [level[r] + (int(l),) for r, l in zip(rows, last)]
+        out.extend(level)
     return [GroupWord(w) for w in out]
 
 
@@ -313,15 +337,6 @@ def axis(m: MoebiusMap) -> GeodesicH3:
     return GeodesicH3(rep, att)
 
 
-def _letter_matrices(hol: FuchsianHolonomy, genus: int = 2):
-    mats = {}
-    for i in range(2 * genus):
-        g = hol.generators[i]
-        mats[i + 1] = g.matrix
-        mats[-(i + 1)] = g.inverse().matrix
-    return mats
-
-
 def _attracting_points(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized attracting fixed points (as homogeneous pairs) of the
     hyperbolic/loxodromic matrices among mats; also returns the validity mask."""
@@ -345,48 +360,22 @@ def _attracting_points(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def limit_set_sample(hol, depth: int) -> list[PointCP1]:
     """Attracting fixed points of all hyperbolic/loxodromic images of words
-    of length <= depth, deduplicated on the sphere; deterministic order."""
+    of length <= depth, deduplicated on the sphere (first occurrence kept);
+    deterministic order."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    mats = _letter_matrices(hol)
-    letters = list(LETTER_ORDER)
-
+    gens = {l: hol.generator(l).matrix for l in LETTER_ORDER}
     points = []
-    level_mats = np.eye(2, dtype=complex)[None, :, :]
-    level_last = np.array([0])
+    level, last = np.eye(2, dtype=complex)[None], np.array([0])
     for _ in range(depth):
-        blocks = []
-        lasts = []
-        orders = []
-        n = len(level_mats)
-        for rank, l in enumerate(letters):
-            mask = level_last != -l
-            idx = np.nonzero(mask)[0]
-            if len(idx) == 0:
-                continue
-            blocks.append(level_mats[idx] @ mats[l])
-            lasts.append(np.full(len(idx), l))
-            orders.append(idx * len(letters) + rank)
-        new_mats = np.concatenate(blocks, axis=0)
-        new_last = np.concatenate(lasts)
-        order = np.argsort(np.concatenate(orders), kind="stable")
-        level_mats = new_mats[order]
-        level_last = new_last[order]
+        rows, last = word_children(last)
+        level = word_products(level, rows, last, gens)
+        vecs, ok = _attracting_points(level)
+        points.extend(PointCP1(complex(v[0]), complex(v[1])) for v in vecs[ok])
 
-        vecs, ok = _attracting_points(level_mats)
-        for v in vecs[ok]:
-            points.append(PointCP1(complex(v[0]), complex(v[1])))
-
-    # Deduplicate via rounded sphere coordinates, keeping first occurrences.
-    seen = set()
-    out = []
     decimals = max(1, int(-math.log10(TOL_GEO)))
-    for p in points:
-        key = tuple(np.round(p.sphere_coords(), decimals))
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-    return out
+    keys = np.round(np.array([p.sphere_coords() for p in points]).reshape(-1, 3), decimals)
+    return [points[i] for i in np.sort(first_rows(keys))]
 
 
 def jorgensen_flags(hol: FuchsianHolonomy, word_pairs) -> list[dict]:

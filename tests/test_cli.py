@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cp1graft.cli import EXIT_CONFIG, EXIT_OK, Weight, dumps, main
+from cp1graft.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, Weight, dumps, main
 
 
 BASE_CONFIG = {
@@ -200,6 +200,86 @@ def test_covering_unsatisfiable_margin(tmp_path):
 
 def test_missing_config(tmp_path):
     assert main(["graft", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+
+def _surface(**changes):
+    return dict(BASE_CONFIG, surface=dict(BASE_CONFIG["surface"], **changes))
+
+
+def _weight(weight):
+    return dict(BASE_CONFIG, multicurve=[{"word": "a", "weight": weight}])
+
+
+def _domain(points):
+    return dict(TETRA, domain={"points": points})
+
+
+# (id, config, command, extra flags, exit code, stderr prefix)
+CLI_ERROR_CASES = [
+    ("limit-depth-0-limitset", dict(BASE_CONFIG, limit_depth=0),
+     ("export", "limitset"), (), EXIT_CONFIG, "error:"),
+    ("limit-depth-0-covering", dict(BASE_CONFIG, limit_depth=0),
+     ("verify", "covering"), (), EXIT_CONFIG, "error:"),
+    ("word-length-0", dict(BASE_CONFIG, export_word_length=0),
+     ("export", "holonomy"), (), EXIT_CONFIG, "error:"),
+    ("one-twist", _surface(twists=[0.1]), ("graft",), (), EXIT_CONFIG, "error:"),
+    ("depth-text", dict(BASE_CONFIG, depth="x"), ("graft",), (), EXIT_CONFIG, "error:"),
+    ("seed-text", dict(BASE_CONFIG, seed="x"), ("graft",), (), EXIT_CONFIG, "error:"),
+    ("samples-text", dict(TETRA, samples="x"),
+     ("verify", "stratification"), (), EXIT_CONFIG, "error:"),
+    ("length-text", _surface(lengths=["a", 2.5, 1.7]), ("graft",), (), EXIT_CONFIG, "error:"),
+    ("short-point", _domain([[0, 0], [1], "inf"]), ("export", "dome"), (), EXIT_CONFIG, "error:"),
+    ("top-level-list", [BASE_CONFIG], ("graft",), (), EXIT_CONFIG, "error:"),
+    ("truncation-0", dict(BASE_CONFIG, truncation_radius=0),
+     ("export", "pleat"), (), EXIT_CONFIG, "error:"),
+    ("unknown-tol-flag", BASE_CONFIG, ("verify", "two-pi"),
+     ("--tol-override", "two-pi=5"), EXIT_CONFIG, "error:"),
+    ("unknown-tol-config", dict(BASE_CONFIG, tolerances={"two-pi": 1e-30}),
+     ("verify", "two-pi"), (), EXIT_CONFIG, "error:"),
+    ("tol-flag-no-value", BASE_CONFIG, ("verify", "two-pi"),
+     ("--tol-override", "two_pi"), EXIT_CONFIG, "error:"),
+    ("tol-flag-bad-value", BASE_CONFIG, ("verify", "two-pi"),
+     ("--tol-override", "two_pi=abc"), EXIT_CONFIG, "error:"),
+    ("weight-pi", _weight("pi"), ("verify", "covering"), (), EXIT_CONFIG, "error:"),
+    ("weight-minus-pi", _weight("-pi"), ("graft",), (), EXIT_CONFIG, "error:"),
+    ("weight-bad-pi-multiple", _weight("x*pi"), ("graft",), (), EXIT_CONFIG, "error:"),
+    ("weight-bad-number", _weight("abc"), ("graft",), (), EXIT_CONFIG, "error:"),
+    ("weight-bad-type", _weight([1]), ("graft",), (), EXIT_CONFIG, "error:"),
+    ("weight-negative", _weight(-1.0), ("graft",), (), EXIT_CONFIG, "error:"),
+    ("genus-3", _surface(genus=3), ("graft",), (), EXIT_CONFIG, "error:"),
+    ("two-lengths", _surface(lengths=[2.0, 2.5]), ("graft",), (), EXIT_CONFIG, "error:"),
+    ("weight-pi-graft", _weight("pi"), ("graft",), (), EXIT_OK, ""),
+    ("coincident-dome-points", _domain([[0, 0], [1e-9, 0], [1, 0]]),
+     ("export", "dome"), (), EXIT_NUMERIC, "numeric failure: dome needs at least 3 distinct"),
+]
+
+
+@pytest.mark.parametrize(
+    "config, command, flags, code, message",
+    [pytest.param(*case[1:], id=case[0]) for case in CLI_ERROR_CASES],
+)
+def test_cli_error_paths(tmp_path, capsys, config, command, flags, code, message):
+    cfg = write_config(tmp_path, config)
+    out = str(tmp_path / "out")
+    assert main([*command, "--config", cfg, "--out", out, *flags]) == code
+    err = capsys.readouterr().err
+    if message:
+        assert err.startswith(message), err
+    else:
+        assert err == ""
+
+
+def test_depth_and_seed_flags_match_config(tmp_path):
+    flagged = write_config(tmp_path, BASE_CONFIG, "flagged.json")
+    inline = write_config(tmp_path, dict(BASE_CONFIG, depth=4, seed=3), "inline.json")
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["graft", "--config", flagged, "--out", str(a), "--depth", "4", "--seed", "3"]) == EXIT_OK
+    assert main(["graft", "--config", inline, "--out", str(b)]) == EXIT_OK
+    text = (a / "grafted_structure.json").read_bytes()
+    assert text == (b / "grafted_structure.json").read_bytes()
+    doc = json.loads(text)
+    assert (doc["depth"], doc["seed"]) == (4, 3)
 
 
 # Every subcommand on every file in configs/: exit code and sha256 of each

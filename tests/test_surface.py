@@ -3,11 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from cp1graft.moebius import DegenerateInputError, MoebiusMap, chordal_distance, classify
+from cp1graft.moebius import (
+    TOL_GEO,
+    DegenerateInputError,
+    MoebiusMap,
+    PointCP1,
+    chordal_distance,
+    classify,
+)
 from cp1graft.surface import (
+    LETTER_ORDER,
     FNCoordinates,
     GroupWord,
     SurfacePresentation,
+    _attracting_points,
     axis,
     cuff_length_from_trace,
     enumerate_words,
@@ -50,6 +59,26 @@ def test_enumerate_words_shortlex_stable():
     assert a == b
     keys = [w.shortlex_key() for w in enumerate_words(3)]
     assert keys == sorted(keys)
+
+
+def nested_loop_words(radius):
+    """Reference: reduced words by nested loops over prefixes and letters."""
+    out = []
+    level = [()]
+    for _ in range(radius):
+        nxt = []
+        for prefix in level:
+            for l in LETTER_ORDER:
+                if prefix and prefix[-1] == -l:
+                    continue
+                nxt.append(prefix + (l,))
+        out.extend(nxt)
+        level = nxt
+    return out
+
+
+def test_enumerate_words_matches_nested_loops():
+    assert [w.letters for w in enumerate_words(4)] == nested_loop_words(4)
 
 
 # ---------------------------------------------------------------------------
@@ -184,3 +213,55 @@ def test_limit_set_deterministic(holonomy):
     assert len(a) == len(b)
     for p, q in zip(a, b):
         assert chordal_distance(p, q) == 0.0
+
+
+def per_point_limit_set(hol, depth):
+    """Reference: per-letter product blocks put in shortlex order by a
+    stable argsort, then a per-point set of rounded sphere coordinates that
+    keeps first occurrences."""
+    mats = {}
+    for i, g in enumerate(hol.generators):
+        mats[i + 1] = g.matrix
+        mats[-(i + 1)] = g.inverse().matrix
+    points = []
+    level_mats = np.eye(2, dtype=complex)[None, :, :]
+    level_last = np.array([0])
+    for _ in range(depth):
+        blocks, lasts, orders = [], [], []
+        for rank, l in enumerate(LETTER_ORDER):
+            idx = np.nonzero(level_last != -l)[0]
+            if len(idx) == 0:
+                continue
+            blocks.append(level_mats[idx] @ mats[l])
+            lasts.append(np.full(len(idx), l))
+            orders.append(idx * len(LETTER_ORDER) + rank)
+        order = np.argsort(np.concatenate(orders), kind="stable")
+        level_mats = np.concatenate(blocks, axis=0)[order]
+        level_last = np.concatenate(lasts)[order]
+        vecs, ok = _attracting_points(level_mats)
+        for v in vecs[ok]:
+            points.append(PointCP1(complex(v[0]), complex(v[1])))
+    seen = set()
+    out = []
+    decimals = max(1, int(-math.log10(TOL_GEO)))
+    for p in points:
+        key = tuple(np.round(p.sphere_coords(), decimals))
+        if key not in seen:
+            seen.add(key)
+            out.append(p)
+    return out
+
+
+def _hex_points(pts):
+    return [
+        tuple(float(c).hex() for z in (p.z0, p.z1) for c in (z.real, z.imag))
+        for p in pts
+    ]
+
+
+def test_limit_set_matches_per_point_reference(holonomy, symmetric_holonomy):
+    for hol in (holonomy, symmetric_holonomy):
+        got = limit_set_sample(hol, depth=5)
+        want = per_point_limit_set(hol, depth=5)
+        assert len(got) > 1000
+        assert _hex_points(got) == _hex_points(want)
