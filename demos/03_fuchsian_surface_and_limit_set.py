@@ -4,11 +4,8 @@ sampling and a convergence diagnostic.
 Run:  python demos/03_fuchsian_surface_and_limit_set.py
 """
 
-import math
-
-import numpy as np
-
 from cp1graft import FNCoordinates, GroupWord, fuchsian_from_fn, limit_set_sample
+from cp1graft.moebius import as_pairs, chordal_rows, sphere_xyz
 from cp1graft.surface import cuff_length_from_trace, jorgensen_flags
 
 fn = FNCoordinates(lengths=(2.0, 2.5, 1.7), twists=(0.3, -0.8, 1.1))
@@ -34,11 +31,12 @@ for depth in (2, 3, 4, 5):
 
 # Hausdorff-distance diagnostic between consecutive depths: the gap shrinks
 # as the sample fills the circle (a convergence indicator, not a theorem).
+# Sphere coordinates come from the pair-array kernel, row by row the bits
+# of PointCP1.sphere_coords, and chordal_rows is chordal_distance's formula.
 def hausdorff(a, b):
-    xa = np.array([p.sphere_coords() for p in a])
-    xb = np.array([p.sphere_coords() for p in b])
-    d_ab = max(np.min(np.linalg.norm(xb - x, axis=1)) for x in xa)
-    d_ba = max(np.min(np.linalg.norm(xa - x, axis=1)) for x in xb)
+    xa, xb = sphere_xyz(as_pairs(a)), sphere_xyz(as_pairs(b))
+    d_ab = max(chordal_rows(xb, x).min() for x in xa)
+    d_ba = max(chordal_rows(xa, x).min() for x in xb)
     return max(d_ab, d_ba)
 
 prev = None

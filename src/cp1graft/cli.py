@@ -81,16 +81,11 @@ class Weight:
             text = spec.replace(" ", "")
             if "pi" in text:
                 coeff = text.replace("*pi", "").replace("pi", "")
-                if coeff in ("", "+"):
-                    frac = Fraction(1)
-                elif coeff == "-":
-                    frac = Fraction(-1)
-                else:
-                    try:
-                        frac = Fraction(coeff)
-                    except (ValueError, ZeroDivisionError) as exc:
-                        raise ConfigError(f"cannot parse weight {spec!r}") from exc
-                return Weight(pi_multiple=frac, value=float(frac) * math.pi)
+                try:
+                    frac = Fraction({"": "1", "+": "1", "-": "-1"}.get(coeff, coeff))
+                    return Weight(pi_multiple=frac, value=float(frac) * math.pi)
+                except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                    raise ConfigError(f"cannot parse weight {spec!r}") from exc
             else:
                 try:
                     v = float(text)
@@ -158,8 +153,8 @@ class RunConfig:
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad multicurve entry {entry!r}: {exc}") from exc
             wt = Weight.parse(entry.get("weight", 0))
-            if wt.value < 0:
-                raise ConfigError(f"multicurve weight must be nonnegative: {entry!r}")
+            if not 0 <= wt.value < math.inf:
+                raise ConfigError(f"multicurve weight must be finite and nonnegative: {entry!r}")
             weights.append(wt)
 
         depth = _read(raw, "depth", int, 8)
@@ -195,8 +190,10 @@ class RunConfig:
         )
         if not config.truncation_radius > 0:
             raise ConfigError("truncation_radius must be positive")
-        if config.limit_depth < 1 or config.export_word_length < 1:
-            raise ConfigError("limit_depth and export_word_length must be >= 1")
+        if min(config.limit_depth, config.export_word_length, config.loops, config.samples) < 1:
+            raise ConfigError("limit_depth, export_word_length, loops and samples must be >= 1")
+        if not config.margin > 0:
+            raise ConfigError("margin must be positive")
         return config
 
     def tol(self, key: str, default: float) -> float:

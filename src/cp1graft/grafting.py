@@ -30,9 +30,11 @@ from .moebius import (
     OrientedCircle,
     PointCP1,
     apply,
+    chordal_rows,
     classify,
     cp1,
     normalize_stack,
+    sphere_xyz,
 )
 from .hyperbolic import (
     GeodesicH3,
@@ -214,26 +216,6 @@ def _real_ends(ends: np.ndarray) -> np.ndarray:
     return np.where(at_inf, np.nan, _quotient_real(z0, z1))
 
 
-def _sphere_coords(z: np.ndarray) -> np.ndarray:
-    """Sphere coordinates of (..., 2) homogeneous pairs: (..., 3).  This is
-    the formula of PointCP1.sphere_coords, but numpy's hypot and CPython's
-    differ in the last bit, so about 1 row in 80 differs from it there; no
-    row differs after rounding to 9 decimals, the precision of the leaf
-    keys."""
-    z0, z1 = z[..., 0], z[..., 1]
-    n = np.hypot(np.hypot(z0.real, z0.imag), np.hypot(z1.real, z1.imag))
-    ar, ai = z0.real / n, z0.imag / n
-    br, bi = z1.real / n, z1.imag / n
-    m0, m1 = np.hypot(ar, ai) ** 2, np.hypot(br, bi) ** 2
-    den = m0 + m1
-    return np.stack(
-        [(2.0 * ar * br + 2.0 * ai * bi) / den,
-         (2.0 * ai * br - 2.0 * ar * bi) / den,
-         (m0 - m1) / den],
-        axis=-1,
-    )
-
-
 def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise tuple comparison a < b of (N, 3) arrays."""
     return (a[:, 0] < b[:, 0]) | ((a[:, 0] == b[:, 0]) & (
@@ -355,7 +337,9 @@ def enumerate_leaf_lifts(
     sorted by ``LiftedLeaf.key`` (curve index, then the two rounded
     endpoint sphere coordinates) and the keys are unique; each row's
     conjugator is the first element, in BFS order, whose image of the axis
-    has that key.
+    has that key.  The keys come from ``sphere_xyz``, so each is its row's
+    ``LiftedLeaf.key`` bit for bit, and the chord test drops exactly the
+    lifts whose endpoints GeodesicH3 rejects as closer than TOL_GEO.
     """
     x0 = hol.basepoint
     base_axes = []
@@ -421,8 +405,8 @@ def enumerate_leaf_lifts(
     # Drop the lifts whose endpoints contracted below resolution (closer
     # than TOL_GEO, both at infinity, or a circle OrientedCircle rejects):
     # they lie too deep in a funnel to cross anything near the focus.
-    sphere = _sphere_coords(ends)
-    chord = np.sqrt(((sphere[:, 0] - sphere[:, 1]) ** 2).sum(axis=1))
+    sphere = sphere_xyz(ends)
+    chord = chordal_rows(sphere[:, 0], sphere[:, 1])
     xr = _real_ends(ends)
     at_inf = np.isnan(xr)
     c, r = (xr[:, 0] + xr[:, 1]) / 2.0, np.abs(xr[:, 1] - xr[:, 0]) / 2.0

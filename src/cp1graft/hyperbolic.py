@@ -9,7 +9,9 @@ t > 0 the height.  The ideal boundary is CP^1 (t = 0 plus infinity).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +25,15 @@ from .moebius import (
     RoundDisk,
     angle_between,
     apply,
+    as_pairs,
     chordal_distance,
+    chordal_rows,
     circle_through,
     cp1,
     cross_ratio,
     moebius_three_points,
     moebius_two_points,
+    sphere_xyz,
 )
 
 
@@ -212,31 +217,18 @@ class DomeMesh:
     edges: tuple  # DomeEdge
 
 
-def _sphere(points):
-    return np.array([p.sphere_coords() for p in points])
-
-
-def _lift_circle_to_disk(points, ids, outward):
-    """Oriented circle through the sphere points with ids, disk side being
-    the outward spherical cap (the side containing no hull points)."""
-    # Use three well-spread representatives for numerical stability.
-    best = None
-    n = len(ids)
-    if n == 3:
-        tri = (0, 1, 2)
-    else:
-        best_area, tri = -1.0, (0, 1, 2)
-        xs = _sphere([points[i] for i in ids])
-        for a in range(n):
-            for b in range(a + 1, n):
-                for c in range(b + 1, n):
-                    area = np.linalg.norm(np.cross(xs[b] - xs[a], xs[c] - xs[a]))
-                    if area > best_area:
-                        best_area, tri = area, (a, b, c)
-    p, q, r = (points[ids[k]] for k in tri)
-    circ = circle_through(p, q, r)
-    cap = _cap_point(outward)
-    if circ.evaluate(cap) > 0:
+def _lift_circle_to_disk(points, xs, ids, outward):
+    """Oriented circle through the points with ids (sphere coordinates xs),
+    disk side being the outward spherical cap (the side containing no hull
+    points)."""
+    # Use three well-spread representatives, the first of largest area, for
+    # numerical stability.
+    tri = max(
+        itertools.combinations(ids, 3),
+        key=lambda t: np.linalg.norm(np.cross(xs[t[1]] - xs[t[0]], xs[t[2]] - xs[t[0]])),
+    )
+    circ = circle_through(*(points[i] for i in tri))
+    if circ.evaluate(_cap_point(outward)) > 0:
         circ = circ.reversed()
     return circ
 
@@ -257,31 +249,18 @@ def _incremental_hull(xs: np.ndarray, tol: float):
     face plane are skipped here and merged into polygon faces afterwards.
     Returns a list of (i, j, k) triangles with outward orientation.
     """
-    npts = len(xs)
-    order = sorted(range(npts), key=lambda i: tuple(xs[i]))
+    order = sorted(range(len(xs)), key=lambda i: tuple(xs[i]))
+
+    def volume(i, j, k, l):
+        return np.dot(np.cross(xs[j] - xs[i], xs[k] - xs[i]), xs[l] - xs[i])
 
     # Seed simplex: first lexicographic non-degenerate quadruple.
-    seed = None
-    for a in range(npts):
-        for b in range(a + 1, npts):
-            for c in range(b + 1, npts):
-                for d in range(c + 1, npts):
-                    i, j, k, l = order[a], order[b], order[c], order[d]
-                    vol = np.dot(np.cross(xs[j] - xs[i], xs[k] - xs[i]), xs[l] - xs[i])
-                    if abs(vol) > tol:
-                        seed = (i, j, k, l)
-                        break
-                if seed:
-                    break
-            if seed:
-                break
-        if seed:
-            break
+    seed = next((q for q in itertools.combinations(order, 4) if abs(volume(*q)) > tol), None)
     if seed is None:
         return None  # all coplanar
 
     i, j, k, l = seed
-    if np.dot(np.cross(xs[j] - xs[i], xs[k] - xs[i]), xs[l] - xs[i]) > 0:
+    if volume(i, j, k, l) > 0:
         faces = [(i, k, j), (i, j, l), (j, k, l), (k, i, l)]
     else:
         faces = [(i, j, k), (i, l, j), (j, l, k), (k, l, i)]
@@ -306,27 +285,29 @@ def _incremental_hull(xs: np.ndarray, tol: float):
                 visible.append(fi)
         if not visible:
             continue  # on the hull boundary or inside; merged later
-        visible_set = set(visible)
-        horizon = []
-        edge_count = {}
-        for fi in visible:
-            a, b, c = faces[fi]
-            for e in ((a, b), (b, c), (c, a)):
-                key = (min(e), max(e))
-                edge_count[key] = edge_count.get(key, 0) + 1
-        for fi in visible:
-            a, b, c = faces[fi]
-            for e in ((a, b), (b, c), (c, a)):
-                key = (min(e), max(e))
-                if edge_count[key] == 1:
-                    horizon.append(e)
-        faces = [f for fi, f in enumerate(faces) if fi not in visible_set]
-        for (a, b) in horizon:
-            faces.append((a, b, idx))
+        # The horizon: edges of exactly one visible face.
+        rims = [e for a, b, c in (faces[fi] for fi in visible) for e in ((a, b), (b, c), (c, a))]
+        count = Counter(frozenset(e) for e in rims)
+        visible = set(visible)
+        faces = [f for fi, f in enumerate(faces) if fi not in visible]
+        faces += [(a, b, idx) for a, b in rims if count[frozenset((a, b))] == 1]
     return faces
 
 
-def _merge_coplanar(points, xs, tris, tol_pl):
+def _angular_order(xs, vids, n) -> list:
+    """vids sorted by angle about their centroid in the plane of normal n."""
+    centroid = np.mean(xs[vids], axis=0)
+    e1 = xs[vids[0]] - centroid
+    e1 = e1 - np.dot(e1, n) * n
+    e1 = e1 / np.linalg.norm(e1)
+    e2 = np.cross(n, e1)
+    return sorted(
+        vids,
+        key=lambda v: math.atan2(np.dot(xs[v] - centroid, e2), np.dot(xs[v] - centroid, e1)),
+    )
+
+
+def _merge_coplanar(xs, tris, tol_pl):
     """Group hull triangles into maximal planar (= concircular) faces and
     return (faces: list of vertex-id lists in boundary order, normals, offsets)."""
     planes = []
@@ -370,18 +351,7 @@ def _merge_coplanar(points, xs, tris, tol_pl):
         for v in range(len(xs)):
             if v not in vids and abs(np.dot(n, xs[v]) - h) < tol_pl:
                 vids.append(v)
-        vids = sorted(set(vids))
-        # Order around the face: angle in the plane about its centroid.
-        centroid = np.mean(xs[vids], axis=0)
-        e1 = xs[vids[0]] - centroid
-        e1 = e1 - np.dot(e1, n) * n
-        e1 = e1 / np.linalg.norm(e1)
-        e2 = np.cross(n, e1)
-        ordered = sorted(
-            vids,
-            key=lambda v: math.atan2(np.dot(xs[v] - centroid, e2), np.dot(xs[v] - centroid, e1)),
-        )
-        faces.append((tuple(ordered), n, h))
+        faces.append((tuple(_angular_order(xs, sorted(set(vids)), n)), n, h))
     return faces
 
 
@@ -394,15 +364,15 @@ def dome(ideal_points, tol: float = TOL_GEO) -> DomeMesh:
     bending (the degenerate planar case).
     """
     pts = [cp1(p) for p in ideal_points]
-    # Deduplicate.
+    xs = sphere_xyz(as_pairs(pts))
+    # Deduplicate: keep each point at chordal distance >= tol from the kept.
     uniq = []
-    for p in pts:
-        if all(chordal_distance(p, q) >= tol for q in uniq):
-            uniq.append(p)
+    for i in range(len(pts)):
+        if (chordal_rows(xs[uniq], xs[i]) >= tol).all():
+            uniq.append(i)
     if len(uniq) < 3:
         raise DegenerateInputError("dome needs at least 3 distinct ideal points")
-    pts = uniq
-    xs = _sphere(pts)
+    pts, xs = [pts[i] for i in uniq], xs[uniq]
 
     tol_pl = 1e-9
     tris = _incremental_hull(xs, tol_pl)
@@ -410,26 +380,18 @@ def dome(ideal_points, tol: float = TOL_GEO) -> DomeMesh:
     if tris is None:
         # Concircular: single flat face, empty bending lamination.
         n, h = _fit_plane(xs)
-        centroid = np.mean(xs, axis=0)
-        e1 = xs[0] - centroid
-        e1 = e1 - np.dot(e1, n) * n
-        e1 = e1 / np.linalg.norm(e1)
-        e2 = np.cross(n, e1)
-        ordered = sorted(
-            range(len(pts)),
-            key=lambda v: math.atan2(np.dot(xs[v] - centroid, e2), np.dot(xs[v] - centroid, e1)),
-        )
-        circ = _lift_circle_to_disk(pts, ordered, n)
+        ordered = _angular_order(xs, list(range(len(pts))), n)
+        circ = _lift_circle_to_disk(pts, xs, ordered, n)
         face = DomeFace(tuple(ordered), PlaneH3(circ))
         return DomeMesh(tuple(pts), (face,), ())
 
-    merged = _merge_coplanar(pts, xs, tris, tol_pl=1e-7)
+    merged = _merge_coplanar(xs, tris, tol_pl=1e-7)
 
     hull_centroid = np.mean(xs, axis=0)
     faces = []
     for vids, n, h in merged:
         outward = n if np.dot(n, xs[vids[0]] - hull_centroid) > 0 else -n
-        circ = _lift_circle_to_disk(pts, list(vids), outward)
+        circ = _lift_circle_to_disk(pts, xs, vids, outward)
         faces.append(DomeFace(tuple(vids), PlaneH3(circ)))
 
     # Edges: consecutive vertex pairs shared by exactly two faces.
@@ -441,21 +403,16 @@ def dome(ideal_points, tol: float = TOL_GEO) -> DomeMesh:
         for e in boundary_pairs(list(f.vertex_ids)):
             pair_faces.setdefault(e, []).append(fi)
 
-    edges = []
-    for (a, b), fids in sorted(pair_faces.items()):
-        if len(fids) != 2:
-            continue
-        f1, f2 = faces[fids[0]], faces[fids[1]]
-        w = angle_between(f1.plane.boundary, f2.plane.boundary)
-        edges.append(
-            DomeEdge(
-                vertex_ids=(a, b),
-                face_ids=(fids[0], fids[1]),
-                weight=w,
-                geodesic=GeodesicH3(pts[a], pts[b]),
-            )
+    edges = tuple(
+        DomeEdge(
+            vertex_ids=(a, b),
+            face_ids=tuple(fids),
+            weight=angle_between(faces[fids[0]].plane.boundary, faces[fids[1]].plane.boundary),
+            geodesic=GeodesicH3(pts[a], pts[b]),
         )
-    return DomeMesh(tuple(pts), tuple(faces), tuple(edges))
+        for (a, b), fids in sorted(pair_faces.items()) if len(fids) == 2
+    )
+    return DomeMesh(tuple(pts), tuple(faces), edges)
 
 
 def _fit_plane(xs):

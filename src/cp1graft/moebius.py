@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -89,13 +90,18 @@ class PointCP1:
         return np.array([w.real / den, w.imag / den, (abs(z0) ** 2 - abs(z1) ** 2) / den])
 
 
+def _pair(z) -> tuple:
+    """(z0, z1) of ``cp1(z)``."""
+    if isinstance(z, PointCP1):
+        return z.z0, z.z1
+    if z == math.inf or (isinstance(z, str) and z == "inf"):
+        return 1.0 + 0.0j, 0.0j
+    return complex(z), 1.0 + 0.0j
+
+
 def cp1(z) -> PointCP1:
     """Coerce a complex number, 'inf', or PointCP1 into a PointCP1."""
-    if isinstance(z, PointCP1):
-        return z
-    if z == math.inf or (isinstance(z, str) and z == "inf"):
-        return PointCP1.infinity()
-    return PointCP1.from_complex(z)
+    return z if isinstance(z, PointCP1) else PointCP1(*_pair(z))
 
 
 INFINITY = PointCP1.infinity()
@@ -103,7 +109,87 @@ INFINITY = PointCP1.infinity()
 
 def chordal_distance(p: PointCP1, q: PointCP1) -> float:
     """Chordal metric: Euclidean distance of the sphere embeddings (<= 2)."""
-    return float(np.linalg.norm(p.sphere_coords() - q.sphere_coords()))
+    return float(chordal_rows(p.sphere_coords(), q.sphere_coords()))
+
+
+# ---------------------------------------------------------------------------
+# Pair arrays: points of CP^1 as rows (z0, z1) of an (..., 2) complex array.
+# Each function equals its per-point method bit for bit, so a batch and a
+# single point never disagree, near a threshold or anywhere else.
+
+
+def as_pairs(points) -> np.ndarray:
+    """(N, 2) homogeneous pairs of ``cp1`` of each point, without building
+    points; ``unit_pairs`` makes PointCP1's check."""
+    return np.array([_pair(p) for p in points], dtype=complex).reshape(-1, 2)
+
+
+def _check_rows(pairs: np.ndarray) -> None:
+    """Raise, in row order, what PointCP1 raises for a row of an (N, 2)
+    stack.  numpy's abs may differ from CPython's in the last bit, so rows
+    outside a safe range get PointCP1's own check."""
+    n = (np.abs(pairs) ** 2).sum(axis=1)
+    for i in np.flatnonzero(~((n > 1e-290) & (n < 1e290))):
+        PointCP1(complex(pairs[i, 0]), complex(pairs[i, 1]))
+
+
+# Up to Python 3.13 a float in complex arithmetic acts as complex(x, 0.0);
+# from 3.14 it acts part by part.  Only the signs of zero parts differ.
+_FLOAT_AS_COMPLEX = math.copysign(1.0, (complex(-0.0, 1.0) / 1.0).real) > 0
+
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """x ** 2 as CPython computes it, by libm's pow (x * x differs from it
+    in the last bit on about 1 value in 1,200)."""
+    sq = map(math.pow, x.ravel().tolist(), itertools.repeat(2.0))
+    return np.fromiter(sq, float, x.size).reshape(x.shape)
+
+
+def unit_pairs(pairs) -> np.ndarray:
+    """``PointCP1.normalized`` of every row of an (..., 2) stack.  A row
+    that PointCP1 would reject raises the same error.  The steps are
+    CPython's: abs as libm's hypot of the parts, the norm by math.hypot,
+    and the division of a complex by a float."""
+    pairs = np.asarray(pairs, dtype=complex)
+    flat = pairs.reshape(-1, 2)
+    _check_rows(flat)
+    re, im = flat.real, flat.imag
+    n = np.fromiter(map(math.hypot, *np.hypot(re, im).T.tolist()), float, len(flat))[:, None]
+    if _FLOAT_AS_COMPLEX:
+        re, im = re + im * 0.0, im - re * 0.0
+    out = np.empty_like(flat)
+    out.real, out.imag = re / n, im / n
+    return out.reshape(pairs.shape)
+
+
+def sphere_xyz(pairs) -> np.ndarray:
+    """``PointCP1.sphere_coords`` of every row of an (..., 2) stack: (..., 3).
+    Its complex products are written out part by part, in the order of
+    CPython's and numpy's scalar products."""
+    u = unit_pairs(pairs)
+    r0, i0, r1, i1 = u[..., 0].real, u[..., 0].imag, u[..., 1].real, u[..., 1].imag
+    s0, s1 = _squares(np.hypot(r0, i0)), _squares(np.hypot(r1, i1))
+    den = s0 + s1
+    ar, ai = 2.0 * r0, 2.0 * i0
+    if _FLOAT_AS_COMPLEX:
+        ar, ai = ar - 0.0 * i0, ai + 0.0 * r0
+    # (2 z0) * conj(z1)
+    wr, wi = ar * r1 - ai * -i1, ar * -i1 + ai * r1
+    return np.stack([wr / den, wi / den, (s0 - s1) / den], axis=-1)
+
+
+def chordal_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Chordal distances between sphere coordinates a and b, broadcast over
+    the leading axes: the one expression of ``chordal_distance``."""
+    d = a - b
+    return np.sqrt(np.add.reduce(d * d, axis=-1))
+
+
+def frobenius_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Frobenius distances between complex rows a and b, broadcast over the
+    leading axes: the one expression of ``OrientedCircle.proj_distance``."""
+    d = a - b
+    return np.sqrt(np.add.reduce(d.real * d.real + d.imag * d.imag, axis=-1))
 
 
 def bracket(p: PointCP1, q: PointCP1) -> complex:
@@ -238,11 +324,7 @@ def apply_stack(m: MoebiusMap, pairs: np.ndarray) -> np.ndarray:
     out = np.empty_like(pairs)
     out[:, 0] = a[0, 0] * pairs[:, 0] + a[0, 1] * pairs[:, 1]
     out[:, 1] = a[1, 0] * pairs[:, 0] + a[1, 1] * pairs[:, 1]
-    # numpy's abs may differ from CPython's in the last bit, so rows outside
-    # a safe range get PointCP1's own check.
-    n = (np.abs(out) ** 2).sum(axis=1)
-    for i in np.flatnonzero(~((n > 1e-290) & (n < 1e290))):
-        PointCP1(complex(out[i, 0]), complex(out[i, 1]))
+    _check_rows(out)
     return out
 
 
@@ -454,7 +536,7 @@ class OrientedCircle:
         return PointCP1.from_complex(z0 - bcoef / abs(bcoef))
 
     def proj_distance(self, other: "OrientedCircle") -> float:
-        return float(np.linalg.norm(self.hermitian - other.hermitian))
+        return float(frobenius_rows(self.hermitian.ravel(), other.hermitian.ravel()))
 
     def __repr__(self):
         if self.is_line:

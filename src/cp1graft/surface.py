@@ -34,6 +34,7 @@ from .moebius import (
     MoebiusMap,
     PointCP1,
     classify,
+    sphere_xyz,
 )
 from .hyperbolic import GeodesicH3, translation_along_geodesic
 
@@ -365,17 +366,18 @@ def limit_set_sample(hol, depth: int) -> list[PointCP1]:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     gens = {l: hol.generator(l).matrix for l in LETTER_ORDER}
-    points = []
+    pairs = []
     level, last = np.eye(2, dtype=complex)[None], np.array([0])
     for _ in range(depth):
         rows, last = word_children(last)
         level = word_products(level, rows, last, gens)
         vecs, ok = _attracting_points(level)
-        points.extend(PointCP1(complex(v[0]), complex(v[1])) for v in vecs[ok])
+        pairs.append(vecs[ok])
 
+    pairs = np.concatenate(pairs)
     decimals = max(1, int(-math.log10(TOL_GEO)))
-    keys = np.round(np.array([p.sphere_coords() for p in points]).reshape(-1, 3), decimals)
-    return [points[i] for i in np.sort(first_rows(keys))]
+    keys = np.round(sphere_xyz(pairs), decimals)
+    return [PointCP1(z0, z1) for z0, z1 in pairs[np.sort(first_rows(keys))].tolist()]
 
 
 def jorgensen_flags(hol: FuchsianHolonomy, word_pairs) -> list[dict]:

@@ -33,11 +33,16 @@ from .moebius import (
     angle_between,
     apply,
     apply_stack,
+    as_pairs,
     chordal_distance,
+    chordal_rows,
     cp1,
+    frobenius_rows,
     inversive_product,
     minimal_enclosing_disk,
     moebius_two_points,
+    sphere_xyz,
+    unit_pairs,
 )
 from .hyperbolic import PlaneH3, PointH3, dome, nearest_point_projection
 from .surface import GroupWord, axis, limit_set_sample
@@ -74,24 +79,19 @@ class TransversalityError(RuntimeError):
 ROW_BLOCK = 2048
 
 
-def _unit_pairs(points) -> np.ndarray:
-    """(N, 2) normalized homogeneous pairs, from ``PointCP1.normalized``."""
-    unit = (cp1(p).normalized() for p in points)
-    return np.array([(q.z0, q.z1) for q in unit], dtype=complex)
-
-
 @dataclass(frozen=True)
 class DiskComplementDomain:
     """CP^1 minus a finite sample: the ideal set of a dome, or a limit-set
     sample standing for the limit set of the domain of discontinuity.
 
-    The complement is also held as arrays, built from the per-point methods
-    so that their bits are the same: ``xyz`` (N, 3), the sphere coordinates,
-    and ``pairs`` (N, 2), the normalized homogeneous pairs, built when first
-    read.  Queries take one point or a sequence of points.
+    The complement is also held as arrays from the pair-array kernel, whose
+    bits are those of the per-point methods: ``pairs`` (N, 2), the
+    normalized homogeneous pairs, and ``xyz`` (N, 3), the sphere
+    coordinates.  Queries take one point or a sequence of points.
     """
 
     complement: tuple  # PointCP1
+    pairs: np.ndarray = field(init=False, repr=False, compare=False)
     xyz: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -99,35 +99,24 @@ class DiskComplementDomain:
         if len(pts) < 2:
             raise DegenerateInputError("complement must contain more than one point")
         object.__setattr__(self, "complement", pts)
-        xyz = np.array([p.sphere_coords() for p in pts])
-        xyz.setflags(write=False)
-        object.__setattr__(self, "xyz", xyz)
-
-    @cached_property
-    def pairs(self) -> np.ndarray:
-        pairs = _unit_pairs(self.complement)
-        pairs.setflags(write=False)
-        return pairs
+        raw = as_pairs(pts)
+        for name, arr in (("pairs", unit_pairs(raw)), ("xyz", sphere_xyz(raw))):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @staticmethod
     def from_ideal_points(points) -> "DiskComplementDomain":
         return DiskComplementDomain(tuple(points))
 
-    def _rows(self, xyz: np.ndarray) -> np.ndarray:
-        """Chordal distances from the points with sphere coordinates xyz,
-        (3,) or (B, 3), to every complement point: (N,) or (B, N)."""
-        d = self.xyz - xyz[..., None, :]
-        # np.linalg.norm(d, axis=-1), the same operations without its checks.
-        return np.sqrt(np.add.reduce(d * d, axis=-1))
-
     def distances(self, points) -> np.ndarray:
         """Least chordal distance from each point to the complement, from
-        blocks of about ROW_BLOCK distances."""
-        xyz = np.array([cp1(p).sphere_coords() for p in points]).reshape(-1, 3)
+        blocks of about ROW_BLOCK distances: the minimum of
+        ``chordal_distance`` over the complement, bit for bit."""
+        xyz = sphere_xyz(as_pairs(points))
         step = max(1, ROW_BLOCK // len(self.xyz))
         out = np.empty(len(xyz))
         for s in range(0, len(xyz), step):
-            out[s : s + step] = self._rows(xyz[s : s + step]).min(axis=1)
+            out[s : s + step] = chordal_rows(self.xyz, xyz[s : s + step, None]).min(axis=1)
         return out
 
     def contains(self, points, margin: float = TOL_GEO):
@@ -135,24 +124,9 @@ class DiskComplementDomain:
         point, in the chordal metric: a bool for one point, a bool array for
         a list, tuple or array of points."""
         if not isinstance(points, (list, tuple, np.ndarray)):
-            return self._contains_one(cp1(points), margin)
-        pts = [cp1(p) for p in points]
-        out = self.distances(pts) > margin * (1.0 + BATCH_BAND)
-        for k in np.flatnonzero(~out):
-            out[k] = self._contains_one(pts[k], margin)
-        return out
-
-    def _contains_one(self, x: PointCP1, margin: float) -> bool:
-        dist = self._rows(x.sphere_coords())
-        if dist.min() > margin * (1.0 + BATCH_BAND):
-            return True
-        # The scalar metric decides the distances this close to the margin.
-        near = np.abs(dist - margin) <= BATCH_BAND * margin
-        if not (dist[~near] > margin).all():
-            return False
-        return all(
-            chordal_distance(x, self.complement[i]) > margin for i in np.flatnonzero(near)
-        )
+            # One point: its own sphere_coords, the bits of a sphere_xyz row.
+            return bool(chordal_rows(self.xyz, cp1(points).sphere_coords()).min() > margin)
+        return self.distances(points) > margin
 
 
 # ---------------------------------------------------------------------------
@@ -362,17 +336,15 @@ def stratification_check(
 def _group_by_disk(records) -> list:
     """(sample, record) pairs grouped by disk, groups in order of first
     appearance: a record joins the first group whose first record is its
-    ``same_disk``, tested against a stack of all groups at once."""
+    ``same_disk``, tested against a stack of all groups at once by the
+    same Frobenius-row expression."""
     groups = []
     stack = np.empty((len(records), 4), dtype=complex)
     for i, rec in records:
         h = rec.disk.circle.hermitian.ravel()
-        dist = np.linalg.norm(stack[: len(groups)] - h, axis=1)
-        # same_disk itself decides the distances this close to its threshold.
-        for g in np.flatnonzero(dist < TOL_SAME_DISK * (1.0 + BATCH_BAND)):
-            if dist[g] < TOL_SAME_DISK * (1.0 - BATCH_BAND) or rec.same_disk(groups[g][0][1]):
-                groups[g].append((i, rec))
-                break
+        same = np.flatnonzero(frobenius_rows(stack[: len(groups)], h) < TOL_SAME_DISK)
+        if len(same):
+            groups[same[0]].append((i, rec))
         else:
             stack[len(groups)] = h
             groups.append([(i, rec)])
@@ -423,10 +395,9 @@ def _pairs_to_test(dom: DiskComplementDomain, recs: list) -> np.ndarray:
     ip -= (np.outer(a, d) + np.outer(d, a)) / 2.0
     nests = np.abs(ip) > 1.0 + TOL_GEO - band  # nests[outer, inner]
     inner = np.flatnonzero(nests.any(axis=0))
-    probe_pts = [recs[j].disk.circle.boundary_points(1)[0].normalized() for j in inner]
-    if probe_pts:
-        probe = _form_values(np.array([(p.z0, p.z1) for p in probe_pts]), a, b, d)
-        nests[:, inner] &= probe.T < -TOL_GEO + band[:, inner]
+    if len(inner):
+        probe = unit_pairs(as_pairs([recs[j].disk.circle.boundary_points(1)[0] for j in inner]))
+        nests[:, inner] &= _form_values(probe, a, b, d).T < -TOL_GEO + band[:, inner]
 
     # worst[a, b]: the largest H_a - H_b value over the ideal points of a,
     # which is the scalar test's worst_a; its worst_b is -worst[b, a].
@@ -838,7 +809,7 @@ def _edge_measure_paths(strata: _EdgeStrata, seed: int = 0):
             * cmath.exp(1j * (mid - half + 2.0 * half * t))
             for t in np.linspace(0.0, 1.0, WEDGE_SAMPLES)
         ]
-        w = apply_stack(ninv, _unit_pairs(arc))
+        w = apply_stack(ninv, unit_pairs(as_pairs(arc)))
         try:
             path = affine_stack(w)
         except DegenerateInputError:
@@ -988,7 +959,7 @@ class _LoopSamples:
         table, rows, self._normalizers = leaves
         self.positive = table.sides(np.array(z, dtype=complex)[:, None])[:, rows] > 0
         self.radius = [2.0 * abs(w.imag) / (1.0 + abs(w) ** 2) for w in z]
-        self._pairs = _unit_pairs(z)
+        self._pairs = unit_pairs(as_pairs(z))
         self._frames = {}
 
     def frame(self, j: int, i: int) -> complex:

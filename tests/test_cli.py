@@ -252,6 +252,15 @@ CLI_ERROR_CASES = [
     ("weight-pi-graft", _weight("pi"), ("graft",), (), EXIT_OK, ""),
     ("coincident-dome-points", _domain([[0, 0], [1e-9, 0], [1, 0]]),
      ("export", "dome"), (), EXIT_NUMERIC, "numeric failure: dome needs at least 3 distinct"),
+    ("weight-nan", _weight(math.nan), ("graft",), (), EXIT_CONFIG, "error:"),
+    ("weight-inf", _weight("inf"), ("graft",), (), EXIT_CONFIG, "error:"),
+    ("weight-overflowing-pi-multiple", _weight("1e400*pi"), ("graft",), (), EXIT_CONFIG, "error:"),
+    ("loops-negative", dict(BASE_CONFIG, loops=-3),
+     ("verify", "covering"), (), EXIT_CONFIG, "error:"),
+    ("margin-negative", dict(BASE_CONFIG, margin=-1),
+     ("verify", "covering"), (), EXIT_CONFIG, "error:"),
+    ("samples-0", dict(TETRA, samples=0),
+     ("verify", "stratification"), (), EXIT_CONFIG, "error:"),
 ]
 
 

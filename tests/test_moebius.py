@@ -315,3 +315,61 @@ def test_apply_stack_matches_apply_bit_for_bit():
             assert affine_stack(rows) == finite
     with pytest.raises(DegenerateInputError, match="at infinity"):
         affine_stack(pairs)
+
+
+def _adversarial_rows(rng, n=2000) -> np.ndarray:
+    """Homogeneous pairs where numpy's and CPython's arithmetic part ways:
+    Gaussian rows, rows scaled by e^+-300, real rows (with +0.0 and -0.0
+    imaginary parts), rows at and near infinity, affine rows, and every pair
+    of complex numbers whose parts are signed zeros, units or 2.5."""
+    def gauss(k=n):
+        return rng.normal(size=(k, 2)) + 1j * rng.normal(size=(k, 2))
+
+    real, negzero = rng.normal(size=(n, 2)).astype(complex), rng.normal(size=(n, 2)).astype(complex)
+    negzero.imag = -0.0
+    parts = (0.0, -0.0, 1.0, -1.0, 2.5)
+    small = [complex(a, b) for a in parts for b in parts]
+    return np.concatenate([
+        gauss(),
+        gauss() * np.exp(rng.choice([-300.0, 300.0], size=(n, 1))),
+        real,
+        negzero,
+        np.column_stack([gauss()[:, 0], np.zeros(n)]),
+        np.column_stack([gauss()[:, 0], 1e-9 * gauss()[:, 1]]),
+        np.column_stack([gauss()[:, 0], np.ones(n)]),
+        np.array([(x, y) for x in small for y in small if abs(x) + abs(y) > 0]),
+    ])
+
+
+def test_pair_kernel_matches_per_point_bit_for_bit():
+    rows = _adversarial_rows(np.random.default_rng(43))
+    pts = [PointCP1(complex(z0), complex(z1)) for z0, z1 in rows]
+    unit = np.array([(q.z0, q.z1) for q in (p.normalized() for p in pts)])
+    xyz = np.array([p.sphere_coords() for p in pts])
+    assert moebius.unit_pairs(rows).tobytes() == unit.tobytes()
+    assert moebius.sphere_xyz(rows).tobytes() == xyz.tobytes()
+    # Stacks of any leading shape are mapped row by row.
+    assert moebius.sphere_xyz(rows[:600].reshape(300, 2, 2)).tobytes() == xyz[:600].tobytes()
+    chords = np.array([chordal_distance(p, q) for p, q in zip(pts, pts[1:])])
+    assert moebius.chordal_rows(xyz[:-1], xyz[1:]).tobytes() == chords.tobytes()
+
+
+def test_frobenius_rows_match_proj_distance():
+    rng = np.random.default_rng(44)
+    circles = [
+        OrientedCircle.from_center_radius(complex(*rng.normal(size=2)), rng.uniform(0.1, 2.0))
+        for _ in range(200)
+    ]
+    h = np.array([c.hermitian.ravel() for c in circles])
+    want = np.array([a.proj_distance(b) for a, b in zip(circles, circles[1:])])
+    assert moebius.frobenius_rows(h[:-1], h[1:]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [(0j, 0j), (complex(math.nan, 0.0), 1 + 0j), (1 + 0j, complex(0.0, math.inf))])
+def test_pair_kernel_rejects_what_pointcp1_rejects(bad):
+    with pytest.raises(DegenerateInputError):
+        PointCP1(*bad)
+    rows = np.array([(1 + 0j, 2 + 0j), bad])
+    for kernel in (moebius.unit_pairs, moebius.sphere_xyz):
+        with pytest.raises(DegenerateInputError):
+            kernel(rows)

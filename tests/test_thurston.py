@@ -19,6 +19,7 @@ from cp1graft.moebius import (
     RoundDisk,
     apply,
     chordal_distance,
+    chordal_rows,
     cp1,
     inversive_product,
     minimal_enclosing_disk,
@@ -179,9 +180,10 @@ def test_contains_matches_scalar_metric():
 
 def test_distances_match_per_point_norm(holonomy):
     """``distances`` is bit for bit the per-point minimum of np.linalg.norm
-    over the complement's sphere coordinates, and the minimum of the row
-    ``contains`` reads: for a limit-set sample (one row per block) and for
-    ideal sets (many rows per block)."""
+    over the complement's sphere coordinates, the minimum of the shared
+    chordal-row expression, and the minimum of ``chordal_distance``: for a
+    limit-set sample (one row per block) and for ideal sets (many rows per
+    block)."""
     rng = np.random.default_rng(31)
     zs = [complex(*rng.uniform(-3, 3, 2)) for _ in range(400)]
     ideal = [cp1(complex(*rng.uniform(-2, 2, 2))) for _ in range(12)] + [INFINITY]
@@ -194,8 +196,10 @@ def test_distances_match_per_point_norm(holonomy):
         ])
         got = dom.distances(zs)
         assert got.tobytes() == ref.tobytes()
-        rows = np.array([dom._rows(cp1(z).sphere_coords()).min() for z in zs[:40]])
+        rows = np.array([chordal_rows(dom.xyz, cp1(z).sphere_coords()).min() for z in zs[:40]])
         assert rows.tobytes() == got[:40].tobytes()
+        scalar = np.array([min(chordal_distance(cp1(z), p) for p in pts) for z in zs[:40]])
+        assert scalar.tobytes() == got[:40].tobytes()
 
 
 def _reference_geodesic(u, v):
