@@ -40,9 +40,11 @@ from .grafting import (
     GraftedStructure,
     InvalidMulticurveError,
     WeightedMulticurve,
+    is_two_pi_multiple,
     pleated_surface,
 )
 from .thurston import (
+    TOL_MEASURE,
     DiskComplementDomain,
     PreconditionError,
     TransversalityError,
@@ -99,8 +101,7 @@ class Weight:
     def is_two_pi_multiple(self) -> bool:
         if self.pi_multiple is not None:
             return self.pi_multiple % 2 == 0
-        k = self.value / (2.0 * math.pi)
-        return abs(k - round(k)) < 1e-9
+        return is_two_pi_multiple(self.value)
 
 
 @dataclass
@@ -196,12 +197,12 @@ class RunConfig:
             raise ConfigError("margin must be positive")
         return config
 
-    def tol(self, key: str, default: float) -> float:
-        return float(self.tolerances.get(key, default))
+    def tol(self, key: str) -> float:
+        return float(self.tolerances.get(key, TOLERANCE_DEFAULTS[key]))
 
 
-# Every tolerance a command reads (defaults in ``cmd_verify``).
-TOLERANCE_KEYS = ("two_pi", "goldman", "measure")
+# Every tolerance a command reads (verify two-pi, goldman, dome-measure), with its default.
+TOLERANCE_DEFAULTS = {"two_pi": 1e-9, "goldman": 1e-6, "measure": TOL_MEASURE}
 
 
 def _convert(kind, value, what):
@@ -229,8 +230,8 @@ def _triple(value, what) -> tuple:
 
 
 def _tolerance(key, value) -> float:
-    if key not in TOLERANCE_KEYS:
-        raise ConfigError(f"unknown tolerance {key!r}; known: {', '.join(TOLERANCE_KEYS)}")
+    if key not in TOLERANCE_DEFAULTS:
+        raise ConfigError(f"unknown tolerance {key!r}; known: {', '.join(TOLERANCE_DEFAULTS)}")
     return _convert(float, value, f"tolerance {key}")
 
 
@@ -443,7 +444,7 @@ def cmd_verify(config: RunConfig, which: str, out_dir: str) -> int:
         hol = fuchsian_from_fn(config.fn)
         gs = GraftedStructure(hol, config.multicurve(), depth=config.depth)
         rp = gs.rho_prime
-        tol = config.tol("two_pi", 1e-9)
+        tol = config.tol("two_pi")
         deviations = {}
         violations = []
         for name, before, after in zip(
@@ -467,7 +468,7 @@ def cmd_verify(config: RunConfig, which: str, out_dir: str) -> int:
             raise ConfigError("goldman check needs a multicurve")
         hol = fuchsian_from_fn(config.fn)
         gs = GraftedStructure(hol, config.multicurve(), depth=config.depth)
-        tol = config.tol("goldman", 1e-6)
+        tol = config.tol("goldman")
         violations = []
         recovered = {}
         for word, wt in zip(config.multicurve_words, config.weights):
@@ -498,15 +499,13 @@ def cmd_verify(config: RunConfig, which: str, out_dir: str) -> int:
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             if dom.contains(cp1(z), margin=1e-3):
                 samples.append(z)
-        report = stratification_check(dom, samples, seed=config.seed)
+        report = stratification_check(dom, samples)
         return _report_exit(report, path)
 
     if which == "dome-measure":
         if len(config.domain_points) < 3:
             raise ConfigError("dome-measure needs a domain with >= 3 points")
-        report = dome_measure_report(
-            config.domain_points, tol=config.tol("measure", 1e-5), seed=config.seed
-        )
+        report = dome_measure_report(config.domain_points, tol=config.tol("measure"))
         return _report_exit(report, path)
 
     if which == "covering":

@@ -82,6 +82,15 @@ def embed_h3(z: complex) -> PointH3:
 # Multicurves and lifted leaves
 
 
+# A weight is a multiple of 2 pi when w / 2 pi is this close to an integer.
+TOL_TWO_PI_MULTIPLE = 1e-9
+
+
+def is_two_pi_multiple(w: float) -> bool:
+    k = w / (2.0 * math.pi)
+    return abs(k - round(k)) < TOL_TWO_PI_MULTIPLE
+
+
 @dataclass(frozen=True)
 class WeightedMulticurve:
     """Disjoint simple closed geodesics named by group words, with weights
@@ -597,11 +606,8 @@ class GraftedStructure:
         """Developing map on strata, continued from the base stratum."""
         return apply(self.bending_map(z), embed_cp1(z))
 
-    def all_weights_two_pi_multiples(self, tol: float = 1e-9) -> bool:
-        return all(
-            abs(t / (2.0 * math.pi) - round(t / (2.0 * math.pi))) < tol
-            for t in self.multicurve.weights
-        )
+    def all_weights_two_pi_multiples(self) -> bool:
+        return all(is_two_pi_multiple(t) for t in self.multicurve.weights)
 
 
 def grafted_holonomy(

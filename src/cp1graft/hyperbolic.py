@@ -192,6 +192,13 @@ def nearest_point_projection(plane: PlaneH3, x: PointCP1) -> PointH3:
 # Dome: boundary of the convex hull of a finite ideal set
 
 
+# A seed simplex is solid, and a face visible from a point, beyond TOL_HULL;
+# triangles and skipped input points within TOL_COPLANAR of one plane (in
+# offset and normal) form one concircular face.
+TOL_HULL = 1e-9
+TOL_COPLANAR = 1e-7
+
+
 @dataclass(frozen=True)
 class DomeFace:
     vertex_ids: tuple
@@ -242,7 +249,7 @@ def _cap_point(outward):
     return PointCP1.from_complex(complex(x, y) / (1.0 - u))
 
 
-def _incremental_hull(xs: np.ndarray, tol: float):
+def _incremental_hull(xs: np.ndarray):
     """Triangulated convex hull of points on the unit sphere.
 
     Deterministic: insertion in lexicographic order.  Points lying on a
@@ -255,7 +262,7 @@ def _incremental_hull(xs: np.ndarray, tol: float):
         return np.dot(np.cross(xs[j] - xs[i], xs[k] - xs[i]), xs[l] - xs[i])
 
     # Seed simplex: first lexicographic non-degenerate quadruple.
-    seed = next((q for q in itertools.combinations(order, 4) if abs(volume(*q)) > tol), None)
+    seed = next((q for q in itertools.combinations(order, 4) if abs(volume(*q)) > TOL_HULL), None)
     if seed is None:
         return None  # all coplanar
 
@@ -281,7 +288,7 @@ def _incremental_hull(xs: np.ndarray, tol: float):
         for fi, (a, b, c) in enumerate(faces):
             n = np.cross(xs[b] - xs[a], xs[c] - xs[a])
             n = n / np.linalg.norm(n)
-            if np.dot(n, p - xs[a]) > tol:
+            if np.dot(n, p - xs[a]) > TOL_HULL:
                 visible.append(fi)
         if not visible:
             continue  # on the hull boundary or inside; merged later
@@ -307,7 +314,7 @@ def _angular_order(xs, vids, n) -> list:
     )
 
 
-def _merge_coplanar(xs, tris, tol_pl):
+def _merge_coplanar(xs, tris):
     """Group hull triangles into maximal planar (= concircular) faces and
     return (faces: list of vertex-id lists in boundary order, normals, offsets)."""
     planes = []
@@ -330,7 +337,7 @@ def _merge_coplanar(xs, tris, tol_pl):
         for j in range(i + 1, len(tris)):
             ni, hi = planes[i]
             nj, hj = planes[j]
-            if np.dot(ni, nj) > 1.0 - tol_pl and abs(hi - hj) < tol_pl:
+            if np.dot(ni, nj) > 1.0 - TOL_COPLANAR and abs(hi - hj) < TOL_COPLANAR:
                 parent[find(i)] = find(j)
 
     groups = {}
@@ -349,13 +356,13 @@ def _merge_coplanar(xs, tris, tol_pl):
         # Sweep in any point of the input lying on this plane (coplanar
         # points skipped by the triangulated hull still belong to the face).
         for v in range(len(xs)):
-            if v not in vids and abs(np.dot(n, xs[v]) - h) < tol_pl:
+            if v not in vids and abs(np.dot(n, xs[v]) - h) < TOL_COPLANAR:
                 vids.append(v)
         faces.append((tuple(_angular_order(xs, sorted(set(vids)), n)), n, h))
     return faces
 
 
-def dome(ideal_points, tol: float = TOL_GEO) -> DomeMesh:
+def dome(ideal_points) -> DomeMesh:
     """Boundary of the hyperbolic convex hull of a finite ideal set.
 
     Faces are totally geodesic pieces supported on hyperbolic planes; each
@@ -365,17 +372,16 @@ def dome(ideal_points, tol: float = TOL_GEO) -> DomeMesh:
     """
     pts = [cp1(p) for p in ideal_points]
     xs = sphere_xyz(as_pairs(pts))
-    # Deduplicate: keep each point at chordal distance >= tol from the kept.
+    # Deduplicate: keep each point at chordal distance >= TOL_GEO from the kept.
     uniq = []
     for i in range(len(pts)):
-        if (chordal_rows(xs[uniq], xs[i]) >= tol).all():
+        if (chordal_rows(xs[uniq], xs[i]) >= TOL_GEO).all():
             uniq.append(i)
     if len(uniq) < 3:
         raise DegenerateInputError("dome needs at least 3 distinct ideal points")
     pts, xs = [pts[i] for i in uniq], xs[uniq]
 
-    tol_pl = 1e-9
-    tris = _incremental_hull(xs, tol_pl)
+    tris = _incremental_hull(xs)
 
     if tris is None:
         # Concircular: single flat face, empty bending lamination.
@@ -385,7 +391,7 @@ def dome(ideal_points, tol: float = TOL_GEO) -> DomeMesh:
         face = DomeFace(tuple(ordered), PlaneH3(circ))
         return DomeMesh(tuple(pts), (face,), ())
 
-    merged = _merge_coplanar(xs, tris, tol_pl=1e-7)
+    merged = _merge_coplanar(xs, tris)
 
     hull_centroid = np.mean(xs, axis=0)
     faces = []
@@ -430,9 +436,9 @@ def euler_characteristic(mesh: DomeMesh) -> int:
     return v - e + f
 
 
-def concircular(p: PointCP1, q: PointCP1, r: PointCP1, s: PointCP1, tol: float = TOL_GEO) -> bool:
+def concircular(p: PointCP1, q: PointCP1, r: PointCP1, s: PointCP1) -> bool:
     """Four points lie on a common round circle iff their cross-ratio is real."""
-    return abs(cross_ratio(p, q, r, s).imag) < tol
+    return abs(cross_ratio(p, q, r, s).imag) < TOL_GEO
 
 
 # ---------------------------------------------------------------------------

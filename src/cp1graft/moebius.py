@@ -398,21 +398,20 @@ def fixed_points(m: MoebiusMap) -> tuple:
     return (p1, p2)
 
 
-def classify(m: MoebiusMap, tol: float = TOL_CLASS) -> MoebiusClass:
+def classify(m: MoebiusMap) -> MoebiusClass:
     """Classify by tr^2: [0,4) elliptic, 4 parabolic, real (4,inf) hyperbolic,
-    anything else loxodromic.  |tr^2 - 4| < tol is flagged parabolic-ambiguous."""
-    if m.is_identity(tol):
+    anything else loxodromic.  |tr^2 - 4| < TOL_CLASS is flagged parabolic-ambiguous."""
+    if m.is_identity():
         return MoebiusClass("identity", ())
     t2 = m.trace_squared()
-    near_parabolic = abs(t2 - 4.0) < tol
-    if near_parabolic:
+    if abs(t2 - 4.0) < TOL_CLASS:
         fp = fixed_points(m)
         ambiguous = abs(t2 - 4.0) > 1e-14
         return MoebiusClass("parabolic", (fp[0],), parabolic_ambiguous=ambiguous)
     fp = fixed_points(m)
-    if abs(t2.imag) < tol:
+    if abs(t2.imag) < TOL_CLASS:
         x = t2.real
-        if 0.0 <= x < 4.0 or (-tol < x < 0.0):
+        if 0.0 <= x < 4.0 or (-TOL_CLASS < x < 0.0):
             return MoebiusClass("elliptic", fp)
         if x > 4.0:
             return MoebiusClass("hyperbolic", fp)
@@ -474,17 +473,8 @@ class OrientedCircle:
         v = p.normalized().vector()
         return float((np.conj(v) @ self.hermitian @ v).real)
 
-    def side(self, p: PointCP1) -> int:
-        val = self.evaluate(p)
-        if abs(val) < TOL_GEO:
-            return 0
-        return -1 if val < 0 else 1
-
-    def contains_in_disk(self, p: PointCP1, strict_margin: float = 0.0) -> bool:
-        return self.evaluate(p) < -strict_margin
-
-    def on_circle(self, p: PointCP1, tol: float = TOL_GEO) -> bool:
-        return abs(self.evaluate(p)) < tol
+    def contains_in_disk(self, p: PointCP1) -> bool:
+        return self.evaluate(p) < 0.0
 
     @property
     def is_line(self) -> bool:
@@ -552,8 +542,8 @@ class RoundDisk:
 
     circle: OrientedCircle
 
-    def contains(self, p: PointCP1, strict_margin: float = 0.0) -> bool:
-        return self.circle.contains_in_disk(p, strict_margin)
+    def contains(self, p: PointCP1) -> bool:
+        return self.circle.contains_in_disk(p)
 
     def transform(self, m: MoebiusMap) -> "RoundDisk":
         return RoundDisk(self.circle.transform(m))
@@ -595,15 +585,15 @@ def circle_through(p: PointCP1, q: PointCP1, r: PointCP1) -> OrientedCircle:
     return circle
 
 
-def angle_between(c1: OrientedCircle, c2: OrientedCircle, tol: float = TOL_GEO) -> float:
+def angle_between(c1: OrientedCircle, c2: OrientedCircle) -> float:
     """Oriented intersection angle in [0, pi]: the vertex angle of the
     crescent between the two disk sides.  Moebius invariant.
 
     Circles equal or tangent within tolerance get the limiting angle (0 or
-    pi); an inversive product beyond 1 + tol means no intersection.
+    pi); an inversive product beyond 1 + TOL_GEO means no intersection.
     """
     ip = inversive_product(c1, c2)
-    if abs(ip) > 1.0 + tol:
+    if abs(ip) > 1.0 + TOL_GEO:
         raise NoIntersectionError(f"circles do not intersect transversally (product {ip:.6g})")
     return math.acos(min(1.0, max(-1.0, ip)))
 

@@ -57,6 +57,7 @@ from .grafting import (
 TOL_CONTACT = 1e-6  # relative band for boundary-contact detection
 TOL_MEASURE = 1e-5
 TOL_SAME_DISK = 1e-6  # Frobenius distance of Hermitian forms of one disk
+TOL_SAME_POINT = 10 * TOL_GEO  # chordal distance of one ideal point
 # Relative band around a threshold inside which a batched value, which may
 # differ from its scalar counterpart in the last bits, is not trusted.
 BATCH_BAND = 1e-12
@@ -142,13 +143,13 @@ class CoreRegion:
     boundary_angles: tuple  # ideal points as angles on the unit circle
     edges: tuple  # OrientedCircle per hull edge, core on the disk side
 
-    def contains(self, p: PointCP1, tol: float = TOL_GEO) -> bool:
+    def contains(self, p: PointCP1) -> bool:
         q = apply(self.frame, cp1(p))
         if q.is_infinity or abs(q.as_complex()) >= 1.0:
             return False
         if len(self.boundary_angles) == 2:
-            return abs(self.edges[0].evaluate(q)) < tol
-        return all(e.evaluate(q) < tol for e in self.edges)
+            return abs(self.edges[0].evaluate(q)) < TOL_GEO
+        return all(e.evaluate(q) < TOL_GEO for e in self.edges)
 
 
 @dataclass(frozen=True)
@@ -167,8 +168,8 @@ class MaximalDiskRecord:
         u, t = self.frame_maps
         return _core_region(u @ t, self.boundary)
 
-    def same_disk(self, other: "MaximalDiskRecord", tol: float = TOL_SAME_DISK) -> bool:
-        return self.disk.circle.proj_distance(other.disk.circle) < tol
+    def same_disk(self, other: "MaximalDiskRecord") -> bool:
+        return self.disk.circle.proj_distance(other.disk.circle) < TOL_SAME_DISK
 
 
 def _normalizer_to_infinity(x: PointCP1) -> MoebiusMap:
@@ -232,11 +233,7 @@ def _core_region(frame: MoebiusMap, ws: tuple) -> CoreRegion:
     return CoreRegion(frame=frame, boundary_angles=angles, edges=tuple(edges))
 
 
-def maximal_disk_at(
-    dom: DiskComplementDomain,
-    x,
-    seed: int = 0,
-) -> MaximalDiskRecord:
+def maximal_disk_at(dom: DiskComplementDomain, x) -> MaximalDiskRecord:
     """The maximal disk whose core contains x: normalize x to infinity, take
     the minimal enclosing disk of the transported complement, and return its
     complement; ideal points are the boundary contacts.  The record's core is
@@ -248,7 +245,7 @@ def maximal_disk_at(
     t = _normalizer_to_infinity(x)
     transported = apply_stack(t, dom.pairs)
     zs = affine_stack(transported)
-    med = minimal_enclosing_disk(zs, seed=seed)
+    med = minimal_enclosing_disk(zs)
     contacts = [
         i for i, z in enumerate(zs)
         if abs(abs(z - med.center) - med.radius) <= TOL_CONTACT * med.radius
@@ -283,19 +280,19 @@ def maximal_disk_at(
 # Stratification
 
 
-def stratification_check(
-    dom: DiskComplementDomain, samples, seed: int = 0
-) -> dict:
+def stratification_check(dom: DiskComplementDomain, samples) -> dict:
     """Check the stratification by cores over the given sample points:
     every sample gets a disk, distinct disks have disjoint cores (tested by
     sides of the separating circle H1 - H2 through the lens), and samples
-    sharing a disk share the ideal point set."""
+    sharing a disk share the ideal point set.  Needs at least one sample."""
     samples = list(samples)
+    if not samples:
+        raise DegenerateInputError("stratification check needs at least one sample")
     records = []
     failures = []
     for i, x in enumerate(samples):
         try:
-            records.append((i, maximal_disk_at(dom, x, seed=seed)))
+            records.append((i, maximal_disk_at(dom, x)))
         except (PreconditionError, DegenerateInputError) as exc:
             failures.append({"sample": i, "error": str(exc)})
 
@@ -358,7 +355,7 @@ def _same_ideal_sets(a: MaximalDiskRecord, b: MaximalDiskRecord) -> bool:
     if set(a.ideal_ids) == set(b.ideal_ids):
         return True
     return all(
-        any(chordal_distance(p, q) < 10 * TOL_GEO for q in b.ideal_points)
+        any(chordal_distance(p, q) < TOL_SAME_POINT for q in b.ideal_points)
         for p in a.ideal_points
     )
 
@@ -487,10 +484,7 @@ class MeasureResult:
 
 
 def transverse_measure(
-    dom: DiskComplementDomain,
-    path,
-    tol_measure: float = TOL_MEASURE,
-    seed: int = 0,
+    dom: DiskComplementDomain, path, tol_measure: float = TOL_MEASURE
 ) -> MeasureResult:
     """Transverse measure of a path: Theta = sum of angles between maximal
     disks at consecutive subdivision points, refined dyadically until the
@@ -506,7 +500,7 @@ def transverse_measure(
 
     def disk_at(t: Fraction) -> MaximalDiskRecord:
         if t not in disk_cache:
-            disk_cache[t] = maximal_disk_at(dom, line.at(float(t) * line.total), seed=seed)
+            disk_cache[t] = maximal_disk_at(dom, line.at(float(t) * line.total))
         return disk_cache[t]
 
     trace = []
@@ -544,9 +538,9 @@ def transverse_measure(
 # Band around every stratum boundary inside which a probe's label is left to
 # maximal_disk_at.  It is at least 50 times each threshold it guards: the
 # contact band (a relative TOL_CONTACT is a contact value of about -2e-6,
-# see ``_contact_values``), the 1e-6 face-circle match, the TOL_GEO margin
-# of ``contains`` and the 1e-9 squared radius below which a hull edge is
-# built, and may raise.
+# see ``_contact_values``), the TOL_SAME_DISK face-circle match, the TOL_GEO
+# margin of ``contains`` and the 1e-9 squared radius below which a hull edge
+# is built, and may raise.
 STRATA_BAND = 1e-4
 
 
@@ -556,7 +550,7 @@ def _face_frame(face) -> MoebiusMap:
     return cayley @ face.plane.to_halfplane_map()
 
 
-def face_core_point(dom: DiskComplementDomain, face, seed: int = 0) -> PointCP1:
+def face_core_point(dom: DiskComplementDomain, face) -> PointCP1:
     """A point of the two-dimensional core of a dome face: searched along
     the mean vertex direction in the face's disk frame and verified by the
     maximal-disk computation itself."""
@@ -572,30 +566,30 @@ def face_core_point(dom: DiskComplementDomain, face, seed: int = 0) -> PointCP1:
         if cand.is_infinity or not dom.contains(cand):
             continue
         try:
-            rec = maximal_disk_at(dom, cand, seed=seed)
+            rec = maximal_disk_at(dom, cand)
         except (PreconditionError, DegenerateInputError):
             continue
-        if rec.disk.circle.proj_distance(face.plane.boundary) < 1e-6:
+        if rec.disk.circle.proj_distance(face.plane.boundary) < TOL_SAME_DISK:
             return cand
     raise DegenerateInputError("no core point found for dome face")
 
 
-def _classify_on_path(dom, mesh, edge, z, seed: int = 0) -> str:
+def _classify_on_path(dom, mesh, edge, z) -> str:
     """Label a path point: in a face core of the edge, in the edge's own
     two-contact family, or somewhere else."""
     try:
-        rec = maximal_disk_at(dom, cp1(z), seed=seed)
+        rec = maximal_disk_at(dom, cp1(z))
     except (PreconditionError, DegenerateInputError):
         return "other"
     for label, f in zip(("face1", "face2"), edge.face_ids):
-        if rec.disk.circle.proj_distance(mesh.faces[f].plane.boundary) < 1e-6:
+        if rec.disk.circle.proj_distance(mesh.faces[f].plane.boundary) < TOL_SAME_DISK:
             return label
     if len(rec.ideal_points) == 2:
         p, q = rec.ideal_points
         va, vb = (mesh.vertices[i] for i in edge.vertex_ids)
 
         def near(u, v):
-            return chordal_distance(u, v) < 10 * TOL_GEO
+            return chordal_distance(u, v) < TOL_SAME_POINT
 
         if (near(p, va) and near(q, vb)) or (near(p, vb) and near(q, va)):
             return "family"
@@ -718,7 +712,7 @@ class _EdgeStrata:
         hp = 2.0 * (-d[:, None] * np.conj(self.others[:, 0]) * self.others[:, 1]).real
         return ok & (_contact_values(hz, hp, w, self.others) < -band).all(axis=1)
 
-    def labels(self, points: list, seed: int = 0) -> list:
+    def labels(self, points: list) -> list:
         """Labels of the path points, as ``_classify_on_path`` gives them."""
         out = [None] * len(points)
         if self.closed_form:
@@ -731,8 +725,7 @@ class _EdgeStrata:
                 for i in np.flatnonzero(alone & test):
                     out[i] = lab
         return [
-            lab if lab is not None else _classify_on_path(
-                self.dom, self.mesh, self.edge, z, seed=seed)
+            lab if lab is not None else _classify_on_path(self.dom, self.mesh, self.edge, z)
             for z, lab in zip(points, out)
         ]
 
@@ -743,7 +736,7 @@ PATH_PROBES = 33
 WEDGE_SAMPLES = 48
 
 
-def _single_edge_subpath(strata: _EdgeStrata, path, seed: int = 0):
+def _single_edge_subpath(strata: _EdgeStrata, path):
     """Walk the path coarsely looking for a contiguous stretch whose disk
     labels read (one face core) [this edge's family] (other face core); on
     success return the trimmed polyline between the two face cores."""
@@ -752,7 +745,7 @@ def _single_edge_subpath(strata: _EdgeStrata, path, seed: int = 0):
         return None
 
     targets = [line.total * k / PATH_PROBES for k in range(PATH_PROBES + 1)]
-    labels = strata.labels([line.at(t, clamp=False) for t in targets], seed=seed)
+    labels = strata.labels([line.at(t, clamp=False) for t in targets])
 
     blocks = []
     for target, lab in zip(targets, labels):
@@ -775,7 +768,7 @@ def _single_edge_subpath(strata: _EdgeStrata, path, seed: int = 0):
     return None
 
 
-def _edge_measure_paths(strata: _EdgeStrata, seed: int = 0):
+def _edge_measure_paths(strata: _EdgeStrata):
     """Candidate polylines crossing the given dome edge.
 
     With the edge's ideal vertices at 0 and infinity both face circles are
@@ -833,14 +826,14 @@ def _edge_measure_paths(strata: _EdgeStrata, seed: int = 0):
                 yield path
     # Fallback: straight segment between verified core points.
     try:
-        c1 = face_core_point(dom, f1, seed=seed)
-        c2 = face_core_point(dom, f2, seed=seed)
+        c1 = face_core_point(dom, f1)
+        c2 = face_core_point(dom, f2)
         yield [c1.as_complex(), c2.as_complex()]
     except (PreconditionError, DegenerateInputError):
         pass
 
 
-def dome_measure_report(ideal_points, tol: float = TOL_MEASURE, seed: int = 0) -> dict:
+def dome_measure_report(ideal_points, tol: float = TOL_MEASURE) -> dict:
     """Compare the transverse measure across every dome edge against the
     edge's exterior dihedral angle, integrating along a validated path
     that crosses only that edge between the two adjacent face cores."""
@@ -852,8 +845,8 @@ def dome_measure_report(ideal_points, tol: float = TOL_MEASURE, seed: int = 0) -
     for ei, edge in enumerate(mesh.edges):
         strata = _EdgeStrata(dom, mesh, edge, cores)
         path = None
-        for candidate in _edge_measure_paths(strata, seed=seed):
-            path = _single_edge_subpath(strata, candidate, seed=seed)
+        for candidate in _edge_measure_paths(strata):
+            path = _single_edge_subpath(strata, candidate)
             if path is not None:
                 break
         if path is None:
@@ -861,7 +854,7 @@ def dome_measure_report(ideal_points, tol: float = TOL_MEASURE, seed: int = 0) -
             edge_values.append(
                 {"edge": ei, "theta": math.nan, "dihedral": edge.weight, "error": math.inf})
             continue
-        res = transverse_measure(dom, path, tol_measure=tol, seed=seed)
+        res = transverse_measure(dom, path, tol_measure=tol)
         err = abs(res.value - edge.weight)
         edge_values.append(
             {"edge": ei, "theta": res.value, "dihedral": edge.weight, "error": err}
@@ -882,10 +875,10 @@ def dome_measure_report(ideal_points, tol: float = TOL_MEASURE, seed: int = 0) -
 # Projection
 
 
-def projection_psi(dom: DiskComplementDomain, x, seed: int = 0) -> PointH3:
+def projection_psi(dom: DiskComplementDomain, x) -> PointH3:
     """Psi(x): nearest-point projection of x onto the hyperbolic plane over
     the boundary of the maximal disk at x."""
-    rec = maximal_disk_at(dom, x, seed=seed)
+    rec = maximal_disk_at(dom, x)
     return nearest_point_projection(PlaneH3(rec.disk.circle), cp1(x))
 
 
@@ -989,16 +982,21 @@ def verify_covering(
     from every constructed starting lift and close up.
 
     Loops too close to the limit set raise PreconditionError (a guard, not
-    a covering violation).  Reports per-loop embedding-radius estimates:
-    the minimal chordal distance to the support boundary along the lift.
-    ``limit`` is the domain off the limit-set sample when the caller has
-    one; otherwise the limit set is sampled to ``limit_depth``.
+    a covering violation), and no loops raise DegenerateInputError; loops
+    with no lift to test are a ``no-lifts-tested`` violation.  Reports
+    per-loop embedding-radius estimates: the minimal chordal distance to the
+    support boundary along the lift.  ``limit`` is the domain off the
+    limit-set sample when the caller has one; otherwise the limit set is
+    sampled to ``limit_depth``.
 
     A lift is (signs, None, None) in the stratum with leaf sides ``signs``,
     or (None, j, psi) in the crescent of leaf j at angle psi of its frame.
     """
     if not gs.all_weights_two_pi_multiples():
         raise PreconditionError("verify_covering requires weights in 2 pi Z")
+    loops = list(loops)
+    if not loops:
+        raise DegenerateInputError("covering check needs at least one loop")
 
     if limit is None:
         limit = DiskComplementDomain(limit_set_sample(gs.hol, limit_depth))
@@ -1009,7 +1007,6 @@ def verify_covering(
     normalizers = [leaf_normalizer(gs, table[i]) for i in rows]
     low_positive = _low_sides(table, rows)
 
-    loops = list(loops)
     checks, violations = [], []
     values = {"loops": len(loops), "lifts_tested": 0, "closures": 0}
     embedding_radii = []
@@ -1063,6 +1060,8 @@ def verify_covering(
                      "end": "stratum" if j1 is None else "crescent"}
                 )
 
+    if not values["lifts_tested"]:
+        violations.append({"kind": "no-lifts-tested"})
     checks.append({"name": "all-lifts-close", "passed": not violations,
                    "details": {"lifts": values["lifts_tested"]}})
     if embedding_radii:

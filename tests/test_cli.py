@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from cp1graft.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, Weight, dumps, main
+from cp1graft.grafting import is_two_pi_multiple
 
 
 BASE_CONFIG = {
@@ -44,6 +45,20 @@ def test_weight_parsing():
     assert not Weight.parse("1/2*pi").is_two_pi_multiple
     assert Weight.parse(6.283185307179586).is_two_pi_multiple
     assert Weight.parse("0.75").value == 0.75
+
+
+TWO_PI_BOUNDARY = [
+    (0.0, True), (2 * math.pi, True), (4 * math.pi, True), (math.pi, False),
+    (2 * math.pi * (1 + 4e-10), True), (2 * math.pi * (1 - 4e-10), True),
+    (2 * math.pi * (1 + 2e-9), False), (2 * math.pi * (1 - 2e-9), False),
+]
+
+
+@pytest.mark.parametrize("value,expected", TWO_PI_BOUNDARY)
+def test_two_pi_rule_boundary(value, expected):
+    # A numeric weight is read by the one rule of grafting: |w/2pi - k| < 1e-9.
+    assert Weight.parse(value).is_two_pi_multiple is expected
+    assert is_two_pi_multiple(value) is expected
 
 
 def test_dumps_17_digits():
@@ -289,6 +304,21 @@ def test_depth_and_seed_flags_match_config(tmp_path):
     assert text == (b / "grafted_structure.json").read_bytes()
     doc = json.loads(text)
     assert (doc["depth"], doc["seed"]) == (4, 3)
+
+
+def test_dome_measure_independent_of_seed(tmp_path):
+    # Maximal disks are unique, so the measure reads no seed; the
+    # stratification samples still come from it.
+    config = str(CONFIG_DIR / "sixpoint_domain.json")
+    outputs = {}
+    for check, report in (("dome-measure", "dome-measure_report.json"),
+                          ("stratification", "stratification_report.json")):
+        for seed in ("0", "5"):
+            out = tmp_path / f"{check}-{seed}"
+            main(["verify", check, "--config", config, "--out", str(out), "--seed", seed])
+            outputs[check, seed] = (out / report).read_bytes()
+    assert outputs["dome-measure", "0"] == outputs["dome-measure", "5"]
+    assert outputs["stratification", "0"] != outputs["stratification", "5"]
 
 
 # Every subcommand on every file in configs/: exit code and sha256 of each

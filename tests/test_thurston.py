@@ -214,14 +214,14 @@ def _reference_geodesic(u, v):
     return OrientedCircle.from_center_radius(m, math.sqrt(r2))
 
 
-def eager_core_reference(dom, x, seed=0):
+def eager_core_reference(dom, x):
     """The core built eagerly, point by point, as maximal_disk_at once did:
     (frame, boundary angles, edges)."""
     x = cp1(x)
     t = MoebiusMap(np.array([[0.0, 1.0], [1.0, -x.as_complex()]], dtype=complex))
     transported = [apply(t, p) for p in dom.complement]
     zs = [p.as_complex() for p in transported]
-    med = minimal_enclosing_disk(zs, seed=seed)
+    med = minimal_enclosing_disk(zs)
     contacts = [
         i for i, z in enumerate(zs)
         if abs(abs(z - med.center) - med.radius) <= TOL_CONTACT * med.radius
@@ -305,6 +305,13 @@ def test_stratification_three_point_domain():
     assert report["values"]["distinct_disks"] == 2
 
 
+def test_stratification_without_samples_raises(tetrahedron_points):
+    # Every check would pass over no samples at all.
+    dom = DiskComplementDomain.from_ideal_points(tetrahedron_points)
+    with pytest.raises(DegenerateInputError):
+        stratification_check(dom, [])
+
+
 def test_stratification_tetrahedron(tetrahedron_points):
     dom = DiskComplementDomain.from_ideal_points(tetrahedron_points)
     rng = np.random.default_rng(5)
@@ -324,13 +331,13 @@ def test_stratification_tetrahedron(tetrahedron_points):
     assert probe_report["values"]["distinct_disks"] == 4
 
 
-def per_pair_stratification_reference(dom, samples, seed=0):
+def per_pair_stratification_reference(dom, samples):
     """stratification_check written pair by pair, as it once was: the
     reference for the batched grouping and pair tests."""
     records, failures = [], []
     for i, x in enumerate(samples):
         try:
-            records.append((i, thurston.maximal_disk_at(dom, x, seed=seed)))
+            records.append((i, thurston.maximal_disk_at(dom, x)))
         except (PreconditionError, DegenerateInputError) as exc:
             failures.append({"sample": i, "error": str(exc)})
     groups = []
@@ -416,8 +423,8 @@ def _plant(change, targets):
     """maximal_disk_at with the record at each target query replaced by
     change(record)."""
 
-    def planted(dom, x, seed=0):
-        rec = maximal_disk_at(dom, x, seed=seed)
+    def planted(dom, x):
+        rec = maximal_disk_at(dom, x)
         return change(rec) if x in targets else rec
 
     return planted
@@ -484,8 +491,8 @@ def test_stratification_nested_disks_with_small_side_values(monkeypatch):
         0.3: dict(disk=inner, ideal_points=dom.complement[3:], ideal_ids=(3,)),
     }
 
-    def planted(d, x, seed=0):
-        return dataclasses.replace(maximal_disk_at(d, x, seed=seed), **fakes[x])
+    def planted(d, x):
+        return dataclasses.replace(maximal_disk_at(d, x), **fakes[x])
 
     monkeypatch.setattr(thurston, "maximal_disk_at", planted)
     report = stratification_check(dom, list(fakes))
@@ -601,13 +608,13 @@ def dome_measure_runs():
     for name in ("sixpoint_domain", "tetrahedron_dome"):
         config = RunConfig.load(str(REPO / "configs" / f"{name}.json"))
         runs.append((name, list(config.domain_points),
-                     {"tol": config.tol("measure", 1e-5), "seed": config.seed}))
+                     {"tol": config.tol("measure")}))
     batches, fallbacks, reports = [], [], {}
     labels, classify = thurston._EdgeStrata.labels, thurston._classify_on_path
     current = []
 
-    def recording(self, points, seed=0):
-        out = labels(self, points, seed=seed)
+    def recording(self, points):
+        out = labels(self, points)
         batches.append((current[-1], self, list(points), out))
         return out
 
@@ -926,6 +933,21 @@ def test_covering_degenerate_loops_raise(two_pi_structure):
     for loop in ([], [0.4 + 0.9j]):
         with pytest.raises(DegenerateInputError):
             verify_covering(two_pi_structure, [loop], margin=0.05, limit_depth=4)
+
+
+def test_covering_without_loops_raises(two_pi_structure):
+    with pytest.raises(DegenerateInputError):
+        verify_covering(two_pi_structure, [], margin=0.05, limit_depth=4)
+
+
+def test_covering_without_lifts_fails(holonomy):
+    # Weight 0 leaves no crescent, and a lower half-plane loop no stratum
+    # lift: all-lifts-close must not pass over no lift.
+    gs = GraftedStructure(holonomy, WeightedMulticurve(((GroupWord((1,)), 0.0),)), depth=5)
+    report = verify_covering(gs, [_circle_loop(0.2 - 1.0j)], margin=0.05, limit_depth=4)
+    assert report["values"]["lifts_tested"] == 0
+    assert report["violations"] == [{"kind": "no-lifts-tested"}]
+    assert not next(c for c in report["checks"] if c["name"] == "all-lifts-close")["passed"]
 
 
 def test_covering_requires_two_pi_weights(half_pi_structure):
