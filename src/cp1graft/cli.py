@@ -189,8 +189,8 @@ class RunConfig:
                 for key, value in _mapping(raw.get("tolerances", {}), "tolerances").items()
             },
         )
-        if not config.truncation_radius > 0:
-            raise ConfigError("truncation_radius must be positive")
+        if not 0 < config.truncation_radius < math.inf:
+            raise ConfigError("truncation_radius must be positive and finite")
         if min(config.limit_depth, config.export_word_length, config.loops, config.samples) < 1:
             raise ConfigError("limit_depth, export_word_length, loops and samples must be >= 1")
         if not config.margin > 0:
@@ -312,34 +312,34 @@ def dome_mesh_json(mesh: DomeMesh) -> dict:
     }
 
 
-def dome_mesh_obj(mesh: DomeMesh) -> str:
-    """OBJ with ideal vertices on the unit sphere (Poincare ball boundary),
-    faces fan-triangulated."""
-    lines = ["# dome mesh, Poincare ball coordinates"]
-    for p in mesh.vertices:
-        x, y, z = p.sphere_coords()
-        lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
-    for f in mesh.faces:
-        ids = list(f.vertex_ids)
+def _obj(title: str, vertices, faces) -> str:
+    """OBJ text: one line per vertex (x, y, z), then each face (a list of
+    0-based vertex ids) fan-triangulated."""
+    lines = [f"# {title}"]
+    lines += [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in vertices]
+    for ids in faces:
         for k in range(1, len(ids) - 1):
             lines.append(f"f {ids[0] + 1} {ids[k] + 1} {ids[k + 1] + 1}")
     return "\n".join(lines) + "\n"
 
 
-def pleat_mesh_json(mesh) -> dict:
+def _pleat_polygons(mesh) -> tuple[list, list]:
+    """Upper half-space images of every face polygon's vertices, in face
+    order, and each face as its list of ids into them."""
+    points, faces = [], []
+    for f in mesh.faces:
+        image = f.image_polygon()
+        faces.append(list(range(len(points), len(points) + len(image))))
+        points += image
+    return points, faces
+
+
+def pleat_mesh_json(mesh, points: list, faces: list) -> dict:
     """Same shape as the dome schema: a vertex table, faces as vertex index
     lists, and weighted edges; vertices are upper half-space image points."""
-    vertices = []
-    faces = []
-    for f in mesh.faces:
-        ids = []
-        for p in f.image_polygon():
-            ids.append(len(vertices))
-            vertices.append([p.z.real, p.z.imag, p.t])
-        faces.append(ids)
     return {
         "truncation_radius": mesh.truncation_radius,
-        "vertices": vertices,
+        "vertices": [[p.z.real, p.z.imag, p.t] for p in points],
         "faces": faces,
         "edges": [
             {
@@ -360,24 +360,6 @@ def _cp1_json(p: PointCP1):
         return "inf"
     z = p.as_complex()
     return [z.real, z.imag]
-
-
-def pleat_mesh_obj(mesh) -> str:
-    lines = ["# pleated surface mesh, Poincare ball coordinates"]
-    count = 0
-    face_indices = []
-    for f in mesh.faces:
-        ids = []
-        for p in f.image_polygon():
-            x, y, z = halfspace_to_ball(p)
-            lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
-            count += 1
-            ids.append(count)
-        face_indices.append(ids)
-    for ids in face_indices:
-        for k in range(1, len(ids) - 1):
-            lines.append(f"f {ids[0]} {ids[k]} {ids[k + 1]}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +512,7 @@ def cmd_verify(config: RunConfig, which: str, out_dir: str) -> int:
             loop = [c + r * np.exp(2j * math.pi * k / 24) for k in range(25)]
             if limit.distances(loop).min() > config.margin * 1.5:
                 loops.append(loop)
-        report = verify_covering(
-            gs, loops, margin=config.margin, limit_depth=config.limit_depth, limit=limit
-        )
+        report = verify_covering(gs, loops, margin=config.margin, limit=limit)
         return _report_exit(report, path)
 
     raise ConfigError(f"unknown verify target {which!r}")
@@ -544,7 +524,10 @@ def cmd_export(config: RunConfig, target: str, out_dir: str) -> int:
             raise ConfigError("dome export needs a domain with >= 3 points")
         mesh = dome(config.domain_points)
         atomic_write(os.path.join(out_dir, "dome.json"), dumps(dome_mesh_json(mesh)) + "\n")
-        atomic_write(os.path.join(out_dir, "dome.obj"), dome_mesh_obj(mesh))
+        obj = _obj("dome mesh, Poincare ball coordinates",
+                   [p.sphere_coords() for p in mesh.vertices],
+                   [f.vertex_ids for f in mesh.faces])
+        atomic_write(os.path.join(out_dir, "dome.obj"), obj)
         return EXIT_OK
 
     if target == "limitset":
@@ -582,8 +565,12 @@ def cmd_export(config: RunConfig, target: str, out_dir: str) -> int:
             hol, config.multicurve(), depth=config.depth,
             truncation_radius=config.truncation_radius, structure=gs,
         )
-        atomic_write(os.path.join(out_dir, "pleat.json"), dumps(pleat_mesh_json(mesh)) + "\n")
-        atomic_write(os.path.join(out_dir, "pleat.obj"), pleat_mesh_obj(mesh))
+        points, faces = _pleat_polygons(mesh)
+        doc = dumps(pleat_mesh_json(mesh, points, faces)) + "\n"
+        atomic_write(os.path.join(out_dir, "pleat.json"), doc)
+        obj = _obj("pleated surface mesh, Poincare ball coordinates",
+                   [halfspace_to_ball(p) for p in points], faces)
+        atomic_write(os.path.join(out_dir, "pleat.obj"), obj)
         return EXIT_OK
 
     raise ConfigError(f"unknown export target {target!r}")

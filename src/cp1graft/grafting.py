@@ -41,6 +41,7 @@ from .hyperbolic import (
     PlaneH3,
     PointH3,
     apply_isometry,
+    geodesic_point,
     rotation_about_geodesic,
 )
 from .surface import (
@@ -49,6 +50,7 @@ from .surface import (
     Representation,
     axis,
     first_rows,
+    geodesic_through_uhp,
     word_children,
     word_products,
     LETTER_ORDER,
@@ -189,11 +191,7 @@ def distance_to_leaf(z: complex, leaf_geodesic: GeodesicH3) -> float:
 
 def uhp_geodesic_point(p: complex, q: complex, s: float) -> complex:
     """Constant-speed point at parameter s in [0,1] on the H^2 geodesic p->q."""
-    a = embed_h3(p)
-    b = embed_h3(q)
-    from .hyperbolic import geodesic_point
-
-    g = geodesic_point(a, b, s)
+    g = geodesic_point(embed_h3(p), embed_h3(q), s)
     return complex(g.z.real, g.t)
 
 
@@ -480,8 +478,6 @@ class Crossing:
 def _segment_frame(p: complex, q: complex) -> MoebiusMap:
     """Real Moebius map sending the oriented geodesic through p, q to the
     upward vertical axis (p strictly below q)."""
-    from .surface import geodesic_through_uhp
-
     g = geodesic_through_uhp(p, q)
     return _real_normalizer(g.p, g.q)
 
@@ -692,22 +688,8 @@ def _hyperbolic_circle_euclidean(center: complex, radius: float):
     return complex(a, b * math.cosh(radius)), b * math.sinh(radius)
 
 
-def _circle_circle_points(c1: complex, r1: float, c2: complex, r2: float):
-    d = abs(c2 - c1)
-    if d < 1e-15 or d > r1 + r2 or d < abs(r1 - r2):
-        return []
-    u = (c2 - c1) / d
-    x = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
-    h2 = r1 * r1 - x * x
-    if h2 < 0:
-        return []
-    h = math.sqrt(h2)
-    base = c1 + u * x
-    off = 1j * u * h
-    return [base + off, base - off]
-
-
-def _leaf_truncation_chord(leaf: LiftedLeaf, ecenter: complex, eradius: float):
+def _leaf_truncation_chord(leaf: LiftedLeaf, ecenter: complex, eradius: float) -> list:
+    """The two points where the leaf meets the truncation circle, or none."""
     circ = leaf.circle
     if circ.is_line:
         # Vertical leaf Re z = a.
@@ -719,7 +701,16 @@ def _leaf_truncation_chord(leaf: LiftedLeaf, ecenter: complex, eradius: float):
         h = math.sqrt(h2)
         return [complex(a, ecenter.imag - h), complex(a, ecenter.imag + h)]
     c, r = circ.center_radius()
-    return _circle_circle_points(c, r, ecenter, eradius)
+    d = abs(ecenter - c)
+    if d < 1e-15 or d > r + eradius or d < abs(r - eradius):
+        return []
+    u = (ecenter - c) / d
+    x = (d * d + r * r - eradius * eradius) / (2.0 * d)
+    h2 = r * r - x * x
+    if h2 < 0:
+        return []
+    h = math.sqrt(h2)
+    return [c + u * x + 1j * u * h, c + u * x - 1j * u * h]
 
 
 def pleated_surface(
@@ -732,110 +723,67 @@ def pleated_surface(
     """Equivariant pleated surface: strata of (H^2, lifted leaves) within the
     truncation radius of the basepoint, each carried into H^3 by the bending
     accumulated from the base stratum; adjacent faces differ by a single
-    rotation about the shared leaf by its weight."""
+    rotation about the shared leaf by its weight.
+
+    Every region test reads one side table over x0, the foot of x0 on each
+    leaf, each face's sample and the truncation-circle points.  A leaf's
+    separators are the leaves between x0 and its foot; faces follow their
+    entering leaf's separator count, a face is bounded by its leaf and the
+    leaves one level deeper behind it, and its outer face is the one of its
+    deepest separator."""
+    if not 0 < truncation_radius < math.inf:
+        raise DegenerateInputError("truncation radius must be positive and finite")
     gs = structure if structure is not None else GraftedStructure(hol, mc, depth)
     x0 = gs.basepoint
     table = gs.base_leaves
     rows = np.nonzero(table.distances(x0) < truncation_radius)[0]
     leaves = [table[i] for i in rows]
-    if truncation_radius <= 0:
-        raise DegenerateInputError("truncation radius must be positive")
-
-    def sides(z: complex) -> np.ndarray:
-        return table.sides(z)[rows]
-
-    # Separation structure: leaves separating x0 from each leaf.
-    base_sides = sides(x0)
-    separators = []
-    for i, lf in enumerate(leaves):
-        n = _real_normalizer(lf.geodesic.p, lf.geodesic.q)
-        foot = n.inverse()(1j * abs(n(x0)))
-        cut = base_sides * sides(foot) < 0
-        cut[i] = False
-        separators.append(np.nonzero(cut)[0].tolist())
-
+    n = len(leaves)
     ecenter, eradius = _hyperbolic_circle_euclidean(x0, truncation_radius)
+    arc = [ecenter + eradius * cmath.exp(2j * math.pi * k / 96.0) for k in range(96)]
+    arc = [z for z in arc if z.imag > 0]
 
-    # Faces: base stratum plus one region behind each leaf.
-    faces = []
-    edges = []
-    face_id_of_leaf = {}
+    # In a leaf's frame the leaf is the imaginary axis: the foot of x0 lies
+    # on it, and the face's sample 0.175 rad off it, away from x0.
+    feet, samples = [], []
+    for lf in leaves:
+        frame = _real_normalizer(lf.geodesic.p, lf.geodesic.q)
+        back = frame.inverse()
+        w = frame(x0)
+        feet.append(back(1j * abs(w)))
+        turn = math.pi / 2.0 + 0.175 * math.copysign(1.0, w.real)
+        samples.append(back(abs(w) * cmath.exp(1j * turn)))
+    sides = table.sides(np.array([x0, *feet, *samples, *arc])[:, None])[:, rows]
+    above = sides > 0
+    arc_above = above[2 * n + 1:]
+    separates = sides[0] * sides[1:n + 1] < 0  # [i, j]: leaf j lies between x0 and leaf i
+    np.fill_diagonal(separates, False)
+    level = separates.sum(axis=1)
+    chords = [_leaf_truncation_chord(lf, ecenter, eradius) for lf in leaves]
 
-    base_chords = [
-        _leaf_truncation_chord(lf, ecenter, eradius)
-        for lf in leaves
-    ]
-
-    def region_polygon(signature_point: complex, bounding: list[int]) -> tuple:
-        pts = []
-        for j in bounding:
-            pts.extend(base_chords[j])
-        # Truncation arc samples belonging to this region.
-        signature = sides(signature_point) > 0
-        for k in range(96):
-            zz = ecenter + eradius * cmath.exp(2j * math.pi * k / 96.0)
-            if zz.imag > 0 and np.array_equal(sides(zz) > 0, signature):
-                pts.append(zz)
-        if not pts:
-            return ()
-        ref = signature_point
-        pts.sort(key=lambda zz: math.atan2((zz - ref).imag, (zz - ref).real))
+    def region_polygon(row: int, ref: complex, bounding) -> tuple:
+        pts = [z for j in bounding for z in chords[j]]
+        pts += [arc[k] for k in np.nonzero((arc_above == above[row]).all(axis=1))[0]]
+        pts.sort(key=lambda z: math.atan2((z - ref).imag, (z - ref).real))
         return tuple(pts)
 
-    # Base stratum.
-    root_bounding = [i for i in range(len(leaves)) if not separators[i]]
-    faces.append(
-        PleatedFace(
-            region_id=0,
-            entering_leaf=None,
-            isometry=MoebiusMap.identity(),
-            sample=x0,
-            polygon=region_polygon(x0, root_bounding),
-        )
-    )
-
-    order = sorted(range(len(leaves)), key=lambda i: len(separators[i]))
+    base = region_polygon(0, x0, np.nonzero(level == 0)[0])
+    faces = [PleatedFace(0, None, MoebiusMap.identity(), x0, base)]
+    order = np.argsort(level, kind="stable")
+    face_of = np.empty(n, dtype=int)
+    face_of[order] = np.arange(1, n + 1)
     for i in order:
-        lf = leaves[i]
-        # Interior sample just beyond the leaf: in the leaf's frame (the leaf
-        # on the imaginary axis), 0.175 rad off it on the side away from x0.
-        n = _real_normalizer(lf.geodesic.p, lf.geodesic.q)
-        w = n(x0)
-        step = -0.35 * math.copysign(1.0, w.real)
-        sample = n.inverse()(abs(w) * cmath.exp(1j * (math.pi / 2.0 - step * 0.5)))
-        b = bending_product(lift_crossings(hol, x0, sample, mc, depth=gs.depth, leaves=table))
-        children = [
-            j for j in range(len(leaves))
-            if j != i and i in separators[j] and len(separators[j]) == len(separators[i]) + 1
-        ]
-        fid = len(faces)
-        face_id_of_leaf[i] = fid
-        faces.append(
-            PleatedFace(
-                region_id=fid,
-                entering_leaf=lf,
-                isometry=b,
-                sample=sample,
-                polygon=region_polygon(sample, [i] + children),
-            )
-        )
-
+        crossings = lift_crossings(hol, x0, samples[i], mc, depth=gs.depth, leaves=table)
+        bend = bending_product(crossings)
+        children = np.nonzero(separates[:, i] & (level == level[i] + 1))[0]
+        polygon = region_polygon(1 + n + i, samples[i], [i, *children])
+        faces.append(PleatedFace(len(faces), leaves[i], bend, samples[i], polygon))
+    edges = []
     for i, lf in enumerate(leaves):
-        inner = face_id_of_leaf[i]
-        seps = separators[i]
-        if not seps:
-            outer = 0
-        else:
-            outermost = max(seps, key=lambda j: len(separators[j]))
-            outer = face_id_of_leaf[outermost]
-        edges.append(PleatedEdge(leaf=lf, face_ids=(outer, inner), weight=lf.weight))
-
-    return PleatedSurfaceMesh(
-        structure=gs,
-        truncation_radius=truncation_radius,
-        faces=tuple(faces),
-        edges=tuple(edges),
-    )
+        seps = np.nonzero(separates[i])[0]
+        outer = int(face_of[seps[np.argmax(level[seps])]]) if len(seps) else 0
+        edges.append(PleatedEdge(lf, (outer, int(face_of[i])), lf.weight))
+    return PleatedSurfaceMesh(gs, truncation_radius, tuple(faces), tuple(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,8 @@ CLI_ERROR_CASES = [
     ("top-level-list", [BASE_CONFIG], ("graft",), (), EXIT_CONFIG, "error:"),
     ("truncation-0", dict(BASE_CONFIG, truncation_radius=0),
      ("export", "pleat"), (), EXIT_CONFIG, "error:"),
+    ("truncation-inf", dict(BASE_CONFIG, truncation_radius=math.inf),
+     ("export", "pleat"), (), EXIT_CONFIG, "error:"),
     ("unknown-tol-flag", BASE_CONFIG, ("verify", "two-pi"),
      ("--tol-override", "two-pi=5"), EXIT_CONFIG, "error:"),
     ("unknown-tol-config", dict(BASE_CONFIG, tolerances={"two-pi": 1e-30}),

@@ -12,10 +12,14 @@ from cp1graft.grafting import (
     InvalidMulticurveError,
     LiftedLeaf,
     PerturbInputError,
+    PleatedEdge,
+    PleatedFace,
     WeightedMulticurve,
     _hyperbolic_circle_euclidean,
+    _leaf_truncation_chord,
     _real_normalizer,
     _segment_frame,
+    bending_product,
     check_multicurve,
     develop_and_lift,
     distance_to_leaf,
@@ -317,6 +321,112 @@ def test_cocycle_basepoint_independence(holonomy):
 
 # ---------------------------------------------------------------------------
 # pleated surfaces
+
+
+def per_leaf_pleated_reference(gs, truncation_radius):
+    """The pleated mesh built leaf by leaf, as pleated_surface once did:
+    separators from one side test per leaf foot, faces sorted by separator
+    count, children by list scan and each region's arc points tested one at
+    a time.  Returns (faces, edges)."""
+    hol, mc, x0, table = gs.hol, gs.multicurve, gs.basepoint, gs.base_leaves
+    rows = np.nonzero(table.distances(x0) < truncation_radius)[0]
+    leaves = [table[i] for i in rows]
+
+    def sides(z):
+        return table.sides(z)[rows]
+
+    base_sides = sides(x0)
+    separators = []
+    for i, lf in enumerate(leaves):
+        n = _real_normalizer(lf.geodesic.p, lf.geodesic.q)
+        foot = n.inverse()(1j * abs(n(x0)))
+        cut = base_sides * sides(foot) < 0
+        cut[i] = False
+        separators.append(np.nonzero(cut)[0].tolist())
+    ecenter, eradius = _hyperbolic_circle_euclidean(x0, truncation_radius)
+    base_chords = [_leaf_truncation_chord(lf, ecenter, eradius) for lf in leaves]
+
+    def region_polygon(signature_point, bounding):
+        pts = []
+        for j in bounding:
+            pts.extend(base_chords[j])
+        signature = sides(signature_point) > 0
+        for k in range(96):
+            zz = ecenter + eradius * cmath.exp(2j * math.pi * k / 96.0)
+            if zz.imag > 0 and np.array_equal(sides(zz) > 0, signature):
+                pts.append(zz)
+        ref = signature_point
+        pts.sort(key=lambda zz: math.atan2((zz - ref).imag, (zz - ref).real))
+        return tuple(pts)
+
+    root_bounding = [i for i in range(len(leaves)) if not separators[i]]
+    faces = [PleatedFace(0, None, MoebiusMap.identity(), x0, region_polygon(x0, root_bounding))]
+    face_id_of_leaf = {}
+    for i in sorted(range(len(leaves)), key=lambda i: len(separators[i])):
+        lf = leaves[i]
+        n = _real_normalizer(lf.geodesic.p, lf.geodesic.q)
+        w = n(x0)
+        step = -0.35 * math.copysign(1.0, w.real)
+        sample = n.inverse()(abs(w) * cmath.exp(1j * (math.pi / 2.0 - step * 0.5)))
+        b = bending_product(lift_crossings(hol, x0, sample, mc, depth=gs.depth, leaves=table))
+        children = [
+            j for j in range(len(leaves))
+            if j != i and i in separators[j] and len(separators[j]) == len(separators[i]) + 1
+        ]
+        face_id_of_leaf[i] = len(faces)
+        faces.append(PleatedFace(len(faces), lf, b, sample, region_polygon(sample, [i] + children)))
+    edges = []
+    for i, lf in enumerate(leaves):
+        seps = separators[i]
+        outer = face_id_of_leaf[max(seps, key=lambda j: len(separators[j]))] if seps else 0
+        edges.append(PleatedEdge(lf, (outer, face_id_of_leaf[i]), lf.weight))
+    return faces, edges
+
+
+def _leaf_key(leaf):
+    return None if leaf is None else leaf.key()
+
+
+# Below radius 4 no leaf lies two levels deep, so the children and the
+# outer face of a nested leaf are only exercised from there on.
+@pytest.mark.parametrize("radius", [1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("which", ["three-cuff", "half-pi", "weight-0"])
+def test_pleated_surface_matches_per_leaf_reference(holonomy, half_pi_structure, which, radius):
+    gs = {
+        "three-cuff": lambda: GraftedStructure(holonomy, CUFF_MULTICURVE, depth=4),
+        "half-pi": lambda: half_pi_structure,
+        "weight-0": lambda: GraftedStructure(
+            holonomy, WeightedMulticurve(((GroupWord((1,)), 0.0),)), depth=4
+        ),
+    }[which]()
+    mesh = pleated_surface(
+        holonomy, gs.multicurve, depth=gs.depth, truncation_radius=radius, structure=gs
+    )
+    faces, edges = per_leaf_pleated_reference(gs, radius)
+    if which == "three-cuff":
+        assert any(lf.geodesic.p.is_infinity or lf.geodesic.q.is_infinity
+                   for lf in (e.leaf for e in edges))
+    assert len(mesh.faces) == len(faces) > 1
+    for got, want in zip(mesh.faces, faces):
+        assert got.region_id == want.region_id
+        assert got.sample == want.sample
+        assert got.polygon == want.polygon
+        assert got.isometry.matrix.tobytes() == want.isometry.matrix.tobytes()
+        assert _leaf_key(got.entering_leaf) == _leaf_key(want.entering_leaf)
+    assert len(mesh.edges) == len(edges)
+    for got, want in zip(mesh.edges, edges):
+        assert got.face_ids == want.face_ids
+        assert got.weight == want.weight
+        assert got.leaf.key() == want.leaf.key()
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1.0])
+def test_pleated_surface_rejects_bad_radius(holonomy, half_pi_structure, radius):
+    with pytest.raises(DegenerateInputError, match="truncation radius"):
+        pleated_surface(
+            holonomy, half_pi_structure.multicurve, depth=6,
+            truncation_radius=radius, structure=half_pi_structure,
+        )
 
 
 def test_pleated_flat_when_weight_zero(holonomy):
