@@ -229,6 +229,13 @@ def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         (a[:, 1] < b[:, 1]) | ((a[:, 1] == b[:, 1]) & (a[:, 2] < b[:, 2]))))
 
 
+def _side_values(frame, z) -> np.ndarray:
+    """``LeafTable.sides`` over the leaves of ``frame`` = (line, a, b)."""
+    line, a, b = frame
+    x, y = z.real, z.imag
+    return np.where(line, x - a, (x - a) * (x - b) + y * y)
+
+
 class LeafTable(Sequence):
     """Leaf lifts as columns.  Row i is the LiftedLeaf built from row i of
     each column, made on first access and then kept.
@@ -305,9 +312,7 @@ class LeafTable(Sequence):
     def sides(self, z: complex) -> np.ndarray:
         """Side value of z for every leaf, with the sign of the row circle's
         ``evaluate``: (x - a)(x - b) + y^2, or x - a for a vertical leaf."""
-        line, a, b = self._frame
-        x, y = z.real, z.imag
-        return np.where(line, x - a, (x - a) * (x - b) + y * y)
+        return _side_values(self._frame, z)
 
     def distances(self, z: complex) -> np.ndarray:
         """Hyperbolic distance from the UHP point z to every leaf."""
@@ -438,25 +443,75 @@ def enumerate_leaf_lifts(
     )
 
 
+def leaf_intervals(real_ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) with lo <= hi: each leaf's endpoints after the real Moebius
+    map x -> -1 / (x - mu), which puts every endpoint in [0, 1) (infinity
+    at 0.0) while keeping the cyclic order of the real line."""
+    finite = ~np.isnan(real_ends)
+    mu = (np.max(np.abs(real_ends[finite])) if finite.any() else 0.0) + 1.618033988749895
+    arr = np.sort(np.where(finite, -1.0 / (real_ends - mu), 0.0), axis=1)
+    return arr[:, 0], arr[:, 1]
+
+
+# Entries of the link matrix computed at once by the exact scan.
+LINK_BLOCK = 1 << 18
+
+
+def first_linked_pair(lo: np.ndarray, hi: np.ndarray) -> tuple[int, int] | None:
+    """The first linked pair (i, j) of the intervals [lo, hi], or None, by
+    the link rule stated in ``check_multicurve``, in O(L log L) when no
+    pair is linked and no two endpoints tie.
+
+    Distinct endpoints are tested by one sweep over them in sorted order:
+    an opening endpoint gets the nesting depth after it and a closing one
+    the depth before it, and the family is laminar exactly when, level by
+    level, each opening is followed by the closing of the same interval.
+    Ties, and a sweep that finds an interleaving, fall back to the exact
+    scan of the rule, rows i in order, LINK_BLOCK entries at a time.
+    """
+    n = len(lo)
+    ends = np.concatenate([lo, hi])
+    order = np.argsort(ends, kind="stable")
+    ordered = ends[order]
+    if not np.any(ordered[1:] == ordered[:-1]):
+        opens = order < n
+        depth = np.cumsum(np.where(opens, 1, -1))
+        by_level = order[np.argsort(np.where(opens, depth, depth + 1), kind="stable")] % n
+        if np.array_equal(by_level[0::2], by_level[1::2]):
+            return None
+    cols = np.arange(n)
+    step = max(1, LINK_BLOCK // n)
+    for start in range(0, n, step):
+        rows = cols[start:start + step, None]
+        a, b = lo[rows], hi[rows]
+        linked = ((a < lo) & (lo < b)) ^ ((a < hi) & (hi < b))
+        hits = np.argwhere(linked & (cols > rows))
+        if len(hits):
+            i, j = hits[0]
+            return start + int(i), int(j)
+    return None
+
+
 def check_multicurve(hol: FuchsianHolonomy, mc: WeightedMulticurve, depth: int = 4):
     """Raise InvalidMulticurveError when any two leaf lifts (up to the given
-    conjugation depth) cross transversally."""
+    conjugation depth) cross transversally.
+
+    The leaves are the ones ``enumerate_leaf_lifts`` finds around the
+    basepoint with margin 8, as intervals [lo, hi] of ``leaf_intervals``.
+    Leaf i links leaf j when exactly one endpoint of j lies strictly inside
+    (lo_i, hi_i).  With distinct endpoints this is symmetric and means the
+    two leaves cross; with ties it is not: a shared endpoint counts only
+    when the other endpoint of j lies strictly inside leaf i, as for a
+    shorter leaf nested on a shared endpoint, and leaves that only touch
+    are not linked.  The error names the first linked pair (i, j), i < j,
+    in row-major order, which ``first_linked_pair`` finds."""
     leaves = enumerate_leaf_lifts(hol, mc, depth, focus=[hol.basepoint], margin=8.0)
-    # Move all endpoints away from infinity with a real Moebius map.
-    ends = leaves.real_ends
-    finite = ~np.isnan(ends)
-    mu = (np.max(np.abs(ends[finite])) if finite.any() else 0.0) + 1.618033988749895
-    arr = np.sort(np.where(finite, -1.0 / (ends - mu), 0.0), axis=1)
-    lo, hi = arr[:, 0], arr[:, 1]
-    inside_lo = (lo[:, None] < lo[None, :]) & (lo[None, :] < hi[:, None])
-    inside_hi = (lo[:, None] < hi[None, :]) & (hi[None, :] < hi[:, None])
-    linked = inside_lo ^ inside_hi
-    crossings = np.argwhere(np.triu(linked, k=1))
-    if len(crossings):
-        i, j = crossings[0]
+    pair = first_linked_pair(*leaf_intervals(leaves.real_ends))
+    if pair is not None:
+        i, j = (leaves[k] for k in pair)
         raise InvalidMulticurveError(
-            f"leaf lifts intersect: {leaves[int(i)].conjugator}*curve{leaves[int(i)].curve_index} "
-            f"crosses {leaves[int(j)].conjugator}*curve{leaves[int(j)].curve_index}"
+            f"leaf lifts intersect: {i.conjugator}*curve{i.curve_index} "
+            f"crosses {j.conjugator}*curve{j.curve_index}"
         )
 
 
@@ -753,7 +808,8 @@ def pleated_surface(
         feet.append(back(1j * abs(w)))
         turn = math.pi / 2.0 + 0.175 * math.copysign(1.0, w.real)
         samples.append(back(abs(w) * cmath.exp(1j * turn)))
-    sides = table.sides(np.array([x0, *feet, *samples, *arc])[:, None])[:, rows]
+    points = np.array([x0, *feet, *samples, *arc])[:, None]
+    sides = _side_values([column[rows] for column in table._frame], points)
     above = sides > 0
     arc_above = above[2 * n + 1:]
     separates = sides[0] * sides[1:n + 1] < 0  # [i, j]: leaf j lies between x0 and leaf i

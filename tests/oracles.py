@@ -199,6 +199,20 @@ def segment_crossing_count(hol_matrices, curve_matrices, p, q, depth):
     return count
 
 
+def first_linked_pair_matrix(lo, hi):
+    """First pair (i, j), i < j, in row-major order for which exactly one
+    endpoint of interval j lies strictly inside interval i, from the full
+    L x L link matrices; None when there is none."""
+    inside_lo = (lo[:, None] < lo[None, :]) & (lo[None, :] < hi[:, None])
+    inside_hi = (lo[:, None] < hi[None, :]) & (hi[None, :] < hi[:, None])
+    linked = inside_lo ^ inside_hi
+    crossings = np.argwhere(np.triu(linked, k=1))
+    if not len(crossings):
+        return None
+    i, j = crossings[0]
+    return int(i), int(j)
+
+
 def maximal_disk_support_search(complement, x):
     """Exhaustive maximal disk at x: transport x to infinity with
     w = 1 / (z - x), then search all 2- and 3-point support disks for the

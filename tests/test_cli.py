@@ -278,6 +278,11 @@ CLI_ERROR_CASES = [
      ("verify", "covering"), (), EXIT_CONFIG, "error:"),
     ("samples-0", dict(TETRA, samples=0),
      ("verify", "stratification"), (), EXIT_CONFIG, "error:"),
+    ("crossing-multicurve",
+     dict(BASE_CONFIG, depth=4, multicurve=[{"word": "a", "weight": "2*pi"},
+                                            {"word": "b", "weight": 1.0}]),
+     ("graft",), (), EXIT_CONFIG,
+     "error: leaf lifts intersect: BcDC*curve0 crosses BcDC*curve1"),
 ]
 
 

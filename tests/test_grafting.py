@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cp1graft.grafting import (
     _leaf_truncation_chord,
     _real_normalizer,
     _segment_frame,
+    _side_values,
     bending_product,
     check_multicurve,
     develop_and_lift,
@@ -26,13 +28,15 @@ from cp1graft.grafting import (
     element_keys,
     embed_h3,
     enumerate_leaf_lifts,
+    first_linked_pair,
     grafted_holonomy,
     hyperbolic_distance_uhp,
+    leaf_intervals,
     lift_crossings,
     pleated_surface,
     uhp_geodesic_point,
 )
-from oracles import segment_crossing_count
+from oracles import first_linked_pair_matrix, segment_crossing_count
 
 TWO_PI = 2.0 * math.pi
 
@@ -55,11 +59,126 @@ def test_cuff_multicurve_valid(holonomy):
     check_multicurve(holonomy, CUFF_MULTICURVE, depth=4)  # should not raise
 
 
+# a1 (cuff 1) and the seam word b1 intersect on the surface.
+CROSSING_MULTICURVE = WeightedMulticurve(((GroupWord((1,)), 1.0), (GroupWord((2,)), 1.0)))
+
+
 def test_crossing_curves_rejected(holonomy):
-    # a1 (cuff 1) and the seam word b1 intersect on the surface.
-    mc = WeightedMulticurve(((GroupWord((1,)), 1.0), (GroupWord((2,)), 1.0)))
-    with pytest.raises(InvalidMulticurveError):
-        check_multicurve(holonomy, mc, depth=3)
+    with pytest.raises(
+        InvalidMulticurveError, match=r"^leaf lifts intersect: BcD\*curve0 crosses BcD\*curve1$"
+    ):
+        check_multicurve(holonomy, CROSSING_MULTICURVE, depth=3)
+
+
+@pytest.mark.parametrize("depth", [3, 4])
+@pytest.mark.parametrize("curves", [1, 2, 3, "crossing"])
+def test_first_linked_pair_matches_matrix_on_leaf_sets(holonomy, curves, depth):
+    if curves == "crossing":
+        mc = CROSSING_MULTICURVE
+    else:
+        mc = WeightedMulticurve(CUFF_MULTICURVE.entries[:curves])
+    # The leaves and intervals check_multicurve tests.
+    leaves = enumerate_leaf_lifts(holonomy, mc, depth, focus=[holonomy.basepoint], margin=8.0)
+    lo, hi = leaf_intervals(leaves.real_ends)
+    want = first_linked_pair_matrix(lo, hi)
+    assert (want is not None) == (curves == "crossing")
+    assert first_linked_pair(lo, hi) == want
+
+
+def _laminar_family(rng, n):
+    """n intervals on distinct random endpoints, nested or disjoint, in
+    random row order: a random balanced bracket sequence."""
+    ends = np.sort(rng.random(2 * n))
+    lo, hi = np.empty(n), np.empty(n)
+    opened, stack = 0, []
+    for x in ends:
+        if opened < n and (not stack or rng.random() < 0.5):
+            lo[opened] = x
+            stack.append(opened)
+            opened += 1
+        else:
+            hi[stack.pop()] = x
+    order = rng.permutation(n)
+    return lo[order], hi[order]
+
+
+def test_first_linked_pair_matches_matrix_on_planted_crossings():
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        n = int(rng.integers(2, 80))
+        lo, hi = _laminar_family(rng, n)
+        assert first_linked_pair(lo, hi) is None
+        assert first_linked_pair_matrix(lo, hi) is None
+        # One more interval from inside interval i to beyond every endpoint.
+        i = int(rng.integers(n))
+        at = int(rng.integers(n + 1))
+        lo = np.insert(lo, at, lo[i] + (hi[i] - lo[i]) * rng.uniform(0.01, 0.99))
+        hi = np.insert(hi, at, 1.0 + rng.random())
+        want = first_linked_pair_matrix(lo, hi)
+        assert want is not None
+        assert first_linked_pair(lo, hi) == want
+
+
+TIED_FAMILIES = {
+    # Nested with a shared lower endpoint: the outer one links the inner.
+    "shared-lower": ([0.1, 0.1], [0.5, 0.3], (0, 1)),
+    "shared-upper": ([0.1, 0.3], [0.5, 0.5], (0, 1)),
+    # Disjoint, touching at one endpoint: not linked either way.
+    "touching": ([0.1, 0.3], [0.3, 0.5], None),
+    # Only linked[1, 0] holds, which the rule does not read.
+    "reverse-only": ([0.1, 0.1], [0.3, 0.5], None),
+    "reverse-only-late": ([0.0, 0.2, 0.6, 0.2], [0.9, 0.4, 0.7, 0.8], None),
+    "shared-lower-late": ([0.6, 0.2, 0.0, 0.2], [0.7, 0.8, 0.9, 0.4], (1, 3)),
+    "all-equal": ([0.2, 0.2, 0.2], [0.7, 0.7, 0.7], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIED_FAMILIES))
+def test_first_linked_pair_tie_rule(name):
+    lo, hi, want = TIED_FAMILIES[name]
+    lo, hi = np.array(lo), np.array(hi)
+    assert first_linked_pair_matrix(lo, hi) == want
+    assert first_linked_pair(lo, hi) == want
+
+
+@pytest.mark.parametrize("finite, want", [([1.0, 2.0], None), ([2.0, 1.0], (0, 1))])
+def test_leaves_through_infinity_share_endpoint_zero(finite, want):
+    # Both leaves end at infinity, which leaf_intervals sends to 0.0.
+    lo, hi = leaf_intervals(np.array([[np.nan, finite[0]], [finite[1], np.nan]]))
+    assert lo.tolist() == [0.0, 0.0]
+    assert first_linked_pair_matrix(lo, hi) == want
+    assert first_linked_pair(lo, hi) == want
+
+
+def test_first_linked_pair_random_ties():
+    rng = np.random.default_rng(7)
+    found = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        ends = np.sort(rng.integers(0, 12, size=(n, 2)) / 12.0, axis=1)
+        lo, hi = ends[:, 0], ends[:, 1]
+        want = first_linked_pair_matrix(lo, hi)
+        assert first_linked_pair(lo, hi) == want
+        found += want is not None
+    assert 0 < found < 300
+
+
+def test_check_multicurve_memory_stays_at_enumeration_scale(holonomy):
+    # The three-cuff depth-4 set has 3,488 leaves: one L x L boolean matrix
+    # takes 12 MB, against a 2.8 MB peak for the enumeration.
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    x0 = holonomy.basepoint
+    enumeration = peak(lambda: enumerate_leaf_lifts(
+        holonomy, CUFF_MULTICURVE, 4, focus=[x0], margin=8.0))
+    check = peak(lambda: check_multicurve(holonomy, CUFF_MULTICURVE, depth=4))
+    assert check <= 2 * enumeration, (check, enumeration)
 
 
 def test_lift_crossings_empty_in_stratum(two_pi_structure):
@@ -418,6 +537,18 @@ def test_pleated_surface_matches_per_leaf_reference(holonomy, half_pi_structure,
         assert got.face_ids == want.face_ids
         assert got.weight == want.weight
         assert got.leaf.key() == want.leaf.key()
+
+
+def test_kept_side_table_equals_full_table_slice(holonomy):
+    gs = GraftedStructure(holonomy, CUFF_MULTICURVE, depth=6)
+    table, x0 = gs.base_leaves, gs.basepoint
+    rng = np.random.default_rng(3)
+    points = np.concatenate([[x0], x0 + rng.normal(size=40) + 1j * rng.random(40)])[:, None]
+    for radius in (1.5, 2.0, 3.0):
+        rows = np.nonzero(table.distances(x0) < radius)[0]
+        assert 0 < len(rows) < len(table)
+        kept = _side_values([column[rows] for column in table._frame], points)
+        assert kept.tobytes() == table.sides(points)[:, rows].tobytes()
 
 
 @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1.0])
