@@ -18,6 +18,7 @@ from cp1graft import (
     WeightedMulticurve,
     cp1,
     fuchsian_from_fn,
+    limit_set_sample,
     maximal_disk_at,
     projection_psi,
     recover_weight_from_grafted,
@@ -76,7 +77,8 @@ loops = []
 for _ in range(5):
     c = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.7, 2.0))
     loops.append([c + 0.1 * np.exp(2j * math.pi * k / 20) for k in range(21)])
-cov = verify_covering(gs, loops, margin=0.05, limit_depth=4)
+limit = DiskComplementDomain(limit_set_sample(gs.hol, 4))
+cov = verify_covering(gs, loops, limit, margin=0.05)
 print(f"\ncovering check: {cov['values']['lifts_tested']} lifts, "
       f"{cov['values']['closures']} closures, "
       f"violations: {cov['violations'] or 'none'}")

@@ -125,6 +125,10 @@ class RunConfig:
             tuple((w, wt.value) for w, wt in zip(self.multicurve_words, self.weights))
         )
 
+    def structure(self) -> GraftedStructure:
+        """The configured surface grafted along the configured multicurve."""
+        return GraftedStructure(fuchsian_from_fn(self.fn), self.multicurve(), depth=self.depth)
+
     @staticmethod
     def load(path: str, overrides: dict | None = None) -> "RunConfig":
         try:
@@ -373,10 +377,8 @@ def _require_positive_weights(config: RunConfig):
 
 def cmd_graft(config: RunConfig, out_dir: str) -> int:
     _require_positive_weights(config)
-    hol = fuchsian_from_fn(config.fn)
-    mc = config.multicurve()
-    gs = GraftedStructure(hol, mc, depth=config.depth)
-    rp = gs.rho_prime
+    gs = config.structure()
+    hol, rp = gs.hol, gs.rho_prime
     deviations = [
         rp.generators[i].proj_distance(hol.generators[i]) for i in range(4)
     ]
@@ -423,9 +425,8 @@ def cmd_verify(config: RunConfig, which: str, out_dir: str) -> int:
             raise ConfigError("two-pi check needs a multicurve")
         if not all(w.is_two_pi_multiple for w in config.weights):
             raise ConfigError("two-pi check requires weights in 2 pi Z")
-        hol = fuchsian_from_fn(config.fn)
-        gs = GraftedStructure(hol, config.multicurve(), depth=config.depth)
-        rp = gs.rho_prime
+        gs = config.structure()
+        hol, rp = gs.hol, gs.rho_prime
         tol = config.tol("two_pi")
         deviations = {}
         violations = []
@@ -448,8 +449,7 @@ def cmd_verify(config: RunConfig, which: str, out_dir: str) -> int:
     if which == "goldman":
         if not config.multicurve_words:
             raise ConfigError("goldman check needs a multicurve")
-        hol = fuchsian_from_fn(config.fn)
-        gs = GraftedStructure(hol, config.multicurve(), depth=config.depth)
+        gs = config.structure()
         tol = config.tol("goldman")
         violations = []
         recovered = {}
@@ -495,10 +495,9 @@ def cmd_verify(config: RunConfig, which: str, out_dir: str) -> int:
             raise ConfigError("covering check needs a multicurve")
         if not all(w.is_two_pi_multiple for w in config.weights):
             raise ConfigError("covering check requires weights in 2 pi Z")
-        hol = fuchsian_from_fn(config.fn)
-        gs = GraftedStructure(hol, config.multicurve(), depth=config.depth)
+        gs = config.structure()
         rng = np.random.default_rng(config.seed)
-        limit = DiskComplementDomain(limit_set_sample(hol, config.limit_depth))
+        limit = DiskComplementDomain(limit_set_sample(gs.hol, config.limit_depth))
         loops = []
         attempts = 0
         while len(loops) < config.loops:
@@ -541,11 +540,10 @@ def cmd_export(config: RunConfig, target: str, out_dir: str) -> int:
         return EXIT_OK
 
     if target == "holonomy":
-        hol = fuchsian_from_fn(config.fn)
-        rep = hol
         if config.multicurve_words:
-            gs = GraftedStructure(hol, config.multicurve(), depth=config.depth)
-            rep = gs.rho_prime
+            rep = config.structure().rho_prime
+        else:
+            rep = fuchsian_from_fn(config.fn)
         rows = ["word,a_re,a_im,b_re,b_im,c_re,c_im,d_re,d_im,tr_re,tr_im"]
         for word in enumerate_words(config.export_word_length):
             m = rep.rho(word)
@@ -559,10 +557,9 @@ def cmd_export(config: RunConfig, target: str, out_dir: str) -> int:
     if target == "pleat":
         if not config.multicurve_words:
             raise ConfigError("pleat export needs a multicurve")
-        hol = fuchsian_from_fn(config.fn)
-        gs = GraftedStructure(hol, config.multicurve(), depth=config.depth)
+        gs = config.structure()
         mesh = pleated_surface(
-            hol, config.multicurve(), depth=config.depth,
+            gs.hol, gs.multicurve, depth=gs.depth,
             truncation_radius=config.truncation_radius, structure=gs,
         )
         points, faces = _pleat_polygons(mesh)

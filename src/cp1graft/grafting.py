@@ -537,14 +537,7 @@ def _segment_frame(p: complex, q: complex) -> MoebiusMap:
     return _real_normalizer(g.p, g.q)
 
 
-def lift_crossings(
-    hol: FuchsianHolonomy,
-    p: complex,
-    q: complex,
-    mc: WeightedMulticurve,
-    depth: int,
-    leaves: LeafTable | None = None,
-) -> list[Crossing]:
+def lift_crossings(p: complex, q: complex, *, leaves: LeafTable) -> list[Crossing]:
     """Lifted leaves crossing the geodesic segment [p, q], ordered along it.
 
     Endpoints must keep clear of every leaf; an endpoint within TOL_GEO of
@@ -555,8 +548,6 @@ def lift_crossings(
     u, v there with u v < 0 and meets the axis at i sqrt(-u v), at the
     arclength parameter log(y / y_p) / log(y_q / y_p).
     """
-    if leaves is None:
-        leaves = enumerate_leaf_lifts(hol, mc, depth, focus=[p, q])
     for z, name in ((p, "start"), (q, "end")):
         if np.any(leaves.distances(z) < TOL_GEO):
             raise PerturbInputError(
@@ -620,15 +611,13 @@ class GraftedStructure:
 
     @cached_property
     def base_leaves(self) -> LeafTable:
-        """Leaf lifts around the basepoint, reused by holonomy and meshes."""
+        """Leaf lifts around the basepoint and its segments to the generator
+        translates, reused by holonomy and meshes."""
         x0 = self.hol.basepoint
         focus = [x0]
         for l in LETTER_ORDER:
-            target = self.hol.generator(l)(x0)
-            focus.append(target)
-            for s in (0.25, 0.5, 0.75):
-                focus.append(uhp_geodesic_point(x0, target, s))
-        return enumerate_leaf_lifts(self.hol, self.multicurve, self.depth, focus=focus)
+            focus.extend(segment_focus([x0, self.hol.generator(l)(x0)])[1:])
+        return self.leaves_near(focus)
 
     @cached_property
     def basepoint(self) -> complex:
@@ -639,15 +628,25 @@ class GraftedStructure:
 
     @cached_property
     def rho_prime(self) -> DeformedHolonomy:
-        return grafted_holonomy(self.hol, self.multicurve, self.depth, structure=self)
+        return grafted_holonomy(self)
+
+    def leaves_near(self, focus: list[complex]) -> LeafTable:
+        """The structure's leaf lifts around the focus points."""
+        return enumerate_leaf_lifts(self.hol, self.multicurve, self.depth, focus=focus)
+
+    def crossings(self, path: list[complex]) -> list[Crossing]:
+        """Leaf crossings along a polygonal path, in order: one leaf table
+        around ``segment_focus(path)``, read by ``lift_crossings`` on each
+        segment longer than 1e-14."""
+        leaves = self.leaves_near(segment_focus(path))
+        out = []
+        for p, q in zip(path, path[1:]):
+            if hyperbolic_distance_uhp(p, q) >= 1e-14:
+                out.extend(lift_crossings(p, q, leaves=leaves))
+        return out
 
     def crossings_to(self, z: complex) -> list[Crossing]:
-        x0 = self.basepoint
-        focus = [x0, z] + [uhp_geodesic_point(x0, z, s) for s in (0.25, 0.5, 0.75)]
-        leaves = enumerate_leaf_lifts(self.hol, self.multicurve, self.depth, focus=focus)
-        return lift_crossings(
-            self.hol, x0, z, self.multicurve, self.depth, leaves=leaves
-        )
+        return self.crossings([self.basepoint, z])
 
     def bending_map(self, z: complex) -> MoebiusMap:
         """Ordered product of bending rotations along [basepoint, z]."""
@@ -661,28 +660,27 @@ class GraftedStructure:
         return all(is_two_pi_multiple(t) for t in self.multicurve.weights)
 
 
-def grafted_holonomy(
-    hol: FuchsianHolonomy,
-    mc: WeightedMulticurve,
-    depth: int = 8,
-    structure: GraftedStructure | None = None,
-) -> DeformedHolonomy:
+def segment_focus(path: list[complex]) -> list[complex]:
+    """Where a path's leaf table is taken: each vertex, then the points at
+    1/4, 1/2 and 3/4 of each segment."""
+    return list(path) + [
+        uhp_geodesic_point(p, q, s) for p, q in zip(path, path[1:]) for s in (0.25, 0.5, 0.75)
+    ]
+
+
+def grafted_holonomy(gs: GraftedStructure) -> DeformedHolonomy:
     """Deformed holonomy: for each generator g the bending cocycle along
     [x0, rho(g) x0] multiplies rho(g) on the left.
 
     With all weights in 2 pi Z the result is projectively the input; the
     cocycle construction preserves the surface relation for any weights.
     """
-    check_multicurve(hol, mc, depth=min(depth, 4))
-    gs = structure if structure is not None else GraftedStructure(hol, mc, depth)
+    check_multicurve(gs.hol, gs.multicurve, depth=min(gs.depth, 4))
     x0 = gs.basepoint
-    leaves = gs.base_leaves
     gens = []
-    for i in range(4):
-        g = hol.generators[i]
-        target = g(x0)
+    for g in gs.hol.generators:
         crossings = [
-            c for c in lift_crossings(hol, x0, target, mc, depth, leaves=leaves)
+            c for c in lift_crossings(x0, g(x0), leaves=gs.base_leaves)
             if c.leaf.weight != 0.0
         ]
         if not crossings:
@@ -829,8 +827,7 @@ def pleated_surface(
     face_of = np.empty(n, dtype=int)
     face_of[order] = np.arange(1, n + 1)
     for i in order:
-        crossings = lift_crossings(hol, x0, samples[i], mc, depth=gs.depth, leaves=table)
-        bend = bending_product(crossings)
+        bend = bending_product(lift_crossings(x0, samples[i], leaves=table))
         children = np.nonzero(separates[:, i] & (level == level[i] + 1))[0]
         polygon = region_polygon(1 + n + i, samples[i], [i, *children])
         faces.append(PleatedFace(len(faces), leaves[i], bend, samples[i], polygon))
@@ -857,14 +854,7 @@ def develop_and_lift(gs: GraftedStructure, path: list[complex]) -> LiftResult:
     coordinates: the endpoint is bent by every leaf crossing on the way."""
     if len(path) < 1:
         raise DegenerateInputError("empty path")
-    crossings = []
-    leaves = enumerate_leaf_lifts(
-        gs.hol, gs.multicurve, gs.depth, focus=list(path) + [gs.basepoint]
-    )
-    for p, q in zip(path, path[1:]):
-        if hyperbolic_distance_uhp(p, q) < 1e-14:
-            continue
-        crossings.extend(lift_crossings(gs.hol, p, q, gs.multicurve, gs.depth, leaves=leaves))
+    crossings = gs.crossings(path)
     endpoint = apply(bending_product(crossings), embed_cp1(path[-1]))
     return LiftResult(endpoint=endpoint, crossings=tuple(crossings))
 

@@ -45,13 +45,11 @@ from .moebius import (
     unit_pairs,
 )
 from .hyperbolic import PlaneH3, PointH3, dome, nearest_point_projection
-from .surface import GroupWord, axis, limit_set_sample
+from .surface import GroupWord, axis
 from .grafting import (
     GraftedStructure,
     LiftedLeaf,
-    enumerate_leaf_lifts,
     leaf_normalizer,
-    lift_crossings,
 )
 
 TOL_CONTACT = 1e-6  # relative band for boundary-contact detection
@@ -909,7 +907,7 @@ def recover_weight_from_grafted(
     for _ in range(12):
         za = ninv(cmath.exp(1j * (math.pi / 2.0 - phi)))
         zb = ninv(cmath.exp(1j * (math.pi / 2.0 + phi)))
-        crossings = lift_crossings(gs.hol, za, zb, gs.multicurve, gs.depth)
+        crossings = gs.crossings([za, zb])
         ours = [c for c in crossings if c.leaf.key()[1:] == canonical.key()[1:]]
         if len(crossings) == len(ours) == 1:
             break
@@ -972,9 +970,8 @@ class _LoopSamples:
 def verify_covering(
     gs: GraftedStructure,
     loops,
+    limit: DiskComplementDomain,
     margin: float = 0.05,
-    limit_depth: int = 5,
-    limit: DiskComplementDomain | None = None,
 ) -> dict:
     """Numerically verify path lifting over the discontinuity domain for a
     2 pi-multiple grafted structure: every closed null-homotopic loop whose
@@ -985,9 +982,8 @@ def verify_covering(
     a covering violation), and no loops raise DegenerateInputError; loops
     with no lift to test are a ``no-lifts-tested`` violation.  Reports
     per-loop embedding-radius estimates: the minimal chordal distance to the
-    support boundary along the lift.  ``limit`` is the domain off the
-    limit-set sample when the caller has one; otherwise the limit set is
-    sampled to ``limit_depth``.
+    support boundary along the lift.  ``limit`` is the domain off a
+    limit-set sample.
 
     A lift is (signs, None, None) in the stratum with leaf sides ``signs``,
     or (None, j, psi) in the crescent of leaf j at angle psi of its frame.
@@ -998,10 +994,7 @@ def verify_covering(
     if not loops:
         raise DegenerateInputError("covering check needs at least one loop")
 
-    if limit is None:
-        limit = DiskComplementDomain(limit_set_sample(gs.hol, limit_depth))
-
-    table = enumerate_leaf_lifts(gs.hol, gs.multicurve, gs.depth, focus=[gs.basepoint])
+    table = gs.leaves_near([gs.basepoint])
     rows = np.nonzero(table.weight > 0.0)[0]
     weights = table.weight[rows].tolist()
     normalizers = [leaf_normalizer(gs, table[i]) for i in rows]

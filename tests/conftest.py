@@ -4,10 +4,17 @@ import math
 import pytest
 
 from cp1graft.moebius import INFINITY, cp1
-from cp1graft.surface import FNCoordinates, GroupWord, fuchsian_from_fn
+from cp1graft.surface import FNCoordinates, GroupWord, fuchsian_from_fn, limit_set_sample
 from cp1graft.grafting import GraftedStructure, WeightedMulticurve
+from cp1graft.thurston import DiskComplementDomain
 
 TWO_PI = 2.0 * math.pi
+
+
+def limit_domain(gs):
+    """The domain off the depth-4 limit-set sample of the structure's
+    Fuchsian holonomy, which the covering checks keep their loops clear of."""
+    return DiskComplementDomain(limit_set_sample(gs.hol, 4))
 
 
 @pytest.fixture(scope="session")

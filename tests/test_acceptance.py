@@ -26,7 +26,7 @@ from cp1graft.hyperbolic import (
     nearest_point_projection,
     rotation_about_geodesic,
 )
-from cp1graft.surface import FNCoordinates, GroupWord, fuchsian_from_fn, limit_set_sample
+from cp1graft.surface import FNCoordinates, GroupWord, fuchsian_from_fn
 from cp1graft.grafting import (
     GraftedStructure,
     WeightedMulticurve,
@@ -42,6 +42,7 @@ from cp1graft.thurston import (
     stratification_check,
     verify_covering,
 )
+from conftest import limit_domain
 from oracles import (
     brute_force_minimal_disk,
     dihedral_from_plane_normals,
@@ -246,7 +247,7 @@ def test_criterion_6_path_lifting():
     mc = WeightedMulticurve(((GroupWord((1,)), TWO_PI),))
     gs = GraftedStructure(hol, mc, depth=6)
     rng = np.random.default_rng(7)
-    limit = DiskComplementDomain(limit_set_sample(hol, 4))
+    limit = limit_domain(gs)
     loops = []
     while len(loops) < 50:
         c = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.2, 2.2))
@@ -256,7 +257,7 @@ def test_criterion_6_path_lifting():
         loop = [c + r * np.exp(2j * math.pi * k / 24) for k in range(25)]
         if limit.distances(loop).min() > 0.075:
             loops.append(loop)
-    report = verify_covering(gs, loops, margin=0.05, limit_depth=4)
+    report = verify_covering(gs, loops, limit, margin=0.05)
     failures = [v for v in report["violations"]]
     elapsed = time.time() - t0
     _report(

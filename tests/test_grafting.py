@@ -29,11 +29,11 @@ from cp1graft.grafting import (
     embed_h3,
     enumerate_leaf_lifts,
     first_linked_pair,
-    grafted_holonomy,
     hyperbolic_distance_uhp,
     leaf_intervals,
     lift_crossings,
     pleated_surface,
+    segment_focus,
     uhp_geodesic_point,
 )
 from oracles import first_linked_pair_matrix, segment_crossing_count
@@ -182,18 +182,15 @@ def test_check_multicurve_memory_stays_at_enumeration_scale(holonomy):
 
 
 def test_lift_crossings_empty_in_stratum(two_pi_structure):
-    gs = two_pi_structure
-    crossings = lift_crossings(
-        gs.hol, 0.05 + 0.9j, 0.1 + 1.05j, gs.multicurve, depth=4
-    )
-    assert crossings == []
+    gs = GraftedStructure(two_pi_structure.hol, two_pi_structure.multicurve, depth=4)
+    assert gs.crossings([0.05 + 0.9j, 0.1 + 1.05j]) == []
 
 
 def test_lift_crossings_reversed_segment(two_pi_structure):
-    gs = two_pi_structure
+    gs = GraftedStructure(two_pi_structure.hol, two_pi_structure.multicurve, depth=5)
     p, q = -0.4 + 0.8j, 0.9 + 1.4j
-    fwd = lift_crossings(gs.hol, p, q, gs.multicurve, depth=5)
-    bwd = lift_crossings(gs.hol, q, p, gs.multicurve, depth=5)
+    fwd = gs.crossings([p, q])
+    bwd = gs.crossings([q, p])
     assert len(fwd) == len(bwd)
     assert [c.leaf.key() for c in fwd] == [c.leaf.key() for c in reversed(bwd)]
     assert [c.sign for c in fwd] == [-c.sign for c in reversed(bwd)]
@@ -220,18 +217,18 @@ def _oracle_segments(holonomy):
 
 def test_lift_crossings_count_vs_oracle(holonomy):
     for hol, mc, p, q in _oracle_segments(holonomy):
-        got = len(lift_crossings(hol, p, q, mc, depth=4))
+        got = len(GraftedStructure(hol, mc, depth=4).crossings([p, q]))
         want = _oracle_crossings(hol, mc, p, q, 4)
         assert got == want, (p, q, got, want)
 
 
-def _bisection_crossings(hol, p, q, mc, depth):
+def _bisection_crossings(leaves, p, q):
     """Reference for lift_crossings: the side test on each leaf's circle, a
     60-step bisection of the side value along the segment, and the sign of
     the attracting endpoint in the segment's frame."""
     frame = _segment_frame(p, q)
     out = []
-    for leaf in enumerate_leaf_lifts(hol, mc, depth, focus=[p, q]):
+    for leaf in leaves:
         flo = leaf.circle.evaluate(cp1(p))
         if not flo * leaf.circle.evaluate(cp1(q)) < 0:
             continue
@@ -255,8 +252,9 @@ def _bisection_crossings(hol, p, q, mc, depth):
 def test_lift_crossings_closed_form_matches_bisection(holonomy):
     total = 0
     for hol, mc, p, q in _oracle_segments(holonomy):
-        got = lift_crossings(hol, p, q, mc, depth=4)
-        want = _bisection_crossings(hol, p, q, mc, 4)
+        table = GraftedStructure(hol, mc, depth=4).leaves_near(segment_focus([p, q]))
+        got = lift_crossings(p, q, leaves=table)
+        want = _bisection_crossings(table, p, q)
         assert [(c.leaf.key(), c.sign) for c in got] == [w[:2] for w in want]
         for c, w in zip(got, want):
             assert abs(c.parameter - w[2]) <= 1e-11
@@ -348,9 +346,9 @@ def test_element_key_folds_signed_zero():
 
 def test_endpoint_on_leaf_perturbation(holonomy):
     # The basepoint i lies on the cuff-1 axis (0, infinity).
-    mc = WeightedMulticurve(((GroupWord((1,)), 1.0),))
+    gs = GraftedStructure(holonomy, WeightedMulticurve(((GroupWord((1,)), 1.0),)), depth=3)
     with pytest.raises(PerturbInputError) as err:
-        lift_crossings(holonomy, 1j, 0.5 + 1j, mc, depth=3)
+        gs.crossings([1j, 0.5 + 1j])
     offset = err.value.suggested_offset
     assert 0 < abs(offset) < 1e-2
     # Near the axis: the guard holds within TOL_GEO and lets go beyond it.
@@ -358,10 +356,10 @@ def test_endpoint_on_leaf_perturbation(holonomy):
     near = complex(math.sinh(0.5 * TOL_GEO), 1.0)
     assert distance_to_leaf(near, leaf) == pytest.approx(0.5 * TOL_GEO, rel=1e-6)
     with pytest.raises(PerturbInputError):
-        lift_crossings(holonomy, near, 0.5 + 1j, mc, depth=3)
+        gs.crossings([near, 0.5 + 1j])
     clear = complex(math.sinh(10 * TOL_GEO), 1.0)
     assert distance_to_leaf(clear, leaf) == pytest.approx(10 * TOL_GEO, rel=1e-6)
-    assert lift_crossings(holonomy, clear, 0.5 + 1j, mc, depth=3) == []
+    assert gs.crossings([clear, 0.5 + 1j]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +374,14 @@ def test_two_pi_weights_preserve_holonomy(holonomy, two_pi_structure):
 
 def test_four_pi_weights_preserve_holonomy(holonomy):
     mc = WeightedMulticurve(((GroupWord((1,)), 2 * TWO_PI),))
-    rp = grafted_holonomy(holonomy, mc, depth=6)
+    rp = GraftedStructure(holonomy, mc, depth=6).rho_prime
     for before, after in zip(holonomy.generators, rp.generators):
         assert after.proj_distance(before) < 1e-9
 
 
 def test_zero_weight_is_exact_identity(holonomy):
     mc = WeightedMulticurve(((GroupWord((1,)), 0.0),))
-    rp = grafted_holonomy(holonomy, mc, depth=5)
+    rp = GraftedStructure(holonomy, mc, depth=5).rho_prime
     for before, after in zip(holonomy.generators, rp.generators):
         assert np.array_equal(before.matrix, after.matrix)
 
@@ -409,7 +407,7 @@ def test_cocycle_consistency(holonomy, half_pi_structure):
     for word in (GroupWord((1, 2)), GroupWord((2, -1)), GroupWord((3, 2))):
         x0 = gs.basepoint
         target = holonomy.rho(word)(x0)
-        crossings = lift_crossings(holonomy, x0, target, gs.multicurve, gs.depth)
+        crossings = gs.crossings([x0, target])
         b = MoebiusMap.identity()
         for crossing in crossings:
             b = b @ rotation_about_geodesic(
@@ -447,7 +445,7 @@ def per_leaf_pleated_reference(gs, truncation_radius):
     separators from one side test per leaf foot, faces sorted by separator
     count, children by list scan and each region's arc points tested one at
     a time.  Returns (faces, edges)."""
-    hol, mc, x0, table = gs.hol, gs.multicurve, gs.basepoint, gs.base_leaves
+    x0, table = gs.basepoint, gs.base_leaves
     rows = np.nonzero(table.distances(x0) < truncation_radius)[0]
     leaves = [table[i] for i in rows]
 
@@ -487,7 +485,7 @@ def per_leaf_pleated_reference(gs, truncation_radius):
         w = n(x0)
         step = -0.35 * math.copysign(1.0, w.real)
         sample = n.inverse()(abs(w) * cmath.exp(1j * (math.pi / 2.0 - step * 0.5)))
-        b = bending_product(lift_crossings(hol, x0, sample, mc, depth=gs.depth, leaves=table))
+        b = bending_product(lift_crossings(x0, sample, leaves=table))
         children = [
             j for j in range(len(leaves))
             if j != i and i in separators[j] and len(separators[j]) == len(separators[i]) + 1
@@ -689,13 +687,36 @@ def test_develop_crossing_cylinder_with_wrap(two_pi_structure):
     assert chordal_distance(res.endpoint, cp1(path[0])) < 1e-9
 
 
+def _at_distance(x0, d, theta):
+    """The UHP point at hyperbolic distance d from x0 in direction theta."""
+    w = math.tanh(d / 2.0) * cmath.exp(1j * theta)
+    u = 1j * (1.0 + w) / (1.0 - w)
+    return complex(x0.real + x0.imag * u.real, x0.imag * u.imag)
+
+
+@pytest.mark.parametrize("distance", [6.0, 8.0, 10.0])
+def test_develop_and_lift_finds_leaves_inside_long_segments(holonomy, distance):
+    # A table taken around the path's vertices alone misses leaves that
+    # cross the middle of a long segment: with such a table this setup
+    # missed leaves in 3 of the 20 directions at distance 8 and 8 at 10,
+    # and the endpoint moved by up to 0.015 chordal.
+    gs = GraftedStructure(holonomy, WeightedMulticurve(((GroupWord((1,)), 1.3),)), depth=8)
+    x0 = gs.basepoint
+    for k in range(20):
+        z = _at_distance(x0, distance, 2.0 * math.pi * (k + 0.5) / 20)
+        lift = develop_and_lift(gs, [x0, z])
+        want = gs.crossings_to(z)
+        assert [c.leaf.key() for c in lift.crossings] == [c.leaf.key() for c in want], k
+        assert chordal_distance(lift.endpoint, gs.develop(z)) < 1e-9, k
+
+
 # ---------------------------------------------------------------------------
 # depth stability
 
 
 def test_depth_stability(holonomy):
     mc = WeightedMulticurve(((GroupWord((1,)), math.pi / 3.0),))
-    rp6 = grafted_holonomy(holonomy, mc, depth=6)
-    rp8 = grafted_holonomy(holonomy, mc, depth=8)
+    rp6 = GraftedStructure(holonomy, mc, depth=6).rho_prime
+    rp8 = GraftedStructure(holonomy, mc, depth=8).rho_prime
     for a, b in zip(rp6.generators, rp8.generators):
         assert a.proj_distance(b) < 1e-8

@@ -14,18 +14,49 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 LAYERTRACE = BENCH / "layertrace.py"
 
 
-def test_tracer_installs_and_uninstalls():
+def _layertrace():
     spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
     layertrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layertrace)
+    return layertrace
+
+
+def test_tracer_installs_and_uninstalls():
     original = grafting.lift_crossings
-    tracer = layertrace.Tracer()
+    tracer = _layertrace().Tracer()
     try:
         tracer.install()
         assert grafting.lift_crossings is not original
     finally:
         tracer.uninstall()
     assert grafting.lift_crossings is original
+
+
+def test_tracer_counts_the_tables_passed_to_lift_crossings(half_pi_structure, monkeypatch):
+    # The tracer reads the table from the ``leaves`` keyword; a table passed
+    # by position would be counted as no leaves scanned.
+    passed = []
+    original = grafting.lift_crossings
+
+    def spy(*args, **kwargs):
+        passed.append(len(kwargs["leaves"] if "leaves" in kwargs else args[2]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(grafting, "lift_crossings", spy)
+    gs = half_pi_structure
+    x0 = gs.basepoint
+    z = -0.5 + 1.2j  # beyond the vertical cuff-1 axis
+    tracer = _layertrace().Tracer()
+    try:
+        tracer.install()
+        gs.crossings_to(z)
+        grafting.develop_and_lift(gs, [x0, 0.4 + 1.5j, z])
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    assert len(passed) == 3
+    assert counts["grafting.leaves_scanned"] == sum(passed)
+    assert counts["grafting.leaves_scanned"] >= counts["grafting.crossings_found"] > 0
 
 
 def test_bench_selftest_passes():

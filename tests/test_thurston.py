@@ -30,7 +30,6 @@ from cp1graft.surface import GroupWord, fuchsian_from_fn, limit_set_sample
 from cp1graft.grafting import (
     GraftedStructure,
     WeightedMulticurve,
-    enumerate_leaf_lifts,
     leaf_normalizer,
 )
 from cp1graft.thurston import (
@@ -46,6 +45,7 @@ from cp1graft.thurston import (
     transverse_measure,
     verify_covering,
 )
+from conftest import limit_domain
 from oracles import maximal_disk_support_search
 
 TWO_PI = 2.0 * math.pi
@@ -780,7 +780,7 @@ def three_cuff_structure(holonomy):
 
 def test_covering_contractible_loops(two_pi_structure):
     loops = _contractible_loops()
-    report = verify_covering(two_pi_structure, loops, margin=0.05, limit_depth=4)
+    report = verify_covering(two_pi_structure, loops, limit_domain(two_pi_structure), margin=0.05)
     assert not report["violations"]
     assert report["values"]["closures"] == report["values"]["lifts_tested"]
     assert report["values"]["min_embedding_radius"] > 0
@@ -788,7 +788,7 @@ def test_covering_contractible_loops(two_pi_structure):
 
 def test_covering_lower_half_plane_loop(two_pi_structure):
     report = verify_covering(
-        two_pi_structure, [LOWER_HALF_PLANE_LOOP], margin=0.05, limit_depth=4
+        two_pi_structure, [LOWER_HALF_PLANE_LOOP], limit_domain(two_pi_structure), margin=0.05
     )
     assert not report["violations"]
     assert report["values"]["lifts_tested"] > 0
@@ -811,7 +811,7 @@ def test_covering_reports_match_golden(case, request):
     else:
         gs = request.getfixturevalue("two_pi_structure")
         loops = _contractible_loops() if case == "contractible" else [LOWER_HALF_PLANE_LOOP]
-    report = verify_covering(gs, loops, margin=0.05, limit_depth=4)
+    report = verify_covering(gs, loops, limit_domain(gs), margin=0.05)
     values = report["values"]
     lifts, closures, radius = COVERING_GOLDEN[case]
     assert report["violations"] == []
@@ -835,7 +835,8 @@ def test_covering_coarse_steps_subdivide_and_close(three_cuff_structure, monkeyp
     monkeypatch.setattr(thurston, "STEPS_PER_LOOP", 2)
     arc = [0.9 + 0.2j + np.exp(1j * math.pi * k / 200) for k in range(201)]
     report = verify_covering(
-        three_cuff_structure, [[-0.1 + 0.2j] + arc], margin=0.05, limit_depth=4
+        three_cuff_structure, [[-0.1 + 0.2j] + arc], limit_domain(three_cuff_structure),
+        margin=0.05,
     )
     assert midpoints
     assert report["violations"] == []
@@ -845,7 +846,7 @@ def test_covering_coarse_steps_subdivide_and_close(three_cuff_structure, monkeyp
 def test_covering_step_budget_reports_lift_failure(two_pi_structure, monkeypatch):
     monkeypatch.setattr(thurston, "MAX_STEPS", 10)
     report = verify_covering(
-        two_pi_structure, [_circle_loop(0.3 + 1.2j)], margin=0.05, limit_depth=4
+        two_pi_structure, [_circle_loop(0.3 + 1.2j)], limit_domain(two_pi_structure), margin=0.05
     )
     failures = [v for v in report["violations"] if v["kind"] == "lift-failure"]
     assert len(failures) == report["values"]["lifts_tested"] > 0
@@ -870,11 +871,11 @@ def test_covering_detects_rotated_leaf_frame(two_pi_structure, monkeypatch):
     """Rotating the frame of the vertical leaf by pi/2 moves its crescent:
     a loop that starts left of the leaf and crosses it then cannot close."""
     loop = [0.03 + 1.2j - 0.1 * np.exp(2j * math.pi * k / 20) for k in range(21)]
-    report = verify_covering(two_pi_structure, [loop], margin=0.05, limit_depth=4)
+    report = verify_covering(two_pi_structure, [loop], limit_domain(two_pi_structure), margin=0.05)
     assert report["violations"] == []
 
     _rotate_vertical_leaf_frame(monkeypatch)
-    report = verify_covering(two_pi_structure, [loop], margin=0.05, limit_depth=4)
+    report = verify_covering(two_pi_structure, [loop], limit_domain(two_pi_structure), margin=0.05)
     assert {"kind": "no-closure", "loop": 0, "start": "stratum", "end": "crescent"} in (
         report["violations"]
     )
@@ -886,11 +887,11 @@ def test_covering_exit_side_detects_rotated_leaf_frame(two_pi_structure, monkeyp
     from the high side; under the rotated frame its lift leaves the crescent
     far from the leaf, on the side the forced sign does not give."""
     loop = [1j + 0.3 * np.exp(2j * math.pi * k / 20) for k in range(21)]
-    report = verify_covering(two_pi_structure, [loop], margin=0.05, limit_depth=4)
+    report = verify_covering(two_pi_structure, [loop], limit_domain(two_pi_structure), margin=0.05)
     assert report["violations"] == []
 
     _rotate_vertical_leaf_frame(monkeypatch)
-    report = verify_covering(two_pi_structure, [loop], margin=0.05, limit_depth=4)
+    report = verify_covering(two_pi_structure, [loop], limit_domain(two_pi_structure), margin=0.05)
     assert {"kind": "lift-failure", "loop": 0,
             "detail": "crescent exit on the wrong side of its leaf"} in report["violations"]
     assert not report["checks"][0]["passed"]
@@ -912,7 +913,7 @@ def test_low_sides_match_leaf_frames():
             gs = GraftedStructure(
                 hol, WeightedMulticurve(tuple((w, TWO_PI) for w in words)), depth=5
             )
-            table = enumerate_leaf_lifts(hol, gs.multicurve, gs.depth, focus=[gs.basepoint])
+            table = gs.leaves_near([gs.basepoint])
             rows = np.nonzero(table.weight > 0.0)[0]
             ref = [
                 bool(table.sides(leaf_normalizer(gs, table[r]).inverse()(low))[r] > 0)
@@ -926,25 +927,25 @@ def test_low_sides_match_leaf_frames():
 def test_covering_margin_guard(two_pi_structure):
     loop = [complex(0.5, 0.001) + 0.01 * np.exp(2j * math.pi * k / 12) for k in range(13)]
     with pytest.raises(PreconditionError):
-        verify_covering(two_pi_structure, [loop], margin=0.05, limit_depth=4)
+        verify_covering(two_pi_structure, [loop], limit_domain(two_pi_structure), margin=0.05)
 
 
 def test_covering_degenerate_loops_raise(two_pi_structure):
     for loop in ([], [0.4 + 0.9j]):
         with pytest.raises(DegenerateInputError):
-            verify_covering(two_pi_structure, [loop], margin=0.05, limit_depth=4)
+            verify_covering(two_pi_structure, [loop], limit_domain(two_pi_structure), margin=0.05)
 
 
 def test_covering_without_loops_raises(two_pi_structure):
     with pytest.raises(DegenerateInputError):
-        verify_covering(two_pi_structure, [], margin=0.05, limit_depth=4)
+        verify_covering(two_pi_structure, [], limit_domain(two_pi_structure), margin=0.05)
 
 
 def test_covering_without_lifts_fails(holonomy):
     # Weight 0 leaves no crescent, and a lower half-plane loop no stratum
     # lift: all-lifts-close must not pass over no lift.
     gs = GraftedStructure(holonomy, WeightedMulticurve(((GroupWord((1,)), 0.0),)), depth=5)
-    report = verify_covering(gs, [_circle_loop(0.2 - 1.0j)], margin=0.05, limit_depth=4)
+    report = verify_covering(gs, [_circle_loop(0.2 - 1.0j)], limit_domain(gs), margin=0.05)
     assert report["values"]["lifts_tested"] == 0
     assert report["violations"] == [{"kind": "no-lifts-tested"}]
     assert not next(c for c in report["checks"] if c["name"] == "all-lifts-close")["passed"]
@@ -953,4 +954,4 @@ def test_covering_without_lifts_fails(holonomy):
 def test_covering_requires_two_pi_weights(half_pi_structure):
     loop = [complex(0.4, 0.9) + 0.05 * np.exp(2j * math.pi * k / 12) for k in range(13)]
     with pytest.raises(PreconditionError):
-        verify_covering(half_pi_structure, [loop], margin=0.05)
+        verify_covering(half_pi_structure, [loop], limit_domain(half_pi_structure), margin=0.05)
