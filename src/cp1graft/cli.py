@@ -77,6 +77,8 @@ class Weight:
 
     @staticmethod
     def parse(spec) -> "Weight":
+        if isinstance(spec, bool):
+            raise ConfigError(f"cannot parse weight {spec!r}")
         if isinstance(spec, (int, float)):
             v = float(spec)
         elif isinstance(spec, str):
@@ -210,7 +212,10 @@ TOLERANCE_DEFAULTS = {"two_pi": 1e-9, "goldman": 1e-6, "measure": TOL_MEASURE}
 
 
 def _convert(kind, value, what):
-    """kind(value), with a failed conversion reported as a ConfigError."""
+    """kind(value), with a failed conversion reported as a ConfigError.  A
+    JSON boolean is not read as a number."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:

@@ -577,15 +577,14 @@ def bending_product(crossings) -> MoebiusMap:
 
 
 def perturbation_offset(z: complex, leaves: LeafTable) -> complex:
-    """Deterministic offset (multiples of 1e-4) moving z off every leaf."""
+    """Deterministic offset (multiples of 1e-4 Im z, so of one hyperbolic
+    length wherever z is) moving z off every leaf."""
     direction = complex(0.7548776662466927, 0.6557406991565868)
     for k in range(1, 64):
-        cand = z + k * 1e-4 * direction
-        if cand.imag <= 0:
-            cand = complex(cand.real, z.imag)
+        cand = z + k * (1e-4 * z.imag) * direction
         if np.all(leaves.distances(cand) > 10 * TOL_GEO):
             return cand - z
-    raise DegenerateInputError("could not perturb the basepoint off the leaves")
+    raise DegenerateInputError(f"could not perturb {z} off the leaves")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,14 +229,28 @@ def _lift_circle_to_disk(points, xs, ids, outward):
     points)."""
     # Use three well-spread representatives, the first of largest area, for
     # numerical stability.
-    tri = max(
-        itertools.combinations(ids, 3),
-        key=lambda t: np.linalg.norm(np.cross(xs[t[1]] - xs[t[0]], xs[t[2]] - xs[t[0]])),
-    )
-    circ = circle_through(*(points[i] for i in tri))
+    circ = circle_through(*(points[i] for i in _widest_triple(xs, ids)))
     if circ.evaluate(_cap_point(outward)) > 0:
         circ = circ.reversed()
     return circ
+
+
+def _widest_triple(xs, ids) -> tuple:
+    """The first of ``itertools.combinations(ids, 3)`` spanning the largest
+    triangle.  The areas of the triples with first index i are screened as
+    one array; only those within a relative 1e-12 of the largest are ranked
+    by the exact per-triple norm, so the triple is the one ``max`` picks."""
+    if len(ids) == 3:
+        return tuple(ids)
+    p = xs[list(ids)]
+    best, near = 0.0, []
+    for i in range(len(ids) - 2):
+        d = p[i + 1:] - p[i]
+        area = np.triu(np.sqrt(np.add.reduce(np.cross(d[:, None], d) ** 2, axis=-1)), 1)
+        best = max(best, area.max())
+        near += [(ids[i], ids[i + 1 + j], ids[i + 1 + k])
+                 for j, k in np.argwhere(area >= best * (1.0 - 1e-12))]
+    return max(near, key=lambda t: np.linalg.norm(np.cross(xs[t[1]] - xs[t[0]], xs[t[2]] - xs[t[0]])))
 
 
 def _cap_point(outward):
@@ -249,14 +262,22 @@ def _cap_point(outward):
     return PointCP1.from_complex(complex(x, y) / (1.0 - u))
 
 
+def _planes(xs, tris):
+    """Cross products, unit normals and offsets of the (T, 3) triangles."""
+    a, b, c = np.moveaxis(xs[tris], 1, 0)
+    cross = np.cross(b - a, c - a)
+    n = cross / np.linalg.norm(cross, axis=1)[:, None]
+    return cross, n, np.einsum("ij,ij->i", n, a)
+
+
 def _incremental_hull(xs: np.ndarray):
-    """Triangulated convex hull of points on the unit sphere.
+    """Triangulated convex hull of points on the unit sphere, as a (T, 3)
+    array of ids with outward orientation.
 
     Deterministic: insertion in lexicographic order.  Points lying on a
     face plane are skipped here and merged into polygon faces afterwards.
-    Returns a list of (i, j, k) triangles with outward orientation.
     """
-    order = sorted(range(len(xs)), key=lambda i: tuple(xs[i]))
+    order = np.lexsort(xs.T[::-1])
 
     def volume(i, j, k, l):
         return np.dot(np.cross(xs[j] - xs[i], xs[k] - xs[i]), xs[l] - xs[i])
@@ -265,40 +286,29 @@ def _incremental_hull(xs: np.ndarray):
     seed = next((q for q in itertools.combinations(order, 4) if abs(volume(*q)) > TOL_HULL), None)
     if seed is None:
         return None  # all coplanar
-
     i, j, k, l = seed
-    if volume(i, j, k, l) > 0:
-        faces = [(i, k, j), (i, j, l), (j, k, l), (k, i, l)]
-    else:
-        faces = [(i, j, k), (i, l, j), (j, l, k), (k, l, i)]
-
-    def outward_ok(f):
-        a, b, c = f
-        n = np.cross(xs[b] - xs[a], xs[c] - xs[a])
-        centroid = (xs[i] + xs[j] + xs[k] + xs[l]) / 4.0
-        return np.dot(n, xs[a] - centroid) > 0
-
-    faces = [f if outward_ok(f) else (f[0], f[2], f[1]) for f in faces]
+    tris = np.array([(i, k, j), (i, j, l), (j, k, l), (k, i, l)])
+    if volume(i, j, k, l) < 0:
+        tris = tris[:, [0, 2, 1]]
+    _, normals, offsets = _planes(xs, tris)
 
     for idx in order:
         if idx in seed:
             continue
-        p = xs[idx]
-        visible = []
-        for fi, (a, b, c) in enumerate(faces):
-            n = np.cross(xs[b] - xs[a], xs[c] - xs[a])
-            n = n / np.linalg.norm(n)
-            if np.dot(n, p - xs[a]) > TOL_HULL:
-                visible.append(fi)
-        if not visible:
+        visible = normals @ xs[idx] - offsets > TOL_HULL
+        if not visible.any():
             continue  # on the hull boundary or inside; merged later
-        # The horizon: edges of exactly one visible face.
-        rims = [e for a, b, c in (faces[fi] for fi in visible) for e in ((a, b), (b, c), (c, a))]
-        count = Counter(frozenset(e) for e in rims)
-        visible = set(visible)
-        faces = [f for fi, f in enumerate(faces) if fi not in visible]
-        faces += [(a, b, idx) for a, b in rims if count[frozenset((a, b))] == 1]
-    return faces
+        # The horizon: edges of exactly one visible face, in face order.
+        rims = tris[visible][:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        key = rims.min(axis=1) * len(xs) + rims.max(axis=1)
+        _, where, count = np.unique(key, return_inverse=True, return_counts=True)
+        horizon = rims[count[where] == 1]
+        new = np.column_stack([horizon, np.full(len(horizon), idx)])
+        _, new_normals, new_offsets = _planes(xs, new)
+        tris = np.concatenate([tris[~visible], new])
+        normals = np.concatenate([normals[~visible], new_normals])
+        offsets = np.concatenate([offsets[~visible], new_offsets])
+    return tris
 
 
 def _angular_order(xs, vids, n) -> list:
@@ -316,49 +326,39 @@ def _angular_order(xs, vids, n) -> list:
 
 def _merge_coplanar(xs, tris):
     """Group hull triangles into maximal planar (= concircular) faces and
-    return (faces: list of vertex-id lists in boundary order, normals, offsets)."""
-    planes = []
-    for (a, b, c) in tris:
-        n = np.cross(xs[b] - xs[a], xs[c] - xs[a])
-        n = n / np.linalg.norm(n)
-        h = float(np.dot(n, xs[a]))
-        planes.append((n, h))
+    return them as (vertex ids in boundary order, unit normal) pairs.
 
-    # Union-find over triangles sharing a plane.
-    parent = list(range(len(tris)))
+    Two triangles share a plane when their unit normals and offsets agree
+    within TOL_COPLANAR; the faces are the classes this relation generates,
+    in the order of their first triangle."""
+    cross, normals, offsets = _planes(xs, tris)
+    count, rows = len(tris), max(1, 2**20 // len(tris))
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def least_related(s, label):  # the least label related to each of rows s .. s + rows
+        same = (normals[s:s + rows] @ normals.T > 1.0 - TOL_COPLANAR) & (
+            np.abs(offsets[s:s + rows, None] - offsets) < TOL_COPLANAR
+        )
+        return np.where(same, label, count).min(axis=1)
 
-    for i in range(len(tris)):
-        for j in range(i + 1, len(tris)):
-            ni, hi = planes[i]
-            nj, hj = planes[j]
-            if np.dot(ni, nj) > 1.0 - TOL_COPLANAR and abs(hi - hj) < TOL_COPLANAR:
-                parent[find(i)] = find(j)
-
-    groups = {}
-    for i in range(len(tris)):
-        groups.setdefault(find(i), []).append(i)
+    # Each pass lowers every label to the least among its related triangles
+    # (then follows labels to their own), until each is its class's first.
+    label, prev = np.arange(count), None
+    while not np.array_equal(label, prev):
+        prev = label
+        label = np.concatenate([least_related(s, prev) for s in range(0, count, rows)])
+        label = label[label]
 
     faces = []
-    for tids in groups.values():
-        vids = sorted({v for t in tids for v in tris[t]})
-        n = np.zeros(3)
-        for t in tids:
-            a, b, c = tris[t]
-            n += np.cross(xs[b] - xs[a], xs[c] - xs[a])
+    for first in np.flatnonzero(label == np.arange(count)):
+        tids = np.flatnonzero(label == first)
+        vids = np.unique(tris[tids])
+        n = np.add.reduce(cross[tids], axis=0, initial=0.0)
         n = n / np.linalg.norm(n)
-        h = float(np.mean([np.dot(n, xs[v]) for v in vids]))
+        h = float(np.mean(xs[vids] @ n))
         # Sweep in any point of the input lying on this plane (coplanar
         # points skipped by the triangulated hull still belong to the face).
-        for v in range(len(xs)):
-            if v not in vids and abs(np.dot(n, xs[v]) - h) < TOL_COPLANAR:
-                vids.append(v)
-        faces.append((tuple(_angular_order(xs, sorted(set(vids)), n)), n, h))
+        vids = np.union1d(vids, np.flatnonzero(np.abs(xs @ n - h) < TOL_COPLANAR))
+        faces.append((tuple(_angular_order(xs, vids.tolist(), n)), n))
     return faces
 
 
@@ -381,32 +381,31 @@ def dome(ideal_points) -> DomeMesh:
         raise DegenerateInputError("dome needs at least 3 distinct ideal points")
     pts, xs = [pts[i] for i in uniq], xs[uniq]
 
-    tris = _incremental_hull(xs)
+    # Within delta of one plane, four points span a volume of at most
+    # 24 delta: a flat set has no seed simplex, and the search is skipped.
+    n, h = _fit_plane(xs)
+    flat = 24.0 * np.max(np.abs(xs @ n - h)) < TOL_HULL / 2.0
+    tris = None if flat else _incremental_hull(xs)
 
     if tris is None:
         # Concircular: single flat face, empty bending lamination.
-        n, h = _fit_plane(xs)
         ordered = _angular_order(xs, list(range(len(pts))), n)
         circ = _lift_circle_to_disk(pts, xs, ordered, n)
         face = DomeFace(tuple(ordered), PlaneH3(circ))
         return DomeMesh(tuple(pts), (face,), ())
 
-    merged = _merge_coplanar(xs, tris)
-
     hull_centroid = np.mean(xs, axis=0)
     faces = []
-    for vids, n, h in merged:
+    for vids, n in _merge_coplanar(xs, tris):
         outward = n if np.dot(n, xs[vids[0]] - hull_centroid) > 0 else -n
         circ = _lift_circle_to_disk(pts, xs, vids, outward)
         faces.append(DomeFace(tuple(vids), PlaneH3(circ)))
 
     # Edges: consecutive vertex pairs shared by exactly two faces.
-    def boundary_pairs(vids):
-        return {(min(a, b), max(a, b)) for a, b in zip(vids, vids[1:] + vids[:1])}
-
     pair_faces = {}
     for fi, f in enumerate(faces):
-        for e in boundary_pairs(list(f.vertex_ids)):
+        vids = f.vertex_ids
+        for e in {(min(a, b), max(a, b)) for a, b in zip(vids, vids[1:] + vids[:1])}:
             pair_faces.setdefault(e, []).append(fi)
 
     edges = tuple(
@@ -424,8 +423,7 @@ def dome(ideal_points) -> DomeMesh:
 def _fit_plane(xs):
     centroid = np.mean(xs, axis=0)
     _, _, vh = np.linalg.svd(xs - centroid)
-    n = vh[-1]
-    n = n / np.linalg.norm(n)
+    n = vh[-1] / np.linalg.norm(vh[-1])
     return n, float(np.dot(n, centroid))
 
 

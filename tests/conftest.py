@@ -1,6 +1,9 @@
 import cmath
 import math
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cp1graft.moebius import INFINITY, cp1
@@ -9,12 +12,30 @@ from cp1graft.grafting import GraftedStructure, WeightedMulticurve
 from cp1graft.thurston import DiskComplementDomain
 
 TWO_PI = 2.0 * math.pi
+REPO = Path(__file__).resolve().parent.parent
 
 
 def limit_domain(gs):
     """The domain off the depth-4 limit-set sample of the structure's
     Fuchsian holonomy, which the covering checks keep their loops clear of."""
     return DiskComplementDomain(limit_set_sample(gs.hol, 4))
+
+
+def domain_round_sets(seed):
+    """The benchmark's domain round: eight ideal sets drawn from the seed as
+    ``bench/workloads.py`` draws them."""
+    sys.path.insert(0, str(REPO / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(REPO / "bench"))
+    rng = np.random.default_rng(seed)
+    turn = cmath.exp(2j * math.pi * rng.uniform())
+    sets = [workloads._moved(p, turn, rng, 0.0) for p in workloads._fixed_sets()] + [
+        workloads._moved(workloads._scattered_set(n, with_infinity=bool(i % 2)), turn, rng, 0.003)
+        for i, n in enumerate(workloads.DOMAIN_SCATTERED_SIZES)
+    ]
+    return [[INFINITY if z == "inf" else cp1(complex(z)) for z in s] for s in sets]
 
 
 @pytest.fixture(scope="session")

@@ -278,6 +278,14 @@ CLI_ERROR_CASES = [
      ("verify", "covering"), (), EXIT_CONFIG, "error:"),
     ("samples-0", dict(TETRA, samples=0),
      ("verify", "stratification"), (), EXIT_CONFIG, "error:"),
+    ("weight-true", _weight(True), ("graft",), (), EXIT_CONFIG, "error: cannot parse weight True"),
+    ("depth-true", dict(BASE_CONFIG, depth=True), ("graft",), (), EXIT_CONFIG, "error:"),
+    ("samples-true", dict(TETRA, samples=True),
+     ("verify", "stratification"), (), EXIT_CONFIG, "error:"),
+    ("loops-true", dict(BASE_CONFIG, loops=True),
+     ("verify", "covering"), (), EXIT_CONFIG, "error:"),
+    ("length-true", _surface(lengths=[True, 2.5, 1.7]), ("graft",), (), EXIT_CONFIG,
+     "error: surface.lengths must be float, got True"),
     ("crossing-multicurve",
      dict(BASE_CONFIG, depth=4, multicurve=[{"word": "a", "weight": "2*pi"},
                                             {"word": "b", "weight": 1.0}]),

@@ -362,6 +362,17 @@ def test_endpoint_on_leaf_perturbation(holonomy):
     assert gs.crossings([clear, 0.5 + 1j]) == []
 
 
+def test_endpoint_on_leaf_far_from_basepoint(holonomy):
+    # i e^10 lies on the cuff-1 axis at hyperbolic distance 10 from the
+    # basepoint, where a Euclidean step of 1e-4 is 5e-9 hyperbolic.
+    gs = GraftedStructure(holonomy, WeightedMulticurve(((GroupWord((1,)), 1.3),)), depth=8)
+    z = complex(0.0, math.exp(10.0))
+    with pytest.raises(PerturbInputError) as err:
+        gs.crossings_to(z)
+    leaves = gs.leaves_near(segment_focus([gs.basepoint, z]))
+    assert np.all(leaves.distances(z + err.value.suggested_offset) > 10 * TOL_GEO)
+
+
 # ---------------------------------------------------------------------------
 # grafted holonomy
 

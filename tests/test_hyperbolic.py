@@ -1,9 +1,13 @@
 import cmath
+import json
 import math
+import time
 
 import numpy as np
 import pytest
 
+from cp1graft.cli import RunConfig
+from cp1graft.grafting import GraftedStructure, WeightedMulticurve
 from cp1graft.moebius import (
     INFINITY,
     DegenerateInputError,
@@ -27,6 +31,8 @@ from cp1graft.hyperbolic import (
     nearest_point_projection,
     rotation_about_geodesic,
 )
+from cp1graft.surface import FNCoordinates, GroupWord, fuchsian_from_fn, limit_set_sample
+from conftest import REPO, domain_round_sets
 from oracles import dihedral_from_plane_normals, h3_distance_quadrature
 
 
@@ -228,7 +234,69 @@ def test_dome_too_few_points_rejected():
         dome([cp1(0), cp1(1)])
 
 
+# Meshes recorded from the loop-based dome that preceded the array passes
+# (re-record with ``python tests/test_hyperbolic.py``): the benchmark's
+# domain rounds at five seeds, the domains of ``configs/``, and limit-set
+# samples of FN instance 0 of the acceptance suite, Fuchsian (flat) and
+# bent along curve a.  At seeds 2 and 3 the cube and the hexagon have a
+# vertex opposite the first one of a face, at the branch cut of the angular
+# order, where a last-bit change of its sine reorders the face.
+DOME_MESH_GOLDEN = REPO / "tests" / "data" / "dome_mesh_golden.json"
+
+
+def dome_golden_sets() -> dict:
+    sets = {f"seed{seed}-set{k}": pts
+            for seed in (1, 2, 3, 7, 100) for k, pts in enumerate(domain_round_sets(seed))}
+    for name in ("sixpoint_domain", "tetrahedron_dome"):
+        sets[name] = list(RunConfig.load(str(REPO / "configs" / f"{name}.json")).domain_points)
+    hol = fuchsian_from_fn(FNCoordinates((2.0, 2.5, 1.7), (0.3, -0.8, 1.1)))
+    sets["fuchsian-d2"] = limit_set_sample(hol, 2)
+    for weight, depth in ((1.3, 2), (0.5, 2), (1.3, 3)):
+        gs = GraftedStructure(hol, WeightedMulticurve(((GroupWord.parse("a"), weight),)))
+        sets[f"bent-a-{weight}-d{depth}"] = limit_set_sample(gs.rho_prime, depth)
+    return sets
+
+
+def mesh_record(mesh) -> dict:
+    """Vertex ids of every face and edge, and the bits of every face
+    Hermitian and edge weight."""
+    return {
+        "vertices": len(mesh.vertices),
+        "faces": [list(f.vertex_ids) for f in mesh.faces],
+        "hermitians": [[float.hex(float(x)) for h in f.plane.boundary.hermitian.ravel()
+                        for x in (h.real, h.imag)] for f in mesh.faces],
+        "edges": [[list(e.vertex_ids), list(e.face_ids), float.hex(e.weight)]
+                  for e in mesh.edges],
+    }
+
+
+@pytest.fixture(scope="module")
+def golden_sets():
+    return dome_golden_sets()
+
+
+def test_dome_meshes_match_golden(golden_sets):
+    golden = json.loads(DOME_MESH_GOLDEN.read_text())
+    assert sorted(golden_sets) == sorted(golden)
+    for name, pts in golden_sets.items():
+        assert mesh_record(dome(pts)) == golden[name], name
+
+
+def test_dome_of_440_point_limit_sample_is_fast(golden_sets):
+    pts = golden_sets["bent-a-1.3-d3"]
+    assert len(pts) == 440
+    start = time.perf_counter()
+    dome(pts)
+    assert time.perf_counter() - start <= 5.0
+
+
 def test_concircular_predicate():
     assert concircular(cp1(1), cp1(1j), cp1(-1), cp1(-1j))
     assert concircular(cp1(0), cp1(1), cp1(2), INFINITY)
     assert not concircular(cp1(0), cp1(1), INFINITY, cp1(0.5 + 0.5j))
+
+
+if __name__ == "__main__":
+    rows = [f" {json.dumps(name)}: {json.dumps(mesh_record(dome(pts)))}"
+            for name, pts in dome_golden_sets().items()]
+    DOME_MESH_GOLDEN.write_text("{\n" + ",\n".join(rows) + "\n}\n")

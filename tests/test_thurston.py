@@ -2,8 +2,6 @@ import cmath
 import dataclasses
 import json
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,7 +43,7 @@ from cp1graft.thurston import (
     transverse_measure,
     verify_covering,
 )
-from conftest import limit_domain
+from conftest import REPO, domain_round_sets, limit_domain
 from oracles import maximal_disk_support_search
 
 TWO_PI = 2.0 * math.pi
@@ -579,23 +577,7 @@ def test_dome_measure_drops_near_duplicate_points(tetrahedron_points, where):
 
 # The benchmark's domain round: eight ideal sets drawn from the seed as
 # ``bench/workloads.py`` draws them, and the domains of ``configs/``.
-REPO = Path(__file__).resolve().parent.parent
 DOME_GOLDEN = json.loads((REPO / "tests" / "data" / "dome_measure_golden.json").read_text())
-
-
-def _domain_round_sets(seed):
-    sys.path.insert(0, str(REPO / "bench"))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(REPO / "bench"))
-    rng = np.random.default_rng(seed)
-    turn = cmath.exp(2j * math.pi * rng.uniform())
-    sets = [workloads._moved(p, turn, rng, 0.0) for p in workloads._fixed_sets()] + [
-        workloads._moved(workloads._scattered_set(n, with_infinity=bool(i % 2)), turn, rng, 0.003)
-        for i, n in enumerate(workloads.DOMAIN_SCATTERED_SIZES)
-    ]
-    return [[INFINITY if z == "inf" else cp1(complex(z)) for z in s] for s in sets]
 
 
 @pytest.fixture(scope="module")
@@ -604,7 +586,7 @@ def dome_measure_runs():
     batch of probe labels (set name, strata, points, labels) and the probes
     sent to ``_classify_on_path``."""
     runs = [(f"seed{seed}-set{k}", pts, {})
-            for seed in (1, 7, 100) for k, pts in enumerate(_domain_round_sets(seed))]
+            for seed in (1, 7, 100) for k, pts in enumerate(domain_round_sets(seed))]
     for name in ("sixpoint_domain", "tetrahedron_dome"):
         config = RunConfig.load(str(REPO / "configs" / f"{name}.json"))
         runs.append((name, list(config.domain_points),
