@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -108,19 +108,21 @@ class Weight:
 
 @dataclass
 class RunConfig:
+    """A checked run configuration; ``from_dict`` holds every default."""
+
     fn: FNCoordinates
     multicurve_words: tuple
     weights: tuple  # Weight
-    depth: int = 8
-    truncation_radius: float = 2.5
-    seed: int = 0
-    domain_points: tuple = ()
-    samples: int = 500
-    loops: int = 50
-    margin: float = 0.05
-    limit_depth: int = 5
-    export_word_length: int = 2
-    tolerances: dict = field(default_factory=dict)
+    depth: int
+    truncation_radius: float
+    seed: int
+    domain_points: tuple
+    samples: int
+    loops: int
+    margin: float
+    limit_depth: int
+    export_word_length: int
+    tolerances: dict
 
     def multicurve(self) -> WeightedMulticurve:
         return WeightedMulticurve(

@@ -723,10 +723,6 @@ class PleatedSurfaceMesh:
     faces: tuple
     edges: tuple
 
-    @property
-    def rho_prime(self) -> DeformedHolonomy:
-        return self.structure.rho_prime
-
     def beta(self, z: complex) -> PointH3:
         """Pointwise pleated surface: bend the flat embedding along the
         leaves crossed between the basepoint and z."""

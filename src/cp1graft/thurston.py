@@ -135,13 +135,16 @@ class DiskComplementDomain:
 @dataclass(frozen=True)
 class CoreRegion:
     """Hyperbolic convex hull of the ideal points inside the maximal disk,
-    represented in a unit-disk frame (query point at the origin)."""
+    represented in a unit-disk frame (query point at the origin).  With
+    fewer than two distinct vertices it has no edges and contains nothing."""
 
     frame: MoebiusMap  # original coordinates -> unit disk, query -> 0
-    boundary_angles: tuple  # ideal points as angles on the unit circle
+    boundary_angles: tuple  # distinct vertices as angles on the unit circle
     edges: tuple  # OrientedCircle per hull edge, core on the disk side
 
     def contains(self, p: PointCP1) -> bool:
+        if not self.edges:
+            return False
         q = apply(self.frame, cp1(p))
         if q.is_infinity or abs(q.as_complex()) >= 1.0:
             return False
@@ -183,10 +186,7 @@ def _geodesic_center(u: complex, v: complex):
     if abs(denom) < 1e-12:
         return None
     m = (u + v) / denom
-    r2 = abs(m) ** 2 - 1.0
-    if r2 <= 0:
-        raise DegenerateInputError("degenerate hull edge")
-    return m, r2
+    return m, abs(m) ** 2 - 1.0
 
 
 def _poincare_geodesic(u: complex, v: complex) -> OrientedCircle:
@@ -201,33 +201,29 @@ def _poincare_geodesic(u: complex, v: complex) -> OrientedCircle:
     return OrientedCircle.from_center_radius(m, math.sqrt(r2))
 
 
-def _hull_edges(k: int) -> list:
-    """Index pairs of the hull edges of k cyclically ordered ideal points."""
-    return [(0, 1)] if k == 2 else [(j, (j + 1) % k) for j in range(k)]
-
-
-def _check_hull_edge(u: complex, v: complex) -> None:
-    """Raise now what building the core's edge from u to v would raise.
-    Unless the edge is nearly degenerate (squared radius r2 below 1e-9), the
-    circle's own det < 0 check cannot fail: det comes out as -r2 within
-    1e-14 * (1 + r2)."""
-    geo = _geodesic_center(u, v)
-    if geo is not None and geo[1] < 1e-9:
-        _poincare_geodesic(u, v)
+# Squared radius of a hull geodesic below which its two ends are one core
+# vertex.  Above it the circle's own det < 0 check cannot fail: det comes out
+# as -r2 within 1e-14 * (1 + r2).
+TINY_EDGE = 1e-9
 
 
 def _core_region(frame: MoebiusMap, ws: tuple) -> CoreRegion:
     """The core from the ideal points ws in the unit-disk frame, in angular
-    order: one geodesic for two points, else the hull edges, each oriented
-    with the next ideal point on its disk side."""
+    order.  A point whose geodesic to the previous one (cyclically) has a
+    squared radius below TINY_EDGE is the same vertex.  On the k distinct
+    vertices the core is one geodesic for k = 2, else the k hull edges, each
+    oriented with the next vertex on its disk side; k < 2 gives no edge."""
     units = [w / abs(w) for w in ws]
+    geos = [_geodesic_center(units[j - 1], units[j]) for j in range(len(ws))]
+    vs = [j for j, geo in enumerate(geos) if geo is None or geo[1] >= TINY_EDGE]
+    k = len(vs)
     edges = []
-    for a, b in _hull_edges(len(ws)):
-        edge = _poincare_geodesic(units[a], units[b])
-        if len(ws) != 2 and edge.evaluate(PointCP1.from_complex(ws[(a + 2) % len(ws)])) > 0:
+    for j in range(k if k > 2 else k // 2):
+        edge = _poincare_geodesic(units[vs[j]], units[vs[(j + 1) % k]])
+        if k > 2 and edge.evaluate(PointCP1.from_complex(ws[vs[(j + 2) % k]])) > 0:
             edge = edge.reversed()
         edges.append(edge)
-    angles = tuple(math.atan2(w.imag, w.real) for w in ws)
+    angles = tuple(math.atan2(ws[j].imag, ws[j].real) for j in vs)
     return CoreRegion(frame=frame, boundary_angles=angles, edges=tuple(edges))
 
 
@@ -235,8 +231,7 @@ def maximal_disk_at(dom: DiskComplementDomain, x) -> MaximalDiskRecord:
     """The maximal disk whose core contains x: normalize x to infinity, take
     the minimal enclosing disk of the transported complement, and return its
     complement; ideal points are the boundary contacts.  The record's core is
-    built on first access, but every error building it could raise is raised
-    here."""
+    built on first access."""
     x = cp1(x)
     if not dom.contains(x):
         raise PreconditionError("query point is too close to the complement")
@@ -265,8 +260,6 @@ def maximal_disk_at(dom: DiskComplementDomain, x) -> MaximalDiskRecord:
         key=lambda iw: math.atan2(iw[1].imag, iw[1].real),
     )
     ws = tuple(w for _, w in boundary)
-    for a, b in _hull_edges(len(ws)):
-        _check_hull_edge(ws[a] / abs(ws[a]), ws[b] / abs(ws[b]))
     ids = tuple(i for i, _ in boundary)
     return MaximalDiskRecord(
         disk=disk, ideal_points=tuple(dom.complement[i] for i in ids), ideal_ids=ids,
@@ -536,9 +529,8 @@ def transverse_measure(
 # Band around every stratum boundary inside which a probe's label is left to
 # maximal_disk_at.  It is at least 50 times each threshold it guards: the
 # contact band (a relative TOL_CONTACT is a contact value of about -2e-6,
-# see ``_contact_values``), the TOL_SAME_DISK face-circle match, the TOL_GEO
-# margin of ``contains`` and the 1e-9 squared radius below which a hull edge
-# is built, and may raise.
+# see ``_contact_values``), the TOL_SAME_DISK face-circle match and the
+# TOL_GEO margin of ``contains``.
 STRATA_BAND = 1e-4
 
 
@@ -608,8 +600,9 @@ def _contact_values(hz: np.ndarray, hp: np.ndarray, zs: np.ndarray, ps: np.ndarr
 class _FaceCore:
     """The core of a dome face, to test probes against: its hull geodesics
     (from ``_core_region``) as form columns in the face's unit-disk frame,
-    the vertices there, and the face circle at the other complement points.
-    ``edges`` is None when the core cannot be built."""
+    and the face circle at the other complement points.
+    ``edges`` is None when the frame cannot be built, or when fewer than
+    three of the vertices are distinct in it and the core is no polygon."""
 
     def __init__(self, dom: DiskComplementDomain, face):
         try:
@@ -618,13 +611,14 @@ class _FaceCore:
                 (apply(self.frame, dom.complement[i]).as_complex() for i in face.vertex_ids),
                 key=lambda w: math.atan2(w.imag, w.real),
             )
-            core = _core_region(self.frame, tuple(ws))
+            edges = _core_region(self.frame, tuple(ws)).edges
         except DegenerateInputError:
+            edges = ()
+        if len(edges) < 3:
             self.edges = None
             return
-        h = np.array([e.hermitian for e in core.edges]).reshape(-1, 4)
+        h = np.array([e.hermitian for e in edges]).reshape(-1, 4)
         self.edges = (h[:, 0].real, h[:, 1], h[:, 3].real)
-        self.units = np.array([w / abs(w) for w in ws])
         hf = face.plane.boundary.hermitian.reshape(1, 4)
         self.form = (hf[:, 0].real, hf[:, 1], hf[:, 3].real)
         others = np.ones(len(dom.complement), dtype=bool)
@@ -634,23 +628,15 @@ class _FaceCore:
 
     def certified(self, zs: np.ndarray) -> np.ndarray:
         """Probes (normalized pairs) that lie in the core by more than the
-        band, whose maximal disk has exactly the face's vertices as contacts,
-        and whose hull edges maximal_disk_at accepts without a check."""
+        band and whose maximal disk has exactly the face's vertices as
+        contacts."""
         band = STRATA_BAND
         q = apply_stack(self.frame, zs)
         q /= np.linalg.norm(q, axis=1)[:, None]
         mod0, mod1 = np.abs(q[:, 0]) ** 2, np.abs(q[:, 1]) ** 2
         ok = (mod0 - mod1 < -band) & (_form_values(q, *self.edges) < -band).all(axis=1)
         hz = _form_values(zs, *self.form)[:, 0]
-        ok &= (_contact_values(hz, self.hp, zs, self.others) < -band).all(axis=1)
-        # Every pair of vertices, seen from the probe (moved to 0), is far
-        # enough apart that its geodesic's squared radius exceeds the band.
-        zeta = (np.where(ok, q[:, 0], 0.0) / np.where(ok, q[:, 1], 1.0))[:, None]
-        seen = (self.units - zeta) / (1.0 - np.conj(zeta) * self.units)
-        seen /= np.abs(seen)
-        a, b = np.triu_indices(len(self.units), 1)
-        nearest = (seen[:, a] * np.conj(seen[:, b])).real.max(axis=1)
-        return ok & (1.0 - nearest > band * (1.0 + nearest))
+        return ok & (_contact_values(hz, self.hp, zs, self.others) < -band).all(axis=1)
 
 
 class _EdgeStrata:

@@ -269,23 +269,35 @@ def test_lazy_core_matches_eager_reference(name, tetrahedron_points):
     assert 2 in sizes and max(sizes) >= 3
 
 
-def test_coincident_points_raise_in_maximal_disk_at():
-    # Two copies of 1 give a hull edge of zero length; the error comes from
-    # maximal_disk_at itself, and a record it returns has a core that builds.
-    dom = DiskComplementDomain.from_ideal_points(
+# Five contacts 1e-8 apart near e^{0.5i}, three more on the unit circle and
+# one point outside it.
+DENSE_SET = (
+    [cmath.exp(1j * t) for t in (2.0, 3.5, 5.0)]
+    + [cmath.exp(1j * (0.5 + k * 1e-8)) for k in range(5)]
+    + [3 + 0.5j]
+)
+
+
+def test_coincident_contacts_are_one_core_vertex():
+    # Two copies of 1, or contacts 1e-8 apart, are one vertex of the core;
+    # the record keeps every contact, and every query lies in its core.
+    dup = DiskComplementDomain.from_ideal_points(
         [cp1(0), cp1(1), cp1(1), INFINITY, cp1(2j)]
     )
-    raised = 0
     for k in range(12):
-        z = 1 + 0.3 * cmath.exp(2j * math.pi * k / 12)
-        try:
-            rec = maximal_disk_at(dom, cp1(z))
-        except DegenerateInputError as exc:
-            assert str(exc) == "degenerate hull edge"
-            raised += 1
-            continue
-        assert rec.core.edges
-    assert raised > 0
+        z = cp1(1 + 0.3 * cmath.exp(2j * math.pi * k / 12))
+        assert maximal_disk_at(dup, z).core.contains(z)
+    dense = DiskComplementDomain.from_ideal_points([cp1(p) for p in DENSE_SET])
+    queries = [0, 0.2 + 0.1j, -0.3j, 0.1 + 0.4j]
+    for z in queries:
+        rec = maximal_disk_at(dense, cp1(z))
+        assert len(rec.ideal_ids) == 8
+        assert len(rec.core.boundary_angles) == 4
+        assert rec.core.contains(cp1(z))
+    assert stratification_check(dense, queries)["violations"] == []
+    # Contacts that are all one vertex leave a core that contains nothing.
+    lone = thurston._core_region(MoebiusMap.identity(), (1 + 0j, cmath.exp(1e-9j)))
+    assert lone.edges == () and not lone.contains(cp1(0))
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +648,24 @@ def test_strata_labels_match_maximal_disk_labels(dome_measure_runs):
             assert label == ref, (name, z)
     assert probes > 10_000
     assert len(fallbacks) <= probes // 500
+
+
+def test_strata_labels_on_a_face_with_clustered_vertices():
+    """Three vertices 2e-5 apart on the unit circle are one vertex in their
+    face's frame, so that face's core is no polygon: it certifies no probe,
+    and every probe keeps the label of ``_classify_on_path``."""
+    pts = [cp1(cmath.exp(1j * t)) for t in (0.0, 2e-5, 4e-5)]
+    mesh = dome(pts + [cp1(z) for z in (3, 3j, -3, -3j, 2 + 2j)])
+    dom = DiskComplementDomain(mesh.vertices)
+    cores = [thurston._FaceCore(dom, f) for f in mesh.faces]
+    assert any(c.edges is None for c in cores)
+    for edge in mesh.edges:
+        strata = thurston._EdgeStrata(dom, mesh, edge, cores)
+        line = thurston._Polyline(next(thurston._edge_measure_paths(strata)))
+        points = [line.at(line.total * k / thurston.PATH_PROBES, clamp=False)
+                  for k in range(thurston.PATH_PROBES + 1)]
+        assert strata.labels(points) == [
+            thurston._classify_on_path(dom, mesh, edge, z) for z in points]
 
 
 def test_maximal_disk_matches_two_inversions(dome_measure_runs):
