@@ -76,6 +76,15 @@ class TransversalityError(RuntimeError):
 # Distances to a domain's complement are taken in blocks of about this many:
 # one row per point for a limit-set sample, a whole batch for an ideal set.
 ROW_BLOCK = 2048
+# A complement on the great circle y = 0 is read, per query, on this many
+# neighbours each side of the query's angle in the xz-plane.
+CIRCLE_BAND = 3
+# Bounds on rounding, taken wide: of an angle from arctan2 (radians, on the
+# sample's and the query's angle together), of a circle radius from hypot
+# (absolute), and of a chordal distance or its lower bound (relative).
+ANGLE_SLACK = 1e-14
+RADIUS_SLACK = 1e-15
+CHORD_SLACK = 1e-13
 
 
 @dataclass(frozen=True)
@@ -107,16 +116,67 @@ class DiskComplementDomain:
     def from_ideal_points(points) -> "DiskComplementDomain":
         return DiskComplementDomain(tuple(points))
 
+    @cached_property
+    def _circle(self):
+        """When every complement point has sphere y-coordinate 0.0, as a
+        Fuchsian limit-set sample does: the points sorted by their angle in
+        the xz-plane, as (angles, indices), and the least and greatest of
+        their distances from the y-axis.  None otherwise."""
+        x, y, z = self.xyz.T
+        if len(y) <= 2 * CIRCLE_BAND + 1 or np.any(y != 0.0):
+            return None
+        angles = np.arctan2(x, z)
+        order = np.argsort(angles, kind="stable")
+        rho = np.hypot(x, z)
+        return angles[order], order, rho.min(), rho.max()
+
     def distances(self, points) -> np.ndarray:
-        """Least chordal distance from each point to the complement, from
-        blocks of about ROW_BLOCK distances: the minimum of
-        ``chordal_distance`` over the complement, bit for bit."""
+        """Least chordal distance from each point to the complement: the
+        minimum of ``chordal_distance`` over the complement, bit for bit.
+
+        On a great-circle complement (``_circle``) chordal distance grows
+        with the angle between a query's projection and a complement point,
+        so each query reads the 2 CIRCLE_BAND points around its angle.  A
+        lower bound (``_screen``) shows the other points no nearer; where it
+        cannot, as near the y-axis, where all points are nearly equidistant,
+        the query reads the full row.  Full rows are taken in blocks of
+        about ROW_BLOCK distances."""
         xyz = sphere_xyz(as_pairs(points))
-        step = max(1, ROW_BLOCK // len(self.xyz))
         out = np.empty(len(xyz))
-        for s in range(0, len(xyz), step):
-            out[s : s + step] = chordal_rows(self.xyz, xyz[s : s + step, None]).min(axis=1)
+        rest = np.arange(len(xyz))
+        if self._circle is not None:
+            rest = rest[~self._screen(xyz, out)]
+        step = max(1, ROW_BLOCK // len(self.xyz))
+        for s in range(0, len(rest), step):
+            rows = rest[s : s + step]
+            out[rows] = chordal_rows(self.xyz, xyz[rows, None]).min(axis=1)
         return out
+
+    def _screen(self, xyz: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write into ``out`` each query's least distance over its band of
+        sorted neighbours, and return where that is the least over the whole
+        complement.  For a complement point p and a query q at angle D
+        apart, with distances rho_p and r from the y-axis,
+        |p - q|^2 = (rho_p - r)^2 + q_y^2 + rho_p r (2 sin(D / 2))^2,
+        which bounds the distance to every point past the band from below."""
+        angles, order, rho_lo, rho_hi = self._circle
+        n, k = len(angles), CIRCLE_BAND
+        qx, qy, qz = xyz.T
+        qa = np.arctan2(qx, qz)
+        pos = np.searchsorted(angles, qa)
+        out[:] = np.inf
+        for step in range(-k, k):
+            np.minimum(out, chordal_rows(self.xyz[order[(pos + step) % n]], xyz), out=out)
+        right, left = pos + k, pos - k - 1
+        gap = np.minimum(
+            angles[right % n] + np.where(right < n, 0.0, 2.0 * math.pi) - qa,
+            qa - angles[left % n] + np.where(left >= 0, 0.0, 2.0 * math.pi),
+        )
+        half = np.clip(gap - ANGLE_SLACK, 0.0, math.pi) / 2.0
+        r = np.hypot(qx, qz)
+        off = np.maximum(np.maximum(rho_lo - r, r - rho_hi) - RADIUS_SLACK, 0.0)
+        bound = np.sqrt(off * off + qy * qy + rho_lo * r * (2.0 * np.sin(half)) ** 2)
+        return bound * (1.0 - CHORD_SLACK) > out
 
     def contains(self, points, margin: float = TOL_GEO):
         """Whether a point is farther than margin from every complement
@@ -923,13 +983,22 @@ MAX_STEPS = 100_000
 # A crescent exit is checked against the leaf side of its point unless the
 # point is within this angle (radians) of the leaf, in the leaf's frame.
 EXIT_BAND = 1e-6
+# A crescent lift leaves the crescent when its angle passes an edge by more
+# than CRESCENT_EDGE (radians), and escapes toward a leaf endpoint when
+# |log |w|| of its point w in the leaf's frame exceeds ESCAPE_LOG.
+CRESCENT_EDGE = 1e-12
+ESCAPE_LOG = 30.0
 
 
 class _LoopSamples:
     """What every lift reads at the points z of a sampled loop, computed
     once: ``positive[i, j]``, the side of positive-weight leaf j at point i;
     ``radius[i]``, the stratum embedding radius; and ``frame(j, i)``, point
-    i in leaf j's frame.  ``leaves`` is (table, rows, normalizers)."""
+    i in leaf j's frame.  ``leaves`` is (table, rows, normalizers).
+
+    ``stratum_run`` and ``crescent_run`` take a lift over consecutive rows
+    at once, up to the next row where ``_march_loop``'s step rule does more
+    than advance; their values are those of its steps, bit for bit."""
 
     def __init__(self, z: list, leaves: tuple):
         self.z, self.leaves = z, leaves
@@ -938,19 +1007,74 @@ class _LoopSamples:
         self.radius = [2.0 * abs(w.imag) / (1.0 + abs(w) ** 2) for w in z]
         self._pairs = unit_pairs(as_pairs(z))
         self._frames = {}
+        self._crescents = {}
 
     def frame(self, j: int, i: int) -> complex:
-        """Leaf j's frame is applied to all points on its first read.  If a
-        point lies at infinity in it, the column stays homogeneous and is
-        converted per read, so that only reading that point raises."""
+        """Leaf j's frame is applied to all points on its first read and
+        kept as an array of CPython quotients.  If a point lies at infinity
+        in it, the column stays homogeneous and is converted per read, so
+        that only reading that point raises."""
+        col = self._column(j)
+        return complex(col[i]) if col.ndim == 1 else affine_stack(col[i:i + 1])[0]
+
+    def _column(self, j: int):
         col = self._frames.get(j)
         if col is None:
             col = self._frames[j] = apply_stack(self._normalizers[j], self._pairs)
             try:
-                col = self._frames[j] = affine_stack(col)
+                col = self._frames[j] = np.array(affine_stack(col))
             except DegenerateInputError:
                 pass
-        return col[i] if isinstance(col, list) else affine_stack(col[i:i + 1])[0]
+        return col
+
+    def stratum_run(self, r: int, signs: np.ndarray, limit: int) -> tuple:
+        """Steps from row r, at most ``limit``, onto rows where every leaf
+        side is ``signs``: their number and least radius."""
+        rest = self.positive[r + 1 : r + 1 + limit]
+        hit = np.flatnonzero((rest != signs).any(axis=1))
+        m = int(hit[0]) if len(hit) else len(rest)
+        return m, min(self.radius[r + 1 : r + 1 + m], default=math.inf)
+
+    def crescent_run(self, j: int, r: int, psi: float, theta: float, limit: int) -> tuple:
+        """Steps from row r, at most ``limit``, that stay in the crescent of
+        leaf j (angle theta) from angle psi at row r and neither escape nor
+        meet a zero of the frame: their number, least radius, and the angle
+        after them.  The angle is accumulated in order, as the steps would."""
+        table = self._crescent(j)
+        end = min(len(self.z), r + 1 + limit)
+        if table is None or end == r + 1:
+            return 0, math.inf, psi
+        turn, stop, size, den = table
+        psis = np.cumsum(np.concatenate(([psi], turn[r : end - 1])))[1:]
+        half = math.pi / 2.0
+        inside = (psis >= half - CRESCENT_EDGE) & (psis <= half + theta + CRESCENT_EDGE)
+        hit = np.flatnonzero(stop[r + 1 : end] | ~inside)
+        m = int(hit[0]) if len(hit) else len(psis)
+        if not m:
+            return 0, math.inf, psi
+        ps, rows = psis[:m], slice(r + 1, r + 1 + m)
+        edge = np.minimum(np.abs(ps - half), np.abs(half + theta - ps))
+        return m, float((edge * 2.0 * size[rows] / den[rows]).min()), float(ps[-1])
+
+    def _crescent(self, j: int):
+        """Leaf j's per-row values in CPython arithmetic, as a crescent step
+        computes them (numpy's complex division, abs, log and squares may
+        differ in the last bit): ``turn[i]``, the phase of the step from row
+        i to i + 1; ``stop[i]``, whether the step onto row i escapes or
+        meets a zero of the frame; |w| and 1 + |w| ** 2 at row i.  None when
+        a point lies at infinity in the frame."""
+        if j not in self._crescents:
+            col = self._column(j)
+            table = None
+            if col.ndim == 1:
+                col = col.tolist()
+                size = list(map(abs, col))
+                stop = [a == 0.0 or abs(math.log(a)) > ESCAPE_LOG for a in size]
+                turn = [cmath.phase(b / a) if a else math.nan for a, b in zip(col, col[1:])]
+                den = [1.0 if x else 1.0 + a ** 2 for a, x in zip(size, stop)]
+                table = tuple(np.array(v) for v in (turn, stop, size, den))
+            self._crescents[j] = table
+        return self._crescents[j]
 
 
 def verify_covering(
@@ -966,9 +1090,11 @@ def verify_covering(
 
     Loops too close to the limit set raise PreconditionError (a guard, not
     a covering violation), and no loops raise DegenerateInputError; loops
-    with no lift to test are a ``no-lifts-tested`` violation.  Reports
-    per-loop embedding-radius estimates: the minimal chordal distance to the
-    support boundary along the lift.  ``limit`` is the domain off a
+    with no lift to test are a ``no-lifts-tested`` violation.  Reports one
+    number, ``min_embedding_radius``: the least embedding-radius estimate
+    over every step of every lift, 2 |Im w| / (1 + |w|^2) at a stratum
+    point w, and at a crescent point w of a leaf's frame its angle to the
+    nearer edge times 2 |w| / (1 + |w|^2).  ``limit`` is the domain off a
     limit-set sample.
 
     A lift is (signs, None, None) in the stratum with leaf sides ``signs``,
@@ -1065,15 +1191,37 @@ def _low_sides(table, rows) -> list:
 def _march_loop(lift: tuple, path: list, weights, low_positive) -> tuple:
     """Advance a lift along the sampled loop ``path``, a list of (samples,
     row) pairs; returns (end lift or None, min_radius, msg).  In a
-    crescent, ``nw`` is the current point in its leaf's frame."""
+    crescent, ``nw`` is the current point in its leaf's frame.
+
+    Midpoints are only inserted just ahead of the current point, so once
+    this point and the next are consecutive rows of the loop's own samples,
+    all later points are too: the plain steps up to the next leaf side
+    change, crescent exit, escape or step budget are then taken as one run,
+    and the step rule below handles the step that ends it."""
     signs, j, psi = lift
     steps = 0
     min_radius = math.inf
     i = 0
-    s, k = path[0]
-    w = s.z[k]
-    nw = s.frame(j, k) if j is not None else None
+    base, k = path[0]
+    w = base.z[k]
+    nw = base.frame(j, k) if j is not None else None
     while i < len(path) - 1:
+        here, row = path[i]
+        if here is base and path[i + 1][0] is base:
+            limit = MAX_STEPS - steps
+            if j is None:
+                run, least = base.stratum_run(row, signs, limit)
+            else:
+                run, least, psi = base.crescent_run(j, row, psi, weights[j], limit)
+            if run:
+                steps += run
+                i += run
+                min_radius = min(min_radius, least)
+                w = base.z[row + run]
+                if j is not None:
+                    nw = base.frame(j, row + run)
+                if i == len(path) - 1:
+                    break
         steps += 1
         if steps > MAX_STEPS:
             return None, min_radius, "step budget exceeded"
@@ -1101,9 +1249,10 @@ def _march_loop(lift: tuple, path: list, weights, low_positive) -> tuple:
             theta = weights[j]
             nw_next = s.frame(j, k)
             psi_next = psi + cmath.phase(nw_next / nw)
-            if abs(math.log(abs(nw_next))) > 30.0:
+            if abs(math.log(abs(nw_next))) > ESCAPE_LOG:
                 return None, min_radius, "escape toward a leaf endpoint"
-            if psi_next < math.pi / 2.0 - 1e-12 or psi_next > math.pi / 2.0 + theta + 1e-12:
+            if (psi_next < math.pi / 2.0 - CRESCENT_EDGE
+                    or psi_next > math.pi / 2.0 + theta + CRESCENT_EDGE):
                 here, row = path[i]
                 crossed = s.positive[k] != here.positive[row]
                 crossed[j] = False

@@ -2,12 +2,19 @@
 the check that must catch it.  A check that passes with its defect planted
 cannot fail on the defect."""
 
+import cmath
 import json
+import math
 
+import numpy as np
 import pytest
 
 import cp1graft.thurston as thurston
 from cp1graft.cli import EXIT_VIOLATIONS, main
+from cp1graft.grafting import GraftedStructure
+from cp1graft.moebius import MoebiusMap
+from cp1graft.thurston import verify_covering
+from conftest import limit_domain
 
 TETRA = {
     "surface": {"genus": 2, "lengths": [2.0, 2.0, 2.0]},
@@ -44,3 +51,78 @@ def test_dome_measure_catches_planted_defect(plant, kind, monkeypatch, tmp_path)
     report = json.loads((out / "dome-measure_report.json").read_text())
     assert [(v["kind"], v["edge"]) for v in report["violations"]] == [(kind, e) for e in range(6)]
     assert [c["passed"] for c in report["checks"]] == [False]
+
+
+# Two loops around the vertical leaf lift of curve a (weight 2 pi): one
+# starts left of the leaf and crosses it, one starts right of it and enters
+# the leaf's crescent from the high side.
+CROSSING_LOOP = [0.03 + 1.2j - 0.1 * np.exp(2j * math.pi * k / 20) for k in range(21)]
+RIGHT_LOOP = [1j + 0.3 * np.exp(2j * math.pi * k / 20) for k in range(21)]
+
+
+def _rotate_vertical_leaf_frame(monkeypatch):
+    """Turn the frame of every vertical leaf by pi/2."""
+    frame = thurston.leaf_normalizer
+    turn = cmath.exp(0.25j * math.pi)
+    quarter = MoebiusMap(np.diag([turn, 1.0 / turn]))
+
+    def rotated(gs, leaf):
+        vertical = leaf.geodesic.p.is_infinity or leaf.geodesic.q.is_infinity
+        return quarter @ frame(gs, leaf) if vertical else frame(gs, leaf)
+
+    monkeypatch.setattr(thurston, "leaf_normalizer", rotated)
+
+
+def _drop_vertical_leaf(monkeypatch):
+    """Give every vertical leaf lift weight 0, so that covering skips it."""
+    near = GraftedStructure.leaves_near
+
+    def dropped(gs, focus):
+        table = near(gs, focus)
+        table.weight = np.where(np.isnan(table.real_ends).any(axis=1), 0.0, table.weight)
+        return table
+
+    monkeypatch.setattr(GraftedStructure, "leaves_near", dropped)
+
+
+# (defect, loop, the covering violation it must report).  The turned frame
+# moves the vertical leaf's crescent: a lift that crosses the leaf can then
+# not close, and one that enters the crescent from the high side leaves it
+# far from the leaf, on the side the forced sign does not give.
+COVERING_MUTATIONS = {
+    "rotated-frame-no-closure": (
+        _rotate_vertical_leaf_frame, CROSSING_LOOP,
+        {"kind": "no-closure", "loop": 0, "start": "stratum", "end": "crescent"},
+    ),
+    "rotated-frame-exit-side": (
+        _rotate_vertical_leaf_frame, RIGHT_LOOP,
+        {"kind": "lift-failure", "loop": 0,
+         "detail": "crescent exit on the wrong side of its leaf"},
+    ),
+}
+
+
+@pytest.mark.parametrize("row", sorted(COVERING_MUTATIONS))
+def test_covering_catches_planted_defect(row, two_pi_structure, monkeypatch):
+    plant, loop, violation = COVERING_MUTATIONS[row]
+    limit = limit_domain(two_pi_structure)
+    assert verify_covering(two_pi_structure, [loop], limit)["violations"] == []
+    plant(monkeypatch)
+    report = verify_covering(two_pi_structure, [loop], limit)
+    assert violation in report["violations"]
+    assert not report["checks"][0]["passed"]
+
+
+@pytest.mark.parametrize("loop", [CROSSING_LOOP, RIGHT_LOOP], ids=["crossing", "right"])
+def test_covering_known_survivor_dropped_leaf(loop, two_pi_structure, monkeypatch):
+    """KNOWN SURVIVOR: a dropped positive-weight leaf.  The stratum lift
+    then crosses the leaf's line twice without entering its crescent and
+    still closes, and the crescent's own lifts are never started, so the
+    check passes with fewer lifts tested.  Catching it needs the starting
+    lifts counted against the fiber of the loop's first point."""
+    limit = limit_domain(two_pi_structure)
+    clean = verify_covering(two_pi_structure, [loop], limit)
+    _drop_vertical_leaf(monkeypatch)
+    report = verify_covering(two_pi_structure, [loop], limit)
+    assert report["violations"] == [] and all(c["passed"] for c in report["checks"])
+    assert 0 < report["values"]["lifts_tested"] < clean["values"]["lifts_tested"]

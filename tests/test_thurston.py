@@ -16,11 +16,13 @@ from cp1graft.moebius import (
     PointCP1,
     RoundDisk,
     apply,
+    as_pairs,
     chordal_distance,
     chordal_rows,
     cp1,
     inversive_product,
     minimal_enclosing_disk,
+    sphere_xyz,
 )
 from cp1graft.cli import RunConfig
 from cp1graft.hyperbolic import dome
@@ -176,16 +178,43 @@ def test_contains_matches_scalar_metric():
     assert 0 < flips < 1400
 
 
+def _fine_cli_loops(count: int, seed: int) -> list:
+    """The fine samples that verify_covering's limit guard reads (505
+    points a loop), on loops placed as ``cp1graft verify covering`` places
+    them."""
+    rng = np.random.default_rng(seed)
+    sub = max(2, thurston.STEPS_PER_LOOP // 24)
+    fine = []
+    while len(fine) < count * (24 * sub + 1):
+        c = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.5, 2.5))
+        if abs(c.imag) < 0.3:
+            continue
+        r = 0.08 + 0.1 * rng.random()
+        loop = [c + r * np.exp(2j * math.pi * k / 24) for k in range(25)]
+        fine += [a + (b - a) * k / sub for a, b in zip(loop, loop[1:]) for k in range(sub)]
+        fine.append(loop[-1])
+    return fine
+
+
 def test_distances_match_per_point_norm(holonomy):
     """``distances`` is bit for bit the per-point minimum of np.linalg.norm
     over the complement's sphere coordinates, the minimum of the shared
     chordal-row expression, and the minimum of ``chordal_distance``: for a
     limit-set sample (one row per block) and for ideal sets (many rows per
-    block)."""
+    block).
+
+    The Fuchsian sample lies on the great circle y = 0, where a query reads
+    a band of sorted neighbours: it must give the full-row minimum on the
+    guard's samples of 20 cli loops, on and within 1e-9 of the real line,
+    at 0, infinity and within about 1e-12 of +-i (where the band does not
+    suffice: distances there differ in the last bits only), and at
+    the sample points themselves.  A rho' sample is off that circle and
+    reads full rows.  The band settles every guard query."""
     rng = np.random.default_rng(31)
     zs = [complex(*rng.uniform(-3, 3, 2)) for _ in range(400)]
     ideal = [cp1(complex(*rng.uniform(-2, 2, 2))) for _ in range(12)] + [INFINITY]
-    for pts in (limit_set_sample(holonomy, 4), ideal, ideal[:4]):
+    fuchsian = limit_set_sample(holonomy, 4)
+    for pts in (fuchsian, ideal, ideal[:4]):
         dom = DiskComplementDomain(pts)
         xyz = np.array([p.sphere_coords() for p in pts])
         ref = np.array([
@@ -198,6 +227,28 @@ def test_distances_match_per_point_norm(holonomy):
         assert rows.tobytes() == got[:40].tobytes()
         scalar = np.array([min(chordal_distance(cp1(z), p) for p in pts) for z in zs[:40]])
         assert scalar.tobytes() == got[:40].tobytes()
+
+    line = rng.uniform(-4, 4, 200)
+    fine = _fine_cli_loops(20, seed=7)
+    special = (
+        fine
+        + [complex(x, e) for x in line for e in (0.0, 1e-9, -1e-9, 3e-12)]
+        + [0.0, INFINITY, 1j, -1j, 1.1j, 0.9j]
+        + [t * 1j + complex(*rng.normal(0.0, 1e-12, 2)) for t in (1, -1) for _ in range(100)]
+        + fuchsian[::7]
+    )
+    queries = sphere_xyz(as_pairs(special))
+    rho_prime = GraftedStructure(
+        holonomy, WeightedMulticurve(((GroupWord((1,)), 1.3),)), depth=5
+    ).rho_prime
+    for pts, on_circle in ((fuchsian, True), (limit_set_sample(rho_prime, 3), False)):
+        dom = DiskComplementDomain(pts)
+        assert (dom._circle is not None) == on_circle
+        ref = np.array([chordal_rows(dom.xyz, q).min() for q in queries])
+        assert dom.distances(special).tobytes() == ref.tobytes()
+    # The band settles every guard query: none needs a full row.
+    dom = DiskComplementDomain(fuchsian)
+    assert dom._screen(queries[: len(fine)], np.empty(len(fine))).all()
 
 
 def _reference_geodesic(u, v):
@@ -855,6 +906,64 @@ def test_covering_coarse_steps_subdivide_and_close(three_cuff_structure, monkeyp
     assert report["values"]["closures"] == report["values"]["lifts_tested"] > 0
 
 
+def test_covering_runs_match_single_steps(two_pi_structure, three_cuff_structure, monkeypatch):
+    """``_march_loop`` takes plain steps as runs (``stratum_run`` and
+    ``crescent_run``).  With the runs switched off it takes every step by
+    its step rule; each lift must end the same way, with the same radius
+    bits: on seeded loops, on loops whose crescent exits overshoot the
+    crescent's edge by about 1e-4 and on a chord that crosses two leaves,
+    at 512 steps per loop, at two steps per loop edge (so that steps
+    subdivide), and under a step budget that ends lifts part way."""
+    ends = []
+    march = thurston._march_loop
+
+    def recorded(lift, path, weights, low_positive):
+        end, radius, msg = march(lift, path, weights, low_positive)
+        ends.append((None if end is None else (
+            None if end[0] is None else end[0].tobytes(), end[1],
+            None if end[2] is None else float.hex(end[2])), float.hex(radius), msg))
+        return end, radius, msg
+
+    monkeypatch.setattr(thurston, "_march_loop", recorded)
+    rng = np.random.default_rng(18)
+    limit = limit_domain(two_pi_structure)
+    loops = []
+    while len(loops) < 4:
+        c = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.5, 2.5))
+        loop = _circle_loop(c, r=0.05 + 0.3 * rng.random(), n=int(rng.integers(3, 30)))
+        if abs(c.imag) > 0.15 and limit.distances(loop).min() > 0.03:
+            loops.append(loop)
+    # Loops that cross the vertical leaf of the 2 pi structure (the
+    # imaginary axis) and cross back with a step that ends 1e-4 past it.
+    hairline = [-0.2 + 1.0j, 1e-4 + 1.0j, 0.2 + 1.0j, 0.2 + 1.3j, -1e-4 + 1.3j, -0.2 + 1.3j]
+    # At two steps per edge, the chord from -0.1 + 0.2i crosses two of the
+    # three cuffs' leaves in one step, which then subdivides.
+    chord = [-0.1 + 0.2j] + [0.9 + 0.2j + cmath.exp(1j * math.pi * k / 40) for k in range(41)]
+    cases = [
+        (two_pi_structure, limit, loops + [hairline, hairline[::-1]]),
+        (three_cuff_structure, limit_domain(three_cuff_structure), [chord]),
+    ]
+
+    def run_all():
+        ends.clear()
+        for gs, limit, loops in cases:
+            for steps, budget in ((512, 100_000), (2, 100_000), (512, 300)):
+                monkeypatch.setattr(thurston, "STEPS_PER_LOOP", steps)
+                monkeypatch.setattr(thurston, "MAX_STEPS", budget)
+                verify_covering(gs, loops, limit, margin=0.02)
+        return list(ends)
+
+    batched = run_all()
+    samples = thurston._LoopSamples
+    monkeypatch.setattr(samples, "stratum_run", lambda self, r, signs, limit: (0, math.inf))
+    monkeypatch.setattr(
+        samples, "crescent_run", lambda self, j, r, psi, theta, limit: (0, math.inf, psi)
+    )
+    single = run_all()
+    assert batched == single
+    assert sum(end[0] is None for end in single) > 0 and len(single) > 300
+
+
 def test_covering_step_budget_reports_lift_failure(two_pi_structure, monkeypatch):
     monkeypatch.setattr(thurston, "MAX_STEPS", 10)
     report = verify_covering(
@@ -863,49 +972,6 @@ def test_covering_step_budget_reports_lift_failure(two_pi_structure, monkeypatch
     failures = [v for v in report["violations"] if v["kind"] == "lift-failure"]
     assert len(failures) == report["values"]["lifts_tested"] > 0
     assert failures[0]["detail"] == "step budget exceeded"
-    assert not report["checks"][0]["passed"]
-
-
-def _rotate_vertical_leaf_frame(monkeypatch):
-    """Turn the frame of every vertical leaf by pi/2."""
-    frame = thurston.leaf_normalizer
-    turn = cmath.exp(0.25j * math.pi)
-    quarter = MoebiusMap(np.diag([turn, 1.0 / turn]))
-
-    def rotated(gs, leaf):
-        vertical = leaf.geodesic.p.is_infinity or leaf.geodesic.q.is_infinity
-        return quarter @ frame(gs, leaf) if vertical else frame(gs, leaf)
-
-    monkeypatch.setattr(thurston, "leaf_normalizer", rotated)
-
-
-def test_covering_detects_rotated_leaf_frame(two_pi_structure, monkeypatch):
-    """Rotating the frame of the vertical leaf by pi/2 moves its crescent:
-    a loop that starts left of the leaf and crosses it then cannot close."""
-    loop = [0.03 + 1.2j - 0.1 * np.exp(2j * math.pi * k / 20) for k in range(21)]
-    report = verify_covering(two_pi_structure, [loop], limit_domain(two_pi_structure), margin=0.05)
-    assert report["violations"] == []
-
-    _rotate_vertical_leaf_frame(monkeypatch)
-    report = verify_covering(two_pi_structure, [loop], limit_domain(two_pi_structure), margin=0.05)
-    assert {"kind": "no-closure", "loop": 0, "start": "stratum", "end": "crescent"} in (
-        report["violations"]
-    )
-    assert not report["checks"][0]["passed"]
-
-
-def test_covering_exit_side_detects_rotated_leaf_frame(two_pi_structure, monkeypatch):
-    """A loop that starts right of the vertical leaf enters its crescent
-    from the high side; under the rotated frame its lift leaves the crescent
-    far from the leaf, on the side the forced sign does not give."""
-    loop = [1j + 0.3 * np.exp(2j * math.pi * k / 20) for k in range(21)]
-    report = verify_covering(two_pi_structure, [loop], limit_domain(two_pi_structure), margin=0.05)
-    assert report["violations"] == []
-
-    _rotate_vertical_leaf_frame(monkeypatch)
-    report = verify_covering(two_pi_structure, [loop], limit_domain(two_pi_structure), margin=0.05)
-    assert {"kind": "lift-failure", "loop": 0,
-            "detail": "crescent exit on the wrong side of its leaf"} in report["violations"]
     assert not report["checks"][0]["passed"]
 
 
