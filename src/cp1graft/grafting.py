@@ -15,6 +15,7 @@ The opposite convention would produce the complex-conjugate structures.
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 import operator
 from collections.abc import Sequence
@@ -199,7 +200,8 @@ def element_keys(mats: np.ndarray) -> list[bytes]:
     """Dedup keys of group elements given as an (N, 2, 2) stack of
     normalized matrices: entries rounded to 9 decimals, with -0.0 folded
     into 0.0 so that one element cannot get two keys."""
-    return [m.tobytes() for m in np.round(mats, 9) + 0.0]
+    rounded = np.round(mats, 9) + 0.0
+    return rounded.reshape(len(mats), 4).view("V64").ravel().tolist()
 
 
 def _quotient_real(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -321,99 +323,241 @@ class LeafTable(Sequence):
         return np.arcsinh(np.abs(self.sides(z)) / (z.imag * width))
 
 
-# Group elements the leaf-lift BFS may visit before it gives up.
+# Group elements one leaf query may keep before it gives up.
 MAX_LEAF_ELEMENTS = 500_000
+# Nodes a WordTree may hold (about 5 MB): past this many, it is emptied
+# before its next query, which changes no output.
+MAX_TREE_NODES = 50_000
 
 
-def enumerate_leaf_lifts(
-    hol: FuchsianHolonomy,
-    mc: WeightedMulticurve,
-    depth: int,
-    focus: list[complex],
-    margin: float = 4.0,
-) -> LeafTable:
-    """All distinct lifts w . axis(gamma_i) for conjugators w of length <=
-    depth whose orbit point stays within reach of the focus set, as a
-    LeafTable (columns: endpoints, weight, curve index, conjugator).
+class _Level:
+    """One level of a WordTree: a column per node (one reduced word)."""
 
-    Any leaf crossing the focus region has a conjugator representative
-    (slide along the curve's own powers) whose orbit point comes within
-    d(x0, axis) + length/2 of the crossing, so pruning the BFS at that
-    radius plus a hyperbolicity margin keeps every relevant prefix chain.
+    def __init__(self):
+        self.orbit = np.empty(0, dtype=complex)  # the word's image of the basepoint
+        self.parent = np.empty(0, dtype=np.int32)  # the word minus its last letter
+        self.letter = np.empty(0, dtype=np.int8)  # its last letter, 0 for the root
+        self.child = np.empty(0, dtype=np.int32)  # first child, -1 if none yet
+        self.dedup = np.empty(0, dtype=np.int32)  # element_keys class, -1 if not taken
+        self.slot = np.empty(0, dtype=np.int32)  # row of the kept-word store, -1 if none
 
-    The BFS runs level by level on (N, 2, 2) stacks.  Within a level the
-    candidates come in frontier order, then in LETTER_ORDER; a candidate is
-    kept unless its orbit point x0 is farther than the radius from every
-    focus point or an earlier element has the same ``element_keys`` key.
-    Lifts whose endpoints contract below resolution are dropped.  Rows are
-    sorted by ``LiftedLeaf.key`` (curve index, then the two rounded
-    endpoint sphere coordinates) and the keys are unique; each row's
-    conjugator is the first element, in BFS order, whose image of the axis
-    has that key.  The keys come from ``sphere_xyz``, so each is its row's
-    ``LiftedLeaf.key`` bit for bit, and the chord test drops exactly the
-    lifts whose endpoints GeodesicH3 rejects as closer than TOL_GEO.
+    def extend(self, orbit, parent, letter) -> int:
+        """Append nodes; returns the index of the first one."""
+        base = len(self.orbit)
+        unset = np.full(len(orbit), -1, dtype=np.int32)
+        for name, column in (("orbit", orbit), ("parent", parent), ("letter", letter),
+                             ("child", unset), ("dedup", unset), ("slot", unset)):
+            old = getattr(self, name)
+            setattr(self, name, np.concatenate([old, column], dtype=old.dtype))
+        return base
+
+    def copy(self) -> _Level:
+        """The same nodes in new columns."""
+        twin = _Level()
+        for name, column in vars(self).items():
+            setattr(twin, name, column.copy())
+        return twin
+
+
+class WordTree:
+    """The reduced-word tree of a structure's leaf queries, grown as they
+    need it.  A node is one reduced word and keeps the word's orbit point;
+    a word that a query found near its focus also keeps its
+    ``element_keys`` class, and a word that a query kept gets a row of the
+    kept-word store: its normalized matrix, built as
+    ``normalize_stack(word_products(...))`` from its parent's as the BFS
+    builds it, and its leaf lifts' resolution mask and rounded leaf keys.
+    Each of these depends only on the word, so ``leaf_table`` gives the
+    table of a fresh BFS whatever queries ran before: the same tests in the
+    same order, with children expanded only for kept words that have none.
     """
-    x0 = hol.basepoint
-    base_axes = []
-    half_lengths = []
-    for word, weight in mc.entries:
-        m = hol.rho(word)
-        cls = classify(m)
-        if cls.kind not in ("hyperbolic", "loxodromic"):
-            raise InvalidMulticurveError(f"curve {word} is not hyperbolic ({cls.kind})")
-        base_axes.append(axis(m))
-        t2 = m.trace_squared().real
-        half_lengths.append(math.acosh(math.sqrt(max(t2, 4.0)) / 2.0))
 
-    reach = max(distance_to_leaf(x0, g) for g in base_axes) if base_axes else 0.0
-    radius = reach + (max(half_lengths) if half_lengths else 0.0) + margin
+    def __init__(self, hol: FuchsianHolonomy, mc: WeightedMulticurve):
+        base_axes = []
+        half_lengths = []
+        for word in mc.words:
+            m = hol.rho(word)
+            cls = classify(m)
+            if cls.kind not in ("hyperbolic", "loxodromic"):
+                raise InvalidMulticurveError(f"curve {word} is not hyperbolic ({cls.kind})")
+            base_axes.append(axis(m))
+            t2 = m.trace_squared().real
+            half_lengths.append(math.acosh(math.sqrt(max(t2, 4.0)) / 2.0))
+        x0 = hol.basepoint
+        reach = max(distance_to_leaf(x0, g) for g in base_axes) if base_axes else 0.0
+        self.reach = reach + (max(half_lengths) if half_lengths else 0.0)
+        self.x0 = x0
+        self.start = cp1(x0).normalized().vector()
+        self.gens = {l: hol.generator(l).matrix for l in LETTER_ORDER}
+        self.axis_ends = [(g.p.normalized().vector(), g.q.normalized().vector()) for g in base_axes]
+        self.weights = np.array(mc.weights, dtype=float)
+        self.clear()
 
-    # Level-wise BFS; elements form a tree (parent id, last letter), id 0
-    # the identity.
-    gens = {l: hol.generator(l).matrix for l in LETTER_ORDER}
-    start = cp1(x0).normalized().vector()
-    targets = np.array([x0] + list(focus), dtype=complex)
-    level = MoebiusMap.identity().matrix[None]
-    seen = set(element_keys(level))
-    level_ids, level_last = np.array([0]), np.array([0])
-    stacks, parents, letters = [level], [np.array([-1])], [np.array([0])]
-    count = 1
-    for _ in range(depth):
-        cand_from, cand_last = word_children(level_last)
-        cand = normalize_stack(word_products(level, cand_from, cand_last, gens))
+    def clear(self):
+        """Forget every word but the root."""
+        identity = MoebiusMap.identity().matrix[None]
+        root = _Level()
+        root.extend(np.array([self.x0]), np.array([-1]), np.array([0]))
+        root.dedup[0], root.slot[0] = 0, 0
+        self.levels = [root]
+        self.size = 1
+        # Class ids are unique, not dense: a batch reserves one per key.
+        self.classes: dict[bytes, int] = dict.fromkeys(element_keys(identity), 0)
+        self.next_class = 1
+        # The kept-word store: matrices, then the resolution mask and leaf
+        # keys of the first len(self.keys) rows, element-major then curve.
+        n_curves = len(self.axis_ends)
+        self.mats = identity
+        self.ok = np.empty((0, n_curves), dtype=bool)
+        self.keys = np.empty((0, n_curves, 7))
 
-        orbit = cand @ start
-        z = (orbit[:, 0] / orbit[:, 1])[:, None]
-        x = 1.0 + np.abs(z - targets) ** 2 / (2.0 * z.imag * targets.imag)
-        near = np.arccosh(np.maximum(x, 1.0)).min(axis=1) <= radius
-        alive = np.nonzero(near)[0]
-        keep = np.zeros(len(cand), dtype=bool)
-        for i, key in zip(alive, element_keys(cand[alive])):
-            if key not in seen:
-                seen.add(key)
-                keep[i] = True
+    def copy(self) -> WordTree:
+        """A tree with the same words, which grows apart from this one.  It
+        shares the store's arrays, which growth replaces and never writes."""
+        twin = copy.copy(self)
+        twin.levels = [level.copy() for level in self.levels]
+        twin.classes = dict(self.classes)
+        return twin
 
-        level = cand[keep]
-        level_last = cand_last[keep]
-        stacks.append(level)
-        parents.append(level_ids[cand_from[keep]])
-        letters.append(level_last)
-        level_ids = count + np.arange(len(level))
-        count += len(level)
-        if count > MAX_LEAF_ELEMENTS:
-            raise RuntimeError(f"leaf lift enumeration exceeded {MAX_LEAF_ELEMENTS} elements")
+    def _expand(self, k: int, nodes: np.ndarray) -> tuple[int, np.ndarray]:
+        """Give the kept nodes of level k that have no children yet their
+        children, in ``word_children`` order.  Returns the first new index
+        of level k + 1 and the new children's matrices."""
+        level = self.levels[k]
+        if k + 1 == len(self.levels):
+            self.levels.append(_Level())
+        below = self.levels[k + 1]
+        new = nodes[level.child[nodes] < 0]
+        if not len(new):
+            return len(below.orbit), np.empty((0, 2, 2), dtype=complex)
+        rows, letters = word_children(level.letter[new])
+        mats = normalize_stack(word_products(self.mats[level.slot[new]], rows, letters, self.gens))
+        orbit = mats @ self.start
+        first = below.extend(orbit[:, 0] / orbit[:, 1], new[rows], letters)
+        level.child[new] = first + (len(rows) // len(new)) * np.arange(len(new))
+        self.size += len(rows)
+        return first, mats
 
-    # Candidate lifts, element-major then curve: (E * C, 2 endpoints, 2).
-    elements = np.concatenate(stacks)
-    n_curves = len(base_axes)
-    ends = np.empty((len(elements), n_curves, 2, 2), dtype=complex)
-    for i, g in enumerate(base_axes):
-        ends[:, i, 0] = elements @ g.p.normalized().vector()
-        ends[:, i, 1] = elements @ g.q.normalized().vector()
-    ends = ends.reshape(-1, 2, 2)
-    cand_element = np.repeat(np.arange(len(elements)), n_curves)
-    cand_curve = np.tile(np.arange(n_curves), len(elements))
+    def _classes(self, k: int, nodes: np.ndarray, fresh) -> tuple[np.ndarray, np.ndarray]:
+        """The ``element_keys`` class of each node of level k, numbered in
+        the order the tree met them, and the matrices of the nodes without
+        a class or a store row (other rows unset): from ``fresh``, what
+        ``_expand`` returned, for new nodes, from their parents' for others."""
+        level = self.levels[k]
+        first, block = fresh
+        new = nodes >= first
+        if new.all():
+            mats = block[nodes - first]
+            old = ~new
+        else:
+            mats = np.empty((len(nodes), 2, 2), dtype=complex)
+            mats[new] = block[nodes[new] - first]
+            old = ~new & ((level.dedup[nodes] < 0) | (level.slot[nodes] < 0))
+        if old.any():
+            rows = nodes[old]
+            parents = self.mats[self.levels[k - 1].slot[level.parent[rows]]]
+            mats[old] = normalize_stack(
+                word_products(parents, np.arange(len(rows)), level.letter[rows], self.gens))
+        untyped = level.dedup[nodes] < 0
+        if untyped.any():
+            keys = element_keys(mats[untyped])
+            ids = range(self.next_class, self.next_class + len(keys))
+            self.next_class += len(keys)
+            level.dedup[nodes[untyped]] = list(map(self.classes.setdefault, keys, ids))
+        return level.dedup[nodes], mats
 
+    def _store(self, k: int, nodes: np.ndarray, mats: np.ndarray):
+        """Give the nodes of level k without a store row one, holding their
+        matrix (the matching row of ``mats``)."""
+        level = self.levels[k]
+        new = level.slot[nodes] < 0
+        if new.any():
+            level.slot[nodes[new]] = len(self.mats) + np.arange(np.count_nonzero(new))
+            self.mats = np.concatenate([self.mats, mats[new]])
+
+    def _ends(self, mats: np.ndarray) -> np.ndarray:
+        """(N, curves, 2, 2): each curve's axis endpoints moved by each matrix."""
+        ends = np.empty((len(mats), len(self.axis_ends), 2, 2), dtype=complex)
+        for i, (p, q) in enumerate(self.axis_ends):
+            ends[:, i, 0] = mats @ p
+            ends[:, i, 1] = mats @ q
+        return ends
+
+    def _store_leaves(self):
+        """Leaf keys of the store rows that have none yet."""
+        mats = self.mats[len(self.keys):]
+        if len(mats):
+            curve = np.tile(np.arange(len(self.axis_ends)), len(mats))
+            ok, keys = _leaf_keys(self._ends(mats).reshape(-1, 2, 2), curve)
+            self.ok = np.concatenate([self.ok, ok.reshape(len(mats), -1)])
+            self.keys = np.concatenate([self.keys, keys.reshape(len(mats), -1, 7)])
+
+    def leaf_table(self, depth: int, focus: list[complex], margin: float) -> LeafTable:
+        """``enumerate_leaf_lifts`` on this tree."""
+        if self.size > MAX_TREE_NODES:
+            self.clear()
+        radius = self.reach + margin
+        targets = np.array([self.x0] + list(focus), dtype=complex)
+        seen = np.zeros(self.next_class, dtype=bool)
+        seen[0] = True
+        frontier = np.array([0])
+        slots, parents, letters = [np.array([0])], [np.array([-1])], [np.array([0])]
+        level_ids = np.array([0])
+        count = 1
+        for k in range(1, depth + 1):
+            fresh = self._expand(k - 1, frontier)
+            level = self.levels[k]
+            width = 8 if k == 1 else 7
+            cand = (self.levels[k - 1].child[frontier][:, None] + np.arange(width)).ravel()
+
+            z = level.orbit[cand][:, None]
+            x = 1.0 + np.abs(z - targets) ** 2 / (2.0 * z.imag * targets.imag)
+            alive = np.nonzero(np.arccosh(np.maximum(x, 1.0)).min(axis=1) <= radius)[0]
+            nodes = cand[alive]
+            classes, mats = self._classes(k, nodes, fresh)
+            if len(seen) < self.next_class:
+                seen = np.concatenate([seen, np.zeros(self.next_class - len(seen), dtype=bool)])
+            # The first node of each class this query has not kept yet.
+            new = ~seen[classes]
+            if np.bincount(classes).max(initial=0) > 1:
+                order = np.arange(len(nodes))
+                first = np.full(len(seen), len(nodes))
+                np.minimum.at(first, classes, order)
+                new &= first[classes] == order
+            seen[classes[new]] = True
+            self._store(k, nodes[new], mats[new])
+            keep = alive[new]
+
+            frontier = cand[keep]
+            slots.append(level.slot[frontier])
+            parents.append(level_ids[keep // width])
+            letters.append(level.letter[frontier])
+            level_ids = count + np.arange(len(frontier))
+            count += len(frontier)
+            if count > MAX_LEAF_ELEMENTS:
+                raise RuntimeError(f"leaf lift enumeration exceeded {MAX_LEAF_ELEMENTS} elements")
+
+        # Candidate lifts, element-major then curve; each leaf key keeps its
+        # first resolved candidate, and rows come out in key order.
+        self._store_leaves()
+        slots = np.concatenate(slots)
+        sel = np.nonzero(self.ok[slots].ravel())[0]
+        rows = sel[first_rows(self.keys[slots].reshape(-1, 7)[sel])]
+        element, curve = np.divmod(rows, len(self.axis_ends))
+        return LeafTable(
+            ends=self._ends(self.mats[slots[element]])[np.arange(len(rows)), curve],
+            weight=self.weights[curve],
+            curve=curve,
+            conjugator=element,
+            parent=np.concatenate(parents),
+            letter=np.concatenate(letters),
+        )
+
+
+def _leaf_keys(ends: np.ndarray, curve: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For (N, 2, 2) candidate lifts of the given curves: which are
+    resolved, and each one's ``LiftedLeaf.key`` as a row (curve index, then
+    the two rounded endpoint sphere triples, smaller first)."""
     # Drop the lifts whose endpoints contracted below resolution (closer
     # than TOL_GEO, both at infinity, or a circle OrientedCircle rejects):
     # they lie too deep in a funnel to cross anything near the focus.
@@ -424,23 +568,46 @@ def enumerate_leaf_lifts(
     c, r = (xr[:, 0] + xr[:, 1]) / 2.0, np.abs(xr[:, 1] - xr[:, 0]) / 2.0
     bad_circle = (r < TOL_GEO) | ((c * c - r * r) - c * c >= -1e-300)
     ok = (chord >= TOL_GEO) & ~at_inf.all(axis=1) & (at_inf.any(axis=1) | ~bad_circle)
-
-    # Keys: curve, then the two rounded endpoint triples, smaller first;
-    # each key keeps its first candidate, and rows come out in key order.
-    sel = np.nonzero(ok)[0]
-    rounded = np.round(sphere[sel], 9)
+    rounded = np.round(sphere, 9)
     a, b = rounded[:, 0], rounded[:, 1]
     swap = _lex_less(b, a)[:, None]
-    lo, hi = np.where(swap, b, a), np.where(swap, a, b)
-    rows = sel[first_rows(np.column_stack([cand_curve[sel], lo, hi]))]
-    return LeafTable(
-        ends=ends[rows],
-        weight=np.array(mc.weights, dtype=float)[cand_curve[rows]],
-        curve=cand_curve[rows],
-        conjugator=cand_element[rows],
-        parent=np.concatenate(parents),
-        letter=np.concatenate(letters),
-    )
+    return ok, np.column_stack([curve, np.where(swap, b, a), np.where(swap, a, b)])
+
+
+def enumerate_leaf_lifts(
+    hol: FuchsianHolonomy,
+    mc: WeightedMulticurve,
+    depth: int,
+    focus: list[complex],
+    margin: float = 4.0,
+    tree: WordTree | None = None,
+) -> LeafTable:
+    """All distinct lifts w . axis(gamma_i) for conjugators w of length <=
+    depth whose orbit point stays within reach of the focus set, as a
+    LeafTable (columns: endpoints, weight, curve index, conjugator).
+
+    Any leaf crossing the focus region has a conjugator representative
+    (slide along the curve's own powers) whose orbit point comes within
+    d(x0, axis) + length/2 of the crossing, so pruning the BFS at that
+    radius plus a hyperbolicity margin keeps every relevant prefix chain.
+
+    The BFS runs level by level over the reduced-word tree of ``tree`` (a
+    WordTree of hol and mc, kept between calls; a fresh one by default).
+    Within a level the candidates come in frontier order, then in
+    LETTER_ORDER; a candidate is kept unless its orbit point x0 is farther
+    than the radius from every focus point or an earlier element has the
+    same ``element_keys`` key.  Lifts whose endpoints contract below
+    resolution are dropped.  Rows are sorted by ``LiftedLeaf.key`` (curve
+    index, then the two rounded endpoint sphere coordinates) and the keys
+    are unique; each row's conjugator is the first element, in BFS order,
+    whose image of the axis has that key.  The keys come from
+    ``sphere_xyz``, so each is its row's ``LiftedLeaf.key`` bit for bit, and
+    the chord test drops exactly the lifts whose endpoints GeodesicH3
+    rejects as closer than TOL_GEO.
+    """
+    if tree is None:
+        tree = WordTree(hol, mc)
+    return tree.leaf_table(depth, focus, margin)
 
 
 def leaf_intervals(real_ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -492,7 +659,9 @@ def first_linked_pair(lo: np.ndarray, hi: np.ndarray) -> tuple[int, int] | None:
     return None
 
 
-def check_multicurve(hol: FuchsianHolonomy, mc: WeightedMulticurve, depth: int = 4):
+def check_multicurve(
+    hol: FuchsianHolonomy, mc: WeightedMulticurve, depth: int = 4, tree: WordTree | None = None
+):
     """Raise InvalidMulticurveError when any two leaf lifts (up to the given
     conjugation depth) cross transversally.
 
@@ -505,7 +674,7 @@ def check_multicurve(hol: FuchsianHolonomy, mc: WeightedMulticurve, depth: int =
     shorter leaf nested on a shared endpoint, and leaves that only touch
     are not linked.  The error names the first linked pair (i, j), i < j,
     in row-major order, which ``first_linked_pair`` finds."""
-    leaves = enumerate_leaf_lifts(hol, mc, depth, focus=[hol.basepoint], margin=8.0)
+    leaves = enumerate_leaf_lifts(hol, mc, depth, focus=[hol.basepoint], margin=8.0, tree=tree)
     pair = first_linked_pair(*leaf_intervals(leaves.real_ends))
     if pair is not None:
         i, j = (leaves[k] for k in pair)
@@ -629,9 +798,16 @@ class GraftedStructure:
     def rho_prime(self) -> DeformedHolonomy:
         return grafted_holonomy(self)
 
+    @cached_property
+    def word_tree(self) -> WordTree:
+        """The word tree every leaf query of this structure replays on."""
+        return WordTree(self.hol, self.multicurve)
+
     def leaves_near(self, focus: list[complex]) -> LeafTable:
         """The structure's leaf lifts around the focus points."""
-        return enumerate_leaf_lifts(self.hol, self.multicurve, self.depth, focus=focus)
+        return enumerate_leaf_lifts(
+            self.hol, self.multicurve, self.depth, focus=focus, tree=self.word_tree
+        )
 
     def crossings(self, path: list[complex]) -> list[Crossing]:
         """Leaf crossings along a polygonal path, in order: one leaf table
@@ -674,12 +850,15 @@ def grafted_holonomy(gs: GraftedStructure) -> DeformedHolonomy:
     With all weights in 2 pi Z the result is projectively the input; the
     cocycle construction preserves the surface relation for any weights.
     """
-    check_multicurve(gs.hol, gs.multicurve, depth=min(gs.depth, 4))
+    leaves = gs.base_leaves
+    # The check replays on a copy of the structure's tree: it reuses the
+    # base leaves' words, and the structure keeps none of its own.
+    check_multicurve(gs.hol, gs.multicurve, depth=min(gs.depth, 4), tree=gs.word_tree.copy())
     x0 = gs.basepoint
     gens = []
     for g in gs.hol.generators:
         crossings = [
-            c for c in lift_crossings(x0, g(x0), leaves=gs.base_leaves)
+            c for c in lift_crossings(x0, g(x0), leaves=leaves)
             if c.leaf.weight != 0.0
         ]
         if not crossings:

@@ -21,14 +21,20 @@ def limit_domain(gs):
     return DiskComplementDomain(limit_set_sample(gs.hol, 4))
 
 
-def domain_round_sets(seed):
-    """The benchmark's domain round: eight ideal sets drawn from the seed as
-    ``bench/workloads.py`` draws them."""
+def bench_workloads():
+    """The benchmark's ``bench/workloads.py`` module."""
     sys.path.insert(0, str(REPO / "bench"))
     try:
         import workloads
     finally:
         sys.path.remove(str(REPO / "bench"))
+    return workloads
+
+
+def domain_round_sets(seed):
+    """The benchmark's domain round: eight ideal sets drawn from the seed as
+    ``bench/workloads.py`` draws them."""
+    workloads = bench_workloads()
     rng = np.random.default_rng(seed)
     turn = cmath.exp(2j * math.pi * rng.uniform())
     sets = [workloads._moved(p, turn, rng, 0.0) for p in workloads._fixed_sets()] + [

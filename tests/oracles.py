@@ -229,3 +229,119 @@ def maximal_disk_support_search(complement, x):
             else:
                 transported.append(1.0 / (complex(z) - x))
     return brute_force_minimal_disk(transported)
+
+
+def reference_leaf_lifts(hol, mc, depth, focus, margin=4.0):
+    """Reference for ``enumerate_leaf_lifts``: the one-shot level-wise BFS on
+    matrix stacks that the word tree replaced, kept as it was, with its own
+    element keys.  Returns the LeafTable a fresh BFS builds."""
+    from cp1graft.grafting import (
+        InvalidMulticurveError,
+        LeafTable,
+        MAX_LEAF_ELEMENTS,
+        _lex_less,
+        _real_ends,
+        distance_to_leaf,
+    )
+    from cp1graft.moebius import (
+        TOL_GEO,
+        MoebiusMap,
+        chordal_rows,
+        classify,
+        cp1,
+        normalize_stack,
+        sphere_xyz,
+    )
+    from cp1graft.surface import LETTER_ORDER, axis, first_rows, word_children, word_products
+
+    def element_keys(mats):
+        return [m.tobytes() for m in np.round(mats, 9) + 0.0]
+
+    x0 = hol.basepoint
+    base_axes = []
+    half_lengths = []
+    for word, weight in mc.entries:
+        m = hol.rho(word)
+        cls = classify(m)
+        if cls.kind not in ("hyperbolic", "loxodromic"):
+            raise InvalidMulticurveError(f"curve {word} is not hyperbolic ({cls.kind})")
+        base_axes.append(axis(m))
+        t2 = m.trace_squared().real
+        half_lengths.append(math.acosh(math.sqrt(max(t2, 4.0)) / 2.0))
+
+    reach = max(distance_to_leaf(x0, g) for g in base_axes) if base_axes else 0.0
+    radius = reach + (max(half_lengths) if half_lengths else 0.0) + margin
+
+    # Level-wise BFS; elements form a tree (parent id, last letter), id 0
+    # the identity.
+    gens = {l: hol.generator(l).matrix for l in LETTER_ORDER}
+    start = cp1(x0).normalized().vector()
+    targets = np.array([x0] + list(focus), dtype=complex)
+    level = MoebiusMap.identity().matrix[None]
+    seen = set(element_keys(level))
+    level_ids, level_last = np.array([0]), np.array([0])
+    stacks, parents, letters = [level], [np.array([-1])], [np.array([0])]
+    count = 1
+    for _ in range(depth):
+        cand_from, cand_last = word_children(level_last)
+        cand = normalize_stack(word_products(level, cand_from, cand_last, gens))
+
+        orbit = cand @ start
+        z = (orbit[:, 0] / orbit[:, 1])[:, None]
+        x = 1.0 + np.abs(z - targets) ** 2 / (2.0 * z.imag * targets.imag)
+        near = np.arccosh(np.maximum(x, 1.0)).min(axis=1) <= radius
+        alive = np.nonzero(near)[0]
+        keep = np.zeros(len(cand), dtype=bool)
+        for i, key in zip(alive, element_keys(cand[alive])):
+            if key not in seen:
+                seen.add(key)
+                keep[i] = True
+
+        level = cand[keep]
+        level_last = cand_last[keep]
+        stacks.append(level)
+        parents.append(level_ids[cand_from[keep]])
+        letters.append(level_last)
+        level_ids = count + np.arange(len(level))
+        count += len(level)
+        if count > MAX_LEAF_ELEMENTS:
+            raise RuntimeError(f"leaf lift enumeration exceeded {MAX_LEAF_ELEMENTS} elements")
+
+    # Candidate lifts, element-major then curve: (E * C, 2 endpoints, 2).
+    elements = np.concatenate(stacks)
+    n_curves = len(base_axes)
+    ends = np.empty((len(elements), n_curves, 2, 2), dtype=complex)
+    for i, g in enumerate(base_axes):
+        ends[:, i, 0] = elements @ g.p.normalized().vector()
+        ends[:, i, 1] = elements @ g.q.normalized().vector()
+    ends = ends.reshape(-1, 2, 2)
+    cand_element = np.repeat(np.arange(len(elements)), n_curves)
+    cand_curve = np.tile(np.arange(n_curves), len(elements))
+
+    # Drop the lifts whose endpoints contracted below resolution (closer
+    # than TOL_GEO, both at infinity, or a circle OrientedCircle rejects):
+    # they lie too deep in a funnel to cross anything near the focus.
+    sphere = sphere_xyz(ends)
+    chord = chordal_rows(sphere[:, 0], sphere[:, 1])
+    xr = _real_ends(ends)
+    at_inf = np.isnan(xr)
+    c, r = (xr[:, 0] + xr[:, 1]) / 2.0, np.abs(xr[:, 1] - xr[:, 0]) / 2.0
+    bad_circle = (r < TOL_GEO) | ((c * c - r * r) - c * c >= -1e-300)
+    ok = (chord >= TOL_GEO) & ~at_inf.all(axis=1) & (at_inf.any(axis=1) | ~bad_circle)
+
+    # Keys: curve, then the two rounded endpoint triples, smaller first;
+    # each key keeps its first candidate, and rows come out in key order.
+    sel = np.nonzero(ok)[0]
+    rounded = np.round(sphere[sel], 9)
+    a, b = rounded[:, 0], rounded[:, 1]
+    swap = _lex_less(b, a)[:, None]
+    lo, hi = np.where(swap, b, a), np.where(swap, a, b)
+    rows = sel[first_rows(np.column_stack([cand_curve[sel], lo, hi]))]
+    return LeafTable(
+        ends=ends[rows],
+        weight=np.array(mc.weights, dtype=float)[cand_curve[rows]],
+        curve=cand_curve[rows],
+        conjugator=cand_element[rows],
+        parent=np.concatenate(parents),
+        letter=np.concatenate(letters),
+    )

@@ -1,4 +1,6 @@
 import cmath
+import gc
+import json
 import math
 import tracemalloc
 
@@ -8,6 +10,8 @@ import pytest
 from cp1graft.moebius import TOL_GEO, DegenerateInputError, MoebiusMap, apply, chordal_distance, cp1
 from cp1graft.hyperbolic import apply_isometry, nearest_point_projection, PlaneH3, OrientedCircle
 from cp1graft.surface import FNCoordinates, GroupWord, axis, fuchsian_from_fn
+import cp1graft.grafting as grafting
+from cp1graft.cli import EXIT_NUMERIC, main
 from cp1graft.grafting import (
     GraftedStructure,
     InvalidMulticurveError,
@@ -16,6 +20,7 @@ from cp1graft.grafting import (
     PleatedEdge,
     PleatedFace,
     WeightedMulticurve,
+    WordTree,
     _hyperbolic_circle_euclidean,
     _leaf_truncation_chord,
     _real_normalizer,
@@ -36,7 +41,8 @@ from cp1graft.grafting import (
     segment_focus,
     uhp_geodesic_point,
 )
-from oracles import first_linked_pair_matrix, segment_crossing_count
+from conftest import bench_workloads
+from oracles import first_linked_pair_matrix, reference_leaf_lifts, segment_crossing_count
 
 TWO_PI = 2.0 * math.pi
 
@@ -342,6 +348,185 @@ def test_element_key_folds_signed_zero():
     # Rounding leaves 0.0 in one and -0.0 in the other.
     assert plus.round(9).tobytes() != minus.round(9).tobytes()
     assert element_keys(plus) == element_keys(minus)
+
+
+def _columns(table):
+    """Every column of a LeafTable, by name, as dtype, shape and bytes."""
+    columns = {"ends": table.ends, "weight": table.weight, "curve": table.curve,
+               "conjugator": table.conjugator, "parent": table._parent, "letter": table._letter}
+    return {name: (c.dtype.str, c.shape, c.tobytes()) for name, c in columns.items()}
+
+
+def _differing(table, want):
+    """Names of the columns of ``table`` that differ from ``want``, a
+    ``_columns`` result."""
+    return [name for name, column in _columns(table).items() if column != want[name]]
+
+
+def _assert_replays_equal_reference(hol, mc, queries, seed):
+    """Each (depth, focus, margin) query gives the reference BFS's table:
+    on one word tree in two shuffled orders, and on a fresh tree each."""
+    refs = [_columns(reference_leaf_lifts(hol, mc, *q)) for q in queries]
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        tree = WordTree(hol, mc)
+        for i in rng.permutation(len(queries)):
+            assert _differing(enumerate_leaf_lifts(hol, mc, *queries[i], tree=tree), refs[i]) == [], i
+    for i, (q, ref) in enumerate(zip(queries, refs)):
+        assert _differing(enumerate_leaf_lifts(hol, mc, *q), ref) == [], i
+
+
+def _develop_round_queries(seed, tmp_path, monkeypatch):
+    """Every leaf query of the benchmark's develop round (set-up included),
+    as ((hol, mc, depth, focus, margin), tree, table) in call order."""
+    calls = []
+    enumerate_ = grafting.enumerate_leaf_lifts
+
+    def recording(hol, mc, depth, focus, margin=4.0, tree=None):
+        table = enumerate_(hol, mc, depth, focus, margin, tree)
+        calls.append(((hol, mc, depth, list(focus), margin), tree, table))
+        return table
+
+    monkeypatch.setattr(grafting, "enumerate_leaf_lifts", recording)
+    for op in bench_workloads().develop(seed, str(tmp_path)):
+        op.run()
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 7, 100])
+def test_develop_round_leaf_tables_equal_fresh_bfs(seed, tmp_path, monkeypatch):
+    calls = _develop_round_queries(seed, tmp_path, monkeypatch)
+    for i, (args, _, table) in enumerate(calls):
+        assert _differing(table, _columns(reference_leaf_lifts(*args))) == [], i
+    # Three structures: in set-up each takes its base leaves on its own
+    # tree and checks its multicurve on a copy of that tree; then five
+    # queries on each of 15 points.
+    by_tree = {}
+    for args, tree, _ in calls:
+        by_tree.setdefault(id(tree), []).append(args)
+    assert len(calls) == 81 and sorted(map(len, by_tree.values())) == [1, 1, 1, 26, 26, 26]
+    assert [q[0][4] for q in by_tree.values() if len(q) == 1] == [8.0] * 3
+    by_structure = {}
+    for args, _, _ in calls:
+        by_structure.setdefault(id(args[0]), []).append(args)
+    for queries in by_structure.values():
+        hol, mc = queries[0][:2]
+        _assert_replays_equal_reference(hol, mc, [args[2:] for args in queries], seed)
+
+
+@pytest.mark.parametrize("curves", ["a", "cuffs"])
+def test_far_queries_equal_fresh_bfs(holonomy, curves):
+    # Where reading base_leaves lost leaves: points 5-7 from the basepoint.
+    mc = (WeightedMulticurve(((GroupWord((1,)), TWO_PI),)) if curves == "a"
+          else CUFF_MULTICURVE)
+    gs = GraftedStructure(holonomy, mc, depth=6)
+    x0 = gs.basepoint
+    queries = []
+    for k, dist in enumerate((5.0, 6.0, 7.0, 5.5, 6.5, 7.0)):
+        w = 1j * math.exp(dist)
+        turn = 2.0 * math.pi * (k + 0.37) / 6.0
+        c, s = math.cos(turn / 2.0), math.sin(turn / 2.0)
+        z = (c * w + s) / (-s * w + c)  # w turned about i, at the same distance
+        moved = x0 + (z - 1j)
+        queries.append((6, segment_focus([x0, moved]), 4.0))
+    _assert_replays_equal_reference(holonomy, mc, queries, seed=len(curves))
+
+
+def test_three_cuff_queries_at_depths_4_and_6(holonomy):
+    x0 = holonomy.basepoint
+    points = [x0 + 0.3, 0.5 + 2.0j, -1.2 + 0.4j, 3.0 + 5.0j]
+    queries = [(depth, segment_focus([x0, z]), margin)
+               for depth in (4, 6) for z in points for margin in (4.0, 8.0)]
+    _assert_replays_equal_reference(holonomy, CUFF_MULTICURVE, queries, seed=3)
+
+
+def test_tree_copy_grows_apart(holonomy):
+    # The multicurve check's query (margin 8 around the basepoint) on a
+    # copy of a tree grown by a narrower query.
+    x0 = holonomy.basepoint
+    narrow = (4, segment_focus([x0, 0.5 + 2.0j]), 4.0)
+    wide = (4, [x0], 8.0)
+    want = _columns(reference_leaf_lifts(holonomy, CUFF_MULTICURVE, *wide))
+    tree = WordTree(holonomy, CUFF_MULTICURVE)
+    tree.leaf_table(*narrow)
+    grown = (tree.size, len(tree.mats), len(tree.classes))
+    twin = tree.copy()
+    assert _differing(twin.leaf_table(*wide), want) == []
+    assert twin.size > grown[0] and (tree.size, len(tree.mats), len(tree.classes)) == grown
+    assert _differing(tree.leaf_table(*narrow),
+                      _columns(reference_leaf_lifts(holonomy, CUFF_MULTICURVE, *narrow))) == []
+    assert _differing(tree.leaf_table(*wide), want) == []
+
+
+def test_element_cap_raises_and_keeps_the_tree_consistent(holonomy, monkeypatch, tmp_path, capsys):
+    # The focus query keeps 42 elements and the near one 29.
+    mc = WeightedMulticurve(((GroupWord((1,)), 1.3),))
+    gs = GraftedStructure(holonomy, mc, depth=5)
+    focus = segment_focus([holonomy.basepoint, 2.0 + 3.0j])
+    near = [holonomy.basepoint + 0.1]
+    want, want_near = (reference_leaf_lifts(holonomy, mc, 5, f) for f in (focus, near))
+    assert (len(want._parent), len(want_near._parent)) == (42, 29)
+    want, want_near = _columns(want), _columns(want_near)
+
+    monkeypatch.setattr(grafting, "MAX_LEAF_ELEMENTS", 35)
+    message = "leaf lift enumeration exceeded 35 elements"
+    with pytest.raises(RuntimeError) as ref_err:
+        reference_leaf_lifts(holonomy, mc, 5, focus)
+    assert str(ref_err.value) == message
+    with pytest.raises(RuntimeError) as err:
+        gs.leaves_near(focus)
+    assert str(err.value) == message
+    assert _differing(gs.leaves_near(near), want_near) == []
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"surface": {"genus": 2, "lengths": [2.0, 2.5, 1.7]},
+                               "multicurve": [{"word": "a", "weight": 1.3}], "depth": 5}))
+    assert main(["graft", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
+    assert f"numeric failure: {message}" in capsys.readouterr().err
+
+    monkeypatch.undo()
+    assert _differing(gs.leaves_near(focus), want) == []
+    assert _differing(gs.leaves_near(near), want_near) == []
+
+
+def test_tree_cleared_past_its_bound_gives_the_same_tables(holonomy, monkeypatch):
+    clears = []
+    clear = WordTree.clear
+    monkeypatch.setattr(WordTree, "clear", lambda tree: (clears.append(getattr(tree, "size", 0)), clear(tree)))
+    monkeypatch.setattr(grafting, "MAX_TREE_NODES", 400)
+    x0 = holonomy.basepoint
+    queries = [(5, segment_focus([x0, z]), 4.0) for z in (0.5 + 2.0j, -1.0 + 0.5j, 2.0 + 0.2j)]
+    _assert_replays_equal_reference(holonomy, CUFF_MULTICURVE, queries, seed=5)
+    assert any(size > 400 for size in clears)
+
+
+def test_develop_round_trees_stay_small(tmp_path, monkeypatch):
+    # What each structure's word tree keeps after the develop round.
+    structures = []
+    near = GraftedStructure.leaves_near
+
+    def recording(gs, focus):
+        if all(gs is not s for s in structures):
+            structures.append(gs)
+        return near(gs, focus)
+
+    monkeypatch.setattr(GraftedStructure, "leaves_near", recording)
+    tracemalloc.start()
+    try:
+        for op in bench_workloads().develop(7, str(tmp_path)):
+            op.run()
+        assert len(structures) == 3
+        kept = []
+        for gs in structures:
+            before = tracemalloc.get_traced_memory()[0]
+            del gs.__dict__["word_tree"]
+            gc.collect()
+            kept.append(before - tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert max(kept) <= 1_000_000, kept
+    assert min(kept) > 100_000, kept  # each deletion freed its tree: nothing else holds one
 
 
 def test_endpoint_on_leaf_perturbation(holonomy):

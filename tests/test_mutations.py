@@ -9,10 +9,12 @@ import math
 import numpy as np
 import pytest
 
+import cp1graft.grafting as grafting
 import cp1graft.thurston as thurston
-from cp1graft.cli import EXIT_VIOLATIONS, main
-from cp1graft.grafting import GraftedStructure
+from cp1graft.cli import EXIT_OK, EXIT_VIOLATIONS, main
+from cp1graft.grafting import GraftedStructure, WeightedMulticurve
 from cp1graft.moebius import MoebiusMap
+from cp1graft.surface import GroupWord
 from cp1graft.thurston import verify_covering
 from conftest import limit_domain
 
@@ -126,3 +128,66 @@ def test_covering_known_survivor_dropped_leaf(loop, two_pi_structure, monkeypatc
     report = verify_covering(two_pi_structure, [loop], limit)
     assert report["violations"] == [] and all(c["passed"] for c in report["checks"])
     assert 0 < report["values"]["lifts_tested"] < clean["values"]["lifts_tested"]
+
+
+# FN instance 0 of the acceptance suite, curve a grafted by 2 pi.
+TWO_PI_CONFIG = {
+    "surface": {"genus": 2, "lengths": [2.0, 2.5, 1.7], "twists": [0.3, -0.8, 1.1]},
+    "multicurve": [{"word": "a", "weight": "2*pi"}],
+    "depth": 4,
+}
+
+
+def _verify(check, tmp_path):
+    """Exit code and report of ``cp1graft verify <check>`` on TWO_PI_CONFIG."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TWO_PI_CONFIG))
+    out = tmp_path / "out"
+    code = main(["verify", check, "--config", str(cfg), "--out", str(out)])
+    return code, json.loads((out / f"{check}_report.json").read_text())
+
+
+def _leaf_weight_off(monkeypatch):
+    """Every leaf lift of a structure's leaf queries 1 % heavier."""
+    near = GraftedStructure.leaves_near
+
+    def heavier(gs, focus):
+        table = near(gs, focus)
+        table.weight = 1.01 * table.weight
+        return table
+
+    monkeypatch.setattr(GraftedStructure, "leaves_near", heavier)
+
+
+def test_two_pi_catches_leaf_weight_off(monkeypatch, tmp_path):
+    assert _verify("two-pi", tmp_path)[0] == EXIT_OK
+    _leaf_weight_off(monkeypatch)
+    code, report = _verify("two-pi", tmp_path)
+    assert code == EXIT_VIOLATIONS
+    assert [(c["name"], c["passed"]) for c in report["checks"]] == [("two-pi-invariance", False)]
+    assert {v["kind"] for v in report["violations"]} == {"holonomy-changed"}
+
+
+def _bending_rotation_disabled(monkeypatch):
+    """Every bending rotation about a leaf is the identity."""
+    monkeypatch.setattr(grafting, "rotation_about_geodesic",
+                        lambda geodesic, angle: MoebiusMap.identity())
+
+
+def test_goldman_known_survivor_disabled_bending_rotation(holonomy, monkeypatch, tmp_path):
+    """KNOWN SURVIVOR: a disabled bending rotation.  ``verify goldman``
+    reads each curve's weight back from its leaf (ROADMAP item 1), so it
+    passes with no bending at all.  Catching it needs the weight recovered
+    from the developed structure."""
+    bent = WeightedMulticurve(((GroupWord((1,)), 1.3),))
+    clean = GraftedStructure(holonomy, bent, depth=4).rho_prime
+    assert _verify("goldman", tmp_path)[0] == EXIT_OK
+    _bending_rotation_disabled(monkeypatch)
+    # The defect is live: the structure bent by 1.3 keeps the Fuchsian holonomy.
+    planted = GraftedStructure(holonomy, bent, depth=4).rho_prime
+    for g, p, c in zip(holonomy.generators, planted.generators, clean.generators):
+        assert p.proj_distance(g) < 1e-12
+    assert max(c.proj_distance(g) for g, c in zip(holonomy.generators, clean.generators)) > 0.1
+    code, report = _verify("goldman", tmp_path)
+    assert code == EXIT_OK
+    assert [(c["name"], c["passed"]) for c in report["checks"]] == [("goldman-weight-recovery", True)]
