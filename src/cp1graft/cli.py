@@ -70,9 +70,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Weight:
-    """Grafting weight kept symbolic when given as a rational multiple of pi."""
+    """Grafting weight in radians, given as a number or as a rational
+    multiple of pi such as "1/2*pi"."""
 
-    pi_multiple: Fraction | None
     value: float
 
     @staticmethod
@@ -87,7 +87,7 @@ class Weight:
                 coeff = text.replace("*pi", "").replace("pi", "")
                 try:
                     frac = Fraction({"": "1", "+": "1", "-": "-1"}.get(coeff, coeff))
-                    return Weight(pi_multiple=frac, value=float(frac) * math.pi)
+                    return Weight(float(frac) * math.pi)
                 except (ValueError, ZeroDivisionError, OverflowError) as exc:
                     raise ConfigError(f"cannot parse weight {spec!r}") from exc
             else:
@@ -97,12 +97,10 @@ class Weight:
                     raise ConfigError(f"cannot parse weight {spec!r}") from exc
         else:
             raise ConfigError(f"cannot parse weight {spec!r}")
-        return Weight(pi_multiple=None, value=v)
+        return Weight(v)
 
     @property
     def is_two_pi_multiple(self) -> bool:
-        if self.pi_multiple is not None:
-            return self.pi_multiple % 2 == 0
         return is_two_pi_multiple(self.value)
 
 

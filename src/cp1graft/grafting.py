@@ -325,51 +325,33 @@ class LeafTable(Sequence):
 
 # Group elements one leaf query may keep before it gives up.
 MAX_LEAF_ELEMENTS = 500_000
-# Nodes a WordTree may hold (about 5 MB): past this many, it is emptied
+# Nodes a WordTree may hold (about 10 MB): past this many, it is emptied
 # before its next query, which changes no output.
 MAX_TREE_NODES = 50_000
 
-
-class _Level:
-    """One level of a WordTree: a column per node (one reduced word)."""
-
-    def __init__(self):
-        self.orbit = np.empty(0, dtype=complex)  # the word's image of the basepoint
-        self.parent = np.empty(0, dtype=np.int32)  # the word minus its last letter
-        self.letter = np.empty(0, dtype=np.int8)  # its last letter, 0 for the root
-        self.child = np.empty(0, dtype=np.int32)  # first child, -1 if none yet
-        self.dedup = np.empty(0, dtype=np.int32)  # element_keys class, -1 if not taken
-        self.slot = np.empty(0, dtype=np.int32)  # row of the kept-word store, -1 if none
-
-    def extend(self, orbit, parent, letter) -> int:
-        """Append nodes; returns the index of the first one."""
-        base = len(self.orbit)
-        unset = np.full(len(orbit), -1, dtype=np.int32)
-        for name, column in (("orbit", orbit), ("parent", parent), ("letter", letter),
-                             ("child", unset), ("dedup", unset), ("slot", unset)):
-            old = getattr(self, name)
-            setattr(self, name, np.concatenate([old, column], dtype=old.dtype))
-        return base
-
-    def copy(self) -> _Level:
-        """The same nodes in new columns."""
-        twin = _Level()
-        for name, column in vars(self).items():
-            setattr(twin, name, column.copy())
-        return twin
+# A row of a WordTree: one reduced word.
+_NODE = np.dtype([
+    ("mat", complex, (2, 2)),  # normalized matrix
+    ("orbit", complex),  # its image of the basepoint
+    ("parent", np.int32),  # the word minus its last letter, -1 for the root
+    ("child", np.int32),  # first child, -1 if none yet
+    ("dedup", np.int32),  # element_keys class, -1 if not taken
+    ("leaf", np.int32),  # row of the leaf keys, -1 if none
+    ("letter", np.int8),  # last letter, 0 for the root
+], align=True)
 
 
 class WordTree:
     """The reduced-word tree of a structure's leaf queries, grown as they
-    need it.  A node is one reduced word and keeps the word's orbit point;
-    a word that a query found near its focus also keeps its
-    ``element_keys`` class, and a word that a query kept gets a row of the
-    kept-word store: its normalized matrix, built as
-    ``normalize_stack(word_products(...))`` from its parent's as the BFS
-    builds it, and its leaf lifts' resolution mask and rounded leaf keys.
-    Each of these depends only on the word, so ``leaf_table`` gives the
-    table of a fresh BFS whatever queries ran before: the same tests in the
-    same order, with children expanded only for kept words that have none.
+    need it, as one table ``nodes`` with a row per reduced word.  A row
+    keeps the word's normalized matrix and orbit point, built as
+    ``normalize_stack(word_products(...))`` from its parent's when a query
+    expands the parent; a word that a query found near its focus also keeps
+    its ``element_keys`` class, and a word that a query kept gets a row of
+    the leaf keys: its leaf lifts' resolution mask and rounded keys.  Each
+    of these depends only on the word, so ``leaf_table`` gives the table of
+    a fresh BFS whatever queries ran before: the same tests in the same
+    order, with children expanded only for kept words that have none.
     """
 
     def __init__(self, hol: FuchsianHolonomy, mc: WeightedMulticurve):
@@ -396,84 +378,59 @@ class WordTree:
     def clear(self):
         """Forget every word but the root."""
         identity = MoebiusMap.identity().matrix[None]
-        root = _Level()
-        root.extend(np.array([self.x0]), np.array([-1]), np.array([0]))
-        root.dedup[0], root.slot[0] = 0, 0
-        self.levels = [root]
-        self.size = 1
+        self.nodes = np.empty(0, dtype=_NODE)
+        self._append(identity, -1, 0)
+        self.nodes["dedup"][0] = 0
         # Class ids are unique, not dense: a batch reserves one per key.
         self.classes: dict[bytes, int] = dict.fromkeys(element_keys(identity), 0)
         self.next_class = 1
-        # The kept-word store: matrices, then the resolution mask and leaf
-        # keys of the first len(self.keys) rows, element-major then curve.
+        # The leaf keys: resolution mask and keys, element-major then curve.
         n_curves = len(self.axis_ends)
-        self.mats = identity
         self.ok = np.empty((0, n_curves), dtype=bool)
         self.keys = np.empty((0, n_curves, 7))
 
+    @property
+    def size(self) -> int:
+        return len(self.nodes)
+
     def copy(self) -> WordTree:
         """A tree with the same words, which grows apart from this one.  It
-        shares the store's arrays, which growth replaces and never writes."""
+        shares the leaf-key arrays, which growth replaces and never writes."""
         twin = copy.copy(self)
-        twin.levels = [level.copy() for level in self.levels]
+        twin.nodes = self.nodes.copy()
         twin.classes = dict(self.classes)
         return twin
 
-    def _expand(self, k: int, nodes: np.ndarray) -> tuple[int, np.ndarray]:
-        """Give the kept nodes of level k that have no children yet their
-        children, in ``word_children`` order.  Returns the first new index
-        of level k + 1 and the new children's matrices."""
-        level = self.levels[k]
-        if k + 1 == len(self.levels):
-            self.levels.append(_Level())
-        below = self.levels[k + 1]
-        new = nodes[level.child[nodes] < 0]
-        if not len(new):
-            return len(below.orbit), np.empty((0, 2, 2), dtype=complex)
-        rows, letters = word_children(level.letter[new])
-        mats = normalize_stack(word_products(self.mats[level.slot[new]], rows, letters, self.gens))
+    def _append(self, mats: np.ndarray, parent, letter):
+        """Append rows for the words with these matrices."""
+        rows = np.empty(len(mats), dtype=_NODE)
         orbit = mats @ self.start
-        first = below.extend(orbit[:, 0] / orbit[:, 1], new[rows], letters)
-        level.child[new] = first + (len(rows) // len(new)) * np.arange(len(new))
-        self.size += len(rows)
-        return first, mats
+        rows["mat"], rows["orbit"] = mats, orbit[:, 0] / orbit[:, 1]
+        rows["parent"], rows["letter"] = parent, letter
+        rows["child"] = rows["dedup"] = rows["leaf"] = -1
+        self.nodes = np.concatenate([self.nodes, rows])
 
-    def _classes(self, k: int, nodes: np.ndarray, fresh) -> tuple[np.ndarray, np.ndarray]:
-        """The ``element_keys`` class of each node of level k, numbered in
-        the order the tree met them, and the matrices of the nodes without
-        a class or a store row (other rows unset): from ``fresh``, what
-        ``_expand`` returned, for new nodes, from their parents' for others."""
-        level = self.levels[k]
-        first, block = fresh
-        new = nodes >= first
-        if new.all():
-            mats = block[nodes - first]
-            old = ~new
-        else:
-            mats = np.empty((len(nodes), 2, 2), dtype=complex)
-            mats[new] = block[nodes[new] - first]
-            old = ~new & ((level.dedup[nodes] < 0) | (level.slot[nodes] < 0))
-        if old.any():
-            rows = nodes[old]
-            parents = self.mats[self.levels[k - 1].slot[level.parent[rows]]]
-            mats[old] = normalize_stack(
-                word_products(parents, np.arange(len(rows)), level.letter[rows], self.gens))
-        untyped = level.dedup[nodes] < 0
-        if untyped.any():
-            keys = element_keys(mats[untyped])
+    def _expand(self, nodes: np.ndarray):
+        """Give the nodes that have no children yet their children, in
+        ``word_children`` order."""
+        new = nodes[self.nodes["child"][nodes] < 0]
+        if len(new):
+            rows, letters = word_children(self.nodes["letter"][new])
+            mats = normalize_stack(word_products(self.nodes["mat"][new], rows, letters, self.gens))
+            self.nodes["child"][new] = self.size + (len(rows) // len(new)) * np.arange(len(new))
+            self._append(mats, new[rows], letters)
+
+    def _classes(self, nodes: np.ndarray) -> np.ndarray:
+        """The ``element_keys`` class of each node, numbered in the order
+        the tree met them."""
+        dedup = self.nodes["dedup"]
+        untyped = nodes[dedup[nodes] < 0]
+        if len(untyped):
+            keys = element_keys(self.nodes["mat"][untyped])
             ids = range(self.next_class, self.next_class + len(keys))
             self.next_class += len(keys)
-            level.dedup[nodes[untyped]] = list(map(self.classes.setdefault, keys, ids))
-        return level.dedup[nodes], mats
-
-    def _store(self, k: int, nodes: np.ndarray, mats: np.ndarray):
-        """Give the nodes of level k without a store row one, holding their
-        matrix (the matching row of ``mats``)."""
-        level = self.levels[k]
-        new = level.slot[nodes] < 0
-        if new.any():
-            level.slot[nodes[new]] = len(self.mats) + np.arange(np.count_nonzero(new))
-            self.mats = np.concatenate([self.mats, mats[new]])
+            dedup[untyped] = list(map(self.classes.setdefault, keys, ids))
+        return dedup[nodes]
 
     def _ends(self, mats: np.ndarray) -> np.ndarray:
         """(N, curves, 2, 2): each curve's axis endpoints moved by each matrix."""
@@ -483,14 +440,17 @@ class WordTree:
             ends[:, i, 1] = mats @ q
         return ends
 
-    def _store_leaves(self):
-        """Leaf keys of the store rows that have none yet."""
-        mats = self.mats[len(self.keys):]
-        if len(mats):
-            curve = np.tile(np.arange(len(self.axis_ends)), len(mats))
-            ok, keys = _leaf_keys(self._ends(mats).reshape(-1, 2, 2), curve)
-            self.ok = np.concatenate([self.ok, ok.reshape(len(mats), -1)])
-            self.keys = np.concatenate([self.keys, keys.reshape(len(mats), -1, 7)])
+    def _leaf_rows(self, nodes: np.ndarray) -> np.ndarray:
+        """Each node's row of the leaf keys, made for the nodes without one."""
+        leaf = self.nodes["leaf"]
+        new = nodes[leaf[nodes] < 0]
+        if len(new):
+            curve = np.tile(np.arange(len(self.axis_ends)), len(new))
+            ok, keys = _leaf_keys(self._ends(self.nodes["mat"][new]).reshape(-1, 2, 2), curve)
+            leaf[new] = len(self.ok) + np.arange(len(new))
+            self.ok = np.concatenate([self.ok, ok.reshape(len(new), -1)])
+            self.keys = np.concatenate([self.keys, keys.reshape(len(new), -1, 7)])
+        return leaf[nodes]
 
     def leaf_table(self, depth: int, focus: list[complex], margin: float) -> LeafTable:
         """``enumerate_leaf_lifts`` on this tree."""
@@ -501,20 +461,19 @@ class WordTree:
         seen = np.zeros(self.next_class, dtype=bool)
         seen[0] = True
         frontier = np.array([0])
-        slots, parents, letters = [np.array([0])], [np.array([-1])], [np.array([0])]
+        kept, parents, letters = [frontier], [np.array([-1])], [np.array([0])]
         level_ids = np.array([0])
         count = 1
         for k in range(1, depth + 1):
-            fresh = self._expand(k - 1, frontier)
-            level = self.levels[k]
+            self._expand(frontier)
             width = 8 if k == 1 else 7
-            cand = (self.levels[k - 1].child[frontier][:, None] + np.arange(width)).ravel()
+            cand = (self.nodes["child"][frontier][:, None] + np.arange(width)).ravel()
 
-            z = level.orbit[cand][:, None]
+            z = self.nodes["orbit"][cand][:, None]
             x = 1.0 + np.abs(z - targets) ** 2 / (2.0 * z.imag * targets.imag)
             alive = np.nonzero(np.arccosh(np.maximum(x, 1.0)).min(axis=1) <= radius)[0]
             nodes = cand[alive]
-            classes, mats = self._classes(k, nodes, fresh)
+            classes = self._classes(nodes)
             if len(seen) < self.next_class:
                 seen = np.concatenate([seen, np.zeros(self.next_class - len(seen), dtype=bool)])
             # The first node of each class this query has not kept yet.
@@ -525,13 +484,12 @@ class WordTree:
                 np.minimum.at(first, classes, order)
                 new &= first[classes] == order
             seen[classes[new]] = True
-            self._store(k, nodes[new], mats[new])
             keep = alive[new]
 
             frontier = cand[keep]
-            slots.append(level.slot[frontier])
+            kept.append(frontier)
             parents.append(level_ids[keep // width])
-            letters.append(level.letter[frontier])
+            letters.append(self.nodes["letter"][frontier])
             level_ids = count + np.arange(len(frontier))
             count += len(frontier)
             if count > MAX_LEAF_ELEMENTS:
@@ -539,13 +497,13 @@ class WordTree:
 
         # Candidate lifts, element-major then curve; each leaf key keeps its
         # first resolved candidate, and rows come out in key order.
-        self._store_leaves()
-        slots = np.concatenate(slots)
-        sel = np.nonzero(self.ok[slots].ravel())[0]
-        rows = sel[first_rows(self.keys[slots].reshape(-1, 7)[sel])]
+        kept = np.concatenate(kept)
+        leaf = self._leaf_rows(kept)
+        sel = np.nonzero(self.ok[leaf].ravel())[0]
+        rows = sel[first_rows(self.keys[leaf].reshape(-1, 7)[sel])]
         element, curve = np.divmod(rows, len(self.axis_ends))
         return LeafTable(
-            ends=self._ends(self.mats[slots[element]])[np.arange(len(rows)), curve],
+            ends=self._ends(self.nodes["mat"][kept[element]])[np.arange(len(rows)), curve],
             weight=self.weights[curve],
             curve=curve,
             conjugator=element,
@@ -957,10 +915,13 @@ def pleated_surface(
     separators are the leaves between x0 and its foot; faces follow their
     entering leaf's separator count, a face is bounded by its leaf and the
     leaves one level deeper behind it, and its outer face is the one of its
-    deepest separator."""
+    deepest separator.  A given ``structure`` must be the one of hol, mc
+    and depth: it is refused with ValueError otherwise."""
     if not 0 < truncation_radius < math.inf:
         raise DegenerateInputError("truncation radius must be positive and finite")
     gs = structure if structure is not None else GraftedStructure(hol, mc, depth)
+    if gs.hol is not hol or gs.multicurve != mc or gs.depth != depth:
+        raise ValueError("structure is not the grafted structure of hol, mc and depth")
     x0 = gs.basepoint
     table = gs.base_leaves
     rows = np.nonzero(table.distances(x0) < truncation_radius)[0]

@@ -15,7 +15,6 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -547,22 +546,25 @@ def transverse_measure(
     if line.total <= 0:
         raise DegenerateInputError("path has zero length")
 
+    # Disks keyed by their point's index on the finest grid.
+    finest = MEASURE_SUBDIVISION << MEASURE_MAX_LEVELS
     disk_cache: dict = {}
 
-    def disk_at(t: Fraction) -> MaximalDiskRecord:
-        if t not in disk_cache:
-            disk_cache[t] = maximal_disk_at(dom, line.at(float(t) * line.total))
-        return disk_cache[t]
+    def disk_at(i: int, n: int) -> MaximalDiskRecord:
+        """The disk at the point i / n of the path's arclength."""
+        key = i * (finest // n)
+        if key not in disk_cache:
+            disk_cache[key] = maximal_disk_at(dom, line.at(i / n * line.total))
+        return disk_cache[key]
 
     trace = []
     prev = None
     for level in range(MEASURE_MAX_LEVELS + 1):
-        n = MEASURE_SUBDIVISION * (2**level)
-        params = [Fraction(i, n) for i in range(n + 1)]
+        n = MEASURE_SUBDIVISION << level
         try:
             theta = 0.0
-            for t0, t1 in zip(params, params[1:]):
-                d0, d1 = disk_at(t0), disk_at(t1)
+            for i in range(n):
+                d0, d1 = disk_at(i, n), disk_at(i + 1, n)
                 if d0.same_disk(d1):
                     continue
                 theta += angle_between(d0.disk.circle, d1.disk.circle)

@@ -40,7 +40,6 @@ def write_config(tmp_path, doc, name="config.json"):
 
 def test_weight_parsing():
     assert Weight.parse("2*pi").value == pytest.approx(2 * math.pi)
-    assert Weight.parse("2*pi").pi_multiple == 2
     assert Weight.parse("1/2*pi").value == pytest.approx(math.pi / 2)
     assert not Weight.parse("1/2*pi").is_two_pi_multiple
     assert Weight.parse(6.283185307179586).is_two_pi_multiple
@@ -51,14 +50,17 @@ TWO_PI_BOUNDARY = [
     (0.0, True), (2 * math.pi, True), (4 * math.pi, True), (math.pi, False),
     (2 * math.pi * (1 + 4e-10), True), (2 * math.pi * (1 - 4e-10), True),
     (2 * math.pi * (1 + 2e-9), False), (2 * math.pi * (1 - 2e-9), False),
+    ("2*pi", True), ("4*pi", True), ("1/2*pi", False), ("2.0000000001*pi", True),
 ]
 
 
 @pytest.mark.parametrize("value,expected", TWO_PI_BOUNDARY)
 def test_two_pi_rule_boundary(value, expected):
-    # A numeric weight is read by the one rule of grafting: |w/2pi - k| < 1e-9.
-    assert Weight.parse(value).is_two_pi_multiple is expected
-    assert is_two_pi_multiple(value) is expected
+    # Every weight, numeric or a multiple of pi, is read by the one rule of
+    # grafting: |w/2pi - k| < 1e-9.
+    weight = Weight.parse(value)
+    assert weight.is_two_pi_multiple is expected
+    assert is_two_pi_multiple(weight.value) is expected
 
 
 def test_dumps_17_digits():
@@ -111,6 +113,13 @@ def test_verify_two_pi_rejects_fractional_weight(tmp_path):
     bad = dict(BASE_CONFIG, multicurve=[{"word": "a", "weight": "1/2*pi"}])
     cfg = write_config(tmp_path, bad)
     assert main(["verify", "two-pi", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+def test_verify_two_pi_accepts_weight_within_the_rule(tmp_path):
+    # 2.0000000001 pi is in 2 pi Z by the library's rule, as verify_covering
+    # reads it, so the CLI runs the check instead of refusing the config.
+    cfg = write_config(tmp_path, _weight("2.0000000001*pi"))
+    assert main(["verify", "two-pi", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
 
 
 def test_verify_goldman(tmp_path):

@@ -7,9 +7,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cp1graft.moebius import TOL_GEO, DegenerateInputError, MoebiusMap, apply, chordal_distance, cp1
+from cp1graft.moebius import (
+    TOL_GEO,
+    DegenerateInputError,
+    MoebiusMap,
+    apply,
+    chordal_distance,
+    cp1,
+    normalize_stack,
+)
 from cp1graft.hyperbolic import apply_isometry, nearest_point_projection, PlaneH3, OrientedCircle
-from cp1graft.surface import FNCoordinates, GroupWord, axis, fuchsian_from_fn
+from cp1graft.surface import FNCoordinates, GroupWord, axis, fuchsian_from_fn, word_products
 import cp1graft.grafting as grafting
 from cp1graft.cli import EXIT_NUMERIC, main
 from cp1graft.grafting import (
@@ -450,13 +458,46 @@ def test_tree_copy_grows_apart(holonomy):
     want = _columns(reference_leaf_lifts(holonomy, CUFF_MULTICURVE, *wide))
     tree = WordTree(holonomy, CUFF_MULTICURVE)
     tree.leaf_table(*narrow)
-    grown = (tree.size, len(tree.mats), len(tree.classes))
+
+    def state(t):
+        return t.size, t.nodes.tobytes(), t.ok.tobytes(), t.keys.tobytes(), dict(t.classes)
+
+    grown = state(tree)
     twin = tree.copy()
     assert _differing(twin.leaf_table(*wide), want) == []
-    assert twin.size > grown[0] and (tree.size, len(tree.mats), len(tree.classes)) == grown
+    assert twin.size > grown[0] and state(tree) == grown
     assert _differing(tree.leaf_table(*narrow),
                       _columns(reference_leaf_lifts(holonomy, CUFF_MULTICURVE, *narrow))) == []
     assert _differing(tree.leaf_table(*wide), want) == []
+
+
+def test_tree_rows_hold_the_matrices_their_expansion_built(holonomy, monkeypatch):
+    # After shuffled queries every word was built once, and its row holds
+    # the product of its parent's row and its last letter, normalized.
+    built = []
+    products = grafting.word_products
+
+    def counting(level, rows, letters, gens):
+        built.append(len(rows))
+        return products(level, rows, letters, gens)
+
+    monkeypatch.setattr(grafting, "word_products", counting)
+    x0 = holonomy.basepoint
+    queries = [(depth, segment_focus([x0, z]), margin) for depth in (4, 6)
+               for z in (x0 + 0.3, -1.2 + 0.4j, 3.0 + 5.0j) for margin in (4.0, 8.0)]
+    tree = WordTree(holonomy, CUFF_MULTICURVE)
+    for i in np.random.default_rng(4).permutation(len(queries)):
+        tree.leaf_table(*queries[i])
+    nodes = tree.nodes[1:]
+    assert sum(built) == len(nodes) > 1000
+    want = normalize_stack(word_products(
+        tree.nodes["mat"][nodes["parent"]], np.arange(len(nodes)), nodes["letter"], tree.gens))
+    assert nodes["mat"].tobytes() == want.tobytes()
+    orbit = want @ tree.start
+    assert nodes["orbit"].tobytes() == (orbit[:, 0] / orbit[:, 1]).tobytes()
+    # A parent's first child points at a row whose parent it is.
+    expanded = np.flatnonzero(tree.nodes["child"] >= 0)
+    assert np.array_equal(tree.nodes["parent"][tree.nodes["child"][expanded]], expanded)
 
 
 def test_element_cap_raises_and_keeps_the_tree_consistent(holonomy, monkeypatch, tmp_path, capsys):
@@ -752,6 +793,19 @@ def test_pleated_surface_rejects_bad_radius(holonomy, half_pi_structure, radius)
             holonomy, half_pi_structure.multicurve, depth=6,
             truncation_radius=radius, structure=half_pi_structure,
         )
+
+
+@pytest.mark.parametrize("field", ["hol", "mc", "depth"])
+def test_pleated_surface_refuses_a_structure_of_other_arguments(holonomy, half_pi_structure, field):
+    gs = half_pi_structure
+    args = dict(hol=holonomy, mc=gs.multicurve, depth=gs.depth)
+    args[field] = {
+        "hol": fuchsian_from_fn(SEGMENT_INSTANCES[0]),  # equal to holonomy, another object
+        "mc": WeightedMulticurve(((GroupWord((-4,)), math.pi / 2.0),)),
+        "depth": 3,
+    }[field]
+    with pytest.raises(ValueError, match="structure is not the grafted structure"):
+        pleated_surface(**args, truncation_radius=2.0, structure=gs)
 
 
 def test_pleated_flat_when_weight_zero(holonomy):

@@ -3,6 +3,8 @@ the check that must catch it.  A check that passes with its defect planted
 cannot fail on the defect."""
 
 import cmath
+import dataclasses
+import itertools
 import json
 import math
 
@@ -15,8 +17,8 @@ from cp1graft.cli import EXIT_OK, EXIT_VIOLATIONS, main
 from cp1graft.grafting import GraftedStructure, WeightedMulticurve
 from cp1graft.moebius import MoebiusMap
 from cp1graft.surface import GroupWord
-from cp1graft.thurston import verify_covering
-from conftest import limit_domain
+from cp1graft.thurston import RoundDisk, verify_covering
+from conftest import REPO, limit_domain
 
 TETRA = {
     "surface": {"genus": 2, "lengths": [2.0, 2.0, 2.0]},
@@ -191,3 +193,35 @@ def test_goldman_known_survivor_disabled_bending_rotation(holonomy, monkeypatch,
     code, report = _verify("goldman", tmp_path)
     assert code == EXIT_OK
     assert [(c["name"], c["passed"]) for c in report["checks"]] == [("goldman-weight-recovery", True)]
+
+
+def _shifted_disks(monkeypatch):
+    """Every seventh maximal disk found moved by z -> 1.05 z + 0.02, as the
+    planted records of the stratification tests move theirs."""
+    find = thurston.maximal_disk_at
+    shift = MoebiusMap(np.array([[1.05, 0.02], [0.0, 1.0]], dtype=complex))
+    calls = itertools.count()
+
+    def shifted(dom, x):
+        rec = find(dom, x)
+        if next(calls) % 7:
+            return rec
+        return dataclasses.replace(rec, disk=RoundDisk(rec.disk.circle.transform(shift)))
+
+    monkeypatch.setattr(thurston, "maximal_disk_at", shifted)
+
+
+def test_stratification_catches_shifted_disk(monkeypatch, tmp_path):
+    config = REPO / "configs" / "sixpoint_domain.json"
+    out = tmp_path / "out"
+    args = ["verify", "stratification", "--config", str(config), "--out", str(out)]
+    assert main(args) == EXIT_OK
+    _shifted_disks(monkeypatch)
+    assert main(args) == EXIT_VIOLATIONS
+    report = json.loads((out / "stratification_report.json").read_text())
+    assert [(c["name"], c["passed"]) for c in report["checks"]] == [
+        ("every-sample-assigned", True), ("core-disjointness", False),
+        ("ideal-point-consistency", True),
+    ]
+    # A moved disk overlaps the cores near it, or lies inside a true disk.
+    assert {v["kind"] for v in report["violations"]} == {"core-overlap", "nested-disks"}
