@@ -61,6 +61,7 @@ from .thurston import (
     DiskComplementDomain,
     MaximalDiskRecord,
     maximal_disk_at,
+    maximal_disks,
     projection_psi,
     recover_weight_from_grafted,
     stratification_check,

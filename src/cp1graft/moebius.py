@@ -129,8 +129,26 @@ def _check_rows(pairs: np.ndarray) -> None:
     stack.  numpy's abs may differ from CPython's in the last bit, so rows
     outside a safe range get PointCP1's own check."""
     n = (np.abs(pairs) ** 2).sum(axis=1)
-    for i in np.flatnonzero(~((n > 1e-290) & (n < 1e290))):
+    for i in (~((n > 1e-290) & (n < 1e290))).nonzero()[0]:
         PointCP1(complex(pairs[i, 0]), complex(pairs[i, 1]))
+
+
+def row_faults(pairs: np.ndarray, ends) -> dict:
+    """For an (M, 2) stack of pairs cut into consecutive arrays at the
+    offsets ``ends`` (0 first, M last): a dict from the index of each array
+    with a row PointCP1 rejects to the error ``_check_rows`` raises on it."""
+    try:
+        _check_rows(pairs)
+        return {}
+    except DegenerateInputError:
+        pass
+    faults = {}
+    for k, (a, b) in enumerate(zip(ends, ends[1:])):
+        try:
+            _check_rows(pairs[a:b])
+        except DegenerateInputError as exc:
+            faults[k] = exc
+    return faults
 
 
 # Up to Python 3.13 a float in complex arithmetic acts as complex(x, 0.0);
@@ -211,6 +229,18 @@ def cross_ratio(p: PointCP1, q: PointCP1, r: PointCP1, s: PointCP1) -> complex:
 # Moebius maps
 
 
+SINGULAR = "singular matrix is not a Moebius map"
+
+
+def det_parts(ar, ai, br, bi, cr, ci, dr, di) -> tuple:
+    """Real and imaginary parts of a d - b c from the parts of the entries,
+    each complex product written out part by part: the bits of numpy's and
+    CPython's scalar arithmetic (numpy's array product differs from them in
+    the last bits).  The parts may be floats or arrays of them."""
+    return ((ar * dr - ai * di) - (br * cr - bi * ci),
+            (ar * di + ai * dr) - (br * ci + bi * cr))
+
+
 def _sign_normalize(m: np.ndarray) -> np.ndarray:
     """Flip the global sign so the first entry of magnitude > TOL_ALG has
     positive real part (positive imaginary part breaks the tie)."""
@@ -222,17 +252,38 @@ def _sign_normalize(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def normalize_stack(mats: np.ndarray) -> np.ndarray:
-    """MoebiusMap's normalization on an (N, 2, 2) stack: divide each matrix
-    by the square root of its determinant, then apply the sign rule of
-    ``_sign_normalize``.  Bit for bit the matrices MoebiusMap would store."""
-    det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-    mats = mats / np.sqrt(det)[:, None, None]
+def _sign_stack(mats: np.ndarray, big: np.ndarray) -> np.ndarray:
+    """``_sign_normalize`` of every matrix of an (N, 2, 2) stack, given where
+    its entries exceed TOL_ALG in magnitude, as an (N, 4) mask."""
     flat = mats.reshape(len(mats), 4)
-    big = np.abs(flat) > TOL_ALG
     lead = flat[np.arange(len(flat)), np.argmax(big, axis=1)]
     flip = big.any(axis=1) & ((lead.real < 0) | ((lead.real == 0) & (lead.imag < 0)))
     return np.where(flip[:, None, None], -mats, mats)
+
+
+def moebius_rows(mats: np.ndarray) -> tuple:
+    """MoebiusMap's normalization of every matrix of an (N, 2, 2) stack, bit
+    for bit: divided by the square root of its determinant, then signed by
+    ``_sign_normalize``.  Returns the stack and the faults, a dict from the
+    index of each singular matrix, which MoebiusMap rejects, to its message;
+    a singular matrix is left unscaled."""
+    det = np.empty(len(mats), dtype=complex)
+    det.real, det.imag = det_parts(*mats.reshape(len(mats), 4).view(float).T)
+    singular = np.hypot(det.real, det.imag) < 1e-300
+    mats = mats / np.sqrt(np.where(singular, 1.0, det))[:, None, None]
+    flat = mats.reshape(len(mats), 4)
+    faults = dict.fromkeys(singular.nonzero()[0].tolist(), SINGULAR)
+    return _sign_stack(mats, np.hypot(flat.real, flat.imag) > TOL_ALG), faults
+
+
+def normalize_stack(mats: np.ndarray) -> np.ndarray:
+    """MoebiusMap's normalization rule on an (N, 2, 2) stack, for the word
+    tree.  Its determinant is taken with numpy's array product, which may
+    differ from MoebiusMap's in the last bits (``moebius_rows`` keeps
+    them), so the matrices may too."""
+    det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+    mats = mats / np.sqrt(det)[:, None, None]
+    return _sign_stack(mats, np.abs(mats.reshape(len(mats), 4)) > TOL_ALG)
 
 
 @dataclass(frozen=True)
@@ -243,13 +294,20 @@ class MoebiusMap:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex).reshape(2, 2)
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        det = complex(*det_parts(*m.ravel().view(float).tolist()))
         if abs(det) < 1e-300:
-            raise DegenerateInputError("singular matrix is not a Moebius map")
-        m = m / np.sqrt(det)
-        m = _sign_normalize(m)
+            raise DegenerateInputError(SINGULAR)
+        m = _sign_normalize(m / np.sqrt(det))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @staticmethod
+    def from_row(m: np.ndarray) -> "MoebiusMap":
+        """The map of a row that ``moebius_rows`` normalized and found
+        nonsingular, kept as it is."""
+        out = object.__new__(MoebiusMap)
+        object.__setattr__(out, "matrix", m)
+        return out
 
     @staticmethod
     def identity() -> "MoebiusMap":
@@ -328,16 +386,37 @@ def apply_stack(m: MoebiusMap, pairs: np.ndarray) -> np.ndarray:
     return out
 
 
+def affine_rows(pairs: np.ndarray) -> tuple:
+    """``as_complex`` of every row of an (N, 2) stack of pairs PointCP1
+    accepts, bit for bit, and where a row is at infinity (its value is then
+    0).  The test is ``as_complex``'s, with CPython's abs (libm's hypot of
+    the parts; numpy's complex abs may differ in the last bit), and the
+    quotient is CPython's: Smith's algorithm, dividing by the larger part
+    of z1 (numpy's complex division rounds differently)."""
+    ar, ai, br, bi = pairs[:, 0].real, pairs[:, 0].imag, pairs[:, 1].real, pairs[:, 1].imag
+    at_inf = np.hypot(br, bi) <= TOL_GEO * np.hypot(ar, ai)
+    by_re = ~at_inf & (np.abs(br) >= np.abs(bi))
+    by_im = ~at_inf & ~by_re
+    out = np.zeros(len(pairs), dtype=complex)
+    ar_, ai_, br_, bi_ = ar[by_re], ai[by_re], br[by_re], bi[by_re]
+    ratio = bi_ / br_
+    denom = br_ + bi_ * ratio
+    out.real[by_re], out.imag[by_re] = (ar_ + ai_ * ratio) / denom, (ai_ - ar_ * ratio) / denom
+    ar_, ai_, br_, bi_ = ar[by_im], ai[by_im], br[by_im], bi[by_im]
+    ratio = br_ / bi_
+    denom = br_ * ratio + bi_
+    out.real[by_im], out.imag[by_im] = (ar_ * ratio + ai_) / denom, (ai_ * ratio - ar_) / denom
+    return out, at_inf
+
+
 def affine_stack(pairs: np.ndarray) -> list[complex]:
-    """``as_complex`` of every row of an (N, 2) stack, bit for bit: CPython's
-    complex division and abs (numpy's differ in the last bits).  Raises, like
-    ``as_complex``, at the first row at infinity."""
-    out = []
-    for z0, z1 in pairs.tolist():
-        if abs(z1) <= TOL_GEO * abs(z0):
-            raise DegenerateInputError("point is at infinity")
-        out.append(z0 / z1)
-    return out
+    """``as_complex`` of every row of an (N, 2) stack of pairs PointCP1
+    accepts, bit for bit (see ``affine_rows``).  Raises, like
+    ``as_complex``, if a row is at infinity."""
+    out, at_inf = affine_rows(pairs)
+    if at_inf.any():
+        raise DegenerateInputError("point is at infinity")
+    return out.tolist()
 
 
 def moebius_three_points(p: PointCP1, q: PointCP1, r: PointCP1) -> MoebiusMap:
@@ -422,6 +501,40 @@ def classify(m: MoebiusMap) -> MoebiusClass:
 # Oriented circles
 
 
+NOT_HERMITIAN = "matrix is not Hermitian"
+NOT_A_CIRCLE = "Hermitian form does not define a real circle (det >= 0)"
+
+
+def circle_rows(h: np.ndarray) -> tuple:
+    """OrientedCircle's checks and normalization of every matrix of an
+    (N, 2, 2) stack, bit for bit.  Returns the stack and the faults, a dict
+    from the index of each matrix OrientedCircle rejects to its message; a
+    rejected matrix is left unscaled."""
+    n = len(h)
+    hh = np.conj(h).transpose(0, 2, 1)
+    flat = h.reshape(n, 4)
+    skew = frobenius_rows(flat, hh.reshape(n, 4)) > TOL_ALG * np.maximum(1.0, frobenius_rows(flat, 0.0))
+    h = (h + hh) / 2.0
+    det = det_parts(*h.reshape(n, 4).view(float).T)[0]
+    flat_form = ~skew & (det >= -1e-300)
+    h = h / np.sqrt(np.where(skew | flat_form, 1.0, -det))[:, None, None]
+    faults = dict.fromkeys(skew.nonzero()[0].tolist(), NOT_HERMITIAN)
+    faults.update(dict.fromkeys(flat_form.nonzero()[0].tolist(), NOT_A_CIRCLE))
+    return h, faults
+
+
+def exterior_rows(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """The forms ``OrientedCircle.from_center_radius(c, r, disk_inside=False)``
+    hands to OrientedCircle, for arrays of centers and positive radii, bit
+    for bit: an (N, 2, 2) stack."""
+    h = np.empty((len(centers), 2, 2), dtype=complex)
+    h[:, 0, 0] = 1.0
+    h[:, 0, 1] = -centers
+    h[:, 1, 0] = -np.conj(centers)
+    h[:, 1, 1] = _squares(np.hypot(centers.real, centers.imag)) - _squares(radii)
+    return -h
+
+
 @dataclass(frozen=True)
 class OrientedCircle:
     """Round circle with a chosen side, as a Hermitian matrix of det -1.
@@ -433,15 +546,24 @@ class OrientedCircle:
 
     def __post_init__(self):
         h = np.asarray(self.hermitian, dtype=complex).reshape(2, 2)
-        if np.linalg.norm(h - h.conj().T) > TOL_ALG * max(1.0, np.linalg.norm(h)):
-            raise DegenerateInputError("matrix is not Hermitian")
-        h = (h + h.conj().T) / 2.0
-        det = (h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]).real
+        hh = h.conj().T
+        if frobenius_rows(h.ravel(), hh.ravel()) > TOL_ALG * max(1.0, frobenius_rows(h.ravel(), 0.0)):
+            raise DegenerateInputError(NOT_HERMITIAN)
+        h = (h + hh) / 2.0
+        det = det_parts(*h.ravel().view(float).tolist())[0]
         if det >= -1e-300:
-            raise DegenerateInputError("Hermitian form does not define a real circle (det >= 0)")
+            raise DegenerateInputError(NOT_A_CIRCLE)
         h = h / math.sqrt(-det)
         h.setflags(write=False)
         object.__setattr__(self, "hermitian", h)
+
+    @staticmethod
+    def from_row(h: np.ndarray) -> "OrientedCircle":
+        """The circle of a row that ``circle_rows`` normalized without a
+        fault, kept as it is."""
+        out = object.__new__(OrientedCircle)
+        object.__setattr__(out, "hermitian", h)
+        return out
 
     # -- constructors ------------------------------------------------------
 

@@ -28,6 +28,7 @@ from .moebius import (
     OrientedCircle,
     PointCP1,
     RoundDisk,
+    affine_rows,
     affine_stack,
     angle_between,
     apply,
@@ -35,11 +36,15 @@ from .moebius import (
     as_pairs,
     chordal_distance,
     chordal_rows,
+    circle_rows,
     cp1,
+    exterior_rows,
     frobenius_rows,
     inversive_product,
     minimal_enclosing_disk,
+    moebius_rows,
     moebius_two_points,
+    row_faults,
     sphere_xyz,
     unit_pairs,
 )
@@ -290,40 +295,181 @@ def maximal_disk_at(dom: DiskComplementDomain, x) -> MaximalDiskRecord:
     """The maximal disk whose core contains x: normalize x to infinity, take
     the minimal enclosing disk of the transported complement, and return its
     complement; ideal points are the boundary contacts.  The record's core is
-    built on first access."""
-    x = cp1(x)
-    if not dom.contains(x):
-        raise PreconditionError("query point is too close to the complement")
-    t = _normalizer_to_infinity(x)
-    transported = apply_stack(t, dom.pairs)
-    zs = affine_stack(transported)
-    med = minimal_enclosing_disk(zs)
-    contacts = [
-        i for i, z in enumerate(zs)
-        if abs(abs(z - med.center) - med.radius) <= TOL_CONTACT * med.radius
-    ]
-    if len(contacts) < 2:
-        contacts = sorted(set(contacts) | set(med.support))
-    circle_norm = OrientedCircle.from_center_radius(med.center, med.radius, disk_inside=False)
-    # The push-forward by t^-1 is t* H t.  t has det -1 exactly, so the
-    # double inversion inside ``transform(t.inverse())`` gives back t's
-    # entries (up to the signs of zeros) and this form has the same bits.
-    m = t.matrix
-    disk = RoundDisk(OrientedCircle(m.conj().T @ circle_norm.hermitian @ m))
+    built on first access.  The one-point case of ``maximal_disks``."""
+    (rec,) = maximal_disks(dom, [x])
+    if isinstance(rec, Exception):
+        raise rec
+    return rec
+
+
+# Queries of a maximal_disks block: as many as transport about this many
+# complement points in all.
+DISK_BLOCK = 1 << 15
+
+
+def maximal_disks(dom: DiskComplementDomain, points) -> list:
+    """For each point, its maximal disk record, or the PreconditionError or
+    DegenerateInputError it raises instead: the query too close to the
+    complement, or a step of the construction rejecting its input.
+
+    Each step runs as one array pass over a block of queries, and only the
+    minimal enclosing disk is taken point by point.  Every array step keeps
+    the bits of the scalar steps it stands for (the pair kernel, stacked
+    matmul, ``moebius_rows`` and ``circle_rows``), and the circles and maps
+    of a record are rows of the checked stacks."""
+    points = list(points)
+    step = max(1, DISK_BLOCK // len(dom.complement))
+    out = []
+    for s in range(0, len(points), step):
+        out += _disk_block(dom, points[s : s + step])
+    return out
+
+
+class _Alive:
+    """The queries of a block still alive: their indices in the block, and
+    columns of values aligned with them, arrays or lists.  A query dropped
+    for a fault gets its error in ``out`` and leaves every column."""
+
+    def __init__(self, out: list, index: list, **cols):
+        self.out, self.index, self.cols = out, index, cols
+
+    def __getitem__(self, name: str):
+        return self.cols[name]
+
+    def add(self, **cols) -> None:
+        self.cols.update(cols)
+
+    def drop(self, faults: dict) -> None:
+        """Drop the queries at the positions ``faults`` maps to their error:
+        an exception, or the message of a DegenerateInputError."""
+        if not faults:
+            return
+        for j, fault in faults.items():
+            exc = fault if isinstance(fault, Exception) else DegenerateInputError(fault)
+            self.out[self.index[j]] = exc
+        keep = np.ones(len(self.index), dtype=bool)
+        keep[list(faults)] = False
+        self.index = [k for k, ok in zip(self.index, keep) if ok]
+        for name, col in self.cols.items():
+            self.cols[name] = (col[keep] if isinstance(col, np.ndarray)
+                               else [v for v, ok in zip(col, keep) if ok])
+
+
+def _disk_block(dom: DiskComplementDomain, points: list) -> list:
+    """``maximal_disks`` on one block of queries, step by step as
+    ``maximal_disk_at`` once took them for one point: a query leaves at the
+    step that rejects it, with that step's error."""
+    out = [None] * len(points)
+    xs = {}
+    for k, p in enumerate(points):
+        try:
+            xs[k] = cp1(p)
+        except DegenerateInputError as exc:
+            out[k] = exc
+    q = _Alive(out, list(xs), x=list(xs.values()))
+    if xs:
+        near = (~dom.contains(q["x"])).nonzero()[0].tolist()
+        q.drop({j: PreconditionError("query point is too close to the complement") for j in near})
+    if not q.index:
+        return out
+
+    # Normalizers to infinity, [[0, 1], [1, -x]] or the identity: their
+    # determinants are -1 and 1, so none is singular.
+    t = np.zeros((len(q.index), 2, 2), dtype=complex)
+    t[:, 0, 1] = t[:, 1, 0] = 1.0
+    infinite = np.array([x.is_infinity for x in q["x"]], dtype=bool)
+    t[infinite] = np.eye(2)
+    t[~infinite, 1, 1] = [-x.as_complex() for x in itertools.compress(q["x"], ~infinite)]
+    t = moebius_rows(t)[0]
+    # ``apply_stack`` of every normalizer: its column products, broadcast.
+    p0, p1 = dom.pairs[:, 0], dom.pairs[:, 1]
+    moved = np.empty((len(t), len(p0), 2), dtype=complex)
+    moved[..., 0] = t[:, 0, 0, None] * p0 + t[:, 0, 1, None] * p1
+    moved[..., 1] = t[:, 1, 0, None] * p0 + t[:, 1, 1, None] * p1
+    q.add(t=t, moved=moved)
+    q.drop(row_faults(moved.reshape(-1, 2), range(0, len(t) * len(p0) + 1, len(p0))))
+
+    z, at_inf = affine_rows(q["moved"].reshape(-1, 2))
+    z, at_inf = z.reshape(len(q.index), -1), at_inf.reshape(len(q.index), -1)
+    q.add(z=z)
+    q.drop(dict.fromkeys(at_inf.any(axis=1).nonzero()[0].tolist(), "point is at infinity"))
+    meds, faults = [], {}
+    for j, row in enumerate(q["z"]):
+        try:
+            meds.append(minimal_enclosing_disk(row))
+        except DegenerateInputError as exc:
+            faults[j] = exc
+            meds.append(None)
+    q.add(med=meds)
+    q.drop(faults)
+
+    # Contacts: the points within a relative TOL_CONTACT of the circle, or
+    # with the support added when they are fewer than two.
+    meds, z = q["med"], q["z"]
+    centers = np.array([m.center for m in meds], dtype=complex)
+    radii = np.array([m.radius for m in meds])
+    off = np.hypot(z.real - centers.real[:, None], z.imag - centers.imag[:, None])
+    on = np.abs(off - radii[:, None]) <= TOL_CONTACT * radii[:, None]
+    cols, ends = on.nonzero()[1].tolist(), np.cumsum(on.sum(axis=1)).tolist()
+    contacts = [cols[a:b] for a, b in zip([0] + ends, ends)]
+    contacts = [c if len(c) >= 2 else sorted(set(c) | set(m.support))
+                for c, m in zip(contacts, meds)]
+    q.add(center=centers, radius=radii, contacts=contacts)
+    q.drop(dict.fromkeys((radii <= 0).nonzero()[0].tolist(), "radius must be positive"))
+
+    # The disk is the push-forward of the normalized one by t^-1, t* H t.
+    # t has det -1 exactly, so the double inversion inside
+    # ``transform(t.inverse())`` gives back t's entries (up to the signs of
+    # zeros) and this form has the same bits.
+    norm, faults = circle_rows(exterior_rows(q["center"], q["radius"]))
+    q.add(norm=norm)
+    q.drop(faults)
+    t = q["t"]
+    disk, faults = circle_rows(np.conj(t).transpose(0, 2, 1) @ q["norm"] @ t)
+    q.add(disk=disk)
+    q.drop(faults)
 
     # Unit-disk frame: z -> radius / (z - center) maps the exterior (with
     # the query at infinity) onto the unit disk with the query at 0.
-    u = MoebiusMap(np.array([[0.0, med.radius], [1.0, -med.center]], dtype=complex))
-    boundary = sorted(
-        ((i, apply(u, PointCP1(*transported[i].tolist())).as_complex()) for i in contacts),
-        key=lambda iw: math.atan2(iw[1].imag, iw[1].real),
-    )
-    ws = tuple(w for _, w in boundary)
-    ids = tuple(i for i, _ in boundary)
-    return MaximalDiskRecord(
-        disk=disk, ideal_points=tuple(dom.complement[i] for i in ids), ideal_ids=ids,
-        normalized=med, query=x, frame_maps=(u, t), boundary=ws,
-    )
+    u = np.zeros((len(q.index), 2, 2), dtype=complex)
+    u[:, 0, 1], u[:, 1, 0], u[:, 1, 1] = q["radius"], 1.0, -q["center"]
+    u, faults = moebius_rows(u)
+    q.add(u=u)
+    q.drop(faults)
+    if not q.index:
+        return out
+
+    # The contacts in the frame, each as ``apply`` maps it.
+    sizes = [len(c) for c in q["contacts"]]
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    rows = q["moved"][owner, np.concatenate(q["contacts"])]
+    ws = (q["u"][owner] @ unit_pairs(rows)[..., None])[..., 0]
+    ends = np.cumsum([0] + sizes)
+    faults = row_faults(ws, ends)
+    mapped, at_inf = affine_rows(ws)
+    for j, (a, b) in enumerate(zip(ends, ends[1:])):
+        if j not in faults and at_inf[a:b].any():
+            faults[j] = "point is at infinity"
+    mapped = mapped.tolist()
+    boundaries = [
+        sorted(zip(c, mapped[a:b]), key=lambda iw: math.atan2(iw[1].imag, iw[1].real))
+        for c, a, b in zip(q["contacts"], ends, ends[1:])
+    ]
+    q.add(boundary=boundaries)
+    q.drop(faults)
+
+    for name in ("t", "disk", "u"):
+        q[name].setflags(write=False)
+    for j, k in enumerate(q.index):
+        ids = tuple(i for i, _ in q["boundary"][j])
+        out[k] = MaximalDiskRecord(
+            disk=RoundDisk(OrientedCircle.from_row(q["disk"][j])),
+            ideal_points=tuple(dom.complement[i] for i in ids), ideal_ids=ids,
+            normalized=q["med"][j], query=q["x"][j],
+            frame_maps=(MoebiusMap.from_row(q["u"][j]), MoebiusMap.from_row(q["t"][j])),
+            boundary=tuple(w for _, w in q["boundary"][j]),
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +484,12 @@ def stratification_check(dom: DiskComplementDomain, samples) -> dict:
     samples = list(samples)
     if not samples:
         raise DegenerateInputError("stratification check needs at least one sample")
-    records = []
-    failures = []
-    for i, x in enumerate(samples):
-        try:
-            records.append((i, maximal_disk_at(dom, x)))
-        except (PreconditionError, DegenerateInputError) as exc:
-            failures.append({"sample": i, "error": str(exc)})
+    records, failures = [], []
+    for i, rec in enumerate(maximal_disks(dom, samples)):
+        if isinstance(rec, Exception):
+            failures.append({"sample": i, "error": str(rec)})
+        else:
+            records.append((i, rec))
 
     groups = _group_by_disk(records)
     violations = [{"kind": "no-disk", **fail} for fail in failures]
@@ -539,49 +684,100 @@ def transverse_measure(
     """Transverse measure of a path: Theta = sum of angles between maximal
     disks at consecutive subdivision points, refined dyadically until the
     increments fall below tol_measure.  Consecutive disks must intersect;
-    refinement is the remedy, and failure at MEASURE_MAX_LEVELS raises."""
-    line = _Polyline(path)
-    if len(line.pts) < 2:
-        raise DegenerateInputError("path needs at least 2 vertices")
-    if line.total <= 0:
-        raise DegenerateInputError("path has zero length")
+    refinement is the remedy, and failure at MEASURE_MAX_LEVELS raises.
+    The one-path case of ``_measure_paths``."""
+    (res,) = _measure_paths(dom, [path], tol_measure)
+    if isinstance(res, Exception):
+        raise res
+    return res
 
-    # Disks keyed by their point's index on the finest grid.
-    finest = MEASURE_SUBDIVISION << MEASURE_MAX_LEVELS
-    disk_cache: dict = {}
 
-    def disk_at(i: int, n: int) -> MaximalDiskRecord:
-        """The disk at the point i / n of the path's arclength."""
-        key = i * (finest // n)
-        if key not in disk_cache:
-            disk_cache[key] = maximal_disk_at(dom, line.at(i / n * line.total))
-        return disk_cache[key]
+class _Refinement:
+    """One path's refinement: its disks, keyed by their point's index on the
+    finest grid, and its trace.  ``result`` stays None while it refines,
+    then holds what ``transverse_measure`` returns or raises on the path."""
 
-    trace = []
-    prev = None
-    for level in range(MEASURE_MAX_LEVELS + 1):
+    FINEST = MEASURE_SUBDIVISION << MEASURE_MAX_LEVELS
+
+    def __init__(self, path, tol_measure: float):
+        self.line = _Polyline(path)
+        self.tol = tol_measure
+        self.disks, self.trace, self.prev, self.result = {}, [], None, None
+        if len(self.line.pts) < 2:
+            self.result = DegenerateInputError("path needs at least 2 vertices")
+        elif self.line.total <= 0:
+            self.result = DegenerateInputError("path has zero length")
+
+    def missing(self, level: int) -> list:
+        """(key, point) of every point of the level's grid without a disk:
+        the point i / n of the path's arclength has key i * (FINEST // n)."""
         n = MEASURE_SUBDIVISION << level
+        step, total = self.FINEST // n, self.line.total
+        return [(i * step, self.line.at(i / n * total))
+                for i in range(n + 1) if i * step not in self.disks]
+
+    def _disk(self, key: int) -> MaximalDiskRecord:
+        rec = self.disks[key]
+        if isinstance(rec, Exception):
+            raise rec
+        return rec
+
+    def sum_level(self, level: int) -> None:
+        """Theta at the level, once every disk of its grid is found.  The
+        sum reads the disks in order and raises the first stored error it
+        reads; disks that do not intersect send the path to the next level."""
+        n = MEASURE_SUBDIVISION << level
+        step = self.FINEST // n
         try:
             theta = 0.0
             for i in range(n):
-                d0, d1 = disk_at(i, n), disk_at(i + 1, n)
+                d0, d1 = self._disk(i * step), self._disk((i + 1) * step)
                 if d0.same_disk(d1):
                     continue
                 theta += angle_between(d0.disk.circle, d1.disk.circle)
         except NoIntersectionError:
-            prev = None
-            continue  # refine further
-        trace.append(theta)
-        if prev is not None and abs(theta - prev) < tol_measure:
-            return MeasureResult(value=theta, trace=tuple(trace), levels=level, converged=True)
-        prev = theta
-    if not trace:
-        raise TransversalityError(
-            "consecutive maximal disks do not intersect at maximal refinement"
-        )
-    return MeasureResult(
-        value=trace[-1], trace=tuple(trace), levels=MEASURE_MAX_LEVELS, converged=False
-    )
+            self.prev = None
+            return  # refine further
+        except (PreconditionError, DegenerateInputError) as exc:
+            self.result = exc
+            return
+        self.trace.append(theta)
+        if self.prev is not None and abs(theta - self.prev) < self.tol:
+            self.result = MeasureResult(
+                value=theta, trace=tuple(self.trace), levels=level, converged=True)
+        self.prev = theta
+
+    def finish(self) -> None:
+        """The result of a path still refining after the last level."""
+        if self.result is not None:
+            return
+        if not self.trace:
+            self.result = TransversalityError(
+                "consecutive maximal disks do not intersect at maximal refinement"
+            )
+        else:
+            self.result = MeasureResult(value=self.trace[-1], trace=tuple(self.trace),
+                                        levels=MEASURE_MAX_LEVELS, converged=False)
+
+
+def _measure_paths(dom: DiskComplementDomain, paths, tol_measure: float) -> list:
+    """``transverse_measure`` of every path, refined in lockstep: for each
+    path, its MeasureResult or the exception it raises.  At each level the
+    grid points without a disk, on every path still refining, are one
+    ``maximal_disks`` batch; a path raises only an error its own sum reads."""
+    runs = [_Refinement(path, tol_measure) for path in paths]
+    for level in range(MEASURE_MAX_LEVELS + 1):
+        active = [r for r in runs if r.result is None]
+        if not active:
+            break
+        wanted = [(r, key, z) for r in active for key, z in r.missing(level)]
+        for (r, key, _), rec in zip(wanted, maximal_disks(dom, [z for _, _, z in wanted])):
+            r.disks[key] = rec
+        for r in active:
+            r.sum_level(level)
+    for r in runs:
+        r.finish()
+    return [r.result for r in runs]
 
 
 # ---------------------------------------------------------------------------
@@ -626,26 +822,28 @@ def face_core_point(dom: DiskComplementDomain, face) -> PointCP1:
     raise DegenerateInputError("no core point found for dome face")
 
 
-def _classify_on_path(dom, mesh, edge, z) -> str:
-    """Label a path point: in a face core of the edge, in the edge's own
+def _classify_on_path(dom, mesh, edge, points) -> list:
+    """Label path points: in a face core of the edge, in the edge's own
     two-contact family, or somewhere else."""
-    try:
-        rec = maximal_disk_at(dom, cp1(z))
-    except (PreconditionError, DegenerateInputError):
+    circles = [mesh.faces[f].plane.boundary for f in edge.face_ids]
+    va, vb = (mesh.vertices[i] for i in edge.vertex_ids)
+
+    def near(u, v):
+        return chordal_distance(u, v) < TOL_SAME_POINT
+
+    def label(rec) -> str:
+        if isinstance(rec, Exception):
+            return "other"
+        for name, circle in zip(("face1", "face2"), circles):
+            if rec.disk.circle.proj_distance(circle) < TOL_SAME_DISK:
+                return name
+        if len(rec.ideal_points) == 2:
+            p, q = rec.ideal_points
+            if (near(p, va) and near(q, vb)) or (near(p, vb) and near(q, va)):
+                return "family"
         return "other"
-    for label, f in zip(("face1", "face2"), edge.face_ids):
-        if rec.disk.circle.proj_distance(mesh.faces[f].plane.boundary) < TOL_SAME_DISK:
-            return label
-    if len(rec.ideal_points) == 2:
-        p, q = rec.ideal_points
-        va, vb = (mesh.vertices[i] for i in edge.vertex_ids)
 
-        def near(u, v):
-            return chordal_distance(u, v) < TOL_SAME_POINT
-
-        if (near(p, va) and near(q, vb)) or (near(p, vb) and near(q, va)):
-            return "family"
-    return "other"
+    return [label(rec) for rec in maximal_disks(dom, points)]
 
 
 def _contact_values(hz: np.ndarray, hp: np.ndarray, zs: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -710,7 +908,7 @@ class _EdgeStrata:
     as maximal disk the half-plane toward its own direction.
 
     ``labels`` gives each probe the label ``_classify_on_path`` gives it:
-    in closed form where the probe is certified, from maximal_disk_at
+    in closed form where the probe is certified, from its maximal disk
     otherwise."""
 
     def __init__(self, dom: DiskComplementDomain, mesh, edge, cores: list):
@@ -770,10 +968,11 @@ class _EdgeStrata:
             for lab, test in zip(("face1", "face2", "family"), tests):
                 for i in np.flatnonzero(alone & test):
                     out[i] = lab
-        return [
-            lab if lab is not None else _classify_on_path(self.dom, self.mesh, self.edge, z)
-            for z, lab in zip(points, out)
-        ]
+        rest = [i for i, lab in enumerate(out) if lab is None]
+        for i, lab in zip(rest, _classify_on_path(
+                self.dom, self.mesh, self.edge, [points[i] for i in rest])):
+            out[i] = lab
+        return out
 
 
 # Intervals a candidate path is probed at, evenly in arclength.
@@ -879,28 +1078,37 @@ def _edge_measure_paths(strata: _EdgeStrata):
         pass
 
 
+def _edge_path(strata: _EdgeStrata):
+    """The first candidate path of the edge that ``_single_edge_subpath``
+    validates, trimmed; None when there is none."""
+    for candidate in _edge_measure_paths(strata):
+        path = _single_edge_subpath(strata, candidate)
+        if path is not None:
+            return path
+    return None
+
+
 def dome_measure_report(ideal_points, tol: float = TOL_MEASURE) -> dict:
     """Compare the transverse measure across every dome edge against the
     edge's exterior dihedral angle, integrating along a validated path
-    that crosses only that edge between the two adjacent face cores."""
+    that crosses only that edge between the two adjacent face cores.  The
+    paths of all edges are found first, then measured together."""
     mesh = dome(ideal_points)
     # The dome's vertices: the input less the points it dropped as duplicates.
     dom = DiskComplementDomain(mesh.vertices)
     cores = [_FaceCore(dom, f) for f in mesh.faces]
+    paths = [_edge_path(_EdgeStrata(dom, mesh, edge, cores)) for edge in mesh.edges]
+    measures = iter(_measure_paths(dom, [p for p in paths if p is not None], tol))
     checks, violations, edge_values = [], [], []
-    for ei, edge in enumerate(mesh.edges):
-        strata = _EdgeStrata(dom, mesh, edge, cores)
-        path = None
-        for candidate in _edge_measure_paths(strata):
-            path = _single_edge_subpath(strata, candidate)
-            if path is not None:
-                break
+    for ei, (edge, path) in enumerate(zip(mesh.edges, paths)):
         if path is None:
             violations.append({"kind": "no-measure-path", "edge": ei})
             edge_values.append(
                 {"edge": ei, "theta": math.nan, "dihedral": edge.weight, "error": math.inf})
             continue
-        res = transverse_measure(dom, path, tol_measure=tol)
+        res = next(measures)
+        if isinstance(res, Exception):
+            raise res
         err = abs(res.value - edge.weight)
         edge_values.append(
             {"edge": ei, "theta": res.value, "dihedral": edge.weight, "error": err}

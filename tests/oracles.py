@@ -345,3 +345,108 @@ def reference_leaf_lifts(hol, mc, depth, focus, margin=4.0):
         parent=np.concatenate(parents),
         letter=np.concatenate(letters),
     )
+
+
+def reference_maximal_disk(dom, x):
+    """Reference for ``maximal_disks``: the per-point body ``maximal_disk_at``
+    had before the batch, kept as it was, with the loop ``affine_stack`` then
+    ran written out.  It builds every circle and map through its scalar
+    constructor and raises where the batch stores the error."""
+    from cp1graft.moebius import (
+        TOL_GEO,
+        DegenerateInputError,
+        MoebiusMap,
+        OrientedCircle,
+        PointCP1,
+        RoundDisk,
+        apply,
+        apply_stack,
+        cp1,
+        minimal_enclosing_disk,
+    )
+    from cp1graft.thurston import TOL_CONTACT, MaximalDiskRecord, PreconditionError
+
+    x = cp1(x)
+    if not dom.contains(x):
+        raise PreconditionError("query point is too close to the complement")
+    if x.is_infinity:
+        t = MoebiusMap.identity()
+    else:
+        t = MoebiusMap(np.array([[0.0, 1.0], [1.0, -x.as_complex()]], dtype=complex))
+    transported = apply_stack(t, dom.pairs)
+    zs = []
+    for z0, z1 in transported.tolist():
+        if abs(z1) <= TOL_GEO * abs(z0):
+            raise DegenerateInputError("point is at infinity")
+        zs.append(z0 / z1)
+    med = minimal_enclosing_disk(zs)
+    contacts = [
+        i for i, z in enumerate(zs)
+        if abs(abs(z - med.center) - med.radius) <= TOL_CONTACT * med.radius
+    ]
+    if len(contacts) < 2:
+        contacts = sorted(set(contacts) | set(med.support))
+    circle_norm = OrientedCircle.from_center_radius(med.center, med.radius, disk_inside=False)
+    m = t.matrix
+    disk = RoundDisk(OrientedCircle(m.conj().T @ circle_norm.hermitian @ m))
+    u = MoebiusMap(np.array([[0.0, med.radius], [1.0, -med.center]], dtype=complex))
+    boundary = sorted(
+        ((i, apply(u, PointCP1(*transported[i].tolist())).as_complex()) for i in contacts),
+        key=lambda iw: math.atan2(iw[1].imag, iw[1].real),
+    )
+    ws = tuple(w for _, w in boundary)
+    ids = tuple(i for i, _ in boundary)
+    return MaximalDiskRecord(
+        disk=disk, ideal_points=tuple(dom.complement[i] for i in ids), ideal_ids=ids,
+        normalized=med, query=x, frame_maps=(u, t), boundary=ws,
+    )
+
+
+def reference_transverse_measure(dom, path, tol_measure):
+    """Reference for the lockstep refinement of ``transverse_measure``: its
+    body as it was, one path at a time, each disk found by
+    ``reference_maximal_disk`` when the sum first reads it."""
+    from cp1graft.moebius import DegenerateInputError, NoIntersectionError, angle_between
+    from cp1graft.thurston import (
+        MEASURE_MAX_LEVELS,
+        MEASURE_SUBDIVISION,
+        MeasureResult,
+        TransversalityError,
+        _Polyline,
+    )
+
+    line = _Polyline(path)
+    if len(line.pts) < 2:
+        raise DegenerateInputError("path needs at least 2 vertices")
+    if line.total <= 0:
+        raise DegenerateInputError("path has zero length")
+    finest = MEASURE_SUBDIVISION << MEASURE_MAX_LEVELS
+    disk_cache = {}
+
+    def disk_at(i, n):
+        key = i * (finest // n)
+        if key not in disk_cache:
+            disk_cache[key] = reference_maximal_disk(dom, line.at(i / n * line.total))
+        return disk_cache[key]
+
+    trace = []
+    prev = None
+    for level in range(MEASURE_MAX_LEVELS + 1):
+        n = MEASURE_SUBDIVISION << level
+        try:
+            theta = 0.0
+            for i in range(n):
+                d0, d1 = disk_at(i, n), disk_at(i + 1, n)
+                if d0.same_disk(d1):
+                    continue
+                theta += angle_between(d0.disk.circle, d1.disk.circle)
+        except NoIntersectionError:
+            prev = None
+            continue
+        trace.append(theta)
+        if prev is not None and abs(theta - prev) < tol_measure:
+            return MeasureResult(value=theta, trace=tuple(trace), levels=level, converged=True)
+        prev = theta
+    if not trace:
+        raise TransversalityError("consecutive maximal disks do not intersect at maximal refinement")
+    return MeasureResult(value=trace[-1], trace=tuple(trace), levels=MEASURE_MAX_LEVELS, converged=False)

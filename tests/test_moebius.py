@@ -315,6 +315,14 @@ def test_apply_stack_matches_apply_bit_for_bit():
             assert affine_stack(rows) == finite
     with pytest.raises(DegenerateInputError, match="at infinity"):
         affine_stack(pairs)
+    # Long adversarial stacks, bit for bit, signs of zeros included.
+    rows = _adversarial_rows(rng)
+    pts = [PointCP1(complex(z0), complex(z1)) for z0, z1 in rows]
+    pairs = moebius.unit_pairs(rows)
+    for _ in range(4):
+        m = random_moebius(rng)
+        images = np.array([(q.z0, q.z1) for q in (apply(m, p) for p in pts)])
+        assert apply_stack(m, pairs).tobytes() == images.tobytes()
 
 
 def _adversarial_rows(rng, n=2000) -> np.ndarray:
@@ -352,6 +360,11 @@ def test_pair_kernel_matches_per_point_bit_for_bit():
     assert moebius.sphere_xyz(rows[:600].reshape(300, 2, 2)).tobytes() == xyz[:600].tobytes()
     chords = np.array([chordal_distance(p, q) for p, q in zip(pts, pts[1:])])
     assert moebius.chordal_rows(xyz[:-1], xyz[1:]).tobytes() == chords.tobytes()
+    z, at_inf = moebius.affine_rows(rows)
+    assert at_inf.tolist() == [p.is_infinity for p in pts]
+    finite = np.array([p.as_complex() for p in pts if not p.is_infinity])
+    assert 0 < len(finite) < len(pts)
+    assert z[~at_inf].tobytes() == finite.tobytes()
 
 
 def test_frobenius_rows_match_proj_distance():
@@ -373,3 +386,53 @@ def test_pair_kernel_rejects_what_pointcp1_rejects(bad):
     for kernel in (moebius.unit_pairs, moebius.sphere_xyz):
         with pytest.raises(DegenerateInputError):
             kernel(rows)
+
+
+def _adversarial_matrices(rng) -> np.ndarray:
+    """2x2 complex matrices, random and made of ``_adversarial_rows``."""
+    rows = _adversarial_rows(rng)
+    rows = rows[rng.permutation(len(rows))][: len(rows) // 2 * 2]
+    gauss = rng.normal(size=(3000, 2, 2)) + 1j * rng.normal(size=(3000, 2, 2))
+    return np.concatenate([gauss, rows.reshape(-1, 2, 2)])
+
+
+def test_det_parts_match_the_scalar_determinants():
+    """The real-arithmetic determinant of the kernels has the bits of the
+    scalar determinant MoebiusMap and OrientedCircle took with numpy's
+    scalar products, on stacks and on one matrix's parts (numpy's array
+    product may round differently, as it does on AVX-512 hosts)."""
+    mats = _adversarial_matrices(np.random.default_rng(45))
+    herm = (mats + np.conj(mats).transpose(0, 2, 1)) / 2.0
+    for stack in (mats, herm):
+        want = np.array([m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] for m in stack])
+        re, im = moebius.det_parts(*stack.reshape(-1, 4).view(float).T)
+        assert re.tobytes() == want.real.tobytes() and im.tobytes() == want.imag.tobytes()
+        one = np.array([complex(*moebius.det_parts(*m.ravel().view(float).tolist())) for m in stack])
+        assert one.tobytes() == want.tobytes()
+
+
+def test_kernels_match_the_scalar_constructors():
+    """``moebius_rows`` and ``circle_rows`` give every matrix MoebiusMap and
+    OrientedCircle store, and fault exactly the matrices they reject, with
+    their messages."""
+    rng = np.random.default_rng(46)
+    mats = _adversarial_matrices(rng)
+    mats[::97] = 0.0
+    herm = (mats + np.conj(mats).transpose(0, 2, 1)) / 2.0
+    herm[::5] += 1e-9 * mats[::5]  # off Hermitian by more than TOL_ALG
+    for kernel, make, stack in ((moebius.moebius_rows, MoebiusMap, mats),
+                                (moebius.circle_rows, OrientedCircle, herm)):
+        rows, faults = kernel(stack)
+        errors = 0
+        for i, m in enumerate(stack):
+            try:
+                want = make(m)
+            except DegenerateInputError as exc:
+                assert faults[i] == str(exc)
+                errors += 1
+                continue
+            assert i not in faults
+            stored = want.matrix if make is MoebiusMap else want.hermitian
+            assert rows[i].tobytes() == stored.tobytes()
+        assert errors == len(faults) > 0
+        assert len(set(faults.values())) == (1 if make is MoebiusMap else 2)

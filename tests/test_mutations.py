@@ -198,17 +198,18 @@ def test_goldman_known_survivor_disabled_bending_rotation(holonomy, monkeypatch,
 def _shifted_disks(monkeypatch):
     """Every seventh maximal disk found moved by z -> 1.05 z + 0.02, as the
     planted records of the stratification tests move theirs."""
-    find = thurston.maximal_disk_at
+    find = thurston.maximal_disks
     shift = MoebiusMap(np.array([[1.05, 0.02], [0.0, 1.0]], dtype=complex))
-    calls = itertools.count()
+    found = itertools.count()
 
-    def shifted(dom, x):
-        rec = find(dom, x)
-        if next(calls) % 7:
-            return rec
-        return dataclasses.replace(rec, disk=RoundDisk(rec.disk.circle.transform(shift)))
+    def shifted(dom, points):
+        return [
+            rec if isinstance(rec, Exception) or next(found) % 7
+            else dataclasses.replace(rec, disk=RoundDisk(rec.disk.circle.transform(shift)))
+            for rec in find(dom, points)
+        ]
 
-    monkeypatch.setattr(thurston, "maximal_disk_at", shifted)
+    monkeypatch.setattr(thurston, "maximal_disks", shifted)
 
 
 def test_stratification_catches_shifted_disk(monkeypatch, tmp_path):

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cp1graft.moebius import (
     INFINITY,
     TOL_GEO,
     DegenerateInputError,
+    MinimalDisk,
     MoebiusMap,
     OrientedCircle,
     PointCP1,
@@ -34,11 +36,13 @@ from cp1graft.grafting import (
 )
 from cp1graft.thurston import (
     TOL_CONTACT,
+    TOL_MEASURE,
     DiskComplementDomain,
     PreconditionError,
     dome_measure_report,
     face_core_point,
     maximal_disk_at,
+    maximal_disks,
     projection_psi,
     recover_weight_from_grafted,
     stratification_check,
@@ -46,7 +50,11 @@ from cp1graft.thurston import (
     verify_covering,
 )
 from conftest import REPO, domain_round_sets, limit_domain
-from oracles import maximal_disk_support_search
+from oracles import (
+    maximal_disk_support_search,
+    reference_maximal_disk,
+    reference_transverse_measure,
+)
 
 TWO_PI = 2.0 * math.pi
 OMEGA = cmath.exp(1j * math.pi / 3.0)
@@ -351,6 +359,128 @@ def test_coincident_contacts_are_one_core_vertex():
     assert lone.edges == () and not lone.contains(cp1(0))
 
 
+def record_bits(rec):
+    """Every field of a maximal disk record, and its lazy core, as bits; an
+    error as its type and message."""
+    if isinstance(rec, Exception):
+        return type(rec).__name__, str(rec)
+    core = rec.core
+    return (
+        rec.disk.circle.hermitian.tobytes(), rec.ideal_ids,
+        as_pairs(rec.ideal_points).tobytes(), rec.normalized, rec.query,
+        np.array(rec.boundary, dtype=complex).tobytes(),
+        [m.matrix.tobytes() for m in rec.frame_maps],
+        core.frame.matrix.tobytes(), [a.hex() for a in core.boundary_angles],
+        [e.hermitian.tobytes() for e in core.edges],
+    )
+
+
+def identity_sets(group):
+    """The ideal sets a batch is pinned on: the acceptance sets, the domain
+    round's at a seed, or the domains of ``configs/``."""
+    if group == "acceptance":
+        return list(ACCEPTANCE_SETS.values())
+    if group == "configs":
+        return [list(RunConfig.load(str(REPO / "configs" / f"{name}.json")).domain_points)
+                for name in ("sixpoint_domain", "tetrahedron_dome")]
+    return domain_round_sets(int(group[len("seed"):]))
+
+
+@pytest.mark.parametrize("group", ["acceptance", "seed1", "seed7", "seed100", "configs"])
+def test_maximal_disks_match_per_point_reference(group):
+    """maximal_disks keeps every bit of the per-point construction it
+    replaced, on one mixed batch per set: samples, every complement point
+    and a point within TOL_GEO of it, infinity, a point beyond 1 / TOL_GEO
+    (at infinity for ``is_infinity``) and a NaN.  Each rejected query gets
+    the reference's error at its own position, and every other query its
+    record."""
+    for k, pts in enumerate(identity_sets(group)):
+        dom = DiskComplementDomain.from_ideal_points(pts)
+        near = [p.as_complex() + 3e-8 for p in dom.complement if not p.is_infinity]
+        queries = sample_queries(dom, 40, seed=k) + list(dom.complement) + near
+        queries += [INFINITY, "inf", 1e8 + 1j, complex(math.nan, 0.0)]
+        rng = np.random.default_rng(k)
+        queries = [queries[i] for i in rng.permutation(len(queries))]
+
+        def reference(x):
+            try:
+                return reference_maximal_disk(dom, x)
+            except (PreconditionError, DegenerateInputError) as exc:
+                return exc
+
+        got = maximal_disks(dom, queries)
+        assert len(got) == len(queries)
+        for x, rec in zip(queries, got):
+            assert record_bits(rec) == record_bits(reference(x)), (group, k, x)
+        rejected = sum(isinstance(r, PreconditionError) for r in got)
+        assert rejected >= 2 * len(near)
+        assert maximal_disks(dom, []) == []
+
+
+def test_maximal_disks_blocks_keep_positions(holonomy, monkeypatch):
+    """Cut into blocks of a few queries, a batch gives each query the
+    record or error it gets alone, in order."""
+    dom = DiskComplementDomain(limit_set_sample(holonomy, 2))
+    xs = np.sort([p.as_complex().real for p in dom.complement if not p.is_infinity])
+    queries = [complex((a + b) / 2.0) for a, b in zip(xs[:12], xs[1:13])]
+    queries += [0.3 + 0.7j, dom.complement[5], 1e-9 + xs[3]]
+    monkeypatch.setattr(thurston, "DISK_BLOCK", 3 * len(dom.complement))
+    got = maximal_disks(dom, queries)
+    for x, rec in zip(queries, got):
+        try:
+            want = maximal_disk_at(dom, x)
+        except PreconditionError as exc:
+            want = exc
+        assert record_bits(rec) == record_bits(want), x
+    assert [isinstance(r, Exception) for r in got[-3:]] == [False, True, True]
+
+
+def _widest_pair_disk(points, seed=0):
+    """``minimal_enclosing_disk`` of points on the real line, in closed form:
+    the disk on the widest pair.  It stands in for the incremental
+    construction, the one per-point step of a batch, whose Python
+    allocations tracemalloc slows about twentyfold."""
+    x = np.asarray(points).real
+    lo, hi = int(np.argmin(x)), int(np.argmax(x))
+    p, q = complex(points[lo]), complex(points[hi])
+    return MinimalDisk(center=(p + q) / 2.0, radius=abs(q - p) / 2.0,
+                       support=tuple(sorted({lo, hi})))
+
+
+def test_maximal_disk_batches_stay_within_their_blocks(holonomy, monkeypatch):
+    """512 queries against the depth-4 Fuchsian limit sample (3,063 points)
+    are taken in blocks of about DISK_BLOCK transported points: the memory a
+    batch holds beyond the records it returns stays within a few blocks'
+    arrays, where the whole batch at once would take 50 times as much.  A
+    200-sample stratification adds only its pair test's N x G arrays (G
+    distinct disks, of which it holds about four at once)."""
+    dom = DiskComplementDomain(limit_set_sample(holonomy, 4))
+    n = len(dom.complement)
+    xs = np.sort([p.as_complex().real for p in dom.complement if not p.is_infinity])
+    gaps = np.sort(np.argsort(xs[:-1] - xs[1:])[:512])
+    queries = [complex((xs[i] + xs[i + 1]) / 2.0) for i in gaps]
+    monkeypatch.setattr(thurston, "minimal_enclosing_disk", _widest_pair_disk)
+    block = max(1, thurston.DISK_BLOCK // n) * n * 32  # the transported pairs
+    assert 512 * n * 32 > 40 * block
+
+    def held(run):
+        tracemalloc.start()
+        try:
+            out = run()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, peak - current
+
+    recs, extra = held(lambda: maximal_disks(dom, queries))
+    assert all(len(r.ideal_ids) == 2 for r in recs)
+    assert extra < 8 * block
+    report, extra = held(lambda: stratification_check(dom, queries[:200]))
+    assert all(c["passed"] for c in report["checks"])
+    forms = n * report["values"]["distinct_disks"] * 8
+    assert extra < 8 * block + 4 * forms
+
+
 # ---------------------------------------------------------------------------
 # stratification
 
@@ -481,13 +611,18 @@ def test_stratification_matches_per_pair_reference(name):
 
 
 def _plant(change, targets):
-    """maximal_disk_at with the record at each target query replaced by
-    change(record)."""
+    """maximal_disks with the record at each target query replaced by
+    change(record); ``planted.changed`` lists the queries it changed."""
+    find = thurston.maximal_disks
 
-    def planted(dom, x):
-        rec = maximal_disk_at(dom, x)
-        return change(rec) if x in targets else rec
+    def planted(dom, points):
+        points = list(points)
+        recs = find(dom, points)
+        hit = [x in targets and not isinstance(rec, Exception) for x, rec in zip(points, recs)]
+        planted.changed += [x for x, h in zip(points, hit) if h]
+        return [change(rec) if h else rec for h, rec in zip(hit, recs)]
 
+    planted.changed = []
     return planted
 
 
@@ -532,10 +667,13 @@ def test_stratification_groups_near_same_disk_threshold(monkeypatch):
     dom = DiskComplementDomain.from_ideal_points(ACCEPTANCE_SETS["6-point"])
     samples = sample_queries(dom, 120, seed=9)
     plain = stratification_check(dom, samples)
-    monkeypatch.setattr(thurston, "maximal_disk_at", _plant(_nudged_disk, set(samples[::3])))
+    planted = _plant(_nudged_disk, set(samples[::3]))
+    monkeypatch.setattr(thurston, "maximal_disks", planted)
     report = stratification_check(dom, samples)
     assert report == per_pair_stratification_reference(dom, samples)
     assert report["values"] == plain["values"]
+    # Both the batch and the reference's one-point calls got nudged disks.
+    assert planted.changed == samples[::3] * 2
 
 
 def test_stratification_nested_disks_with_small_side_values(monkeypatch):
@@ -552,10 +690,13 @@ def test_stratification_nested_disks_with_small_side_values(monkeypatch):
         0.3: dict(disk=inner, ideal_points=dom.complement[3:], ideal_ids=(3,)),
     }
 
-    def planted(d, x):
-        return dataclasses.replace(maximal_disk_at(d, x), **fakes[x])
+    find = thurston.maximal_disks
 
-    monkeypatch.setattr(thurston, "maximal_disk_at", planted)
+    def planted(d, points):
+        points = list(points)
+        return [dataclasses.replace(rec, **fakes[x]) for x, rec in zip(points, find(d, points))]
+
+    monkeypatch.setattr(thurston, "maximal_disks", planted)
     report = stratification_check(dom, list(fakes))
     assert report == per_pair_stratification_reference(dom, list(fakes))
     assert report["violations"] == [{"kind": "nested-disks", "groups": [0, 1]}]
@@ -569,8 +710,10 @@ def test_stratification_nested_disks_with_small_side_values(monkeypatch):
 def test_stratification_planted_record_reported(monkeypatch, change, kind, check):
     dom = DiskComplementDomain.from_ideal_points(ACCEPTANCE_SETS["6-point"])
     samples = sample_queries(dom, 120, seed=9)
-    monkeypatch.setattr(thurston, "maximal_disk_at", _plant(change, set(samples[3::7])))
+    planted = _plant(change, set(samples[3::7]))
+    monkeypatch.setattr(thurston, "maximal_disks", planted)
     report = stratification_check(dom, samples)
+    assert planted.changed[: len(samples[3::7])] == samples[3::7]
     assert report == per_pair_stratification_reference(dom, samples)
     assert any(v["kind"] == kind for v in report["violations"])
     assert not next(c for c in report["checks"] if c["name"] == check)["passed"]
@@ -605,6 +748,52 @@ def test_measure_refinement_trace_monotone(tetrahedron_points):
     diffs = [abs(a - b) for a, b in zip(res.trace, res.trace[1:])]
     if len(diffs) >= 3:
         assert diffs[-1] <= diffs[-3] + 1e-12
+
+
+def measure_bits(res):
+    """A measure result as bits, or an error as its type and message."""
+    if isinstance(res, Exception):
+        return type(res).__name__, str(res)
+    return res.value.hex(), [t.hex() for t in res.trace], res.levels, res.converged
+
+
+def test_lockstep_measure_matches_one_path_at_a_time():
+    """Paths measured together get, result for result, what each gets alone
+    and what the lazy per-point refinement gave: a path whose level-0 disks
+    do not intersect and that converges at level 2, paths that converge at
+    level 1 and deeper, a path that reaches a complement point only at
+    level 1 and raises there, one through a complement point at level 0,
+    and a path of zero length."""
+    pts = domain_round_sets(7)[7]
+    dom = DiskComplementDomain(dome(pts).vertices)
+    v = next(p for p in dom.complement if not p.is_infinity).as_complex()
+    paths = [
+        [-2.3233127080714753 + 0.8153759321775627j, 1.6429401431285169 - 0.013948267530939874j],
+        [v - 1.0, v + 7.0],
+        [0.4 + 2.5j, -1.2 - 2.7j],
+        [v - 1j, v + 1j],
+        [0.1 + 0.1j, 0.1 + 0.1j],
+        [-2.742044610572318 + 0.17977995841637728j, -0.13695314458310648 + 1.9988239570986703j],
+    ]
+    got = thurston._measure_paths(dom, paths, TOL_MEASURE)
+
+    def alone(measure, path):
+        try:
+            return measure(dom, path, TOL_MEASURE)
+        except (PreconditionError, DegenerateInputError) as exc:
+            return exc
+
+    want = [alone(reference_transverse_measure, p) for p in paths]
+    assert [measure_bits(r) for r in got] == [measure_bits(r) for r in want]
+    assert [measure_bits(alone(transverse_measure, p)) for p in paths] == [
+        measure_bits(r) for r in want]
+    first = got[0]
+    assert first.levels == 2 and len(first.trace) == 2 and first.converged
+    assert max(r.levels for r in got if isinstance(r, thurston.MeasureResult)) >= 3
+    assert [type(r).__name__ for r in got[1:5]] == [
+        "PreconditionError", "MeasureResult", "PreconditionError", "DegenerateInputError"]
+    with pytest.raises(PreconditionError):
+        transverse_measure(dom, paths[1])
 
 
 def test_dome_measure_report_tetrahedron(tetrahedron_points):
@@ -664,7 +853,7 @@ def dome_measure_runs():
         return out
 
     def counting(*args, **kwargs):
-        fallbacks.append(args[3])
+        fallbacks.extend(args[3])
         return classify(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -693,9 +882,9 @@ def test_strata_labels_match_maximal_disk_labels(dome_measure_runs):
     _, batches, fallbacks = dome_measure_runs
     probes = 0
     for name, strata, points, labels in batches:
-        for z, label in zip(points, labels):
+        refs = thurston._classify_on_path(strata.dom, strata.mesh, strata.edge, points)
+        for z, label, ref in zip(points, labels, refs):
             probes += 1
-            ref = thurston._classify_on_path(strata.dom, strata.mesh, strata.edge, z)
             assert label == ref, (name, z)
     assert probes > 10_000
     assert len(fallbacks) <= probes // 500
@@ -715,21 +904,19 @@ def test_strata_labels_on_a_face_with_clustered_vertices():
         line = thurston._Polyline(next(thurston._edge_measure_paths(strata)))
         points = [line.at(line.total * k / thurston.PATH_PROBES, clamp=False)
                   for k in range(thurston.PATH_PROBES + 1)]
-        assert strata.labels(points) == [
-            thurston._classify_on_path(dom, mesh, edge, z) for z in points]
+        assert strata.labels(points) == thurston._classify_on_path(dom, mesh, edge, points)
 
 
 def test_maximal_disk_matches_two_inversions(dome_measure_runs):
-    """The disk of maximal_disk_at is bit for bit the push-forward by
-    ``t.inverse()`` through ``OrientedCircle.transform``, on every probe of
-    the seed-7 round."""
+    """The disk of every maximal disk record is bit for bit the push-forward
+    by ``t.inverse()`` through ``OrientedCircle.transform``, on every probe
+    of the seed-7 round, taken as the batches the strata labelled."""
     _, batches, _ = dome_measure_runs
     checked = 0
     for name, strata, points, _ in batches:
         if not name.startswith("seed7-"):
             continue
-        for z in points:
-            rec = maximal_disk_at(strata.dom, cp1(z))
+        for z, rec in zip(points, maximal_disks(strata.dom, points)):
             t = rec.frame_maps[1]
             med = rec.normalized
             circle = OrientedCircle.from_center_radius(med.center, med.radius, disk_inside=False)
