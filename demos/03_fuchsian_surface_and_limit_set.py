@@ -5,7 +5,7 @@ Run:  python demos/03_fuchsian_surface_and_limit_set.py
 """
 
 from cp1graft import FNCoordinates, GroupWord, fuchsian_from_fn, limit_set_sample
-from cp1graft.moebius import as_pairs, chordal_rows, sphere_xyz
+from cp1graft.moebius import affine_rows, chordal_rows, sphere_xyz
 from cp1graft.surface import cuff_length_from_trace, jorgensen_flags
 
 fn = FNCoordinates(lengths=(2.0, 2.5, 1.7), twists=(0.3, -0.8, 1.1))
@@ -21,20 +21,22 @@ for word, want in zip(hol.cuff_words, fn.lengths):
 pairs = [(GroupWord((1,)), GroupWord((2,))), (GroupWord((3,)), GroupWord((4,)))]
 print("Jorgensen flags:", jorgensen_flags(hol, pairs) or "none")
 
-# Limit-set samples are attracting fixed points of group elements; for a
-# Fuchsian group they fill out the round circle R u {inf}.
+# Limit-set samples are attracting fixed points of group elements, as rows
+# (z0, z1) of homogeneous pairs; for a Fuchsian group they fill out the
+# round circle R u {inf}.
 for depth in (2, 3, 4, 5):
     pts = limit_set_sample(hol, depth)
-    finite = [p.as_complex().real for p in pts if not p.is_infinity]
+    z, at_inf = affine_rows(pts)
+    finite = z.real[~at_inf]
     print(f"depth {depth}: {len(pts)} samples, spread "
-          f"[{min(finite):.2f}, {max(finite):.2f}]")
+          f"[{finite.min():.2f}, {finite.max():.2f}]")
 
 # Hausdorff-distance diagnostic between consecutive depths: the gap shrinks
 # as the sample fills the circle (a convergence indicator, not a theorem).
 # Sphere coordinates come from the pair-array kernel, row by row the bits
 # of PointCP1.sphere_coords, and chordal_rows is chordal_distance's formula.
 def hausdorff(a, b):
-    xa, xb = sphere_xyz(as_pairs(a)), sphere_xyz(as_pairs(b))
+    xa, xb = sphere_xyz(a), sphere_xyz(b)
     d_ab = max(chordal_rows(xb, x).min() for x in xa)
     d_ba = max(chordal_rows(xa, x).min() for x in xb)
     return max(d_ab, d_ba)

@@ -25,6 +25,7 @@ from .moebius import (
     DegenerateInputError,
     MoebiusMap,
     PointCP1,
+    affine_rows,
     cp1,
 )
 from .hyperbolic import DomeMesh, dome, halfspace_to_ball
@@ -197,8 +198,14 @@ class RunConfig:
         )
         if not 0 < config.truncation_radius < math.inf:
             raise ConfigError("truncation_radius must be positive and finite")
-        if min(config.limit_depth, config.export_word_length, config.loops, config.samples) < 1:
-            raise ConfigError("limit_depth, export_word_length, loops and samples must be >= 1")
+        if min(config.loops, config.samples) < 1:
+            raise ConfigError("loops and samples must be >= 1")
+        # A word level of length d holds 8 * 7^(d - 1) matrices; the bounds keep
+        # the largest level under a million.
+        if not 1 <= config.limit_depth <= 7:
+            raise ConfigError("limit_depth must be in [1, 7]")
+        if not 1 <= config.export_word_length <= 6:
+            raise ConfigError("export_word_length must be in [1, 6]")
         if not config.margin > 0:
             raise ConfigError("margin must be positive")
         return config
@@ -536,11 +543,9 @@ def cmd_export(config: RunConfig, target: str, out_dir: str) -> int:
 
     if target == "limitset":
         hol = fuchsian_from_fn(config.fn)
-        pts = limit_set_sample(hol, config.limit_depth)
-        rows = ["re,im"]
-        for p in pts:
-            z = p.as_complex() if not p.is_infinity else complex(math.inf, 0.0)
-            rows.append(f"{z.real:.17g},{z.imag:.17g}")
+        zs, at_inf = affine_rows(limit_set_sample(hol, config.limit_depth))
+        zs[at_inf] = complex(math.inf, 0.0)
+        rows = ["re,im"] + [f"{z.real:.17g},{z.imag:.17g}" for z in zs.tolist()]
         atomic_write(os.path.join(out_dir, "limitset.csv"), "\n".join(rows) + "\n")
         return EXIT_OK
 

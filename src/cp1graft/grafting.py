@@ -30,6 +30,7 @@ from .moebius import (
     MoebiusMap,
     OrientedCircle,
     PointCP1,
+    affine_rows,
     apply,
     chordal_rows,
     classify,
@@ -204,25 +205,11 @@ def element_keys(mats: np.ndarray) -> list[bytes]:
     return rounded.reshape(len(mats), 4).view("V64").ravel().tolist()
 
 
-def _quotient_real(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re(a / b) elementwise, by the same steps as Python's complex
-    division (so it matches PointCP1.as_complex().real bit for bit)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        by_real = np.abs(b.real) >= np.abs(b.imag)
-        ratio = np.where(by_real, b.imag / b.real, b.real / b.imag)
-        return np.where(
-            by_real,
-            (a.real + a.imag * ratio) / (b.real + b.imag * ratio),
-            (a.real * ratio + a.imag) / (b.real * ratio + b.imag),
-        )
-
-
 def _real_ends(ends: np.ndarray) -> np.ndarray:
     """Real coordinates (PointCP1.as_complex().real) of (..., 2) homogeneous
     pairs, nan where PointCP1.is_infinity holds."""
-    z0, z1 = ends[..., 0], ends[..., 1]
-    at_inf = np.hypot(z1.real, z1.imag) <= TOL_GEO * np.hypot(z0.real, z0.imag)
-    return np.where(at_inf, np.nan, _quotient_real(z0, z1))
+    z, at_inf = affine_rows(ends)
+    return np.where(at_inf, np.nan, z.real)
 
 
 def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:

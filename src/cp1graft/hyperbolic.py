@@ -363,23 +363,24 @@ def _merge_coplanar(xs, tris):
 
 
 def dome(ideal_points) -> DomeMesh:
-    """Boundary of the hyperbolic convex hull of a finite ideal set.
+    """Boundary of the hyperbolic convex hull of a finite ideal set: points,
+    or an (N, 2) array of homogeneous pairs.
 
     Faces are totally geodesic pieces supported on hyperbolic planes; each
     edge carries the exterior dihedral angle between its two faces as a
     bending weight.  A concircular input yields a single flat face and no
     bending (the degenerate planar case).
     """
-    pts = [cp1(p) for p in ideal_points]
-    xs = sphere_xyz(as_pairs(pts))
+    rows = as_pairs(ideal_points)
+    xs = sphere_xyz(rows)
     # Deduplicate: keep each point at chordal distance >= TOL_GEO from the kept.
     uniq = []
-    for i in range(len(pts)):
+    for i in range(len(xs)):
         if (chordal_rows(xs[uniq], xs[i]) >= TOL_GEO).all():
             uniq.append(i)
     if len(uniq) < 3:
         raise DegenerateInputError("dome needs at least 3 distinct ideal points")
-    pts, xs = [pts[i] for i in uniq], xs[uniq]
+    pts, xs = [PointCP1(z0, z1) for z0, z1 in rows[uniq].tolist()], xs[uniq]
 
     # Within delta of one plane, four points span a volume of at most
     # 24 delta: a flat set has no seed simplex, and the search is skipped.

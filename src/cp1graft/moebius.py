@@ -120,7 +120,10 @@ def chordal_distance(p: PointCP1, q: PointCP1) -> float:
 
 def as_pairs(points) -> np.ndarray:
     """(N, 2) homogeneous pairs of ``cp1`` of each point, without building
-    points; ``unit_pairs`` makes PointCP1's check."""
+    points; an (N, 2) array of pairs is passed through as it is.
+    ``unit_pairs`` makes PointCP1's check."""
+    if isinstance(points, np.ndarray) and points.ndim == 2:
+        return points
     return np.array([_pair(p) for p in points], dtype=complex).reshape(-1, 2)
 
 
@@ -387,25 +390,28 @@ def apply_stack(m: MoebiusMap, pairs: np.ndarray) -> np.ndarray:
 
 
 def affine_rows(pairs: np.ndarray) -> tuple:
-    """``as_complex`` of every row of an (N, 2) stack of pairs PointCP1
+    """``as_complex`` of every row of an (..., 2) stack of pairs PointCP1
     accepts, bit for bit, and where a row is at infinity (its value is then
     0).  The test is ``as_complex``'s, with CPython's abs (libm's hypot of
     the parts; numpy's complex abs may differ in the last bit), and the
     quotient is CPython's: Smith's algorithm, dividing by the larger part
-    of z1 (numpy's complex division rounds differently)."""
-    ar, ai, br, bi = pairs[:, 0].real, pairs[:, 0].imag, pairs[:, 1].real, pairs[:, 1].imag
+    of z1 (numpy's complex division rounds differently).  Where that is the
+    imaginary part, swapping the parts of z0 and z1 conjugates the
+    quotient, so one branch serves both; its imaginary part is then negated
+    as CPython writes it, which keeps the sign of a zero."""
+    ar, ai, br, bi = pairs[..., 0].real, pairs[..., 0].imag, pairs[..., 1].real, pairs[..., 1].imag
     at_inf = np.hypot(br, bi) <= TOL_GEO * np.hypot(ar, ai)
-    by_re = ~at_inf & (np.abs(br) >= np.abs(bi))
-    by_im = ~at_inf & ~by_re
-    out = np.zeros(len(pairs), dtype=complex)
-    ar_, ai_, br_, bi_ = ar[by_re], ai[by_re], br[by_re], bi[by_re]
-    ratio = bi_ / br_
-    denom = br_ + bi_ * ratio
-    out.real[by_re], out.imag[by_re] = (ar_ + ai_ * ratio) / denom, (ai_ - ar_ * ratio) / denom
-    ar_, ai_, br_, bi_ = ar[by_im], ai[by_im], br[by_im], bi[by_im]
-    ratio = br_ / bi_
-    denom = br_ * ratio + bi_
-    out.real[by_im], out.imag[by_im] = (ar_ * ratio + ai_) / denom, (ai_ * ratio - ar_) / denom
+    by_re = np.abs(br) >= np.abs(bi)
+    p, q = np.where(by_re, br, bi), np.where(by_re, bi, br)
+    s, t = np.where(by_re, ar, ai), np.where(by_re, ai, ar)
+    out = np.empty(at_inf.shape, dtype=complex)
+    with np.errstate(all="ignore"):
+        ratio = q / p
+        denom = p + q * ratio
+        v = s * ratio
+        out.real = (s + t * ratio) / denom
+        out.imag = np.where(by_re, t - v, v - t) / denom
+    out[at_inf] = 0.0
     return out, at_inf
 
 

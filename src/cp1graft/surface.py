@@ -359,10 +359,10 @@ def _attracting_points(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v, ok
 
 
-def limit_set_sample(hol, depth: int) -> list[PointCP1]:
+def limit_set_sample(hol, depth: int) -> np.ndarray:
     """Attracting fixed points of all hyperbolic/loxodromic images of words
     of length <= depth, deduplicated on the sphere (first occurrence kept);
-    deterministic order."""
+    deterministic order.  Returned as an (N, 2) array of homogeneous pairs."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     gens = {l: hol.generator(l).matrix for l in LETTER_ORDER}
@@ -377,7 +377,7 @@ def limit_set_sample(hol, depth: int) -> list[PointCP1]:
     pairs = np.concatenate(pairs)
     decimals = max(1, int(-math.log10(TOL_GEO)))
     keys = np.round(sphere_xyz(pairs), decimals)
-    return [PointCP1(z0, z1) for z0, z1 in pairs[np.sort(first_rows(keys))].tolist()]
+    return pairs[np.sort(first_rows(keys))]
 
 
 def jorgensen_flags(hol: FuchsianHolonomy, word_pairs) -> list[dict]:

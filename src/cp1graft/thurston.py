@@ -91,34 +91,34 @@ RADIUS_SLACK = 1e-15
 CHORD_SLACK = 1e-13
 
 
-@dataclass(frozen=True)
 class DiskComplementDomain:
     """CP^1 minus a finite sample: the ideal set of a dome, or a limit-set
     sample standing for the limit set of the domain of discontinuity.
 
-    The complement is also held as arrays from the pair-array kernel, whose
-    bits are those of the per-point methods: ``pairs`` (N, 2), the
-    normalized homogeneous pairs, and ``xyz`` (N, 3), the sphere
-    coordinates.  Queries take one point or a sequence of points.
+    The complement is given as points or as an (N, 2) array of homogeneous
+    pairs, and held as arrays from the pair-array kernel, whose bits are
+    those of the per-point methods: ``rows`` (N, 2), the pairs as given,
+    ``pairs`` (N, 2), the normalized pairs, and ``xyz`` (N, 3), the sphere
+    coordinates.  ``complement``, the tuple of PointCP1, is built when it
+    is first read.  Queries take one point or a sequence of points.
     """
 
-    complement: tuple  # PointCP1
-    pairs: np.ndarray = field(init=False, repr=False, compare=False)
-    xyz: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        pts = tuple(cp1(p) for p in self.complement)
-        if len(pts) < 2:
+    def __init__(self, complement):
+        rows = np.array(as_pairs(complement), dtype=complex)
+        pairs = unit_pairs(rows)
+        if len(rows) < 2:
             raise DegenerateInputError("complement must contain more than one point")
-        object.__setattr__(self, "complement", pts)
-        raw = as_pairs(pts)
-        for name, arr in (("pairs", unit_pairs(raw)), ("xyz", sphere_xyz(raw))):
+        for name, arr in (("rows", rows), ("pairs", pairs), ("xyz", sphere_xyz(rows))):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            setattr(self, name, arr)
 
     @staticmethod
     def from_ideal_points(points) -> "DiskComplementDomain":
-        return DiskComplementDomain(tuple(points))
+        return DiskComplementDomain(points)
+
+    @cached_property
+    def complement(self) -> tuple:
+        return tuple(PointCP1(z0, z1) for z0, z1 in self.rows.tolist())
 
     @cached_property
     def _circle(self):
@@ -237,12 +237,6 @@ class MaximalDiskRecord:
         return self.disk.circle.proj_distance(other.disk.circle) < TOL_SAME_DISK
 
 
-def _normalizer_to_infinity(x: PointCP1) -> MoebiusMap:
-    if x.is_infinity:
-        return MoebiusMap.identity()
-    return MoebiusMap(np.array([[0.0, 1.0], [1.0, -x.as_complex()]], dtype=complex))
-
-
 def _geodesic_center(u: complex, v: complex):
     """Center and squared radius of the circle orthogonal to the unit circle
     through boundary points u, v; None when the geodesic is a diameter."""
@@ -318,7 +312,7 @@ def maximal_disks(dom: DiskComplementDomain, points) -> list:
     matmul, ``moebius_rows`` and ``circle_rows``), and the circles and maps
     of a record are rows of the checked stacks."""
     points = list(points)
-    step = max(1, DISK_BLOCK // len(dom.complement))
+    step = max(1, DISK_BLOCK // len(dom.pairs))
     out = []
     for s in range(0, len(points), step):
         out += _disk_block(dom, points[s : s + step])
@@ -571,7 +565,7 @@ def _pairs_to_test(dom: DiskComplementDomain, recs: list) -> np.ndarray:
     might report; every other pair is nested in neither order and has both
     side values within their bounds.  All pairs are tested at once: the
     inversive products as one matrix, the side values from one matrix of
-    complement points x disks.  A value within a relative BATCH_BAND of a
+    contact points x disks.  A value within a relative BATCH_BAND of a
     threshold counts as crossing it."""
     h = np.array([r.disk.circle.hermitian for r in recs]).reshape(len(recs), 4)
     a, b, d = h[:, 0].real, h[:, 1], h[:, 3].real
@@ -592,11 +586,13 @@ def _pairs_to_test(dom: DiskComplementDomain, recs: list) -> np.ndarray:
         nests[:, inner] &= _form_values(probe, a, b, d).T < -TOL_GEO + band[:, inner]
 
     # worst[a, b]: the largest H_a - H_b value over the ideal points of a,
-    # which is the scalar test's worst_a; its worst_b is -worst[b, a].
-    forms = _form_values(dom.pairs, a, b, d)
+    # which is the scalar test's worst_a; its worst_b is -worst[b, a].  Only
+    # the records' contact rows are read, so only they get form values.
+    ids = np.array(sorted({i for r in recs for i in r.ideal_ids}), dtype=int)
+    forms = _form_values(dom.pairs[ids], a, b, d)
     worst = np.empty_like(band)
     for k, r in enumerate(recs):
-        rows = forms[list(r.ideal_ids)]
+        rows = forms[np.searchsorted(ids, r.ideal_ids)]
         worst[k] = (rows[:, k : k + 1] - rows).max(axis=0)
     overlap = worst > TOL_GEO - band
     return np.argwhere(np.triu(nests | nests.T | overlap | overlap.T, 1))
@@ -804,7 +800,7 @@ def face_core_point(dom: DiskComplementDomain, face) -> PointCP1:
     maximal-disk computation itself."""
     frame = _face_frame(face)
     finv = frame.inverse()
-    ws = [apply(frame, dom.complement[i]).as_complex() for i in face.vertex_ids]
+    ws = affine_stack(apply_stack(frame, dom.pairs[list(face.vertex_ids)]))
     mean = sum(w / abs(w) for w in ws if abs(w) > 1e-9)
     direction = mean / abs(mean) if abs(mean) > 1e-9 else 0.0j
     # Cores of faces whose vertices hug a short boundary arc are thin
@@ -868,7 +864,7 @@ class _FaceCore:
         try:
             self.frame = _face_frame(face)
             ws = sorted(
-                (apply(self.frame, dom.complement[i]).as_complex() for i in face.vertex_ids),
+                affine_stack(apply_stack(self.frame, dom.pairs[list(face.vertex_ids)])),
                 key=lambda w: math.atan2(w.imag, w.real),
             )
             edges = _core_region(self.frame, tuple(ws)).edges
@@ -881,7 +877,7 @@ class _FaceCore:
         self.edges = (h[:, 0].real, h[:, 1], h[:, 3].real)
         hf = face.plane.boundary.hermitian.reshape(1, 4)
         self.form = (hf[:, 0].real, hf[:, 1], hf[:, 3].real)
-        others = np.ones(len(dom.complement), dtype=bool)
+        others = np.ones(len(dom.pairs), dtype=bool)
         others[list(face.vertex_ids)] = False
         self.others = dom.pairs[others]
         self.hp = _form_values(self.others, *self.form)[:, 0]
@@ -932,7 +928,7 @@ class _EdgeStrata:
             > STRATA_BAND
             and abs(self.turn) > STRATA_BAND
         )
-        others = np.ones(len(dom.complement), dtype=bool)
+        others = np.ones(len(dom.pairs), dtype=bool)
         others[list(edge.vertex_ids)] = False
         self.others = apply_stack(self.n, dom.pairs[others])
         # proj_distance in the original frame is at least the one in the
@@ -1140,9 +1136,11 @@ def projection_psi(dom: DiskComplementDomain, x) -> PointH3:
 # Weight recovery (Goldman direction)
 
 
-def recover_weight_from_grafted(
-    gs: GraftedStructure, curve, samples: int = 256
-) -> float:
+# Points the developed boundary sweep of a weight recovery is sampled at.
+WEIGHT_SAMPLES = 256
+
+
+def recover_weight_from_grafted(gs: GraftedStructure, curve) -> float:
     """Total crescent angle across a transversal through the grafting
     cylinder of the named curve, integrated by developing sample points
     through the inserted chart and unwrapping the argument."""
@@ -1177,7 +1175,7 @@ def recover_weight_from_grafted(
     # Integrate the transverse coordinate through the crescent chart: sample
     # the developed boundary sweep and unwrap the winding argument.
     x_param = 0.0  # entry ray position; the sweep angle is x-independent
-    ys = np.linspace(0.0, theta, samples)
+    ys = np.linspace(0.0, theta, WEIGHT_SAMPLES)
     developed = np.exp(x_param + 1j * ys)
     swept = np.unwrap(np.angle(developed))
     return float(abs(swept[-1] - swept[0]))

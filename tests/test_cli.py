@@ -247,6 +247,13 @@ CLI_ERROR_CASES = [
      ("verify", "covering"), (), EXIT_CONFIG, "error:"),
     ("word-length-0", dict(BASE_CONFIG, export_word_length=0),
      ("export", "holonomy"), (), EXIT_CONFIG, "error:"),
+    # Word levels past the bounds would take gigabytes, so each oversized
+    # value is given to a command that does not read it: the config is
+    # refused before any command runs.
+    ("limit-depth-8", dict(BASE_CONFIG, limit_depth=8),
+     ("export", "holonomy"), (), EXIT_CONFIG, "error: limit_depth must be in [1, 7]"),
+    ("word-length-7", dict(BASE_CONFIG, export_word_length=7),
+     ("export", "limitset"), (), EXIT_CONFIG, "error: export_word_length must be in [1, 6]"),
     ("one-twist", _surface(twists=[0.1]), ("graft",), (), EXIT_CONFIG, "error:"),
     ("depth-text", dict(BASE_CONFIG, depth="x"), ("graft",), (), EXIT_CONFIG, "error:"),
     ("seed-text", dict(BASE_CONFIG, seed="x"), ("graft",), (), EXIT_CONFIG, "error:"),

@@ -15,7 +15,7 @@ import cp1graft.grafting as grafting
 import cp1graft.thurston as thurston
 from cp1graft.cli import EXIT_OK, EXIT_VIOLATIONS, main
 from cp1graft.grafting import GraftedStructure, WeightedMulticurve
-from cp1graft.moebius import MoebiusMap
+from cp1graft.moebius import DegenerateInputError, MoebiusMap
 from cp1graft.surface import GroupWord
 from cp1graft.thurston import RoundDisk, verify_covering
 from conftest import REPO, limit_domain
@@ -195,21 +195,27 @@ def test_goldman_known_survivor_disabled_bending_rotation(holonomy, monkeypatch,
     assert [(c["name"], c["passed"]) for c in report["checks"]] == [("goldman-weight-recovery", True)]
 
 
-def _shifted_disks(monkeypatch):
-    """Every seventh maximal disk found moved by z -> 1.05 z + 0.02, as the
-    planted records of the stratification tests move theirs."""
+def _every_seventh_record(monkeypatch, defect):
+    """``defect`` applied to every seventh query's record of ``maximal_disks``."""
     find = thurston.maximal_disks
-    shift = MoebiusMap(np.array([[1.05, 0.02], [0.0, 1.0]], dtype=complex))
     found = itertools.count()
 
-    def shifted(dom, points):
+    def planted(dom, points):
         return [
-            rec if isinstance(rec, Exception) or next(found) % 7
-            else dataclasses.replace(rec, disk=RoundDisk(rec.disk.circle.transform(shift)))
+            rec if isinstance(rec, Exception) or next(found) % 7 else defect(rec)
             for rec in find(dom, points)
         ]
 
-    monkeypatch.setattr(thurston, "maximal_disks", shifted)
+    monkeypatch.setattr(thurston, "maximal_disks", planted)
+
+
+
+def _shifted_disks(monkeypatch):
+    """Every seventh maximal disk found moved by z -> 1.05 z + 0.02, as the
+    planted records of the stratification tests move theirs."""
+    shift = MoebiusMap(np.array([[1.05, 0.02], [0.0, 1.0]], dtype=complex))
+    _every_seventh_record(monkeypatch, lambda rec: dataclasses.replace(
+        rec, disk=RoundDisk(rec.disk.circle.transform(shift))))
 
 
 def test_stratification_catches_shifted_disk(monkeypatch, tmp_path):
@@ -226,3 +232,35 @@ def test_stratification_catches_shifted_disk(monkeypatch, tmp_path):
     ]
     # A moved disk overlaps the cores near it, or lies inside a true disk.
     assert {v["kind"] for v in report["violations"]} == {"core-overlap", "nested-disks"}
+
+
+def _no_disk(monkeypatch):
+    """Every seventh query gets no disk: a DegenerateInputError instead."""
+    _every_seventh_record(monkeypatch, lambda rec: DegenerateInputError("planted"))
+
+
+def _dropped_contact(monkeypatch):
+    """Every seventh record loses its first contact point."""
+    _every_seventh_record(monkeypatch, lambda rec: dataclasses.replace(
+        rec, ideal_points=rec.ideal_points[1:], ideal_ids=rec.ideal_ids[1:]))
+
+
+# (defect, the failed check, the violation kinds reported)
+STRATIFICATION_MUTATIONS = {
+    "no-disk": (_no_disk, "every-sample-assigned", {"no-disk"}),
+    "dropped-contact": (_dropped_contact, "ideal-point-consistency", {"ideal-point-mismatch"}),
+}
+
+
+@pytest.mark.parametrize("row", sorted(STRATIFICATION_MUTATIONS))
+def test_stratification_catches_planted_record_defect(row, monkeypatch, tmp_path):
+    plant, check, kinds = STRATIFICATION_MUTATIONS[row]
+    config = REPO / "configs" / "sixpoint_domain.json"
+    out = tmp_path / "out"
+    args = ["verify", "stratification", "--config", str(config), "--out", str(out)]
+    assert main(args) == EXIT_OK
+    plant(monkeypatch)
+    assert main(args) == EXIT_VIOLATIONS
+    report = json.loads((out / "stratification_report.json").read_text())
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == [check]
+    assert {v["kind"] for v in report["violations"]} == kinds

@@ -8,8 +8,11 @@ from cp1graft.moebius import (
     DegenerateInputError,
     MoebiusMap,
     PointCP1,
+    affine_rows,
     chordal_distance,
+    chordal_rows,
     classify,
+    sphere_xyz,
 )
 from cp1graft.surface import (
     LETTER_ORDER,
@@ -191,16 +194,14 @@ def test_axis_elliptic_rejected():
 def test_limit_set_real_for_fuchsian(holonomy):
     pts = limit_set_sample(holonomy, depth=4)
     assert len(pts) > 50
-    for p in pts:
-        if p.is_infinity:
-            continue
-        z = p.as_complex()
+    zs, at_inf = affine_rows(pts)
+    for z in zs[~at_inf].tolist():
         assert abs(z.imag) < 1e-8 * max(1.0, abs(z))
 
 
 def test_limit_set_depth_monotone(holonomy):
     def keys(pts):
-        return {tuple(np.round(p.sphere_coords(), 6)) for p in pts}
+        return {tuple(x) for x in np.round(sphere_xyz(pts), 6).tolist()}
 
     k3 = keys(limit_set_sample(holonomy, depth=3))
     k4 = keys(limit_set_sample(holonomy, depth=4))
@@ -211,8 +212,7 @@ def test_limit_set_deterministic(holonomy):
     a = limit_set_sample(holonomy, depth=3)
     b = limit_set_sample(holonomy, depth=3)
     assert len(a) == len(b)
-    for p, q in zip(a, b):
-        assert chordal_distance(p, q) == 0.0
+    assert (chordal_rows(sphere_xyz(a), sphere_xyz(b)) == 0.0).all()
 
 
 def per_point_limit_set(hol, depth):
@@ -252,16 +252,17 @@ def per_point_limit_set(hol, depth):
     return out
 
 
-def _hex_points(pts):
-    return [
-        tuple(float(c).hex() for z in (p.z0, p.z1) for c in (z.real, z.imag))
-        for p in pts
-    ]
+def _hex_rows(rows):
+    return [tuple(float(c).hex() for z in row for c in (z.real, z.imag)) for row in rows]
 
 
 def test_limit_set_matches_per_point_reference(holonomy, symmetric_holonomy):
+    """The sample's rows are the (z0, z1) of the reference's points, bit for
+    bit, at depths 3-5."""
     for hol in (holonomy, symmetric_holonomy):
-        got = limit_set_sample(hol, depth=5)
-        want = per_point_limit_set(hol, depth=5)
+        for depth in (3, 4, 5):
+            got = limit_set_sample(hol, depth=depth)
+            want = per_point_limit_set(hol, depth=depth)
+            assert got.shape == (len(want), 2) and got.dtype == complex
+            assert _hex_rows(got.tolist()) == _hex_rows((p.z0, p.z1) for p in want)
         assert len(got) > 1000
-        assert _hex_points(got) == _hex_points(want)

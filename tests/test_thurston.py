@@ -224,7 +224,7 @@ def test_distances_match_per_point_norm(holonomy):
     fuchsian = limit_set_sample(holonomy, 4)
     for pts in (fuchsian, ideal, ideal[:4]):
         dom = DiskComplementDomain(pts)
-        xyz = np.array([p.sphere_coords() for p in pts])
+        xyz = np.array([p.sphere_coords() for p in dom.complement])
         ref = np.array([
             np.min(np.linalg.norm(xyz - PointCP1.from_complex(z).sphere_coords(), axis=1))
             for z in zs
@@ -233,19 +233,20 @@ def test_distances_match_per_point_norm(holonomy):
         assert got.tobytes() == ref.tobytes()
         rows = np.array([chordal_rows(dom.xyz, cp1(z).sphere_coords()).min() for z in zs[:40]])
         assert rows.tobytes() == got[:40].tobytes()
-        scalar = np.array([min(chordal_distance(cp1(z), p) for p in pts) for z in zs[:40]])
+        scalar = np.array([
+            min(chordal_distance(cp1(z), p) for p in dom.complement) for z in zs[:40]
+        ])
         assert scalar.tobytes() == got[:40].tobytes()
 
     line = rng.uniform(-4, 4, 200)
     fine = _fine_cli_loops(20, seed=7)
-    special = (
+    special = np.concatenate([as_pairs(
         fine
         + [complex(x, e) for x in line for e in (0.0, 1e-9, -1e-9, 3e-12)]
         + [0.0, INFINITY, 1j, -1j, 1.1j, 0.9j]
         + [t * 1j + complex(*rng.normal(0.0, 1e-12, 2)) for t in (1, -1) for _ in range(100)]
-        + fuchsian[::7]
-    )
-    queries = sphere_xyz(as_pairs(special))
+    ), fuchsian[::7]])
+    queries = sphere_xyz(special)
     rho_prime = GraftedStructure(
         holonomy, WeightedMulticurve(((GroupWord((1,)), 1.3),)), depth=5
     ).rho_prime
@@ -257,6 +258,30 @@ def test_distances_match_per_point_norm(holonomy):
     # The band settles every guard query: none needs a full row.
     dom = DiskComplementDomain(fuchsian)
     assert dom._screen(queries[: len(fine)], np.empty(len(fine))).all()
+
+
+def test_limit_sample_to_distances_builds_no_points(holonomy, monkeypatch):
+    """A limit sample goes to a domain and its distances as pair rows: no
+    PointCP1 is built (counted as ``bench/layertrace.py`` counts them) until
+    the domain's complement is read, which builds one per row, once."""
+    built = []
+    post_init = PointCP1.__post_init__
+
+    def counted(p):
+        built.append(p)
+        post_init(p)
+
+    monkeypatch.setattr(PointCP1, "__post_init__", counted)
+    rng = np.random.default_rng(5)
+    queries = [complex(*rng.uniform(-3, 3, 2)) for _ in range(200)] + [0.0, "inf", 1j]
+    dom = DiskComplementDomain(limit_set_sample(holonomy, 4))
+    assert dom.distances(queries).shape == (203,)
+    assert built == []
+    complement = dom.complement
+    assert len(built) == len(complement) == len(dom.rows)
+    # A second read builds nothing more.
+    assert dom.complement is complement and len(built) == len(dom.rows)
+    assert [[p.z0, p.z1] for p in complement] == dom.rows.tolist()
 
 
 def _reference_geodesic(u, v):
@@ -452,8 +477,9 @@ def test_maximal_disk_batches_stay_within_their_blocks(holonomy, monkeypatch):
     are taken in blocks of about DISK_BLOCK transported points: the memory a
     batch holds beyond the records it returns stays within a few blocks'
     arrays, where the whole batch at once would take 50 times as much.  A
-    200-sample stratification adds only its pair test's N x G arrays (G
-    distinct disks, of which it holds about four at once)."""
+    200-sample stratification adds only its pair test's C x G arrays (C
+    contact points of G distinct disks, of which it holds about four at
+    once)."""
     dom = DiskComplementDomain(limit_set_sample(holonomy, 4))
     n = len(dom.complement)
     xs = np.sort([p.as_complex().real for p in dom.complement if not p.is_infinity])
@@ -477,7 +503,8 @@ def test_maximal_disk_batches_stay_within_their_blocks(holonomy, monkeypatch):
     assert extra < 8 * block
     report, extra = held(lambda: stratification_check(dom, queries[:200]))
     assert all(c["passed"] for c in report["checks"])
-    forms = n * report["values"]["distinct_disks"] * 8
+    contacts = len({i for r in recs[:200] for i in r.ideal_ids})
+    forms = contacts * report["values"]["distinct_disks"] * 8
     assert extra < 8 * block + 4 * forms
 
 
