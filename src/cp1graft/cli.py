@@ -27,15 +27,19 @@ from .moebius import (
     PointCP1,
     affine_rows,
     cp1,
+    moebius_rows,
 )
 from .hyperbolic import DomeMesh, dome, halfspace_to_ball
 from .surface import (
+    LETTER_ORDER,
     ConstructionError,
     FNCoordinates,
     GroupWord,
     enumerate_words,
     fuchsian_from_fn,
     limit_set_sample,
+    word_children,
+    word_products,
 )
 from .grafting import (
     GraftedStructure,
@@ -529,6 +533,10 @@ def cmd_verify(config: RunConfig, which: str, out_dir: str) -> int:
     raise ConfigError(f"unknown verify target {which!r}")
 
 
+# Rows of holonomy.csv converted to Python floats at once.
+EXPORT_BLOCK = 4096
+
+
 def cmd_export(config: RunConfig, target: str, out_dir: str) -> int:
     if target == "dome":
         if len(config.domain_points) < 3:
@@ -554,13 +562,25 @@ def cmd_export(config: RunConfig, target: str, out_dir: str) -> int:
             rep = config.structure().rho_prime
         else:
             rep = fuchsian_from_fn(config.fn)
+        # Each word length is one stack: a word's matrix is its parent's
+        # times its last letter, normalized as MoebiusMap normalizes each
+        # product of ``rep.rho``, in ``enumerate_words`` order.
+        gens = {l: rep.generator(l).matrix for l in LETTER_ORDER}
+        words = iter(enumerate_words(config.export_word_length))
         rows = ["word,a_re,a_im,b_re,b_im,c_re,c_im,d_re,d_im,tr_re,tr_im"]
-        for word in enumerate_words(config.export_word_length):
-            m = rep.rho(word)
-            tr = m.a + m.d
-            entries = [m.a, m.b, m.c, m.d, tr]
-            flat = ",".join(f"{v.real:.17g},{v.imag:.17g}" for v in entries)
-            rows.append(f"{word},{flat}")
+        level, last = np.eye(2, dtype=complex)[None], np.array([0])
+        for _ in range(config.export_word_length):
+            parents, last = word_children(last)
+            level, faults = moebius_rows(word_products(level, parents, last, gens))
+            if faults:
+                raise DegenerateInputError(next(iter(faults.values())))
+            m = level.reshape(-1, 4)
+            # Per word: the parts of a, b, c, d and the trace, in CSV order,
+            # read as Python floats a block at a time.
+            parts = np.column_stack([m, m[:, 0] + m[:, 3]]).view(float)
+            for start in range(0, len(parts), EXPORT_BLOCK):
+                for values in parts[start : start + EXPORT_BLOCK].tolist():
+                    rows.append(f"{next(words)}," + ",".join(f"{v:.17g}" for v in values))
         atomic_write(os.path.join(out_dir, "holonomy.csv"), "\n".join(rows) + "\n")
         return EXIT_OK
 

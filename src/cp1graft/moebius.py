@@ -381,11 +381,33 @@ def apply_stack(m: MoebiusMap, pairs: np.ndarray) -> np.ndarray:
     The rows are the pairs ``apply`` would build, bit for bit: the product
     is written out per column (``pairs @ m.T`` rounds differently).  A row
     that PointCP1 would reject raises the same error, in row order."""
-    a = m.matrix
+    return apply_rows(m.matrix[None], pairs)
+
+
+def apply_rows(mats: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """``apply_stack`` with a map per row: row k of the (N, 2) stack of
+    normalized pairs is mapped by ``mats[k]`` of the (N, 2, 2) stack, or
+    by ``mats[0]`` of a (1, 2, 2) stack, by the same column products and
+    with the same row check."""
     out = np.empty_like(pairs)
-    out[:, 0] = a[0, 0] * pairs[:, 0] + a[0, 1] * pairs[:, 1]
-    out[:, 1] = a[1, 0] * pairs[:, 0] + a[1, 1] * pairs[:, 1]
+    out[:, 0] = mats[:, 0, 0] * pairs[:, 0] + mats[:, 0, 1] * pairs[:, 1]
+    out[:, 1] = mats[:, 1, 0] * pairs[:, 0] + mats[:, 1, 1] * pairs[:, 1]
     _check_rows(out)
+    return out
+
+
+def lerp_rows(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """CPython's ``a + (b - a) * s`` for complex arrays a, b and a float
+    array s, bit for bit, the signs of zero parts included: the product is
+    written out part by part, the float taken as CPython takes it in
+    complex arithmetic on this interpreter (``_FLOAT_AS_COMPLEX``)."""
+    dr, di = b.real - a.real, b.imag - a.imag
+    if _FLOAT_AS_COMPLEX:
+        pr, pi = dr * s - di * 0.0, dr * 0.0 + di * s
+    else:
+        pr, pi = dr * s, di * s
+    out = np.empty(pr.shape, dtype=complex)
+    out.real, out.imag = a.real + pr, a.imag + pi
     return out
 
 

@@ -32,6 +32,7 @@ from .moebius import (
     affine_stack,
     angle_between,
     apply,
+    apply_rows,
     apply_stack,
     as_pairs,
     chordal_distance,
@@ -41,6 +42,7 @@ from .moebius import (
     exterior_rows,
     frobenius_rows,
     inversive_product,
+    lerp_rows,
     minimal_enclosing_disk,
     moebius_rows,
     moebius_two_points,
@@ -647,23 +649,48 @@ class _Polyline:
         self.starts = [0.0, *itertools.accumulate(self.lengths)]
         self.total = self.starts[-1]
 
-    def at(self, target: float, clamp: bool = True) -> complex:
+    def at(self, target: float) -> complex:
         """The point at arclength target, on the first segment that reaches
-        it.  Clamped, the last segment takes every target past the end and
-        the parameter is cut to [0, 1].  Unclamped, as paths are probed, the
-        parameter may exceed 1 by a few ulps at the end, and a target past
-        the end gives the last vertex."""
+        it; the last segment takes every target past the end, and the
+        parameter is cut to [0, 1].  ``_probe_points`` is the rule paths
+        are probed by."""
         last = len(self.lengths) - 1
         for k, length in enumerate(self.lengths):
-            if target <= self.starts[k + 1] or (clamp and k == last):
+            if target <= self.starts[k + 1] or k == last:
                 s = (target - self.starts[k]) / length if length > 0 else 0.0
                 a, b = self.pts[k], self.pts[k + 1]
-                return a + (b - a) * (min(max(s, 0.0), 1.0) if clamp else s)
+                return a + (b - a) * min(max(s, 0.0), 1.0)
         return self.pts[-1]
+
+    def probe_targets(self) -> list:
+        """The arclengths a candidate path is probed at: PATH_PROBES
+        intervals, evenly."""
+        return [self.total * k / PATH_PROBES for k in range(PATH_PROBES + 1)]
 
     def vertices_between(self, t_a: float, t_b: float) -> list:
         """The vertices at arclength strictly between t_a and t_b."""
         return [z for z, acc in zip(self.pts[1:], self.starts[1:]) if t_a < acc < t_b]
+
+
+def _probe_points(lines: list, targets: np.ndarray) -> np.ndarray:
+    """The points of each polyline at the arclengths of its row of
+    ``targets``, by the probe rule: on the first segment that reaches the
+    target, with the parameter not cut (at the end it may pass 1 by a few
+    ulps), and the last vertex for a target past the end.  The polylines
+    are padded to one width (a padded segment reaches nothing); each point
+    is ``a + (b - a) * s`` as CPython takes it (``lerp_rows``)."""
+    width = max(len(line.pts) for line in lines)
+    pts = np.array([line.pts + line.pts[-1:] * (width - len(line.pts)) for line in lines])
+    pad = [[-math.inf] * (width - len(line.pts)) for line in lines]
+    starts = np.array([line.starts + p for line, p in zip(lines, pad)])
+    lengths = np.array([line.lengths + [0.0] * len(p) for line, p in zip(lines, pad)])
+    reach = targets[:, :, None] <= starts[:, None, 1:]
+    k = reach.argmax(axis=2)  # the first segment that reaches the target
+    rows = np.arange(len(lines))[:, None]
+    length = lengths[rows, k]
+    s = np.where(length > 0, (targets - starts[rows, k]) / np.where(length > 0, length, 1.0), 0.0)
+    out = lerp_rows(pts[rows, k], pts[rows, k + 1], s)
+    return np.where(reach.any(axis=2), out, pts[:, -1:])
 
 
 @dataclass(frozen=True)
@@ -797,7 +824,9 @@ def _face_frame(face) -> MoebiusMap:
 def face_core_point(dom: DiskComplementDomain, face) -> PointCP1:
     """A point of the two-dimensional core of a dome face: searched along
     the mean vertex direction in the face's disk frame and verified by the
-    maximal-disk computation itself."""
+    maximal-disk computation itself.  All radii are tested at once, by one
+    ``contains`` call and one ``maximal_disks`` batch; the point is the
+    first, from the centre out, whose disk is the face's."""
     frame = _face_frame(face)
     finv = frame.inverse()
     ws = affine_stack(apply_stack(frame, dom.pairs[list(face.vertex_ids)]))
@@ -805,51 +834,26 @@ def face_core_point(dom: DiskComplementDomain, face) -> PointCP1:
     direction = mean / abs(mean) if abs(mean) > 1e-9 else 0.0j
     # Cores of faces whose vertices hug a short boundary arc are thin
     # slivers near the circle, so the radial search must go deep.
-    for r in [k / 24.0 for k in range(24)] + [0.97, 0.985, 0.993]:
-        cand = apply(finv, PointCP1.from_complex(r * direction if direction else 0.0j))
-        if cand.is_infinity or not dom.contains(cand):
-            continue
-        try:
-            rec = maximal_disk_at(dom, cand)
-        except (PreconditionError, DegenerateInputError):
-            continue
-        if rec.disk.circle.proj_distance(face.plane.boundary) < TOL_SAME_DISK:
+    cands = [apply(finv, PointCP1.from_complex(r * direction if direction else 0.0j))
+             for r in [k / 24.0 for k in range(24)] + [0.97, 0.985, 0.993]]
+    cands = [c for c in cands if not c.is_infinity]
+    cands = list(itertools.compress(cands, dom.contains(cands)))
+    for cand, rec in zip(cands, maximal_disks(dom, cands)):
+        if (not isinstance(rec, Exception)
+                and rec.disk.circle.proj_distance(face.plane.boundary) < TOL_SAME_DISK):
             return cand
     raise DegenerateInputError("no core point found for dome face")
-
-
-def _classify_on_path(dom, mesh, edge, points) -> list:
-    """Label path points: in a face core of the edge, in the edge's own
-    two-contact family, or somewhere else."""
-    circles = [mesh.faces[f].plane.boundary for f in edge.face_ids]
-    va, vb = (mesh.vertices[i] for i in edge.vertex_ids)
-
-    def near(u, v):
-        return chordal_distance(u, v) < TOL_SAME_POINT
-
-    def label(rec) -> str:
-        if isinstance(rec, Exception):
-            return "other"
-        for name, circle in zip(("face1", "face2"), circles):
-            if rec.disk.circle.proj_distance(circle) < TOL_SAME_DISK:
-                return name
-        if len(rec.ideal_points) == 2:
-            p, q = rec.ideal_points
-            if (near(p, va) and near(q, vb)) or (near(p, vb) and near(q, va)):
-                return "family"
-        return "other"
-
-    return [label(rec) for rec in maximal_disks(dom, points)]
 
 
 def _contact_values(hz: np.ndarray, hp: np.ndarray, zs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """(z* H z)(p* H p) / |[p, z]|^2 for probes z (rows) and points p
     (columns), given the form values hz at the probes and hp at the points
-    (one row per probe when each probe has its own form).  The value is
+    (one row per probe when each probe has its own form).  The points are
+    one (M, 2) stack, or one (N, M, 2) stack per probe.  The value is
     Moebius invariant; with z at infinity it is |p - c|^2 / R^2 - 1 for
     the center c and radius R of the circle, so the contact test of
     ``maximal_disk_at`` on a point the disk misses reads value >= -2e-6."""
-    bracket = np.outer(zs[:, 1], ps[:, 0]) - np.outer(zs[:, 0], ps[:, 1])
+    bracket = zs[:, 1, None] * ps[..., 0] - zs[:, 0, None] * ps[..., 1]
     return hz[:, None] * hp / np.abs(bracket) ** 2
 
 
@@ -898,20 +902,17 @@ class _FaceCore:
 class _EdgeStrata:
     """The strata a measure path of one dome edge crosses: the two face
     cores, and the lune of the edge's two-contact disks.  With the edge's
-    vertices at 0 and infinity (frame ``n``) each face circle is a line
-    through 0, and the disk side of face k lies toward ``sides[k]``; the
-    lune is the open sector between the two sides, and a probe there has
-    as maximal disk the half-plane toward its own direction.
-
-    ``labels`` gives each probe the label ``_classify_on_path`` gives it:
-    in closed form where the probe is certified, from its maximal disk
-    otherwise."""
+    vertices ``ends`` at 0 and infinity (frame ``n``) each face circle is a
+    line through 0, and the disk side of face k lies toward ``sides[k]``;
+    the lune is the open sector between the two sides, and a probe there
+    has as maximal disk the half-plane toward its own direction."""
 
     def __init__(self, dom: DiskComplementDomain, mesh, edge, cores: list):
         self.dom, self.mesh, self.edge = dom, mesh, edge
         self.faces = [mesh.faces[i] for i in edge.face_ids]
-        va, vb = (mesh.vertices[i] for i in edge.vertex_ids)
-        self.n = moebius_two_points(va, vb)
+        self.ends = tuple(mesh.vertices[i] for i in edge.vertex_ids)
+        self.n = moebius_two_points(*self.ends)
+        self.ninv = self.n.inverse()
         bs = [complex(f.plane.boundary.transform(self.n).hermitian[0, 1]) for f in self.faces]
         # Line {Re(conj(B) z) = 0}; the disk side is the -B half-plane.
         self.phis = [cmath.phase(1j * b) for b in bs]
@@ -936,38 +937,127 @@ class _EdgeStrata:
         # which is at most the squared Frobenius norm.
         self.stretch = float(np.sum(np.abs(self.n.matrix) ** 2))
 
-    def _in_lune(self, zs: np.ndarray) -> np.ndarray:
-        """Probes in the lune whose maximal disk differs from both face
-        circles by more than the band and has exactly two contacts."""
-        band = STRATA_BAND
-        w = apply_stack(self.n, zs)
-        d = w[:, 0] * np.conj(w[:, 1])
-        d /= np.abs(d)
-        s1, s2 = self.sides
-        ok = ((np.conj(d) * s2).imag / self.turn > 0) & ((np.conj(s1) * d).imag / self.turn > 0)
-        # The probe's disk is the line form with B = -d.
-        apart = math.sqrt(2.0) * np.abs(-d[:, None] - self.bs).min(axis=1) / self.stretch
-        ok &= apart > band
-        hz = -2.0 * np.abs(w[:, 0] * w[:, 1])
-        hp = 2.0 * (-d[:, None] * np.conj(self.others[:, 0]) * self.others[:, 1]).real
-        return ok & (_contact_values(hz, hp, w, self.others) < -band).all(axis=1)
 
-    def labels(self, points: list) -> list:
-        """Labels of the path points, as ``_classify_on_path`` gives them."""
-        out = [None] * len(points)
-        if self.closed_form:
-            z = np.array(points, dtype=complex)
-            zs = np.stack([z, np.ones_like(z)], axis=1) / np.sqrt(1.0 + np.abs(z) ** 2)[:, None]
-            clear = self.dom.distances(points) > STRATA_BAND
-            tests = [c.certified(zs) for c in self.cores] + [self._in_lune(zs)]
-            alone = clear & (np.sum(tests, axis=0) == 1)
+def _disk_label(strata: _EdgeStrata, rec) -> str:
+    """A probe's label from its maximal disk record, or the error found in
+    its place: in a face core of the edge, in the edge's own two-contact
+    family, or somewhere else."""
+    if isinstance(rec, Exception):
+        return "other"
+    for name, face in zip(("face1", "face2"), strata.faces):
+        if rec.disk.circle.proj_distance(face.plane.boundary) < TOL_SAME_DISK:
+            return name
+    if len(rec.ideal_points) == 2:
+        p, q = rec.ideal_points
+        va, vb = strata.ends
+
+        def near(u, v):
+            return chordal_distance(u, v) < TOL_SAME_POINT
+
+        if (near(p, va) and near(q, vb)) or (near(p, vb) and near(q, va)):
+            return "family"
+    return "other"
+
+
+def _disk_labels(dom: DiskComplementDomain, strata: list, points: list) -> list:
+    """``_disk_label`` of each point on the edge of its entry of ``strata``,
+    from one ``maximal_disks`` batch."""
+    return [_disk_label(s, rec) for s, rec in zip(strata, maximal_disks(dom, points))]
+
+
+class _DomeStrata:
+    """The strata of every edge of a dome (``_EdgeStrata``), with the edge
+    frames and lunes stacked over the edges, so that the probes of many
+    edges are labelled in one pass."""
+
+    def __init__(self, dom: DiskComplementDomain, mesh, cores: list):
+        self.dom, self.cores = dom, cores
+        self.edges = [_EdgeStrata(dom, mesh, edge, cores) for edge in mesh.edges]
+        self.closed = np.array([s.closed_form for s in self.edges], dtype=bool)
+        self.faces = np.array([s.edge.face_ids for s in self.edges], dtype=int)
+        self.n = np.array([s.n.matrix for s in self.edges])
+        self.sides = np.array([s.sides for s in self.edges])
+        self.bs = np.array([s.bs for s in self.edges])
+        self.turn = np.array([s.turn for s in self.edges])
+        self.stretch = np.array([s.stretch for s in self.edges])
+        self.others = np.array([s.others for s in self.edges])
+        self.radii = self._contact_radii() if self.edges else []
+
+    def _contact_radii(self) -> list:
+        """Each edge's wedge-arc radii, from the moduli of its faces'
+        vertices in the edge frame: all edges in one ``apply_rows`` pass,
+        with the bits of ``apply`` and ``as_complex`` per vertex."""
+        ids = [[i for f in s.faces for i in f.vertex_ids] for s in self.edges]
+        sizes = [len(v) for v in ids]
+        w = apply_rows(np.repeat(self.n, sizes, axis=0), self.dom.pairs[np.concatenate(ids)])
+        ws, at_inf = affine_rows(w)
+        ends = np.cumsum([0] + sizes).tolist()
+        out = []
+        for a, b in zip(ends, ends[1:]):
+            mags = sorted(m for m in map(abs, itertools.compress(ws[a:b].tolist(), ~at_inf[a:b]))
+                          if m > 1e-9)
+            radii = [math.sqrt(mags[0] * mags[-1]), mags[len(mags) // 2], 1.0] if mags else [1.0]
+            out.append(list(dict.fromkeys(radii)))
+        return out
+
+    def labels(self, edges: np.ndarray, probes: np.ndarray) -> list:
+        """The labels ``_disk_labels`` gives the probes of each candidate,
+        a row of ``probes`` on edge ``edges[c]``: read off the strata where
+        a probe is certified, from one ``distances`` call, one ``certified``
+        pass per face core over the probes of its edges and one lune pass,
+        and from one ``maximal_disks`` batch for the other probes."""
+        z = probes.ravel()
+        owner = np.repeat(edges, probes.shape[1])
+        out = [None] * len(z)
+        closed = np.flatnonzero(self.closed[owner])
+        if len(closed):
+            zc, e = z[closed], owner[closed]
+            pairs = np.stack([zc, np.ones_like(zc)], axis=1)
+            zs = pairs / np.sqrt(1.0 + np.abs(zc) ** 2)[:, None]
+            clear = self.dom.distances(pairs) > STRATA_BAND
+            tests = np.zeros((3, len(zc)), dtype=bool)
+            faces = self.faces[e]
+            for f in np.unique(faces):
+                mine = faces == f
+                sel = mine.any(axis=1)
+                hit = np.zeros(len(zc), dtype=bool)
+                hit[sel] = self.cores[f].certified(zs[sel])
+                tests[:2] |= hit & mine.T
+            tests[2] = self._in_lune(e, zs)
+            alone = clear & (tests.sum(axis=0) == 1)
             for lab, test in zip(("face1", "face2", "family"), tests):
-                for i in np.flatnonzero(alone & test):
+                for i in closed[alone & test].tolist():
                     out[i] = lab
         rest = [i for i, lab in enumerate(out) if lab is None]
-        for i, lab in zip(rest, _classify_on_path(
-                self.dom, self.mesh, self.edge, [points[i] for i in rest])):
+        found = _disk_labels(self.dom, [self.edges[owner[i]] for i in rest], z[rest].tolist())
+        for i, lab in zip(rest, found):
             out[i] = lab
+        width = probes.shape[1]
+        return [out[k : k + width] for k in range(0, len(out), width)]
+
+    def _in_lune(self, edges: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        """Probes (normalized pairs, row k on edge ``edges[k]``) in their
+        edge's lune whose maximal disk differs from both face circles by
+        more than the band and has exactly two contacts.  Taken in blocks
+        of about DISK_BLOCK complement values."""
+        band = STRATA_BAND
+        out = np.empty(len(zs), dtype=bool)
+        step = max(1, DISK_BLOCK // self.others.shape[1])
+        for a in range(0, len(zs), step):
+            e, z = edges[a : a + step], zs[a : a + step]
+            w = apply_rows(self.n[e], z)
+            d = w[:, 0] * np.conj(w[:, 1])
+            d /= np.abs(d)
+            s1, s2 = self.sides[e].T
+            turn = self.turn[e]
+            ok = ((np.conj(d) * s2).imag / turn > 0) & ((np.conj(s1) * d).imag / turn > 0)
+            # The probe's disk is the line form with B = -d.
+            apart = math.sqrt(2.0) * np.abs(-d[:, None] - self.bs[e]).min(axis=1) / self.stretch[e]
+            ok &= apart > band
+            hz = -2.0 * np.abs(w[:, 0] * w[:, 1])
+            others = self.others[e]
+            hp = 2.0 * (-d[:, None] * np.conj(others[..., 0]) * others[..., 1]).real
+            out[a : a + step] = ok & (_contact_values(hz, hp, w, others) < -band).all(axis=1)
         return out
 
 
@@ -977,19 +1067,13 @@ PATH_PROBES = 33
 WEDGE_SAMPLES = 48
 
 
-def _single_edge_subpath(strata: _EdgeStrata, path):
-    """Walk the path coarsely looking for a contiguous stretch whose disk
-    labels read (one face core) [this edge's family] (other face core); on
-    success return the trimmed polyline between the two face cores."""
-    line = _Polyline(path)
-    if line.total <= 0:
-        return None
-
-    targets = [line.total * k / PATH_PROBES for k in range(PATH_PROBES + 1)]
-    labels = strata.labels([line.at(t, clamp=False) for t in targets])
-
+def _crossing(line: _Polyline, labels: list):
+    """Walk a candidate's probe labels looking for a contiguous stretch
+    that reads (one face core) [this edge's family] (other face core): the
+    arclengths (t_a, t_b) of the middles of the two face blocks, between
+    which the candidate is trimmed, or None."""
     blocks = []
-    for target, lab in zip(targets, labels):
+    for target, lab in zip(line.probe_targets(), labels):
         if not blocks or blocks[-1][0] != lab:
             blocks.append([lab, target, target])
         else:
@@ -1002,98 +1086,130 @@ def _single_edge_subpath(strata: _EdgeStrata, path):
             if j >= len(blocks) or blocks[j][0] == "other":
                 break
             if blocks[j][0] == other:
-                t_a = (blocks[i][1] + blocks[i][2]) / 2.0
-                t_b = (blocks[j][1] + blocks[j][2]) / 2.0
-                ends = [line.at(t, clamp=False) for t in (t_a, t_b)]
-                return [ends[0], *line.vertices_between(t_a, t_b), ends[1]]
+                return (blocks[i][1] + blocks[i][2]) / 2.0, (blocks[j][1] + blocks[j][2]) / 2.0
     return None
 
 
-def _edge_measure_paths(strata: _EdgeStrata):
-    """Candidate polylines crossing the given dome edge.
+def _edge_candidates(strata: _EdgeStrata, radii: list):
+    """Candidate polylines crossing the given dome edge, in order, each
+    built when it is asked for.
 
     With the edge's ideal vertices at 0 and infinity both face circles are
     lines through the origin and the edge's disk family is the pencil of
     lines in the wedge between them, so arcs sweeping the wedge are natural
-    candidates; each candidate still gets validated by the caller."""
-    dom, mesh, edge = strata.dom, strata.mesh, strata.edge
-    f1, f2 = strata.faces
-    n, ninv = strata.n, strata.n.inverse()
+    candidates, one per radius of ``radii`` and per margin.  They come as
+    (True, arc in the edge frame), to be mapped back and kept if the domain
+    contains them, and the fallback last as (False, path), a straight
+    segment between verified core points."""
+    dom, edge = strata.dom, strata.edge
     phi1, phi2 = strata.phis
-
-    def wedge_sweep(delta, r1, r2):
-        """Arc (log-spiral when r1 != r2) crossing the edge's disk family:
-        the family cores fill the sector of angular size edge.weight centered
-        on the wedge midline, and the face cores begin just past its ends."""
-        best = None
-        for s1 in (phi1, phi1 + math.pi):
-            for s2 in (phi2, phi2 + math.pi):
-                span = ((s2 - s1 + math.pi) % (2.0 * math.pi)) - math.pi  # signed
-                mid = s1 + span / 2.0
-                inside = all((cmath.exp(1j * mid) * np.conj(side)).real > 0 for side in strata.sides)
-                if inside and (best is None or abs(span) < abs(best[1])):
-                    best = (s1, span)
-        if best is None:
-            return None
+    # The family cores fill the sector of angular size edge.weight centered
+    # on the wedge midline, and the face cores begin just past its ends.
+    best = None
+    for s1 in (phi1, phi1 + math.pi):
+        for s2 in (phi2, phi2 + math.pi):
+            span = ((s2 - s1 + math.pi) % (2.0 * math.pi)) - math.pi  # signed
+            mid = s1 + span / 2.0
+            inside = all((cmath.exp(1j * mid) * np.conj(side)).real > 0 for side in strata.sides)
+            if inside and (best is None or abs(span) < abs(best[1])):
+                best = (s1, span)
+    if best is not None:
         s1, span = best
         mid = s1 + span / 2.0
-        half = edge.weight / 2.0 + delta
-        arc = [
-            math.exp((1.0 - t) * math.log(r1) + t * math.log(r2))
-            * cmath.exp(1j * (mid - half + 2.0 * half * t))
-            for t in np.linspace(0.0, 1.0, WEDGE_SAMPLES)
-        ]
-        w = apply_stack(ninv, unit_pairs(as_pairs(arc)))
-        try:
-            path = affine_stack(w)
-        except DegenerateInputError:
-            return None
-        return path if dom.contains(path).all() else None
-
-    def contact_radii():
-        ws = [apply(n, mesh.vertices[i]) for f in (f1, f2) for i in f.vertex_ids]
-        mags = sorted(
-            abs(w.as_complex()) for w in ws if not w.is_infinity and abs(w.as_complex()) > 1e-9
-        )
-        if not mags:
-            return [1.0]
-        out = [math.sqrt(mags[0] * mags[-1]), mags[len(mags) // 2], 1.0]
-        return list(dict.fromkeys(out))
-
-    for r in contact_radii():
-        for delta in (0.12, 0.3, 0.04, 0.6):
-            path = wedge_sweep(delta, r, r)
-            if path:
-                yield path
-    # Fallback: straight segment between verified core points.
+        ts = np.linspace(0.0, 1.0, WEDGE_SAMPLES).tolist()
+        for r in radii:
+            log_r = math.log(r)
+            for delta in (0.12, 0.3, 0.04, 0.6):
+                # A circular arc crossing the edge's disk family; its radius
+                # is the log-interpolation between equal end radii, whose
+                # rounding the arc's bits keep.
+                half = edge.weight / 2.0 + delta
+                yield True, [
+                    math.exp((1.0 - t) * log_r + t * log_r)
+                    * cmath.exp(1j * (mid - half + 2.0 * half * t))
+                    for t in ts
+                ]
     try:
-        c1 = face_core_point(dom, f1)
-        c2 = face_core_point(dom, f2)
-        yield [c1.as_complex(), c2.as_complex()]
+        c1 = face_core_point(dom, strata.faces[0])
+        c2 = face_core_point(dom, strata.faces[1])
     except (PreconditionError, DegenerateInputError):
-        pass
+        return
+    yield False, [c1.as_complex(), c2.as_complex()]
 
 
-def _edge_path(strata: _EdgeStrata):
-    """The first candidate path of the edge that ``_single_edge_subpath``
-    validates, trimmed; None when there is none."""
-    for candidate in _edge_measure_paths(strata):
-        path = _single_edge_subpath(strata, candidate)
-        if path is not None:
-            return path
-    return None
+def _arcs_inside(strata: _DomeStrata, arcs: list) -> list:
+    """(edge, path) of each wedge arc, given as (edge, arc in the edge's
+    frame), whose image is finite and inside the domain: all arcs mapped by
+    one ``apply_rows`` pass and tested by one ``contains`` call."""
+    if not arcs:
+        return []
+    z = np.array([arc for _, arc in arcs], dtype=complex)
+    ninv = np.array([strata.edges[e].ninv.matrix for e, _ in arcs])
+    w = apply_rows(np.repeat(ninv, z.shape[1], axis=0),
+                   unit_pairs(np.stack([z, np.ones_like(z)], axis=-1)).reshape(-1, 2))
+    paths, at_inf = affine_rows(w)
+    paths, finite = paths.reshape(z.shape), ~at_inf.reshape(z.shape).any(axis=1)
+    rows = paths[finite]
+    inside = np.zeros(len(arcs), dtype=bool)
+    if len(rows):
+        pairs = np.stack([rows, np.ones_like(rows)], axis=-1).reshape(-1, 2)
+        inside[finite] = strata.dom.contains(pairs).reshape(rows.shape).all(axis=1)
+    return [(e, path) for (e, _), path, ok in zip(arcs, paths.tolist(), inside) if ok]
+
+
+def _edge_paths(strata: _DomeStrata) -> list:
+    """Each dome edge's measure path, or None: its first candidate
+    (``_edge_candidates``) whose probe labels read a crossing
+    (``_crossing``), trimmed between the two face cores.
+
+    The edges are searched in lockstep, in rounds.  A round takes the next
+    candidate of every edge still without a path, keeps the arcs the
+    domain contains (``_arcs_inside``), probes every candidate by one
+    ``_probe_points`` call and labels all probes in one ``labels`` pass;
+    only the walk along each candidate's labels is per edge."""
+    queues = dict(enumerate(map(_edge_candidates, strata.edges, strata.radii)))
+    paths = [None] * len(strata.edges)
+    while queues:
+        arcs, cands = [], []
+        for e, queue in list(queues.items()):
+            item = next(queue, None)
+            if item is None:
+                del queues[e]
+            else:
+                (arcs if item[0] else cands).append((e, item[1]))
+        cands = sorted(cands + _arcs_inside(strata, arcs), key=lambda c: c[0])
+        lines = [(e, _Polyline(path)) for e, path in cands]
+        lines = [(e, line) for e, line in lines if line.total > 0]
+        if not lines:
+            continue
+        edges = np.array([e for e, _ in lines])
+        probes = _probe_points([line for _, line in lines],
+                               np.array([line.probe_targets() for _, line in lines]))
+        found = []
+        for (e, line), labels in zip(lines, strata.labels(edges, probes)):
+            cut = _crossing(line, labels)
+            if cut is not None:
+                found.append((e, line, cut))
+        if not found:
+            continue
+        ends = _probe_points([line for _, line, _ in found], np.array([cut for *_, cut in found]))
+        for (e, line, (t_a, t_b)), (z_a, z_b) in zip(found, ends.tolist()):
+            paths[e] = [z_a, *line.vertices_between(t_a, t_b), z_b]
+            del queues[e]
+    return paths
 
 
 def dome_measure_report(ideal_points, tol: float = TOL_MEASURE) -> dict:
     """Compare the transverse measure across every dome edge against the
     edge's exterior dihedral angle, integrating along a validated path
     that crosses only that edge between the two adjacent face cores.  The
-    paths of all edges are found first, then measured together."""
+    paths are searched per dome, all edges in candidate rounds
+    (``_edge_paths``), then measured together."""
     mesh = dome(ideal_points)
     # The dome's vertices: the input less the points it dropped as duplicates.
     dom = DiskComplementDomain(mesh.vertices)
     cores = [_FaceCore(dom, f) for f in mesh.faces]
-    paths = [_edge_path(_EdgeStrata(dom, mesh, edge, cores)) for edge in mesh.edges]
+    paths = _edge_paths(_DomeStrata(dom, mesh, cores))
     measures = iter(_measure_paths(dom, [p for p in paths if p is not None], tol))
     checks, violations, edge_values = [], [], []
     for ei, (edge, path) in enumerate(zip(mesh.edges, paths)):

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from cp1graft.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, Weight, dumps, main
+from cp1graft.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, RunConfig, Weight, dumps, main
 from cp1graft.grafting import is_two_pi_multiple
+from cp1graft.surface import enumerate_words, fuchsian_from_fn
 
 
 BASE_CONFIG = {
@@ -170,6 +171,27 @@ def test_export_holonomy_schema(tmp_path):
     lines = (tmp_path / "out" / "holonomy.csv").read_text().splitlines()
     assert lines[0].startswith("word,a_re,a_im")
     assert len(lines) == 1 + 8 + 8 * 7  # words of length <= 2
+
+
+@pytest.mark.parametrize("multicurve", [[], [{"word": "a", "weight": "1/2*pi"}]],
+                         ids=["fuchsian", "bent"])
+def test_export_holonomy_matches_per_word_build(tmp_path, multicurve):
+    """The CSV is byte for byte the one built word by word, each matrix by
+    its own ``rep.rho(word)``."""
+    doc = dict(BASE_CONFIG, multicurve=multicurve, export_word_length=4)
+    cfg = write_config(tmp_path, doc)
+    assert main(["export", "holonomy", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+    config = RunConfig.load(cfg)
+    rep = config.structure().rho_prime if multicurve else fuchsian_from_fn(config.fn)
+    want = ["word,a_re,a_im,b_re,b_im,c_re,c_im,d_re,d_im,tr_re,tr_im"]
+    for word in enumerate_words(4):
+        m = rep.rho(word)
+        entries = [m.a, m.b, m.c, m.d, m.a + m.d]
+        want.append(f"{word}," + ",".join(f"{v.real:.17g},{v.imag:.17g}" for v in entries))
+    lines = (tmp_path / "holonomy.csv").read_text().split("\n")
+    assert lines.pop() == ""  # one newline after the last row
+    differ = [k for k, (got, row) in enumerate(zip(lines, want)) if got != row]
+    assert len(lines) == len(want) and not differ, differ[:5]
 
 
 def test_export_dome_and_pleat(tmp_path):

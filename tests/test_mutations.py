@@ -32,14 +32,14 @@ def _measure_angle_scaled(monkeypatch):
     monkeypatch.setattr(thurston, "angle_between", lambda c1, c2: 1.01 * angle(c1, c2))
 
 
-def _no_single_edge_path(monkeypatch):
-    monkeypatch.setattr(thurston, "_single_edge_subpath", lambda strata, path: None)
+def _no_crossing(monkeypatch):
+    monkeypatch.setattr(thurston, "_crossing", lambda line, labels: None)
 
 
 # (defect, the dome-measure violation every edge of the tetrahedron reports)
 DOME_MEASURE_MUTATIONS = [
     (_measure_angle_scaled, "measure-dihedral-mismatch"),
-    (_no_single_edge_path, "no-measure-path"),
+    (_no_crossing, "no-measure-path"),
 ]
 
 

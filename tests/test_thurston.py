@@ -52,7 +52,12 @@ from cp1graft.thurston import (
 from conftest import REPO, domain_round_sets, limit_domain
 from oracles import (
     maximal_disk_support_search,
+    reference_classify_on_path,
+    reference_edge_candidates,
+    reference_edge_paths,
+    reference_face_core_point,
     reference_maximal_disk,
+    reference_single_edge_subpath,
     reference_transverse_measure,
 )
 
@@ -859,34 +864,40 @@ def test_dome_measure_drops_near_duplicate_points(tetrahedron_points, where):
 DOME_GOLDEN = json.loads((REPO / "tests" / "data" / "dome_measure_golden.json").read_text())
 
 
-@pytest.fixture(scope="module")
-def dome_measure_runs():
-    """dome_measure_report on every set of DOME_GOLDEN, recording each
-    batch of probe labels (set name, strata, points, labels) and the probes
-    sent to ``_classify_on_path``."""
+def dome_golden_sets():
+    """(name, points, dome_measure_report keywords) of every DOME_GOLDEN set."""
     runs = [(f"seed{seed}-set{k}", pts, {})
             for seed in (1, 7, 100) for k, pts in enumerate(domain_round_sets(seed))]
     for name in ("sixpoint_domain", "tetrahedron_dome"):
         config = RunConfig.load(str(REPO / "configs" / f"{name}.json"))
         runs.append((name, list(config.domain_points),
                      {"tol": config.tol("measure")}))
+    return runs
+
+
+@pytest.fixture(scope="module")
+def dome_measure_runs():
+    """dome_measure_report on every set of DOME_GOLDEN, recording each
+    candidate's probe labels from the label pass (set name, edge strata,
+    points, labels) and the probes sent to ``_disk_labels``."""
     batches, fallbacks, reports = [], [], {}
-    labels, classify = thurston._EdgeStrata.labels, thurston._classify_on_path
+    labels, disk_labels = thurston._DomeStrata.labels, thurston._disk_labels
     current = []
 
-    def recording(self, points):
-        out = labels(self, points)
-        batches.append((current[-1], self, list(points), out))
+    def recording(self, edges, probes):
+        out = labels(self, edges, probes)
+        for e, points, labs in zip(edges.tolist(), probes.tolist(), out):
+            batches.append((current[-1], self.edges[e], points, labs))
         return out
 
-    def counting(*args, **kwargs):
-        fallbacks.extend(args[3])
-        return classify(*args, **kwargs)
+    def counting(dom, strata, points):
+        fallbacks.extend(points)
+        return disk_labels(dom, strata, points)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(thurston._EdgeStrata, "labels", recording)
-        mp.setattr(thurston, "_classify_on_path", counting)
-        for name, pts, kwargs in runs:
+        mp.setattr(thurston._DomeStrata, "labels", recording)
+        mp.setattr(thurston, "_disk_labels", counting)
+        for name, pts, kwargs in dome_golden_sets():
             current.append(name)
             reports[name] = dome_measure_report(pts, **kwargs)
     return reports, batches, fallbacks
@@ -904,12 +915,13 @@ def test_dome_measure_reports_match_golden(dome_measure_runs):
 
 
 def test_strata_labels_match_maximal_disk_labels(dome_measure_runs):
-    """Every probe of every run gets the label of ``_classify_on_path``, and
-    the closed form decides all but a few of them."""
+    """Every probe of every run gets the label its maximal disk gives, one
+    edge at a time (``reference_classify_on_path``), and the closed form
+    decides all but a few of them."""
     _, batches, fallbacks = dome_measure_runs
     probes = 0
     for name, strata, points, labels in batches:
-        refs = thurston._classify_on_path(strata.dom, strata.mesh, strata.edge, points)
+        refs = reference_classify_on_path(strata.dom, strata.mesh, strata.edge, points)
         for z, label, ref in zip(points, labels, refs):
             probes += 1
             assert label == ref, (name, z)
@@ -917,21 +929,119 @@ def test_strata_labels_match_maximal_disk_labels(dome_measure_runs):
     assert len(fallbacks) <= probes // 500
 
 
-def test_strata_labels_on_a_face_with_clustered_vertices():
+def clustered_dome_points():
+    """Three vertices 2e-5 apart on the unit circle, and five points around."""
+    return ([cp1(cmath.exp(1j * t)) for t in (0.0, 2e-5, 4e-5)]
+            + [cp1(z) for z in (3, 3j, -3, -3j, 2 + 2j)])
+
+
+def test_strata_labels_on_a_face_with_clustered_vertices(monkeypatch):
     """Three vertices 2e-5 apart on the unit circle are one vertex in their
     face's frame, so that face's core is no polygon: it certifies no probe,
-    and every probe keeps the label of ``_classify_on_path``."""
-    pts = [cp1(cmath.exp(1j * t)) for t in (0.0, 2e-5, 4e-5)]
-    mesh = dome(pts + [cp1(z) for z in (3, 3j, -3, -3j, 2 + 2j)])
+    and every probe of every round keeps the label its maximal disk gives.
+    The first round probes every edge."""
+    mesh = dome(clustered_dome_points())
     dom = DiskComplementDomain(mesh.vertices)
     cores = [thurston._FaceCore(dom, f) for f in mesh.faces]
     assert any(c.edges is None for c in cores)
-    for edge in mesh.edges:
-        strata = thurston._EdgeStrata(dom, mesh, edge, cores)
-        line = thurston._Polyline(next(thurston._edge_measure_paths(strata)))
-        points = [line.at(line.total * k / thurston.PATH_PROBES, clamp=False)
-                  for k in range(thurston.PATH_PROBES + 1)]
-        assert strata.labels(points) == thurston._classify_on_path(dom, mesh, edge, points)
+    rounds = []
+    labels = thurston._DomeStrata.labels
+
+    def recording(self, edges, probes):
+        out = labels(self, edges, probes)
+        rounds.append((self, edges.tolist(), probes.tolist(), out))
+        return out
+
+    monkeypatch.setattr(thurston._DomeStrata, "labels", recording)
+    thurston._edge_paths(thurston._DomeStrata(dom, mesh, cores))
+    assert rounds[0][1] == list(range(len(mesh.edges)))
+    for strata, edges, probes, out in rounds:
+        for e, points, labs in zip(edges, probes, out):
+            edge = strata.edges[e].edge
+            assert labs == reference_classify_on_path(dom, mesh, edge, points)
+
+
+# Domes of the search's reference runs besides the DOME_GOLDEN sets: the
+# clustered dome above, and two valid domes the report flags (CHANGES.md,
+# FOUND lines of the dome-measure report): a path that backtracks in its
+# edge's pencil, and an edge with no measure path.
+EXTRA_DOMES = {
+    "clustered": clustered_dome_points(),
+    "backtracking": [cp1(z) for z in (-1.3221 + 1.1268j, -0.7037 - 0.5974j, 0.0998 - 1.0192j,
+                                      1.8058 - 1.3833j, 0.5929 - 1.3157j)],
+    "no-measure-path": [cp1(z) for z in (-0.07824 - 0.057123j, 0.031652 + 0.020803j,
+                                         3.002232 + 0.005832j, 2.938316 - 0.032704j)],
+}
+# Edges all of whose candidates fail the walk.
+NO_PATH_EDGES = {"clustered": [0, 1, 2, 4, 5, 7], "no-measure-path": [1]}
+
+
+def path_bits(path):
+    return None if path is None else [(float.hex(z.real), float.hex(z.imag)) for z in path]
+
+
+@pytest.mark.parametrize("name", sorted(DOME_GOLDEN) + list(EXTRA_DOMES))
+def test_edge_paths_match_per_edge_search(name):
+    """The lockstep search finds, for every edge, the path of the per-edge
+    search (``reference_edge_paths``) point for point, or None where it
+    finds none."""
+    pts = EXTRA_DOMES.get(name) or {n: p for n, p, _ in dome_golden_sets()}[name]
+    mesh = dome(pts)
+    dom = DiskComplementDomain(mesh.vertices)
+    cores = [thurston._FaceCore(dom, f) for f in mesh.faces]
+    got = thurston._edge_paths(thurston._DomeStrata(dom, mesh, cores))
+    want = reference_edge_paths(dom, mesh, cores)
+    assert [path_bits(p) for p in got] == [path_bits(p) for p in want]
+    assert [e for e, p in enumerate(got) if p is None] == NO_PATH_EDGES.get(name, [])
+
+
+@pytest.mark.parametrize("planted", [0, 3])
+def test_edge_paths_take_the_next_candidate_in_a_later_round(tetrahedron_points, planted, monkeypatch):
+    """When the walk fails on the first candidate of one edge, that edge
+    gets the path of its next candidate that the per-edge search trims, in
+    a later round; every other edge keeps its first-round path."""
+    mesh = dome(tetrahedron_points)
+    dom = DiskComplementDomain(mesh.vertices)
+    cores = [thurston._FaceCore(dom, f) for f in mesh.faces]
+    strata = thurston._EdgeStrata(dom, mesh, mesh.edges[planted], cores)
+    first, *rest = reference_edge_candidates(strata)
+    crossing, failed = thurston._crossing, []
+
+    def failing(line, labels):
+        if line.pts == first:
+            failed.append(line)
+            return None
+        return crossing(line, labels)
+
+    monkeypatch.setattr(thurston, "_crossing", failing)
+    got = thurston._edge_paths(thurston._DomeStrata(dom, mesh, cores))
+    want = reference_edge_paths(dom, mesh, cores)
+    want[planted] = next(p for p in (reference_single_edge_subpath(strata, c) for c in rest)
+                         if p is not None)
+    assert len(failed) == 1
+    assert [path_bits(p) for p in got] == [path_bits(p) for p in want]
+
+
+def test_face_core_points_match_per_radius_search():
+    """``face_core_point`` finds, on every face of every DOME_GOLDEN set,
+    the point of the per-radius search bit for bit, or fails where it
+    fails."""
+    checked = 0
+    for _, pts, _ in dome_golden_sets():
+        mesh = dome(pts)
+        dom = DiskComplementDomain(mesh.vertices)
+        for face in mesh.faces:
+            try:
+                want = reference_face_core_point(dom, face).as_complex()
+            except DegenerateInputError:
+                with pytest.raises(DegenerateInputError):
+                    face_core_point(dom, face)
+                continue
+            got = face_core_point(dom, face).as_complex()
+            assert (float.hex(got.real), float.hex(got.imag)) == (
+                float.hex(want.real), float.hex(want.imag))
+            checked += 1
+    assert checked == 240
 
 
 def test_maximal_disk_matches_two_inversions(dome_measure_runs):
