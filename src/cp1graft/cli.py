@@ -156,6 +156,8 @@ class RunConfig:
         if not all(l > 0 for l in lengths):
             raise ConfigError("surface.lengths must be three positive numbers")
         twists = _triple(surface.get("twists", [0.0, 0.0, 0.0]), "surface.twists")
+        if not all(map(math.isfinite, twists)):
+            raise ConfigError("surface.twists must be finite")
         fn = FNCoordinates(lengths, twists)
 
         words, weights = [], []
@@ -178,7 +180,10 @@ class RunConfig:
             if p == "inf" or p == ["inf"]:
                 pts.append(INFINITY)
             elif isinstance(p, (list, tuple)) and len(p) == 2:
-                pts.append(cp1(complex(*(_convert(float, x, "domain point") for x in p))))
+                re, im = (_convert(float, x, "domain point") for x in p)
+                if not (math.isfinite(re) and math.isfinite(im)):
+                    raise ConfigError(f"domain point must be finite: {p!r}")
+                pts.append(cp1(complex(re, im)))
             else:
                 raise ConfigError(f'domain point must be [re, im] or "inf": {p!r}')
 
@@ -252,7 +257,10 @@ def _triple(value, what) -> tuple:
 def _tolerance(key, value) -> float:
     if key not in TOLERANCE_DEFAULTS:
         raise ConfigError(f"unknown tolerance {key!r}; known: {', '.join(TOLERANCE_DEFAULTS)}")
-    return _convert(float, value, f"tolerance {key}")
+    tol = _convert(float, value, f"tolerance {key}")
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"tolerance {key} must be positive and finite, got {value!r}")
+    return tol
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from .moebius import (
     lerp_rows,
     minimal_enclosing_disk,
     moebius_rows,
-    moebius_two_points,
     row_faults,
     sphere_xyz,
     unit_pairs,
@@ -808,10 +807,10 @@ def _measure_paths(dom: DiskComplementDomain, paths, tol_measure: float) -> list
 
 
 # Band around every stratum boundary inside which a probe's label is left to
-# maximal_disk_at.  It is at least 50 times each threshold it guards: the
-# contact band (a relative TOL_CONTACT is a contact value of about -2e-6,
-# see ``_contact_values``), the TOL_SAME_DISK face-circle match and the
-# TOL_GEO margin of ``contains``.
+# its maximal disk, from the ``_disk_labels`` batch.  It is at least 50 times
+# each threshold it guards: the contact band (a relative TOL_CONTACT is a
+# contact value of about -2e-6, see ``_contact_values``), the TOL_SAME_DISK
+# face-circle match and the TOL_GEO margin of ``contains``.
 STRATA_BAND = 1e-4
 
 
@@ -899,57 +898,19 @@ class _FaceCore:
         return ok & (_contact_values(hz, self.hp, zs, self.others) < -band).all(axis=1)
 
 
-class _EdgeStrata:
-    """The strata a measure path of one dome edge crosses: the two face
-    cores, and the lune of the edge's two-contact disks.  With the edge's
-    vertices ``ends`` at 0 and infinity (frame ``n``) each face circle is a
-    line through 0, and the disk side of face k lies toward ``sides[k]``;
-    the lune is the open sector between the two sides, and a probe there
-    has as maximal disk the half-plane toward its own direction."""
-
-    def __init__(self, dom: DiskComplementDomain, mesh, edge, cores: list):
-        self.dom, self.mesh, self.edge = dom, mesh, edge
-        self.faces = [mesh.faces[i] for i in edge.face_ids]
-        self.ends = tuple(mesh.vertices[i] for i in edge.vertex_ids)
-        self.n = moebius_two_points(*self.ends)
-        self.ninv = self.n.inverse()
-        bs = [complex(f.plane.boundary.transform(self.n).hermitian[0, 1]) for f in self.faces]
-        # Line {Re(conj(B) z) = 0}; the disk side is the -B half-plane.
-        self.phis = [cmath.phase(1j * b) for b in bs]
-        self.sides = [-b / abs(b) for b in bs]
-        self.bs = np.array(bs)
-        s1, s2 = self.sides
-        self.turn = (np.conj(s1) * s2).imag
-        self.cores = [cores[i] for i in edge.face_ids]
-        # The edge is labelled in closed form only if both cores are built
-        # and the strata are apart.
-        self.closed_form = (
-            all(c.edges is not None for c in self.cores)
-            and self.faces[0].plane.boundary.proj_distance(self.faces[1].plane.boundary)
-            > STRATA_BAND
-            and abs(self.turn) > STRATA_BAND
-        )
-        others = np.ones(len(dom.pairs), dtype=bool)
-        others[list(edge.vertex_ids)] = False
-        self.others = apply_stack(self.n, dom.pairs[others])
-        # proj_distance in the original frame is at least the one in the
-        # edge frame divided by the squared largest singular value of n,
-        # which is at most the squared Frobenius norm.
-        self.stretch = float(np.sum(np.abs(self.n.matrix) ** 2))
-
-
-def _disk_label(strata: _EdgeStrata, rec) -> str:
+def _disk_label(strata: _DomeStrata, e: int, rec) -> str:
     """A probe's label from its maximal disk record, or the error found in
-    its place: in a face core of the edge, in the edge's own two-contact
+    its place: in a face core of edge ``e``, in the edge's own two-contact
     family, or somewhere else."""
     if isinstance(rec, Exception):
         return "other"
-    for name, face in zip(("face1", "face2"), strata.faces):
-        if rec.disk.circle.proj_distance(face.plane.boundary) < TOL_SAME_DISK:
+    mesh, edge = strata.mesh, strata.mesh.edges[e]
+    for name, f in zip(("face1", "face2"), edge.face_ids):
+        if rec.disk.circle.proj_distance(mesh.faces[f].plane.boundary) < TOL_SAME_DISK:
             return name
     if len(rec.ideal_points) == 2:
         p, q = rec.ideal_points
-        va, vb = strata.ends
+        va, vb = (mesh.vertices[i] for i in edge.vertex_ids)
 
         def near(u, v):
             return chordal_distance(u, v) < TOL_SAME_POINT
@@ -959,35 +920,73 @@ def _disk_label(strata: _EdgeStrata, rec) -> str:
     return "other"
 
 
-def _disk_labels(dom: DiskComplementDomain, strata: list, points: list) -> list:
-    """``_disk_label`` of each point on the edge of its entry of ``strata``,
-    from one ``maximal_disks`` batch."""
-    return [_disk_label(s, rec) for s, rec in zip(strata, maximal_disks(dom, points))]
+def _disk_labels(strata: _DomeStrata, edges: list, points: list) -> list:
+    """``_disk_label`` of each point on its edge of ``edges``, from one
+    ``maximal_disks`` batch."""
+    return [_disk_label(strata, e, rec) for e, rec in zip(edges, maximal_disks(strata.dom, points))]
 
 
 class _DomeStrata:
-    """The strata of every edge of a dome (``_EdgeStrata``), with the edge
-    frames and lunes stacked over the edges, so that the probes of many
-    edges are labelled in one pass."""
+    """The strata a measure path of each dome edge crosses, one row per
+    edge: the two face cores, and the lune of the edge's two-contact disks.
+    With the edge's vertices at 0 and infinity (frame ``n``) each face
+    circle is the line {Re(conj(B) z) = 0} of its entry of ``bs``, whose disk
+    side lies toward ``sides[:, k]``; the lune is the open sector between
+    the two sides, and a probe there has as maximal disk the half-plane
+    toward its own direction.  Each column is one stack, with the bits and
+    raises of the per-edge maps and circles, built once."""
 
-    def __init__(self, dom: DiskComplementDomain, mesh, cores: list):
-        self.dom, self.cores = dom, cores
-        self.edges = [_EdgeStrata(dom, mesh, edge, cores) for edge in mesh.edges]
-        self.closed = np.array([s.closed_form for s in self.edges], dtype=bool)
-        self.faces = np.array([s.edge.face_ids for s in self.edges], dtype=int)
-        self.n = np.array([s.n.matrix for s in self.edges])
-        self.sides = np.array([s.sides for s in self.edges])
-        self.bs = np.array([s.bs for s in self.edges])
-        self.turn = np.array([s.turn for s in self.edges])
-        self.stretch = np.array([s.stretch for s in self.edges])
-        self.others = np.array([s.others for s in self.edges])
-        self.radii = self._contact_radii() if self.edges else []
+    def __init__(self, dom: DiskComplementDomain, mesh):
+        self.dom, self.mesh = dom, mesh
+        self.cores = [_FaceCore(dom, f) for f in mesh.faces]
+        ends = np.array([e.vertex_ids for e in mesh.edges], dtype=int).reshape(-1, 2)
+        self.faces = np.array([e.face_ids for e in mesh.edges], dtype=int).reshape(-1, 2)
+        # The frames, ``moebius_two_points``: vertex rows (z0, z1) as (z1, -z0).
+        n = np.empty((len(ends), 2, 2), dtype=complex)
+        n[..., 0], n[..., 1] = dom.pairs[ends, 1], -dom.pairs[ends, 0]
+        n, bad_n = moebius_rows(n)
+        inv = np.stack([n[:, 1, 1], -n[:, 0, 1], -n[:, 1, 0], n[:, 0, 0]], axis=1)
+        ninv, bad_inv = moebius_rows(inv.reshape(-1, 2, 2))
+        # Each face circle pushed forward by n, as ``transform`` does:
+        # conj(ninv)^T H ninv.
+        h = np.array([f.plane.boundary.hermitian for f in mesh.faces]).reshape(-1, 2, 2)
+        m = np.repeat(ninv, 2, axis=0)
+        lines, bad_lines = circle_rows(np.conj(m).transpose(0, 2, 1) @ h[self.faces.ravel()] @ m)
+        for faults in (bad_n, bad_inv, bad_lines):
+            if faults:
+                raise DegenerateInputError(faults[min(faults)])
+        self.n, self.ninv = n, ninv
+        self.bs = lines[:, 0, 1].reshape(-1, 2)
+        # The disk side is the -B half-plane.  Per row with CPython's abs
+        # and phase, whose bits numpy's may not have.
+        bs = self.bs.tolist()
+        self.phis = np.array([[cmath.phase(1j * b) for b in row] for row in bs]).reshape(-1, 2)
+        self.sides = np.array([[-b / abs(b) for b in row] for row in bs]).reshape(-1, 2)
+        # Im(conj(s1) s2), written out part by part as the scalar product rounds it.
+        s1, s2 = self.sides.T
+        self.turn = s1.real * s2.imag + (-s1.imag) * s2.real
+        # proj_distance in the original frame is at least the one in the
+        # edge frame divided by the squared largest singular value of n,
+        # which is at most the squared Frobenius norm.
+        self.stretch = np.sum(np.abs(n.reshape(-1, 4)) ** 2, axis=1)
+        # An edge is labelled in closed form only if both cores are built
+        # and the strata are apart.
+        built = np.array([c.edges is not None for c in self.cores], dtype=bool)
+        hf = h.reshape(-1, 4)[self.faces]
+        apart = frobenius_rows(hf[:, 0], hf[:, 1]) > STRATA_BAND
+        self.closed_form = built[self.faces].all(axis=1) & apart & (np.abs(self.turn) > STRATA_BAND)
+        # The complement less the edge's vertices, in the edge frame.
+        cols = [i for pair in ends.tolist() for i in range(len(dom.pairs)) if i not in pair]
+        rows = apply_rows(np.repeat(n, len(dom.pairs) - 2, axis=0), dom.pairs[cols])
+        self.others = rows.reshape(len(ends), len(dom.pairs) - 2, 2)
+        self.radii = self._contact_radii() if len(ends) else []
 
     def _contact_radii(self) -> list:
         """Each edge's wedge-arc radii, from the moduli of its faces'
         vertices in the edge frame: all edges in one ``apply_rows`` pass,
         with the bits of ``apply`` and ``as_complex`` per vertex."""
-        ids = [[i for f in s.faces for i in f.vertex_ids] for s in self.edges]
+        faces = self.mesh.faces
+        ids = [[i for f in pair for i in faces[f].vertex_ids] for pair in self.faces.tolist()]
         sizes = [len(v) for v in ids]
         w = apply_rows(np.repeat(self.n, sizes, axis=0), self.dom.pairs[np.concatenate(ids)])
         ws, at_inf = affine_rows(w)
@@ -1009,7 +1008,7 @@ class _DomeStrata:
         z = probes.ravel()
         owner = np.repeat(edges, probes.shape[1])
         out = [None] * len(z)
-        closed = np.flatnonzero(self.closed[owner])
+        closed = np.flatnonzero(self.closed_form[owner])
         if len(closed):
             zc, e = z[closed], owner[closed]
             pairs = np.stack([zc, np.ones_like(zc)], axis=1)
@@ -1029,7 +1028,7 @@ class _DomeStrata:
                 for i in closed[alone & test].tolist():
                     out[i] = lab
         rest = [i for i, lab in enumerate(out) if lab is None]
-        found = _disk_labels(self.dom, [self.edges[owner[i]] for i in rest], z[rest].tolist())
+        found = _disk_labels(self, owner[rest].tolist(), z[rest].tolist())
         for i, lab in zip(rest, found):
             out[i] = lab
         width = probes.shape[1]
@@ -1090,19 +1089,20 @@ def _crossing(line: _Polyline, labels: list):
     return None
 
 
-def _edge_candidates(strata: _EdgeStrata, radii: list):
-    """Candidate polylines crossing the given dome edge, in order, each
-    built when it is asked for.
+def _edge_candidates(strata: _DomeStrata, e: int):
+    """Candidate polylines crossing dome edge ``e``, in order, each built
+    when it is asked for.
 
     With the edge's ideal vertices at 0 and infinity both face circles are
     lines through the origin and the edge's disk family is the pencil of
     lines in the wedge between them, so arcs sweeping the wedge are natural
-    candidates, one per radius of ``radii`` and per margin.  They come as
+    candidates, one per radius of ``radii[e]`` and per margin.  They come as
     (True, arc in the edge frame), to be mapped back and kept if the domain
     contains them, and the fallback last as (False, path), a straight
     segment between verified core points."""
-    dom, edge = strata.dom, strata.edge
-    phi1, phi2 = strata.phis
+    edge = strata.mesh.edges[e]
+    phi1, phi2 = strata.phis[e].tolist()
+    sides = strata.sides[e].tolist()
     # The family cores fill the sector of angular size edge.weight centered
     # on the wedge midline, and the face cores begin just past its ends.
     best = None
@@ -1110,14 +1110,14 @@ def _edge_candidates(strata: _EdgeStrata, radii: list):
         for s2 in (phi2, phi2 + math.pi):
             span = ((s2 - s1 + math.pi) % (2.0 * math.pi)) - math.pi  # signed
             mid = s1 + span / 2.0
-            inside = all((cmath.exp(1j * mid) * np.conj(side)).real > 0 for side in strata.sides)
+            inside = all((cmath.exp(1j * mid) * np.conj(side)).real > 0 for side in sides)
             if inside and (best is None or abs(span) < abs(best[1])):
                 best = (s1, span)
     if best is not None:
         s1, span = best
         mid = s1 + span / 2.0
         ts = np.linspace(0.0, 1.0, WEDGE_SAMPLES).tolist()
-        for r in radii:
+        for r in strata.radii[e]:
             log_r = math.log(r)
             for delta in (0.12, 0.3, 0.04, 0.6):
                 # A circular arc crossing the edge's disk family; its radius
@@ -1130,8 +1130,7 @@ def _edge_candidates(strata: _EdgeStrata, radii: list):
                     for t in ts
                 ]
     try:
-        c1 = face_core_point(dom, strata.faces[0])
-        c2 = face_core_point(dom, strata.faces[1])
+        c1, c2 = (face_core_point(strata.dom, strata.mesh.faces[f]) for f in edge.face_ids)
     except (PreconditionError, DegenerateInputError):
         return
     yield False, [c1.as_complex(), c2.as_complex()]
@@ -1144,7 +1143,7 @@ def _arcs_inside(strata: _DomeStrata, arcs: list) -> list:
     if not arcs:
         return []
     z = np.array([arc for _, arc in arcs], dtype=complex)
-    ninv = np.array([strata.edges[e].ninv.matrix for e, _ in arcs])
+    ninv = strata.ninv[[e for e, _ in arcs]]
     w = apply_rows(np.repeat(ninv, z.shape[1], axis=0),
                    unit_pairs(np.stack([z, np.ones_like(z)], axis=-1)).reshape(-1, 2))
     paths, at_inf = affine_rows(w)
@@ -1167,8 +1166,8 @@ def _edge_paths(strata: _DomeStrata) -> list:
     domain contains (``_arcs_inside``), probes every candidate by one
     ``_probe_points`` call and labels all probes in one ``labels`` pass;
     only the walk along each candidate's labels is per edge."""
-    queues = dict(enumerate(map(_edge_candidates, strata.edges, strata.radii)))
-    paths = [None] * len(strata.edges)
+    paths = [None] * len(strata.mesh.edges)
+    queues = {e: _edge_candidates(strata, e) for e in range(len(paths))}
     while queues:
         arcs, cands = [], []
         for e, queue in list(queues.items()):
@@ -1208,8 +1207,7 @@ def dome_measure_report(ideal_points, tol: float = TOL_MEASURE) -> dict:
     mesh = dome(ideal_points)
     # The dome's vertices: the input less the points it dropped as duplicates.
     dom = DiskComplementDomain(mesh.vertices)
-    cores = [_FaceCore(dom, f) for f in mesh.faces]
-    paths = _edge_paths(_DomeStrata(dom, mesh, cores))
+    paths = _edge_paths(_DomeStrata(dom, mesh))
     measures = iter(_measure_paths(dom, [p for p in paths if p is not None], tol))
     checks, violations, edge_values = [], [], []
     for ei, (edge, path) in enumerate(zip(mesh.edges, paths)):

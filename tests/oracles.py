@@ -514,8 +514,46 @@ def reference_classify_on_path(dom, mesh, edge, points):
     return [label(rec) for rec in maximal_disks(dom, points)]
 
 
+def reference_edge_strata(dom, mesh, edge, cores):
+    """The strata a measure path of one dome edge crosses, built one map
+    and one circle at a time as the per-edge search built them: the two
+    face cores, and the lune of the edge's two-contact disks.  With the
+    edge's vertices ``ends`` at 0 and infinity (frame ``n``) each face
+    circle is a line through 0, and the disk side of face k lies toward
+    ``sides[k]``."""
+    from types import SimpleNamespace
+
+    from cp1graft.moebius import apply_stack, moebius_two_points
+    from cp1graft.thurston import STRATA_BAND
+
+    s = SimpleNamespace(dom=dom, mesh=mesh, edge=edge)
+    s.faces = [mesh.faces[i] for i in edge.face_ids]
+    s.ends = tuple(mesh.vertices[i] for i in edge.vertex_ids)
+    s.n = moebius_two_points(*s.ends)
+    s.ninv = s.n.inverse()
+    bs = [complex(f.plane.boundary.transform(s.n).hermitian[0, 1]) for f in s.faces]
+    # Line {Re(conj(B) z) = 0}; the disk side is the -B half-plane.
+    s.phis = [cmath.phase(1j * b) for b in bs]
+    s.sides = [-b / abs(b) for b in bs]
+    s.bs = np.array(bs)
+    s1, s2 = s.sides
+    s.turn = (np.conj(s1) * s2).imag
+    s.cores = [cores[i] for i in edge.face_ids]
+    s.closed_form = (
+        all(c.edges is not None for c in s.cores)
+        and s.faces[0].plane.boundary.proj_distance(s.faces[1].plane.boundary) > STRATA_BAND
+        and abs(s.turn) > STRATA_BAND
+    )
+    others = np.ones(len(dom.pairs), dtype=bool)
+    others[list(edge.vertex_ids)] = False
+    s.others = apply_stack(s.n, dom.pairs[others])
+    s.stretch = float(np.sum(np.abs(s.n.matrix) ** 2))
+    return s
+
+
 def _reference_in_lune(strata, zs):
-    """``_EdgeStrata._in_lune`` of one edge, as it was."""
+    """The lune test of one edge's strata (``reference_edge_strata``), as
+    it was."""
     from cp1graft.moebius import apply_stack
     from cp1graft.thurston import STRATA_BAND, _contact_values
 
@@ -533,8 +571,9 @@ def _reference_in_lune(strata, zs):
 
 
 def reference_strata_labels(strata, points):
-    """``_EdgeStrata.labels`` of one edge, as it was: closed-form labels
-    where a probe is certified, ``reference_classify_on_path`` otherwise."""
+    """The labels of one edge's strata (``reference_edge_strata``), as they
+    were: closed-form labels where a probe is certified,
+    ``reference_classify_on_path`` otherwise."""
     from cp1graft.thurston import STRATA_BAND
 
     out = [None] * len(points)
@@ -651,11 +690,9 @@ def reference_edge_paths(dom, mesh, cores):
     """Reference for the lockstep path search: each edge searched alone, its
     first candidate that ``reference_single_edge_subpath`` trims, or None,
     as ``_edge_path`` did."""
-    from cp1graft.thurston import _EdgeStrata
-
     paths = []
     for edge in mesh.edges:
-        strata = _EdgeStrata(dom, mesh, edge, cores)
+        strata = reference_edge_strata(dom, mesh, edge, cores)
         paths.append(next(
             (p for p in (reference_single_edge_subpath(strata, c)
                          for c in reference_edge_candidates(strata)) if p is not None),

@@ -324,6 +324,23 @@ CLI_ERROR_CASES = [
      ("verify", "covering"), (), EXIT_CONFIG, "error:"),
     ("length-true", _surface(lengths=[True, 2.5, 1.7]), ("graft",), (), EXIT_CONFIG,
      "error: surface.lengths must be float, got True"),
+    # A NaN twist would be read as no twist, and an infinite one or a NaN
+    # point would fail as a numeric error.
+    ("twist-nan", _surface(twists=[math.nan, -0.8, 1.1]), ("graft",), (), EXIT_CONFIG,
+     "error: surface.twists must be finite"),
+    ("twist-inf", _surface(twists=[0.3, math.inf, 1.1]), ("graft",), (), EXIT_CONFIG,
+     "error: surface.twists must be finite"),
+    ("domain-point-nan", _domain([[0, 0], [math.nan, 1], "inf"]), ("export", "dome"), (),
+     EXIT_CONFIG, "error: domain point must be finite"),
+    # A NaN tolerance passes every check, and a zero or NaN measure tolerance
+    # refines every path to the last level, so each is given to a command
+    # that does not read it: the config is refused before any command runs.
+    ("tolerance-nan", dict(BASE_CONFIG, tolerances={"two_pi": math.nan}), ("graft",), (),
+     EXIT_CONFIG, "error: tolerance two_pi must be positive and finite"),
+    ("tolerance-zero", dict(BASE_CONFIG, tolerances={"measure": 0}), ("graft",), (),
+     EXIT_CONFIG, "error: tolerance measure must be positive and finite"),
+    ("tolerance-negative", BASE_CONFIG, ("graft",), ("--tol-override", "goldman=-1e-6"),
+     EXIT_CONFIG, "error: tolerance goldman must be positive and finite"),
     ("crossing-multicurve",
      dict(BASE_CONFIG, depth=4, multicurve=[{"word": "a", "weight": "2*pi"},
                                             {"word": "b", "weight": 1.0}]),

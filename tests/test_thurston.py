@@ -55,6 +55,7 @@ from oracles import (
     reference_classify_on_path,
     reference_edge_candidates,
     reference_edge_paths,
+    reference_edge_strata,
     reference_face_core_point,
     reference_maximal_disk,
     reference_single_edge_subpath,
@@ -878,8 +879,8 @@ def dome_golden_sets():
 @pytest.fixture(scope="module")
 def dome_measure_runs():
     """dome_measure_report on every set of DOME_GOLDEN, recording each
-    candidate's probe labels from the label pass (set name, edge strata,
-    points, labels) and the probes sent to ``_disk_labels``."""
+    candidate's probe labels from the label pass (set name, (domain, dome,
+    edge), points, labels) and the probes sent to ``_disk_labels``."""
     batches, fallbacks, reports = [], [], {}
     labels, disk_labels = thurston._DomeStrata.labels, thurston._disk_labels
     current = []
@@ -887,12 +888,12 @@ def dome_measure_runs():
     def recording(self, edges, probes):
         out = labels(self, edges, probes)
         for e, points, labs in zip(edges.tolist(), probes.tolist(), out):
-            batches.append((current[-1], self.edges[e], points, labs))
+            batches.append((current[-1], (self.dom, self.mesh, self.mesh.edges[e]), points, labs))
         return out
 
-    def counting(dom, strata, points):
+    def counting(strata, edges, points):
         fallbacks.extend(points)
-        return disk_labels(dom, strata, points)
+        return disk_labels(strata, edges, points)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(thurston._DomeStrata, "labels", recording)
@@ -920,8 +921,8 @@ def test_strata_labels_match_maximal_disk_labels(dome_measure_runs):
     decides all but a few of them."""
     _, batches, fallbacks = dome_measure_runs
     probes = 0
-    for name, strata, points, labels in batches:
-        refs = reference_classify_on_path(strata.dom, strata.mesh, strata.edge, points)
+    for name, (dom, mesh, edge), points, labels in batches:
+        refs = reference_classify_on_path(dom, mesh, edge, points)
         for z, label, ref in zip(points, labels, refs):
             probes += 1
             assert label == ref, (name, z)
@@ -942,23 +943,22 @@ def test_strata_labels_on_a_face_with_clustered_vertices(monkeypatch):
     The first round probes every edge."""
     mesh = dome(clustered_dome_points())
     dom = DiskComplementDomain(mesh.vertices)
-    cores = [thurston._FaceCore(dom, f) for f in mesh.faces]
-    assert any(c.edges is None for c in cores)
+    strata = thurston._DomeStrata(dom, mesh)
+    assert any(c.edges is None for c in strata.cores)
     rounds = []
     labels = thurston._DomeStrata.labels
 
     def recording(self, edges, probes):
         out = labels(self, edges, probes)
-        rounds.append((self, edges.tolist(), probes.tolist(), out))
+        rounds.append((edges.tolist(), probes.tolist(), out))
         return out
 
     monkeypatch.setattr(thurston._DomeStrata, "labels", recording)
-    thurston._edge_paths(thurston._DomeStrata(dom, mesh, cores))
-    assert rounds[0][1] == list(range(len(mesh.edges)))
-    for strata, edges, probes, out in rounds:
+    thurston._edge_paths(strata)
+    assert rounds[0][0] == list(range(len(mesh.edges)))
+    for edges, probes, out in rounds:
         for e, points, labs in zip(edges, probes, out):
-            edge = strata.edges[e].edge
-            assert labs == reference_classify_on_path(dom, mesh, edge, points)
+            assert labs == reference_classify_on_path(dom, mesh, mesh.edges[e], points)
 
 
 # Domes of the search's reference runs besides the DOME_GOLDEN sets: the
@@ -980,16 +980,33 @@ def path_bits(path):
     return None if path is None else [(float.hex(z.real), float.hex(z.imag)) for z in path]
 
 
+# The strata table's columns, one row per edge, and the per-edge strata's
+# values they hold.
+STRATA_COLUMNS = ("n", "ninv", "bs", "sides", "phis", "turn", "stretch", "closed_form", "others")
+
+
+def strata_row_bytes(values):
+    """The bytes of each value, a map's or circle's by its matrix."""
+    return [np.asarray(getattr(v, "matrix", v)).tobytes() for v in values]
+
+
 @pytest.mark.parametrize("name", sorted(DOME_GOLDEN) + list(EXTRA_DOMES))
 def test_edge_paths_match_per_edge_search(name):
     """The lockstep search finds, for every edge, the path of the per-edge
     search (``reference_edge_paths``) point for point, or None where it
-    finds none."""
+    finds none; every row of the strata table holds, byte for byte, the
+    values the per-edge strata (``reference_edge_strata``) build."""
     pts = EXTRA_DOMES.get(name) or {n: p for n, p, _ in dome_golden_sets()}[name]
     mesh = dome(pts)
     dom = DiskComplementDomain(mesh.vertices)
     cores = [thurston._FaceCore(dom, f) for f in mesh.faces]
-    got = thurston._edge_paths(thurston._DomeStrata(dom, mesh, cores))
+    strata = thurston._DomeStrata(dom, mesh)
+    assert [strata_row_bytes(getattr(strata, c)[e] for c in STRATA_COLUMNS)
+            for e in range(len(mesh.edges))] == [
+        strata_row_bytes(getattr(reference_edge_strata(dom, mesh, edge, cores), c)
+                         for c in STRATA_COLUMNS)
+        for edge in mesh.edges]
+    got = thurston._edge_paths(strata)
     want = reference_edge_paths(dom, mesh, cores)
     assert [path_bits(p) for p in got] == [path_bits(p) for p in want]
     assert [e for e, p in enumerate(got) if p is None] == NO_PATH_EDGES.get(name, [])
@@ -1003,7 +1020,7 @@ def test_edge_paths_take_the_next_candidate_in_a_later_round(tetrahedron_points,
     mesh = dome(tetrahedron_points)
     dom = DiskComplementDomain(mesh.vertices)
     cores = [thurston._FaceCore(dom, f) for f in mesh.faces]
-    strata = thurston._EdgeStrata(dom, mesh, mesh.edges[planted], cores)
+    strata = reference_edge_strata(dom, mesh, mesh.edges[planted], cores)
     first, *rest = reference_edge_candidates(strata)
     crossing, failed = thurston._crossing, []
 
@@ -1014,7 +1031,7 @@ def test_edge_paths_take_the_next_candidate_in_a_later_round(tetrahedron_points,
         return crossing(line, labels)
 
     monkeypatch.setattr(thurston, "_crossing", failing)
-    got = thurston._edge_paths(thurston._DomeStrata(dom, mesh, cores))
+    got = thurston._edge_paths(thurston._DomeStrata(dom, mesh))
     want = reference_edge_paths(dom, mesh, cores)
     want[planted] = next(p for p in (reference_single_edge_subpath(strata, c) for c in rest)
                          if p is not None)
@@ -1050,10 +1067,10 @@ def test_maximal_disk_matches_two_inversions(dome_measure_runs):
     of the seed-7 round, taken as the batches the strata labelled."""
     _, batches, _ = dome_measure_runs
     checked = 0
-    for name, strata, points, _ in batches:
+    for name, (dom, _, _), points, _ in batches:
         if not name.startswith("seed7-"):
             continue
-        for z, rec in zip(points, maximal_disks(strata.dom, points)):
+        for z, rec in zip(points, maximal_disks(dom, points)):
             t = rec.frame_maps[1]
             med = rec.normalized
             circle = OrientedCircle.from_center_radius(med.center, med.radius, disk_inside=False)
