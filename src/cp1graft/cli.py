@@ -153,8 +153,8 @@ class RunConfig:
         if genus != 2:
             raise ConfigError("only genus 2 is constructible")
         lengths = _triple(surface.get("lengths"), "surface.lengths")
-        if not all(l > 0 for l in lengths):
-            raise ConfigError("surface.lengths must be three positive numbers")
+        if not all(0 < l < math.inf for l in lengths):
+            raise ConfigError("surface.lengths must be three positive finite numbers")
         twists = _triple(surface.get("twists", [0.0, 0.0, 0.0]), "surface.twists")
         if not all(map(math.isfinite, twists)):
             raise ConfigError("surface.twists must be finite")
@@ -215,8 +215,8 @@ class RunConfig:
             raise ConfigError("limit_depth must be in [1, 7]")
         if not 1 <= config.export_word_length <= 6:
             raise ConfigError("export_word_length must be in [1, 6]")
-        if not config.margin > 0:
-            raise ConfigError("margin must be positive")
+        if not 0 < config.margin < math.inf:
+            raise ConfigError("margin must be positive and finite")
         return config
 
     def tol(self, key: str) -> float:

@@ -21,7 +21,6 @@ from .moebius import (
     MoebiusMap,
     OrientedCircle,
     PointCP1,
-    RoundDisk,
     angle_between,
     apply,
     as_pairs,
@@ -203,17 +202,12 @@ class DomeFace:
     vertex_ids: tuple
     plane: PlaneH3
 
-    @property
-    def disk(self) -> RoundDisk:
-        return RoundDisk(self.plane.boundary)
-
 
 @dataclass(frozen=True)
 class DomeEdge:
     vertex_ids: tuple  # (i, j)
     face_ids: tuple  # (f1, f2)
     weight: float  # exterior dihedral angle, in (0, pi)
-    geodesic: GeodesicH3
 
 
 @dataclass(frozen=True)
@@ -414,7 +408,6 @@ def dome(ideal_points) -> DomeMesh:
             vertex_ids=(a, b),
             face_ids=tuple(fids),
             weight=angle_between(faces[fids[0]].plane.boundary, faces[fids[1]].plane.boundary),
-            geodesic=GeodesicH3(pts[a], pts[b]),
         )
         for (a, b), fids in sorted(pair_faces.items()) if len(fids) == 2
     )

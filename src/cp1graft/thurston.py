@@ -35,7 +35,6 @@ from .moebius import (
     apply_rows,
     apply_stack,
     as_pairs,
-    chordal_distance,
     chordal_rows,
     circle_rows,
     cp1,
@@ -100,8 +99,7 @@ class DiskComplementDomain:
     pairs, and held as arrays from the pair-array kernel, whose bits are
     those of the per-point methods: ``rows`` (N, 2), the pairs as given,
     ``pairs`` (N, 2), the normalized pairs, and ``xyz`` (N, 3), the sphere
-    coordinates.  ``complement``, the tuple of PointCP1, is built when it
-    is first read.  Queries take one point or a sequence of points.
+    coordinates.  Queries take one point or a sequence of points.
     """
 
     def __init__(self, complement):
@@ -119,6 +117,8 @@ class DiskComplementDomain:
 
     @cached_property
     def complement(self) -> tuple:
+        """The rows as a tuple of PointCP1, built on first read, for callers
+        that want points; the library itself reads only the arrays."""
         return tuple(PointCP1(z0, z1) for z0, z1 in self.rows.tolist())
 
     @cached_property
@@ -220,13 +220,26 @@ class CoreRegion:
 
 @dataclass(frozen=True)
 class MaximalDiskRecord:
+    """A maximal disk and its contacts, held as rows: the contacts as
+    indices into the domain's ``rows``, the query as its homogeneous pair.
+    ``query``, ``ideal_points`` and ``core`` are built on first read."""
+
     disk: RoundDisk  # oriented: disk side is the maximal disk
-    ideal_points: tuple  # contact points of the complement, original coords
-    ideal_ids: tuple  # their indices in the domain's complement
+    ideal_ids: tuple  # contact points, as indices into the domain's rows
     normalized: MinimalDisk  # enclosing disk of the transported complement
-    query: PointCP1
     frame_maps: tuple = field(repr=False, compare=False)  # (unit-disk map, normalizer)
     boundary: tuple = field(repr=False, compare=False)  # ideal points in the unit-disk frame
+    query_row: np.ndarray = field(repr=False, compare=False)  # the query's pair, read-only
+    rows: np.ndarray = field(repr=False, compare=False)  # the domain's rows, shared
+
+    @cached_property
+    def query(self) -> PointCP1:
+        return PointCP1(*self.query_row.tolist())
+
+    @cached_property
+    def ideal_points(self) -> tuple:
+        """The contact points in original coordinates, in ``ideal_ids`` order."""
+        return tuple(PointCP1(z0, z1) for z0, z1 in self.rows[list(self.ideal_ids)].tolist())
 
     @cached_property
     def core(self) -> CoreRegion:
@@ -355,15 +368,11 @@ def _disk_block(dom: DiskComplementDomain, points: list) -> list:
     ``maximal_disk_at`` once took them for one point: a query leaves at the
     step that rejects it, with that step's error."""
     out = [None] * len(points)
-    xs = {}
-    for k, p in enumerate(points):
-        try:
-            xs[k] = cp1(p)
-        except DegenerateInputError as exc:
-            out[k] = exc
-    q = _Alive(out, list(xs), x=list(xs.values()))
-    if xs:
-        near = (~dom.contains(q["x"])).nonzero()[0].tolist()
+    rows = as_pairs(points)
+    q = _Alive(out, list(range(len(rows))), x=rows)
+    q.drop(row_faults(rows, range(len(rows) + 1)))
+    if q.index:
+        near = (dom.distances(q["x"]) <= TOL_GEO).nonzero()[0].tolist()
         q.drop({j: PreconditionError("query point is too close to the complement") for j in near})
     if not q.index:
         return out
@@ -372,9 +381,9 @@ def _disk_block(dom: DiskComplementDomain, points: list) -> list:
     # determinants are -1 and 1, so none is singular.
     t = np.zeros((len(q.index), 2, 2), dtype=complex)
     t[:, 0, 1] = t[:, 1, 0] = 1.0
-    infinite = np.array([x.is_infinity for x in q["x"]], dtype=bool)
+    x, infinite = affine_rows(q["x"])
     t[infinite] = np.eye(2)
-    t[~infinite, 1, 1] = [-x.as_complex() for x in itertools.compress(q["x"], ~infinite)]
+    t[~infinite, 1, 1] = -x[~infinite]
     t = moebius_rows(t)[0]
     # ``apply_stack`` of every normalizer: its column products, broadcast.
     p0, p1 = dom.pairs[:, 0], dom.pairs[:, 1]
@@ -453,16 +462,16 @@ def _disk_block(dom: DiskComplementDomain, points: list) -> list:
     q.add(boundary=boundaries)
     q.drop(faults)
 
-    for name in ("t", "disk", "u"):
+    for name in ("x", "t", "disk", "u"):
         q[name].setflags(write=False)
     for j, k in enumerate(q.index):
-        ids = tuple(i for i, _ in q["boundary"][j])
         out[k] = MaximalDiskRecord(
             disk=RoundDisk(OrientedCircle.from_row(q["disk"][j])),
-            ideal_points=tuple(dom.complement[i] for i in ids), ideal_ids=ids,
-            normalized=q["med"][j], query=q["x"][j],
+            ideal_ids=tuple(i for i, _ in q["boundary"][j]),
+            normalized=q["med"][j],
             frame_maps=(MoebiusMap.from_row(q["u"][j]), MoebiusMap.from_row(q["t"][j])),
             boundary=tuple(w for _, w in q["boundary"][j]),
+            query_row=q["x"][j], rows=dom.rows,
         )
     return out
 
@@ -494,7 +503,7 @@ def stratification_check(dom: DiskComplementDomain, samples) -> dict:
     for members in groups:
         rec0 = members[0][1]
         for i, rec in members[1:]:
-            if not _same_ideal_sets(rec, rec0):
+            if not _same_ideal_sets(dom, rec, rec0):
                 violations.append({"kind": "ideal-point-mismatch", "sample": i})
 
     # (ii) distinct disks: no nesting (which would contradict maximality),
@@ -504,7 +513,7 @@ def stratification_check(dom: DiskComplementDomain, samples) -> dict:
     # is nonpositive, and symmetrically for D2.
     firsts = [members[0][1] for members in groups]
     for a, b in _pairs_to_test(dom, firsts):
-        _check_pair(firsts[a], firsts[b], a, b, violations)
+        _check_pair(dom, firsts[a], firsts[b], a, b, violations)
 
     return {
         "checks": [
@@ -538,16 +547,14 @@ def _group_by_disk(records) -> list:
     return groups
 
 
-def _same_ideal_sets(a: MaximalDiskRecord, b: MaximalDiskRecord) -> bool:
-    if len(a.ideal_points) != len(b.ideal_points):
+def _same_ideal_sets(dom: DiskComplementDomain, a: MaximalDiskRecord, b: MaximalDiskRecord) -> bool:
+    if len(a.ideal_ids) != len(b.ideal_ids):
         return False
     # A complement point is at chordal distance 0 from itself.
     if set(a.ideal_ids) == set(b.ideal_ids):
         return True
-    return all(
-        any(chordal_distance(p, q) < TOL_SAME_POINT for q in b.ideal_points)
-        for p in a.ideal_points
-    )
+    near = chordal_rows(dom.xyz[list(a.ideal_ids), None], dom.xyz[list(b.ideal_ids)])
+    return bool((near < TOL_SAME_POINT).any(axis=1).all())
 
 
 def _form_values(pairs: np.ndarray, a, b, d) -> np.ndarray:
@@ -608,20 +615,14 @@ def _nested(ra: MaximalDiskRecord, rb: MaximalDiskRecord) -> bool:
     return all(ra.disk.circle.evaluate(p) < -TOL_GEO for p in pts)
 
 
-def _check_pair(ra, rb, a: int, b: int, violations: list) -> None:
+def _check_pair(dom: DiskComplementDomain, ra, rb, a: int, b: int, violations: list) -> None:
     """The disjointness test of groups a < b; appends what it finds."""
     if _nested(ra, rb) or _nested(rb, ra):
         violations.append({"kind": "nested-disks", "groups": [a, b]})
         return
     s = ra.disk.circle.hermitian - rb.disk.circle.hermitian  # separating circle
-    worst_a = max(
-        float((np.conj(v) @ s @ v).real)
-        for v in (p.normalized().vector() for p in ra.ideal_points)
-    )
-    worst_b = min(
-        float((np.conj(v) @ s @ v).real)
-        for v in (p.normalized().vector() for p in rb.ideal_points)
-    )
+    worst_a = max(float((np.conj(v) @ s @ v).real) for v in dom.pairs[list(ra.ideal_ids)])
+    worst_b = min(float((np.conj(v) @ s @ v).real) for v in dom.pairs[list(rb.ideal_ids)])
     if worst_a > TOL_GEO or worst_b < -TOL_GEO:
         violations.append(
             {"kind": "core-overlap", "groups": [a, b], "side_values": [worst_a, worst_b]}
@@ -908,14 +909,12 @@ def _disk_label(strata: _DomeStrata, e: int, rec) -> str:
     for name, f in zip(("face1", "face2"), edge.face_ids):
         if rec.disk.circle.proj_distance(mesh.faces[f].plane.boundary) < TOL_SAME_DISK:
             return name
-    if len(rec.ideal_points) == 2:
-        p, q = rec.ideal_points
-        va, vb = (mesh.vertices[i] for i in edge.vertex_ids)
-
-        def near(u, v):
-            return chordal_distance(u, v) < TOL_SAME_POINT
-
-        if (near(p, va) and near(q, vb)) or (near(p, vb) and near(q, va)):
+    if len(rec.ideal_ids) == 2:
+        # The domain is built from the mesh vertices: row i is vertex i.
+        xyz = strata.dom.xyz
+        dist = chordal_rows(xyz[list(rec.ideal_ids), None], xyz[list(edge.vertex_ids)])
+        near = dist < TOL_SAME_POINT
+        if (near[0, 0] and near[1, 1]) or (near[0, 1] and near[1, 0]):
             return "family"
     return "other"
 

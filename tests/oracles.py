@@ -397,8 +397,8 @@ def reference_maximal_disk(dom, x):
     ws = tuple(w for _, w in boundary)
     ids = tuple(i for i, _ in boundary)
     return MaximalDiskRecord(
-        disk=disk, ideal_points=tuple(dom.complement[i] for i in ids), ideal_ids=ids,
-        normalized=med, query=x, frame_maps=(u, t), boundary=ws,
+        disk=disk, ideal_ids=ids, normalized=med, frame_maps=(u, t), boundary=ws,
+        query_row=np.array([x.z0, x.z1], dtype=complex), rows=dom.rows,
     )
 
 

@@ -341,6 +341,15 @@ CLI_ERROR_CASES = [
      EXIT_CONFIG, "error: tolerance measure must be positive and finite"),
     ("tolerance-negative", BASE_CONFIG, ("graft",), ("--tol-override", "goldman=-1e-6"),
      EXIT_CONFIG, "error: tolerance goldman must be positive and finite"),
+    # An infinite length would fail as a numeric error, and an infinite
+    # margin would try every loop placement in vain; a finite length the
+    # construction cannot handle stays a numeric failure.
+    ("length-inf", _surface(lengths=[math.inf, 2.5, 1.7]), ("graft",), (), EXIT_CONFIG,
+     "error: surface.lengths must be three positive finite numbers"),
+    ("margin-inf", dict(BASE_CONFIG, margin=math.inf), ("verify", "covering"), (), EXIT_CONFIG,
+     "error: margin must be positive and finite"),
+    ("length-1e300", _surface(lengths=[1e300, 2.5, 1.7]), ("graft",), (), EXIT_NUMERIC,
+     "numeric failure:"),
     ("crossing-multicurve",
      dict(BASE_CONFIG, depth=4, multicurve=[{"word": "a", "weight": "2*pi"},
                                             {"word": "b", "weight": 1.0}]),

@@ -242,7 +242,7 @@ def _no_disk(monkeypatch):
 def _dropped_contact(monkeypatch):
     """Every seventh record loses its first contact point."""
     _every_seventh_record(monkeypatch, lambda rec: dataclasses.replace(
-        rec, ideal_points=rec.ideal_points[1:], ideal_ids=rec.ideal_ids[1:]))
+        rec, ideal_ids=rec.ideal_ids[1:]))
 
 
 # (defect, the failed check, the violation kinds reported)

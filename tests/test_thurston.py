@@ -267,9 +267,10 @@ def test_distances_match_per_point_norm(holonomy):
 
 
 def test_limit_sample_to_distances_builds_no_points(holonomy, monkeypatch):
-    """A limit sample goes to a domain and its distances as pair rows: no
-    PointCP1 is built (counted as ``bench/layertrace.py`` counts them) until
-    the domain's complement is read, which builds one per row, once."""
+    """A limit sample goes to a domain, its distances and a maximal-disk
+    batch as pair rows: no PointCP1 is built (counted as
+    ``bench/layertrace.py`` counts them) until a record's query and ideal
+    points, or the domain's complement, are read, each built once."""
     built = []
     post_init = PointCP1.__post_init__
 
@@ -282,7 +283,18 @@ def test_limit_sample_to_distances_builds_no_points(holonomy, monkeypatch):
     queries = [complex(*rng.uniform(-3, 3, 2)) for _ in range(200)] + [0.0, "inf", 1j]
     dom = DiskComplementDomain(limit_set_sample(holonomy, 4))
     assert dom.distances(queries).shape == (203,)
+    # Valid queries, and a complement point and one 1e-9 from it, rejected.
+    z0, z1 = dom.rows[np.argmax(np.abs(dom.rows[:, 1]))].tolist()
+    recs = maximal_disks(dom, queries[:200:20] + [z0 / z1, z0 / z1 + 1e-9j])
     assert built == []
+    assert [isinstance(r, PreconditionError) for r in recs] == [False] * 10 + [True] * 2
+    rec = recs[0]
+    query, ideal = rec.query, rec.ideal_points
+    assert len(built) == 1 + len(rec.ideal_ids)
+    assert rec.query is query and rec.ideal_points is ideal and len(built) == 1 + len(rec.ideal_ids)
+    assert [[p.z0, p.z1] for p in ideal] == dom.rows[list(rec.ideal_ids)].tolist()
+    assert (query.z0, query.z1) == (queries[0], 1.0)
+    built.clear()
     complement = dom.complement
     assert len(built) == len(complement) == len(dom.rows)
     # A second read builds nothing more.
@@ -679,9 +691,7 @@ def _shrunk_disk(rec):
 
 
 def _ideal_point_dropped(rec):
-    return dataclasses.replace(
-        rec, ideal_points=rec.ideal_points[:-1], ideal_ids=rec.ideal_ids[:-1]
-    )
+    return dataclasses.replace(rec, ideal_ids=rec.ideal_ids[:-1])
 
 
 def _nudged_disk(rec):
@@ -719,8 +729,8 @@ def test_stratification_nested_disks_with_small_side_values(monkeypatch):
     outer = RoundDisk(OrientedCircle.from_center_radius(0.0, 1.0))
     inner = RoundDisk(OrientedCircle.from_center_radius((1.0 - r - gap) * turn, r))
     fakes = {
-        0.2: dict(disk=outer, ideal_points=dom.complement[:3], ideal_ids=(0, 1, 2)),
-        0.3: dict(disk=inner, ideal_points=dom.complement[3:], ideal_ids=(3,)),
+        0.2: dict(disk=outer, ideal_ids=(0, 1, 2)),
+        0.3: dict(disk=inner, ideal_ids=(3,)),
     }
 
     find = thurston.maximal_disks
