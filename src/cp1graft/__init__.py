@@ -41,7 +41,6 @@ from .surface import (
     FNCoordinates,
     FuchsianHolonomy,
     GroupWord,
-    SurfacePresentation,
     axis,
     enumerate_words,
     fuchsian_from_fn,

@@ -31,6 +31,7 @@ from .moebius import (
 )
 from .hyperbolic import DomeMesh, dome, halfspace_to_ball
 from .surface import (
+    GENERATOR_NAMES,
     LETTER_ORDER,
     ConstructionError,
     FNCoordinates,
@@ -420,11 +421,11 @@ def cmd_graft(config: RunConfig, out_dir: str) -> int:
         "seed": config.seed,
         "base_holonomy": {
             name: moebius_entries(m)
-            for name, m in zip(("a1", "b1", "a2", "b2"), hol.generators)
+            for name, m in zip(GENERATOR_NAMES, hol.generators)
         },
         "deformed_holonomy": {
             name: moebius_entries(m)
-            for name, m in zip(("a1", "b1", "a2", "b2"), rp.generators)
+            for name, m in zip(GENERATOR_NAMES, rp.generators)
         },
         "residuals": {
             "base_relation": hol.relation_residual(),
@@ -454,9 +455,7 @@ def cmd_verify(config: RunConfig, which: str, out_dir: str) -> int:
         tol = config.tol("two_pi")
         deviations = {}
         violations = []
-        for name, before, after in zip(
-            ("a1", "b1", "a2", "b2"), hol.generators, rp.generators
-        ):
+        for name, before, after in zip(GENERATOR_NAMES, hol.generators, rp.generators):
             d = after.proj_distance(before)
             deviations[name] = d
             if d > tol:

@@ -50,7 +50,9 @@ class PointCP1:
     z1: complex
 
     def __post_init__(self):
-        n = abs(self.z0) ** 2 + abs(self.z1) ** 2
+        # The norm by hypot of the parts, which neither overflows nor
+        # underflows where the squares would.
+        n = math.hypot(self.z0.real, self.z0.imag, self.z1.real, self.z1.imag)
         if n == 0.0 or not math.isfinite(n):
             raise DegenerateInputError("homogeneous coordinates must be finite and not both zero")
 
@@ -129,9 +131,10 @@ def as_pairs(points) -> np.ndarray:
 
 def _check_rows(pairs: np.ndarray) -> None:
     """Raise, in row order, what PointCP1 raises for a row of an (N, 2)
-    stack.  numpy's abs may differ from CPython's in the last bit, so rows
+    stack.  numpy's hypot may differ from CPython's in the last bit, so rows
     outside a safe range get PointCP1's own check."""
-    n = (np.abs(pairs) ** 2).sum(axis=1)
+    with np.errstate(all="ignore"):
+        n = np.hypot(np.abs(pairs[:, 0]), np.abs(pairs[:, 1]))
     for i in (~((n > 1e-290) & (n < 1e290))).nonzero()[0]:
         PointCP1(complex(pairs[i, 0]), complex(pairs[i, 1]))
 
@@ -303,14 +306,6 @@ class MoebiusMap:
         m = _sign_normalize(m / np.sqrt(det))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @staticmethod
-    def from_row(m: np.ndarray) -> "MoebiusMap":
-        """The map of a row that ``moebius_rows`` normalized and found
-        nonsingular, kept as it is."""
-        out = object.__new__(MoebiusMap)
-        object.__setattr__(out, "matrix", m)
-        return out
 
     @staticmethod
     def identity() -> "MoebiusMap":

@@ -24,7 +24,7 @@ the direction from the first to the second hexagon vertex on the cuff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,23 +154,8 @@ def enumerate_words(radius: int):
     return [GroupWord(w) for w in out]
 
 
-@dataclass(frozen=True)
-class SurfacePresentation:
-    """Genus g >= 2 presentation with the single relation prod [a_i, b_i]."""
-
-    genus: int = 2
-
-    def __post_init__(self):
-        if self.genus < 2:
-            raise ValueError("genus must be >= 2")
-
-    @property
-    def relation(self) -> GroupWord:
-        letters = []
-        for i in range(self.genus):
-            a, b = 2 * i + 1, 2 * i + 2
-            letters += [a, b, -a, -b]
-        return GroupWord(tuple(letters))
+# The one relation of the genus-2 surface group, [a1, b1][a2, b2].
+RELATION = GroupWord((1, 2, -1, -2, 3, 4, -3, -4))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +238,6 @@ class Representation:
 
     generators: tuple  # MoebiusMap for a1, b1, a2, b2
     basepoint: complex
-    presentation: SurfacePresentation = field(default_factory=SurfacePresentation)
 
     def generator(self, letter: int) -> MoebiusMap:
         m = self.generators[abs(letter) - 1]
@@ -266,7 +250,7 @@ class Representation:
         return m
 
     def relation_residual(self) -> float:
-        return self.rho(self.presentation.relation).proj_distance(MoebiusMap.identity())
+        return self.rho(RELATION).proj_distance(MoebiusMap.identity())
 
     def max_imag_entry(self) -> float:
         return max(float(np.max(np.abs(g.matrix.imag))) for g in self.generators)

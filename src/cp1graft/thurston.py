@@ -221,14 +221,13 @@ class CoreRegion:
 @dataclass(frozen=True)
 class MaximalDiskRecord:
     """A maximal disk and its contacts, held as rows: the contacts as
-    indices into the domain's ``rows``, the query as its homogeneous pair.
-    ``query``, ``ideal_points`` and ``core`` are built on first read."""
+    ascending indices into the domain's ``rows``, the query as its
+    homogeneous pair.  ``query``, ``ideal_points`` and ``core`` are built
+    on first read."""
 
     disk: RoundDisk  # oriented: disk side is the maximal disk
-    ideal_ids: tuple  # contact points, as indices into the domain's rows
+    ideal_ids: tuple  # contact points, as ascending indices into the domain's rows
     normalized: MinimalDisk  # enclosing disk of the transported complement
-    frame_maps: tuple = field(repr=False, compare=False)  # (unit-disk map, normalizer)
-    boundary: tuple = field(repr=False, compare=False)  # ideal points in the unit-disk frame
     query_row: np.ndarray = field(repr=False, compare=False)  # the query's pair, read-only
     rows: np.ndarray = field(repr=False, compare=False)  # the domain's rows, shared
 
@@ -243,9 +242,22 @@ class MaximalDiskRecord:
 
     @cached_property
     def core(self) -> CoreRegion:
-        """The core, built on first access."""
-        u, t = self.frame_maps
-        return _core_region(u @ t, self.boundary)
+        """The core, built on first read in the unit-disk frame u t: t takes
+        the query to infinity, and u, z -> radius / (z - center), maps the
+        exterior of ``normalized`` onto the unit disk with the query at 0.
+        The contacts are mapped by t and then u, each as ``apply`` maps it,
+        and taken in angular order.  A step that rejects its input raises
+        its DegenerateInputError."""
+        med = self.normalized
+        u = MoebiusMap(np.array([[0.0, med.radius], [1.0, -med.center]], dtype=complex))
+        t = _normalizers(self.query_row[None])
+        moved = apply_rows(t, unit_pairs(self.rows[list(self.ideal_ids)]))
+        ws = (u.matrix @ unit_pairs(moved)[..., None])[..., 0]
+        faults = row_faults(ws, (0, len(ws)))
+        if faults:
+            raise faults[0]
+        ws = sorted(affine_stack(ws), key=lambda w: math.atan2(w.imag, w.real))
+        return _core_region(MoebiusMap(u.matrix @ t[0]), tuple(ws))
 
     def same_disk(self, other: "MaximalDiskRecord") -> bool:
         return self.disk.circle.proj_distance(other.disk.circle) < TOL_SAME_DISK
@@ -323,14 +335,26 @@ def maximal_disks(dom: DiskComplementDomain, points) -> list:
     Each step runs as one array pass over a block of queries, and only the
     minimal enclosing disk is taken point by point.  Every array step keeps
     the bits of the scalar steps it stands for (the pair kernel, stacked
-    matmul, ``moebius_rows`` and ``circle_rows``), and the circles and maps
-    of a record are rows of the checked stacks."""
+    matmul, ``moebius_rows`` and ``circle_rows``), and the circles of a
+    record are rows of the checked stacks."""
     points = list(points)
     step = max(1, DISK_BLOCK // len(dom.pairs))
     out = []
     for s in range(0, len(points), step):
         out += _disk_block(dom, points[s : s + step])
     return out
+
+
+def _normalizers(rows: np.ndarray) -> np.ndarray:
+    """The maps taking the queries of an (N, 2) stack of pairs to infinity,
+    [[0, 1], [1, -x]] or the identity, as ``moebius_rows`` normalizes them:
+    their determinants are -1 and 1, so none is singular."""
+    t = np.zeros((len(rows), 2, 2), dtype=complex)
+    t[:, 0, 1] = t[:, 1, 0] = 1.0
+    x, infinite = affine_rows(rows)
+    t[infinite] = np.eye(2)
+    t[~infinite, 1, 1] = -x[~infinite]
+    return moebius_rows(t)[0]
 
 
 class _Alive:
@@ -377,14 +401,7 @@ def _disk_block(dom: DiskComplementDomain, points: list) -> list:
     if not q.index:
         return out
 
-    # Normalizers to infinity, [[0, 1], [1, -x]] or the identity: their
-    # determinants are -1 and 1, so none is singular.
-    t = np.zeros((len(q.index), 2, 2), dtype=complex)
-    t[:, 0, 1] = t[:, 1, 0] = 1.0
-    x, infinite = affine_rows(q["x"])
-    t[infinite] = np.eye(2)
-    t[~infinite, 1, 1] = -x[~infinite]
-    t = moebius_rows(t)[0]
+    t = _normalizers(q["x"])
     # ``apply_stack`` of every normalizer: its column products, broadcast.
     p0, p1 = dom.pairs[:, 0], dom.pairs[:, 1]
     moved = np.empty((len(t), len(p0), 2), dtype=complex)
@@ -433,44 +450,12 @@ def _disk_block(dom: DiskComplementDomain, points: list) -> list:
     q.add(disk=disk)
     q.drop(faults)
 
-    # Unit-disk frame: z -> radius / (z - center) maps the exterior (with
-    # the query at infinity) onto the unit disk with the query at 0.
-    u = np.zeros((len(q.index), 2, 2), dtype=complex)
-    u[:, 0, 1], u[:, 1, 0], u[:, 1, 1] = q["radius"], 1.0, -q["center"]
-    u, faults = moebius_rows(u)
-    q.add(u=u)
-    q.drop(faults)
-    if not q.index:
-        return out
-
-    # The contacts in the frame, each as ``apply`` maps it.
-    sizes = [len(c) for c in q["contacts"]]
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    rows = q["moved"][owner, np.concatenate(q["contacts"])]
-    ws = (q["u"][owner] @ unit_pairs(rows)[..., None])[..., 0]
-    ends = np.cumsum([0] + sizes)
-    faults = row_faults(ws, ends)
-    mapped, at_inf = affine_rows(ws)
-    for j, (a, b) in enumerate(zip(ends, ends[1:])):
-        if j not in faults and at_inf[a:b].any():
-            faults[j] = "point is at infinity"
-    mapped = mapped.tolist()
-    boundaries = [
-        sorted(zip(c, mapped[a:b]), key=lambda iw: math.atan2(iw[1].imag, iw[1].real))
-        for c, a, b in zip(q["contacts"], ends, ends[1:])
-    ]
-    q.add(boundary=boundaries)
-    q.drop(faults)
-
-    for name in ("x", "t", "disk", "u"):
+    for name in ("x", "disk"):
         q[name].setflags(write=False)
     for j, k in enumerate(q.index):
         out[k] = MaximalDiskRecord(
             disk=RoundDisk(OrientedCircle.from_row(q["disk"][j])),
-            ideal_ids=tuple(i for i, _ in q["boundary"][j]),
-            normalized=q["med"][j],
-            frame_maps=(MoebiusMap.from_row(q["u"][j]), MoebiusMap.from_row(q["t"][j])),
-            boundary=tuple(w for _, w in q["boundary"][j]),
+            ideal_ids=tuple(q["contacts"][j]), normalized=q["med"][j],
             query_row=q["x"][j], rows=dom.rows,
         )
     return out
@@ -1249,14 +1234,12 @@ def projection_psi(dom: DiskComplementDomain, x) -> PointH3:
 # Weight recovery (Goldman direction)
 
 
-# Points the developed boundary sweep of a weight recovery is sampled at.
-WEIGHT_SAMPLES = 256
-
-
 def recover_weight_from_grafted(gs: GraftedStructure, curve) -> float:
-    """Total crescent angle across a transversal through the grafting
-    cylinder of the named curve, integrated by developing sample points
-    through the inserted chart and unwrapping the argument."""
+    """The weight of the one leaf a short transversal through the grafting
+    cylinder of the named curve crosses.  This reads the configured weight
+    back once the transversal is isolated; recovering it from the developed
+    crescent chart alone is still open (ROADMAP item 3, Goldman weight
+    recovery from the structure)."""
     if isinstance(curve, str):
         curve = GroupWord.parse(curve)
     try:
@@ -1282,16 +1265,7 @@ def recover_weight_from_grafted(gs: GraftedStructure, curve) -> float:
     else:
         raise TransversalityError("could not isolate a transversal through the cylinder")
 
-    theta = ours[0].leaf.weight
-    if theta == 0.0:
-        return 0.0
-    # Integrate the transverse coordinate through the crescent chart: sample
-    # the developed boundary sweep and unwrap the winding argument.
-    x_param = 0.0  # entry ray position; the sweep angle is x-independent
-    ys = np.linspace(0.0, theta, WEIGHT_SAMPLES)
-    developed = np.exp(x_param + 1j * ys)
-    swept = np.unwrap(np.angle(developed))
-    return float(abs(swept[-1] - swept[0]))
+    return float(ours[0].leaf.weight)
 
 
 # ---------------------------------------------------------------------------

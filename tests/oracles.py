@@ -357,9 +357,7 @@ def reference_maximal_disk(dom, x):
         DegenerateInputError,
         MoebiusMap,
         OrientedCircle,
-        PointCP1,
         RoundDisk,
-        apply,
         apply_stack,
         cp1,
         minimal_enclosing_disk,
@@ -389,17 +387,65 @@ def reference_maximal_disk(dom, x):
     circle_norm = OrientedCircle.from_center_radius(med.center, med.radius, disk_inside=False)
     m = t.matrix
     disk = RoundDisk(OrientedCircle(m.conj().T @ circle_norm.hermitian @ m))
-    u = MoebiusMap(np.array([[0.0, med.radius], [1.0, -med.center]], dtype=complex))
-    boundary = sorted(
-        ((i, apply(u, PointCP1(*transported[i].tolist())).as_complex()) for i in contacts),
-        key=lambda iw: math.atan2(iw[1].imag, iw[1].real),
-    )
-    ws = tuple(w for _, w in boundary)
-    ids = tuple(i for i, _ in boundary)
     return MaximalDiskRecord(
-        disk=disk, ideal_ids=ids, normalized=med, frame_maps=(u, t), boundary=ws,
+        disk=disk, ideal_ids=tuple(contacts), normalized=med,
         query_row=np.array([x.z0, x.z1], dtype=complex), rows=dom.rows,
     )
+
+
+def reference_geodesic(u, v):
+    """The unit disk's geodesic between boundary points u, v, as the circle
+    orthogonal to the unit circle, or a diameter."""
+    from cp1graft.moebius import DegenerateInputError, OrientedCircle
+
+    denom = 1.0 + (u * np.conj(v)).real
+    if abs(denom) < 1e-12:
+        h = np.array([[0.0, 1j * u], [-1j * np.conj(u), 0.0]], dtype=complex)
+        return OrientedCircle(h)
+    m = (u + v) / denom
+    r2 = abs(m) ** 2 - 1.0
+    if r2 <= 0:
+        raise DegenerateInputError("degenerate hull edge")
+    return OrientedCircle.from_center_radius(m, math.sqrt(r2))
+
+
+def reference_core(dom, rec):
+    """Reference for a record's lazy core: its frame and its contacts in
+    the frame built point by point from the record's query, normalized disk
+    and contact ids by the scalar constructors, as the per-point body once
+    built them, and the hull of the distinct contacts, as (frame, boundary
+    angles, edges).  A contact is a distinct vertex unless its geodesic to
+    the previous one (angular order, cyclically) has a squared radius below
+    TINY_EDGE."""
+    from cp1graft.moebius import MoebiusMap, PointCP1, apply
+    from cp1graft.thurston import TINY_EDGE
+
+    x, med = rec.query, rec.normalized
+    if x.is_infinity:
+        t = MoebiusMap.identity()
+    else:
+        t = MoebiusMap(np.array([[0.0, 1.0], [1.0, -x.as_complex()]], dtype=complex))
+    u = MoebiusMap(np.array([[0.0, med.radius], [1.0, -med.center]], dtype=complex))
+    ws = sorted(
+        (apply(u, apply(t, dom.complement[i])).as_complex() for i in rec.ideal_ids),
+        key=lambda w: math.atan2(w.imag, w.real),
+    )
+    units = [w / abs(w) for w in ws]
+    vs = []
+    for j in range(len(ws)):
+        a, b = units[j - 1], units[j]
+        denom = 1.0 + (a * np.conj(b)).real
+        if abs(denom) < 1e-12 or abs((a + b) / denom) ** 2 - 1.0 >= TINY_EDGE:
+            vs.append(j)
+    k = len(vs)
+    edges = []
+    for j in range(k if k > 2 else k // 2):
+        edge = reference_geodesic(units[vs[j]], units[vs[(j + 1) % k]])
+        if k > 2 and edge.evaluate(PointCP1.from_complex(ws[vs[(j + 2) % k]])) > 0:
+            edge = edge.reversed()
+        edges.append(edge)
+    angles = tuple(math.atan2(ws[j].imag, ws[j].real) for j in vs)
+    return u @ t, angles, edges
 
 
 def reference_transverse_measure(dom, path, tol_measure):

@@ -388,6 +388,48 @@ def test_pair_kernel_rejects_what_pointcp1_rejects(bad):
             kernel(rows)
 
 
+def test_point_with_a_huge_coordinate_is_a_point():
+    # 1e200 squared overflows a float; the norm, taken by hypot, does not.
+    p = PointCP1(1e200, 1)
+    assert (p.z0, p.z1) == (1e200, 1)
+    assert moebius.unit_pairs(np.array([(1e200, 1)], dtype=complex)).tolist() == [
+        [p.normalized().z0, p.normalized().z1]]
+
+
+def test_point_with_a_tiny_coordinate_is_infinity():
+    # 1e-170 squared underflows to 0; the norm, taken by hypot, does not.
+    p = PointCP1(1e-170, 0)
+    assert p.is_infinity
+    assert moebius.unit_pairs(np.array([(1e-170, 0)], dtype=complex)).tolist() == [[1.0, 0.0]]
+
+
+# Parts of pairs: signed magnitudes from 1e-300 to 1e300, signed zeros,
+# infinities and NaN.
+_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.builds(lambda sign, e, m: sign * m * 10.0 ** e,
+              st.sampled_from([-1.0, 1.0]), st.integers(-300, 299), st.floats(1.0, 9.99)),
+)
+
+
+def _outcome(check):
+    try:
+        check()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@given(st.lists(st.tuples(_PARTS, _PARTS, _PARTS, _PARTS), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_check_rows_rejects_exactly_what_pointcp1_rejects(parts):
+    rows = np.array([(complex(a, b), complex(c, d)) for a, b, c, d in parts])
+    want = [_outcome(lambda r=r: PointCP1(complex(r[0]), complex(r[1]))) for r in rows]
+    assert [_outcome(lambda r=r: moebius._check_rows(r[None])) for r in rows] == want
+    # A stack raises the error of its first rejected row.
+    assert _outcome(lambda: moebius._check_rows(rows)) == next(filter(None, want), None)
+
+
 def _adversarial_matrices(rng) -> np.ndarray:
     """2x2 complex matrices, random and made of ``_adversarial_rows``."""
     rows = _adversarial_rows(rng)

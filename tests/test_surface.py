@@ -16,9 +16,9 @@ from cp1graft.moebius import (
 )
 from cp1graft.surface import (
     LETTER_ORDER,
+    RELATION,
     FNCoordinates,
     GroupWord,
-    SurfacePresentation,
     _attracting_points,
     axis,
     cuff_length_from_trace,
@@ -34,9 +34,10 @@ from cp1graft.surface import (
 
 
 def test_presentation_relation_reduced():
-    rel = SurfacePresentation(genus=2).relation
-    assert len(rel) == 8
-    assert rel.letters == (1, 2, -1, -2, 3, 4, -3, -4)
+    # [a1, b1][a2, b2], freely reduced as written.
+    assert len(RELATION) == 8
+    assert RELATION.letters == (1, 2, -1, -2, 3, 4, -3, -4)
+    assert str(RELATION) == "abABcdCD"
 
 
 def test_word_reduction_and_inverse():

@@ -56,7 +56,9 @@ from oracles import (
     reference_edge_candidates,
     reference_edge_paths,
     reference_edge_strata,
+    reference_core,
     reference_face_core_point,
+    reference_geodesic,
     reference_maximal_disk,
     reference_single_edge_subpath,
     reference_transverse_measure,
@@ -302,18 +304,6 @@ def test_limit_sample_to_distances_builds_no_points(holonomy, monkeypatch):
     assert [[p.z0, p.z1] for p in complement] == dom.rows.tolist()
 
 
-def _reference_geodesic(u, v):
-    denom = 1.0 + (u * np.conj(v)).real
-    if abs(denom) < 1e-12:
-        h = np.array([[0.0, 1j * u], [-1j * np.conj(u), 0.0]], dtype=complex)
-        return OrientedCircle(h)
-    m = (u + v) / denom
-    r2 = abs(m) ** 2 - 1.0
-    if r2 <= 0:
-        raise DegenerateInputError("degenerate hull edge")
-    return OrientedCircle.from_center_radius(m, math.sqrt(r2))
-
-
 def eager_core_reference(dom, x):
     """The core built eagerly, point by point, as maximal_disk_at once did:
     (frame, boundary angles, edges)."""
@@ -337,11 +327,11 @@ def eager_core_reference(dom, x):
     ws = [w for _, w in boundary]
     k = len(ws)
     if k == 2:
-        edges = [_reference_geodesic(ws[0] / abs(ws[0]), ws[1] / abs(ws[1]))]
+        edges = [reference_geodesic(ws[0] / abs(ws[0]), ws[1] / abs(ws[1]))]
     else:
         edges = []
         for j in range(k):
-            edge = _reference_geodesic(ws[j] / abs(ws[j]), ws[(j + 1) % k] / abs(ws[(j + 1) % k]))
+            edge = reference_geodesic(ws[j] / abs(ws[j]), ws[(j + 1) % k] / abs(ws[(j + 1) % k]))
             if edge.evaluate(PointCP1.from_complex(ws[(j + 2) % k])) > 0:
                 edge = edge.reversed()
             edges.append(edge)
@@ -402,20 +392,48 @@ def test_coincident_contacts_are_one_core_vertex():
     assert lone.edges == () and not lone.contains(cp1(0))
 
 
+def test_core_frame_faults_are_typed():
+    """The core's frame steps reject their input with a DegenerateInputError:
+    a normalized disk of radius below 1e-300 gives a singular frame, and
+    one centred on a transported contact maps it to infinity."""
+    dom = DiskComplementDomain.from_ideal_points([cp1(0), cp1(1), INFINITY])
+    x = 0.5 + 0.5j
+    rec = maximal_disk_at(dom, cp1(x))
+    med = rec.normalized
+    tiny = dataclasses.replace(rec, normalized=dataclasses.replace(med, radius=1e-310))
+    with pytest.raises(DegenerateInputError, match="singular"):
+        tiny.core
+    # t takes the contact 0 to 1 / (0 - x).
+    onto = dataclasses.replace(rec, normalized=dataclasses.replace(med, center=-1.0 / x))
+    with pytest.raises(DegenerateInputError, match="at infinity"):
+        onto.core
+
+
 def record_bits(rec):
-    """Every field of a maximal disk record, and its lazy core, as bits; an
-    error as its type and message."""
+    """Every field of a maximal disk record as bits; an error as its type
+    and message."""
     if isinstance(rec, Exception):
         return type(rec).__name__, str(rec)
-    core = rec.core
     return (
         rec.disk.circle.hermitian.tobytes(), rec.ideal_ids,
         as_pairs(rec.ideal_points).tobytes(), rec.normalized, rec.query,
-        np.array(rec.boundary, dtype=complex).tobytes(),
-        [m.matrix.tobytes() for m in rec.frame_maps],
-        core.frame.matrix.tobytes(), [a.hex() for a in core.boundary_angles],
-        [e.hermitian.tobytes() for e in core.edges],
     )
+
+
+def core_bits(frame, angles, edges):
+    """A core's frame, boundary angles and edges as bits."""
+    return (frame.matrix.tobytes(), [a.hex() for a in angles],
+            [e.hermitian.tobytes() for e in edges])
+
+
+def assert_matches_reference(dom, rec, want, where):
+    """rec equals the oracle's record or error want, field for field, and
+    its lazy core equals the core built point by point from want."""
+    assert record_bits(rec) == record_bits(want), where
+    if not isinstance(want, Exception):
+        core = rec.core
+        assert core_bits(core.frame, core.boundary_angles, core.edges) == core_bits(
+            *reference_core(dom, want)), where
 
 
 def identity_sets(group):
@@ -454,7 +472,7 @@ def test_maximal_disks_match_per_point_reference(group):
         got = maximal_disks(dom, queries)
         assert len(got) == len(queries)
         for x, rec in zip(queries, got):
-            assert record_bits(rec) == record_bits(reference(x)), (group, k, x)
+            assert_matches_reference(dom, rec, reference(x), (group, k, x))
         rejected = sum(isinstance(r, PreconditionError) for r in got)
         assert rejected >= 2 * len(near)
         assert maximal_disks(dom, []) == []
@@ -471,11 +489,32 @@ def test_maximal_disks_blocks_keep_positions(holonomy, monkeypatch):
     got = maximal_disks(dom, queries)
     for x, rec in zip(queries, got):
         try:
-            want = maximal_disk_at(dom, x)
+            alone = maximal_disk_at(dom, x)
+        except PreconditionError as exc:
+            alone = exc
+        assert record_bits(rec) == record_bits(alone), x
+        try:
+            want = reference_maximal_disk(dom, x)
         except PreconditionError as exc:
             want = exc
-        assert record_bits(rec) == record_bits(want), x
+        assert_matches_reference(dom, rec, want, x)
     assert [isinstance(r, Exception) for r in got[-3:]] == [False, True, True]
+
+
+def test_maximal_disks_take_a_huge_query_alone():
+    """A query of 1e200, whose square overflows a float, is one query near
+    infinity: it gets its PreconditionError, and the other query of its
+    batch its record."""
+    dom = DiskComplementDomain.from_ideal_points([cp1(0), cp1(1), INFINITY])
+    rec, far = maximal_disks(dom, [0.5 + 0.5j, 1e200])
+    assert_matches_reference(dom, rec, reference_maximal_disk(dom, 0.5 + 0.5j), "0.5+0.5j")
+    assert record_bits(far) == ("PreconditionError", "query point is too close to the complement")
+
+
+def test_distance_of_a_huge_query_is_finite():
+    dom = DiskComplementDomain.from_ideal_points([cp1(0), cp1(1), INFINITY])
+    (d,) = dom.distances([1e200])
+    assert math.isfinite(d) and d <= TOL_GEO
 
 
 def _widest_pair_disk(points, seed=0):
@@ -1081,7 +1120,12 @@ def test_maximal_disk_matches_two_inversions(dome_measure_runs):
         if not name.startswith("seed7-"):
             continue
         for z, rec in zip(points, maximal_disks(dom, points)):
-            t = rec.frame_maps[1]
+            # t as the per-point oracle builds it from the query.
+            x = rec.query
+            if x.is_infinity:
+                t = MoebiusMap.identity()
+            else:
+                t = MoebiusMap(np.array([[0.0, 1.0], [1.0, -x.as_complex()]], dtype=complex))
             med = rec.normalized
             circle = OrientedCircle.from_center_radius(med.center, med.radius, disk_inside=False)
             old = circle.transform(t.inverse()).hermitian
