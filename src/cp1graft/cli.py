@@ -303,13 +303,18 @@ def dumps(obj, indent: int = 0) -> str:
     return json.dumps(str(obj))
 
 
-def atomic_write(path: str, text: str):
+def atomic_write(path: str, text: str, chunks=()):
+    """Write ``text``, then each string of ``chunks`` as it comes, to a
+    temporary file beside ``path``, and rename it over ``path`` once all is
+    written; the temporary file is removed if anything fails."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -540,8 +545,33 @@ def cmd_verify(config: RunConfig, which: str, out_dir: str) -> int:
     raise ConfigError(f"unknown verify target {which!r}")
 
 
-# Rows of holonomy.csv converted to Python floats at once.
+# Rows of holonomy.csv converted to Python floats, formatted and written
+# at once.
 EXPORT_BLOCK = 4096
+
+
+def _holonomy_rows(rep, length: int):
+    """The rows of holonomy.csv for the words of length <= ``length``, as
+    text chunks of EXPORT_BLOCK rows, each formatted as it is written.
+
+    Each word length is one stack: a word's matrix is its parent's times
+    its last letter, normalized as MoebiusMap normalizes each product of
+    ``rep.rho``, in ``enumerate_words`` order."""
+    gens = {l: rep.generator(l).matrix for l in LETTER_ORDER}
+    words = iter(enumerate_words(length))
+    level, last = np.eye(2, dtype=complex)[None], np.array([0])
+    for _ in range(length):
+        parents, last = word_children(last)
+        level, faults = moebius_rows(word_products(level, parents, last, gens))
+        if faults:
+            raise DegenerateInputError(next(iter(faults.values())))
+        m = level.reshape(-1, 4)
+        # Per word: the parts of a, b, c, d and the trace, in CSV order,
+        # read as Python floats a block at a time.
+        parts = np.column_stack([m, m[:, 0] + m[:, 3]]).view(float)
+        for start in range(0, len(parts), EXPORT_BLOCK):
+            yield "".join(f"{next(words)}," + ",".join(f"{v:.17g}" for v in values) + "\n"
+                          for values in parts[start : start + EXPORT_BLOCK].tolist())
 
 
 def cmd_export(config: RunConfig, target: str, out_dir: str) -> int:
@@ -569,26 +599,9 @@ def cmd_export(config: RunConfig, target: str, out_dir: str) -> int:
             rep = config.structure().rho_prime
         else:
             rep = fuchsian_from_fn(config.fn)
-        # Each word length is one stack: a word's matrix is its parent's
-        # times its last letter, normalized as MoebiusMap normalizes each
-        # product of ``rep.rho``, in ``enumerate_words`` order.
-        gens = {l: rep.generator(l).matrix for l in LETTER_ORDER}
-        words = iter(enumerate_words(config.export_word_length))
-        rows = ["word,a_re,a_im,b_re,b_im,c_re,c_im,d_re,d_im,tr_re,tr_im"]
-        level, last = np.eye(2, dtype=complex)[None], np.array([0])
-        for _ in range(config.export_word_length):
-            parents, last = word_children(last)
-            level, faults = moebius_rows(word_products(level, parents, last, gens))
-            if faults:
-                raise DegenerateInputError(next(iter(faults.values())))
-            m = level.reshape(-1, 4)
-            # Per word: the parts of a, b, c, d and the trace, in CSV order,
-            # read as Python floats a block at a time.
-            parts = np.column_stack([m, m[:, 0] + m[:, 3]]).view(float)
-            for start in range(0, len(parts), EXPORT_BLOCK):
-                for values in parts[start : start + EXPORT_BLOCK].tolist():
-                    rows.append(f"{next(words)}," + ",".join(f"{v:.17g}" for v in values))
-        atomic_write(os.path.join(out_dir, "holonomy.csv"), "\n".join(rows) + "\n")
+        header = "word,a_re,a_im,b_re,b_im,c_re,c_im,d_re,d_im,tr_re,tr_im\n"
+        atomic_write(os.path.join(out_dir, "holonomy.csv"), header,
+                     _holonomy_rows(rep, config.export_word_length))
         return EXIT_OK
 
     if target == "pleat":

@@ -790,7 +790,9 @@ def minimal_enclosing_disk(points, seed: int = 0) -> MinimalDisk:
     """Smallest closed disk containing all (finite) points.
 
     Randomized incremental construction with a fixed seed for reproducible
-    intermediate states; the result itself is unique.
+    intermediate states; the result itself is unique.  This is Welzl's
+    algorithm point by point: the reference that ``minimal_enclosing_disks``
+    matches bit for bit, and its path for the rows it cannot take.
     """
     pts = [complex(p) for p in points]
     if not pts:
@@ -799,9 +801,13 @@ def minimal_enclosing_disk(points, seed: int = 0) -> MinimalDisk:
         if not (math.isfinite(p.real) and math.isfinite(p.imag)):
             raise DegenerateInputError("minimal_enclosing_disk requires finite points")
     scale = max(1.0, max(abs(p) for p in pts))
-    eps = 1e-12
+    return _welzl(pts, _insertion_order(len(pts), seed), scale)
 
-    order = _insertion_order(len(pts), seed)
+
+def _welzl(pts, order, scale: float) -> MinimalDisk:
+    """Welzl's construction over the points ``pts[i]`` for i in ``order``,
+    inserted in that order, with the support tidied at ``scale``."""
+    eps = 1e-12
 
     def med_two_known(limit, i1, i2):
         c, r = _disk_two(pts[i1], pts[i2])
@@ -846,3 +852,217 @@ def minimal_enclosing_disk(points, seed: int = 0) -> MinimalDisk:
     if not boundary:
         boundary = tuple(sorted(set(sup)))
     return MinimalDisk(center=c, radius=float(r), support=boundary)
+
+
+# ---------------------------------------------------------------------------
+# Minimal enclosing disks in lockstep.  LP-type rounds (Matousek-Sharir-Welzl)
+# find each row's support and Welzl's own formula builds the disk from it.
+# Where Welzl could have met a tie, Welzl runs on the points near the circle;
+# rows the lockstep path cannot take go to ``minimal_enclosing_disk``.
+
+# Candidate disks through a violator (slot 3) and the basis slots 0-2, as
+# new bases: three pairs (the second slot repeated) and three triples.
+_THROUGH = np.array([(0, 3, 3), (1, 3, 3), (2, 3, 3), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+# Slack of the support search, in coordinates scaled to a unit row.
+_LP_SLACK = 1e-12
+# Rounds after which a row still finding violators takes the scalar path.
+_LP_ROUNDS = 64
+# Rows spanning less than _MED_SMALL or less than 1/_MED_FAR of their
+# largest coordinate, or with a coordinate beyond _MED_LIMIT, take the
+# scalar path.  On a tiny row Welzl's absolute collinearity test (1e-14)
+# flags triples a relative 1e-6 from collinear; on a row far from 0 its
+# circumcentre, taken from squared coordinates, loses (|z| / span)^2 of
+# precision and its steps stop following the exact support (seen from
+# |z| / span = 3e6 on); beyond the limit its squares and products overflow.
+_MED_SMALL = 1e-4
+_MED_FAR = 1e3
+_MED_LIMIT = 1e100
+# A point within this relative distance of a circle ties with it (the
+# tidying tolerance of ``minimal_enclosing_disk``).
+_TIE = 1e-9
+# Blocks of fewer points in all take the scalar path, which is faster for
+# them: the lockstep path breaks even at about 170, 150, 130 and 70 points
+# for rows of 4, 8, 12 and 40 points (2-core x86-64 host).
+_MED_LOCKSTEP_POINTS = 160
+
+
+def minimal_enclosing_disks(z) -> tuple:
+    """``minimal_enclosing_disk`` of every row of a (Q, N) stack of points,
+    bit for bit: the list of disks, None where a row fails, and a dict of
+    the rows' DegenerateInputErrors.
+
+    LP-type rounds in lockstep find each row's support.  Welzl's last
+    violators at its three levels are the support points in descending
+    insertion position, so the disk is Welzl's formula on them in that
+    order, and ``support`` is tidied as Welzl tidies it.  Where Welzl could
+    have met a tie (``_ties``), Welzl runs on the points near the circle
+    (``_welzl_on_band``).  A row takes the scalar path when N < 3, the
+    block is small (``_MED_LOCKSTEP_POINTS``), a point is not finite, the
+    row is tiny, far from 0 or huge (``_MED_SMALL``, ``_MED_FAR``,
+    ``_MED_LIMIT``), its triple is degenerate or a point fails Welzl's
+    containment test."""
+    z = np.asarray(z, dtype=complex)
+    nq, n = z.shape
+    out, faults = [None] * nq, {}
+    if n >= 3 and nq * n >= _MED_LOCKSTEP_POINTS:
+        with np.errstate(all="ignore"):
+            w = z - z[:, :1]
+            far = np.hypot(w.real, w.imag)
+            span = far.max(axis=1)
+            size = np.abs(z.view(float)).max(axis=1)
+            rows = ((span >= _MED_SMALL) & (span * _MED_FAR >= size) & (size <= _MED_LIMIT)).nonzero()[0]
+            if rows.size:
+                w = w[rows] / span[rows, None]
+                meds = _lockstep_disks(z[rows], w.real, w.imag, far[rows].argmax(axis=1), span[rows])
+                for j, med in zip(rows.tolist(), meds):
+                    out[j] = med
+    for j in range(nq):
+        if out[j] is None:
+            try:
+                out[j] = minimal_enclosing_disk(z[j])
+            except DegenerateInputError as exc:
+                faults[j] = exc
+    return out, faults
+
+
+def _lockstep_disks(z, x, y, far, span) -> list:
+    """The disks of ``minimal_enclosing_disks`` for rows of finite points
+    z (Q, N), N >= 3, of which x, y hold the parts moved by -z[:, 0] and
+    scaled by 1 / span to a unit row, point ``far`` the farthest from the
+    first; None for a row the scalar path must take."""
+    nq, n = z.shape
+    rows = np.arange(nq)
+    # Start from the farthest point's farthest pair.
+    b = np.hypot(x - x[rows, far, None], y - y[rows, far, None]).argmax(axis=1)
+    sup, ok = _lp_supports(x, y, np.column_stack([far, b, b]))
+    # Welzl's levels take the support points in descending position; a
+    # pair (a, b, b) stays (i1, i2, i2).
+    pos = np.empty(n, dtype=int)
+    pos[list(_insertion_order(n, 0))] = np.arange(n)
+    pair = sup[:, 1] == sup[:, 2]
+    sup = np.take_along_axis(sup, np.argsort(-pos[sup], axis=1), axis=1)
+    sup[pair] = sup[pair][:, [0, 2, 2]]
+    center, radius, degenerate = _welzl_disks(*(z[rows, i] for i in sup.T), pair)
+    off = np.hypot(z.real - center.real[:, None], z.imag - center.imag[:, None])
+    scale = np.maximum(1.0, np.hypot(z.real, z.imag).max(axis=1))
+    tol = _TIE * np.maximum(np.maximum(scale, radius), 1.0)
+    near = np.abs(off - radius[:, None]) <= tol[:, None]
+    on_support = np.zeros((nq, n), dtype=bool)
+    on_support[rows[:, None], sup] = True
+    eps = 1e-12
+    keep = ok & ~degenerate & (off <= radius[:, None] * (1.0 + eps) + eps).all(axis=1)
+    ties = keep & _ties(x, y, sup, pair, near & ~on_support, tol / span)
+    keep &= ~ties
+    # Welzl's tidying: the support points on the circle, or all of them.
+    ids = sup.copy()
+    ids[pair, 2] = -1
+    ids.sort(axis=1)
+    on = near[rows[:, None], ids] & (ids >= 0)
+    on[~on.any(axis=1)] = ids[~on.any(axis=1)] >= 0
+    out = [None] * nq
+    for j, c, r, i, m in zip(keep.nonzero()[0].tolist(), center[keep].tolist(), radius[keep].tolist(),
+                             ids[keep].tolist(), on[keep].tolist()):
+        out[j] = MinimalDisk(center=c, radius=r, support=tuple(k for k, t in zip(i, m) if t))
+    for j in ties.nonzero()[0].tolist():
+        out[j] = _welzl_on_band(z[j], near[j].nonzero()[0], pos, scale[j].item())
+    return out
+
+
+def _welzl_on_band(row, band, pos, scale) -> MinimalDisk:
+    """Welzl's disk of a tied row, run on the points near its circle alone
+    (``band``), in their insertion order.  The band holds the support, so
+    its minimal disk is the row's, and the points off the band lie inside
+    it by more than the tie tolerance, a thousand times Welzl's own; the
+    tests hold this to Welzl's run on the whole row."""
+    band = band[np.argsort(pos[band])].tolist()
+    return _welzl(dict(zip(band, row[band].tolist())), band, scale)
+
+
+def _lp_supports(x, y, basis) -> tuple:
+    """The supports (Q, 3) of the minimal disks of the rows of unit-scaled
+    parts x, y (Q, N), from the disk on the first two points of ``basis``,
+    and whether each row finished.  LP-type rounds in lockstep: each round
+    finds every open row's farthest violator in one pass, and re-solves the
+    row on its basis and that point."""
+    rows = np.arange(len(x))
+    a, b = basis[:, 0], basis[:, 1]
+    ax, ay, bx, by = x[rows, a], y[rows, a], x[rows, b], y[rows, b]
+    cx, cy, r = (ax + bx) / 2.0, (ay + by) / 2.0, np.hypot(bx - ax, by - ay) / 2.0
+    ok = np.ones(len(x), dtype=bool)
+    open_ = rows
+    for _ in range(_LP_ROUNDS):
+        d = np.hypot(x[open_] - cx[open_, None], y[open_] - cy[open_, None])
+        v = d.argmax(axis=1)
+        out = d[np.arange(len(open_)), v] > r[open_] + _LP_SLACK
+        open_, v = open_[out], v[out]
+        if not open_.size:
+            return basis, ok
+        slots = np.column_stack([basis[open_], v])
+        k, cx[open_], cy[open_], r[open_] = _through(x[open_[:, None], slots], y[open_[:, None], slots])
+        basis[open_] = np.take_along_axis(slots, _THROUGH[k], axis=1)
+        found = np.isfinite(r[open_])
+        ok[open_[~found]] = False
+        open_ = open_[found]
+    ok[open_] = False
+    return basis, ok
+
+
+def _through(px, py) -> tuple:
+    """The smallest disk of ``_THROUGH`` holding the four slot points
+    (M, 4) of each row, slot 3 on its boundary: its index, centre parts and
+    radius, infinite where none holds them."""
+    bx, by = px[:, :3] - px[:, 3:], py[:, :3] - py[:, 3:]
+    b, c = [0, 0, 1], [1, 2, 2]
+    sx, sy, tx, ty = bx[:, b], by[:, b], bx[:, c], by[:, c]
+    s2, t2 = sx * sx + sy * sy, tx * tx + ty * ty
+    d = 2.0 * (sx * ty - sy * tx)
+    ux = np.concatenate([bx / 2.0, (ty * s2 - sy * t2) / d], axis=1)
+    uy = np.concatenate([by / 2.0, (sx * t2 - tx * s2) / d], axis=1)
+    r = np.hypot(ux, uy)
+    r[:, 3:][~(np.abs(d) > 1e-14 * np.maximum(s2, t2))] = np.inf
+    held = (np.hypot(bx[:, None, :] - ux[..., None], by[:, None, :] - uy[..., None])
+            <= r[..., None] + _LP_SLACK).all(axis=2)
+    r = np.where(held, r, np.inf)
+    k = r.argmin(axis=1)
+    i = np.arange(len(k))
+    return k, px[:, 3] + ux[i, k], py[:, 3] + uy[i, k], r[i, k]
+
+
+def _welzl_disks(p, q, r, pair) -> tuple:
+    """Welzl's disks on support rows: ``_disk_two(p, q)`` where ``pair``,
+    else ``_circumcircle(p, q, r)``, in its arithmetic: abs as hypot of the
+    parts, ``** 2`` by libm's pow, and a complex divided by a float as this
+    interpreter divides it.  Returns centres, radii and the rows whose
+    triple ``_circumcircle`` finds degenerate."""
+    def hyp(u):
+        return np.hypot(u.real, u.imag)
+
+    ax, ay, bx, by, cx, cy = p.real, p.imag, q.real, q.imag, r.real, r.imag
+    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    widest = np.maximum(np.maximum(np.maximum(hyp(p - q), hyp(q - r)), hyp(r - p)), 1.0)
+    degenerate = ~pair & (np.abs(d) < 1e-14 * _squares(widest))
+    pa, pb, pc = _squares(hyp(p)), _squares(hyp(q)), _squares(hyp(r))
+    center = np.empty(len(p), dtype=complex)
+    center.real = (pa * (by - cy) + pb * (cy - ay) + pc * (ay - by)) / d
+    center.imag = (pa * (cx - bx) + pb * (ax - cx) + pc * (bx - ax)) / d
+    radius = np.maximum(np.maximum(hyp(p - center), hyp(q - center)), hyp(r - center))
+    sr, si = ax + bx, ay + by
+    if _FLOAT_AS_COMPLEX:
+        sr, si = sr + si * 0.0, si - sr * 0.0
+    center.real[pair], center.imag[pair] = sr[pair] / 2.0, si[pair] / 2.0
+    radius[pair] = hyp(p - q)[pair] / 2.0
+    return center, radius, degenerate
+
+
+def _ties(x, y, sup, pair, near, tol) -> np.ndarray:
+    """The rows where Welzl could have met a tie, so that its disk or
+    support may differ from the lockstep one: a point off the support lies
+    within the tie tolerance of the circle (``near``), or a point of a
+    triple support lies within ``tol`` (unit-row scale) of the disk on the
+    other two, which Welzl would then keep."""
+    rows = np.arange(len(sup))[:, None]
+    px, py = x[rows, sup], y[rows, sup]
+    s, a, b = [0, 1, 2], [1, 0, 0], [2, 2, 1]
+    gap = (np.hypot(px[:, s] - (px[:, a] + px[:, b]) / 2.0, py[:, s] - (py[:, a] + py[:, b]) / 2.0)
+           - np.hypot(px[:, a] - px[:, b], py[:, a] - py[:, b]) / 2.0)
+    return near.any(axis=1) | (~pair & (gap <= tol[:, None]).any(axis=1))

@@ -42,7 +42,7 @@ from .moebius import (
     frobenius_rows,
     inversive_product,
     lerp_rows,
-    minimal_enclosing_disk,
+    minimal_enclosing_disks,
     moebius_rows,
     row_faults,
     sphere_xyz,
@@ -332,11 +332,12 @@ def maximal_disks(dom: DiskComplementDomain, points) -> list:
     DegenerateInputError it raises instead: the query too close to the
     complement, or a step of the construction rejecting its input.
 
-    Each step runs as one array pass over a block of queries, and only the
-    minimal enclosing disk is taken point by point.  Every array step keeps
-    the bits of the scalar steps it stands for (the pair kernel, stacked
-    matmul, ``moebius_rows`` and ``circle_rows``), and the circles of a
-    record are rows of the checked stacks."""
+    Each step runs as one array pass over a block of queries, the minimal
+    enclosing disks included (``minimal_enclosing_disks``, which keeps
+    Welzl's bits and hands ties and rows it cannot take to Welzl).  Every
+    array step keeps the bits of the scalar steps it stands for (the pair
+    kernel, stacked matmul, ``moebius_rows`` and ``circle_rows``), and the
+    circles of a record are rows of the checked stacks."""
     points = list(points)
     step = max(1, DISK_BLOCK // len(dom.pairs))
     out = []
@@ -414,13 +415,7 @@ def _disk_block(dom: DiskComplementDomain, points: list) -> list:
     z, at_inf = z.reshape(len(q.index), -1), at_inf.reshape(len(q.index), -1)
     q.add(z=z)
     q.drop(dict.fromkeys(at_inf.any(axis=1).nonzero()[0].tolist(), "point is at infinity"))
-    meds, faults = [], {}
-    for j, row in enumerate(q["z"]):
-        try:
-            meds.append(minimal_enclosing_disk(row))
-        except DegenerateInputError as exc:
-            faults[j] = exc
-            meds.append(None)
+    meds, faults = minimal_enclosing_disks(q["z"])
     q.add(med=meds)
     q.drop(faults)
 

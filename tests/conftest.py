@@ -44,6 +44,32 @@ def domain_round_sets(seed):
     return [[INFINITY if z == "inf" else cp1(complex(z)) for z in s] for s in sets]
 
 
+# The cube's vertices; its faces project to cocircular quadruples.
+CUBE_VERTICES = [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+
+
+def projected(xyz) -> list:
+    """Stereographic images of unit vectors; the north pole is omitted."""
+    return [complex(x, y) / (1.0 - z) for x, y, z in xyz if z < 1.0 - 1e-12]
+
+
+def turned(xyz, rng) -> np.ndarray:
+    """Unit vectors in a random orientation."""
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    v = np.asarray(xyz, dtype=float)
+    return (v / np.linalg.norm(v, axis=1)[:, None]) @ q.T
+
+
+def cocircular_rows(rng) -> tuple:
+    """Twenty turned hexagons with their centre, every one cocircular, and
+    seven of the eight projected vertices of twenty turned cubes, whose
+    faces are cocircular quadruples."""
+    hexagon = np.append(np.exp(2j * np.pi * np.arange(6) / 6), 0.0)
+    hexagons = np.array([hexagon * cmath.exp(1j * t) for t in rng.uniform(0, 6, 20)])
+    cubes = np.array([projected(turned(CUBE_VERTICES, rng))[:7] for _ in range(20)])
+    return hexagons, cubes
+
+
 @pytest.fixture(scope="session")
 def holonomy():
     return fuchsian_from_fn(FNCoordinates((2.0, 2.5, 1.7), (0.3, -0.8, 1.1)))

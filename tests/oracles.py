@@ -38,6 +38,34 @@ def brute_force_minimal_disk(points):
     return best
 
 
+def med_bits(med):
+    """A minimal disk's centre parts and radius as hex, and its support."""
+    return (med.center.real.hex(), med.center.imag.hex(), med.radius.hex(), med.support)
+
+
+def lockstep_med_mismatches(z):
+    """The rows of a (Q, N) stack of points where ``minimal_enclosing_disks``,
+    made to take the lockstep path whatever the size of the block, differs
+    from ``minimal_enclosing_disk`` row by row: in the bits of the disk, or
+    in the message of the DegenerateInputError the row raises."""
+    import pytest
+    from cp1graft import moebius
+
+    z = np.asarray(z, dtype=complex)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moebius, "_MED_LOCKSTEP_POINTS", 0)
+        got, faults = moebius.minimal_enclosing_disks(z)
+    bad = []
+    for j, row in enumerate(z):
+        try:
+            want = med_bits(moebius.minimal_enclosing_disk(row))
+        except moebius.DegenerateInputError as exc:
+            want = str(exc)
+        if (str(faults[j]) if j in faults else med_bits(got[j])) != want:
+            bad.append(j)
+    return bad
+
+
 def circumcircle(p, q, r):
     ax, ay, bx, by, cx, cy = p.real, p.imag, q.real, q.imag, r.real, r.imag
     d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))

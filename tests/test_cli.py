@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from cp1graft.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, RunConfig, Weight, dumps, main
+import cp1graft.cli as cli
+from cp1graft.cli import (
+    EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, RunConfig, Weight, atomic_write, dumps, main,
+)
 from cp1graft.grafting import is_two_pi_multiple
 from cp1graft.surface import enumerate_words, fuchsian_from_fn
 
@@ -192,6 +195,46 @@ def test_export_holonomy_matches_per_word_build(tmp_path, multicurve):
     assert lines.pop() == ""  # one newline after the last row
     differ = [k for k, (got, row) in enumerate(zip(lines, want)) if got != row]
     assert len(lines) == len(want) and not differ, differ[:5]
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
+def test_export_holonomy_streams_the_joined_bytes(tmp_path, monkeypatch, length):
+    """The CSV is written a chunk of rows at a time, as the rows are
+    formatted, and its bytes are those of all rows joined at once."""
+    seen = []
+
+    def spy(path, text, chunks=()):
+        def counted():
+            for chunk in chunks:
+                seen.append(chunk)
+                yield chunk
+        return atomic_write(path, text, counted())
+
+    monkeypatch.setattr(cli, "atomic_write", spy)
+    cfg = write_config(tmp_path, dict(BASE_CONFIG, export_word_length=length))
+    assert main(["export", "holonomy", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+    config = RunConfig.load(cfg)
+    rep = config.structure().rho_prime if config.multicurve_words else fuchsian_from_fn(config.fn)
+    rows = ["word,a_re,a_im,b_re,b_im,c_re,c_im,d_re,d_im,tr_re,tr_im"]
+    for word in enumerate_words(length):
+        m = rep.rho(word)
+        entries = [m.a, m.b, m.c, m.d, m.a + m.d]
+        rows.append(f"{word}," + ",".join(f"{v.real:.17g},{v.imag:.17g}" for v in entries))
+    assert (tmp_path / "holonomy.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
+    assert len(seen) == length and sum(c.count("\n") for c in seen) == len(rows) - 1
+
+
+def test_atomic_write_leaves_nothing_when_a_chunk_fails(tmp_path):
+    def chunks():
+        yield "first row\n"
+        raise RuntimeError("formatting failed")
+
+    target = tmp_path / "out.csv"
+    with pytest.raises(RuntimeError):
+        atomic_write(str(target), "header\n", chunks())
+    assert list(tmp_path.iterdir()) == []
+    atomic_write(str(target), "header\n", iter(["a\n", "b\n"]))
+    assert target.read_text() == "header\na\nb\n"
 
 
 def test_export_dome_and_pleat(tmp_path):

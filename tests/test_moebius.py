@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cp1graft.moebius as moebius
 from cp1graft.moebius import (
@@ -26,9 +26,11 @@ from cp1graft.moebius import (
     inversive_product,
     minimal_enclosing_disk,
 )
+from conftest import CUBE_VERTICES, cocircular_rows, projected, turned
 from oracles import (
     brute_force_minimal_disk,
     least_squares_circle,
+    lockstep_med_mismatches,
     oriented_tangent_angle,
 )
 
@@ -299,6 +301,127 @@ def test_med_support_on_boundary():
     assert 2 <= len(d.support) <= 3
     for i in d.support:
         assert abs(abs(pts[i] - d.center) - d.radius) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# minimal_enclosing_disks: the lockstep kernel against Welzl, bit for bit
+
+def _med_family(family: str, rng) -> list:
+    """One point set of a family that the lockstep kernel must hold to
+    Welzl's bits, ties and near-degeneracies included."""
+    if family == "random":
+        return list(rng.normal(size=12) + 1j * rng.normal(size=12))
+    if family == "ngon":
+        k = int(rng.integers(3, 13))
+        return list(np.exp(2j * np.pi * np.arange(k) / k + 1j * rng.uniform(0, 2 * np.pi)))
+    if family == "grid":
+        return [complex(i, j) for i in range(3) for j in range(3)]
+    if family == "cube":
+        return projected(turned(CUBE_VERTICES, rng))
+    if family == "tetrahedron":
+        return projected(turned([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)], rng))
+    if family == "right":
+        # a triangle on a circle, right-angled within 1e-14 .. 1e-6
+        t = rng.uniform(0, 2 * np.pi, 2) + [0.0, np.pi + 10.0 ** rng.uniform(-14, -6)]
+        return list(np.exp(1j * np.append(t, rng.uniform(0, 2 * np.pi))))
+    # near-collinear: a triple off its line by 1e-16 .. 1e-8 of its length
+    a, d = rng.normal() + 1j * rng.normal(), cmath.exp(1j * rng.uniform(0, 2 * np.pi))
+    t = rng.uniform(-1.0, 1.0, 3)
+    off = 10.0 ** rng.uniform(-16, -8, 3) * rng.choice([-1, 1], 3)
+    return list(a + d * (t + 1j * off))
+
+
+@st.composite
+def med_blocks(draw):
+    """A (Q, N) stack of rows of one family, each row moved by a random
+    similarity or sent through z -> 1/(z - x) as a maximal-disk query moves
+    it, in one block in four moved up to 1e8 times its size away from 0,
+    and kept within |z| <= 100; then cut or filled with inner points to N,
+    given duplicates, and scaled by 1, 1e-8, 1e-150 or 1e150 (so that
+    Welzl's squares stay below float overflow, which it raises)."""
+    family = draw(st.sampled_from(
+        ["random", "ngon", "grid", "cube", "tetrahedron", "right", "collinear"]))
+    n = draw(st.integers(min_value=1, max_value=40))
+    q = draw(st.integers(min_value=1, max_value=6))
+    dups = draw(st.integers(min_value=0, max_value=3))
+    scale = draw(st.sampled_from([1.0, 1e-8, 1e-150, 1e150]))
+    shift = draw(st.sampled_from([0.0, 0.0, 0.0, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rows = []
+    for _ in range(q):
+        z = np.array(_med_family(family, rng))
+        if rng.uniform() < 0.5:
+            z = 1.0 / (z - complex(*rng.uniform(-2.0, 2.0, 2)))
+        else:
+            z = z * cmath.exp(1j * rng.uniform(0, 2 * np.pi)) * 10.0 ** rng.uniform(-2, 2)
+        z = z + shift * 10.0 ** rng.uniform(0, 8) * np.abs(z).max() * cmath.exp(1j * rng.uniform(0, 7))
+        z = z / max(1.0, np.abs(z).max() / 100.0)
+        rng.shuffle(z)
+        if len(z) < n:
+            c, r = z.mean(), np.abs(z - z.mean()).max()
+            fill = c + 0.9 * r * np.sqrt(rng.uniform(size=n - len(z))) * np.exp(
+                2j * np.pi * rng.uniform(size=n - len(z)))
+            z = np.concatenate([z, fill])
+        z = z[:n]
+        for _ in range(min(dups, n - 1)):
+            z[rng.integers(n)] = z[rng.integers(n)]
+        rows.append(rng.permutation(z) * scale)
+    return np.array(rows)
+
+
+# Four points 2e-8 across: Welzl's absolute collinearity test calls every
+# triple of them collinear, and its disk leaves one of them out.
+TINY_ROW = [6.451428100823489e-09 + 1.0239648936691576e-08j, 1.7912385592581572e-08 - 3.314595683732262e-09j,
+            -4.451247610121966e-09 - 7.402890519646409e-09j, 6.3026838293230436e-09 - 1.579389810636022e-08j]
+# Five points 3 across at 1e8 from 0: Welzl's circumcentres lose their
+# precision and its steps leave the exact support.
+FAR_ROW = [99999999.713 + 1.031j, 100000001.574 + 0.161j, 99999999.567 - 0.586j,
+           99999999.265 - 1.341j, 100000000.25 - 1.402j]
+
+# A triangle on the unit circle right-angled within 1e-13, and two inner
+# points: Welzl's disk is the pair disk on the hypotenuse.
+RIGHT_ROW = [-0.03852072188407214 - 0.014928485690224877j, 0.22017742895855677 - 0.9754598401662673j,
+             0.4274056623515 + 0.567205020780351j, 0.38242403566601474 + 0.9239869354838945j,
+             -0.22017742895869624 + 0.9754598401662358j]
+
+
+@given(med_blocks())
+@example(np.array([TINY_ROW]))
+@example(np.array([FAR_ROW]))
+@example(np.array([RIGHT_ROW]))
+@settings(max_examples=150, deadline=None)
+def test_lockstep_disks_match_welzl_bit_for_bit(z):
+    assert lockstep_med_mismatches(z) == []
+
+
+def test_lockstep_disks_send_cocircular_ties_to_welzl(monkeypatch):
+    """Every hexagon row is a tie, and so are the cube rows whose circle
+    holds a face: Welzl runs on the points of the circle, bit for bit as on
+    the whole row."""
+    ties = []
+    band = moebius._welzl_on_band
+    monkeypatch.setattr(moebius, "_welzl_on_band", lambda row, *a: ties.append(1) or band(row, *a))
+    hexagons, cubes = cocircular_rows(np.random.default_rng(27))
+    assert lockstep_med_mismatches(hexagons) == [] and len(ties) == 20
+    assert lockstep_med_mismatches(cubes) == [] and len(ties) > 20
+
+
+def test_lockstep_disks_route_small_blocks_and_bad_rows_to_welzl(monkeypatch):
+    calls = []
+    scalar = moebius.minimal_enclosing_disk
+    monkeypatch.setattr(moebius, "minimal_enclosing_disk", lambda p: calls.append(1) or scalar(p))
+    rng = np.random.default_rng(5)
+    small = rng.normal(size=(4, 12)) + 1j * rng.normal(size=(4, 12))
+    assert len(small.ravel()) < moebius._MED_LOCKSTEP_POINTS
+    moebius.minimal_enclosing_disks(small)
+    assert len(calls) == 4
+    calls.clear()
+    big = rng.normal(size=(40, 12)) + 1j * rng.normal(size=(40, 12))
+    big[3, 5], big[7, 0] = complex("nan"), 1e300
+    disks, faults = moebius.minimal_enclosing_disks(big)
+    assert set(faults) == {3} and disks[3] is None
+    assert "finite" in str(faults[3]) and len(calls) == 2
+    assert all(d is not None for j, d in enumerate(disks) if j != 3)
 
 
 def test_apply_stack_matches_apply_bit_for_bit():

@@ -12,13 +12,15 @@ import numpy as np
 import pytest
 
 import cp1graft.grafting as grafting
+import cp1graft.moebius as moebius
 import cp1graft.thurston as thurston
 from cp1graft.cli import EXIT_OK, EXIT_VIOLATIONS, main
 from cp1graft.grafting import GraftedStructure, WeightedMulticurve
 from cp1graft.moebius import DegenerateInputError, MoebiusMap
 from cp1graft.surface import GroupWord
 from cp1graft.thurston import RoundDisk, verify_covering
-from conftest import REPO, limit_domain
+from conftest import REPO, cocircular_rows, limit_domain
+from oracles import lockstep_med_mismatches
 
 TETRA = {
     "surface": {"genus": 2, "lengths": [2.0, 2.0, 2.0]},
@@ -264,3 +266,13 @@ def test_stratification_catches_planted_record_defect(row, monkeypatch, tmp_path
     report = json.loads((out / "stratification_report.json").read_text())
     assert [c["name"] for c in report["checks"] if not c["passed"]] == [check]
     assert {v["kind"] for v in report["violations"]} == kinds
+
+
+def test_lockstep_disks_catch_disabled_tie_guard(monkeypatch):
+    """With ``_ties`` finding no tie, cocircular rows finish by the lockstep
+    formula on whatever support the LP rounds met first, and the check
+    against Welzl's bits fails on hexagon and cube rows."""
+    hexagons, cubes = cocircular_rows(np.random.default_rng(27))
+    assert lockstep_med_mismatches(hexagons) == lockstep_med_mismatches(cubes) == []
+    monkeypatch.setattr(moebius, "_ties", lambda x, y, sup, pair, near, tol: np.zeros(len(sup), bool))
+    assert lockstep_med_mismatches(hexagons) and lockstep_med_mismatches(cubes)

@@ -7,17 +7,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import cp1graft.moebius as moebius
 import cp1graft.thurston as thurston
 from cp1graft.moebius import (
     INFINITY,
     TOL_GEO,
     DegenerateInputError,
-    MinimalDisk,
     MoebiusMap,
     OrientedCircle,
     PointCP1,
     RoundDisk,
     apply,
+    apply_stack,
     as_pairs,
     chordal_distance,
     chordal_rows,
@@ -49,8 +50,9 @@ from cp1graft.thurston import (
     transverse_measure,
     verify_covering,
 )
-from conftest import REPO, domain_round_sets, limit_domain
+from conftest import REPO, bench_workloads, domain_round_sets, limit_domain
 from oracles import (
+    lockstep_med_mismatches,
     maximal_disk_support_search,
     reference_classify_on_path,
     reference_edge_candidates,
@@ -517,19 +519,7 @@ def test_distance_of_a_huge_query_is_finite():
     assert math.isfinite(d) and d <= TOL_GEO
 
 
-def _widest_pair_disk(points, seed=0):
-    """``minimal_enclosing_disk`` of points on the real line, in closed form:
-    the disk on the widest pair.  It stands in for the incremental
-    construction, the one per-point step of a batch, whose Python
-    allocations tracemalloc slows about twentyfold."""
-    x = np.asarray(points).real
-    lo, hi = int(np.argmin(x)), int(np.argmax(x))
-    p, q = complex(points[lo]), complex(points[hi])
-    return MinimalDisk(center=(p + q) / 2.0, radius=abs(q - p) / 2.0,
-                       support=tuple(sorted({lo, hi})))
-
-
-def test_maximal_disk_batches_stay_within_their_blocks(holonomy, monkeypatch):
+def test_maximal_disk_batches_stay_within_their_blocks(holonomy):
     """512 queries against the depth-4 Fuchsian limit sample (3,063 points)
     are taken in blocks of about DISK_BLOCK transported points: the memory a
     batch holds beyond the records it returns stays within a few blocks'
@@ -542,7 +532,6 @@ def test_maximal_disk_batches_stay_within_their_blocks(holonomy, monkeypatch):
     xs = np.sort([p.as_complex().real for p in dom.complement if not p.is_infinity])
     gaps = np.sort(np.argsort(xs[:-1] - xs[1:])[:512])
     queries = [complex((xs[i] + xs[i + 1]) / 2.0) for i in gaps]
-    monkeypatch.setattr(thurston, "minimal_enclosing_disk", _widest_pair_disk)
     block = max(1, thurston.DISK_BLOCK // n) * n * 32  # the transported pairs
     assert 512 * n * 32 > 40 * block
 
@@ -563,6 +552,92 @@ def test_maximal_disk_batches_stay_within_their_blocks(holonomy, monkeypatch):
     contacts = len({i for r in recs[:200] for i in r.ideal_ids})
     forms = contacts * report["values"]["distinct_disks"] * 8
     assert extra < 8 * block + 4 * forms
+
+
+def recorded_med_blocks(monkeypatch, run) -> list:
+    """The (Q, N) stacks of points that ``run()`` hands to the lockstep
+    minimal-disk kernel."""
+    blocks = []
+    kernel = thurston.minimal_enclosing_disks
+
+    def record(z):
+        blocks.append(np.array(z))
+        return kernel(z)
+
+    monkeypatch.setattr(thurston, "minimal_enclosing_disks", record)
+    run()
+    monkeypatch.setattr(thurston, "minimal_enclosing_disks", kernel)
+    return blocks
+
+
+def med_source(source, holonomy, tmp_path):
+    """A run that builds maximal disks: a domain round of the benchmark at a
+    seed, or 40 queries off a depth-3 Fuchsian or bent (curve a at 1.3)
+    limit sample."""
+    kind, seed = source.split("-")
+    if kind == "domain":
+        ops = bench_workloads().domain(int(seed), str(tmp_path))
+        return lambda: [op.run() for op in ops]
+    rep = holonomy if kind == "fuchsian" else GraftedStructure(
+        holonomy, WeightedMulticurve(((GroupWord((1,)), 1.3),)), depth=5).rho_prime
+    dom = DiskComplementDomain(limit_set_sample(rep, int(seed)))
+    rng = np.random.default_rng(3)
+    cand = rng.uniform(-2.0, 2.0, 200) + 1j * rng.uniform(-2.0, 2.0, 200)
+    queries = list(cand[dom.distances(cand) > 1e-2][:40])
+    return lambda: maximal_disks(dom, queries)
+
+
+@pytest.mark.parametrize("source", ["domain-1", "domain-7", "fuchsian-3", "bent-3"])
+def test_lockstep_disks_match_welzl_on_recorded_blocks(source, holonomy, monkeypatch, tmp_path):
+    """Every block that the library hands to ``minimal_enclosing_disks`` in
+    these runs gives Welzl's bits row by row, with the lockstep path taken
+    for every block, small ones included."""
+    blocks = recorded_med_blocks(monkeypatch, med_source(source, holonomy, tmp_path))
+    assert sum(map(len, blocks)) >= 40
+    assert [lockstep_med_mismatches(z) for z in blocks] == [[]] * len(blocks)
+
+
+def test_most_rows_of_a_domain_round_finish_in_lockstep(monkeypatch, tmp_path):
+    """Of the 1,891 rows of the seed-7 domain round, at most 15 % take a
+    tie path (Welzl on the points of the circle, or on the whole row) when
+    every block takes the lockstep path."""
+    blocks = recorded_med_blocks(monkeypatch, med_source("domain-7", None, tmp_path))
+    away = []
+    band, scalar = moebius._welzl_on_band, moebius.minimal_enclosing_disk
+    monkeypatch.setattr(moebius, "_welzl_on_band", lambda row, *a: away.append(1) or band(row, *a))
+    monkeypatch.setattr(moebius, "minimal_enclosing_disk", lambda p: away.append(1) or scalar(p))
+    monkeypatch.setattr(moebius, "_MED_LOCKSTEP_POINTS", 0)
+    for z in blocks:
+        moebius.minimal_enclosing_disks(z)
+    rows = sum(map(len, blocks))
+    assert rows == 1891 and 0 < len(away) <= 0.15 * rows
+
+
+@pytest.mark.parametrize("name", ["tetrahedron", "cube"])
+def test_records_with_support_contacts_keep_welzl_bits(name, tetrahedron_points, monkeypatch):
+    """A record with fewer than two contacts takes its ideal points from
+    the minimal disk's support.  No record of these cocircular sets has so
+    few at TOL_CONTACT; with a band of zero, one in three to six does, and
+    every record still equals the per-point reference built on Welzl,
+    support and core included."""
+    pts = tetrahedron_points if name == "tetrahedron" else [
+        INFINITY if z == "inf" else cp1(complex(z)) for z in bench_workloads()._cube_points()]
+    dom = DiskComplementDomain.from_ideal_points(pts)
+    rng = np.random.default_rng(11)
+    queries = [z for z in rng.uniform(-3, 3, 300) + 1j * rng.uniform(-3, 3, 300)
+               if dom.contains(cp1(z), margin=1e-3)][:120]
+    monkeypatch.setattr(thurston, "TOL_CONTACT", 0.0)
+    monkeypatch.setattr(moebius, "_MED_LOCKSTEP_POINTS", 0)
+    from_support = 0
+    for x, rec in zip(queries, maximal_disks(dom, queries)):
+        want = reference_maximal_disk(dom, x)
+        assert_matches_reference(dom, rec, want, x)
+        # The oracle's transported points, and those exactly on the circle.
+        t = MoebiusMap(np.array([[0.0, 1.0], [1.0, -x]], dtype=complex))
+        zs = [z0 / z1 for z0, z1 in apply_stack(t, dom.pairs).tolist()]
+        med = want.normalized
+        from_support += sum(abs(z - med.center) == med.radius for z in zs) < 2
+    assert from_support >= 15
 
 
 # ---------------------------------------------------------------------------
