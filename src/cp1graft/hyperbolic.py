@@ -26,11 +26,13 @@ from .moebius import (
     as_pairs,
     chordal_distance,
     chordal_rows,
-    circle_through,
+    circle_rows,
+    circles_through,
     cp1,
     cross_ratio,
     moebius_three_points,
     moebius_two_points,
+    side_signs,
     sphere_xyz,
 )
 
@@ -217,18 +219,6 @@ class DomeMesh:
     edges: tuple  # DomeEdge
 
 
-def _lift_circle_to_disk(points, xs, ids, outward):
-    """Oriented circle through the points with ids (sphere coordinates xs),
-    disk side being the outward spherical cap (the side containing no hull
-    points)."""
-    # Use three well-spread representatives, the first of largest area, for
-    # numerical stability.
-    circ = circle_through(*(points[i] for i in _widest_triple(xs, ids)))
-    if circ.evaluate(_cap_point(outward)) > 0:
-        circ = circ.reversed()
-    return circ
-
-
 def _widest_triple(xs, ids) -> tuple:
     """The first of ``itertools.combinations(ids, 3)`` spanning the largest
     triangle.  The areas of the triples with first index i are screened as
@@ -240,26 +230,27 @@ def _widest_triple(xs, ids) -> tuple:
     best, near = 0.0, []
     for i in range(len(ids) - 2):
         d = p[i + 1:] - p[i]
-        area = np.triu(np.sqrt(np.add.reduce(np.cross(d[:, None], d) ** 2, axis=-1)), 1)
+        area = np.triu(np.sqrt(np.add.reduce(_cross(d[:, None], d) ** 2, axis=-1)), 1)
         best = max(best, area.max())
         near += [(ids[i], ids[i + 1 + j], ids[i + 1 + k])
                  for j, k in np.argwhere(area >= best * (1.0 - 1e-12))]
-    return max(near, key=lambda t: np.linalg.norm(np.cross(xs[t[1]] - xs[t[0]], xs[t[2]] - xs[t[0]])))
+    return max(near, key=lambda t: np.linalg.norm(_cross(xs[t[1]] - xs[t[0]], xs[t[2]] - xs[t[0]])))
 
 
-def _cap_point(outward):
-    """Back-projection of the outward unit normal: a point in the outward cap."""
-    n = outward / np.linalg.norm(outward)
-    x, y, u = n
-    if u > 1.0 - 1e-12:
-        return PointCP1.infinity()
-    return PointCP1.from_complex(complex(x, y) / (1.0 - u))
+def _cross(a, b):
+    """The cross product of (..., 3) rows, broadcast, bit for bit numpy's:
+    the same products and differences, without its axis moves."""
+    a0, a1, a2, b0, b1, b2 = a[..., 0], a[..., 1], a[..., 2], b[..., 0], b[..., 1], b[..., 2]
+    c0 = a1 * b2 - a2 * b1
+    out = np.empty(np.shape(c0) + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = c0, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    return out
 
 
 def _planes(xs, tris):
     """Cross products, unit normals and offsets of the (T, 3) triangles."""
     a, b, c = np.moveaxis(xs[tris], 1, 0)
-    cross = np.cross(b - a, c - a)
+    cross = _cross(b - a, c - a)
     n = cross / np.linalg.norm(cross, axis=1)[:, None]
     return cross, n, np.einsum("ij,ij->i", n, a)
 
@@ -274,7 +265,7 @@ def _incremental_hull(xs: np.ndarray):
     order = np.lexsort(xs.T[::-1])
 
     def volume(i, j, k, l):
-        return np.dot(np.cross(xs[j] - xs[i], xs[k] - xs[i]), xs[l] - xs[i])
+        return np.dot(_cross(xs[j] - xs[i], xs[k] - xs[i]), xs[l] - xs[i])
 
     # Seed simplex: first lexicographic non-degenerate quadruple.
     seed = next((q for q in itertools.combinations(order, 4) if abs(volume(*q)) > TOL_HULL), None)
@@ -311,7 +302,7 @@ def _angular_order(xs, vids, n) -> list:
     e1 = xs[vids[0]] - centroid
     e1 = e1 - np.dot(e1, n) * n
     e1 = e1 / np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
+    e2 = _cross(n, e1)
     return sorted(
         vids,
         key=lambda v: math.atan2(np.dot(xs[v] - centroid, e2), np.dot(xs[v] - centroid, e1)),
@@ -363,7 +354,9 @@ def dome(ideal_points) -> DomeMesh:
     Faces are totally geodesic pieces supported on hyperbolic planes; each
     edge carries the exterior dihedral angle between its two faces as a
     bending weight.  A concircular input yields a single flat face and no
-    bending (the degenerate planar case).
+    bending (the degenerate planar case).  The face circles are built as
+    one batch (``circles_through``) and turned to their outward caps by one
+    ``side_signs`` pass.
     """
     rows = as_pairs(ideal_points)
     xs = sphere_xyz(rows)
@@ -384,17 +377,29 @@ def dome(ideal_points) -> DomeMesh:
 
     if tris is None:
         # Concircular: single flat face, empty bending lamination.
-        ordered = _angular_order(xs, list(range(len(pts))), n)
-        circ = _lift_circle_to_disk(pts, xs, ordered, n)
-        face = DomeFace(tuple(ordered), PlaneH3(circ))
-        return DomeMesh(tuple(pts), (face,), ())
+        faces = [(tuple(_angular_order(xs, list(range(len(pts))), n)), n)]
+    else:
+        hull_centroid = np.mean(xs, axis=0)
+        faces = []
+        for vids, n in _merge_coplanar(xs, tris):
+            outward = n if np.dot(n, xs[vids[0]] - hull_centroid) > 0 else -n
+            faces.append((vids, outward))
 
-    hull_centroid = np.mean(xs, axis=0)
-    faces = []
-    for vids, n in _merge_coplanar(xs, tris):
-        outward = n if np.dot(n, xs[vids[0]] - hull_centroid) > 0 else -n
-        circ = _lift_circle_to_disk(pts, xs, vids, outward)
-        faces.append(DomeFace(tuple(vids), PlaneH3(circ)))
+    # Each face's circle through its widest triple, its disk side then the
+    # outward spherical cap (the side containing no hull points), whose
+    # pole is the back-projection (x + iy) / (1 - u) of the outward normal,
+    # infinity within 1e-12 of the north pole.
+    outward = np.array([n for _, n in faces])
+    circles = circles_through(rows[uniq][[_widest_triple(xs, vids) for vids, _ in faces]])
+    poles = np.stack([outward[:, 0] + 1j * outward[:, 1], 1.0 - outward[:, 2]], axis=1)
+    poles[[n[2] / np.linalg.norm(n) > 1.0 - 1e-12 for n in outward]] = (1.0, 0.0)
+    flip = side_signs(circles, poles)
+    circles[flip] = circle_rows(-circles[flip])[0]
+    circles.setflags(write=False)
+    faces = [
+        DomeFace(vids, PlaneH3(OrientedCircle.from_row(circ)))
+        for (vids, _), circ in zip(faces, circles)
+    ]
 
     # Edges: consecutive vertex pairs shared by exactly two faces.
     pair_faces = {}

@@ -706,28 +706,55 @@ def inversive_product(c1: OrientedCircle, c2: OrientedCircle) -> float:
 
 def circle_through(p: PointCP1, q: PointCP1, r: PointCP1) -> OrientedCircle:
     """The round circle through three distinct points, oriented so (p, q, r)
-    is positively ordered on the boundary (disk on the left)."""
-    pts = [cp1(p), cp1(q), cp1(r)]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if chordal_distance(pts[i], pts[j]) < TOL_GEO:
-                raise DegenerateInputError("circle_through needs pairwise distinct points")
-    rows = []
-    for pt in pts:
-        v = pt.normalized()
-        w = np.conj(v.z0) * v.z1
-        rows.append([abs(v.z0) ** 2, 2.0 * w.real, -2.0 * w.imag, abs(v.z1) ** 2])
-    _, _, vh = np.linalg.svd(np.array(rows, dtype=float))
-    a, bre, bim, d = vh[-1]
-    h = np.array([[a, bre + 1j * bim], [bre - 1j * bim, d]], dtype=complex)
-    circle = OrientedCircle(h)
-    # Orientation: transport i by the inverse of (p,q,r) -> (0,1,infinity);
-    # that sample must land on the disk side.
-    t = moebius_three_points(*pts)
-    sample = apply(t.inverse(), PointCP1.from_complex(1j))
-    if circle.evaluate(sample) > 0:
-        circle = circle.reversed()
-    return circle
+    is positively ordered (disk on the left): ``circles_through`` on one
+    row."""
+    h = circles_through(np.array([[_pair(p), _pair(q), _pair(r)]]))
+    h.setflags(write=False)
+    return OrientedCircle.from_row(h[0])
+
+
+def side_signs(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether v* H v > 0 for each form of an (N, 2, 2) stack of Hermitian
+    matrices and the point v of its row of an (N, 2) stack."""
+    av = v.real * v.real + v.imag * v.imag
+    value = h[:, 0, 0].real * av[:, 0] + h[:, 1, 1].real * av[:, 1] + 2.0 * (
+        h[:, 0, 1] * np.conj(v[:, 0]) * v[:, 1]).real
+    return value > 0.0
+
+
+def circles_through(rows) -> np.ndarray:
+    """The circles of ``circle_through`` for an (F, 3, 2) stack of pair
+    rows, one triple per row, as an (F, 2, 2) stack.  The three unit pairs
+    of a row give its 3 x 4 system, written out part by part as CPython
+    rounds it; one stacked SVD solves all of them (each matrix keeps its
+    bits), and ``circle_rows`` normalizes the null vectors.  Each circle is
+    then reversed (``circle_rows(-H)``, as ``OrientedCircle.reversed``) if
+    the sign of its form at t^-1(i), for t the map sending the triple to
+    (0, 1, infinity), is positive, taken in rows with ``side_signs``.  A
+    fault is raised as the per-triple code raised it, the first in row
+    order."""
+    rows = np.asarray(rows, dtype=complex)
+    u, xs = unit_pairs(rows), sphere_xyz(rows)
+    sq = _squares(np.hypot(u.real, u.imag))
+    close = (chordal_rows(xs[:, [0, 0, 1]], xs[:, [1, 2, 2]]) < TOL_GEO).any(axis=1)
+    # [abs(z0) ** 2, 2 Re w, -2 Im w, abs(z1) ** 2] for w = conj(z0) * z1.
+    r0, i0, r1, i1 = u[..., 0].real, u[..., 0].imag, u[..., 1].real, u[..., 1].imag
+    wr, wi = r0 * r1 - -i0 * i1, r0 * i1 + -i0 * r1
+    system = np.stack([sq[..., 0], 2.0 * wr, -2.0 * wi, sq[..., 1]], axis=-1)
+    a, bre, bim, d = np.linalg.svd(system)[2][:, -1].T
+    h = np.empty((len(rows), 2, 2), dtype=complex)
+    h[:, 0, 0], h[:, 0, 1], h[:, 1, 0], h[:, 1, 1] = a, bre + 1j * bim, bre - 1j * bim, d
+    h, faults = circle_rows(h)
+    faults.update(dict.fromkeys(close.nonzero()[0].tolist(), "circle_through needs pairwise distinct points"))
+    if faults:
+        raise DegenerateInputError(faults[min(faults)])
+    # t^-1(i), up to scale, from the rows of the inverse of t's matrix.
+    p, q, r = u[:, 0], u[:, 1], u[:, 2]
+    qr = q[:, :1] * r[:, 1:] - q[:, 1:] * r[:, :1]
+    qp = q[:, :1] * p[:, 1:] - q[:, 1:] * p[:, :1]
+    flip = side_signs(h, qr * p - 1j * qp * r)
+    h[flip] = circle_rows(-h[flip])[0]
+    return h
 
 
 def angle_between(c1: OrientedCircle, c2: OrientedCircle) -> float:

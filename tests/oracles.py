@@ -772,3 +772,89 @@ def reference_edge_paths(dom, mesh, cores):
                          for c in reference_edge_candidates(strata)) if p is not None),
             None))
     return paths
+
+
+def reference_circle_through(p, q, r):
+    """Reference for ``circle_through``: the per-triple code it was, one
+    3 x 4 SVD and the orientation sample t^-1(i) of the map t sending
+    (p, q, r) to (0, 1, infinity), each circle built and reversed as an
+    OrientedCircle."""
+    from cp1graft.moebius import (
+        TOL_GEO, DegenerateInputError, OrientedCircle, PointCP1, apply, chordal_distance, cp1,
+        moebius_three_points,
+    )
+
+    pts = [cp1(p), cp1(q), cp1(r)]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            if chordal_distance(pts[i], pts[j]) < TOL_GEO:
+                raise DegenerateInputError("circle_through needs pairwise distinct points")
+    rows = []
+    for pt in pts:
+        v = pt.normalized()
+        w = np.conj(v.z0) * v.z1
+        rows.append([abs(v.z0) ** 2, 2.0 * w.real, -2.0 * w.imag, abs(v.z1) ** 2])
+    _, _, vh = np.linalg.svd(np.array(rows, dtype=float))
+    a, bre, bim, d = vh[-1]
+    circle = OrientedCircle(np.array([[a, bre + 1j * bim], [bre - 1j * bim, d]], dtype=complex))
+    t = moebius_three_points(*pts)
+    if circle.evaluate(apply(t.inverse(), PointCP1.from_complex(1j))) > 0:
+        circle = circle.reversed()
+    return circle
+
+
+def reference_dome(ideal_points):
+    """Reference for ``dome``: its per-face path as it was, each face's
+    circle by ``reference_circle_through`` through the widest triple, then
+    reversed if the outward cap point (the scalar back-projection of the
+    outward normal) lies off its disk side.  The hull and the merge are
+    the library's."""
+    from cp1graft.hyperbolic import (
+        TOL_HULL, DomeEdge, DomeFace, DomeMesh, PlaneH3, _angular_order, _fit_plane,
+        _incremental_hull, _merge_coplanar, _widest_triple,
+    )
+    from cp1graft.moebius import (
+        TOL_GEO, DegenerateInputError, PointCP1, angle_between, as_pairs, chordal_rows, sphere_xyz,
+    )
+
+    rows = as_pairs(ideal_points)
+    xs = sphere_xyz(rows)
+    uniq = []
+    for i in range(len(xs)):
+        if (chordal_rows(xs[uniq], xs[i]) >= TOL_GEO).all():
+            uniq.append(i)
+    if len(uniq) < 3:
+        raise DegenerateInputError("dome needs at least 3 distinct ideal points")
+    pts, xs = [PointCP1(z0, z1) for z0, z1 in rows[uniq].tolist()], xs[uniq]
+
+    def cap_point(outward):
+        """Back-projection of the outward unit normal: a point in the outward cap."""
+        x, y, u = outward / np.linalg.norm(outward)
+        if u > 1.0 - 1e-12:
+            return PointCP1.infinity()
+        return PointCP1.from_complex(complex(x, y) / (1.0 - u))
+
+    def face(vids, outward):
+        circ = reference_circle_through(*(pts[i] for i in _widest_triple(xs, vids)))
+        if circ.evaluate(cap_point(outward)) > 0:
+            circ = circ.reversed()
+        return DomeFace(tuple(vids), PlaneH3(circ))
+
+    n, h = _fit_plane(xs)
+    tris = None if 24.0 * np.max(np.abs(xs @ n - h)) < TOL_HULL / 2.0 else _incremental_hull(xs)
+    if tris is None:
+        return DomeMesh(tuple(pts), (face(_angular_order(xs, list(range(len(pts))), n), n),), ())
+    hull_centroid = np.mean(xs, axis=0)
+    faces = [face(vids, n if np.dot(n, xs[vids[0]] - hull_centroid) > 0 else -n)
+             for vids, n in _merge_coplanar(xs, tris)]
+    pair_faces = {}
+    for fi, f in enumerate(faces):
+        vids = f.vertex_ids
+        for e in {(min(a, b), max(a, b)) for a, b in zip(vids, vids[1:] + vids[:1])}:
+            pair_faces.setdefault(e, []).append(fi)
+    edges = tuple(
+        DomeEdge((a, b), tuple(fids), angle_between(faces[fids[0]].plane.boundary,
+                                                    faces[fids[1]].plane.boundary))
+        for (a, b), fids in sorted(pair_faces.items()) if len(fids) == 2
+    )
+    return DomeMesh(tuple(pts), tuple(faces), edges)

@@ -164,8 +164,9 @@ def test_criterion_3_stratification():
     )
 
 
-def test_criterion_4_measure_vs_dome():
-    """Transverse measure across each dome edge equals its dihedral angle."""
+def criterion_4():
+    """Criterion 4 as (passed, detail): the transverse measure across each
+    dome edge equals its dihedral angle."""
     t0 = time.time()
     tetra_pts = [cp1(0), cp1(1), INFINITY, cp1(OMEGA)]
     report = dome_measure_report(tetra_pts, tol=1e-5)
@@ -188,14 +189,18 @@ def test_criterion_4_measure_vs_dome():
     report6 = dome_measure_report(six, tol=1e-5)
     worst6 = max(ev["error"] for ev in report6["values"]["edges"])
     elapsed = time.time() - t0
-    _report(
-        4, "transverse measure vs dome dihedrals",
+    return (
         worst < 1e-5 and worst6 < 1e-5 and spread < 1e-8 and oracle_err < 1e-8
         and elapsed < 30.0,
         f"tetrahedron worst error {worst:.3e}, 6-point worst {worst6:.3e} (tol 1e-5); "
         f"weight spread {spread:.3e} (tol 1e-8); normal-oracle gap {oracle_err:.3e}; "
         f"{elapsed:.1f}s (budget 30s)",
     )
+
+
+def test_criterion_4_measure_vs_dome():
+    """Transverse measure across each dome edge equals its dihedral angle."""
+    _report(4, "transverse measure vs dome dihedrals", *criterion_4())
 
 
 def test_criterion_5_pleated_relation():

@@ -5,7 +5,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import cp1graft.hyperbolic as hyperbolic
 from cp1graft.cli import RunConfig
 from cp1graft.grafting import GraftedStructure, WeightedMulticurve
 from cp1graft.moebius import (
@@ -33,7 +35,7 @@ from cp1graft.hyperbolic import (
 )
 from cp1graft.surface import FNCoordinates, GroupWord, fuchsian_from_fn, limit_set_sample
 from conftest import REPO, domain_round_sets
-from oracles import dihedral_from_plane_normals, h3_distance_quadrature
+from oracles import dihedral_from_plane_normals, h3_distance_quadrature, reference_dome
 
 
 def random_moebius(rng):
@@ -275,11 +277,15 @@ def golden_sets():
     return dome_golden_sets()
 
 
-def test_dome_meshes_match_golden(golden_sets):
+def dome_golden_mismatches(sets) -> list:
+    """The names of the sets whose dome differs from its recorded mesh."""
     golden = json.loads(DOME_MESH_GOLDEN.read_text())
-    assert sorted(golden_sets) == sorted(golden)
-    for name, pts in golden_sets.items():
-        assert mesh_record(dome(pts)) == golden[name], name
+    return [name for name, pts in sets.items() if mesh_record(dome(pts)) != golden[name]]
+
+
+def test_dome_meshes_match_golden(golden_sets):
+    assert sorted(golden_sets) == sorted(json.loads(DOME_MESH_GOLDEN.read_text()))
+    assert dome_golden_mismatches(golden_sets) == []
 
 
 def test_dome_of_440_point_limit_sample_is_fast(golden_sets):
@@ -288,6 +294,88 @@ def test_dome_of_440_point_limit_sample_is_fast(golden_sets):
     start = time.perf_counter()
     dome(pts)
     assert time.perf_counter() - start <= 5.0
+
+
+def test_cross_matches_numpy_bit_for_bit():
+    """``_cross`` on 100,000 rows of Gaussian parts at scales 1e-300 to
+    1e300, one part in eight a signed zero, a unit, inf or NaN, and on the
+    broadcast and one-vector shapes the dome uses."""
+    rng = np.random.default_rng(28)
+    special = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, -np.nan])
+
+    def parts(shape):
+        x = rng.normal(size=shape) * 10.0 ** rng.uniform(-300, 300, shape)
+        pick = rng.uniform(size=shape) < 0.125
+        x[pick] = rng.choice(special, pick.sum())
+        return x
+
+    a, b = parts((100_000, 3)), parts((100_000, 3))
+    with np.errstate(all="ignore"):
+        assert hyperbolic._cross(a, b).tobytes() == np.cross(a, b).tobytes()
+        d = a[:40]
+        assert hyperbolic._cross(d[:, None], d).tobytes() == np.cross(d[:, None], d).tobytes()
+        for k in range(40):
+            assert hyperbolic._cross(a[k], b[k]).tobytes() == np.cross(a[k], b[k]).tobytes()
+
+
+def _mesh_or_fault(build, rows):
+    try:
+        return mesh_record(build(rows))
+    except ValueError as exc:  # DegenerateInputError, NoIntersectionError, LinAlgError
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def dome_sets(draw):
+    """4 to 40 ideal points as pair rows: a Gaussian set, or a regular
+    n-gon on the unit circle with points inside it, in one set in two
+    moved by a random Moebius map, in one in four with a point at
+    infinity, and scaled by 1e-6 to 1e6."""
+    family = draw(st.sampled_from(["random", "ngon"]))
+    n = draw(st.integers(min_value=4, max_value=40))
+    scale = 10.0 ** draw(st.floats(min_value=-6.0, max_value=6.0))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if family == "ngon":
+        k = int(rng.integers(3, n + 1))
+        inner = 0.9 * np.sqrt(rng.uniform(size=n - k)) * np.exp(2j * np.pi * rng.uniform(size=n - k))
+        z = np.concatenate([np.exp(2j * np.pi * (np.arange(k) / k + rng.uniform())), inner])
+    else:
+        z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    rows = np.stack([z * scale, np.ones(n, dtype=complex)], axis=-1)
+    if rng.uniform() < 0.25:
+        rows[rng.integers(n)] = (1.0, 0.0)
+    if draw(st.booleans()):
+        rows = rows @ random_moebius(rng).matrix.T
+    return rows
+
+
+def _gaussian_six(seed, scale):
+    rng = np.random.default_rng(seed)
+    z = (rng.normal(size=6) + 1j * rng.normal(size=6)) * scale
+    return np.stack([z, np.ones(6, dtype=complex)], axis=-1)
+
+
+# The unit square, alone (one flat face) and with a point inside: a face
+# whose outward normal is the north pole itself, (0, 0, 1), so that its cap
+# point is infinity, not (x + iy) / (1 - u) = 0 / 0.
+SQUARE = np.array([[1, 1], [1j, 1], [-1, 1], [-1j, 1]], dtype=complex)
+
+
+# The Gaussian sets have an orientation value within 1e-6 |v|^2 of 0, where
+# the row sign and the reference's scalar ``evaluate`` round apart the most:
+# six points 1e-6 or 1e6 across, so that some face circle is about 1e-6
+# across on the sphere.  The first two come near 0 at t^-1(i) in
+# ``circles_through``, the last two at the outward cap point in ``dome``.
+@given(dome_sets())
+@example(_gaussian_six(0, 1e-6))
+@example(_gaussian_six(6, 1e6))
+@example(_gaussian_six(7, 1e-6))
+@example(_gaussian_six(18, 1e6))
+@example(SQUARE)
+@example(np.vstack([SQUARE, [[0.3, 1]]]))
+@settings(max_examples=60, deadline=None)
+def test_dome_matches_reference_dome_bit_for_bit(rows):
+    assert _mesh_or_fault(dome, rows) == _mesh_or_fault(reference_dome, rows)
 
 
 def test_concircular_predicate():

@@ -20,6 +20,7 @@ from cp1graft.moebius import (
     apply_stack,
     chordal_distance,
     circle_through,
+    circles_through,
     classify,
     cp1,
     cross_ratio,
@@ -32,6 +33,7 @@ from oracles import (
     least_squares_circle,
     lockstep_med_mismatches,
     oriented_tangent_angle,
+    reference_circle_through,
 )
 
 
@@ -177,6 +179,76 @@ def test_circle_through_least_squares_oracle():
 def test_circle_through_coincident_points_rejected():
     with pytest.raises(DegenerateInputError):
         circle_through(cp1(0), cp1(0), cp1(1))
+
+
+def test_circle_through_form_is_read_only():
+    c = circle_through(cp1(0), cp1(1), cp1(1j))
+    assert not c.hermitian.flags.writeable
+    with pytest.raises(ValueError):
+        c.hermitian[0, 0] = 2.0
+
+
+def _triples(rng, count) -> np.ndarray:
+    """(count, 3, 2) pair rows: Gaussian triples about centres up to 1e3
+    from 0, spread from 1e-5 to 10 times the size of the centre, at scales
+    1e-6 to 1e6; one point in eight at infinity, and every pair given a
+    homogeneous factor from 1e-100 to 1e100."""
+    def gauss(k):
+        return rng.normal(size=(count, k)) + 1j * rng.normal(size=(count, k))
+
+    centre = gauss(1) * 10.0 ** rng.uniform(-3, 3, (count, 1))
+    spread = 10.0 ** rng.uniform(-5, 1, (count, 1)) * (1.0 + np.abs(centre))
+    z = (centre + spread * gauss(3)) * 10.0 ** rng.uniform(-6, 6, (count, 1))
+    rows = np.stack([z, np.ones_like(z)], axis=-1)
+    rows[rng.uniform(size=(count, 3)) < 0.125] = (1.0, 0.0)
+    return rows * 10.0 ** rng.uniform(-100, 100, (count, 3, 1))
+
+
+def _scalar_fault(row):
+    """The message the per-triple reference raises on a row, or None."""
+    try:
+        reference_circle_through(*(PointCP1(*p) for p in row.tolist()))
+    except DegenerateInputError as exc:
+        return str(exc)
+    return None
+
+
+def test_circles_through_rows_match_circle_through_bit_for_bit():
+    rows = _triples(np.random.default_rng(28), 600)
+    rows = rows[[_scalar_fault(row) is None for row in rows]]
+    assert len(rows) > 450
+    got = circles_through(rows)
+    for k, row in enumerate(rows.tolist()):
+        pts = [PointCP1(*p) for p in row]
+        want = reference_circle_through(*pts).hermitian.tobytes()
+        assert got[k].tobytes() == circle_through(*pts).hermitian.tobytes() == want, k
+
+
+def test_circles_through_raises_the_first_faulty_rows_scalar_message(monkeypatch):
+    """Coincident points, and a null vector that is no circle (planted: the
+    SVD gives the positive form |z0|^2 + |z1|^2 for every system whose first
+    point is 2), raise per row what the scalar code raises, the first faulty
+    row's; coincidence is tested first, as the scalar code tests it."""
+    svd = np.linalg.svd
+
+    def planted(m):
+        u, sv, vh = svd(m)
+        marked = np.abs(m[..., 0, 0] - 0.8) < 1e-12
+        last = marked[..., None, None] & (np.arange(4) == 3)[:, None]
+        return u, sv, np.where(last, [1.0, 0.0, 0.0, 1.0], vh)
+
+    monkeypatch.setattr(np.linalg, "svd", planted)
+    good, marked = [[0, 1], [1, 1], [1j, 1]], [[2, 1], [1, 1], [1j, 1]]
+    coincident, both = [[0, 1], [1e-9, 1], [1, 1]], [[2, 1], [2 + 1e-9, 1], [1, 1]]
+    for stack in ([good, marked], [good, coincident], [both], [good, marked, coincident],
+                  [coincident, marked], [good, good, both, marked]):
+        stack = np.array(stack, dtype=complex)
+        faults = [f for f in map(_scalar_fault, stack) if f is not None]
+        assert faults and faults[0] in (moebius.NOT_A_CIRCLE, "circle_through needs pairwise distinct points")
+        with pytest.raises(DegenerateInputError) as err:
+            circles_through(stack)
+        assert str(err.value) == faults[0]
+    assert str(_scalar_fault(np.array(both))) != moebius.NOT_A_CIRCLE
 
 
 def test_circle_transport_naturality():

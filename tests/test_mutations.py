@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import cp1graft.grafting as grafting
+import cp1graft.hyperbolic as hyperbolic
 import cp1graft.moebius as moebius
 import cp1graft.thurston as thurston
 from cp1graft.cli import EXIT_OK, EXIT_VIOLATIONS, main
@@ -19,8 +20,10 @@ from cp1graft.grafting import GraftedStructure, WeightedMulticurve
 from cp1graft.moebius import DegenerateInputError, MoebiusMap
 from cp1graft.surface import GroupWord
 from cp1graft.thurston import RoundDisk, verify_covering
-from conftest import REPO, cocircular_rows, limit_domain
+from conftest import REPO, cocircular_rows, domain_round_sets, limit_domain
 from oracles import lockstep_med_mismatches
+from test_acceptance import criterion_4
+from test_hyperbolic import dome_golden_mismatches
 
 TETRA = {
     "surface": {"genus": 2, "lengths": [2.0, 2.0, 2.0]},
@@ -276,3 +279,29 @@ def test_lockstep_disks_catch_disabled_tie_guard(monkeypatch):
     assert lockstep_med_mismatches(hexagons) == lockstep_med_mismatches(cubes) == []
     monkeypatch.setattr(moebius, "_ties", lambda x, y, sup, pair, near, tol: np.zeros(len(sup), bool))
     assert lockstep_med_mismatches(hexagons) and lockstep_med_mismatches(cubes)
+
+
+def test_criterion_4_catches_a_reversed_face_circle(monkeypatch):
+    """The first face circle of every dome turned to the wrong side after
+    the batch: its edges weigh pi minus their dihedral angle (the
+    tetrahedron's weights spread by pi/3) and lose their measure paths."""
+    assert criterion_4()[0]
+    sides = hyperbolic.side_signs
+
+    def first_reversed(h, v):
+        flip = sides(h, v)
+        flip[0] = not flip[0]
+        return flip
+
+    monkeypatch.setattr(hyperbolic, "side_signs", first_reversed)
+    passed, detail = criterion_4()
+    assert not passed, detail
+
+
+def test_dome_golden_catches_reversal_without_normalization(monkeypatch):
+    """A face circle turned to its outward cap by -H alone, not normalized
+    again as OrientedCircle.reversed normalizes it."""
+    sets = {f"seed1-set{k}": pts for k, pts in enumerate(domain_round_sets(1))}
+    assert dome_golden_mismatches(sets) == []
+    monkeypatch.setattr(hyperbolic, "circle_rows", lambda h: (h, {}))
+    assert dome_golden_mismatches(sets)
