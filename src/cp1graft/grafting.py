@@ -37,6 +37,7 @@ from .moebius import (
     cp1,
     normalize_stack,
     sphere_xyz,
+    stack_times,
 )
 from .hyperbolic import (
     GeodesicH3,
@@ -391,7 +392,7 @@ class WordTree:
     def _append(self, mats: np.ndarray, parent, letter):
         """Append rows for the words with these matrices."""
         rows = np.empty(len(mats), dtype=_NODE)
-        orbit = mats @ self.start
+        orbit = stack_times(mats, self.start)
         rows["mat"], rows["orbit"] = mats, orbit[:, 0] / orbit[:, 1]
         rows["parent"], rows["letter"] = parent, letter
         rows["child"] = rows["dedup"] = rows["leaf"] = -1
@@ -422,9 +423,10 @@ class WordTree:
     def _ends(self, mats: np.ndarray) -> np.ndarray:
         """(N, curves, 2, 2): each curve's axis endpoints moved by each matrix."""
         ends = np.empty((len(mats), len(self.axis_ends), 2, 2), dtype=complex)
+        flat = mats.reshape(-1, 2)
         for i, (p, q) in enumerate(self.axis_ends):
-            ends[:, i, 0] = mats @ p
-            ends[:, i, 1] = mats @ q
+            ends[:, i, 0] = (flat @ p).reshape(-1, 2)
+            ends[:, i, 1] = (flat @ q).reshape(-1, 2)
         return ends
 
     def _leaf_rows(self, nodes: np.ndarray) -> np.ndarray:
@@ -671,7 +673,7 @@ def lift_crossings(p: complex, q: complex, *, leaves: LeafTable) -> list[Crossin
     frame = _segment_frame(p, q)
     yp, yq = abs(frame(p)), abs(frame(q))
     rows = np.nonzero(leaves.sides(p) * leaves.sides(q) < 0)[0]
-    u, v = _real_ends(leaves.ends[rows] @ frame.matrix.T).T
+    u, v = _real_ends(stack_times(leaves.ends[rows], frame.matrix.T)).T
     ts = np.log(np.sqrt(-u * v) / yp) / math.log(yq / yp)
     out = [
         Crossing(leaf=leaves[i], parameter=float(t), sign=1 if vi > 0 else -1)

@@ -347,6 +347,31 @@ def _merge_coplanar(xs, tris):
     return faces
 
 
+# Point pairs whose distances one block of the duplicate filter takes.
+_DEDUP_PAIRS = 1 << 15
+
+
+def _distinct_ids(xs: np.ndarray) -> np.ndarray:
+    """Ids of the sphere points xs that ``dome`` keeps: a point is dropped
+    when it lies within TOL_GEO (chordal) of an earlier kept point.  A point
+    with no earlier point that close is kept outright; blocks of rows find
+    these at once, from the same ``chordal_rows`` distances (a difference's
+    negation squares to the same bits), and only the other points walk the
+    greedy rule."""
+    n = len(xs)
+    near = np.zeros(n, dtype=bool)
+    step = max(1, _DEDUP_PAIRS // max(n, 1))
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        apart = chordal_rows(xs[start:stop, None], xs[None, :stop]) >= TOL_GEO
+        earlier = np.arange(stop) < np.arange(start, stop)[:, None]
+        near[start:stop] = (earlier & ~apart).any(axis=1)
+    kept = ~near
+    for i in np.flatnonzero(near):
+        kept[i] = (chordal_rows(xs[:i][kept[:i]], xs[i]) >= TOL_GEO).all()
+    return np.flatnonzero(kept)
+
+
 def dome(ideal_points) -> DomeMesh:
     """Boundary of the hyperbolic convex hull of a finite ideal set: points,
     or an (N, 2) array of homogeneous pairs.
@@ -360,11 +385,7 @@ def dome(ideal_points) -> DomeMesh:
     """
     rows = as_pairs(ideal_points)
     xs = sphere_xyz(rows)
-    # Deduplicate: keep each point at chordal distance >= TOL_GEO from the kept.
-    uniq = []
-    for i in range(len(xs)):
-        if (chordal_rows(xs[uniq], xs[i]) >= TOL_GEO).all():
-            uniq.append(i)
+    uniq = _distinct_ids(xs)
     if len(uniq) < 3:
         raise DegenerateInputError("dome needs at least 3 distinct ideal points")
     pts, xs = [PointCP1(z0, z1) for z0, z1 in rows[uniq].tolist()], xs[uniq]

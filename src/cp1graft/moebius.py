@@ -292,6 +292,17 @@ def normalize_stack(mats: np.ndarray) -> np.ndarray:
     return _sign_stack(mats, np.abs(mats.reshape(len(mats), 4)) > TOL_ALG)
 
 
+def stack_times(stack: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``stack @ right`` for an (N, 2, 2) stack of matrices (or of pairs as
+    rows) and one 2x2 matrix or 2-vector ``right``, as one BLAS call over
+    the stack's (2N, 2) rows instead of one per matrix.  Every row's entries
+    are the same two-term dot products either way, and OpenBLAS rounds them
+    alike for any number of rows, so the bits are the stacked product's
+    (``tests/test_surface.py`` pins this).  Only this operand order keeps
+    them: see ``surface.word_products``."""
+    return (stack.reshape(-1, 2) @ right).reshape(stack.shape[:-1] + right.shape[1:])
+
+
 @dataclass(frozen=True)
 class MoebiusMap:
     """Element of PSL(2,C): SL(2,C) matrix stored up to a normalized sign."""

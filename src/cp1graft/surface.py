@@ -35,6 +35,7 @@ from .moebius import (
     PointCP1,
     classify,
     sphere_xyz,
+    stack_times,
 )
 from .hyperbolic import GeodesicH3, translation_along_geodesic
 
@@ -121,14 +122,26 @@ def word_children(last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, letters[ranks]
 
 
+# Position in LETTER_ORDER of each letter l, at index l + 4.
+_LETTER_ROW = np.array([_LETTER_RANK.get(l, -1) for l in range(-4, 5)])
+
+
 def word_products(level: np.ndarray, rows: np.ndarray, letters: np.ndarray, gens) -> np.ndarray:
     """Matrices ``level[rows[k]] @ gens[letters[k]]`` of the children from
-    ``word_children``, one unnormalized product block per letter."""
-    out = np.empty((len(rows), 2, 2), dtype=complex)
-    for l in LETTER_ORDER:
-        sel = letters == l
-        out[sel] = level[rows[sel]] @ gens[l]
-    return out
+    ``word_children``, unnormalized.
+
+    Each letter is one BLAS call, ``stack_times(level, gens[l])``, over the
+    flattened (2N, 2) rows of every parent; the children gather their rows
+    from these eight blocks.  The bits are those of the per-matrix stacked
+    ``@`` (one BLAS call per 2x2 matrix), because only the number of rows
+    changes.  Forms that change the other operand change bits: one call for
+    all letters against the (2, 16) block of the eight generators side by
+    side, or one matrix times a stack of pairs, ``u @ p[..., None]``,
+    rewritten as ``p @ u.T``."""
+    blocks = np.empty((len(LETTER_ORDER),) + level.shape, dtype=complex)
+    for i, l in enumerate(LETTER_ORDER):
+        blocks[i] = stack_times(level, gens[l])
+    return blocks[_LETTER_ROW[letters + 4], rows]
 
 
 def first_rows(keys: np.ndarray) -> np.ndarray:

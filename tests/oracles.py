@@ -259,6 +259,19 @@ def maximal_disk_support_search(complement, x):
     return brute_force_minimal_disk(transported)
 
 
+def reference_word_products(level, rows, letters, gens):
+    """``surface.word_products`` as it was before its flat rows: one stacked
+    ``@`` per letter block, which numpy runs as one BLAS call per 2x2
+    matrix."""
+    from cp1graft.surface import LETTER_ORDER
+
+    out = np.empty((len(rows), 2, 2), dtype=complex)
+    for l in LETTER_ORDER:
+        sel = letters == l
+        out[sel] = level[rows[sel]] @ gens[l]
+    return out
+
+
 def reference_leaf_lifts(hol, mc, depth, focus, margin=4.0):
     """Reference for ``enumerate_leaf_lifts``: the one-shot level-wise BFS on
     matrix stacks that the word tree replaced, kept as it was, with its own
@@ -280,7 +293,7 @@ def reference_leaf_lifts(hol, mc, depth, focus, margin=4.0):
         normalize_stack,
         sphere_xyz,
     )
-    from cp1graft.surface import LETTER_ORDER, axis, first_rows, word_children, word_products
+    from cp1graft.surface import LETTER_ORDER, axis, first_rows, word_children
 
     def element_keys(mats):
         return [m.tobytes() for m in np.round(mats, 9) + 0.0]
@@ -312,7 +325,7 @@ def reference_leaf_lifts(hol, mc, depth, focus, margin=4.0):
     count = 1
     for _ in range(depth):
         cand_from, cand_last = word_children(level_last)
-        cand = normalize_stack(word_products(level, cand_from, cand_last, gens))
+        cand = normalize_stack(reference_word_products(level, cand_from, cand_last, gens))
 
         orbit = cand @ start
         z = (orbit[:, 0] / orbit[:, 1])[:, None]
@@ -803,6 +816,18 @@ def reference_circle_through(p, q, r):
     return circle
 
 
+def reference_distinct_ids(xs):
+    """Reference for ``hyperbolic._distinct_ids``: the greedy loop as it was,
+    one ``chordal_rows`` call per point against the points kept so far."""
+    from cp1graft.moebius import TOL_GEO, chordal_rows
+
+    uniq = []
+    for i in range(len(xs)):
+        if (chordal_rows(xs[uniq], xs[i]) >= TOL_GEO).all():
+            uniq.append(i)
+    return uniq
+
+
 def reference_dome(ideal_points):
     """Reference for ``dome``: its per-face path as it was, each face's
     circle by ``reference_circle_through`` through the widest triple, then
@@ -814,15 +839,12 @@ def reference_dome(ideal_points):
         _incremental_hull, _merge_coplanar, _widest_triple,
     )
     from cp1graft.moebius import (
-        TOL_GEO, DegenerateInputError, PointCP1, angle_between, as_pairs, chordal_rows, sphere_xyz,
+        DegenerateInputError, PointCP1, angle_between, as_pairs, sphere_xyz,
     )
 
     rows = as_pairs(ideal_points)
     xs = sphere_xyz(rows)
-    uniq = []
-    for i in range(len(xs)):
-        if (chordal_rows(xs[uniq], xs[i]) >= TOL_GEO).all():
-            uniq.append(i)
+    uniq = reference_distinct_ids(xs)
     if len(uniq) < 3:
         raise DegenerateInputError("dome needs at least 3 distinct ideal points")
     pts, xs = [PointCP1(z0, z1) for z0, z1 in rows[uniq].tolist()], xs[uniq]

@@ -74,8 +74,8 @@ def _report(num, name, passed, detail):
     assert passed, f"criterion {num} failed: {detail}"
 
 
-@pytest.fixture(scope="module")
-def grafted_structures():
+def two_pi_structures():
+    """Every FN instance grafted along every multicurve, at depth 6."""
     out = []
     for fn in FN_INSTANCES:
         hol = fuchsian_from_fn(fn)
@@ -84,21 +84,31 @@ def grafted_structures():
     return out
 
 
-def test_criterion_1_two_pi_invariance(grafted_structures):
-    """2 pi-grafting leaves the holonomy unchanged."""
+@pytest.fixture(scope="module")
+def grafted_structures():
+    return two_pi_structures()
+
+
+def criterion_1(structures):
+    """Criterion 1 as (passed, detail): 2 pi-grafting leaves the holonomy
+    of each structure unchanged."""
     t0 = time.time()
     worst = 0.0
-    for gs in grafted_structures:
+    for gs in structures:
         rp = gs.rho_prime
         for before, after in zip(gs.hol.generators, rp.generators):
             worst = max(worst, after.proj_distance(before))
     elapsed = time.time() - t0
-    _report(
-        1, "2pi-grafting holonomy invariance",
+    return (
         worst < 1e-9 and elapsed < 30.0,
-        f"max generator deviation {worst:.3e} (tol 1e-9), {len(grafted_structures)} "
+        f"max generator deviation {worst:.3e} (tol 1e-9), {len(structures)} "
         f"structures in {elapsed:.1f}s (budget 30s)",
     )
+
+
+def test_criterion_1_two_pi_invariance(grafted_structures):
+    """2 pi-grafting leaves the holonomy unchanged."""
+    _report(1, "2pi-grafting holonomy invariance", *criterion_1(grafted_structures))
 
 
 def test_criterion_2_goldman_recovery(grafted_structures):

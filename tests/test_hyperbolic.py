@@ -15,11 +15,15 @@ from cp1graft.moebius import (
     DegenerateInputError,
     MoebiusMap,
     OrientedCircle,
+    TOL_GEO,
     PointCP1,
     angle_between,
     apply,
+    as_pairs,
     chordal_distance,
+    chordal_rows,
     cp1,
+    sphere_xyz,
 )
 from cp1graft.hyperbolic import (
     GeodesicH3,
@@ -32,10 +36,16 @@ from cp1graft.hyperbolic import (
     h3_distance,
     nearest_point_projection,
     rotation_about_geodesic,
+    _distinct_ids,
 )
 from cp1graft.surface import FNCoordinates, GroupWord, fuchsian_from_fn, limit_set_sample
 from conftest import REPO, domain_round_sets
-from oracles import dihedral_from_plane_normals, h3_distance_quadrature, reference_dome
+from oracles import (
+    dihedral_from_plane_normals,
+    h3_distance_quadrature,
+    reference_distinct_ids,
+    reference_dome,
+)
 
 
 def random_moebius(rng):
@@ -294,6 +304,37 @@ def test_dome_of_440_point_limit_sample_is_fast(golden_sets):
     start = time.perf_counter()
     dome(pts)
     assert time.perf_counter() - start <= 5.0
+
+
+def test_distinct_ids_match_the_greedy_loop(golden_sets):
+    """The blocked duplicate filter keeps the ids of the greedy loop: on the
+    440-point sample (several blocks, nothing dropped), on planted
+    near-duplicates around TOL_GEO, and on a chain p, p + 0.6 TOL_GEO,
+    p + 1.2 TOL_GEO, whose third point stays: it is within TOL_GEO only of
+    the dropped second."""
+    xs = sphere_xyz(as_pairs(golden_sets["bent-a-1.3-d3"]))
+    assert len(xs) == 440
+    assert _distinct_ids(xs).tolist() == reference_distinct_ids(xs) == list(range(440))
+
+    rng = np.random.default_rng(29)
+    for n in (0, 1, 2, 50, 700):
+        base = rng.standard_normal((n, 3))
+        base /= np.linalg.norm(base, axis=1)[:, None]
+        # Copies and chains at 0 to 2 TOL_GEO of a base point, shuffled in.
+        src = rng.integers(0, max(n, 1), size=n // 2 if n > 2 else 0)
+        step = rng.standard_normal((len(src), 3))
+        step *= (TOL_GEO * rng.uniform(0.0, 2.0, len(src)) / np.linalg.norm(step, axis=1))[:, None]
+        xs = np.concatenate([base, base[src] + step, base[src] + 2.0 * step])
+        xs = xs[rng.permutation(len(xs))]
+        want = reference_distinct_ids(xs)
+        assert _distinct_ids(xs).tolist() == want
+        assert n < 50 or len(want) < len(xs)
+
+    p = np.array([0.6, 0.0, 0.8])
+    t = np.array([0.0, 1.0, 0.0])
+    chain = np.array([p, p + 0.6 * TOL_GEO * t, p + 1.2 * TOL_GEO * t])
+    assert chordal_rows(chain[0], chain[2]) >= TOL_GEO > chordal_rows(chain[1], chain[2])
+    assert _distinct_ids(chain).tolist() == reference_distinct_ids(chain) == [0, 2]
 
 
 def test_cross_matches_numpy_bit_for_bit():

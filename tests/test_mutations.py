@@ -22,7 +22,7 @@ from cp1graft.surface import GroupWord
 from cp1graft.thurston import RoundDisk, verify_covering
 from conftest import REPO, cocircular_rows, domain_round_sets, limit_domain
 from oracles import lockstep_med_mismatches
-from test_acceptance import criterion_4
+from test_acceptance import criterion_1, criterion_4, two_pi_structures
 from test_hyperbolic import dome_golden_mismatches
 
 TETRA = {
@@ -279,6 +279,17 @@ def test_lockstep_disks_catch_disabled_tie_guard(monkeypatch):
     assert lockstep_med_mismatches(hexagons) == lockstep_med_mismatches(cubes) == []
     monkeypatch.setattr(moebius, "_ties", lambda x, y, sup, pair, near, tol: np.zeros(len(sup), bool))
     assert lockstep_med_mismatches(hexagons) and lockstep_med_mismatches(cubes)
+
+
+def test_criterion_1_catches_a_scaled_bending_angle(monkeypatch):
+    """Every bending rotation turned by 1.01 times its angle: a leaf of
+    weight 2 pi turns by 2.02 pi, and the holonomy moves."""
+    assert criterion_1(two_pi_structures())[0]
+    rotation = grafting.rotation_about_geodesic
+    monkeypatch.setattr(grafting, "rotation_about_geodesic",
+                        lambda geodesic, angle: rotation(geodesic, 1.01 * angle))
+    passed, detail = criterion_1(two_pi_structures())
+    assert not passed, detail
 
 
 def test_criterion_4_catches_a_reversed_face_circle(monkeypatch):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cp1graft.grafting import GraftedStructure, WeightedMulticurve, WordTree, segment_focus
 from cp1graft.moebius import (
     TOL_GEO,
     DegenerateInputError,
@@ -12,7 +13,9 @@ from cp1graft.moebius import (
     chordal_distance,
     chordal_rows,
     classify,
+    normalize_stack,
     sphere_xyz,
+    stack_times,
 )
 from cp1graft.surface import (
     LETTER_ORDER,
@@ -26,7 +29,10 @@ from cp1graft.surface import (
     fuchsian_from_fn,
     jorgensen_flags,
     limit_set_sample,
+    word_children,
+    word_products,
 )
+from oracles import reference_word_products
 
 
 # ---------------------------------------------------------------------------
@@ -267,3 +273,63 @@ def test_limit_set_matches_per_point_reference(holonomy, symmetric_holonomy):
             assert got.shape == (len(want), 2) and got.dtype == complex
             assert _hex_rows(got.tolist()) == _hex_rows((p.z0, p.z1) for p in want)
         assert len(got) > 1000
+
+
+# ---------------------------------------------------------------------------
+# flat products: bits that rest on the BLAS kernel
+
+
+def _random_entries(rng, shape):
+    # Entries over 16 orders of magnitude, so that a kernel which rounds a
+    # row's two-term sums another way shows.
+    scale = 10.0 ** rng.uniform(-8.0, 8.0, size=shape)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 100, 5000])
+def test_flat_products_match_stacked_matmul_bit_for_bit(n):
+    # One BLAS call over the (2N, 2) rows against the per-matrix stacked @,
+    # for each right operand the library flattens: a fixed matrix (a
+    # letter), a transposed view (a segment frame's matrix.T) and a fixed
+    # vector (the orbit start, an axis end).  These bits rest on the host's
+    # BLAS kernel: a numpy or BLAS change that breaks them fails here first.
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        stack = _random_entries(rng, (n, 2, 2))
+        matrix = _random_entries(rng, (2, 2))
+        for right in (matrix, matrix.T, _random_entries(rng, (2,))):
+            want = stack @ right
+            got = stack_times(stack, right)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_word_products_match_the_per_letter_stacked_loop(holonomy):
+    # Every level of the reduced-word tree to length 5, raw as the limit
+    # sample builds them and normalized as the word tree does, for the
+    # Fuchsian generators and a bent holonomy's complex ones.
+    bent = GraftedStructure(holonomy, WeightedMulticurve(((GroupWord((1,)), 1.3),)), depth=4)
+    for rep in (holonomy, bent.rho_prime):
+        gens = {l: rep.generator(l).matrix for l in LETTER_ORDER}
+        for normalize in (False, True):
+            level, last = np.eye(2, dtype=complex)[None], np.array([0])
+            for _ in range(5):
+                rows, last = word_children(last)
+                want = reference_word_products(level, rows, last, gens)
+                level = word_products(level, rows, last, gens)
+                assert level.tobytes() == want.tobytes()
+                level = normalize_stack(level) if normalize else level
+            assert len(level) == 8 * 7**4
+    # The rows a word tree grew for a query, from their parents' rows.
+    tree = WordTree(holonomy, bent.multicurve)
+    tree.leaf_table(6, segment_focus([holonomy.basepoint, -1.2 + 0.4j]), 8.0)
+    nodes = tree.nodes[1:]
+    want = reference_word_products(
+        tree.nodes["mat"][nodes["parent"]], np.arange(len(nodes)), nodes["letter"], tree.gens)
+    assert len(nodes) > 1000
+    assert nodes["mat"].tobytes() == normalize_stack(want).tobytes()
+    # Its leaf ends, each axis end moved by each word, as per-matrix products.
+    ends = tree._ends(tree.nodes["mat"])
+    for i, (p, q) in enumerate(tree.axis_ends):
+        assert ends[:, i, 0].tobytes() == (tree.nodes["mat"] @ p).tobytes()
+        assert ends[:, i, 1].tobytes() == (tree.nodes["mat"] @ q).tobytes()
