@@ -62,9 +62,6 @@ class GeodesicH3:
         if chordal_distance(self.p, self.q) < TOL_GEO:
             raise DegenerateInputError("geodesic endpoints must be distinct")
 
-    def reversed(self) -> "GeodesicH3":
-        return GeodesicH3(self.q, self.p)
-
     def transform(self, m: MoebiusMap) -> "GeodesicH3":
         return GeodesicH3(apply(m, self.p), apply(m, self.q))
 

@@ -701,9 +701,6 @@ class RoundDisk:
     def contains(self, p: PointCP1) -> bool:
         return self.circle.contains_in_disk(p)
 
-    def transform(self, m: MoebiusMap) -> "RoundDisk":
-        return RoundDisk(self.circle.transform(m))
-
 
 def inversive_product(c1: OrientedCircle, c2: OrientedCircle) -> float:
     """Normalized inversive product; +1 for equal circles with equal

@@ -419,8 +419,9 @@ def _disk_block(dom: DiskComplementDomain, points: list) -> list:
     q.add(med=meds)
     q.drop(faults)
 
-    # Contacts: the points within a relative TOL_CONTACT of the circle, or
-    # with the support added when they are fewer than two.
+    # Contacts: the points within a relative TOL_CONTACT of the circle.  The
+    # disk's support lies on it to rounding, far inside the band, so every
+    # record has at least two.
     meds, z = q["med"], q["z"]
     centers = np.array([m.center for m in meds], dtype=complex)
     radii = np.array([m.radius for m in meds])
@@ -428,8 +429,6 @@ def _disk_block(dom: DiskComplementDomain, points: list) -> list:
     on = np.abs(off - radii[:, None]) <= TOL_CONTACT * radii[:, None]
     cols, ends = on.nonzero()[1].tolist(), np.cumsum(on.sum(axis=1)).tolist()
     contacts = [cols[a:b] for a, b in zip([0] + ends, ends)]
-    contacts = [c if len(c) >= 2 else sorted(set(c) | set(m.support))
-                for c, m in zip(contacts, meds)]
     q.add(center=centers, radius=radii, contacts=contacts)
     q.drop(dict.fromkeys((radii <= 0).nonzero()[0].tolist(), "radius must be positive"))
 
@@ -787,8 +786,8 @@ def _measure_paths(dom: DiskComplementDomain, paths, tol_measure: float) -> list
 # Dome vs. transverse measure
 
 
-# Band around every stratum boundary inside which a probe's label is left to
-# its maximal disk, from the ``_disk_labels`` batch.  It is at least 50 times
+# Band around an edge's lune inside which a probe's label is left to its
+# maximal disk, from the ``_disk_labels`` batch.  It is at least 50 times
 # each threshold it guards: the contact band (a relative TOL_CONTACT is a
 # contact value of about -2e-6, see ``_contact_values``), the TOL_SAME_DISK
 # face-circle match and the TOL_GEO margin of ``contains``.
@@ -827,56 +826,14 @@ def face_core_point(dom: DiskComplementDomain, face) -> PointCP1:
 
 def _contact_values(hz: np.ndarray, hp: np.ndarray, zs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """(z* H z)(p* H p) / |[p, z]|^2 for probes z (rows) and points p
-    (columns), given the form values hz at the probes and hp at the points
-    (one row per probe when each probe has its own form).  The points are
-    one (M, 2) stack, or one (N, M, 2) stack per probe.  The value is
+    (columns), each probe with its own form: hz at the probes, and hp at
+    the points, one row per probe.  The points are one (N, M, 2) stack, a
+    row per probe, or one (M, 2) stack for all.  The value is
     Moebius invariant; with z at infinity it is |p - c|^2 / R^2 - 1 for
     the center c and radius R of the circle, so the contact test of
     ``maximal_disk_at`` on a point the disk misses reads value >= -2e-6."""
     bracket = zs[:, 1, None] * ps[..., 0] - zs[:, 0, None] * ps[..., 1]
     return hz[:, None] * hp / np.abs(bracket) ** 2
-
-
-class _FaceCore:
-    """The core of a dome face, to test probes against: its hull geodesics
-    (from ``_core_region``) as form columns in the face's unit-disk frame,
-    and the face circle at the other complement points.
-    ``edges`` is None when the frame cannot be built, or when fewer than
-    three of the vertices are distinct in it and the core is no polygon."""
-
-    def __init__(self, dom: DiskComplementDomain, face):
-        try:
-            self.frame = _face_frame(face)
-            ws = sorted(
-                affine_stack(apply_stack(self.frame, dom.pairs[list(face.vertex_ids)])),
-                key=lambda w: math.atan2(w.imag, w.real),
-            )
-            edges = _core_region(self.frame, tuple(ws)).edges
-        except DegenerateInputError:
-            edges = ()
-        if len(edges) < 3:
-            self.edges = None
-            return
-        h = np.array([e.hermitian for e in edges]).reshape(-1, 4)
-        self.edges = (h[:, 0].real, h[:, 1], h[:, 3].real)
-        hf = face.plane.boundary.hermitian.reshape(1, 4)
-        self.form = (hf[:, 0].real, hf[:, 1], hf[:, 3].real)
-        others = np.ones(len(dom.pairs), dtype=bool)
-        others[list(face.vertex_ids)] = False
-        self.others = dom.pairs[others]
-        self.hp = _form_values(self.others, *self.form)[:, 0]
-
-    def certified(self, zs: np.ndarray) -> np.ndarray:
-        """Probes (normalized pairs) that lie in the core by more than the
-        band and whose maximal disk has exactly the face's vertices as
-        contacts."""
-        band = STRATA_BAND
-        q = apply_stack(self.frame, zs)
-        q /= np.linalg.norm(q, axis=1)[:, None]
-        mod0, mod1 = np.abs(q[:, 0]) ** 2, np.abs(q[:, 1]) ** 2
-        ok = (mod0 - mod1 < -band) & (_form_values(q, *self.edges) < -band).all(axis=1)
-        hz = _form_values(zs, *self.form)[:, 0]
-        return ok & (_contact_values(hz, self.hp, zs, self.others) < -band).all(axis=1)
 
 
 def _disk_label(strata: _DomeStrata, e: int, rec) -> str:
@@ -907,8 +864,9 @@ def _disk_labels(strata: _DomeStrata, edges: list, points: list) -> list:
 
 class _DomeStrata:
     """The strata a measure path of each dome edge crosses, one row per
-    edge: the two face cores, and the lune of the edge's two-contact disks.
-    With the edge's vertices at 0 and infinity (frame ``n``) each face
+    edge: the lune of the edge's two-contact disks, between the two face
+    circles, read in closed form; the face cores are left to the maximal
+    disks.  With the edge's vertices at 0 and infinity (frame ``n``) each face
     circle is the line {Re(conj(B) z) = 0} of its entry of ``bs``, whose disk
     side lies toward ``sides[:, k]``; the lune is the open sector between
     the two sides, and a probe there has as maximal disk the half-plane
@@ -917,7 +875,6 @@ class _DomeStrata:
 
     def __init__(self, dom: DiskComplementDomain, mesh):
         self.dom, self.mesh = dom, mesh
-        self.cores = [_FaceCore(dom, f) for f in mesh.faces]
         ends = np.array([e.vertex_ids for e in mesh.edges], dtype=int).reshape(-1, 2)
         self.faces = np.array([e.face_ids for e in mesh.edges], dtype=int).reshape(-1, 2)
         # The frames, ``moebius_two_points``: vertex rows (z0, z1) as (z1, -z0).
@@ -948,12 +905,11 @@ class _DomeStrata:
         # edge frame divided by the squared largest singular value of n,
         # which is at most the squared Frobenius norm.
         self.stretch = np.sum(np.abs(n.reshape(-1, 4)) ** 2, axis=1)
-        # An edge is labelled in closed form only if both cores are built
-        # and the strata are apart.
-        built = np.array([c.edges is not None for c in self.cores], dtype=bool)
+        # An edge's lune is read in closed form only if its face circles
+        # and sides are apart.
         hf = h.reshape(-1, 4)[self.faces]
         apart = frobenius_rows(hf[:, 0], hf[:, 1]) > STRATA_BAND
-        self.closed_form = built[self.faces].all(axis=1) & apart & (np.abs(self.turn) > STRATA_BAND)
+        self.closed_form = apart & (np.abs(self.turn) > STRATA_BAND)
         # The complement less the edge's vertices, in the edge frame.
         cols = [i for pair in ends.tolist() for i in range(len(dom.pairs)) if i not in pair]
         rows = apply_rows(np.repeat(n, len(dom.pairs) - 2, axis=0), dom.pairs[cols])
@@ -980,32 +936,21 @@ class _DomeStrata:
 
     def labels(self, edges: np.ndarray, probes: np.ndarray) -> list:
         """The labels ``_disk_labels`` gives the probes of each candidate,
-        a row of ``probes`` on edge ``edges[c]``: read off the strata where
-        a probe is certified, from one ``distances`` call, one ``certified``
-        pass per face core over the probes of its edges and one lune pass,
-        and from one ``maximal_disks`` batch for the other probes."""
+        a row of ``probes`` on edge ``edges[c]``: ``family`` for a probe in
+        its edge's lune and clear of the complement by the band, from one
+        ``distances`` call and one lune pass, and from one
+        ``maximal_disks`` batch for every other probe."""
         z = probes.ravel()
         owner = np.repeat(edges, probes.shape[1])
         out = [None] * len(z)
         closed = np.flatnonzero(self.closed_form[owner])
         if len(closed):
-            zc, e = z[closed], owner[closed]
+            zc = z[closed]
             pairs = np.stack([zc, np.ones_like(zc)], axis=1)
             zs = pairs / np.sqrt(1.0 + np.abs(zc) ** 2)[:, None]
-            clear = self.dom.distances(pairs) > STRATA_BAND
-            tests = np.zeros((3, len(zc)), dtype=bool)
-            faces = self.faces[e]
-            for f in np.unique(faces):
-                mine = faces == f
-                sel = mine.any(axis=1)
-                hit = np.zeros(len(zc), dtype=bool)
-                hit[sel] = self.cores[f].certified(zs[sel])
-                tests[:2] |= hit & mine.T
-            tests[2] = self._in_lune(e, zs)
-            alone = clear & (tests.sum(axis=0) == 1)
-            for lab, test in zip(("face1", "face2", "family"), tests):
-                for i in closed[alone & test].tolist():
-                    out[i] = lab
+            lune = (self.dom.distances(pairs) > STRATA_BAND) & self._in_lune(owner[closed], zs)
+            for i in closed[lune].tolist():
+                out[i] = "family"
         rest = [i for i, lab in enumerate(out) if lab is None]
         found = _disk_labels(self, owner[rest].tolist(), z[rest].tolist())
         for i, lab in zip(rest, found):

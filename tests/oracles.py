@@ -601,10 +601,10 @@ def reference_classify_on_path(dom, mesh, edge, points):
     return [label(rec) for rec in maximal_disks(dom, points)]
 
 
-def reference_edge_strata(dom, mesh, edge, cores):
+def reference_edge_strata(dom, mesh, edge):
     """The strata a measure path of one dome edge crosses, built one map
-    and one circle at a time as the per-edge search built them: the two
-    face cores, and the lune of the edge's two-contact disks.  With the
+    and one circle at a time as the per-edge search built them: the lune
+    of the edge's two-contact disks, between the face circles.  With the
     edge's vertices ``ends`` at 0 and infinity (frame ``n``) each face
     circle is a line through 0, and the disk side of face k lies toward
     ``sides[k]``."""
@@ -625,10 +625,8 @@ def reference_edge_strata(dom, mesh, edge, cores):
     s.bs = np.array(bs)
     s1, s2 = s.sides
     s.turn = (np.conj(s1) * s2).imag
-    s.cores = [cores[i] for i in edge.face_ids]
     s.closed_form = (
-        all(c.edges is not None for c in s.cores)
-        and s.faces[0].plane.boundary.proj_distance(s.faces[1].plane.boundary) > STRATA_BAND
+        s.faces[0].plane.boundary.proj_distance(s.faces[1].plane.boundary) > STRATA_BAND
         and abs(s.turn) > STRATA_BAND
     )
     others = np.ones(len(dom.pairs), dtype=bool)
@@ -659,8 +657,8 @@ def _reference_in_lune(strata, zs):
 
 def reference_strata_labels(strata, points):
     """The labels of one edge's strata (``reference_edge_strata``), as they
-    were: closed-form labels where a probe is certified,
-    ``reference_classify_on_path`` otherwise."""
+    were: ``family`` where a probe is clear of the complement and in the
+    lune, ``reference_classify_on_path`` otherwise."""
     from cp1graft.thurston import STRATA_BAND
 
     out = [None] * len(points)
@@ -668,11 +666,8 @@ def reference_strata_labels(strata, points):
         z = np.array(points, dtype=complex)
         zs = np.stack([z, np.ones_like(z)], axis=1) / np.sqrt(1.0 + np.abs(z) ** 2)[:, None]
         clear = strata.dom.distances(points) > STRATA_BAND
-        tests = [c.certified(zs) for c in strata.cores] + [_reference_in_lune(strata, zs)]
-        alone = clear & (np.sum(tests, axis=0) == 1)
-        for lab, test in zip(("face1", "face2", "family"), tests):
-            for i in np.flatnonzero(alone & test):
-                out[i] = lab
+        for i in np.flatnonzero(clear & _reference_in_lune(strata, zs)):
+            out[i] = "family"
     rest = [i for i, lab in enumerate(out) if lab is None]
     for i, lab in zip(rest, reference_classify_on_path(
             strata.dom, strata.mesh, strata.edge, [points[i] for i in rest])):
@@ -773,13 +768,13 @@ def reference_single_edge_subpath(strata, path):
     return None
 
 
-def reference_edge_paths(dom, mesh, cores):
+def reference_edge_paths(dom, mesh):
     """Reference for the lockstep path search: each edge searched alone, its
     first candidate that ``reference_single_edge_subpath`` trims, or None,
     as ``_edge_path`` did."""
     paths = []
     for edge in mesh.edges:
-        strata = reference_edge_strata(dom, mesh, edge, cores)
+        strata = reference_edge_strata(dom, mesh, edge)
         paths.append(next(
             (p for p in (reference_single_edge_subpath(strata, c)
                          for c in reference_edge_candidates(strata)) if p is not None),

@@ -41,17 +41,24 @@ def _no_crossing(monkeypatch):
     monkeypatch.setattr(thurston, "_crossing", lambda line, labels: None)
 
 
+def _measure_unrefined(monkeypatch):
+    """The refinement stops at its first level, so no measure has a level
+    to converge against.  The tetrahedron's sums are still right to 2e-15,
+    well inside 10 * TOL_MEASURE: only the convergence flag catches it."""
+    monkeypatch.setattr(thurston, "MEASURE_MAX_LEVELS", 0)
+
+
 # (defect, the dome-measure violation every edge of the tetrahedron reports)
-DOME_MEASURE_MUTATIONS = [
-    (_measure_angle_scaled, "measure-dihedral-mismatch"),
-    (_no_crossing, "no-measure-path"),
-]
+DOME_MEASURE_MUTATIONS = {
+    "measure-dihedral-mismatch": (_measure_angle_scaled, "measure-dihedral-mismatch"),
+    "no-measure-path": (_no_crossing, "no-measure-path"),
+    "unconverged": (_measure_unrefined, "measure-dihedral-mismatch"),
+}
 
 
-@pytest.mark.parametrize(
-    "plant,kind", DOME_MEASURE_MUTATIONS, ids=[kind for _, kind in DOME_MEASURE_MUTATIONS]
-)
-def test_dome_measure_catches_planted_defect(plant, kind, monkeypatch, tmp_path):
+@pytest.mark.parametrize("row", sorted(DOME_MEASURE_MUTATIONS))
+def test_dome_measure_catches_planted_defect(row, monkeypatch, tmp_path):
+    plant, kind = DOME_MEASURE_MUTATIONS[row]
     plant(monkeypatch)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(TETRA))

@@ -14,11 +14,11 @@ from cp1graft.moebius import (
     TOL_GEO,
     DegenerateInputError,
     MoebiusMap,
+    NoIntersectionError,
     OrientedCircle,
     PointCP1,
     RoundDisk,
     apply,
-    apply_stack,
     as_pairs,
     chordal_distance,
     chordal_rows,
@@ -40,6 +40,7 @@ from cp1graft.thurston import (
     TOL_MEASURE,
     DiskComplementDomain,
     PreconditionError,
+    TransversalityError,
     dome_measure_report,
     face_core_point,
     maximal_disk_at,
@@ -519,6 +520,23 @@ def test_distance_of_a_huge_query_is_finite():
     assert math.isfinite(d) and d <= TOL_GEO
 
 
+def test_far_query_known_defect_not_hermitian():
+    """KNOWN DEFECT: a query far from 0 gets no disk.  x = 1e4 e^{0.1i} is
+    1.41 from the set in the chordal metric, yet its disk's form t* H t,
+    taken through the normalizer [[0, 1], [1, -x]] from a normalized disk
+    of radius 1e-8 at 1e-4 from 0, comes out not Hermitian and the record
+    is dropped.  The same direction at |x| = 1e3 still gets its disk.  A fix
+    turns this test around."""
+    dom = DiskComplementDomain([1, 1j, -1, -1j, 0.3 + 0.2j])
+    far, near = 1e4 * cmath.exp(0.1j), 1e3 * cmath.exp(0.1j)
+    assert dom.distances([far])[0] > 1.4
+    rec, ok = maximal_disks(dom, [far, near])
+    assert record_bits(rec) == ("DegenerateInputError", "matrix is not Hermitian")
+    assert len(ok.ideal_ids) >= 2
+    with pytest.raises(DegenerateInputError, match="not Hermitian"):
+        maximal_disk_at(dom, far)
+
+
 def test_maximal_disk_batches_stay_within_their_blocks(holonomy):
     """512 queries against the depth-4 Fuchsian limit sample (3,063 points)
     are taken in blocks of about DISK_BLOCK transported points: the memory a
@@ -598,7 +616,7 @@ def test_lockstep_disks_match_welzl_on_recorded_blocks(source, holonomy, monkeyp
 
 
 def test_most_rows_of_a_domain_round_finish_in_lockstep(monkeypatch, tmp_path):
-    """Of the 1,891 rows of the seed-7 domain round, at most 15 % take a
+    """Of the 2,884 rows of the seed-7 domain round, at most 15 % take a
     tie path (Welzl on the points of the circle, or on the whole row) when
     every block takes the lockstep path."""
     blocks = recorded_med_blocks(monkeypatch, med_source("domain-7", None, tmp_path))
@@ -610,34 +628,7 @@ def test_most_rows_of_a_domain_round_finish_in_lockstep(monkeypatch, tmp_path):
     for z in blocks:
         moebius.minimal_enclosing_disks(z)
     rows = sum(map(len, blocks))
-    assert rows == 1891 and 0 < len(away) <= 0.15 * rows
-
-
-@pytest.mark.parametrize("name", ["tetrahedron", "cube"])
-def test_records_with_support_contacts_keep_welzl_bits(name, tetrahedron_points, monkeypatch):
-    """A record with fewer than two contacts takes its ideal points from
-    the minimal disk's support.  No record of these cocircular sets has so
-    few at TOL_CONTACT; with a band of zero, one in three to six does, and
-    every record still equals the per-point reference built on Welzl,
-    support and core included."""
-    pts = tetrahedron_points if name == "tetrahedron" else [
-        INFINITY if z == "inf" else cp1(complex(z)) for z in bench_workloads()._cube_points()]
-    dom = DiskComplementDomain.from_ideal_points(pts)
-    rng = np.random.default_rng(11)
-    queries = [z for z in rng.uniform(-3, 3, 300) + 1j * rng.uniform(-3, 3, 300)
-               if dom.contains(cp1(z), margin=1e-3)][:120]
-    monkeypatch.setattr(thurston, "TOL_CONTACT", 0.0)
-    monkeypatch.setattr(moebius, "_MED_LOCKSTEP_POINTS", 0)
-    from_support = 0
-    for x, rec in zip(queries, maximal_disks(dom, queries)):
-        want = reference_maximal_disk(dom, x)
-        assert_matches_reference(dom, rec, want, x)
-        # The oracle's transported points, and those exactly on the circle.
-        t = MoebiusMap(np.array([[0.0, 1.0], [1.0, -x]], dtype=complex))
-        zs = [z0 / z1 for z0, z1 in apply_stack(t, dom.pairs).tolist()]
-        med = want.normalized
-        from_support += sum(abs(z - med.center) == med.radius for z in zs) < 2
-    assert from_support >= 15
+    assert rows == 2884 and 0 < len(away) <= 0.15 * rows
 
 
 # ---------------------------------------------------------------------------
@@ -907,6 +898,36 @@ def test_measure_refinement_trace_monotone(tetrahedron_points):
         assert diffs[-1] <= diffs[-3] + 1e-12
 
 
+def test_measure_unconverged_at_the_last_level(tetrahedron_points, monkeypatch):
+    """With one level of refinement and a tolerance of zero no path
+    converges: the measure is the last level's sum, flagged unconverged,
+    and the report flags every edge."""
+    monkeypatch.setattr(thurston, "MEASURE_MAX_LEVELS", 1)
+    dom = DiskComplementDomain.from_ideal_points(tetrahedron_points)
+    res = transverse_measure(dom, [0.5 - 0.8j, 0.5 + 0.45j], tol_measure=0.0)
+    assert not res.converged and res.levels == 1 and len(res.trace) == 2
+    assert res.value == res.trace[-1]
+    report = dome_measure_report(tetrahedron_points, tol=0.0)
+    assert [(v["kind"], v["edge"]) for v in report["violations"]] == [
+        ("measure-dihedral-mismatch", e) for e in range(6)]
+
+
+def test_measure_raises_when_no_level_intersects(tetrahedron_points, monkeypatch):
+    """With every pair of distinct disks planted as disjoint, no level
+    sums: the measure raises TransversalityError, and the report raises it
+    too.  Two levels keep the planted refinement short."""
+    def disjoint(c1, c2):
+        raise NoIntersectionError("planted")
+
+    monkeypatch.setattr(thurston, "angle_between", disjoint)
+    monkeypatch.setattr(thurston, "MEASURE_MAX_LEVELS", 2)
+    dom = DiskComplementDomain.from_ideal_points(tetrahedron_points)
+    with pytest.raises(TransversalityError, match="maximal refinement"):
+        transverse_measure(dom, [0.5 - 0.8j, 0.5 + 0.45j])
+    with pytest.raises(TransversalityError, match="maximal refinement"):
+        dome_measure_report(tetrahedron_points)
+
+
 def measure_bits(res):
     """A measure result as bits, or an error as its type and message."""
     if isinstance(res, Exception):
@@ -1004,7 +1025,7 @@ def dome_golden_sets():
 def dome_measure_runs():
     """dome_measure_report on every set of DOME_GOLDEN, recording each
     candidate's probe labels from the label pass (set name, (domain, dome,
-    edge), points, labels) and the probes sent to ``_disk_labels``."""
+    edge), points, labels) and the labels ``_disk_labels`` gives."""
     batches, fallbacks, reports = [], [], {}
     labels, disk_labels = thurston._DomeStrata.labels, thurston._disk_labels
     current = []
@@ -1016,8 +1037,9 @@ def dome_measure_runs():
         return out
 
     def counting(strata, edges, points):
-        fallbacks.extend(points)
-        return disk_labels(strata, edges, points)
+        out = disk_labels(strata, edges, points)
+        fallbacks.extend(out)
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(thurston._DomeStrata, "labels", recording)
@@ -1041,8 +1063,8 @@ def test_dome_measure_reports_match_golden(dome_measure_runs):
 
 def test_strata_labels_match_maximal_disk_labels(dome_measure_runs):
     """Every probe of every run gets the label its maximal disk gives, one
-    edge at a time (``reference_classify_on_path``), and the closed form
-    decides all but a few of them."""
+    edge at a time (``reference_classify_on_path``), and the lune's closed
+    form decides all but a few of the ``family`` labels."""
     _, batches, fallbacks = dome_measure_runs
     probes = 0
     for name, (dom, mesh, edge), points, labels in batches:
@@ -1051,7 +1073,7 @@ def test_strata_labels_match_maximal_disk_labels(dome_measure_runs):
             probes += 1
             assert label == ref, (name, z)
     assert probes > 10_000
-    assert len(fallbacks) <= probes // 500
+    assert fallbacks.count("family") <= probes // 500
 
 
 def clustered_dome_points():
@@ -1062,13 +1084,12 @@ def clustered_dome_points():
 
 def test_strata_labels_on_a_face_with_clustered_vertices(monkeypatch):
     """Three vertices 2e-5 apart on the unit circle are one vertex in their
-    face's frame, so that face's core is no polygon: it certifies no probe,
-    and every probe of every round keeps the label its maximal disk gives.
-    The first round probes every edge."""
+    face's frame, so that face's core is no polygon: every probe of every
+    round keeps the label its maximal disk gives.  The first round probes
+    every edge."""
     mesh = dome(clustered_dome_points())
     dom = DiskComplementDomain(mesh.vertices)
     strata = thurston._DomeStrata(dom, mesh)
-    assert any(c.edges is None for c in strata.cores)
     rounds = []
     labels = thurston._DomeStrata.labels
 
@@ -1123,15 +1144,14 @@ def test_edge_paths_match_per_edge_search(name):
     pts = EXTRA_DOMES.get(name) or {n: p for n, p, _ in dome_golden_sets()}[name]
     mesh = dome(pts)
     dom = DiskComplementDomain(mesh.vertices)
-    cores = [thurston._FaceCore(dom, f) for f in mesh.faces]
     strata = thurston._DomeStrata(dom, mesh)
     assert [strata_row_bytes(getattr(strata, c)[e] for c in STRATA_COLUMNS)
             for e in range(len(mesh.edges))] == [
-        strata_row_bytes(getattr(reference_edge_strata(dom, mesh, edge, cores), c)
+        strata_row_bytes(getattr(reference_edge_strata(dom, mesh, edge), c)
                          for c in STRATA_COLUMNS)
         for edge in mesh.edges]
     got = thurston._edge_paths(strata)
-    want = reference_edge_paths(dom, mesh, cores)
+    want = reference_edge_paths(dom, mesh)
     assert [path_bits(p) for p in got] == [path_bits(p) for p in want]
     assert [e for e, p in enumerate(got) if p is None] == NO_PATH_EDGES.get(name, [])
 
@@ -1143,8 +1163,7 @@ def test_edge_paths_take_the_next_candidate_in_a_later_round(tetrahedron_points,
     a later round; every other edge keeps its first-round path."""
     mesh = dome(tetrahedron_points)
     dom = DiskComplementDomain(mesh.vertices)
-    cores = [thurston._FaceCore(dom, f) for f in mesh.faces]
-    strata = reference_edge_strata(dom, mesh, mesh.edges[planted], cores)
+    strata = reference_edge_strata(dom, mesh, mesh.edges[planted])
     first, *rest = reference_edge_candidates(strata)
     crossing, failed = thurston._crossing, []
 
@@ -1156,7 +1175,7 @@ def test_edge_paths_take_the_next_candidate_in_a_later_round(tetrahedron_points,
 
     monkeypatch.setattr(thurston, "_crossing", failing)
     got = thurston._edge_paths(thurston._DomeStrata(dom, mesh))
-    want = reference_edge_paths(dom, mesh, cores)
+    want = reference_edge_paths(dom, mesh)
     want[planted] = next(p for p in (reference_single_edge_subpath(strata, c) for c in rest)
                          if p is not None)
     assert len(failed) == 1
