@@ -52,8 +52,8 @@ from .surface import (
     GroupWord,
     Representation,
     axis,
-    first_rows,
     geodesic_through_uhp,
+    key_ranks,
     word_children,
     word_products,
     LETTER_ORDER,
@@ -236,14 +236,20 @@ class LeafTable(Sequence):
       weight      (L,) float
       curve       (L,) int, the multicurve entry the leaf lifts
       conjugator  (L,) int, an element of the BFS tree, spelled by ``word``
+      real_ends   (L, 2) float, the endpoints' ``_real_ends``: as a word
+                  tree found them with its leaf keys, or from ``ends`` on
+                  first read when not given
 
     The array methods (``sides``, ``distances``, ``real_ends``) read the
     leaf geometry the way the rows' ``circle`` and ``distance_to_leaf`` do,
-    so callers test every leaf without building rows.
+    so callers test every leaf without building rows.  The leaf frame and
+    width behind them are built once per table.
     """
 
-    def __init__(self, ends, weight, curve, conjugator, parent, letter):
+    def __init__(self, ends, weight, curve, conjugator, parent, letter, real_ends=None):
         self.ends = ends
+        if real_ends is not None:
+            self.real_ends = real_ends
         self.weight = weight
         self.curve = curve
         self.conjugator = conjugator
@@ -299,16 +305,24 @@ class LeafTable(Sequence):
         b = np.where(line, np.nan, x[:, 1])
         return line, a, b
 
+    @cached_property
+    def _width(self) -> np.ndarray:
+        """Each leaf's |b - a|, or 1.0 for a vertical leaf."""
+        line, a, b = self._frame
+        return np.where(line, 1.0, np.abs(b - a))
+
     def sides(self, z: complex) -> np.ndarray:
         """Side value of z for every leaf, with the sign of the row circle's
         ``evaluate``: (x - a)(x - b) + y^2, or x - a for a vertical leaf."""
         return _side_values(self._frame, z)
 
-    def distances(self, z: complex) -> np.ndarray:
-        """Hyperbolic distance from the UHP point z to every leaf."""
-        line, a, b = self._frame
-        width = np.where(line, 1.0, np.abs(b - a))
-        return np.arcsinh(np.abs(self.sides(z)) / (z.imag * width))
+    def distances(self, z: complex, sides: np.ndarray | None = None) -> np.ndarray:
+        """Hyperbolic distance from the UHP point z to every leaf,
+        asinh(|side value| / (Im z * width)) with the width cached on the
+        table; ``sides``, when given, must be ``self.sides(z)``."""
+        if sides is None:
+            sides = self.sides(z)
+        return np.arcsinh(np.abs(sides) / (z.imag * self._width))
 
 
 # Group elements one leaf query may keep before it gives up.
@@ -336,10 +350,16 @@ class WordTree:
     ``normalize_stack(word_products(...))`` from its parent's when a query
     expands the parent; a word that a query found near its focus also keeps
     its ``element_keys`` class, and a word that a query kept gets a row of
-    the leaf keys: its leaf lifts' resolution mask and rounded keys.  Each
-    of these depends only on the word, so ``leaf_table`` gives the table of
-    a fresh BFS whatever queries ran before: the same tests in the same
-    order, with children expanded only for kept words that have none.
+    the leaf keys: its leaf lifts' resolution mask, rounded keys and real
+    endpoints.  Each of these depends only on the word, so ``leaf_table``
+    gives the table of a fresh BFS whatever queries ran before: the same
+    tests in the same order, with children expanded only for kept words
+    that have none.
+
+    Beside the keys the tree keeps ``rank``: each key row's rank among the
+    tree's distinct keys in lexicographic order (``key_ranks``, int32),
+    rebuilt whenever rows are added.  A query then keeps the first lift of
+    each key, in key order, with one ``np.unique`` of its ranks.
     """
 
     def __init__(self, hol: FuchsianHolonomy, mc: WeightedMulticurve):
@@ -372,10 +392,13 @@ class WordTree:
         # Class ids are unique, not dense: a batch reserves one per key.
         self.classes: dict[bytes, int] = dict.fromkeys(element_keys(identity), 0)
         self.next_class = 1
-        # The leaf keys: resolution mask and keys, element-major then curve.
+        # The leaf keys: resolution mask, keys, real endpoints and key ranks,
+        # element-major then curve.
         n_curves = len(self.axis_ends)
         self.ok = np.empty((0, n_curves), dtype=bool)
         self.keys = np.empty((0, n_curves, 7))
+        self.real = np.empty((0, n_curves, 2))
+        self.rank = np.empty((0, n_curves), dtype=np.int32)
 
     @property
     def size(self) -> int:
@@ -398,15 +421,18 @@ class WordTree:
         rows["child"] = rows["dedup"] = rows["leaf"] = -1
         self.nodes = np.concatenate([self.nodes, rows])
 
-    def _expand(self, nodes: np.ndarray):
+    def _expand(self, nodes: np.ndarray) -> np.ndarray:
         """Give the nodes that have no children yet their children, in
-        ``word_children`` order."""
-        new = nodes[self.nodes["child"][nodes] < 0]
+        ``word_children`` order; returns each node's first child."""
+        child = self.nodes["child"][nodes]
+        new = nodes[child < 0]
         if len(new):
             rows, letters = word_children(self.nodes["letter"][new])
             mats = normalize_stack(word_products(self.nodes["mat"][new], rows, letters, self.gens))
             self.nodes["child"][new] = self.size + (len(rows) // len(new)) * np.arange(len(new))
             self._append(mats, new[rows], letters)
+            child = self.nodes["child"][nodes]
+        return child
 
     def _classes(self, nodes: np.ndarray) -> np.ndarray:
         """The ``element_keys`` class of each node, numbered in the order
@@ -435,10 +461,12 @@ class WordTree:
         new = nodes[leaf[nodes] < 0]
         if len(new):
             curve = np.tile(np.arange(len(self.axis_ends)), len(new))
-            ok, keys = _leaf_keys(self._ends(self.nodes["mat"][new]).reshape(-1, 2, 2), curve)
+            ok, keys, real = _leaf_keys(self._ends(self.nodes["mat"][new]).reshape(-1, 2, 2), curve)
             leaf[new] = len(self.ok) + np.arange(len(new))
             self.ok = np.concatenate([self.ok, ok.reshape(len(new), -1)])
             self.keys = np.concatenate([self.keys, keys.reshape(len(new), -1, 7)])
+            self.real = np.concatenate([self.real, real.reshape(len(new), -1, 2)])
+            self.rank = key_ranks(self.keys.reshape(-1, 7)).reshape(self.ok.shape)
         return leaf[nodes]
 
     def leaf_table(self, depth: int, focus: list[complex], margin: float) -> LeafTable:
@@ -446,40 +474,32 @@ class WordTree:
         if self.size > MAX_TREE_NODES:
             self.clear()
         radius = self.reach + margin
-        targets = np.array([self.x0] + list(focus), dtype=complex)
-        seen = np.zeros(self.next_class, dtype=bool)
-        seen[0] = True
+        targets = np.array([self.x0] + list(focus), dtype=complex)[:, None]
+        seen = {0}
         frontier = np.array([0])
-        kept, parents, letters = [frontier], [np.array([-1])], [np.array([0])]
-        level_ids = np.array([0])
+        kept, parents = [frontier], [np.array([-1])]
         count = 1
         for k in range(1, depth + 1):
-            self._expand(frontier)
             width = 8 if k == 1 else 7
-            cand = (self.nodes["child"][frontier][:, None] + np.arange(width)).ravel()
+            cand = (self._expand(frontier)[:, None] + np.arange(width)).ravel()
 
-            z = self.nodes["orbit"][cand][:, None]
+            # Distances in (targets, candidates) layout: each candidate's
+            # nearest target is a reduction down its column.
+            z = self.nodes["orbit"][cand]
             x = 1.0 + np.abs(z - targets) ** 2 / (2.0 * z.imag * targets.imag)
-            alive = np.nonzero(np.arccosh(np.maximum(x, 1.0)).min(axis=1) <= radius)[0]
-            nodes = cand[alive]
-            classes = self._classes(nodes)
-            if len(seen) < self.next_class:
-                seen = np.concatenate([seen, np.zeros(self.next_class - len(seen), dtype=bool)])
+            alive = np.nonzero(np.arccosh(np.maximum(x, 1.0)).min(axis=0) <= radius)[0]
             # The first node of each class this query has not kept yet.
-            new = ~seen[classes]
-            if np.bincount(classes).max(initial=0) > 1:
-                order = np.arange(len(nodes))
-                first = np.full(len(seen), len(nodes))
-                np.minimum.at(first, classes, order)
-                new &= first[classes] == order
-            seen[classes[new]] = True
+            new = []
+            for i, c in enumerate(self._classes(cand[alive]).tolist()):
+                if c not in seen:
+                    seen.add(c)
+                    new.append(i)
             keep = alive[new]
 
+            # The frontier's own ids start at count - len(frontier).
+            parents.append(count - len(frontier) + keep // width)
             frontier = cand[keep]
             kept.append(frontier)
-            parents.append(level_ids[keep // width])
-            letters.append(self.nodes["letter"][frontier])
-            level_ids = count + np.arange(len(frontier))
             count += len(frontier)
             if count > MAX_LEAF_ELEMENTS:
                 raise RuntimeError(f"leaf lift enumeration exceeded {MAX_LEAF_ELEMENTS} elements")
@@ -489,7 +509,7 @@ class WordTree:
         kept = np.concatenate(kept)
         leaf = self._leaf_rows(kept)
         sel = np.nonzero(self.ok[leaf].ravel())[0]
-        rows = sel[first_rows(self.keys[leaf].reshape(-1, 7)[sel])]
+        rows = sel[np.unique(self.rank[leaf].ravel()[sel], return_index=True)[1]]
         element, curve = np.divmod(rows, len(self.axis_ends))
         return LeafTable(
             ends=self._ends(self.nodes["mat"][kept[element]])[np.arange(len(rows)), curve],
@@ -497,14 +517,16 @@ class WordTree:
             curve=curve,
             conjugator=element,
             parent=np.concatenate(parents),
-            letter=np.concatenate(letters),
+            letter=self.nodes["letter"][kept].astype(int),
+            real_ends=self.real[leaf[element], curve],
         )
 
 
-def _leaf_keys(ends: np.ndarray, curve: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _leaf_keys(ends: np.ndarray, curve: np.ndarray) -> tuple[np.ndarray, ...]:
     """For (N, 2, 2) candidate lifts of the given curves: which are
-    resolved, and each one's ``LiftedLeaf.key`` as a row (curve index, then
-    the two rounded endpoint sphere triples, smaller first)."""
+    resolved, each one's ``LiftedLeaf.key`` as a row (curve index, then the
+    two rounded endpoint sphere triples, smaller first), and the endpoints'
+    ``_real_ends``."""
     # Drop the lifts whose endpoints contracted below resolution (closer
     # than TOL_GEO, both at infinity, or a circle OrientedCircle rejects):
     # they lie too deep in a funnel to cross anything near the focus.
@@ -518,7 +540,7 @@ def _leaf_keys(ends: np.ndarray, curve: np.ndarray) -> tuple[np.ndarray, np.ndar
     rounded = np.round(sphere, 9)
     a, b = rounded[:, 0], rounded[:, 1]
     swap = _lex_less(b, a)[:, None]
-    return ok, np.column_stack([curve, np.where(swap, b, a), np.where(swap, a, b)])
+    return ok, np.column_stack([curve, np.where(swap, b, a), np.where(swap, a, b)]), xr
 
 
 def enumerate_leaf_lifts(
@@ -543,14 +565,17 @@ def enumerate_leaf_lifts(
     Within a level the candidates come in frontier order, then in
     LETTER_ORDER; a candidate is kept unless its orbit point x0 is farther
     than the radius from every focus point or an earlier element has the
-    same ``element_keys`` key.  Lifts whose endpoints contract below
-    resolution are dropped.  Rows are sorted by ``LiftedLeaf.key`` (curve
-    index, then the two rounded endpoint sphere coordinates) and the keys
-    are unique; each row's conjugator is the first element, in BFS order,
-    whose image of the axis has that key.  The keys come from
-    ``sphere_xyz``, so each is its row's ``LiftedLeaf.key`` bit for bit, and
-    the chord test drops exactly the lifts whose endpoints GeodesicH3
-    rejects as closer than TOL_GEO.
+    same ``element_keys`` key.  The radius test takes the distances of a
+    level in (targets, candidates) layout and each candidate's minimum down
+    its column; the query keeps the classes it has met in one set.  Lifts
+    whose endpoints contract below resolution are dropped.  Rows are sorted
+    by ``LiftedLeaf.key`` (curve index, then the two rounded endpoint
+    sphere coordinates) and the keys are unique; each row's conjugator is
+    the first element, in BFS order, whose image of the axis has that key,
+    found from the tree's key ranks as ``first_rows`` finds it from the
+    keys.  The keys come from ``sphere_xyz``, so each is its row's
+    ``LiftedLeaf.key`` bit for bit, and the chord test drops exactly the
+    lifts whose endpoints GeodesicH3 rejects as closer than TOL_GEO.
     """
     if tree is None:
         tree = WordTree(hol, mc)
@@ -657,22 +682,25 @@ def lift_crossings(p: complex, q: complex, *, leaves: LeafTable) -> list[Crossin
     """Lifted leaves crossing the geodesic segment [p, q], ordered along it.
 
     Endpoints must keep clear of every leaf; an endpoint within TOL_GEO of
-    a leaf raises PerturbInputError with a suggested offset.  The endpoint
-    guard and the side test run on the table's columns; only the crossed
-    leaves are built as rows.  The segment's frame sends its geodesic to the
-    imaginary axis, p to i y_p and q to i y_q; a crossed leaf has endpoints
-    u, v there with u v < 0 and meets the axis at i sqrt(-u v), at the
-    arclength parameter log(y / y_p) / log(y_q / y_p).
+    a leaf raises PerturbInputError with a suggested offset, the start
+    before the end.  Each endpoint's side values are taken once: the guard
+    reads its distances from them and the table's cached leaf widths, and
+    the crossing test (opposite signs at p and q) reuses them.  Only the
+    crossed leaves are built as rows.  The segment's frame sends its
+    geodesic to the imaginary axis, p to i y_p and q to i y_q; a crossed
+    leaf has endpoints u, v there with u v < 0 and meets the axis at
+    i sqrt(-u v), at the arclength parameter log(y / y_p) / log(y_q / y_p).
     """
-    for z, name in ((p, "start"), (q, "end")):
-        if np.any(leaves.distances(z) < TOL_GEO):
+    sp, sq = leaves.sides(p), leaves.sides(q)
+    for z, s, name in ((p, sp, "start"), (q, sq, "end")):
+        if np.any(leaves.distances(z, s) < TOL_GEO):
             raise PerturbInputError(
                 f"segment {name}point lies on a lifted leaf",
                 suggested_offset=perturbation_offset(z, leaves),
             )
     frame = _segment_frame(p, q)
     yp, yq = abs(frame(p)), abs(frame(q))
-    rows = np.nonzero(leaves.sides(p) * leaves.sides(q) < 0)[0]
+    rows = np.nonzero(sp * sq < 0)[0]
     u, v = _real_ends(stack_times(leaves.ends[rows], frame.matrix.T)).T
     ts = np.log(np.sqrt(-u * v) / yp) / math.log(yq / yp)
     out = [

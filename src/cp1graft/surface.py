@@ -154,6 +154,21 @@ def first_rows(keys: np.ndarray) -> np.ndarray:
     return order[first]
 
 
+def key_ranks(keys: np.ndarray) -> np.ndarray:
+    """Rank of each row of the (N, K) array keys among its distinct rows,
+    in lexicographic order, as int32.  Rows share a rank exactly when
+    ``first_rows`` counts them as one (``!=`` finds no entry apart, so
+    signed zeros match), and ``np.unique(ranks, return_index=True)[1]`` of
+    any subset of the rows is ``first_rows`` of that subset's keys."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    step = np.zeros(len(order), dtype=np.int32)
+    step[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ranks = np.empty(len(order), dtype=np.int32)
+    ranks[order] = np.cumsum(step, dtype=np.int32)
+    return ranks
+
+
 def enumerate_words(radius: int):
     """All nonempty freely reduced words of length <= radius, shortlex order."""
     if radius < 1:

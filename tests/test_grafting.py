@@ -17,7 +17,15 @@ from cp1graft.moebius import (
     normalize_stack,
 )
 from cp1graft.hyperbolic import apply_isometry, nearest_point_projection, PlaneH3, OrientedCircle
-from cp1graft.surface import FNCoordinates, GroupWord, axis, fuchsian_from_fn, word_products
+from cp1graft.surface import (
+    FNCoordinates,
+    GroupWord,
+    axis,
+    first_rows,
+    fuchsian_from_fn,
+    key_ranks,
+    word_products,
+)
 import cp1graft.grafting as grafting
 from cp1graft.cli import EXIT_NUMERIC, main
 from cp1graft.grafting import (
@@ -45,6 +53,7 @@ from cp1graft.grafting import (
     hyperbolic_distance_uhp,
     leaf_intervals,
     lift_crossings,
+    perturbation_offset,
     pleated_surface,
     segment_focus,
     uhp_geodesic_point,
@@ -359,9 +368,11 @@ def test_element_key_folds_signed_zero():
 
 
 def _columns(table):
-    """Every column of a LeafTable, by name, as dtype, shape and bytes."""
+    """Every column of a LeafTable, by name, as dtype, shape and bytes, with
+    the real endpoints a word tree hands over from its leaf keys."""
     columns = {"ends": table.ends, "weight": table.weight, "curve": table.curve,
-               "conjugator": table.conjugator, "parent": table._parent, "letter": table._letter}
+               "conjugator": table.conjugator, "parent": table._parent, "letter": table._letter,
+               "real_ends": table.real_ends}
     return {name: (c.dtype.str, c.shape, c.tobytes()) for name, c in columns.items()}
 
 
@@ -384,9 +395,9 @@ def _assert_replays_equal_reference(hol, mc, queries, seed):
         assert _differing(enumerate_leaf_lifts(hol, mc, *q), ref) == [], i
 
 
-def _develop_round_queries(seed, tmp_path, monkeypatch):
-    """Every leaf query of the benchmark's develop round (set-up included),
-    as ((hol, mc, depth, focus, margin), tree, table) in call order."""
+def _round_queries(workload, seed, tmp_path, monkeypatch):
+    """Every leaf query of a benchmark round (set-up included), as
+    ((hol, mc, depth, focus, margin), tree, table) in call order."""
     calls = []
     enumerate_ = grafting.enumerate_leaf_lifts
 
@@ -396,7 +407,7 @@ def _develop_round_queries(seed, tmp_path, monkeypatch):
         return table
 
     monkeypatch.setattr(grafting, "enumerate_leaf_lifts", recording)
-    for op in bench_workloads().develop(seed, str(tmp_path)):
+    for op in getattr(bench_workloads(), workload)(seed, str(tmp_path)):
         op.run()
     monkeypatch.undo()
     return calls
@@ -404,7 +415,7 @@ def _develop_round_queries(seed, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("seed", [1, 7, 100])
 def test_develop_round_leaf_tables_equal_fresh_bfs(seed, tmp_path, monkeypatch):
-    calls = _develop_round_queries(seed, tmp_path, monkeypatch)
+    calls = _round_queries("develop", seed, tmp_path, monkeypatch)
     for i, (args, _, table) in enumerate(calls):
         assert _differing(table, _columns(reference_leaf_lifts(*args))) == [], i
     # Three structures: in set-up each takes its base leaves on its own
@@ -421,6 +432,86 @@ def test_develop_round_leaf_tables_equal_fresh_bfs(seed, tmp_path, monkeypatch):
     for queries in by_structure.values():
         hol, mc = queries[0][:2]
         _assert_replays_equal_reference(hol, mc, [args[2:] for args in queries], seed)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_holonomy_round_leaf_tables_equal_fresh_bfs(seed, tmp_path, monkeypatch):
+    # Each build takes its base leaves on a fresh tree, where the leaf-key
+    # ranks are built from nothing, and checks its multicurve with margin 8
+    # on a copy of that tree, which shares the tree's leaf keys and ranks.
+    calls = _round_queries("holonomy", seed, tmp_path, monkeypatch)
+    for i, (args, _, table) in enumerate(calls):
+        assert _differing(table, _columns(reference_leaf_lifts(*args))) == [], i
+    assert len(calls) == 26 and len({id(tree) for _, tree, _ in calls}) == 26
+    assert [args[4] for args, _, _ in calls] == [4.0, 8.0] * 13
+    builds = [(len(args[1].entries), args[2]) for args, _, _ in calls[::2]]
+    assert {n for n, _ in builds} == {1, 2, 3} and {d for _, d in builds} == {4, 5, 6}
+    assert [args[2] for args, _, _ in calls[1::2]] == [min(d, 4) for _, d in builds]
+
+
+def _rank_dedup(ranks):
+    """The leaf query's dedup: first index of each rank, ranks ascending."""
+    return np.unique(ranks, return_index=True)[1]
+
+
+def test_rank_dedup_gives_first_rows_on_duplicate_keys():
+    rng = np.random.default_rng(31)
+    keys = rng.integers(0, 2, (400, 7)).astype(float)  # at most 128 distinct rows
+    ranks = key_ranks(keys)
+    assert ranks.dtype == np.int32 and len(np.unique(ranks)) <= 128
+    assert np.array_equal(_rank_dedup(ranks), first_rows(keys))
+    for size in (0, 1, 50, 399):
+        subset = rng.permutation(len(keys))[:size]
+        assert np.array_equal(_rank_dedup(ranks[subset]), first_rows(keys[subset])), size
+
+
+def test_rank_dedup_joins_keys_apart_only_by_a_signed_zero():
+    keys = np.array([[0.0, -0.0, 1.0], [0.0, 0.0, 1.0], [-0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    assert len({row.tobytes() for row in keys}) == 4
+    ranks = key_ranks(keys)
+    assert ranks.tolist() == [1, 1, 1, 0]
+    assert _rank_dedup(ranks).tolist() == first_rows(keys).tolist() == [3, 0]
+    assert _rank_dedup(ranks[1:]).tolist() == first_rows(keys[1:]).tolist() == [2, 0]
+
+
+def _assert_ranks_consistent(tree):
+    """The tree's leaf-key ranks are ``key_ranks`` of its own leaf keys,
+    one per key row, and every key row belongs to one of its words."""
+    assert tree.rank.shape == tree.ok.shape == tree.keys.shape[:2] == tree.real.shape[:2]
+    assert tree.rank.tobytes() == key_ranks(tree.keys.reshape(-1, 7)).tobytes()
+    leaf = tree.nodes["leaf"]
+    assert np.array_equal(np.sort(leaf[leaf >= 0]), np.arange(len(tree.rank)))
+
+
+def test_multicurve_with_no_curve_gives_empty_tables(holonomy):
+    none = WeightedMulticurve(())
+    x0 = holonomy.basepoint
+    tree = WordTree(holonomy, none)
+    for query in ((4, [x0], 8.0), (3, segment_focus([x0, 0.5 + 2.0j]), 4.0)):
+        table = tree.leaf_table(*query)
+        assert len(table) == 0 and len(table._parent) > 1
+        _assert_ranks_consistent(tree)
+        assert _differing(table, _columns(reference_leaf_lifts(holonomy, none, *query))) == []
+    assert len(key_ranks(np.empty((0, 7)))) == 0 and len(_rank_dedup(np.empty(0, np.int32))) == 0
+
+
+def test_ranks_follow_their_tree_through_clear_and_copy(holonomy, monkeypatch):
+    clears = []
+    clear = WordTree.clear
+    monkeypatch.setattr(WordTree, "clear", lambda tree: (clears.append(getattr(tree, "size", 0)), clear(tree)))
+    monkeypatch.setattr(grafting, "MAX_TREE_NODES", 400)
+    x0 = holonomy.basepoint
+    tree = WordTree(holonomy, CUFF_MULTICURVE)
+    for z in (0.5 + 2.0j, -1.0 + 0.5j, 2.0 + 0.2j, 0.5 + 2.0j):
+        query = (5, segment_focus([x0, z]), 4.0)
+        want = _columns(reference_leaf_lifts(holonomy, CUFF_MULTICURVE, *query))
+        twin, rank = tree.copy(), tree.rank
+        assert _differing(twin.leaf_table(*query), want) == []
+        _assert_ranks_consistent(twin)
+        assert tree.rank is rank
+        assert _differing(tree.leaf_table(*query), want) == []
+        _assert_ranks_consistent(tree)
+    assert sum(size > 400 for size in clears) >= 2  # the tree and a twin were emptied
 
 
 @pytest.mark.parametrize("curves", ["a", "cuffs"])
@@ -460,7 +551,8 @@ def test_tree_copy_grows_apart(holonomy):
     tree.leaf_table(*narrow)
 
     def state(t):
-        return t.size, t.nodes.tobytes(), t.ok.tobytes(), t.keys.tobytes(), dict(t.classes)
+        return (t.size, t.nodes.tobytes(), t.ok.tobytes(), t.keys.tobytes(), t.rank.tobytes(),
+                t.real.tobytes(), dict(t.classes))
 
     grown = state(tree)
     twin = tree.copy()
@@ -586,6 +678,45 @@ def test_endpoint_on_leaf_perturbation(holonomy):
     clear = complex(math.sinh(10 * TOL_GEO), 1.0)
     assert distance_to_leaf(clear, leaf) == pytest.approx(10 * TOL_GEO, rel=1e-6)
     assert gs.crossings([clear, 0.5 + 1j]) == []
+
+
+# The offsets PerturbInputError suggests for the points i and 2i of the
+# cuff-1 axis, as recorded before the guard shared the side values.
+ON_AXIS_OFFSETS = {
+    1j: complex(7.548776662466928e-05, 6.557406991558601e-05),
+    2j: complex(0.00015097553324933856, 0.00013114813983117202),
+}
+
+
+@pytest.mark.parametrize("path, message, on_leaf", [
+    ([0.5 + 1j, 1j], "segment endpoint", 1j),
+    ([1j, 2j], "segment startpoint", 1j),
+    ([2j, 1j], "segment startpoint", 2j),
+])
+def test_endpoint_guard_on_shared_side_values(holonomy, path, message, on_leaf):
+    # An endpoint on the leaf at the end of a segment; both endpoints on it,
+    # where the start raises first.  The offset is the start's or the end's
+    # own, as perturbation_offset finds it.
+    gs = GraftedStructure(holonomy, WeightedMulticurve(((GroupWord((1,)), 1.0),)), depth=3)
+    with pytest.raises(PerturbInputError) as err:
+        gs.crossings(path)
+    assert str(err.value) == f"{message} lies on a lifted leaf"
+    assert err.value.suggested_offset == ON_AXIS_OFFSETS[on_leaf]
+    leaves = gs.leaves_near(segment_focus(path))
+    assert perturbation_offset(on_leaf, leaves) == ON_AXIS_OFFSETS[on_leaf]
+    with pytest.raises(PerturbInputError) as direct:
+        lift_crossings(*path, leaves=leaves)
+    assert (str(direct.value), direct.value.suggested_offset) == (
+        str(err.value), err.value.suggested_offset)
+
+
+def test_distances_take_the_side_values_they_are_given(holonomy):
+    table = enumerate_leaf_lifts(holonomy, CUFF_MULTICURVE, 4, focus=[holonomy.basepoint])
+    for z in (0.3 + 1.2j, -2.0 + 0.01j, 5.0 + 40.0j):
+        got = table.distances(z, table.sides(z))
+        assert got.tobytes() == table.distances(z).tobytes()
+        for i in (0, len(table) // 2, len(table) - 1):
+            assert got[i] == pytest.approx(distance_to_leaf(z, table[i].geodesic), rel=1e-9)
 
 
 def test_endpoint_on_leaf_far_from_basepoint(holonomy):

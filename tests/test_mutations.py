@@ -22,7 +22,7 @@ from cp1graft.surface import GroupWord
 from cp1graft.thurston import RoundDisk, verify_covering
 from conftest import REPO, cocircular_rows, domain_round_sets, limit_domain
 from oracles import lockstep_med_mismatches
-from test_acceptance import criterion_1, criterion_4, two_pi_structures
+from test_acceptance import criterion_1, criterion_4, criterion_5, two_pi_structures
 from test_hyperbolic import dome_golden_mismatches
 
 TETRA = {
@@ -314,6 +314,59 @@ def test_criterion_4_catches_a_reversed_face_circle(monkeypatch):
     monkeypatch.setattr(hyperbolic, "side_signs", first_reversed)
     passed, detail = criterion_4()
     assert not passed, detail
+
+
+def _planted_crossings(monkeypatch, defect):
+    """``lift_crossings`` with ``defect`` applied to each crossing of a
+    translated leaf (one whose conjugator is not empty); a defect returns
+    the crossing to keep, or None to drop it."""
+    crossings = grafting.lift_crossings
+
+    def planted(p, q, *, leaves):
+        out = [defect(c) if c.leaf.conjugator.letters else c for c in crossings(p, q, leaves=leaves)]
+        return [c for c in out if c is not None]
+
+    monkeypatch.setattr(grafting, "lift_crossings", planted)
+
+
+def _flipped(crossing):
+    return dataclasses.replace(crossing, sign=-crossing.sign)
+
+
+# (defect on a translated leaf's crossing) for criterion 5.  The bending
+# cocycle then differs between a segment and its translates, so rho' and
+# the pleated surface stop being equivariant.
+CRITERION_5_MUTATIONS = {
+    "dropped-crossing": lambda crossing: None,
+    "flipped-sign": _flipped,
+}
+
+
+@pytest.mark.parametrize("row", sorted(CRITERION_5_MUTATIONS))
+def test_criterion_5_catches_planted_crossing_defect(row, monkeypatch):
+    assert criterion_5()[0]
+    _planted_crossings(monkeypatch, CRITERION_5_MUTATIONS[row])
+    passed, detail = criterion_5()
+    assert not passed, detail
+
+
+def test_criterion_5_known_survivor_every_sign_flipped(holonomy, monkeypatch):
+    """KNOWN SURVIVOR: every crossing sign flipped.  That is bending by
+    minus each weight, whose rho' is the complex conjugate of the right
+    one: a structure too, so the projection relation and equivariance both
+    hold.  Catching it needs a check that reads the bending direction, not
+    only the relations a cocycle satisfies."""
+    bent = WeightedMulticurve(((GroupWord((1,)), math.pi / 2.0),))
+    clean = GraftedStructure(holonomy, bent, depth=6).rho_prime
+    crossings = grafting.lift_crossings
+    monkeypatch.setattr(grafting, "lift_crossings", lambda p, q, *, leaves: [
+        _flipped(c) for c in crossings(p, q, leaves=leaves)])
+    planted = GraftedStructure(holonomy, bent, depth=6).rho_prime
+    assert max(p.proj_distance(c) for p, c in zip(planted.generators, clean.generators)) > 1.0
+    for p, c in zip(planted.generators, clean.generators):
+        assert p.proj_distance(MoebiusMap(np.conj(c.matrix))) == 0.0
+    passed, detail = criterion_5()
+    assert passed, detail
 
 
 def test_dome_golden_catches_reversal_without_normalization(monkeypatch):
