@@ -36,6 +36,8 @@ from .moebius import (
     classify,
     cp1,
     normalize_stack,
+    sphere_approx,
+    sphere_keys,
     sphere_xyz,
     stack_times,
 )
@@ -325,6 +327,11 @@ class LeafTable(Sequence):
         return np.arcsinh(np.abs(sides) / (z.imag * self._width))
 
 
+# Relative band, of cosh(radius), about the BFS radius test's cut in which
+# a candidate's distances are taken by arccosh: far wider than their
+# rounding, so the screen keeps and drops exactly what arccosh does.
+RADIUS_BAND = 1e-9
+
 # Group elements one leaf query may keep before it gives up.
 MAX_LEAF_ELEMENTS = 500_000
 # Nodes a WordTree may hold (about 10 MB): past this many, it is emptied
@@ -354,7 +361,9 @@ class WordTree:
     endpoints.  Each of these depends only on the word, so ``leaf_table``
     gives the table of a fresh BFS whatever queries ran before: the same
     tests in the same order, with children expanded only for kept words
-    that have none.
+    that have none.  The keys are ``sphere_keys``: equal under ``==`` to
+    the rounded ``sphere_xyz`` of the endpoints, though a zero's sign may
+    differ from it, so the tree's key bytes are not the reference's.
 
     Beside the keys the tree keeps ``rank``: each key row's rank among the
     tree's distinct keys in lexicographic order (``key_ranks``, int32),
@@ -474,7 +483,13 @@ class WordTree:
         if self.size > MAX_TREE_NODES:
             self.clear()
         radius = self.reach + margin
-        targets = np.array([self.x0] + list(focus), dtype=complex)[:, None]
+        # Each focus point once: the minimum over targets is the same.
+        targets = np.array(list(dict.fromkeys([self.x0, *focus])), dtype=complex)[:, None]
+        try:
+            cut = math.cosh(radius)
+            ratio_cut, band = cut - 1.0, RADIUS_BAND * cut
+        except OverflowError:  # every candidate takes the exact test
+            ratio_cut, band = 0.0, math.inf
         seen = {0}
         frontier = np.array([0])
         kept, parents = [frontier], [np.array([-1])]
@@ -484,10 +499,19 @@ class WordTree:
             cand = (self._expand(frontier)[:, None] + np.arange(width)).ravel()
 
             # Distances in (targets, candidates) layout: each candidate's
-            # nearest target is a reduction down its column.
+            # nearest target is a reduction down its column.  A candidate
+            # is kept when its least ratio (cosh of the distance, minus 1)
+            # is clearly below cosh(radius) - 1; within the band, and for
+            # nan, the distances decide as arccosh of 1 + each ratio.
             z = self.nodes["orbit"][cand]
-            x = 1.0 + np.abs(z - targets) ** 2 / (2.0 * z.imag * targets.imag)
-            alive = np.nonzero(np.arccosh(np.maximum(x, 1.0)).min(axis=0) <= radius)[0]
+            ratio = np.abs(z - targets) ** 2 / (2.0 * z.imag * targets.imag)
+            least = ratio.min(axis=0)
+            near = least < ratio_cut - band
+            exact = np.nonzero(~(near | (least > ratio_cut + band)))[0]
+            if len(exact):
+                x = 1.0 + ratio[:, exact]
+                near[exact] = np.arccosh(np.maximum(x, 1.0)).min(axis=0) <= radius
+            alive = np.nonzero(near)[0]
             # The first node of each class this query has not kept yet.
             new = []
             for i, c in enumerate(self._classes(cand[alive]).tolist()):
@@ -522,22 +546,36 @@ class WordTree:
         )
 
 
+# Chords this close to TOL_GEO are taken from sphere_xyz in ``_leaf_keys``;
+# sphere_approx's chords are within a few 1e-16 of them.
+CHORD_BAND = 1e-13
+
+
 def _leaf_keys(ends: np.ndarray, curve: np.ndarray) -> tuple[np.ndarray, ...]:
     """For (N, 2, 2) candidate lifts of the given curves: which are
     resolved, each one's ``LiftedLeaf.key`` as a row (curve index, then the
     two rounded endpoint sphere triples, smaller first), and the endpoints'
-    ``_real_ends``."""
+    ``_real_ends``.  The endpoints' sphere coordinates come from
+    ``sphere_approx``, and the keys from ``sphere_keys``: they equal the
+    rows' ``LiftedLeaf.key`` under ``==`` and ``<`` (only the sign of a
+    zero may differ).  A chord within CHORD_BAND of TOL_GEO is taken from
+    ``sphere_xyz``, so the chord test decides as on the rows' own
+    coordinates."""
     # Drop the lifts whose endpoints contracted below resolution (closer
     # than TOL_GEO, both at infinity, or a circle OrientedCircle rejects):
     # they lie too deep in a funnel to cross anything near the focus.
-    sphere = sphere_xyz(ends)
+    sphere = sphere_approx(ends)
     chord = chordal_rows(sphere[:, 0], sphere[:, 1])
+    near = np.nonzero(~(np.abs(chord - TOL_GEO) > CHORD_BAND))[0]
+    if len(near):
+        exact = sphere_xyz(ends[near])
+        chord[near] = chordal_rows(exact[:, 0], exact[:, 1])
     xr = _real_ends(ends)
     at_inf = np.isnan(xr)
     c, r = (xr[:, 0] + xr[:, 1]) / 2.0, np.abs(xr[:, 1] - xr[:, 0]) / 2.0
     bad_circle = (r < TOL_GEO) | ((c * c - r * r) - c * c >= -1e-300)
     ok = (chord >= TOL_GEO) & ~at_inf.all(axis=1) & (at_inf.any(axis=1) | ~bad_circle)
-    rounded = np.round(sphere, 9)
+    rounded = sphere_keys(ends, 9, sphere)
     a, b = rounded[:, 0], rounded[:, 1]
     swap = _lex_less(b, a)[:, None]
     return ok, np.column_stack([curve, np.where(swap, b, a), np.where(swap, a, b)]), xr
@@ -573,9 +611,14 @@ def enumerate_leaf_lifts(
     sphere coordinates) and the keys are unique; each row's conjugator is
     the first element, in BFS order, whose image of the axis has that key,
     found from the tree's key ranks as ``first_rows`` finds it from the
-    keys.  The keys come from ``sphere_xyz``, so each is its row's
-    ``LiftedLeaf.key`` bit for bit, and the chord test drops exactly the
-    lifts whose endpoints GeodesicH3 rejects as closer than TOL_GEO.
+    keys.  The keys come from ``sphere_keys``, so each equals its row's
+    ``LiftedLeaf.key`` under ``==`` and ``<`` (only the sign of a zero may
+    differ, which no comparison sees), and the chord test drops exactly the
+    lifts whose endpoints GeodesicH3 rejects as closer than TOL_GEO.  The
+    radius test screens each candidate's least distance ratio against
+    cosh(radius) - 1 and takes arccosh only within RADIUS_BAND of it, so
+    it keeps and drops what arccosh of every distance does.  Every column
+    is the one the per-element reference gives, bit for bit.
     """
     if tree is None:
         tree = WordTree(hol, mc)

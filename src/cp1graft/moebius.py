@@ -202,6 +202,61 @@ def sphere_xyz(pairs) -> np.ndarray:
     return np.stack([wr / den, wi / den, (s0 - s1) / den], axis=-1)
 
 
+# The one exception to this section's rule: ``sphere_approx`` is within a
+# few ulps of sphere_xyz, and ``sphere_keys`` rounds it to keys equal to
+# sphere_xyz's under ==.
+# Squared norms of rows that ``sphere_approx`` takes by plain products:
+# within these bounds no square or product overflows, and what underflows
+# is far below the last bit of the result.
+_APPROX_NORMS = (1e-290, 1e290)
+# Half-width, in units of the last kept decimal, of the band about each
+# rounding boundary in which ``sphere_keys`` takes sphere_xyz's own steps.
+# The products and sphere_xyz's steps differ by a few 1e-16 in each
+# coordinate, under 1e-6 of a unit at 9 decimals.
+KEY_BAND = 1e-5
+
+
+def sphere_approx(pairs) -> np.ndarray:
+    """``sphere_xyz`` of every row of an (..., 2) stack to within a few
+    ulps, by plain products of the unnormalized parts:
+    (2 Re z0 conj(z1), 2 Im z0 conj(z1), |z0|^2 - |z1|^2) / (|z0|^2 + |z1|^2).
+    A row whose squared norm lies outside ``_APPROX_NORMS`` (every row
+    PointCP1 rejects among them) gets sphere_xyz's own value, so the first
+    such row PointCP1 rejects raises its error."""
+    pairs = np.asarray(pairs, dtype=complex)
+    r0, i0, r1, i1 = pairs[..., 0].real, pairs[..., 0].imag, pairs[..., 1].real, pairs[..., 1].imag
+    with np.errstate(all="ignore"):
+        s0, s1 = r0 * r0 + i0 * i0, r1 * r1 + i1 * i1
+        den = s0 + s1
+        out = np.stack([(r0 * r1 + i0 * i1) * 2.0 / den, (i0 * r1 - r0 * i1) * 2.0 / den,
+                        (s0 - s1) / den], axis=-1)
+    off = ~((den > _APPROX_NORMS[0]) & (den < _APPROX_NORMS[1]))
+    if off.any():
+        out[off] = sphere_xyz(pairs[off])
+    return out
+
+
+def sphere_keys(pairs, decimals: int, approx: np.ndarray | None = None) -> np.ndarray:
+    """Values equal under ``==`` to ``np.round(sphere_xyz(pairs), decimals)``
+    for an (..., 2) stack; only the sign of a zero may differ.  They are the
+    rounded ``sphere_approx`` (``approx`` when given, which must be it),
+    except on rows with a coordinate within KEY_BAND units of the last
+    decimal of a rounding boundary: those take sphere_xyz.  Elsewhere the
+    two differ by far less than the band, so no boundary lies between them
+    and both round alike."""
+    if approx is None:
+        approx = sphere_approx(pairs)
+    # np.round's own steps: the product by 10^decimals, rint, the quotient.
+    scale = 10.0 ** decimals
+    scaled = approx * scale
+    whole = np.rint(scaled)
+    near = (np.abs(scaled - whole) > 0.5 - KEY_BAND).any(axis=-1)
+    keys = np.divide(whole, scale, out=whole)
+    if near.any():
+        keys[near] = np.round(sphere_xyz(np.asarray(pairs)[near]), decimals)
+    return keys
+
+
 def chordal_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Chordal distances between sphere coordinates a and b, broadcast over
     the leading axes: the one expression of ``chordal_distance``."""

@@ -34,7 +34,7 @@ from .moebius import (
     MoebiusMap,
     PointCP1,
     classify,
-    sphere_xyz,
+    sphere_keys,
     stack_times,
 )
 from .hyperbolic import GeodesicH3, translation_along_geodesic
@@ -374,7 +374,10 @@ def _attracting_points(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def limit_set_sample(hol, depth: int) -> np.ndarray:
     """Attracting fixed points of all hyperbolic/loxodromic images of words
     of length <= depth, deduplicated on the sphere (first occurrence kept);
-    deterministic order.  Returned as an (N, 2) array of homogeneous pairs."""
+    deterministic order.  Returned as an (N, 2) array of homogeneous pairs.
+    The dedup keys are ``sphere_keys``, equal under ``==`` to the rounded
+    ``PointCP1.sphere_coords`` of each point (only a zero's sign may
+    differ), so the rows are those of the per-point dedup, bit for bit."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     gens = {l: hol.generator(l).matrix for l in LETTER_ORDER}
@@ -388,7 +391,7 @@ def limit_set_sample(hol, depth: int) -> np.ndarray:
 
     pairs = np.concatenate(pairs)
     decimals = max(1, int(-math.log10(TOL_GEO)))
-    keys = np.round(sphere_xyz(pairs), decimals)
+    keys = sphere_keys(pairs, decimals)
     return pairs[np.sort(first_rows(keys))]
 
 

@@ -213,9 +213,38 @@ def test_criterion_4_measure_vs_dome():
     _report(4, "transverse measure vs dome dihedrals", *criterion_4())
 
 
+def _left_of(p, q, x):
+    """Whether the real point x (None for infinity) lies left of the
+    geodesic through p and q, oriented from p to q.  Oriented from e- to
+    e+, a half circle has on its left its outside when e- < e+ and its
+    inside when e- > e+; an upward vertical line at c has x < c."""
+    if p.real == q.real:
+        if x is None:
+            return None
+        return x < p.real if q.imag > p.imag else x > p.real
+    c = (abs(q) ** 2 - abs(p) ** 2) / (2.0 * (q.real - p.real))
+    outside = x is None or abs(x - c) > abs(p - c)
+    # Heading right along the half circle, e- = c - r lies below e+ = c + r.
+    return outside if q.real > p.real else not outside
+
+
+def _sign_mismatches(gs, z):
+    """(crossings, mismatches) on [x0, z]: a crossing's sign must be +1
+    exactly when its leaf's repelling endpoint lies left of the segment."""
+    crossings = gs.crossings_to(z)
+    wrong = 0
+    for c in crossings:
+        rep = c.leaf.geodesic.p
+        left = _left_of(gs.basepoint, z, None if rep.is_infinity else rep.as_complex().real)
+        wrong += left is None or c.sign != (1 if left else -1)
+    return len(crossings), wrong
+
+
 def criterion_5():
     """Criterion 5 as (passed, detail): beta(kappa(p)) = Psi_p(f(p)) and
-    equivariance of the pleated surface on a pi/2 graft."""
+    equivariance of the pleated surface on a pi/2 graft, and the bending
+    direction: each crossing sign on the sampled segments [x0, z] against
+    the side of the segment its leaf starts on."""
     t0 = time.time()
     hol = fuchsian_from_fn(FN_INSTANCES[0])
     mc = WeightedMulticurve(((GroupWord((1,)), math.pi / 2.0),))
@@ -225,7 +254,7 @@ def criterion_5():
     rng = np.random.default_rng(1)
 
     worst_psi = 0.0
-    tested = 0
+    tested = signs = wrong = 0
     while tested < 100:
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.3, 2.5))
         if min(distance_to_leaf(z, lf.geodesic) for lf in gs.base_leaves) < 1e-4:
@@ -235,6 +264,8 @@ def criterion_5():
         psi = nearest_point_projection(plane, gs.develop(z))
         beta = apply_isometry(bmap, embed_h3(z))
         worst_psi = max(worst_psi, float(np.linalg.norm(psi.coords() - beta.coords())))
+        read, off = _sign_mismatches(gs, z)
+        signs, wrong = signs + read, wrong + off
         tested += 1
 
     worst_eq = 0.0
@@ -244,14 +275,19 @@ def criterion_5():
         if min(distance_to_leaf(z, lf.geodesic) for lf in gs.base_leaves) < 1e-5:
             continue
         w = words[k % len(words)]
+        for end in (z, hol.rho(w)(z)):
+            read, off = _sign_mismatches(gs, end)
+            signs, wrong = signs + read, wrong + off
         lhs = mesh.beta(hol.rho(w)(z))
         rhs = apply_isometry(rp.rho(w), mesh.beta(z))
         worst_eq = max(worst_eq, float(np.linalg.norm(lhs.coords() - rhs.coords())))
     elapsed = time.time() - t0
     return (
-        worst_psi < 1e-6 and worst_eq < 1e-7 and elapsed < 60.0,
+        worst_psi < 1e-6 and worst_eq < 1e-7 and wrong == 0 and elapsed < 60.0,
         f"{tested} stratum samples, projection gap {worst_psi:.3e} (tol 1e-6), "
-        f"equivariance residual {worst_eq:.3e} (tol 1e-7), {elapsed:.1f}s (budget 60s)",
+        f"equivariance residual {worst_eq:.3e} (tol 1e-7), "
+        f"{wrong} of {signs} crossing signs against the left-of rule (tol 0), "
+        f"{elapsed:.1f}s (budget 60s)",
     )
 
 

@@ -27,6 +27,7 @@ from cp1graft.surface import (
     word_products,
 )
 import cp1graft.grafting as grafting
+import cp1graft.moebius as moebius
 from cp1graft.cli import EXIT_NUMERIC, main
 from cp1graft.grafting import (
     GraftedStructure,
@@ -447,6 +448,61 @@ def test_holonomy_round_leaf_tables_equal_fresh_bfs(seed, tmp_path, monkeypatch)
     builds = [(len(args[1].entries), args[2]) for args, _, _ in calls[::2]]
     assert {n for n, _ in builds} == {1, 2, 3} and {d for _, d in builds} == {4, 5, 6}
     assert [args[2] for args, _, _ in calls[1::2]] == [min(d, 4) for _, d in builds]
+
+
+def test_holonomy_round_keys_rarely_take_sphere_xyz(tmp_path, monkeypatch):
+    """The leaf keys of a seed-7 holonomy round send at most one endpoint
+    row in 10^4 to sphere_xyz (one in about 40,000 here), so a silent fall
+    back to the per-element path shows."""
+    rows = {"all": 0, "exact": 0}
+    inside = []
+    exact_xyz, leaf_keys = moebius.sphere_xyz, grafting._leaf_keys
+
+    def counted_xyz(pairs):
+        if inside:
+            rows["exact"] += np.asarray(pairs).size // 2
+        return exact_xyz(pairs)
+
+    def counted_keys(ends, curve):
+        rows["all"] += ends.size // 2
+        inside.append(True)
+        try:
+            return leaf_keys(ends, curve)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(moebius, "sphere_xyz", counted_xyz)
+    monkeypatch.setattr(grafting, "sphere_xyz", counted_xyz)
+    monkeypatch.setattr(grafting, "_leaf_keys", counted_keys)
+    for op in bench_workloads().holonomy(7, str(tmp_path)):
+        op.run()
+    assert rows["all"] > 30_000 and rows["exact"] <= rows["all"] / 1e4, rows
+
+
+def radius_screen_mismatches(hol) -> list:
+    """Margins at which a leaf query differs from the reference's, among
+    margins that put the BFS radius exactly on a level-1 orbit point's
+    distance to the focus as arccosh gives it, one ulp either side, and
+    past where cosh(radius) overflows (every candidate then takes arccosh).
+    The focus repeats x0, which the query lists once."""
+    mc = WeightedMulticurve(((GroupWord((1,)), 1.0),))
+    tree = WordTree(hol, mc)
+    x0 = hol.basepoint
+    tree.leaf_table(1, [x0], 4.0)
+    z = tree.nodes["orbit"][1:9]
+    dist = np.arccosh(np.maximum(1.0 + np.abs(z - x0) ** 2 / (2.0 * z.imag * x0.imag), 1.0))
+    margins = [1000.0]
+    for d in np.sort(dist)[[0, 3, 7]].tolist():
+        for radius in (math.nextafter(d, -math.inf), d, math.nextafter(d, math.inf)):
+            margins.append(radius - tree.reach)
+            assert tree.reach + margins[-1] == radius
+    return [margin for margin in margins
+            if _differing(tree.leaf_table(2, [x0, x0], margin),
+                          _columns(reference_leaf_lifts(hol, mc, 2, [x0], margin)))]
+
+
+def test_radius_screen_decides_as_arccosh_on_the_radius(holonomy):
+    assert radius_screen_mismatches(holonomy) == []
 
 
 def _rank_dedup(ranks):

@@ -625,6 +625,94 @@ def test_check_rows_rejects_exactly_what_pointcp1_rejects(parts):
     assert _outcome(lambda: moebius._check_rows(rows)) == next(filter(None, want), None)
 
 
+# ---------------------------------------------------------------------------
+# sphere_keys: rounded sphere coordinates by plain products, screened
+
+
+def boundary_rows(rng, decimals, n=1000) -> np.ndarray:
+    """Pairs whose sphere coordinates lie within a few 1e-16 of a rounding
+    boundary (k + 1/2) 10^-decimals: x on the real line with
+    2x / (1 + x^2) at the boundary, i x for the second coordinate, and
+    points turned about the axis with (|z|^2 - 1) / (|z|^2 + 1) at it.  Each
+    pair is scaled by a random complex factor, so that its bits vary."""
+    t = (rng.integers(-10 ** decimals, 10 ** decimals, size=n) + 0.5) / 10.0 ** decimals
+    t = t[np.abs(t) < 1.0]
+    x = t / (1.0 + np.sqrt(1.0 - t * t))
+    turn = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=len(t)))
+    z = np.concatenate([x, 1j * x, np.sqrt((1.0 + t) / (1.0 - t)) * turn])
+    scale = (rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))) * 10.0 ** rng.uniform(-3, 3, len(z))
+    return np.column_stack([z * scale, scale])
+
+
+def key_mismatches(decimals) -> tuple:
+    """(rows, rows whose sphere_approx rounds apart from sphere_xyz, rows
+    whose sphere_keys does) on ``boundary_rows``."""
+    rows = boundary_rows(np.random.default_rng(decimals), decimals)
+    want = np.round(moebius.sphere_xyz(rows), decimals)
+    apart = (np.round(moebius.sphere_approx(rows), decimals) != want).any(axis=1)
+    wrong = (moebius.sphere_keys(rows, decimals) != want).any(axis=1)
+    return len(rows), int(apart.sum()), int(wrong.sum())
+
+
+def _assert_keys(rows, decimals):
+    """sphere_keys of rows equals np.round(sphere_xyz(rows)) under == and
+    in every bit but the sign of a zero."""
+    want = np.round(moebius.sphere_xyz(rows), decimals)
+    got = moebius.sphere_keys(rows, decimals)
+    assert got.shape == want.shape and (got == want).all()
+    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("decimals", [7, 9])
+def test_sphere_keys_equal_rounded_sphere_xyz(decimals):
+    rng = np.random.default_rng(47)
+    gauss = rng.normal(size=(20000, 2)) + 1j * rng.normal(size=(20000, 2))
+    for rows in (gauss, gauss * 10.0 ** rng.uniform(-120, 120, size=(20000, 1)),
+                 _adversarial_rows(rng), boundary_rows(rng, decimals)):
+        _assert_keys(rows, decimals)
+        _assert_keys(rows[: len(rows) // 2 * 2].reshape(-1, 2, 2), decimals)
+    # The boundary rows need the screen: about a third of them round apart
+    # from sphere_xyz by the products alone.
+    n, apart, wrong = key_mismatches(decimals)
+    assert wrong == 0 and apart > n // 10
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e160, 1e-160])
+def test_sphere_keys_take_sphere_xyz_beyond_the_product_range(scale):
+    # Squares of these parts overflow, or underflow into subnormals that
+    # keep too few bits: such rows take sphere_xyz's own values.
+    rng = np.random.default_rng(48)
+    rows = (rng.normal(size=(500, 2)) + 1j * rng.normal(size=(500, 2))) * scale
+    rows[::3, 1] = 1.0
+    assert moebius.sphere_approx(rows).tobytes() == moebius.sphere_xyz(rows).tobytes()
+    for decimals in (7, 9):
+        _assert_keys(rows, decimals)
+
+
+@pytest.mark.parametrize("bad", [(0j, 0j), (complex(math.nan, 0.0), 1 + 0j), (1 + 0j, complex(0.0, math.inf)),
+                                 (complex(1e308, 1e308), complex(1e308, 1e308))])
+def test_sphere_keys_reject_what_pointcp1_rejects_at_the_same_row(bad):
+    rows = np.random.default_rng(49).normal(size=(6, 2)).astype(complex)
+    rows[4] = bad
+    want = _outcome(lambda: PointCP1(*bad))
+    assert want is not None and want[0] is DegenerateInputError
+    for k in range(len(rows) + 1):
+        for kernel in (moebius.sphere_xyz, lambda r: moebius.sphere_keys(r, 9), moebius.sphere_approx):
+            assert _outcome(lambda: kernel(rows[:k])) == (want if k > 4 else None)
+
+
+@given(st.lists(st.tuples(_PARTS, _PARTS, _PARTS, _PARTS), min_size=1, max_size=6),
+       st.sampled_from([7, 9]))
+@settings(max_examples=300, deadline=None)
+@example([(1e200, 0.0, 1.0, 0.0), (0.0, -0.0, 1e-200, 0.0)], 9)
+def test_sphere_keys_match_rounded_sphere_xyz_or_raise_alike(parts, decimals):
+    rows = np.array([(complex(a, b), complex(c, d)) for a, b, c, d in parts])
+    failed = _outcome(lambda: moebius.sphere_xyz(rows))
+    assert _outcome(lambda: moebius.sphere_keys(rows, decimals)) == failed
+    if failed is None:
+        _assert_keys(rows, decimals)
+
+
 def _adversarial_matrices(rng) -> np.ndarray:
     """2x2 complex matrices, random and made of ``_adversarial_rows``."""
     rows = _adversarial_rows(rng)

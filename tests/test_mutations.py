@@ -7,6 +7,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from cp1graft.thurston import RoundDisk, verify_covering
 from conftest import REPO, cocircular_rows, domain_round_sets, limit_domain
 from oracles import lockstep_med_mismatches
 from test_acceptance import criterion_1, criterion_4, criterion_5, two_pi_structures
+from test_grafting import radius_screen_mismatches
 from test_hyperbolic import dome_golden_mismatches
+from test_moebius import key_mismatches
 
 TETRA = {
     "surface": {"genus": 2, "lengths": [2.0, 2.0, 2.0]},
@@ -350,12 +353,12 @@ def test_criterion_5_catches_planted_crossing_defect(row, monkeypatch):
     assert not passed, detail
 
 
-def test_criterion_5_known_survivor_every_sign_flipped(holonomy, monkeypatch):
-    """KNOWN SURVIVOR: every crossing sign flipped.  That is bending by
-    minus each weight, whose rho' is the complex conjugate of the right
-    one: a structure too, so the projection relation and equivariance both
-    hold.  Catching it needs a check that reads the bending direction, not
-    only the relations a cocycle satisfies."""
+def test_criterion_5_catches_every_sign_flipped(holonomy, monkeypatch):
+    """Every crossing sign flipped.  That is bending by minus each weight,
+    whose rho' is the complex conjugate of the right one: a structure too,
+    so the projection relation and equivariance both hold.  The crossing
+    signs read against the side of the segment each leaf starts on catch
+    it."""
     bent = WeightedMulticurve(((GroupWord((1,)), math.pi / 2.0),))
     clean = GraftedStructure(holonomy, bent, depth=6).rho_prime
     crossings = grafting.lift_crossings
@@ -366,7 +369,11 @@ def test_criterion_5_known_survivor_every_sign_flipped(holonomy, monkeypatch):
     for p, c in zip(planted.generators, clean.generators):
         assert p.proj_distance(MoebiusMap(np.conj(c.matrix))) == 0.0
     passed, detail = criterion_5()
-    assert passed, detail
+    assert not passed, detail
+    # Both relations still hold; every sign read is against the rule.
+    wrong, read = map(int, re.search(r"(\d+) of (\d+) crossing signs", detail).groups())
+    assert wrong == read > 0, detail
+
 
 
 def test_dome_golden_catches_reversal_without_normalization(monkeypatch):
@@ -376,3 +383,23 @@ def test_dome_golden_catches_reversal_without_normalization(monkeypatch):
     assert dome_golden_mismatches(sets) == []
     monkeypatch.setattr(hyperbolic, "circle_rows", lambda h: (h, {}))
     assert dome_golden_mismatches(sets)
+
+
+def test_sphere_keys_catch_a_zero_band(monkeypatch):
+    """The band about each rounding boundary forced to zero: sphere_keys
+    then rounds the plain products alone, and the boundary rows that round
+    apart from sphere_xyz show."""
+    assert key_mismatches(9)[2] == 0
+    monkeypatch.setattr(moebius, "KEY_BAND", 0.0)
+    for decimals in (7, 9):
+        _, apart, wrong = key_mismatches(decimals)
+        assert wrong == apart > 0
+
+
+def test_radius_screen_catches_a_zero_band(holonomy, monkeypatch):
+    """The leaf query's radius screen with no band: a candidate exactly at
+    the radius, whose ratio rounds above cosh(radius) - 1 while arccosh
+    puts it on the radius, is dropped instead of kept."""
+    assert radius_screen_mismatches(holonomy) == []
+    monkeypatch.setattr(grafting, "RADIUS_BAND", 0.0)
+    assert radius_screen_mismatches(holonomy) != []

@@ -265,14 +265,18 @@ def _hex_rows(rows):
 
 def test_limit_set_matches_per_point_reference(holonomy, symmetric_holonomy):
     """The sample's rows are the (z0, z1) of the reference's points, bit for
-    bit, at depths 3-5."""
-    for hol in (holonomy, symmetric_holonomy):
-        for depth in (3, 4, 5):
+    bit, at depths 3-5 of two Fuchsian holonomies (every point on the real
+    line, so every second sphere coordinate 0) and at depth 5 of rho' bent
+    along cuff a by 1.3, whose points leave the real line."""
+    bent = GraftedStructure(holonomy, WeightedMulticurve(((GroupWord((1,)), 1.3),)), depth=4)
+    for hol, depths in ((holonomy, (3, 4, 5)), (symmetric_holonomy, (3, 4, 5)), (bent.rho_prime, (5,))):
+        for depth in depths:
             got = limit_set_sample(hol, depth=depth)
             want = per_point_limit_set(hol, depth=depth)
             assert got.shape == (len(want), 2) and got.dtype == complex
             assert _hex_rows(got.tolist()) == _hex_rows((p.z0, p.z1) for p in want)
         assert len(got) > 1000
+    assert np.mean(np.abs(sphere_xyz(got)[:, 1]) > 1e-3) > 0.5
 
 
 # ---------------------------------------------------------------------------
