@@ -457,21 +457,6 @@ def apply_rows(mats: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return out
 
 
-def lerp_rows(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """CPython's ``a + (b - a) * s`` for complex arrays a, b and a float
-    array s, bit for bit, the signs of zero parts included: the product is
-    written out part by part, the float taken as CPython takes it in
-    complex arithmetic on this interpreter (``_FLOAT_AS_COMPLEX``)."""
-    dr, di = b.real - a.real, b.imag - a.imag
-    if _FLOAT_AS_COMPLEX:
-        pr, pi = dr * s - di * 0.0, dr * 0.0 + di * s
-    else:
-        pr, pi = dr * s, di * s
-    out = np.empty(pr.shape, dtype=complex)
-    out.real, out.imag = a.real + pr, a.imag + pi
-    return out
-
-
 def affine_rows(pairs: np.ndarray) -> tuple:
     """``as_complex`` of every row of an (..., 2) stack of pairs PointCP1
     accepts, bit for bit, and where a row is at infinity (its value is then

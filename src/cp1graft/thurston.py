@@ -41,7 +41,6 @@ from .moebius import (
     exterior_rows,
     frobenius_rows,
     inversive_product,
-    lerp_rows,
     minimal_enclosing_disks,
     moebius_rows,
     row_faults,
@@ -631,8 +630,7 @@ class _Polyline:
     def at(self, target: float) -> complex:
         """The point at arclength target, on the first segment that reaches
         it; the last segment takes every target past the end, and the
-        parameter is cut to [0, 1].  ``_probe_points`` is the rule paths
-        are probed by."""
+        parameter is cut to [0, 1]."""
         last = len(self.lengths) - 1
         for k, length in enumerate(self.lengths):
             if target <= self.starts[k + 1] or k == last:
@@ -640,36 +638,6 @@ class _Polyline:
                 a, b = self.pts[k], self.pts[k + 1]
                 return a + (b - a) * min(max(s, 0.0), 1.0)
         return self.pts[-1]
-
-    def probe_targets(self) -> list:
-        """The arclengths a candidate path is probed at: PATH_PROBES
-        intervals, evenly."""
-        return [self.total * k / PATH_PROBES for k in range(PATH_PROBES + 1)]
-
-    def vertices_between(self, t_a: float, t_b: float) -> list:
-        """The vertices at arclength strictly between t_a and t_b."""
-        return [z for z, acc in zip(self.pts[1:], self.starts[1:]) if t_a < acc < t_b]
-
-
-def _probe_points(lines: list, targets: np.ndarray) -> np.ndarray:
-    """The points of each polyline at the arclengths of its row of
-    ``targets``, by the probe rule: on the first segment that reaches the
-    target, with the parameter not cut (at the end it may pass 1 by a few
-    ulps), and the last vertex for a target past the end.  The polylines
-    are padded to one width (a padded segment reaches nothing); each point
-    is ``a + (b - a) * s`` as CPython takes it (``lerp_rows``)."""
-    width = max(len(line.pts) for line in lines)
-    pts = np.array([line.pts + line.pts[-1:] * (width - len(line.pts)) for line in lines])
-    pad = [[-math.inf] * (width - len(line.pts)) for line in lines]
-    starts = np.array([line.starts + p for line, p in zip(lines, pad)])
-    lengths = np.array([line.lengths + [0.0] * len(p) for line, p in zip(lines, pad)])
-    reach = targets[:, :, None] <= starts[:, None, 1:]
-    k = reach.argmax(axis=2)  # the first segment that reaches the target
-    rows = np.arange(len(lines))[:, None]
-    length = lengths[rows, k]
-    s = np.where(length > 0, (targets - starts[rows, k]) / np.where(length > 0, length, 1.0), 0.0)
-    out = lerp_rows(pts[rows, k], pts[rows, k + 1], s)
-    return np.where(reach.any(axis=2), out, pts[:, -1:])
 
 
 @dataclass(frozen=True)
@@ -687,35 +655,39 @@ def transverse_measure(
     disks at consecutive subdivision points, refined dyadically until the
     increments fall below tol_measure.  Consecutive disks must intersect;
     refinement is the remedy, and failure at MEASURE_MAX_LEVELS raises.
-    The one-path case of ``_measure_paths``."""
-    (res,) = _measure_paths(dom, [path], tol_measure)
-    if isinstance(res, Exception):
-        raise res
-    return res
+    The one-path case of ``_measure_paths``, on the polyline through the
+    path's points."""
+    line = _Polyline(path)
+    if len(line.pts) < 2:
+        raise DegenerateInputError("path needs at least 2 vertices")
+    (run,) = _measure_paths(dom, [line], tol_measure)
+    if isinstance(run.result, Exception):
+        raise run.result
+    return run.result
 
 
 class _Refinement:
     """One path's refinement: its disks, keyed by their point's index on the
-    finest grid, and its trace.  ``result`` stays None while it refines,
-    then holds what ``transverse_measure`` returns or raises on the path."""
+    finest grid, and its trace.  The path is any object with ``at(s)``, its
+    point at parameter s in [0, ``total``].  ``result`` stays None while it
+    refines, then holds what ``transverse_measure`` returns or raises on
+    the path."""
 
     FINEST = MEASURE_SUBDIVISION << MEASURE_MAX_LEVELS
 
     def __init__(self, path, tol_measure: float):
-        self.line = _Polyline(path)
+        self.path = path
         self.tol = tol_measure
         self.disks, self.trace, self.prev, self.result = {}, [], None, None
-        if len(self.line.pts) < 2:
-            self.result = DegenerateInputError("path needs at least 2 vertices")
-        elif self.line.total <= 0:
+        if path.total <= 0:
             self.result = DegenerateInputError("path has zero length")
 
     def missing(self, level: int) -> list:
         """(key, point) of every point of the level's grid without a disk:
-        the point i / n of the path's arclength has key i * (FINEST // n)."""
+        the point i / n of the path's parameter range has key i * (FINEST // n)."""
         n = MEASURE_SUBDIVISION << level
-        step, total = self.FINEST // n, self.line.total
-        return [(i * step, self.line.at(i / n * total))
+        step, total = self.FINEST // n, self.path.total
+        return [(i * step, self.path.at(i / n * total))
                 for i in range(n + 1) if i * step not in self.disks]
 
     def _disk(self, key: int) -> MaximalDiskRecord:
@@ -763,10 +735,11 @@ class _Refinement:
 
 
 def _measure_paths(dom: DiskComplementDomain, paths, tol_measure: float) -> list:
-    """``transverse_measure`` of every path, refined in lockstep: for each
-    path, its MeasureResult or the exception it raises.  At each level the
-    grid points without a disk, on every path still refining, are one
-    ``maximal_disks`` batch; a path raises only an error its own sum reads."""
+    """``transverse_measure`` of every path, refined in lockstep: each
+    path's finished ``_Refinement``, whose ``result`` is its MeasureResult
+    or the exception it raises.  At each level the grid points without a
+    disk, on every path still refining, are one ``maximal_disks`` batch; a
+    path raises only an error its own sum reads."""
     runs = [_Refinement(path, tol_measure) for path in paths]
     for level in range(MEASURE_MAX_LEVELS + 1):
         active = [r for r in runs if r.result is None]
@@ -779,19 +752,11 @@ def _measure_paths(dom: DiskComplementDomain, paths, tol_measure: float) -> list
             r.sum_level(level)
     for r in runs:
         r.finish()
-    return [r.result for r in runs]
+    return runs
 
 
 # ---------------------------------------------------------------------------
 # Dome vs. transverse measure
-
-
-# Band around an edge's lune inside which a probe's label is left to its
-# maximal disk, from the ``_disk_labels`` batch.  It is at least 50 times
-# each threshold it guards: the contact band (a relative TOL_CONTACT is a
-# contact value of about -2e-6, see ``_contact_values``), the TOL_SAME_DISK
-# face-circle match and the TOL_GEO margin of ``contains``.
-STRATA_BAND = 1e-4
 
 
 def _face_frame(face) -> MoebiusMap:
@@ -824,323 +789,115 @@ def face_core_point(dom: DiskComplementDomain, face) -> PointCP1:
     raise DegenerateInputError("no core point found for dome face")
 
 
-def _contact_values(hz: np.ndarray, hp: np.ndarray, zs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """(z* H z)(p* H p) / |[p, z]|^2 for probes z (rows) and points p
-    (columns), each probe with its own form: hz at the probes, and hp at
-    the points, one row per probe.  The points are one (N, M, 2) stack, a
-    row per probe, or one (M, 2) stack for all.  The value is
-    Moebius invariant; with z at infinity it is |p - c|^2 / R^2 - 1 for
-    the center c and radius R of the circle, so the contact test of
-    ``maximal_disk_at`` on a point the disk misses reads value >= -2e-6."""
-    bracket = zs[:, 1, None] * ps[..., 0] - zs[:, 0, None] * ps[..., 1]
-    return hz[:, None] * hp / np.abs(bracket) ** 2
+# How far past each face disk's direction, away from the edge's lune, a
+# measure path starts and ends (radians, in the edge's frame): far enough
+# from the face's boundary line and from the lune to lie in the face's core.
+CORE_ANGLE = math.pi / 8
 
 
-def _disk_label(strata: _DomeStrata, e: int, rec) -> str:
-    """A probe's label from its maximal disk record, or the error found in
-    its place: in a face core of edge ``e``, in the edge's own two-contact
-    family, or somewhere else."""
-    if isinstance(rec, Exception):
-        return "other"
-    mesh, edge = strata.mesh, strata.mesh.edges[e]
-    for name, f in zip(("face1", "face2"), edge.face_ids):
-        if rec.disk.circle.proj_distance(mesh.faces[f].plane.boundary) < TOL_SAME_DISK:
-            return name
-    if len(rec.ideal_ids) == 2:
-        # The domain is built from the mesh vertices: row i is vertex i.
-        xyz = strata.dom.xyz
-        dist = chordal_rows(xyz[list(rec.ideal_ids), None], xyz[list(edge.vertex_ids)])
-        near = dist < TOL_SAME_POINT
-        if (near[0, 0] and near[1, 1]) or (near[0, 1] and near[1, 0]):
-            return "family"
-    return "other"
+class _Spiral:
+    """A dome edge's measure path: in the edge's frame (its ends at 0 and
+    infinity) the log-spiral w(s) = exp((1 - s) start + s end), s in [0, 1],
+    mapped back by ``ninv``, the frame's inverse up to scale.  Every point
+    the measure refines at lies on it; ``at`` gives it as a homogeneous
+    pair, so the spiral may pass through infinity."""
+
+    total = 1.0
+
+    def __init__(self, ninv: list, start: complex, end: complex):
+        self.ninv, self.start, self.end = ninv, start, end
+
+    def at(self, s: float) -> PointCP1:
+        w = cmath.exp((1.0 - s) * self.start + s * self.end)
+        (a, b), (c, d) = self.ninv
+        return PointCP1(a * w + b, c * w + d)
 
 
-def _disk_labels(strata: _DomeStrata, edges: list, points: list) -> list:
-    """``_disk_label`` of each point on its edge of ``edges``, from one
-    ``maximal_disks`` batch."""
-    return [_disk_label(strata, e, rec) for e, rec in zip(edges, maximal_disks(strata.dom, points))]
+def _edge_spirals(dom: DiskComplementDomain, mesh) -> list:
+    """Each dome edge's measure path, a ``_Spiral``, all edges as rows.
+
+    The frame n sends the edge's ends a and b to 0 and infinity
+    (``moebius_two_points``); its inverse up to scale has columns -b and a.
+    Each face circle is then a line through 0, {Re(conj(s) w) = 0}, with the
+    face's disk toward s = conj(b)^T H a (up to a positive scale, for the
+    face's form H), and the edge's lune is the sector between s1 and s2.
+    With sigma the sign of Im(conj(s1) s2), the spiral runs from angle
+    arg s1 - sigma CORE_ANGLE, in face 1's core, across the lune to
+    arg s1 + arg(s2 / s1) + sigma CORE_ANGLE, in face 2's; its modulus runs
+    from r1 to r2, where r_f is the geometric mean of |n(v)| over the
+    vertices v of face f other than a and b."""
+    edges = mesh.edges
+    ab = dom.pairs[np.array([e.vertex_ids for e in edges], dtype=int).reshape(-1, 2)]
+    a, b = ab[:, 0], ab[:, 1]
+    ninv = np.stack([-b, a], axis=-1)
+    forms = np.array([f.plane.boundary.hermitian for f in mesh.faces])
+    h = forms[np.array([e.face_ids for e in edges], dtype=int).reshape(-1, 2)]
+    s = np.einsum("ei,ekij,ej->ek", np.conj(b), h, a)
+    turn = np.angle(s[:, 1] * np.conj(s[:, 0]))
+    sigma = np.sign(turn)
+    # log |n(v)| = log |[a, v]| - log |[b, v]|, averaged per (edge, face).
+    group, v = np.array([(2 * e + k, i) for e, edge in enumerate(edges)
+                         for k, f in enumerate(edge.face_ids)
+                         for i in mesh.faces[f].vertex_ids if i not in edge.vertex_ids],
+                        dtype=int).reshape(-1, 2).T
+    pv, pa, pb = dom.pairs[v], a[group // 2], b[group // 2]
+    logs = (np.log(np.abs(pa[:, 0] * pv[:, 1] - pa[:, 1] * pv[:, 0]))
+            - np.log(np.abs(pb[:, 0] * pv[:, 1] - pb[:, 1] * pv[:, 0])))
+    log_r = (np.bincount(group, logs, 2 * len(edges))
+             / np.bincount(group, minlength=2 * len(edges))).reshape(-1, 2)
+    phi = np.angle(s[:, 0])
+    start = log_r[:, 0] + 1j * (phi - sigma * CORE_ANGLE)
+    end = log_r[:, 1] + 1j * (phi + turn + sigma * CORE_ANGLE)
+    return [_Spiral(m, z0, z1) for m, z0, z1 in zip(ninv.tolist(), start.tolist(), end.tolist())]
 
 
-class _DomeStrata:
-    """The strata a measure path of each dome edge crosses, one row per
-    edge: the lune of the edge's two-contact disks, between the two face
-    circles, read in closed form; the face cores are left to the maximal
-    disks.  With the edge's vertices at 0 and infinity (frame ``n``) each face
-    circle is the line {Re(conj(B) z) = 0} of its entry of ``bs``, whose disk
-    side lies toward ``sides[:, k]``; the lune is the open sector between
-    the two sides, and a probe there has as maximal disk the half-plane
-    toward its own direction.  Each column is one stack, with the bits and
-    raises of the per-edge maps and circles, built once."""
-
-    def __init__(self, dom: DiskComplementDomain, mesh):
-        self.dom, self.mesh = dom, mesh
-        ends = np.array([e.vertex_ids for e in mesh.edges], dtype=int).reshape(-1, 2)
-        self.faces = np.array([e.face_ids for e in mesh.edges], dtype=int).reshape(-1, 2)
-        # The frames, ``moebius_two_points``: vertex rows (z0, z1) as (z1, -z0).
-        n = np.empty((len(ends), 2, 2), dtype=complex)
-        n[..., 0], n[..., 1] = dom.pairs[ends, 1], -dom.pairs[ends, 0]
-        n, bad_n = moebius_rows(n)
-        inv = np.stack([n[:, 1, 1], -n[:, 0, 1], -n[:, 1, 0], n[:, 0, 0]], axis=1)
-        ninv, bad_inv = moebius_rows(inv.reshape(-1, 2, 2))
-        # Each face circle pushed forward by n, as ``transform`` does:
-        # conj(ninv)^T H ninv.
-        h = np.array([f.plane.boundary.hermitian for f in mesh.faces]).reshape(-1, 2, 2)
-        m = np.repeat(ninv, 2, axis=0)
-        lines, bad_lines = circle_rows(np.conj(m).transpose(0, 2, 1) @ h[self.faces.ravel()] @ m)
-        for faults in (bad_n, bad_inv, bad_lines):
-            if faults:
-                raise DegenerateInputError(faults[min(faults)])
-        self.n, self.ninv = n, ninv
-        self.bs = lines[:, 0, 1].reshape(-1, 2)
-        # The disk side is the -B half-plane.  Per row with CPython's abs
-        # and phase, whose bits numpy's may not have.
-        bs = self.bs.tolist()
-        self.phis = np.array([[cmath.phase(1j * b) for b in row] for row in bs]).reshape(-1, 2)
-        self.sides = np.array([[-b / abs(b) for b in row] for row in bs]).reshape(-1, 2)
-        # Im(conj(s1) s2), written out part by part as the scalar product rounds it.
-        s1, s2 = self.sides.T
-        self.turn = s1.real * s2.imag + (-s1.imag) * s2.real
-        # proj_distance in the original frame is at least the one in the
-        # edge frame divided by the squared largest singular value of n,
-        # which is at most the squared Frobenius norm.
-        self.stretch = np.sum(np.abs(n.reshape(-1, 4)) ** 2, axis=1)
-        # An edge's lune is read in closed form only if its face circles
-        # and sides are apart.
-        hf = h.reshape(-1, 4)[self.faces]
-        apart = frobenius_rows(hf[:, 0], hf[:, 1]) > STRATA_BAND
-        self.closed_form = apart & (np.abs(self.turn) > STRATA_BAND)
-        # The complement less the edge's vertices, in the edge frame.
-        cols = [i for pair in ends.tolist() for i in range(len(dom.pairs)) if i not in pair]
-        rows = apply_rows(np.repeat(n, len(dom.pairs) - 2, axis=0), dom.pairs[cols])
-        self.others = rows.reshape(len(ends), len(dom.pairs) - 2, 2)
-        self.radii = self._contact_radii() if len(ends) else []
-
-    def _contact_radii(self) -> list:
-        """Each edge's wedge-arc radii, from the moduli of its faces'
-        vertices in the edge frame: all edges in one ``apply_rows`` pass,
-        with the bits of ``apply`` and ``as_complex`` per vertex."""
-        faces = self.mesh.faces
-        ids = [[i for f in pair for i in faces[f].vertex_ids] for pair in self.faces.tolist()]
-        sizes = [len(v) for v in ids]
-        w = apply_rows(np.repeat(self.n, sizes, axis=0), self.dom.pairs[np.concatenate(ids)])
-        ws, at_inf = affine_rows(w)
-        ends = np.cumsum([0] + sizes).tolist()
-        out = []
-        for a, b in zip(ends, ends[1:]):
-            mags = sorted(m for m in map(abs, itertools.compress(ws[a:b].tolist(), ~at_inf[a:b]))
-                          if m > 1e-9)
-            radii = [math.sqrt(mags[0] * mags[-1]), mags[len(mags) // 2], 1.0] if mags else [1.0]
-            out.append(list(dict.fromkeys(radii)))
-        return out
-
-    def labels(self, edges: np.ndarray, probes: np.ndarray) -> list:
-        """The labels ``_disk_labels`` gives the probes of each candidate,
-        a row of ``probes`` on edge ``edges[c]``: ``family`` for a probe in
-        its edge's lune and clear of the complement by the band, from one
-        ``distances`` call and one lune pass, and from one
-        ``maximal_disks`` batch for every other probe."""
-        z = probes.ravel()
-        owner = np.repeat(edges, probes.shape[1])
-        out = [None] * len(z)
-        closed = np.flatnonzero(self.closed_form[owner])
-        if len(closed):
-            zc = z[closed]
-            pairs = np.stack([zc, np.ones_like(zc)], axis=1)
-            zs = pairs / np.sqrt(1.0 + np.abs(zc) ** 2)[:, None]
-            lune = (self.dom.distances(pairs) > STRATA_BAND) & self._in_lune(owner[closed], zs)
-            for i in closed[lune].tolist():
-                out[i] = "family"
-        rest = [i for i, lab in enumerate(out) if lab is None]
-        found = _disk_labels(self, owner[rest].tolist(), z[rest].tolist())
-        for i, lab in zip(rest, found):
-            out[i] = lab
-        width = probes.shape[1]
-        return [out[k : k + width] for k in range(0, len(out), width)]
-
-    def _in_lune(self, edges: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        """Probes (normalized pairs, row k on edge ``edges[k]``) in their
-        edge's lune whose maximal disk differs from both face circles by
-        more than the band and has exactly two contacts.  Taken in blocks
-        of about DISK_BLOCK complement values."""
-        band = STRATA_BAND
-        out = np.empty(len(zs), dtype=bool)
-        step = max(1, DISK_BLOCK // self.others.shape[1])
-        for a in range(0, len(zs), step):
-            e, z = edges[a : a + step], zs[a : a + step]
-            w = apply_rows(self.n[e], z)
-            d = w[:, 0] * np.conj(w[:, 1])
-            d /= np.abs(d)
-            s1, s2 = self.sides[e].T
-            turn = self.turn[e]
-            ok = ((np.conj(d) * s2).imag / turn > 0) & ((np.conj(s1) * d).imag / turn > 0)
-            # The probe's disk is the line form with B = -d.
-            apart = math.sqrt(2.0) * np.abs(-d[:, None] - self.bs[e]).min(axis=1) / self.stretch[e]
-            ok &= apart > band
-            hz = -2.0 * np.abs(w[:, 0] * w[:, 1])
-            others = self.others[e]
-            hp = 2.0 * (-d[:, None] * np.conj(others[..., 0]) * others[..., 1]).real
-            out[a : a + step] = ok & (_contact_values(hz, hp, w, others) < -band).all(axis=1)
-        return out
-
-
-# Intervals a candidate path is probed at, evenly in arclength.
-PATH_PROBES = 33
-# Points of a wedge-sweep arc.
-WEDGE_SAMPLES = 48
-
-
-def _crossing(line: _Polyline, labels: list):
-    """Walk a candidate's probe labels looking for a contiguous stretch
-    that reads (one face core) [this edge's family] (other face core): the
-    arclengths (t_a, t_b) of the middles of the two face blocks, between
-    which the candidate is trimmed, or None."""
-    blocks = []
-    for target, lab in zip(line.probe_targets(), labels):
-        if not blocks or blocks[-1][0] != lab:
-            blocks.append([lab, target, target])
-        else:
-            blocks[-1][2] = target
-    for i in range(len(blocks)):
-        if blocks[i][0] not in ("face1", "face2"):
+def _path_labels(mesh, edge, recs: list) -> list:
+    """The label of each maximal disk record on a measure path of ``edge``,
+    or of the error found in its place: ``face1`` or ``face2`` when its
+    circle is that face's within TOL_SAME_DISK, ``family`` when its contacts
+    are the edge's two vertices (the domain's rows are the mesh's
+    vertices), and ``other`` otherwise."""
+    ok = [r for r in recs if not isinstance(r, Exception)]
+    faces = np.array([mesh.faces[f].plane.boundary.hermitian.ravel() for f in edge.face_ids])
+    forms = np.array([r.disk.circle.hermitian.ravel() for r in ok]).reshape(-1, 1, 4)
+    near = iter((frobenius_rows(forms, faces) < TOL_SAME_DISK).tolist())
+    ends = tuple(sorted(edge.vertex_ids))
+    out = []
+    for r in recs:
+        if isinstance(r, Exception):
+            out.append("other")
             continue
-        other = "face2" if blocks[i][0] == "face1" else "face1"
-        for j in (i + 1, i + 2):
-            if j >= len(blocks) or blocks[j][0] == "other":
-                break
-            if blocks[j][0] == other:
-                return (blocks[i][1] + blocks[i][2]) / 2.0, (blocks[j][1] + blocks[j][2]) / 2.0
-    return None
-
-
-def _edge_candidates(strata: _DomeStrata, e: int):
-    """Candidate polylines crossing dome edge ``e``, in order, each built
-    when it is asked for.
-
-    With the edge's ideal vertices at 0 and infinity both face circles are
-    lines through the origin and the edge's disk family is the pencil of
-    lines in the wedge between them, so arcs sweeping the wedge are natural
-    candidates, one per radius of ``radii[e]`` and per margin.  They come as
-    (True, arc in the edge frame), to be mapped back and kept if the domain
-    contains them, and the fallback last as (False, path), a straight
-    segment between verified core points."""
-    edge = strata.mesh.edges[e]
-    phi1, phi2 = strata.phis[e].tolist()
-    sides = strata.sides[e].tolist()
-    # The family cores fill the sector of angular size edge.weight centered
-    # on the wedge midline, and the face cores begin just past its ends.
-    best = None
-    for s1 in (phi1, phi1 + math.pi):
-        for s2 in (phi2, phi2 + math.pi):
-            span = ((s2 - s1 + math.pi) % (2.0 * math.pi)) - math.pi  # signed
-            mid = s1 + span / 2.0
-            inside = all((cmath.exp(1j * mid) * np.conj(side)).real > 0 for side in sides)
-            if inside and (best is None or abs(span) < abs(best[1])):
-                best = (s1, span)
-    if best is not None:
-        s1, span = best
-        mid = s1 + span / 2.0
-        ts = np.linspace(0.0, 1.0, WEDGE_SAMPLES).tolist()
-        for r in strata.radii[e]:
-            log_r = math.log(r)
-            for delta in (0.12, 0.3, 0.04, 0.6):
-                # A circular arc crossing the edge's disk family; its radius
-                # is the log-interpolation between equal end radii, whose
-                # rounding the arc's bits keep.
-                half = edge.weight / 2.0 + delta
-                yield True, [
-                    math.exp((1.0 - t) * log_r + t * log_r)
-                    * cmath.exp(1j * (mid - half + 2.0 * half * t))
-                    for t in ts
-                ]
-    try:
-        c1, c2 = (face_core_point(strata.dom, strata.mesh.faces[f]) for f in edge.face_ids)
-    except (PreconditionError, DegenerateInputError):
-        return
-    yield False, [c1.as_complex(), c2.as_complex()]
-
-
-def _arcs_inside(strata: _DomeStrata, arcs: list) -> list:
-    """(edge, path) of each wedge arc, given as (edge, arc in the edge's
-    frame), whose image is finite and inside the domain: all arcs mapped by
-    one ``apply_rows`` pass and tested by one ``contains`` call."""
-    if not arcs:
-        return []
-    z = np.array([arc for _, arc in arcs], dtype=complex)
-    ninv = strata.ninv[[e for e, _ in arcs]]
-    w = apply_rows(np.repeat(ninv, z.shape[1], axis=0),
-                   unit_pairs(np.stack([z, np.ones_like(z)], axis=-1)).reshape(-1, 2))
-    paths, at_inf = affine_rows(w)
-    paths, finite = paths.reshape(z.shape), ~at_inf.reshape(z.shape).any(axis=1)
-    rows = paths[finite]
-    inside = np.zeros(len(arcs), dtype=bool)
-    if len(rows):
-        pairs = np.stack([rows, np.ones_like(rows)], axis=-1).reshape(-1, 2)
-        inside[finite] = strata.dom.contains(pairs).reshape(rows.shape).all(axis=1)
-    return [(e, path) for (e, _), path, ok in zip(arcs, paths.tolist(), inside) if ok]
-
-
-def _edge_paths(strata: _DomeStrata) -> list:
-    """Each dome edge's measure path, or None: its first candidate
-    (``_edge_candidates``) whose probe labels read a crossing
-    (``_crossing``), trimmed between the two face cores.
-
-    The edges are searched in lockstep, in rounds.  A round takes the next
-    candidate of every edge still without a path, keeps the arcs the
-    domain contains (``_arcs_inside``), probes every candidate by one
-    ``_probe_points`` call and labels all probes in one ``labels`` pass;
-    only the walk along each candidate's labels is per edge."""
-    paths = [None] * len(strata.mesh.edges)
-    queues = {e: _edge_candidates(strata, e) for e in range(len(paths))}
-    while queues:
-        arcs, cands = [], []
-        for e, queue in list(queues.items()):
-            item = next(queue, None)
-            if item is None:
-                del queues[e]
-            else:
-                (arcs if item[0] else cands).append((e, item[1]))
-        cands = sorted(cands + _arcs_inside(strata, arcs), key=lambda c: c[0])
-        lines = [(e, _Polyline(path)) for e, path in cands]
-        lines = [(e, line) for e, line in lines if line.total > 0]
-        if not lines:
-            continue
-        edges = np.array([e for e, _ in lines])
-        probes = _probe_points([line for _, line in lines],
-                               np.array([line.probe_targets() for _, line in lines]))
-        found = []
-        for (e, line), labels in zip(lines, strata.labels(edges, probes)):
-            cut = _crossing(line, labels)
-            if cut is not None:
-                found.append((e, line, cut))
-        if not found:
-            continue
-        ends = _probe_points([line for _, line, _ in found], np.array([cut for *_, cut in found]))
-        for (e, line, (t_a, t_b)), (z_a, z_b) in zip(found, ends.tolist()):
-            paths[e] = [z_a, *line.vertices_between(t_a, t_b), z_b]
-            del queues[e]
-    return paths
+        f1, f2 = next(near)
+        family = r.ideal_ids == ends
+        out.append("face1" if f1 else "face2" if f2 else "family" if family else "other")
+    return out
 
 
 def dome_measure_report(ideal_points, tol: float = TOL_MEASURE) -> dict:
     """Compare the transverse measure across every dome edge against the
-    edge's exterior dihedral angle, integrating along a validated path
-    that crosses only that edge between the two adjacent face cores.  The
-    paths are searched per dome, all edges in candidate rounds
-    (``_edge_paths``), then measured together."""
+    edge's exterior dihedral angle.
+
+    Each edge's path is written down, not searched for: a log-spiral in the
+    edge's frame from inside one face's core, across the edge's lune, into
+    the other face's core (``_edge_spirals``).  All paths are measured
+    together (``_measure_paths``).  The disks the measure built on a path,
+    read in path order, certify it: they must read face1+ family* face2+
+    (``_path_labels``), or the edge reports ``no-measure-path``.  The path
+    is chosen from the dome's geometry alone, never from its measure."""
     mesh = dome(ideal_points)
     # The dome's vertices: the input less the points it dropped as duplicates.
     dom = DiskComplementDomain(mesh.vertices)
-    paths = _edge_paths(_DomeStrata(dom, mesh))
-    measures = iter(_measure_paths(dom, [p for p in paths if p is not None], tol))
+    runs = _measure_paths(dom, _edge_spirals(dom, mesh), tol)
     checks, violations, edge_values = [], [], []
-    for ei, (edge, path) in enumerate(zip(mesh.edges, paths)):
-        if path is None:
+    for ei, (edge, run) in enumerate(zip(mesh.edges, runs)):
+        labels = _path_labels(mesh, edge, [run.disks[k] for k in sorted(run.disks)])
+        if [k for k, _ in itertools.groupby(labels)] not in (
+                ["face1", "face2"], ["face1", "family", "face2"]):
             violations.append({"kind": "no-measure-path", "edge": ei})
             edge_values.append(
                 {"edge": ei, "theta": math.nan, "dihedral": edge.weight, "error": math.inf})
             continue
-        res = next(measures)
+        res = run.result
         if isinstance(res, Exception):
             raise res
         err = abs(res.value - edge.weight)

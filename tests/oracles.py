@@ -1,7 +1,6 @@
 """Independent oracles: brute-force and quadrature reference computations
 kept deliberately separate from the library's own code paths."""
 
-import cmath
 import math
 
 import numpy as np
@@ -563,20 +562,10 @@ def reference_face_core_point(dom, face):
     raise DegenerateInputError("no core point found for dome face")
 
 
-def _reference_probe_at(line, target):
-    """The unclamped rule of ``_Polyline.at`` that candidate paths were
-    probed by, as it was."""
-    for k, length in enumerate(line.lengths):
-        if target <= line.starts[k + 1]:
-            s = (target - line.starts[k]) / length if length > 0 else 0.0
-            a, b = line.pts[k], line.pts[k + 1]
-            return a + (b - a) * s
-    return line.pts[-1]
-
-
 def reference_classify_on_path(dom, mesh, edge, points):
-    """Label path points from their maximal disks, one edge at a time, as
-    ``_classify_on_path`` did."""
+    """Reference for ``_path_labels``: path points labelled from their
+    maximal disks one edge and one record at a time, the contacts compared
+    with the edge's vertices by chordal distance."""
     from cp1graft.moebius import chordal_distance
     from cp1graft.thurston import TOL_SAME_DISK, TOL_SAME_POINT, maximal_disks
 
@@ -599,187 +588,6 @@ def reference_classify_on_path(dom, mesh, edge, points):
         return "other"
 
     return [label(rec) for rec in maximal_disks(dom, points)]
-
-
-def reference_edge_strata(dom, mesh, edge):
-    """The strata a measure path of one dome edge crosses, built one map
-    and one circle at a time as the per-edge search built them: the lune
-    of the edge's two-contact disks, between the face circles.  With the
-    edge's vertices ``ends`` at 0 and infinity (frame ``n``) each face
-    circle is a line through 0, and the disk side of face k lies toward
-    ``sides[k]``."""
-    from types import SimpleNamespace
-
-    from cp1graft.moebius import apply_stack, moebius_two_points
-    from cp1graft.thurston import STRATA_BAND
-
-    s = SimpleNamespace(dom=dom, mesh=mesh, edge=edge)
-    s.faces = [mesh.faces[i] for i in edge.face_ids]
-    s.ends = tuple(mesh.vertices[i] for i in edge.vertex_ids)
-    s.n = moebius_two_points(*s.ends)
-    s.ninv = s.n.inverse()
-    bs = [complex(f.plane.boundary.transform(s.n).hermitian[0, 1]) for f in s.faces]
-    # Line {Re(conj(B) z) = 0}; the disk side is the -B half-plane.
-    s.phis = [cmath.phase(1j * b) for b in bs]
-    s.sides = [-b / abs(b) for b in bs]
-    s.bs = np.array(bs)
-    s1, s2 = s.sides
-    s.turn = (np.conj(s1) * s2).imag
-    s.closed_form = (
-        s.faces[0].plane.boundary.proj_distance(s.faces[1].plane.boundary) > STRATA_BAND
-        and abs(s.turn) > STRATA_BAND
-    )
-    others = np.ones(len(dom.pairs), dtype=bool)
-    others[list(edge.vertex_ids)] = False
-    s.others = apply_stack(s.n, dom.pairs[others])
-    s.stretch = float(np.sum(np.abs(s.n.matrix) ** 2))
-    return s
-
-
-def _reference_in_lune(strata, zs):
-    """The lune test of one edge's strata (``reference_edge_strata``), as
-    it was."""
-    from cp1graft.moebius import apply_stack
-    from cp1graft.thurston import STRATA_BAND, _contact_values
-
-    band = STRATA_BAND
-    w = apply_stack(strata.n, zs)
-    d = w[:, 0] * np.conj(w[:, 1])
-    d /= np.abs(d)
-    s1, s2 = strata.sides
-    ok = ((np.conj(d) * s2).imag / strata.turn > 0) & ((np.conj(s1) * d).imag / strata.turn > 0)
-    apart = math.sqrt(2.0) * np.abs(-d[:, None] - strata.bs).min(axis=1) / strata.stretch
-    ok &= apart > band
-    hz = -2.0 * np.abs(w[:, 0] * w[:, 1])
-    hp = 2.0 * (-d[:, None] * np.conj(strata.others[:, 0]) * strata.others[:, 1]).real
-    return ok & (_contact_values(hz, hp, w, strata.others) < -band).all(axis=1)
-
-
-def reference_strata_labels(strata, points):
-    """The labels of one edge's strata (``reference_edge_strata``), as they
-    were: ``family`` where a probe is clear of the complement and in the
-    lune, ``reference_classify_on_path`` otherwise."""
-    from cp1graft.thurston import STRATA_BAND
-
-    out = [None] * len(points)
-    if strata.closed_form:
-        z = np.array(points, dtype=complex)
-        zs = np.stack([z, np.ones_like(z)], axis=1) / np.sqrt(1.0 + np.abs(z) ** 2)[:, None]
-        clear = strata.dom.distances(points) > STRATA_BAND
-        for i in np.flatnonzero(clear & _reference_in_lune(strata, zs)):
-            out[i] = "family"
-    rest = [i for i, lab in enumerate(out) if lab is None]
-    for i, lab in zip(rest, reference_classify_on_path(
-            strata.dom, strata.mesh, strata.edge, [points[i] for i in rest])):
-        out[i] = lab
-    return out
-
-
-def reference_edge_candidates(strata):
-    """The candidate paths of one edge, as ``_edge_measure_paths`` yielded
-    them: wedge-sweep arcs the domain contains, then the segment between
-    face core points."""
-    from cp1graft.moebius import DegenerateInputError, affine_stack, apply, apply_stack, as_pairs, unit_pairs
-    from cp1graft.thurston import WEDGE_SAMPLES, PreconditionError
-
-    dom, mesh, edge = strata.dom, strata.mesh, strata.edge
-    f1, f2 = strata.faces
-    n, ninv = strata.n, strata.n.inverse()
-    phi1, phi2 = strata.phis
-
-    def wedge_sweep(delta, r1, r2):
-        best = None
-        for s1 in (phi1, phi1 + math.pi):
-            for s2 in (phi2, phi2 + math.pi):
-                span = ((s2 - s1 + math.pi) % (2.0 * math.pi)) - math.pi
-                mid = s1 + span / 2.0
-                inside = all((cmath.exp(1j * mid) * np.conj(side)).real > 0 for side in strata.sides)
-                if inside and (best is None or abs(span) < abs(best[1])):
-                    best = (s1, span)
-        if best is None:
-            return None
-        s1, span = best
-        mid = s1 + span / 2.0
-        half = edge.weight / 2.0 + delta
-        arc = [
-            math.exp((1.0 - t) * math.log(r1) + t * math.log(r2))
-            * cmath.exp(1j * (mid - half + 2.0 * half * t))
-            for t in np.linspace(0.0, 1.0, WEDGE_SAMPLES)
-        ]
-        w = apply_stack(ninv, unit_pairs(as_pairs(arc)))
-        try:
-            path = affine_stack(w)
-        except DegenerateInputError:
-            return None
-        return path if dom.contains(path).all() else None
-
-    def contact_radii():
-        ws = [apply(n, mesh.vertices[i]) for f in (f1, f2) for i in f.vertex_ids]
-        mags = sorted(
-            abs(w.as_complex()) for w in ws if not w.is_infinity and abs(w.as_complex()) > 1e-9
-        )
-        if not mags:
-            return [1.0]
-        out = [math.sqrt(mags[0] * mags[-1]), mags[len(mags) // 2], 1.0]
-        return list(dict.fromkeys(out))
-
-    for r in contact_radii():
-        for delta in (0.12, 0.3, 0.04, 0.6):
-            path = wedge_sweep(delta, r, r)
-            if path:
-                yield path
-    try:
-        c1 = reference_face_core_point(dom, f1)
-        c2 = reference_face_core_point(dom, f2)
-        yield [c1.as_complex(), c2.as_complex()]
-    except (PreconditionError, DegenerateInputError):
-        pass
-
-
-def reference_single_edge_subpath(strata, path):
-    """``_single_edge_subpath`` as it was: probe the candidate, walk its
-    labels for (one face core) [the edge's family] (other face core) and
-    trim it between the two face blocks; None when the walk fails."""
-    from cp1graft.thurston import PATH_PROBES, _Polyline
-
-    line = _Polyline(path)
-    if line.total <= 0:
-        return None
-    targets = [line.total * k / PATH_PROBES for k in range(PATH_PROBES + 1)]
-    labels = reference_strata_labels(strata, [_reference_probe_at(line, t) for t in targets])
-    blocks = []
-    for target, lab in zip(targets, labels):
-        if not blocks or blocks[-1][0] != lab:
-            blocks.append([lab, target, target])
-        else:
-            blocks[-1][2] = target
-    for i in range(len(blocks)):
-        if blocks[i][0] not in ("face1", "face2"):
-            continue
-        other = "face2" if blocks[i][0] == "face1" else "face1"
-        for j in (i + 1, i + 2):
-            if j >= len(blocks) or blocks[j][0] == "other":
-                break
-            if blocks[j][0] == other:
-                t_a = (blocks[i][1] + blocks[i][2]) / 2.0
-                t_b = (blocks[j][1] + blocks[j][2]) / 2.0
-                ends = [_reference_probe_at(line, t) for t in (t_a, t_b)]
-                return [ends[0], *line.vertices_between(t_a, t_b), ends[1]]
-    return None
-
-
-def reference_edge_paths(dom, mesh):
-    """Reference for the lockstep path search: each edge searched alone, its
-    first candidate that ``reference_single_edge_subpath`` trims, or None,
-    as ``_edge_path`` did."""
-    paths = []
-    for edge in mesh.edges:
-        strata = reference_edge_strata(dom, mesh, edge)
-        paths.append(next(
-            (p for p in (reference_single_edge_subpath(strata, c)
-                         for c in reference_edge_candidates(strata)) if p is not None),
-            None))
-    return paths
 
 
 def reference_circle_through(p, q, r):

@@ -40,8 +40,14 @@ def _measure_angle_scaled(monkeypatch):
     monkeypatch.setattr(thurston, "angle_between", lambda c1, c2: 1.01 * angle(c1, c2))
 
 
-def _no_crossing(monkeypatch):
-    monkeypatch.setattr(thurston, "_crossing", lambda line, labels: None)
+def _sigma_negated(monkeypatch):
+    """A wrong path planted on every edge: sigma, the turn from face 1's
+    disk direction to face 2's, enters both spiral angles only as
+    sigma * CORE_ANGLE, so negating CORE_ANGLE negates sigma.  Each spiral
+    then starts and ends inside its edge's lune and never reaches a face
+    core.  Its measure is still taken; the certificate rejects the path
+    before that measure is compared with the dihedral angle."""
+    monkeypatch.setattr(thurston, "CORE_ANGLE", -thurston.CORE_ANGLE)
 
 
 def _measure_unrefined(monkeypatch):
@@ -54,7 +60,7 @@ def _measure_unrefined(monkeypatch):
 # (defect, the dome-measure violation every edge of the tetrahedron reports)
 DOME_MEASURE_MUTATIONS = {
     "measure-dihedral-mismatch": (_measure_angle_scaled, "measure-dihedral-mismatch"),
-    "no-measure-path": (_no_crossing, "no-measure-path"),
+    "no-measure-path": (_sigma_negated, "no-measure-path"),
     "unconverged": (_measure_unrefined, "measure-dihedral-mismatch"),
 }
 

@@ -56,14 +56,10 @@ from oracles import (
     lockstep_med_mismatches,
     maximal_disk_support_search,
     reference_classify_on_path,
-    reference_edge_candidates,
-    reference_edge_paths,
-    reference_edge_strata,
     reference_core,
     reference_face_core_point,
     reference_geodesic,
     reference_maximal_disk,
-    reference_single_edge_subpath,
     reference_transverse_measure,
 )
 
@@ -616,7 +612,7 @@ def test_lockstep_disks_match_welzl_on_recorded_blocks(source, holonomy, monkeyp
 
 
 def test_most_rows_of_a_domain_round_finish_in_lockstep(monkeypatch, tmp_path):
-    """Of the 2,884 rows of the seed-7 domain round, at most 15 % take a
+    """Of the 1,889 rows of the seed-7 domain round, at most 15 % take a
     tie path (Welzl on the points of the circle, or on the whole row) when
     every block takes the lockstep path."""
     blocks = recorded_med_blocks(monkeypatch, med_source("domain-7", None, tmp_path))
@@ -628,7 +624,7 @@ def test_most_rows_of_a_domain_round_finish_in_lockstep(monkeypatch, tmp_path):
     for z in blocks:
         moebius.minimal_enclosing_disks(z)
     rows = sum(map(len, blocks))
-    assert rows == 2884 and 0 < len(away) <= 0.15 * rows
+    assert rows == 1889 and 0 < len(away) <= 0.15 * rows
 
 
 # ---------------------------------------------------------------------------
@@ -867,6 +863,26 @@ def test_stratification_planted_record_reported(monkeypatch, change, kind, check
     assert not next(c for c in report["checks"] if c["name"] == check)["passed"]
 
 
+def test_stratification_known_defect_seed_3202(tmp_path):
+    """A known defect, pinned and not fixed: the benchmark's seed-3202
+    domain round has its only failing operations here.  On the 12-point
+    scattered set with infinity and its 200 samples, group 21 overlaps 19
+    other groups' cores; the first overlap, with group 8, has side values
+    1.1e-16 and -4.9e-7.  Either two cores touch there and the side test
+    has no width, or one disk is wrong.  A fix makes this test fail."""
+    workloads = bench_workloads()
+    *_, op = [op for op in workloads.domain(3202, str(tmp_path)) if op.kind == "stratification"]
+    report = op.run()
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == ["core-disjointness"]
+    assert [v["kind"] for v in report["violations"]] == ["core-overlap"] * 19
+    assert [[int(g) for g in v["groups"] if g != 21] for v in report["violations"]] == [
+        [8], [10], [22], [32], [40], [43], [45], [52], [56], [65], [69], [72], [78], [82], [83],
+        [91], [95], [103], [106]]
+    assert all(21 in v["groups"] for v in report["violations"])
+    side_a, side_b = report["violations"][0]["side_values"]
+    assert abs(side_a) < 1e-15 and side_b == pytest.approx(-4.9129e-7, rel=1e-4)
+
+
 # ---------------------------------------------------------------------------
 # transverse measure
 
@@ -953,7 +969,8 @@ def test_lockstep_measure_matches_one_path_at_a_time():
         [0.1 + 0.1j, 0.1 + 0.1j],
         [-2.742044610572318 + 0.17977995841637728j, -0.13695314458310648 + 1.9988239570986703j],
     ]
-    got = thurston._measure_paths(dom, paths, TOL_MEASURE)
+    got = [r.result for r in thurston._measure_paths(
+        dom, [thurston._Polyline(p) for p in paths], TOL_MEASURE)]
 
     def alone(measure, path):
         try:
@@ -1021,95 +1038,16 @@ def dome_golden_sets():
     return runs
 
 
-@pytest.fixture(scope="module")
-def dome_measure_runs():
-    """dome_measure_report on every set of DOME_GOLDEN, recording each
-    candidate's probe labels from the label pass (set name, (domain, dome,
-    edge), points, labels) and the labels ``_disk_labels`` gives."""
-    batches, fallbacks, reports = [], [], {}
-    labels, disk_labels = thurston._DomeStrata.labels, thurston._disk_labels
-    current = []
-
-    def recording(self, edges, probes):
-        out = labels(self, edges, probes)
-        for e, points, labs in zip(edges.tolist(), probes.tolist(), out):
-            batches.append((current[-1], (self.dom, self.mesh, self.mesh.edges[e]), points, labs))
-        return out
-
-    def counting(strata, edges, points):
-        out = disk_labels(strata, edges, points)
-        fallbacks.extend(out)
-        return out
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(thurston._DomeStrata, "labels", recording)
-        mp.setattr(thurston, "_disk_labels", counting)
-        for name, pts, kwargs in dome_golden_sets():
-            current.append(name)
-            reports[name] = dome_measure_report(pts, **kwargs)
-    return reports, batches, fallbacks
-
-
-def test_dome_measure_reports_match_golden(dome_measure_runs):
-    """Reports recorded when every probe was labelled by maximal_disk_at:
-    face count, violations and the bits of every edge's theta."""
-    reports, _, _ = dome_measure_runs
-    assert sorted(reports) == sorted(DOME_GOLDEN)
-    for name, report in reports.items():
-        got = {"faces": report["values"]["faces"], "violations": report["violations"],
-               "theta": [float.hex(ev["theta"]) for ev in report["values"]["edges"]]}
-        assert got == DOME_GOLDEN[name], name
-
-
-def test_strata_labels_match_maximal_disk_labels(dome_measure_runs):
-    """Every probe of every run gets the label its maximal disk gives, one
-    edge at a time (``reference_classify_on_path``), and the lune's closed
-    form decides all but a few of the ``family`` labels."""
-    _, batches, fallbacks = dome_measure_runs
-    probes = 0
-    for name, (dom, mesh, edge), points, labels in batches:
-        refs = reference_classify_on_path(dom, mesh, edge, points)
-        for z, label, ref in zip(points, labels, refs):
-            probes += 1
-            assert label == ref, (name, z)
-    assert probes > 10_000
-    assert fallbacks.count("family") <= probes // 500
-
-
 def clustered_dome_points():
     """Three vertices 2e-5 apart on the unit circle, and five points around."""
     return ([cp1(cmath.exp(1j * t)) for t in (0.0, 2e-5, 4e-5)]
             + [cp1(z) for z in (3, 3j, -3, -3j, 2 + 2j)])
 
 
-def test_strata_labels_on_a_face_with_clustered_vertices(monkeypatch):
-    """Three vertices 2e-5 apart on the unit circle are one vertex in their
-    face's frame, so that face's core is no polygon: every probe of every
-    round keeps the label its maximal disk gives.  The first round probes
-    every edge."""
-    mesh = dome(clustered_dome_points())
-    dom = DiskComplementDomain(mesh.vertices)
-    strata = thurston._DomeStrata(dom, mesh)
-    rounds = []
-    labels = thurston._DomeStrata.labels
-
-    def recording(self, edges, probes):
-        out = labels(self, edges, probes)
-        rounds.append((edges.tolist(), probes.tolist(), out))
-        return out
-
-    monkeypatch.setattr(thurston._DomeStrata, "labels", recording)
-    thurston._edge_paths(strata)
-    assert rounds[0][0] == list(range(len(mesh.edges)))
-    for edges, probes, out in rounds:
-        for e, points, labs in zip(edges, probes, out):
-            assert labs == reference_classify_on_path(dom, mesh, mesh.edges[e], points)
-
-
-# Domes of the search's reference runs besides the DOME_GOLDEN sets: the
-# clustered dome above, and two valid domes the report flags (CHANGES.md,
-# FOUND lines of the dome-measure report): a path that backtracks in its
-# edge's pencil, and an edge with no measure path.
+# Domes besides the DOME_GOLDEN sets: the clustered dome above, and two
+# valid domes on which searched measure paths went wrong (CHANGES.md): on
+# one, a path backtracked in its edge's pencil; on the other, an edge got
+# no path.
 EXTRA_DOMES = {
     "clustered": clustered_dome_points(),
     "backtracking": [cp1(z) for z in (-1.3221 + 1.1268j, -0.7037 - 0.5974j, 0.0998 - 1.0192j,
@@ -1117,69 +1055,123 @@ EXTRA_DOMES = {
     "no-measure-path": [cp1(z) for z in (-0.07824 - 0.057123j, 0.031652 + 0.020803j,
                                          3.002232 + 0.005832j, 2.938316 - 0.032704j)],
 }
-# Edges all of whose candidates fail the walk.
-NO_PATH_EDGES = {"clustered": [0, 1, 2, 4, 5, 7], "no-measure-path": [1]}
+# Edges whose path the certificate rejects: three vertices of the clustered
+# dome are one vertex in their face's frame, so that face's core is a
+# sliver the spiral misses (a known limit).
+NO_PATH_EDGES = {"clustered": [0, 1, 2, 4, 5, 7]}
 
 
-def path_bits(path):
-    return None if path is None else [(float.hex(z.real), float.hex(z.imag)) for z in path]
+@pytest.fixture(scope="module")
+def dome_measure_runs():
+    """dome_measure_report on every set of DOME_GOLDEN and EXTRA_DOMES: the
+    report, and (domain, dome, each edge's refinement, tolerance) as the
+    report measured them."""
+    reports, measured = {}, {}
+    measure = thurston._measure_paths
+    with pytest.MonkeyPatch.context() as mp:
+        for name, pts, kwargs in dome_golden_sets() + [(n, p, {}) for n, p in EXTRA_DOMES.items()]:
+            def recording(dom, paths, tol, name=name, pts=pts):
+                runs = measure(dom, paths, tol)
+                measured[name] = (dom, dome(pts), runs, tol)
+                return runs
+
+            mp.setattr(thurston, "_measure_paths", recording)
+            reports[name] = dome_measure_report(pts, **kwargs)
+    return reports, measured
 
 
-# The strata table's columns, one row per edge, and the per-edge strata's
-# values they hold.
-STRATA_COLUMNS = ("n", "ninv", "bs", "sides", "phis", "turn", "stretch", "closed_form", "others")
+def certificate_reads(run) -> tuple:
+    """The points of a refinement's disks and the disks, in path order: what
+    the certificate of its edge reads."""
+    keys = sorted(run.disks)
+    return [run.path.at(k / run.FINEST) for k in keys], [run.disks[k] for k in keys]
 
 
-def strata_row_bytes(values):
-    """The bytes of each value, a map's or circle's by its matrix."""
-    return [np.asarray(getattr(v, "matrix", v)).tobytes() for v in values]
+def no_path_edges(report) -> list:
+    return [v["edge"] for v in report["violations"] if v["kind"] == "no-measure-path"]
+
+
+def test_dome_measure_reports_match_golden(dome_measure_runs):
+    """Reports recorded when the paths became closed-form spirals: face
+    count, violations and the bits of every edge's theta."""
+    reports, _ = dome_measure_runs
+    got = {name: {"faces": report["values"]["faces"], "violations": report["violations"],
+                  "theta": [float.hex(ev["theta"]) for ev in report["values"]["edges"]]}
+           for name, report in reports.items() if name in DOME_GOLDEN}
+    assert sorted(got) == sorted(DOME_GOLDEN)
+    for name in DOME_GOLDEN:
+        assert got[name] == DOME_GOLDEN[name], name
+
+
+def test_dome_measure_golden_thetas_match_dihedrals():
+    """Every theta DOME_GOLDEN records lies within 1e-12 of its edge's
+    dihedral angle."""
+    edges = 0
+    for name, pts, _ in dome_golden_sets():
+        mesh = dome(pts)
+        thetas = [float.fromhex(h) for h in DOME_GOLDEN[name]["theta"]]
+        assert len(thetas) == len(mesh.edges), name
+        for edge, theta in zip(mesh.edges, thetas):
+            assert abs(theta - edge.weight) < 1e-12, (name, edge)
+            edges += 1
+    assert edges == 381
+
+
+@pytest.mark.parametrize("name", ["backtracking", "no-measure-path"])
+def test_dome_measure_passes_on_hard_valid_domes(dome_measure_runs, name):
+    """Two valid domes on which searched paths went wrong: every edge's
+    path is certified, and its theta lies within 1e-11 of its dihedral
+    angle."""
+    reports, _ = dome_measure_runs
+    report = reports[name]
+    assert report["violations"] == []
+    assert all(ev["error"] < 1e-11 for ev in report["values"]["edges"])
+
+
+def test_strata_labels_match_maximal_disk_labels(dome_measure_runs):
+    """On the seed-7 round, every disk the certificate reads gets the label
+    its point gets from maximal disks, one edge and one record at a time
+    (``reference_classify_on_path``)."""
+    _, measured = dome_measure_runs
+    disks = 0
+    for name, (dom, mesh, runs, _) in measured.items():
+        if not name.startswith("seed7-"):
+            continue
+        for edge, run in zip(mesh.edges, runs):
+            points, recs = certificate_reads(run)
+            assert thurston._path_labels(mesh, edge, recs) == reference_classify_on_path(
+                dom, mesh, edge, points), (name, edge)
+            disks += len(recs)
+    assert disks >= 1000
+
+
+def test_strata_labels_on_a_face_with_clustered_vertices(dome_measure_runs):
+    """On the clustered dome, whose sliver face core the spirals miss,
+    every disk the certificate reads gets its maximal-disk label, and the
+    certificate rejects exactly the paths of NO_PATH_EDGES."""
+    reports, measured = dome_measure_runs
+    dom, mesh, runs, _ = measured["clustered"]
+    for edge, run in zip(mesh.edges, runs):
+        points, recs = certificate_reads(run)
+        assert thurston._path_labels(mesh, edge, recs) == reference_classify_on_path(
+            dom, mesh, edge, points), edge
+    assert no_path_edges(reports["clustered"]) == NO_PATH_EDGES["clustered"]
 
 
 @pytest.mark.parametrize("name", sorted(DOME_GOLDEN) + list(EXTRA_DOMES))
-def test_edge_paths_match_per_edge_search(name):
-    """The lockstep search finds, for every edge, the path of the per-edge
-    search (``reference_edge_paths``) point for point, or None where it
-    finds none; every row of the strata table holds, byte for byte, the
-    values the per-edge strata (``reference_edge_strata``) build."""
-    pts = EXTRA_DOMES.get(name) or {n: p for n, p, _ in dome_golden_sets()}[name]
-    mesh = dome(pts)
-    dom = DiskComplementDomain(mesh.vertices)
-    strata = thurston._DomeStrata(dom, mesh)
-    assert [strata_row_bytes(getattr(strata, c)[e] for c in STRATA_COLUMNS)
-            for e in range(len(mesh.edges))] == [
-        strata_row_bytes(getattr(reference_edge_strata(dom, mesh, edge), c)
-                         for c in STRATA_COLUMNS)
-        for edge in mesh.edges]
-    got = thurston._edge_paths(strata)
-    want = reference_edge_paths(dom, mesh)
-    assert [path_bits(p) for p in got] == [path_bits(p) for p in want]
-    assert [e for e, p in enumerate(got) if p is None] == NO_PATH_EDGES.get(name, [])
-
-
-@pytest.mark.parametrize("planted", [0, 3])
-def test_edge_paths_take_the_next_candidate_in_a_later_round(tetrahedron_points, planted, monkeypatch):
-    """When the walk fails on the first candidate of one edge, that edge
-    gets the path of its next candidate that the per-edge search trims, in
-    a later round; every other edge keeps its first-round path."""
-    mesh = dome(tetrahedron_points)
-    dom = DiskComplementDomain(mesh.vertices)
-    strata = reference_edge_strata(dom, mesh, mesh.edges[planted])
-    first, *rest = reference_edge_candidates(strata)
-    crossing, failed = thurston._crossing, []
-
-    def failing(line, labels):
-        if line.pts == first:
-            failed.append(line)
-            return None
-        return crossing(line, labels)
-
-    monkeypatch.setattr(thurston, "_crossing", failing)
-    got = thurston._edge_paths(thurston._DomeStrata(dom, mesh))
-    want = reference_edge_paths(dom, mesh)
-    want[planted] = next(p for p in (reference_single_edge_subpath(strata, c) for c in rest)
-                         if p is not None)
-    assert len(failed) == 1
-    assert [path_bits(p) for p in got] == [path_bits(p) for p in want]
+def test_edge_paths_match_per_edge_search(dome_measure_runs, name):
+    """Each edge's path, measured alone, gets the disks and the result it
+    gets in the report's lockstep refinement of every edge, bit for bit;
+    the edges the certificate rejects are NO_PATH_EDGES."""
+    reports, measured = dome_measure_runs
+    dom, mesh, runs, tol = measured[name]
+    for edge, run in zip(mesh.edges, runs):
+        (alone,) = thurston._measure_paths(dom, [run.path], tol)
+        assert measure_bits(alone.result) == measure_bits(run.result), edge
+        assert sorted(alone.disks) == sorted(run.disks)
+        assert [alone.disks[k].disk.circle.hermitian.tobytes() for k in sorted(alone.disks)] == [
+            run.disks[k].disk.circle.hermitian.tobytes() for k in sorted(run.disks)]
+    assert no_path_edges(reports[name]) == NO_PATH_EDGES.get(name, [])
 
 
 def test_face_core_points_match_per_radius_search():
@@ -1206,26 +1198,28 @@ def test_face_core_points_match_per_radius_search():
 
 def test_maximal_disk_matches_two_inversions(dome_measure_runs):
     """The disk of every maximal disk record is bit for bit the push-forward
-    by ``t.inverse()`` through ``OrientedCircle.transform``, on every probe
-    of the seed-7 round, taken as the batches the strata labelled."""
-    _, batches, _ = dome_measure_runs
+    by ``t.inverse()`` through ``OrientedCircle.transform``, on every
+    refinement point of every measure path of the seed-7 round, as the
+    measure's batches built them."""
+    _, measured = dome_measure_runs
     checked = 0
-    for name, (dom, _, _), points, _ in batches:
+    for name, (_, _, runs, _) in measured.items():
         if not name.startswith("seed7-"):
             continue
-        for z, rec in zip(points, maximal_disks(dom, points)):
-            # t as the per-point oracle builds it from the query.
-            x = rec.query
-            if x.is_infinity:
-                t = MoebiusMap.identity()
-            else:
-                t = MoebiusMap(np.array([[0.0, 1.0], [1.0, -x.as_complex()]], dtype=complex))
-            med = rec.normalized
-            circle = OrientedCircle.from_center_radius(med.center, med.radius, disk_inside=False)
-            old = circle.transform(t.inverse()).hermitian
-            assert rec.disk.circle.hermitian.tobytes() == old.tobytes(), z
-            checked += 1
-    assert checked > 3000
+        for run in runs:
+            for z, rec in zip(*certificate_reads(run)):
+                # t as the per-point oracle builds it from the query.
+                x = rec.query
+                if x.is_infinity:
+                    t = MoebiusMap.identity()
+                else:
+                    t = MoebiusMap(np.array([[0.0, 1.0], [1.0, -x.as_complex()]], dtype=complex))
+                med = rec.normalized
+                circle = OrientedCircle.from_center_radius(med.center, med.radius, disk_inside=False)
+                old = circle.transform(t.inverse()).hermitian
+                assert rec.disk.circle.hermitian.tobytes() == old.tobytes(), z
+                checked += 1
+    assert checked >= 1000  # 1,089 points
 
 
 # ---------------------------------------------------------------------------
