@@ -45,6 +45,7 @@ from .surface import (
 from .grafting import (
     GraftedStructure,
     InvalidMulticurveError,
+    PerturbInputError,
     WeightedMulticurve,
     is_two_pi_multiple,
     pleated_surface,
@@ -104,10 +105,6 @@ class Weight:
         else:
             raise ConfigError(f"cannot parse weight {spec!r}")
         return Weight(v)
-
-    @property
-    def is_two_pi_multiple(self) -> bool:
-        return is_two_pi_multiple(self.value)
 
 
 @dataclass
@@ -453,7 +450,7 @@ def cmd_verify(config: RunConfig, which: str, out_dir: str) -> int:
     if which == "two-pi":
         if not config.multicurve_words:
             raise ConfigError("two-pi check needs a multicurve")
-        if not all(w.is_two_pi_multiple for w in config.weights):
+        if not all(is_two_pi_multiple(w.value) for w in config.weights):
             raise ConfigError("two-pi check requires weights in 2 pi Z")
         gs = config.structure()
         hol, rp = gs.hol, gs.rho_prime
@@ -521,7 +518,7 @@ def cmd_verify(config: RunConfig, which: str, out_dir: str) -> int:
     if which == "covering":
         if not config.multicurve_words:
             raise ConfigError("covering check needs a multicurve")
-        if not all(w.is_two_pi_multiple for w in config.weights):
+        if not all(is_two_pi_multiple(w.value) for w in config.weights):
             raise ConfigError("covering check requires weights in 2 pi Z")
         gs = config.structure()
         rng = np.random.default_rng(config.seed)
@@ -690,6 +687,7 @@ def main(argv=None) -> int:
         ConstructionError,
         DegenerateInputError,
         TransversalityError,
+        PerturbInputError,
         RuntimeError,
         ArithmeticError,
     ) as exc:

@@ -35,7 +35,7 @@ from .moebius import (
     chordal_rows,
     classify,
     cp1,
-    normalize_stack,
+    moebius_rows,
     sphere_approx,
     sphere_keys,
     sphere_xyz,
@@ -354,16 +354,20 @@ class WordTree:
     """The reduced-word tree of a structure's leaf queries, grown as they
     need it, as one table ``nodes`` with a row per reduced word.  A row
     keeps the word's normalized matrix and orbit point, built as
-    ``normalize_stack(word_products(...))`` from its parent's when a query
-    expands the parent; a word that a query found near its focus also keeps
-    its ``element_keys`` class, and a word that a query kept gets a row of
-    the leaf keys: its leaf lifts' resolution mask, rounded keys and real
-    endpoints.  Each of these depends only on the word, so ``leaf_table``
-    gives the table of a fresh BFS whatever queries ran before: the same
-    tests in the same order, with children expanded only for kept words
-    that have none.  The keys are ``sphere_keys``: equal under ``==`` to
-    the rounded ``sphere_xyz`` of the endpoints, though a zero's sign may
-    differ from it, so the tree's key bytes are not the reference's.
+    ``moebius_rows(word_products(...))`` from its parent's when a query
+    expands the parent: MoebiusMap's rule on the product ``rho`` takes, so
+    a row's matrix is ``hol.rho(word).matrix`` bit for bit.  A word whose
+    product is singular, where ``rho`` raises, keeps the product unscaled
+    and is never kept by a query.  A word that a query found near its focus
+    also keeps its ``element_keys`` class, and a word that a query kept
+    gets a row of the leaf keys: its leaf lifts' resolution mask, rounded
+    keys and real endpoints.  Each of these depends only on the word, so
+    ``leaf_table`` gives the table of a fresh BFS whatever queries ran
+    before: the same tests in the same order, with children expanded only
+    for kept words that have none.  The keys are ``sphere_keys``: equal
+    under ``==`` to the rounded ``sphere_xyz`` of the endpoints, though a
+    zero's sign may differ from it, so the tree's key bytes are not the
+    reference's.
 
     Beside the keys the tree keeps ``rank``: each key row's rank among the
     tree's distinct keys in lexicographic order (``key_ranks``, int32),
@@ -437,9 +441,12 @@ class WordTree:
         new = nodes[child < 0]
         if len(new):
             rows, letters = word_children(self.nodes["letter"][new])
-            mats = normalize_stack(word_products(self.nodes["mat"][new], rows, letters, self.gens))
+            products = word_products(self.nodes["mat"][new], rows, letters, self.gens)
+            mats, singular = moebius_rows(products)
             self.nodes["child"][new] = self.size + (len(rows) // len(new)) * np.arange(len(new))
             self._append(mats, new[rows], letters)
+            if singular:  # no Moebius map: the root's class, already kept by every query
+                self.nodes["dedup"][self.size - len(mats) + np.fromiter(singular, int)] = 0
             child = self.nodes["child"][nodes]
         return child
 
@@ -601,9 +608,10 @@ def enumerate_leaf_lifts(
     The BFS runs level by level over the reduced-word tree of ``tree`` (a
     WordTree of hol and mc, kept between calls; a fresh one by default).
     Within a level the candidates come in frontier order, then in
-    LETTER_ORDER; a candidate is kept unless its orbit point x0 is farther
-    than the radius from every focus point or an earlier element has the
-    same ``element_keys`` key.  The radius test takes the distances of a
+    LETTER_ORDER, each with the matrix ``hol.rho(word)`` has.  A candidate
+    is kept unless its orbit point x0 is farther than the radius from every
+    focus point, an earlier element has the same ``element_keys`` key, or
+    its product is singular.  The radius test takes the distances of a
     level in (targets, candidates) layout and each candidate's minimum down
     its column; the query keeps the classes it has met in one set.  Lifts
     whose endpoints contract below resolution are dropped.  Rows are sorted
@@ -848,9 +856,6 @@ class GraftedStructure:
     def develop(self, z: complex) -> PointCP1:
         """Developing map on strata, continued from the base stratum."""
         return apply(self.bending_map(z), embed_cp1(z))
-
-    def all_weights_two_pi_multiples(self) -> bool:
-        return all(is_two_pi_multiple(t) for t in self.multicurve.weights)
 
 
 def segment_focus(path: list[complex]) -> list[complex]:

@@ -83,19 +83,16 @@ def h3_distance(p: PointH3, q: PointH3) -> float:
 
 
 def translation_along_geodesic(g: GeodesicH3, length: float) -> MoebiusMap:
-    """Hyperbolic element translating by the given length along g
-    (from g.p toward g.q for positive length)."""
-    t = moebius_two_points(g.p, g.q)
-    diag = np.array([[math.exp(-length / 2.0), 0.0], [0.0, math.exp(length / 2.0)]], dtype=complex)
-    return t.inverse() @ MoebiusMap(diag) @ t
+    """Hyperbolic element translating by the given length along g, toward
+    g.p for positive length: rotation about g by the angle i length."""
+    return rotation_about_geodesic(g, 1j * length)
 
 
-def rotation_about_geodesic(g: GeodesicH3, theta: float) -> MoebiusMap:
-    """Elliptic element fixing the endpoints of g, rotating by theta.
-
-    Positive theta is counterclockwise around the axis oriented from g.p
-    to g.q (for the axis (0, infinity) this is z -> exp(i theta) z).
-    """
+def rotation_about_geodesic(g: GeodesicH3, theta: complex) -> MoebiusMap:
+    """Element fixing the endpoints of g, by the complex angle
+    theta = phi + i l: rotation by phi, counterclockwise around the axis
+    oriented from g.p to g.q, and translation by l toward g.p.  For the
+    axis (0, infinity) it is z -> exp(i theta) z."""
     if abs(theta) < 1e-15:
         return MoebiusMap.identity()
     t = moebius_two_points(g.p, g.q)

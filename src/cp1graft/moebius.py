@@ -314,12 +314,14 @@ def _sign_normalize(m: np.ndarray) -> np.ndarray:
 
 
 def _sign_stack(mats: np.ndarray, big: np.ndarray) -> np.ndarray:
-    """``_sign_normalize`` of every matrix of an (N, 2, 2) stack, given where
-    its entries exceed TOL_ALG in magnitude, as an (N, 4) mask."""
-    flat = mats.reshape(len(mats), 4)
-    lead = flat[np.arange(len(flat)), np.argmax(big, axis=1)]
-    flip = big.any(axis=1) & ((lead.real < 0) | ((lead.real == 0) & (lead.imag < 0)))
-    return np.where(flip[:, None, None], -mats, mats)
+    """``_sign_normalize`` of every matrix of an (N, 2, 2) stack, in place,
+    given where its entries exceed TOL_ALG in magnitude, as an (N, 4) mask;
+    a matrix with no such entry keeps its sign."""
+    f0, f1, f2, f3 = mats.reshape(len(mats), 4).T
+    b0, b1, b2, b3 = big.T
+    lead = np.where(b0, f0, np.where(b1, f1, np.where(b2, f2, np.where(b3, f3, 0))))
+    flip = np.where(lead.real != 0, lead.real, lead.imag) < 0
+    return np.negative(mats, out=mats, where=flip[:, None, None])
 
 
 def moebius_rows(mats: np.ndarray) -> tuple:
@@ -328,23 +330,15 @@ def moebius_rows(mats: np.ndarray) -> tuple:
     ``_sign_normalize``.  Returns the stack and the faults, a dict from the
     index of each singular matrix, which MoebiusMap rejects, to its message;
     a singular matrix is left unscaled."""
+    a, b, c, d = mats.reshape(len(mats), 4).T
     det = np.empty(len(mats), dtype=complex)
-    det.real, det.imag = det_parts(*mats.reshape(len(mats), 4).view(float).T)
-    singular = np.hypot(det.real, det.imag) < 1e-300
-    mats = mats / np.sqrt(np.where(singular, 1.0, det))[:, None, None]
-    flat = mats.reshape(len(mats), 4)
-    faults = dict.fromkeys(singular.nonzero()[0].tolist(), SINGULAR)
-    return _sign_stack(mats, np.hypot(flat.real, flat.imag) > TOL_ALG), faults
-
-
-def normalize_stack(mats: np.ndarray) -> np.ndarray:
-    """MoebiusMap's normalization rule on an (N, 2, 2) stack, for the word
-    tree.  Its determinant is taken with numpy's array product, which may
-    differ from MoebiusMap's in the last bits (``moebius_rows`` keeps
-    them), so the matrices may too."""
-    det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+    det.real, det.imag = det_parts(a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag)
+    singular = np.abs(det) < 1e-300
+    if singular.any():
+        det[singular] = 1.0
     mats = mats / np.sqrt(det)[:, None, None]
-    return _sign_stack(mats, np.abs(mats.reshape(len(mats), 4)) > TOL_ALG)
+    faults = dict.fromkeys(singular.nonzero()[0].tolist(), SINGULAR)
+    return _sign_stack(mats, np.abs(mats.reshape(len(mats), 4)) > TOL_ALG), faults
 
 
 def stack_times(stack: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -52,6 +52,7 @@ from .surface import GroupWord, axis
 from .grafting import (
     GraftedStructure,
     LiftedLeaf,
+    is_two_pi_multiple,
     leaf_normalizer,
 )
 
@@ -1092,7 +1093,7 @@ def verify_covering(
     A lift is (signs, None, None) in the stratum with leaf sides ``signs``,
     or (None, j, psi) in the crescent of leaf j at angle psi of its frame.
     """
-    if not gs.all_weights_two_pi_multiples():
+    if not all(map(is_two_pi_multiple, gs.multicurve.weights)):
         raise PreconditionError("verify_covering requires weights in 2 pi Z")
     loops = list(loops)
     if not loops:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cp1graft.moebius import INFINITY, cp1
+from cp1graft.moebius import INFINITY, MoebiusMap, cp1
 from cp1graft.surface import FNCoordinates, GroupWord, fuchsian_from_fn, limit_set_sample
 from cp1graft.grafting import GraftedStructure, WeightedMulticurve
 from cp1graft.thurston import DiskComplementDomain
@@ -19,6 +19,24 @@ def limit_domain(gs):
     """The domain off the depth-4 limit-set sample of the structure's
     Fuchsian holonomy, which the covering checks keep their loops clear of."""
     return DiskComplementDomain(limit_set_sample(gs.hol, 4))
+
+
+def tree_words(tree) -> list:
+    """The word of every node of a WordTree, spelled from its parent's word
+    and its last letter; a parent's row precedes its children's."""
+    words = [()]
+    for parent, letter in tree.nodes[["parent", "letter"]][1:].tolist():
+        words.append(words[parent] + (letter,))
+    return [GroupWord(w) for w in words]
+
+
+def tree_rho(tree, hol) -> np.ndarray:
+    """``hol.rho(word).matrix`` of every node's word, as rho takes it: the
+    map of the word minus its last letter times that letter's generator."""
+    maps = [MoebiusMap.identity()]
+    for parent, letter in tree.nodes[["parent", "letter"]][1:].tolist():
+        maps.append(maps[parent] @ hol.generator(letter))
+    return np.array([m.matrix for m in maps])
 
 
 def bench_workloads():

@@ -284,18 +284,26 @@ def reference_leaf_lifts(hol, mc, depth, focus, margin=4.0):
         distance_to_leaf,
     )
     from cp1graft.moebius import (
+        TOL_ALG,
         TOL_GEO,
         MoebiusMap,
+        _sign_stack,
         chordal_rows,
         classify,
         cp1,
-        normalize_stack,
         sphere_xyz,
     )
     from cp1graft.surface import LETTER_ORDER, axis, first_rows, word_children
 
     def element_keys(mats):
         return [m.tobytes() for m in np.round(mats, 9) + 0.0]
+
+    def normalize(mats):
+        # MoebiusMap's rule with the determinant by numpy's complex product,
+        # which may differ from MoebiusMap's in the last bits.
+        det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+        mats = mats / np.sqrt(det)[:, None, None]
+        return _sign_stack(mats, np.abs(mats.reshape(len(mats), 4)) > TOL_ALG)
 
     x0 = hol.basepoint
     base_axes = []
@@ -324,7 +332,7 @@ def reference_leaf_lifts(hol, mc, depth, focus, margin=4.0):
     count = 1
     for _ in range(depth):
         cand_from, cand_last = word_children(level_last)
-        cand = normalize_stack(reference_word_products(level, cand_from, cand_last, gens))
+        cand = normalize(reference_word_products(level, cand_from, cand_last, gens))
 
         orbit = cand @ start
         z = (orbit[:, 0] / orbit[:, 1])[:, None]

@@ -10,7 +10,8 @@ import cp1graft.cli as cli
 from cp1graft.cli import (
     EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, RunConfig, Weight, atomic_write, dumps, main,
 )
-from cp1graft.grafting import is_two_pi_multiple
+import cp1graft.grafting as grafting
+from cp1graft.grafting import PerturbInputError, is_two_pi_multiple
 from cp1graft.surface import enumerate_words, fuchsian_from_fn
 
 
@@ -45,8 +46,8 @@ def write_config(tmp_path, doc, name="config.json"):
 def test_weight_parsing():
     assert Weight.parse("2*pi").value == pytest.approx(2 * math.pi)
     assert Weight.parse("1/2*pi").value == pytest.approx(math.pi / 2)
-    assert not Weight.parse("1/2*pi").is_two_pi_multiple
-    assert Weight.parse(6.283185307179586).is_two_pi_multiple
+    assert not is_two_pi_multiple(Weight.parse("1/2*pi").value)
+    assert is_two_pi_multiple(Weight.parse(6.283185307179586).value)
     assert Weight.parse("0.75").value == 0.75
 
 
@@ -62,9 +63,7 @@ TWO_PI_BOUNDARY = [
 def test_two_pi_rule_boundary(value, expected):
     # Every weight, numeric or a multiple of pi, is read by the one rule of
     # grafting: |w/2pi - k| < 1e-9.
-    weight = Weight.parse(value)
-    assert weight.is_two_pi_multiple is expected
-    assert is_two_pi_multiple(weight.value) is expected
+    assert is_two_pi_multiple(Weight.parse(value).value) is expected
 
 
 def test_dumps_17_digits():
@@ -304,7 +303,16 @@ def _domain(points):
     return dict(TETRA, domain={"points": points})
 
 
-# (id, config, command, extra flags, exit code, stderr prefix)
+def _endpoint_on_leaf(monkeypatch):
+    """Every segment the structure is built along starts on a leaf lift."""
+    def raising(p, q, *, leaves):
+        raise PerturbInputError("segment start point lies on a lifted leaf", 1e-3j)
+
+    monkeypatch.setattr(grafting, "lift_crossings", raising)
+
+
+# (id, config, command, extra flags, exit code, stderr prefix[, defect
+# planted before the command runs])
 CLI_ERROR_CASES = [
     ("limit-depth-0-limitset", dict(BASE_CONFIG, limit_depth=0),
      ("export", "limitset"), (), EXIT_CONFIG, "error:"),
@@ -398,14 +406,23 @@ CLI_ERROR_CASES = [
                                             {"word": "b", "weight": 1.0}]),
      ("graft",), (), EXIT_CONFIG,
      "error: leaf lifts intersect: BcDC*curve0 crosses BcDC*curve1"),
+    # The CLI picks every segment endpoint itself (basepoint, generator
+    # images, face samples, transversal ends), so one on a leaf is a
+    # numeric failure, not a config error.
+    ("endpoint-on-leaf", BASE_CONFIG, ("graft",), (), EXIT_NUMERIC,
+     "numeric failure: segment start point lies on a lifted leaf", _endpoint_on_leaf),
 ]
 
 
 @pytest.mark.parametrize(
-    "config, command, flags, code, message",
-    [pytest.param(*case[1:], id=case[0]) for case in CLI_ERROR_CASES],
+    "config, command, flags, code, message, plant",
+    [pytest.param(*case[1:6], case[6] if len(case) > 6 else None, id=case[0])
+     for case in CLI_ERROR_CASES],
 )
-def test_cli_error_paths(tmp_path, capsys, config, command, flags, code, message):
+def test_cli_error_paths(tmp_path, capsys, monkeypatch, config, command, flags, code, message,
+                         plant):
+    if plant:
+        plant(monkeypatch)
     cfg = write_config(tmp_path, config)
     out = str(tmp_path / "out")
     assert main([*command, "--config", cfg, "--out", out, *flags]) == code

@@ -14,7 +14,6 @@ from cp1graft.moebius import (
     apply,
     chordal_distance,
     cp1,
-    normalize_stack,
 )
 from cp1graft.hyperbolic import apply_isometry, nearest_point_projection, PlaneH3, OrientedCircle
 from cp1graft.surface import (
@@ -24,7 +23,6 @@ from cp1graft.surface import (
     first_rows,
     fuchsian_from_fn,
     key_ranks,
-    word_products,
 )
 import cp1graft.grafting as grafting
 import cp1graft.moebius as moebius
@@ -59,7 +57,7 @@ from cp1graft.grafting import (
     segment_focus,
     uhp_geodesic_point,
 )
-from conftest import bench_workloads
+from conftest import bench_workloads, tree_rho, tree_words
 from oracles import first_linked_pair_matrix, reference_leaf_lifts, segment_crossing_count
 
 TWO_PI = 2.0 * math.pi
@@ -621,7 +619,8 @@ def test_tree_copy_grows_apart(holonomy):
 
 def test_tree_rows_hold_the_matrices_their_expansion_built(holonomy, monkeypatch):
     # After shuffled queries every word was built once, and its row holds
-    # the product of its parent's row and its last letter, normalized.
+    # its word's rho: the product of its parent's row and its last letter,
+    # normalized by MoebiusMap's rule.
     built = []
     products = grafting.word_products
 
@@ -638,14 +637,54 @@ def test_tree_rows_hold_the_matrices_their_expansion_built(holonomy, monkeypatch
         tree.leaf_table(*queries[i])
     nodes = tree.nodes[1:]
     assert sum(built) == len(nodes) > 1000
-    want = normalize_stack(word_products(
-        tree.nodes["mat"][nodes["parent"]], np.arange(len(nodes)), nodes["letter"], tree.gens))
+    want = tree_rho(tree, holonomy)[1:]
     assert nodes["mat"].tobytes() == want.tobytes()
     orbit = want @ tree.start
     assert nodes["orbit"].tobytes() == (orbit[:, 0] / orbit[:, 1]).tobytes()
     # A parent's first child points at a row whose parent it is.
     expanded = np.flatnonzero(tree.nodes["child"] >= 0)
     assert np.array_equal(tree.nodes["parent"][tree.nodes["child"][expanded]], expanded)
+
+
+def _expand_all(tree, length):
+    """Grow every reduced word of length <= length in a tree."""
+    level = np.array([0])
+    for k in range(length):
+        level = (tree._expand(level)[:, None] + np.arange(8 if k == 0 else 7)).ravel()
+
+
+@pytest.mark.parametrize("fn", [(2.0, 2.5, 1.7, 0.3, -0.8, 1.1), (1.2, 2.9, 2.3, 1.4, -0.3, -1.0)],
+                         ids=["fn0", "fn3"])
+def test_tree_nodes_are_rho_of_their_words(fn):
+    # The tree normalizes by MoebiusMap's rule, so every word of length <= 5
+    # holds rho(word) bit for bit: FN instances 0 and 3 of the acceptance
+    # suite, the second with every cuff twisted.
+    hol = fuchsian_from_fn(FNCoordinates(fn[:3], fn[3:]))
+    tree = WordTree(hol, CUFF_MULTICURVE)
+    _expand_all(tree, 5)
+    assert tree.size == 1 + 8 * (7**5 - 1) // 6
+    want = np.array([hol.rho(w).matrix for w in tree_words(tree)])
+    assert tree.nodes["mat"].tobytes() == want.tobytes()
+
+
+def test_tree_never_keeps_a_singular_word():
+    # On this surface c^6 cancels in floating point: its product's
+    # determinant comes out 0, and rho raises.  A query whose focus holds
+    # c^k x0 for k <= 5, and a point next to c^6's orbit, expands c^5 and
+    # meets c^6 near its focus; the tree keeps c^6's product unscaled and
+    # the query does not keep the word.
+    hol = fuchsian_from_fn(FNCoordinates((3.1, 0.9, 1.4), (1.5, -0.2, 0.4)))
+    powers = [GroupWord((3,) * k) for k in range(1, 7)]
+    with pytest.raises(DegenerateInputError, match="singular matrix"):
+        hol.rho(powers[5])
+    focus = [hol.rho(w)(hol.basepoint) for w in powers[:5]]
+    focus.append(hol.rho(powers[4])(focus[0]))
+    tree = WordTree(hol, CUFF_MULTICURVE)
+    table = tree.leaf_table(6, focus, 4.0)
+    assert powers[5] in tree_words(tree)
+    assert np.isfinite(tree.nodes["mat"]).all()
+    kept = [table.word(e) for e in range(len(table._parent))]
+    assert powers[4] in kept and powers[5] not in kept
 
 
 def test_element_cap_raises_and_keeps_the_tree_consistent(holonomy, monkeypatch, tmp_path, capsys):

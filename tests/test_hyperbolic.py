@@ -36,6 +36,7 @@ from cp1graft.hyperbolic import (
     h3_distance,
     nearest_point_projection,
     rotation_about_geodesic,
+    translation_along_geodesic,
     _distinct_ids,
 )
 from cp1graft.surface import FNCoordinates, GroupWord, fuchsian_from_fn, limit_set_sample
@@ -91,11 +92,23 @@ def test_h3_distance_symmetric_and_invariant():
 
 
 def test_rotation_standard_axis():
+    # About 0 -> infinity the angle theta, real or complex, acts as
+    # z -> exp(i theta) z.
     g = GeodesicH3(cp1(0), INFINITY)
-    theta = 0.7
-    m = rotation_about_geodesic(g, theta)
-    want = MoebiusMap.from_entries(cmath.exp(1j * theta / 2), 0, 0, cmath.exp(-1j * theta / 2))
-    assert m.proj_distance(want) < 1e-12
+    for theta in (0.7, 0.7 + 0.4j, -1.1j):
+        m = rotation_about_geodesic(g, theta)
+        want = MoebiusMap.from_entries(cmath.exp(1j * theta / 2), 0, 0, cmath.exp(-1j * theta / 2))
+        assert m.proj_distance(want) < 1e-12
+
+
+def test_translation_moves_toward_the_first_endpoint():
+    # A positive length moves toward g.p, the axis's start: by 1 along
+    # 0 -> infinity, i goes to i / e; along -1 -> 1, i goes 1 down the unit
+    # half circle toward -1, to -tanh(1) + i sech(1) = -0.762 + 0.648i.
+    m = translation_along_geodesic(GeodesicH3(cp1(0), INFINITY), 1.0)
+    assert abs(m(1j) - 1j / math.e) < 1e-15
+    m = translation_along_geodesic(GeodesicH3(cp1(-1), cp1(1)), 1.0)
+    assert abs(m(1j) - complex(-math.tanh(1.0), 1.0 / math.cosh(1.0))) < 1e-15
 
 
 def test_rotation_full_turn_is_identity():

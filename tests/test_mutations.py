@@ -23,7 +23,9 @@ from cp1graft.surface import GroupWord
 from cp1graft.thurston import RoundDisk, verify_covering
 from conftest import REPO, cocircular_rows, domain_round_sets, limit_domain
 from oracles import lockstep_med_mismatches
-from test_acceptance import criterion_1, criterion_4, criterion_5, two_pi_structures
+from test_acceptance import (
+    criterion_1, criterion_4, criterion_5, criterion_7, two_pi_structures,
+)
 from test_grafting import radius_screen_mismatches
 from test_hyperbolic import dome_golden_mismatches
 from test_moebius import key_mismatches
@@ -323,6 +325,19 @@ def test_criterion_4_catches_a_reversed_face_circle(monkeypatch):
     monkeypatch.setattr(hyperbolic, "side_signs", first_reversed)
     passed, detail = criterion_4()
     assert not passed, detail
+
+
+def test_criterion_7_catches_a_slack_containment(monkeypatch):
+    """Welzl's containment test with a slack of 1e-3 of the radius: a point
+    that far outside the disk counts as inside, so some disks come out
+    smaller than brute force's and the minimal-disk part fails.  (A slack
+    of 1e-3 absolute changes none of its 200 disks.)"""
+    assert criterion_7()[0]
+    monkeypatch.setattr(moebius, "_contains",
+                        lambda c, r, p, eps: abs(p - c) <= r * (1.0 + eps + 1e-3) + eps)
+    passed, detail = criterion_7()
+    assert not passed, detail
+    assert float(re.search(r"minimal-disk (\S+),", detail).group(1)) > 1e-8, detail
 
 
 def _planted_crossings(monkeypatch, defect):

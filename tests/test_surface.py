@@ -13,7 +13,7 @@ from cp1graft.moebius import (
     chordal_distance,
     chordal_rows,
     classify,
-    normalize_stack,
+    moebius_rows,
     sphere_xyz,
     stack_times,
 )
@@ -32,6 +32,7 @@ from cp1graft.surface import (
     word_children,
     word_products,
 )
+from conftest import tree_words
 from oracles import reference_word_products
 
 
@@ -322,16 +323,15 @@ def test_word_products_match_the_per_letter_stacked_loop(holonomy):
                 want = reference_word_products(level, rows, last, gens)
                 level = word_products(level, rows, last, gens)
                 assert level.tobytes() == want.tobytes()
-                level = normalize_stack(level) if normalize else level
+                level = moebius_rows(level)[0] if normalize else level
             assert len(level) == 8 * 7**4
-    # The rows a word tree grew for a query, from their parents' rows.
+    # The rows a word tree grew for a query, from their parents' rows: each
+    # is its word's rho, bit for bit.
     tree = WordTree(holonomy, bent.multicurve)
     tree.leaf_table(6, segment_focus([holonomy.basepoint, -1.2 + 0.4j]), 8.0)
-    nodes = tree.nodes[1:]
-    want = reference_word_products(
-        tree.nodes["mat"][nodes["parent"]], np.arange(len(nodes)), nodes["letter"], tree.gens)
-    assert len(nodes) > 1000
-    assert nodes["mat"].tobytes() == normalize_stack(want).tobytes()
+    assert tree.size > 1000
+    want = np.array([holonomy.rho(w).matrix for w in tree_words(tree)])
+    assert tree.nodes["mat"].tobytes() == want.tobytes()
     # Its leaf ends, each axis end moved by each word, as per-matrix products.
     ends = tree._ends(tree.nodes["mat"])
     for i, (p, q) in enumerate(tree.axis_ends):
