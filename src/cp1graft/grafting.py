@@ -10,6 +10,15 @@ Sign convention: a crossing counts positive when the oriented leaf (from
 repelling to attracting fixed point) passes left-to-right across the
 oriented segment, and the bending rotation about the leaf uses that sign.
 The opposite convention would produce the complex-conjugate structures.
+
+Weights: the WeightedMulticurve alone holds them.  Leaves and crossings
+carry the index of their curve, and which leaves a path crosses does not
+depend on the weights, which enter in ``bending_product(crossings,
+angles)`` alone: crossing c turns about its leaf by c.sign * angles[curve].
+A complex angle theta + i l also translates by l along the leaf (a complex
+earthquake: along cuff a, the angle i t is fuchsian_from_fn's twist by t).
+A zero angle gives no factor; a product of no factor leaves the map it
+multiplies as it is.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -124,12 +133,6 @@ class WeightedMulticurve:
     def weights(self):
         return tuple(t for _, t in self.entries)
 
-    def weight_of(self, word: GroupWord) -> float:
-        for w, t in self.entries:
-            if w.letters == word.letters:
-                return t
-        raise KeyError(f"curve {word} is not in the multicurve")
-
 
 @dataclass(frozen=True)
 class LiftedLeaf:
@@ -137,7 +140,6 @@ class LiftedLeaf:
     oriented from repelling to attracting fixed point."""
 
     geodesic: GeodesicH3
-    weight: float
     curve_index: int
     conjugator: GroupWord
 
@@ -235,7 +237,6 @@ class LeafTable(Sequence):
     Columns, one entry per leaf:
       ends        (L, 2, 2) complex: homogeneous pairs (z0, z1) of the
                   repelling and the attracting endpoint
-      weight      (L,) float
       curve       (L,) int, the multicurve entry the leaf lifts
       conjugator  (L,) int, an element of the BFS tree, spelled by ``word``
       real_ends   (L, 2) float, the endpoints' ``_real_ends``: as a word
@@ -248,11 +249,10 @@ class LeafTable(Sequence):
     width behind them are built once per table.
     """
 
-    def __init__(self, ends, weight, curve, conjugator, parent, letter, real_ends=None):
+    def __init__(self, ends, curve, conjugator, parent, letter, real_ends=None):
         self.ends = ends
         if real_ends is not None:
             self.real_ends = real_ends
-        self.weight = weight
         self.curve = curve
         self.conjugator = conjugator
         self._parent = parent
@@ -277,7 +277,6 @@ class LeafTable(Sequence):
                 geodesic=GeodesicH3(
                     PointCP1(complex(p0), complex(p1)), PointCP1(complex(q0), complex(q1))
                 ),
-                weight=float(self.weight[i]),
                 curve_index=int(self.curve[i]),
                 conjugator=self.word(int(self.conjugator[i])),
             )
@@ -393,7 +392,6 @@ class WordTree:
         self.start = cp1(x0).normalized().vector()
         self.gens = {l: hol.generator(l).matrix for l in LETTER_ORDER}
         self.axis_ends = [(g.p.normalized().vector(), g.q.normalized().vector()) for g in base_axes]
-        self.weights = np.array(mc.weights, dtype=float)
         self.clear()
 
     def clear(self):
@@ -544,7 +542,6 @@ class WordTree:
         element, curve = np.divmod(rows, len(self.axis_ends))
         return LeafTable(
             ends=self._ends(self.nodes["mat"][kept[element]])[np.arange(len(rows)), curve],
-            weight=self.weights[curve],
             curve=curve,
             conjugator=element,
             parent=np.concatenate(parents),
@@ -598,7 +595,7 @@ def enumerate_leaf_lifts(
 ) -> LeafTable:
     """All distinct lifts w . axis(gamma_i) for conjugators w of length <=
     depth whose orbit point stays within reach of the focus set, as a
-    LeafTable (columns: endpoints, weight, curve index, conjugator).
+    LeafTable (columns: endpoints, curve index, conjugator).
 
     Any leaf crossing the focus region has a conjugator representative
     (slide along the curve's own powers) whose orbit point comes within
@@ -717,10 +714,6 @@ class Crossing:
     parameter: float  # position along the segment in [0, 1]
     sign: int  # +1: leaf crosses left-to-right across the oriented segment
 
-    @property
-    def rotation_angle(self) -> float:
-        return self.sign * self.leaf.weight
-
 
 def _segment_frame(p: complex, q: complex) -> MoebiusMap:
     """Real Moebius map sending the oriented geodesic through p, q to the
@@ -762,13 +755,27 @@ def lift_crossings(p: complex, q: complex, *, leaves: LeafTable) -> list[Crossin
     return out
 
 
-def bending_product(crossings) -> MoebiusMap:
-    """Ordered product of the bending rotations about the crossed leaves,
-    each by its signed weight; the identity when nothing is crossed."""
-    m = MoebiusMap.identity()
-    for crossing in crossings:
-        m = m @ rotation_about_geodesic(crossing.leaf.geodesic, crossing.rotation_angle)
-    return m
+class _Unbent(MoebiusMap):
+    """The empty bending product: it leaves the map it multiplies as it is."""
+
+    def __matmul__(self, other: MoebiusMap) -> MoebiusMap:
+        return other
+
+
+UNBENT = _Unbent(np.eye(2, dtype=complex))
+
+
+def bending_product(crossings, angles) -> MoebiusMap:
+    """The bending cocycle along crossings at one angle per curve: the
+    ordered product, from the identity, of the rotations about the crossed
+    leaves by c.sign * angles[c.leaf.curve_index], skipping zero angles;
+    UNBENT when no factor is left."""
+    factors = [
+        rotation_about_geodesic(c.leaf.geodesic, c.sign * angles[c.leaf.curve_index])
+        for c in crossings
+        if angles[c.leaf.curve_index] != 0
+    ]
+    return reduce(operator.matmul, factors, MoebiusMap.identity()) if factors else UNBENT
 
 
 def perturbation_offset(z: complex, leaves: LeafTable) -> complex:
@@ -825,6 +832,19 @@ class GraftedStructure:
         return grafted_holonomy(self)
 
     @cached_property
+    def generator_crossings(self) -> tuple:
+        """The crossings of [x0, g x0] for g = a1, b1, a2, b2 on the base
+        leaves, once the multicurve is checked; rho' at any angles is one
+        ``bending_product`` per generator over them."""
+        leaves = self.base_leaves
+        # The check replays on a copy of the structure's tree: it reuses the
+        # base leaves' words, and the structure keeps none of its own.
+        check_multicurve(self.hol, self.multicurve, depth=min(self.depth, 4),
+                         tree=self.word_tree.copy())
+        x0 = self.basepoint
+        return tuple(lift_crossings(x0, g(x0), leaves=leaves) for g in self.hol.generators)
+
+    @cached_property
     def word_tree(self) -> WordTree:
         """The word tree every leaf query of this structure replays on."""
         return WordTree(self.hol, self.multicurve)
@@ -850,8 +870,8 @@ class GraftedStructure:
         return self.crossings([self.basepoint, z])
 
     def bending_map(self, z: complex) -> MoebiusMap:
-        """Ordered product of bending rotations along [basepoint, z]."""
-        return bending_product(self.crossings_to(z))
+        """The bending cocycle along [basepoint, z]."""
+        return bending_product(self.crossings_to(z), self.multicurve.weights)
 
     def develop(self, z: complex) -> PointCP1:
         """Developing map on strata, continued from the base stratum."""
@@ -868,27 +888,18 @@ def segment_focus(path: list[complex]) -> list[complex]:
 
 def grafted_holonomy(gs: GraftedStructure) -> DeformedHolonomy:
     """Deformed holonomy: for each generator g the bending cocycle along
-    [x0, rho(g) x0] multiplies rho(g) on the left.
+    [x0, rho(g) x0] at the weights multiplies rho(g) on the left (g itself,
+    bit for bit, when it crosses no leaf of nonzero weight).
 
     With all weights in 2 pi Z the result is projectively the input; the
     cocycle construction preserves the surface relation for any weights.
     """
-    leaves = gs.base_leaves
-    # The check replays on a copy of the structure's tree: it reuses the
-    # base leaves' words, and the structure keeps none of its own.
-    check_multicurve(gs.hol, gs.multicurve, depth=min(gs.depth, 4), tree=gs.word_tree.copy())
-    x0 = gs.basepoint
-    gens = []
-    for g in gs.hol.generators:
-        crossings = [
-            c for c in lift_crossings(x0, g(x0), leaves=leaves)
-            if c.leaf.weight != 0.0
-        ]
-        if not crossings:
-            gens.append(g)  # empty deformation: exactly the input
-            continue
-        gens.append(bending_product(crossings) @ g)
-    return DeformedHolonomy(generators=tuple(gens), basepoint=x0)
+    weights = gs.multicurve.weights
+    gens = tuple(
+        bending_product(crossings, weights) @ g
+        for g, crossings in zip(gs.hol.generators, gs.generator_crossings)
+    )
+    return DeformedHolonomy(generators=gens, basepoint=gs.basepoint)
 
 
 # ---------------------------------------------------------------------------
@@ -973,7 +984,7 @@ def pleated_surface(
     """Equivariant pleated surface: strata of (H^2, lifted leaves) within the
     truncation radius of the basepoint, each carried into H^3 by the bending
     accumulated from the base stratum; adjacent faces differ by a single
-    rotation about the shared leaf by its weight.
+    rotation about the shared leaf by its curve's weight.
 
     Every region test reads one side table over x0, the foot of x0 on each
     leaf, each face's sample and the truncation-circle points.  A leaf's
@@ -989,6 +1000,7 @@ def pleated_surface(
         raise ValueError("structure is not the grafted structure of hol, mc and depth")
     x0 = gs.basepoint
     table = gs.base_leaves
+    weights = gs.multicurve.weights
     rows = np.nonzero(table.distances(x0) < truncation_radius)[0]
     leaves = [table[i] for i in rows]
     n = len(leaves)
@@ -1027,7 +1039,7 @@ def pleated_surface(
     face_of = np.empty(n, dtype=int)
     face_of[order] = np.arange(1, n + 1)
     for i in order:
-        bend = bending_product(lift_crossings(x0, samples[i], leaves=table))
+        bend = bending_product(lift_crossings(x0, samples[i], leaves=table), weights)
         children = np.nonzero(separates[:, i] & (level == level[i] + 1))[0]
         polygon = region_polygon(1 + n + i, samples[i], [i, *children])
         faces.append(PleatedFace(len(faces), leaves[i], bend, samples[i], polygon))
@@ -1035,7 +1047,7 @@ def pleated_surface(
     for i, lf in enumerate(leaves):
         seps = np.nonzero(separates[i])[0]
         outer = int(face_of[seps[np.argmax(level[seps])]]) if len(seps) else 0
-        edges.append(PleatedEdge(lf, (outer, int(face_of[i])), lf.weight))
+        edges.append(PleatedEdge(lf, (outer, int(face_of[i])), weights[lf.curve_index]))
     return PleatedSurfaceMesh(gs, truncation_radius, tuple(faces), tuple(edges))
 
 
@@ -1055,7 +1067,7 @@ def develop_and_lift(gs: GraftedStructure, path: list[complex]) -> LiftResult:
     if len(path) < 1:
         raise DegenerateInputError("empty path")
     crossings = gs.crossings(path)
-    endpoint = apply(bending_product(crossings), embed_cp1(path[-1]))
+    endpoint = apply(bending_product(crossings, gs.multicurve.weights), embed_cp1(path[-1]))
     return LiftResult(endpoint=endpoint, crossings=tuple(crossings))
 
 

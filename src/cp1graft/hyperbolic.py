@@ -162,11 +162,6 @@ class PlaneH3:
             t = moebius_three_points(pts[1], pts[0], pts[2])
         return t
 
-    def contains_point(self, p: PointH3, tol: float = TOL_GEO) -> bool:
-        t = self.to_halfplane_map()
-        q = apply_isometry(t, p)
-        return abs(q.z.imag) < tol * max(1.0, abs(q.z), q.t)
-
 
 def nearest_point_projection(plane: PlaneH3, x: PointCP1) -> PointH3:
     """Endpoint on the plane of the geodesic orthogonal to it asymptotic to
@@ -439,13 +434,6 @@ def _fit_plane(xs):
     _, _, vh = np.linalg.svd(xs - centroid)
     n = vh[-1] / np.linalg.norm(vh[-1])
     return n, float(np.dot(n, centroid))
-
-
-def euler_characteristic(mesh: DomeMesh) -> int:
-    v = len(mesh.vertices)
-    e = len(mesh.edges)
-    f = len(mesh.faces)
-    return v - e + f
 
 
 def concircular(p: PointCP1, q: PointCP1, r: PointCP1, s: PointCP1) -> bool:

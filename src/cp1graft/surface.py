@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,9 +89,6 @@ class GroupWord:
 
     def inverse(self) -> "GroupWord":
         return GroupWord(tuple(-l for l in reversed(self.letters)))
-
-    def shortlex_key(self):
-        return (len(self.letters), tuple(_LETTER_RANK[l] for l in self.letters))
 
     @staticmethod
     def parse(text: str) -> "GroupWord":
@@ -267,9 +265,12 @@ class Representation:
     generators: tuple  # MoebiusMap for a1, b1, a2, b2
     basepoint: complex
 
+    @cached_property
+    def _inverses(self) -> tuple:
+        return tuple(g.inverse() for g in self.generators)
+
     def generator(self, letter: int) -> MoebiusMap:
-        m = self.generators[abs(letter) - 1]
-        return m if letter > 0 else m.inverse()
+        return self.generators[letter - 1] if letter > 0 else self._inverses[-letter - 1]
 
     def rho(self, word: GroupWord) -> MoebiusMap:
         m = MoebiusMap.identity()

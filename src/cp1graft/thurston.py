@@ -933,20 +933,18 @@ def projection_psi(dom: DiskComplementDomain, x) -> PointH3:
 
 
 def recover_weight_from_grafted(gs: GraftedStructure, curve) -> float:
-    """The weight of the one leaf a short transversal through the grafting
-    cylinder of the named curve crosses.  This reads the configured weight
-    back once the transversal is isolated; recovering it from the developed
-    crescent chart alone is still open (ROADMAP item 3, Goldman weight
-    recovery from the structure)."""
+    """The multicurve weight of the curve of the one leaf that a short
+    transversal through the grafting cylinder of the named curve crosses.
+    Leaves carry no weight, so once the transversal is isolated this plainly
+    reads the configured weight back: it cannot tell a wrong structure from
+    a right one.  Recovering the weight from the developed structure alone
+    is still open (ROADMAP item 4)."""
     if isinstance(curve, str):
         curve = GroupWord.parse(curve)
-    try:
-        weight = gs.multicurve.weight_of(curve)
-    except KeyError as exc:
-        raise PreconditionError(str(exc)) from None
+    if curve not in gs.multicurve.words:
+        raise PreconditionError(f"curve {curve} is not in the multicurve")
     canonical = LiftedLeaf(
-        geodesic=axis(gs.hol.rho(curve)), weight=weight, curve_index=-1,
-        conjugator=GroupWord(()),
+        geodesic=axis(gs.hol.rho(curve)), curve_index=-1, conjugator=GroupWord(()),
     )
     n = leaf_normalizer(gs, canonical)
     ninv = n.inverse()
@@ -963,7 +961,7 @@ def recover_weight_from_grafted(gs: GraftedStructure, curve) -> float:
     else:
         raise TransversalityError("could not isolate a transversal through the cylinder")
 
-    return float(ours[0].leaf.weight)
+    return gs.multicurve.weights[ours[0].leaf.curve_index]
 
 
 # ---------------------------------------------------------------------------
@@ -1100,8 +1098,8 @@ def verify_covering(
         raise DegenerateInputError("covering check needs at least one loop")
 
     table = gs.leaves_near([gs.basepoint])
-    rows = np.nonzero(table.weight > 0.0)[0]
-    weights = table.weight[rows].tolist()
+    rows = np.nonzero(np.array(gs.multicurve.weights)[table.curve] > 0.0)[0]
+    weights = [gs.multicurve.weights[c] for c in table.curve[rows]]
     normalizers = [leaf_normalizer(gs, table[i]) for i in rows]
     low_positive = _low_sides(table, rows)
 

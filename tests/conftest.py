@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cp1graft.moebius import INFINITY, MoebiusMap, cp1
+from cp1graft.moebius import INFINITY, cp1
 from cp1graft.surface import FNCoordinates, GroupWord, fuchsian_from_fn, limit_set_sample
 from cp1graft.grafting import GraftedStructure, WeightedMulticurve
 from cp1graft.thurston import DiskComplementDomain
@@ -28,15 +28,6 @@ def tree_words(tree) -> list:
     for parent, letter in tree.nodes[["parent", "letter"]][1:].tolist():
         words.append(words[parent] + (letter,))
     return [GroupWord(w) for w in words]
-
-
-def tree_rho(tree, hol) -> np.ndarray:
-    """``hol.rho(word).matrix`` of every node's word, as rho takes it: the
-    map of the word minus its last letter times that letter's generator."""
-    maps = [MoebiusMap.identity()]
-    for parent, letter in tree.nodes[["parent", "letter"]][1:].tolist():
-        maps.append(maps[parent] @ hol.generator(letter))
-    return np.array([m.matrix for m in maps])
 
 
 def bench_workloads():

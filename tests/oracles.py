@@ -387,7 +387,6 @@ def reference_leaf_lifts(hol, mc, depth, focus, margin=4.0):
     rows = sel[first_rows(np.column_stack([cand_curve[sel], lo, hi]))]
     return LeafTable(
         ends=ends[rows],
-        weight=np.array(mc.weights, dtype=float)[cand_curve[rows]],
         curve=cand_curve[rows],
         conjugator=cand_element[rows],
         parent=np.concatenate(parents),

@@ -244,7 +244,8 @@ def criterion_5():
     """Criterion 5 as (passed, detail): beta(kappa(p)) = Psi_p(f(p)) and
     equivariance of the pleated surface on a pi/2 graft, and the bending
     direction: each crossing sign on the sampled segments [x0, z] against
-    the side of the segment its leaf starts on."""
+    the side of the segment its leaf starts on, with at least one sign
+    read."""
     t0 = time.time()
     hol = fuchsian_from_fn(FN_INSTANCES[0])
     mc = WeightedMulticurve(((GroupWord((1,)), math.pi / 2.0),))
@@ -283,10 +284,11 @@ def criterion_5():
         worst_eq = max(worst_eq, float(np.linalg.norm(lhs.coords() - rhs.coords())))
     elapsed = time.time() - t0
     return (
-        worst_psi < 1e-6 and worst_eq < 1e-7 and wrong == 0 and elapsed < 60.0,
+        worst_psi < 1e-6 and worst_eq < 1e-7 and wrong == 0 and signs > 0 and elapsed < 60.0,
         f"{tested} stratum samples, projection gap {worst_psi:.3e} (tol 1e-6), "
         f"equivariance residual {worst_eq:.3e} (tol 1e-7), "
-        f"{wrong} of {signs} crossing signs against the left-of rule (tol 0), "
+        f"{wrong} of {signs} crossing signs against the left-of rule "
+        f"(tol 0, at least one read), "
         f"{elapsed:.1f}s (budget 60s)",
     )
 

@@ -1,5 +1,6 @@
 import cmath
 import gc
+import hashlib
 import json
 import math
 import tracemalloc
@@ -20,6 +21,7 @@ from cp1graft.surface import (
     FNCoordinates,
     GroupWord,
     axis,
+    enumerate_words,
     first_rows,
     fuchsian_from_fn,
     key_ranks,
@@ -28,6 +30,7 @@ import cp1graft.grafting as grafting
 import cp1graft.moebius as moebius
 from cp1graft.cli import EXIT_NUMERIC, main
 from cp1graft.grafting import (
+    DeformedHolonomy,
     GraftedStructure,
     InvalidMulticurveError,
     LiftedLeaf,
@@ -57,7 +60,7 @@ from cp1graft.grafting import (
     segment_focus,
     uhp_geodesic_point,
 )
-from conftest import bench_workloads, tree_rho, tree_words
+from conftest import bench_workloads, tree_words
 from oracles import first_linked_pair_matrix, reference_leaf_lifts, segment_crossing_count
 
 TWO_PI = 2.0 * math.pi
@@ -297,7 +300,6 @@ def test_leaf_table_keys_and_conjugators(holonomy):
         moved = base[leaf.curve_index].transform(holonomy.rho(leaf.conjugator))
         assert chordal_distance(moved.p, leaf.geodesic.p) < 1e-9
         assert chordal_distance(moved.q, leaf.geodesic.q) < 1e-9
-        assert leaf.weight == CUFF_MULTICURVE.weights[leaf.curve_index]
 
 
 def _per_object_leaf_lifts(hol, mc, depth, focus, margin=4.0):
@@ -329,9 +331,9 @@ def _per_object_leaf_lifts(hol, mc, depth, focus, margin=4.0):
         frontier = nxt
     leaves, seen_axes = [], set()
     for m, word in elements:
-        for i, (g, weight) in enumerate(zip(base_axes, mc.weights)):
+        for i, g in enumerate(base_axes):
             try:
-                leaf = LiftedLeaf(g.transform(m), weight, i, word)
+                leaf = LiftedLeaf(g.transform(m), i, word)
                 leaf.circle  # noqa: B018 -- degenerate lifts are dropped
             except DegenerateInputError:
                 continue
@@ -352,7 +354,7 @@ def test_leaf_table_matches_per_object_reference(holonomy):
         for got, ref in zip(table, want):
             assert got.key() == ref.key()
             assert got.conjugator == ref.conjugator
-            assert (got.curve_index, got.weight) == (ref.curve_index, ref.weight)
+            assert got.curve_index == ref.curve_index
             bits = [np.array([g.p.z0, g.p.z1, g.q.z0, g.q.z1]).tobytes()
                     for g in (got.geodesic, ref.geodesic)]
             assert bits[0] == bits[1]
@@ -369,7 +371,7 @@ def test_element_key_folds_signed_zero():
 def _columns(table):
     """Every column of a LeafTable, by name, as dtype, shape and bytes, with
     the real endpoints a word tree hands over from its leaf keys."""
-    columns = {"ends": table.ends, "weight": table.weight, "curve": table.curve,
+    columns = {"ends": table.ends, "curve": table.curve,
                "conjugator": table.conjugator, "parent": table._parent, "letter": table._letter,
                "real_ends": table.real_ends}
     return {name: (c.dtype.str, c.shape, c.tobytes()) for name, c in columns.items()}
@@ -446,6 +448,36 @@ def test_holonomy_round_leaf_tables_equal_fresh_bfs(seed, tmp_path, monkeypatch)
     builds = [(len(args[1].entries), args[2]) for args, _, _ in calls[::2]]
     assert {n for n, _ in builds} == {1, 2, 3} and {d for _, d in builds} == {4, 5, 6}
     assert [args[2] for args, _, _ in calls[1::2]] == [min(d, 4) for _, d in builds]
+
+
+# sha256 of the seed-7 holonomy round's rho' generators and of the seed-7
+# develop round's outputs, recorded before the weights moved out of the
+# leaves and crossings into the one bending product.  Nothing else pins
+# these bits at weights off 2 pi Z.
+ROUND_DIGESTS = {
+    "holonomy": "86f0a8b76fdb6e30e1fb75ba4f3c71a31da995d2cfeaf454b889e2dac21a70a1",
+    "develop": "e57103feee5eb5cad1aca9c12e04e422bc39c8cdd0a7d11ff150a3a2bdb6b471",
+}
+
+
+def test_round_outputs_keep_their_bits(tmp_path):
+    workloads = bench_workloads()
+    ops = workloads.holonomy(7, str(tmp_path))
+    assert len(ops) == 13
+    digest = hashlib.sha256()
+    for op in ops:
+        _, rho_prime = op.run()
+        digest.update(np.array([g.matrix for g in rho_prime.generators]).tobytes())
+    assert digest.hexdigest() == ROUND_DIGESTS["holonomy"]
+    ops = workloads.develop(7, str(tmp_path))
+    assert len(ops) == 15
+    digest = hashlib.sha256()
+    for op in ops:
+        f, b, beta, beta_t, lift = op.run()
+        e = lift.endpoint
+        digest.update(np.array([f.z0, f.z1, *b.matrix.ravel(), beta.z, beta.t,
+                                beta_t.z, beta_t.t, e.z0, e.z1], dtype=complex).tobytes())
+    assert digest.hexdigest() == ROUND_DIGESTS["develop"]
 
 
 def test_holonomy_round_keys_rarely_take_sphere_xyz(tmp_path, monkeypatch):
@@ -637,7 +669,7 @@ def test_tree_rows_hold_the_matrices_their_expansion_built(holonomy, monkeypatch
         tree.leaf_table(*queries[i])
     nodes = tree.nodes[1:]
     assert sum(built) == len(nodes) > 1000
-    want = tree_rho(tree, holonomy)[1:]
+    want = np.array([holonomy.rho(w).matrix for w in tree_words(tree)])[1:]
     assert nodes["mat"].tobytes() == want.tobytes()
     orbit = want @ tree.start
     assert nodes["orbit"].tobytes() == (orbit[:, 0] / orbit[:, 1]).tobytes()
@@ -849,6 +881,28 @@ def test_zero_weight_is_exact_identity(holonomy):
         assert np.array_equal(before.matrix, after.matrix)
 
 
+@pytest.mark.parametrize("t", [0.5, 1.3])
+def test_imaginary_angle_along_a_cuff_is_the_fn_twist(holonomy, t):
+    # The one bending product at angle i t along cuff a, over the crossings
+    # the structure keeps, is the earthquake that twists a by t: it matches
+    # fuchsian_from_fn with twist t1 + t up to conjugacy, and -i t does not.
+    gs = GraftedStructure(holonomy, WeightedMulticurve(((GroupWord((1,)), 1.0),)), depth=6)
+    lengths, (t1, t2, t3) = holonomy.fn.lengths, holonomy.fn.twists
+    twisted = fuchsian_from_fn(FNCoordinates(lengths, (t1 + t, t2, t3)))
+    words = enumerate_words(3)
+    assert len(words) == 456
+
+    def worst(angle):
+        gens = [bending_product(crossings, [angle]) @ g
+                for g, crossings in zip(holonomy.generators, gs.generator_crossings)]
+        quake = DeformedHolonomy(generators=tuple(gens), basepoint=gs.basepoint)
+        return max(abs(quake.rho(w).trace_squared() / twisted.rho(w).trace_squared() - 1.0)
+                   for w in words)
+
+    assert worst(1j * t) <= 1e-7
+    assert worst(-1j * t) > 1.0
+
+
 def test_grafted_trace_of_curve_preserved(holonomy, half_pi_structure):
     word = GroupWord((1,))
     before = holonomy.rho(word).trace_squared()
@@ -873,9 +927,8 @@ def test_cocycle_consistency(holonomy, half_pi_structure):
         crossings = gs.crossings([x0, target])
         b = MoebiusMap.identity()
         for crossing in crossings:
-            b = b @ rotation_about_geodesic(
-                crossing.leaf.geodesic, crossing.rotation_angle
-            )
+            angle = crossing.sign * gs.multicurve.weights[crossing.leaf.curve_index]
+            b = b @ rotation_about_geodesic(crossing.leaf.geodesic, angle)
         direct = b @ holonomy.rho(word)
         assert direct.proj_distance(rp.rho(word)) < 1e-8
 
@@ -891,8 +944,6 @@ def test_cocycle_basepoint_independence(holonomy):
     object.__setattr__(hol2, "basepoint", 0.4 + 1.7j)
     gs2 = GraftedStructure(hol2, mc, depth=6)
     rp2 = gs2.rho_prime
-    from cp1graft.surface import enumerate_words
-
     for word in enumerate_words(2):
         t1 = rp1.rho(word).trace_squared()
         t2 = rp2.rho(word).trace_squared()
@@ -948,7 +999,7 @@ def per_leaf_pleated_reference(gs, truncation_radius):
         w = n(x0)
         step = -0.35 * math.copysign(1.0, w.real)
         sample = n.inverse()(abs(w) * cmath.exp(1j * (math.pi / 2.0 - step * 0.5)))
-        b = bending_product(lift_crossings(x0, sample, leaves=table))
+        b = bending_product(lift_crossings(x0, sample, leaves=table), gs.multicurve.weights)
         children = [
             j for j in range(len(leaves))
             if j != i and i in separators[j] and len(separators[j]) == len(separators[i]) + 1
@@ -959,7 +1010,8 @@ def per_leaf_pleated_reference(gs, truncation_radius):
     for i, lf in enumerate(leaves):
         seps = separators[i]
         outer = face_id_of_leaf[max(seps, key=lambda j: len(separators[j]))] if seps else 0
-        edges.append(PleatedEdge(lf, (outer, face_id_of_leaf[i]), lf.weight))
+        edges.append(PleatedEdge(lf, (outer, face_id_of_leaf[i]),
+                                 gs.multicurve.weights[lf.curve_index]))
     return faces, edges
 
 

@@ -32,7 +32,6 @@ from cp1graft.hyperbolic import (
     apply_isometry,
     concircular,
     dome,
-    euler_characteristic,
     h3_distance,
     nearest_point_projection,
     rotation_about_geodesic,
@@ -178,8 +177,8 @@ def test_projection_outside_disk_rejected():
 
 def test_projection_lands_on_plane():
     plane = PlaneH3(OrientedCircle.from_center_radius(1 + 1j, 2.0))
-    q = nearest_point_projection(plane, cp1(1 + 1j))
-    assert plane.contains_point(q)
+    q = apply_isometry(plane.to_halfplane_map(), nearest_point_projection(plane, cp1(1 + 1j)))
+    assert abs(q.z.imag) < TOL_GEO * max(1.0, abs(q.z), q.t)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +202,7 @@ def test_dome_regular_tetrahedron(tetrahedron_points):
     mesh = dome(tetrahedron_points)
     assert len(mesh.faces) == 4
     assert len(mesh.edges) == 6
-    assert euler_characteristic(mesh) == 2
+    assert len(mesh.vertices) - len(mesh.edges) + len(mesh.faces) == 2
     weights = [e.weight for e in mesh.edges]
     for w in weights:
         assert w == pytest.approx(weights[0], abs=1e-12)
@@ -230,7 +229,7 @@ def test_dome_euler_general_position():
     for n in (5, 6, 9):
         pts = [cp1(complex(rng.uniform(-2, 2), rng.uniform(-2, 2))) for _ in range(n)]
         mesh = dome(pts)
-        assert euler_characteristic(mesh) == 2
+        assert len(mesh.vertices) - len(mesh.edges) + len(mesh.faces) == 2
 
 
 def test_dome_moebius_invariant_weights():

@@ -101,13 +101,15 @@ def _rotate_vertical_leaf_frame(monkeypatch):
 
 
 def _drop_vertical_leaf(monkeypatch):
-    """Give every vertical leaf lift weight 0, so that covering skips it."""
+    """The covering table loses its vertical rows, so covering skips those
+    leaves: every leaf query of a structure drops its vertical leaf lifts."""
     near = GraftedStructure.leaves_near
 
     def dropped(gs, focus):
         table = near(gs, focus)
-        table.weight = np.where(np.isnan(table.real_ends).any(axis=1), 0.0, table.weight)
-        return table
+        keep = ~np.isnan(table.real_ends).any(axis=1)
+        return grafting.LeafTable(table.ends[keep], table.curve[keep], table.conjugator[keep],
+                                  table._parent, table._letter, table.real_ends[keep])
 
     monkeypatch.setattr(GraftedStructure, "leaves_near", dropped)
 
@@ -173,15 +175,10 @@ def _verify(check, tmp_path):
 
 
 def _leaf_weight_off(monkeypatch):
-    """Every leaf lift of a structure's leaf queries 1 % heavier."""
-    near = GraftedStructure.leaves_near
-
-    def heavier(gs, focus):
-        table = near(gs, focus)
-        table.weight = 1.01 * table.weight
-        return table
-
-    monkeypatch.setattr(GraftedStructure, "leaves_near", heavier)
+    """Every angle given to ``bending_product`` 1 % larger."""
+    product = grafting.bending_product
+    monkeypatch.setattr(grafting, "bending_product",
+                        lambda crossings, angles: product(crossings, [1.01 * a for a in angles]))
 
 
 def test_two_pi_catches_leaf_weight_off(monkeypatch, tmp_path):
@@ -201,9 +198,9 @@ def _bending_rotation_disabled(monkeypatch):
 
 def test_goldman_known_survivor_disabled_bending_rotation(holonomy, monkeypatch, tmp_path):
     """KNOWN SURVIVOR: a disabled bending rotation.  ``verify goldman``
-    reads each curve's weight back from its leaf (ROADMAP item 1), so it
-    passes with no bending at all.  Catching it needs the weight recovered
-    from the developed structure."""
+    reads each curve's weight back from the multicurve (ROADMAP items 1
+    and 4), so it passes with no bending at all.  Catching it needs the
+    weight recovered from the developed structure."""
     bent = WeightedMulticurve(((GroupWord((1,)), 1.3),))
     clean = GraftedStructure(holonomy, bent, depth=4).rho_prime
     assert _verify("goldman", tmp_path)[0] == EXIT_OK
@@ -372,6 +369,16 @@ def test_criterion_5_catches_planted_crossing_defect(row, monkeypatch):
     _planted_crossings(monkeypatch, CRITERION_5_MUTATIONS[row])
     passed, detail = criterion_5()
     assert not passed, detail
+
+
+def test_criterion_5_catches_every_crossing_dropped(monkeypatch):
+    """No crossing found anywhere: the structure is the unbent one, which
+    satisfies both relations, and no crossing sign is read."""
+    assert criterion_5()[0]
+    monkeypatch.setattr(grafting, "lift_crossings", lambda p, q, *, leaves: [])
+    passed, detail = criterion_5()
+    assert not passed, detail
+    assert "0 of 0 crossing signs" in detail, detail
 
 
 def test_criterion_5_catches_every_sign_flipped(holonomy, monkeypatch):

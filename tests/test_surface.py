@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -53,6 +54,23 @@ def test_word_reduction_and_inverse():
     assert (w * w.inverse()).letters == ()
 
 
+# sha256 of rho(word).matrix over every word of length <= 5, for the test
+# surface and for its rho' bent by pi/2 along a1, recorded while rho built
+# a fresh inverse for every negative letter.
+RHO_DIGESTS = (
+    "f90f231400954066db6d2c625097065734e3f9aa6876ef197fda5550e2be5c91",
+    "5416fb3d43b2f1d41e68e1dfc695be95adccff27aa166aa10de9de61a02182d7",
+)
+
+
+def test_rho_keeps_its_bits(holonomy, half_pi_structure):
+    words = enumerate_words(5)
+    assert len(words) == 22408
+    for rep, want in zip((holonomy, half_pi_structure.rho_prime), RHO_DIGESTS):
+        mats = np.array([rep.rho(w).matrix for w in words])
+        assert hashlib.sha256(mats.tobytes()).hexdigest() == want
+
+
 def test_word_parse_roundtrip():
     w = GroupWord.parse("aBcD")
     assert w.letters == (1, -2, 3, -4)
@@ -68,7 +86,8 @@ def test_enumerate_words_shortlex_stable():
     a = [w.letters for w in enumerate_words(3)]
     b = [w.letters for w in enumerate_words(3)]
     assert a == b
-    keys = [w.shortlex_key() for w in enumerate_words(3)]
+    # Shortlex: by length, then letter by letter in LETTER_ORDER.
+    keys = [(len(w), [LETTER_ORDER.index(l) for l in w.letters]) for w in enumerate_words(3)]
     assert keys == sorted(keys)
 
 
