@@ -27,8 +27,9 @@ import cmath
 import copy
 import math
 import operator
+import struct
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
@@ -44,6 +45,7 @@ from .moebius import (
     chordal_rows,
     classify,
     cp1,
+    det_parts,
     moebius_rows,
     sphere_approx,
     sphere_keys,
@@ -722,6 +724,64 @@ def _segment_frame(p: complex, q: complex) -> MoebiusMap:
     return _real_normalizer(g.p, g.q)
 
 
+def _frame_matrix(p: complex, q: complex) -> np.ndarray:
+    """``_segment_frame(p, q).matrix`` by the same operations on scalars:
+    ``geodesic_through_uhp``'s endpoints as real numbers, ``_real_normalizer``'s
+    matrix, and MoebiusMap's division by the square root of its
+    determinant.  The first entry of magnitude above TOL_ALG is then 1 over
+    that root, so ``_sign_normalize`` keeps the sign.  An endpoint that
+    ``is_infinity`` could call infinite (|x| >= 1e6 here) or a pair that
+    ``GeodesicH3`` could call coincident (an approximate chord below twice
+    TOL_GEO) takes ``_segment_frame`` itself, with its errors."""
+    # An endpoint x is read back by as_complex as x / (1 + 0j), which is
+    # x + 0.0: -0.0 becomes 0.0.
+    if abs(p.real - q.real) < 1e-13 * max(1.0, abs(p), abs(q)):
+        foot = p.real + 0.0
+        ends = (foot, None) if q.imag > p.imag else (None, foot)
+        ok = abs(foot) < 1e6
+    else:
+        c = (abs(q) ** 2 - abs(p) ** 2) / (2.0 * (q.real - p.real))
+        r = abs(p - c)
+        pha = math.atan2(p.imag, p.real - c)
+        phb = math.atan2(q.imag, q.real - c)
+        e_plus, e_minus = (c + r) + 0.0, (c - r) + 0.0
+        ends = (e_minus, e_plus) if phb < pha else (e_plus, e_minus)
+        # The chord 2 |x - y| / sqrt((1 + x^2)(1 + y^2)) above 2 TOL_GEO.
+        x, y = ends
+        ok = (abs(x) < 1e6 and abs(y) < 1e6
+              and abs(x - y) > TOL_GEO * math.sqrt((1.0 + x * x) * (1.0 + y * y)))
+    if not ok:
+        return _segment_frame(p, q).matrix
+    uu, vv = ends
+    if uu is None:
+        m = ((0.0, 1.0), (-1.0, vv))
+    elif vv is None:
+        m = ((1.0, -uu), (0.0, 1.0))
+    elif vv > uu:
+        m = ((1.0, -uu), (-1.0, vv))
+    else:
+        m = ((1.0, -uu), (1.0, -vv))
+    (a, b), (c, d) = m
+    det = complex(*det_parts(a, 0.0, b, 0.0, c, 0.0, d, 0.0))
+    return np.array(m, dtype=complex) / np.sqrt(det)
+
+
+def _frame_height(m: list, z: complex) -> float:
+    """abs(MoebiusMap(m)(z)) for the entries m = [a, b, c, d] of a real
+    Moebius matrix: ``apply`` to ``cp1(z)``, then ``as_complex``, with
+    their checks, the product taken on scalars.  For a real matrix numpy's
+    matrix-vector product rounds as these plain complex products do."""
+    a, b, c, d = m
+    z = cp1(z).normalized()
+    return abs(PointCP1(a * z.z0 + b * z.z1, c * z.z0 + d * z.z1).as_complex())
+
+
+def _real_end(z0: complex, z1: complex) -> float:
+    """``_real_ends`` of one pair: the real part of ``as_complex``, whose
+    test and quotient ``affine_rows`` mirrors, or nan at infinity."""
+    return math.nan if abs(z1) <= TOL_GEO * abs(z0) else (z0 / z1).real
+
+
 def lift_crossings(p: complex, q: complex, *, leaves: LeafTable) -> list[Crossing]:
     """Lifted leaves crossing the geodesic segment [p, q], ordered along it.
 
@@ -734,6 +794,9 @@ def lift_crossings(p: complex, q: complex, *, leaves: LeafTable) -> list[Crossin
     geodesic to the imaginary axis, p to i y_p and q to i y_q; a crossed
     leaf has endpoints u, v there with u v < 0 and meets the axis at
     i sqrt(-u v), at the arclength parameter log(y / y_p) / log(y_q / y_p).
+    The frame, y_p, y_q and the crossed leaves' u, v are taken on scalars
+    (``_frame_matrix``, ``_frame_height``, ``_real_end``), with the bits of
+    ``_segment_frame`` and ``_real_ends``.
     """
     sp, sq = leaves.sides(p), leaves.sides(q)
     for z, s, name in ((p, sp, "start"), (q, sq, "end")):
@@ -742,11 +805,16 @@ def lift_crossings(p: complex, q: complex, *, leaves: LeafTable) -> list[Crossin
                 f"segment {name}point lies on a lifted leaf",
                 suggested_offset=perturbation_offset(z, leaves),
             )
-    frame = _segment_frame(p, q)
-    yp, yq = abs(frame(p)), abs(frame(q))
+    frame = _frame_matrix(p, q)
+    entries = frame.ravel().tolist()
+    yp, yq = _frame_height(entries, p), _frame_height(entries, q)
+    scale = math.log(yq / yp)
     rows = np.nonzero(sp * sq < 0)[0]
-    u, v = _real_ends(stack_times(leaves.ends[rows], frame.matrix.T)).T
-    ts = np.log(np.sqrt(-u * v) / yp) / math.log(yq / yp)
+    if not len(rows):
+        return []
+    moved = stack_times(leaves.ends[rows], frame.T).tolist()
+    u, v = np.array([[_real_end(*e) for e in pair] for pair in moved]).T
+    ts = np.log(np.sqrt(-u * v) / yp) / scale
     out = [
         Crossing(leaf=leaves[i], parameter=float(t), sign=1 if vi > 0 else -1)
         for i, t, vi in zip(rows, ts, v)
@@ -799,16 +867,27 @@ class DeformedHolonomy(Representation):
 
 
 @dataclass(frozen=True)
+class Chart:
+    """What a structure reads at a point z: the leaf crossings of
+    [basepoint, z], in order, and their bending product at the weights."""
+
+    crossings: tuple
+    bending: MoebiusMap
+
+
+@dataclass(frozen=True)
 class GraftedStructure:
     """A Fuchsian structure grafted along a weighted multicurve.
 
     The deformed holonomy is computed lazily from the bending cocycle and
     cached (construction is pure, so double initialization is harmless).
+    The structure also keeps one chart, the last point's (see ``chart``).
     """
 
     hol: FuchsianHolonomy
     multicurve: WeightedMulticurve
     depth: int = 8
+    _last_chart: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def base_leaves(self) -> LeafTable:
@@ -866,16 +945,38 @@ class GraftedStructure:
                 out.extend(lift_crossings(p, q, leaves=leaves))
         return out
 
+    def chart(self, z: complex) -> Chart:
+        """The chart at z: one leaf query and crossing scan of
+        [basepoint, z] (``crossings``) and the bending product of what it
+        crosses.  The structure keeps one slot, the last point read, keyed
+        on z's type and exact bits: 0.0 and -0.0 are different keys and nan
+        never matches.  So the reads of one point share one query, and a
+        point read again after another is queried again.  A query that
+        raises leaves the slot as it was."""
+        key = (type(z), struct.pack("<2d", z.real, z.imag))
+        last = self._last_chart
+        if last is not None and last[0] == key and z == z:
+            return last[1]
+        crossings = tuple(self.crossings([self.basepoint, z]))
+        chart = Chart(crossings, bending_product(crossings, self.multicurve.weights))
+        # Key and chart in one assignment: no reader pairs a key with
+        # another point's chart.
+        object.__setattr__(self, "_last_chart", (key, chart))
+        return chart
+
     def crossings_to(self, z: complex) -> list[Crossing]:
-        return self.crossings([self.basepoint, z])
+        """The crossings of [basepoint, z], read from ``chart(z)``, as a
+        new list."""
+        return list(self.chart(z).crossings)
 
     def bending_map(self, z: complex) -> MoebiusMap:
-        """The bending cocycle along [basepoint, z]."""
-        return bending_product(self.crossings_to(z), self.multicurve.weights)
+        """The bending cocycle along [basepoint, z], read from ``chart(z)``."""
+        return self.chart(z).bending
 
     def develop(self, z: complex) -> PointCP1:
-        """Developing map on strata, continued from the base stratum."""
-        return apply(self.bending_map(z), embed_cp1(z))
+        """Developing map on strata, continued from the base stratum: z
+        bent by ``chart(z)``'s bending map."""
+        return apply(self.chart(z).bending, embed_cp1(z))
 
 
 def segment_focus(path: list[complex]) -> list[complex]:
@@ -938,9 +1039,9 @@ class PleatedSurfaceMesh:
 
     def beta(self, z: complex) -> PointH3:
         """Pointwise pleated surface: bend the flat embedding along the
-        leaves crossed between the basepoint and z."""
-        b = self.structure.bending_map(z)
-        return apply_isometry(b, embed_h3(z))
+        leaves crossed between the basepoint and z, by the structure's
+        ``chart(z)`` (one slot: the last point the structure read)."""
+        return apply_isometry(self.structure.chart(z).bending, embed_h3(z))
 
 
 def _hyperbolic_circle_euclidean(center: complex, radius: float):

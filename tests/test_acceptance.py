@@ -42,7 +42,7 @@ from cp1graft.thurston import (
     stratification_check,
     verify_covering,
 )
-from conftest import limit_domain
+from conftest import cocircular_rows, limit_domain
 from oracles import (
     brute_force_minimal_disk,
     dihedral_from_plane_normals,
@@ -342,6 +342,13 @@ def criterion_7():
     worst_med = 0.0
     for case in range(200):
         pts = [complex(rng.normal(), rng.normal()) for _ in range(10)]
+        d = minimal_enclosing_disk(pts, seed=case)
+        _, orad = brute_force_minimal_disk(pts)
+        worst_med = max(worst_med, abs(d.radius - orad))
+    # Cocircular hexagons and cube faces, on their own generator: points
+    # on the running disk's circle, where the containment test decides.
+    for case, row in enumerate(np.concatenate(cocircular_rows(np.random.default_rng(7)))):
+        pts = row.tolist()
         d = minimal_enclosing_disk(pts, seed=case)
         _, orad = brute_force_minimal_disk(pts)
         worst_med = max(worst_med, abs(d.radius - orad))

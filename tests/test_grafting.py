@@ -287,6 +287,57 @@ def test_lift_crossings_closed_form_matches_bisection(holonomy):
     assert total >= 9  # nine crossings over the oracle segments
 
 
+def _segments(rng, n):
+    """Segments of every kind the segment frame tells apart: vertical, a
+    relative 1e-13 off vertical, on a signed zero, short, far out and at
+    every scale, so both the scalar path and the objects' path run."""
+    for k in range(n):
+        scale = 10.0 ** rng.uniform(-8, 8)
+        p = complex(rng.normal() * scale, abs(rng.normal()) * 10.0 ** rng.uniform(-8, 8))
+        q = complex(rng.normal() * scale, abs(rng.normal()) * 10.0 ** rng.uniform(-8, 8))
+        kind = k % 6
+        if kind == 1:
+            q = complex(p.real, q.imag)
+        elif kind == 2:
+            q = complex(p.real * (1.0 + rng.normal() * 1e-13), q.imag)
+        elif kind == 3:
+            p, q = complex(-0.0, p.imag), complex(0.0, q.imag)
+        elif kind == 4:
+            q = complex(p.real + rng.normal() * 1e-9 * p.imag, p.imag)
+        elif kind == 5:
+            p, q = complex(rng.normal(), abs(rng.normal())), complex(rng.normal(), abs(rng.normal()))
+        yield p, q
+
+
+def _outcome(read):
+    try:
+        return read()
+    except DegenerateInputError as exc:
+        return str(exc)
+
+
+def test_frame_scalars_keep_the_objects_bits():
+    # lift_crossings takes the segment frame, the heights of its endpoints
+    # and the crossed leaves' real ends on scalars: each equals the
+    # objects' and arrays' value bit for bit, errors included.
+    rng = np.random.default_rng(37)
+    for p, q in _segments(rng, 3000):
+        want = _outcome(lambda: _segment_frame(p, q).matrix.tobytes())
+        assert _outcome(lambda: grafting._frame_matrix(p, q).tobytes()) == want, (p, q)
+        if isinstance(want, bytes):
+            frame = _segment_frame(p, q)
+            entries = grafting._frame_matrix(p, q).ravel().tolist()
+            for z in (p, q):
+                assert (_outcome(lambda: grafting._frame_height(entries, z))
+                        == _outcome(lambda: abs(frame(z)))), (p, q, z)
+    pairs = rng.normal(size=(3000, 2, 2)) @ [1.0, 1.0j] * 10.0 ** rng.uniform(-10, 10, (3000, 2))
+    pairs[::7, 1] *= 1e-8
+    pairs[::11, 1] = 0.0
+    pairs[::13, 1] = pairs[::13, 1].real
+    got = np.array([grafting._real_end(*pair) for pair in pairs.tolist()])
+    assert got.tobytes() == grafting._real_ends(pairs).tobytes()
+
+
 def test_leaf_table_keys_and_conjugators(holonomy):
     table = enumerate_leaf_lifts(
         holonomy, CUFF_MULTICURVE, 4, focus=[holonomy.basepoint, 0.5 + 2.0j]
@@ -420,12 +471,13 @@ def test_develop_round_leaf_tables_equal_fresh_bfs(seed, tmp_path, monkeypatch):
     for i, (args, _, table) in enumerate(calls):
         assert _differing(table, _columns(reference_leaf_lifts(*args))) == [], i
     # Three structures: in set-up each takes its base leaves on its own
-    # tree and checks its multicurve on a copy of that tree; then five
-    # queries on each of 15 points.
+    # tree and checks its multicurve on a copy of that tree; then three
+    # queries for each of 15 points: the chart at z (develop, bending map
+    # and beta at z), beta at a translate of z, and the detour lift.
     by_tree = {}
     for args, tree, _ in calls:
         by_tree.setdefault(id(tree), []).append(args)
-    assert len(calls) == 81 and sorted(map(len, by_tree.values())) == [1, 1, 1, 26, 26, 26]
+    assert len(calls) == 51 and sorted(map(len, by_tree.values())) == [1, 1, 1, 16, 16, 16]
     assert [q[0][4] for q in by_tree.values() if len(q) == 1] == [8.0] * 3
     by_structure = {}
     for args, _, _ in calls:
@@ -855,6 +907,85 @@ def test_endpoint_on_leaf_far_from_basepoint(holonomy):
         gs.crossings_to(z)
     leaves = gs.leaves_near(segment_focus([gs.basepoint, z]))
     assert np.all(leaves.distances(z + err.value.suggested_offset) > 10 * TOL_GEO)
+
+
+# ---------------------------------------------------------------------------
+# charts: the one slot a structure keeps
+
+
+def _count_leaf_queries(monkeypatch) -> list:
+    """A list that grows by one entry per ``enumerate_leaf_lifts`` call."""
+    calls = []
+    enumerate_ = grafting.enumerate_leaf_lifts
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return enumerate_(*args, **kwargs)
+
+    monkeypatch.setattr(grafting, "enumerate_leaf_lifts", counting)
+    return calls
+
+
+def test_develop_operations_share_one_chart_per_point(tmp_path, monkeypatch):
+    # develop, the bending map and beta at z read one chart; beta at the
+    # translate and the detour lift take a query each.  A second pass over
+    # the round runs as many queries as the first: no work crosses
+    # operations.
+    ops = bench_workloads().develop(7, str(tmp_path))
+    calls = _count_leaf_queries(monkeypatch)
+    for _ in range(2):
+        per_op = []
+        for op in ops:
+            before = len(calls)
+            op.run()
+            per_op.append(len(calls) - before)
+        assert per_op == [3] * 15
+
+
+def _reads(gs, z):
+    f = gs.develop(z)
+    return (np.array([f.z0, f.z1]).tobytes(), gs.bending_map(z).matrix.tobytes(),
+            [(c.leaf.key(), c.parameter, c.sign) for c in gs.crossings_to(z)])
+
+
+def test_chart_reads_equal_a_fresh_structures(holonomy, half_pi_structure):
+    gs = GraftedStructure(holonomy, half_pi_structure.multicurve, depth=6)
+    z1, z2 = -0.5 + 1.2j, 0.4 + 1.5j
+    fresh = {z: _reads(GraftedStructure(holonomy, gs.multicurve, depth=6), z) for z in (z1, z2)}
+    assert fresh[z1][2] and fresh[z1] != fresh[z2]
+    for z in (z1, z2, z1):
+        assert _reads(gs, z) == fresh[z]
+
+
+def test_point_on_a_leaf_raises_on_every_call(holonomy, monkeypatch):
+    # 2i lies on the cuff-1 axis; a raised query is never kept.
+    gs = GraftedStructure(holonomy, WeightedMulticurve(((GroupWord((1,)), 1.0),)), depth=3)
+    gs.develop(0.5 + 1.5j)
+    calls = _count_leaf_queries(monkeypatch)
+    for read in (gs.crossings_to, gs.bending_map, gs.develop, gs.crossings_to):
+        with pytest.raises(PerturbInputError):
+            read(2j)
+    assert len(calls) == 4
+
+
+def test_crossings_to_returns_a_new_list(holonomy, half_pi_structure):
+    # A structure of its own: a session fixture's slot would outlive the test.
+    gs = GraftedStructure(holonomy, half_pi_structure.multicurve, depth=6)
+    z = -0.5 + 1.2j
+    got = gs.crossings_to(z)
+    want = list(got)
+    got.clear()
+    assert gs.crossings_to(z) == want and want
+
+
+def test_chart_keys_on_exact_bits(holonomy, monkeypatch):
+    gs = GraftedStructure(holonomy, WeightedMulticurve(((GroupWord((2,)), 1.3),)), depth=5)
+    gs.basepoint  # noqa: B018 -- the base leaves' query, before counting
+    calls = _count_leaf_queries(monkeypatch)
+    plus, minus = complex(0.0, 1.7), complex(-0.0, 1.7)
+    for z, queries in ((plus, 1), (plus, 1), (minus, 2), (minus, 2), (plus, 3)):
+        gs.develop(z)
+        assert len(calls) == queries, z
 
 
 # ---------------------------------------------------------------------------
