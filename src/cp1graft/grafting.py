@@ -6,10 +6,11 @@ Coordinates: the hyperbolic plane is the upper half-plane UHP in C, embedded
 in H^3 as the vertical plane over the real axis.  Leaf lifts are geodesics
 with real ideal endpoints (axes of conjugates of the multicurve words).
 
-Sign convention: a crossing counts positive when the oriented leaf (from
-repelling to attracting fixed point) passes left-to-right across the
-oriented segment, and the bending rotation about the leaf uses that sign.
-The opposite convention would produce the complex-conjugate structures.
+Sign convention: a crossing of the oriented segment [p, q] counts positive
+when p lies on the leaf's right side, the leaf oriented from repelling to
+attracting fixed point (so the leaf passes left-to-right across the
+segment), and the bending rotation about the leaf uses that sign.  The
+opposite convention would produce the complex-conjugate structures.
 
 Weights: the WeightedMulticurve alone holds them.  Leaves and crossings
 carry the index of their curve, and which leaves a path crosses does not
@@ -45,7 +46,6 @@ from .moebius import (
     chordal_rows,
     classify,
     cp1,
-    det_parts,
     moebius_rows,
     sphere_approx,
     sphere_keys,
@@ -65,7 +65,6 @@ from .surface import (
     GroupWord,
     Representation,
     axis,
-    geodesic_through_uhp,
     key_ranks,
     word_children,
     word_products,
@@ -225,13 +224,6 @@ def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         (a[:, 1] < b[:, 1]) | ((a[:, 1] == b[:, 1]) & (a[:, 2] < b[:, 2]))))
 
 
-def _side_values(frame, z) -> np.ndarray:
-    """``LeafTable.sides`` over the leaves of ``frame`` = (line, a, b)."""
-    line, a, b = frame
-    x, y = z.real, z.imag
-    return np.where(line, x - a, (x - a) * (x - b) + y * y)
-
-
 class LeafTable(Sequence):
     """Leaf lifts as columns.  Row i is the LiftedLeaf built from row i of
     each column, made on first access and then kept.
@@ -245,10 +237,11 @@ class LeafTable(Sequence):
                   tree found them with its leaf keys, or from ``ends`` on
                   first read when not given
 
-    The array methods (``sides``, ``distances``, ``real_ends``) read the
-    leaf geometry the way the rows' ``circle`` and ``distance_to_leaf`` do,
-    so callers test every leaf without building rows.  The leaf frame and
-    width behind them are built once per table.
+    The array methods (``sides``, ``distances``, ``real_ends``,
+    ``right_positive``) read the leaf geometry the way the rows' ``circle``
+    and ``distance_to_leaf`` do, so callers test every leaf without
+    building rows.  The leaf frame and width behind them are built once per
+    table.
     """
 
     def __init__(self, ends, curve, conjugator, parent, letter, real_ends=None):
@@ -314,10 +307,27 @@ class LeafTable(Sequence):
         line, a, b = self._frame
         return np.where(line, 1.0, np.abs(b - a))
 
-    def sides(self, z: complex) -> np.ndarray:
-        """Side value of z for every leaf, with the sign of the row circle's
-        ``evaluate``: (x - a)(x - b) + y^2, or x - a for a vertical leaf."""
-        return _side_values(self._frame, z)
+    @cached_property
+    def right_positive(self) -> np.ndarray:
+        """(L,) bool: whether each leaf's right side, seen along it from its
+        repelling end p to its attracting end q, is where ``sides`` is
+        positive.  Outside a half circle is its right when the leaf runs
+        from right to left (p > q), and right of a vertical line is its
+        right when the leaf runs upward (q at infinity).  In the leaf's
+        frame, p at 0 and q at infinity, the right side is the quadrant
+        over the positive reals, the arc of the real line from p to q."""
+        p, q = self.real_ends.T
+        return np.isnan(q) | (p > q)
+
+    def sides(self, z, rows=slice(None)) -> np.ndarray:
+        """Side value of z for every leaf, or for the leaves ``rows`` picks,
+        with the sign of the row circle's ``evaluate``: (x - a)(x - b) + y^2,
+        or x - a for a vertical leaf.  A column of N points gives a row of
+        values per point.  The values are elementwise: the leaves ``rows``
+        picks get the columns of ``sides(z)[..., rows]``, bit for bit."""
+        line, a, b = (column[rows] for column in self._frame)
+        x, y = z.real, z.imag
+        return np.where(line, x - a, (x - a) * (x - b) + y * y)
 
     def distances(self, z: complex, sides: np.ndarray | None = None) -> np.ndarray:
         """Hyperbolic distance from the UHP point z to every leaf,
@@ -714,72 +724,7 @@ def check_multicurve(
 class Crossing:
     leaf: LiftedLeaf
     parameter: float  # position along the segment in [0, 1]
-    sign: int  # +1: leaf crosses left-to-right across the oriented segment
-
-
-def _segment_frame(p: complex, q: complex) -> MoebiusMap:
-    """Real Moebius map sending the oriented geodesic through p, q to the
-    upward vertical axis (p strictly below q)."""
-    g = geodesic_through_uhp(p, q)
-    return _real_normalizer(g.p, g.q)
-
-
-def _frame_matrix(p: complex, q: complex) -> np.ndarray:
-    """``_segment_frame(p, q).matrix`` by the same operations on scalars:
-    ``geodesic_through_uhp``'s endpoints as real numbers, ``_real_normalizer``'s
-    matrix, and MoebiusMap's division by the square root of its
-    determinant.  The first entry of magnitude above TOL_ALG is then 1 over
-    that root, so ``_sign_normalize`` keeps the sign.  An endpoint that
-    ``is_infinity`` could call infinite (|x| >= 1e6 here) or a pair that
-    ``GeodesicH3`` could call coincident (an approximate chord below twice
-    TOL_GEO) takes ``_segment_frame`` itself, with its errors."""
-    # An endpoint x is read back by as_complex as x / (1 + 0j), which is
-    # x + 0.0: -0.0 becomes 0.0.
-    if abs(p.real - q.real) < 1e-13 * max(1.0, abs(p), abs(q)):
-        foot = p.real + 0.0
-        ends = (foot, None) if q.imag > p.imag else (None, foot)
-        ok = abs(foot) < 1e6
-    else:
-        c = (abs(q) ** 2 - abs(p) ** 2) / (2.0 * (q.real - p.real))
-        r = abs(p - c)
-        pha = math.atan2(p.imag, p.real - c)
-        phb = math.atan2(q.imag, q.real - c)
-        e_plus, e_minus = (c + r) + 0.0, (c - r) + 0.0
-        ends = (e_minus, e_plus) if phb < pha else (e_plus, e_minus)
-        # The chord 2 |x - y| / sqrt((1 + x^2)(1 + y^2)) above 2 TOL_GEO.
-        x, y = ends
-        ok = (abs(x) < 1e6 and abs(y) < 1e6
-              and abs(x - y) > TOL_GEO * math.sqrt((1.0 + x * x) * (1.0 + y * y)))
-    if not ok:
-        return _segment_frame(p, q).matrix
-    uu, vv = ends
-    if uu is None:
-        m = ((0.0, 1.0), (-1.0, vv))
-    elif vv is None:
-        m = ((1.0, -uu), (0.0, 1.0))
-    elif vv > uu:
-        m = ((1.0, -uu), (-1.0, vv))
-    else:
-        m = ((1.0, -uu), (1.0, -vv))
-    (a, b), (c, d) = m
-    det = complex(*det_parts(a, 0.0, b, 0.0, c, 0.0, d, 0.0))
-    return np.array(m, dtype=complex) / np.sqrt(det)
-
-
-def _frame_height(m: list, z: complex) -> float:
-    """abs(MoebiusMap(m)(z)) for the entries m = [a, b, c, d] of a real
-    Moebius matrix: ``apply`` to ``cp1(z)``, then ``as_complex``, with
-    their checks, the product taken on scalars.  For a real matrix numpy's
-    matrix-vector product rounds as these plain complex products do."""
-    a, b, c, d = m
-    z = cp1(z).normalized()
-    return abs(PointCP1(a * z.z0 + b * z.z1, c * z.z0 + d * z.z1).as_complex())
-
-
-def _real_end(z0: complex, z1: complex) -> float:
-    """``_real_ends`` of one pair: the real part of ``as_complex``, whose
-    test and quotient ``affine_rows`` mirrors, or nan at infinity."""
-    return math.nan if abs(z1) <= TOL_GEO * abs(z0) else (z0 / z1).real
+    sign: int  # +1: the segment starts on the leaf's right side
 
 
 def lift_crossings(p: complex, q: complex, *, leaves: LeafTable) -> list[Crossing]:
@@ -787,16 +732,20 @@ def lift_crossings(p: complex, q: complex, *, leaves: LeafTable) -> list[Crossin
 
     Endpoints must keep clear of every leaf; an endpoint within TOL_GEO of
     a leaf raises PerturbInputError with a suggested offset, the start
-    before the end.  Each endpoint's side values are taken once: the guard
-    reads its distances from them and the table's cached leaf widths, and
-    the crossing test (opposite signs at p and q) reuses them.  Only the
-    crossed leaves are built as rows.  The segment's frame sends its
-    geodesic to the imaginary axis, p to i y_p and q to i y_q; a crossed
-    leaf has endpoints u, v there with u v < 0 and meets the axis at
-    i sqrt(-u v), at the arclength parameter log(y / y_p) / log(y_q / y_p).
-    The frame, y_p, y_q and the crossed leaves' u, v are taken on scalars
-    (``_frame_matrix``, ``_frame_height``, ``_real_end``), with the bits of
-    ``_segment_frame`` and ``_real_ends``.
+    before the end.  Everything is read off the table's side values at p
+    and q: the guard takes its distances from them, a leaf is crossed when
+    they have opposite signs, and only the crossed leaves are built as rows.
+
+    The side value of z is Im z * width * sinh d(z), d the signed distance
+    to the leaf.  Along the segment, of length L, the distance to a leaf it
+    crosses at parameter t is sinh d(s) = A sinh((s - t) L) for a constant
+    A, so sinh d_p / sinh d_q = -sinh(t L) / sinh((1 - t) L), and the width
+    cancels: with r = -(s_p Im q) / (s_q Im p) > 0, r = sinh(t L) /
+    sinh((1 - t) L), which solves to
+        t = log1p(2 r sinh L / (1 + r e^-L)) / (2 L),
+    whose terms are all positive, so nothing cancels at any L.  The
+    crossing is positive when p lies on the leaf's right side: s_p > 0
+    exactly when the table's ``right_positive`` holds.
     """
     sp, sq = leaves.sides(p), leaves.sides(q)
     for z, s, name in ((p, sp, "start"), (q, sq, "end")):
@@ -805,19 +754,16 @@ def lift_crossings(p: complex, q: complex, *, leaves: LeafTable) -> list[Crossin
                 f"segment {name}point lies on a lifted leaf",
                 suggested_offset=perturbation_offset(z, leaves),
             )
-    frame = _frame_matrix(p, q)
-    entries = frame.ravel().tolist()
-    yp, yq = _frame_height(entries, p), _frame_height(entries, q)
-    scale = math.log(yq / yp)
     rows = np.nonzero(sp * sq < 0)[0]
     if not len(rows):
         return []
-    moved = stack_times(leaves.ends[rows], frame.T).tolist()
-    u, v = np.array([[_real_end(*e) for e in pair] for pair in moved]).T
-    ts = np.log(np.sqrt(-u * v) / yp) / scale
+    length = hyperbolic_distance_uhp(p, q)
+    r = -(sp[rows] * q.imag) / (sq[rows] * p.imag)
+    ts = np.log1p(2.0 * r * math.sinh(length) / (1.0 + r * math.exp(-length))) / (2.0 * length)
+    right = (sp[rows] > 0) == leaves.right_positive[rows]
     out = [
-        Crossing(leaf=leaves[i], parameter=float(t), sign=1 if vi > 0 else -1)
-        for i, t, vi in zip(rows, ts, v)
+        Crossing(leaf=leaves[i], parameter=t, sign=1 if on_right else -1)
+        for i, t, on_right in zip(rows.tolist(), ts.tolist(), right.tolist())
     ]
     out.sort(key=lambda c: c.parameter)
     return out
@@ -1120,7 +1066,7 @@ def pleated_surface(
         turn = math.pi / 2.0 + 0.175 * math.copysign(1.0, w.real)
         samples.append(back(abs(w) * cmath.exp(1j * turn)))
     points = np.array([x0, *feet, *samples, *arc])[:, None]
-    sides = _side_values([column[rows] for column in table._frame], points)
+    sides = table.sides(points, rows)
     above = sides > 0
     arc_above = above[2 * n + 1:]
     separates = sides[0] * sides[1:n + 1] < 0  # [i, j]: leaf j lies between x0 and leaf i

@@ -1101,7 +1101,9 @@ def verify_covering(
     rows = np.nonzero(np.array(gs.multicurve.weights)[table.curve] > 0.0)[0]
     weights = [gs.multicurve.weights[c] for c in table.curve[rows]]
     normalizers = [leaf_normalizer(gs, table[i]) for i in rows]
-    low_positive = _low_sides(table, rows)
+    # A crescent's low side, the stratum a lift enters it from below angle
+    # pi/2 of its leaf's frame, is the leaf's right side.
+    low_positive = table.right_positive[rows].tolist()
 
     checks, violations = [], []
     values = {"loops": len(loops), "lifts_tested": 0, "closures": 0}
@@ -1166,17 +1168,6 @@ def verify_covering(
                        "passed": values["min_embedding_radius"] > 0.0,
                        "details": {"min": values["min_embedding_radius"]}})
     return {"checks": checks, "violations": violations, "values": values}
-
-
-def _low_sides(table, rows) -> list:
-    """For each leaf row, whether the stratum just below its crescent (the
-    side a lift enters the crescent from) is the leaf's positive side.  The
-    leaf's frame, a real map, sends the repelling end p to 0 and the
-    attracting end q to infinity; the low side is that of the positive
-    reals, the arc of the real line from p to q: outside the half circle
-    when p > q, right of a vertical leaf when q is at infinity."""
-    p, q = table.real_ends[rows].T
-    return (np.isnan(q) | (p > q)).tolist()
 
 
 def _march_loop(lift: tuple, path: list, weights, low_positive) -> tuple:

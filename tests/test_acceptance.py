@@ -347,7 +347,12 @@ def criterion_7():
         worst_med = max(worst_med, abs(d.radius - orad))
     # Cocircular hexagons and cube faces, on their own generator: points
     # on the running disk's circle, where the containment test decides.
-    for case, row in enumerate(np.concatenate(cocircular_rows(np.random.default_rng(7)))):
+    # Then the same rows with every nonzero point pushed out radially by a
+    # factor 1 + U(0, 5e-4), on a generator of its own: points just outside
+    # a running disk, which a containment slack takes in.
+    cocircular = np.concatenate(cocircular_rows(np.random.default_rng(7)))
+    pushed = cocircular * (1.0 + np.random.default_rng(8).uniform(0.0, 5e-4, cocircular.shape))
+    for case, row in enumerate(np.concatenate([cocircular, pushed])):
         pts = row.tolist()
         d = minimal_enclosing_disk(pts, seed=case)
         _, orad = brute_force_minimal_disk(pts)

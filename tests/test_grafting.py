@@ -24,6 +24,7 @@ from cp1graft.surface import (
     enumerate_words,
     first_rows,
     fuchsian_from_fn,
+    geodesic_through_uhp,
     key_ranks,
 )
 import cp1graft.grafting as grafting
@@ -42,8 +43,6 @@ from cp1graft.grafting import (
     _hyperbolic_circle_euclidean,
     _leaf_truncation_chord,
     _real_normalizer,
-    _segment_frame,
-    _side_values,
     bending_product,
     check_multicurve,
     develop_and_lift,
@@ -250,8 +249,10 @@ def test_lift_crossings_count_vs_oracle(holonomy):
 def _bisection_crossings(leaves, p, q):
     """Reference for lift_crossings: the side test on each leaf's circle, a
     60-step bisection of the side value along the segment, and the sign of
-    the attracting endpoint in the segment's frame."""
-    frame = _segment_frame(p, q)
+    the attracting endpoint in the segment's frame, the real map sending
+    the geodesic through p and q to the upward imaginary axis."""
+    g = geodesic_through_uhp(p, q)
+    frame = _real_normalizer(g.p, g.q)
     out = []
     for leaf in leaves:
         flo = leaf.circle.evaluate(cp1(p))
@@ -287,55 +288,78 @@ def test_lift_crossings_closed_form_matches_bisection(holonomy):
     assert total >= 9  # nine crossings over the oracle segments
 
 
-def _segments(rng, n):
-    """Segments of every kind the segment frame tells apart: vertical, a
-    relative 1e-13 off vertical, on a signed zero, short, far out and at
-    every scale, so both the scalar path and the objects' path run."""
-    for k in range(n):
-        scale = 10.0 ** rng.uniform(-8, 8)
-        p = complex(rng.normal() * scale, abs(rng.normal()) * 10.0 ** rng.uniform(-8, 8))
-        q = complex(rng.normal() * scale, abs(rng.normal()) * 10.0 ** rng.uniform(-8, 8))
-        kind = k % 6
-        if kind == 1:
-            q = complex(p.real, q.imag)
-        elif kind == 2:
-            q = complex(p.real * (1.0 + rng.normal() * 1e-13), q.imag)
-        elif kind == 3:
-            p, q = complex(-0.0, p.imag), complex(0.0, q.imag)
-        elif kind == 4:
-            q = complex(p.real + rng.normal() * 1e-9 * p.imag, p.imag)
-        elif kind == 5:
-            p, q = complex(rng.normal(), abs(rng.normal())), complex(rng.normal(), abs(rng.normal()))
-        yield p, q
+# A segment of the seed-7 develop round on FN instance 0, curve a at depth
+# 6: from the perturbed basepoint to a point 1.8e-5 above the real axis.
+# It crosses the leaf with ends near 2.23050005 and 2.23053915 at
+# t = 0.9995575606117034.
+DEVELOP_SEGMENT = (7.548776662466928e-05 + 1.0000655740699156j,
+                   2.2305258520598974 + 1.841777655624482e-05j)
 
 
-def _outcome(read):
-    try:
-        return read()
-    except DegenerateInputError as exc:
-        return str(exc)
+def _mp_crossings(table, p, q):
+    """(row, parameter) of each leaf crossing [p, q], taking the table's
+    real ends and p, q as exact: the side value at constant-speed points of
+    the segment, placed on the hyperboloid -X0^2 + X1^2 + X2^2 = -1 at 50
+    digits, bisected 120 times."""
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+
+    def lift(z):
+        x, y = mp.mpf(z.real), mp.mpf(z.imag)
+        n = x * x + y * y
+        return (n + 1) / (2 * y), (n - 1) / (2 * y), x / y
+
+    a, b = lift(p), lift(q)
+    length = mp.acosh(a[0] * b[0] - a[1] * b[1] - a[2] * b[2])
+
+    def side(row, s):
+        w = [(mp.sinh((1 - s) * length) * u + mp.sinh(s * length) * v) / mp.sinh(length)
+             for u, v in zip(a, b)]
+        y = 1 / (w[0] - w[1])
+        x = w[2] * y
+        e0, e1 = (None if math.isnan(e) else mp.mpf(e) for e in table.real_ends[row])
+        if e0 is None or e1 is None:
+            return x - (e1 if e0 is None else e0)
+        return (x - e0) * (x - e1) + y * y
+
+    out = []
+    for row in range(len(table)):
+        lo, hi = mp.mpf(0), mp.mpf(1)
+        at_lo = side(row, lo)
+        if at_lo * side(row, hi) >= 0:
+            continue
+        for _ in range(120):
+            mid = (lo + hi) / 2
+            if (side(row, mid) > 0) == (at_lo > 0):
+                lo = mid
+            else:
+                hi = mid
+        out.append((row, (lo + hi) / 2))
+    return sorted(out, key=lambda c: c[1])
 
 
-def test_frame_scalars_keep_the_objects_bits():
-    # lift_crossings takes the segment frame, the heights of its endpoints
-    # and the crossed leaves' real ends on scalars: each equals the
-    # objects' and arrays' value bit for bit, errors included.
-    rng = np.random.default_rng(37)
-    for p, q in _segments(rng, 3000):
-        want = _outcome(lambda: _segment_frame(p, q).matrix.tobytes())
-        assert _outcome(lambda: grafting._frame_matrix(p, q).tobytes()) == want, (p, q)
-        if isinstance(want, bytes):
-            frame = _segment_frame(p, q)
-            entries = grafting._frame_matrix(p, q).ravel().tolist()
-            for z in (p, q):
-                assert (_outcome(lambda: grafting._frame_height(entries, z))
-                        == _outcome(lambda: abs(frame(z)))), (p, q, z)
-    pairs = rng.normal(size=(3000, 2, 2)) @ [1.0, 1.0j] * 10.0 ** rng.uniform(-10, 10, (3000, 2))
-    pairs[::7, 1] *= 1e-8
-    pairs[::11, 1] = 0.0
-    pairs[::13, 1] = pairs[::13, 1].real
-    got = np.array([grafting._real_end(*pair) for pair in pairs.tolist()])
-    assert got.tobytes() == grafting._real_ends(pairs).tobytes()
+def test_lift_crossings_parameters_match_50_digits(holonomy):
+    # The parameters of the oracle segments' crossings and of the develop
+    # segment's against a 50-digit reference on the same leaf ends.
+    gs = GraftedStructure(holonomy, WeightedMulticurve(((GroupWord((1,)), 1.0),)), depth=6)
+    p, q = DEVELOP_SEGMENT
+    assert gs.basepoint == p
+    cases = [(gs.leaves_near(segment_focus([p, q])), p, q)] + [
+        (GraftedStructure(hol, mc, depth=4).leaves_near(segment_focus([p, q])), p, q)
+        for hol, mc, p, q in _oracle_segments(holonomy)
+    ]
+    worst, total = 0.0, 0
+    for table, p, q in cases:
+        got = lift_crossings(p, q, leaves=table)
+        want = _mp_crossings(table, p, q)
+        assert [c.leaf for c in got] == [table[row] for row, _ in want]
+        for c, (_, t) in zip(got, want):
+            worst = max(worst, abs(c.parameter - float(t)))
+        total += len(got)
+    assert total >= 11
+    assert worst <= 1e-15, worst
 
 
 def test_leaf_table_keys_and_conjugators(holonomy):
@@ -1191,7 +1215,7 @@ def test_kept_side_table_equals_full_table_slice(holonomy):
     for radius in (1.5, 2.0, 3.0):
         rows = np.nonzero(table.distances(x0) < radius)[0]
         assert 0 < len(rows) < len(table)
-        kept = _side_values([column[rows] for column in table._frame], points)
+        kept = table.sides(points, rows)
         assert kept.tobytes() == table.sides(points)[:, rows].tobytes()
 
 

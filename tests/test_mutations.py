@@ -324,17 +324,33 @@ def test_criterion_4_catches_a_reversed_face_circle(monkeypatch):
     assert not passed, detail
 
 
+def _criterion_7_with(monkeypatch, contains):
+    """Criterion 7 with ``contains`` as Welzl's containment test."""
+    assert criterion_7()[0]
+    monkeypatch.setattr(moebius, "_contains", contains)
+    return criterion_7()
+
+
+def _minimal_disk_error(detail) -> float:
+    return float(re.search(r"minimal-disk (\S+),", detail).group(1))
+
+
 def test_criterion_7_catches_a_slack_containment(monkeypatch):
     """Welzl's containment test with a slack of 1e-3 of the radius: a point
     that far outside the disk counts as inside, so some disks come out
-    smaller than brute force's and the minimal-disk part fails.  (A slack
-    of 1e-3 absolute changes none of its 200 disks.)"""
-    assert criterion_7()[0]
-    monkeypatch.setattr(moebius, "_contains",
-                        lambda c, r, p, eps: abs(p - c) <= r * (1.0 + eps + 1e-3) + eps)
-    passed, detail = criterion_7()
-    assert not passed, detail
-    assert float(re.search(r"minimal-disk (\S+),", detail).group(1)) > 1e-8, detail
+    smaller than brute force's and the minimal-disk part fails."""
+    passed, detail = _criterion_7_with(
+        monkeypatch, lambda c, r, p, eps: abs(p - c) <= r * (1.0 + eps + 1e-3) + eps)
+    assert not passed and _minimal_disk_error(detail) > 1e-8, detail
+
+
+def test_criterion_7_catches_an_absolute_slack_containment(monkeypatch):
+    """The same with a slack of 1e-3 absolute.  It changes none of the
+    random sets' disks; the cocircular rows pushed out by up to 5e-4, points
+    just outside a running disk, catch it."""
+    passed, detail = _criterion_7_with(
+        monkeypatch, lambda c, r, p, eps: abs(p - c) <= r * (1.0 + eps) + eps + 1e-3)
+    assert not passed and _minimal_disk_error(detail) > 1e-8, detail
 
 
 def _planted_crossings(monkeypatch, defect):
@@ -367,6 +383,29 @@ CRITERION_5_MUTATIONS = {
 def test_criterion_5_catches_planted_crossing_defect(row, monkeypatch):
     assert criterion_5()[0]
     _planted_crossings(monkeypatch, CRITERION_5_MUTATIONS[row])
+    passed, detail = criterion_5()
+    assert not passed, detail
+
+
+def _right_sides_negated(monkeypatch, which):
+    """``LeafTable.right_positive`` negated on every leaf, on the circle
+    leaves only or on the vertical leaves only: each crossing of those
+    leaves gets the wrong sign, and path lifting enters their crescents
+    from the wrong side."""
+    right = grafting.LeafTable.right_positive.func
+
+    def negated(table):
+        vertical = np.isnan(table.real_ends).any(axis=1)
+        flip = {"every": np.ones_like(vertical), "circle": ~vertical, "vertical": vertical}[which]
+        return right(table) ^ flip
+
+    monkeypatch.setattr(grafting.LeafTable, "right_positive", property(negated))
+
+
+@pytest.mark.parametrize("which", ["every", "circle", "vertical"])
+def test_criterion_5_catches_negated_right_sides(which, monkeypatch):
+    assert criterion_5()[0]
+    _right_sides_negated(monkeypatch, which)
     passed, detail = criterion_5()
     assert not passed, detail
 

@@ -313,9 +313,8 @@ def _random_entries(rng, shape):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 100, 5000])
 def test_flat_products_match_stacked_matmul_bit_for_bit(n):
     # One BLAS call over the (2N, 2) rows against the per-matrix stacked @,
-    # for each right operand the library flattens: a fixed matrix (a
-    # letter), a transposed view (a segment frame's matrix.T) and a fixed
-    # vector (the orbit start, an axis end).  These bits rest on the host's
+    # for a fixed matrix (a letter), a transposed, non-contiguous view of
+    # one and a fixed vector (the orbit start).  These bits rest on the host's
     # BLAS kernel: a numpy or BLAS change that breaks them fails here first.
     rng = np.random.default_rng(n)
     for _ in range(10):

@@ -1459,10 +1459,11 @@ def test_covering_step_budget_reports_lift_failure(two_pi_structure, monkeypatch
 
 
 def test_low_sides_match_leaf_frames():
-    """The low side of every positive-weight leaf, read off its endpoints,
-    is the side of the point at angle pi/2 - 0.05 in the leaf's frame (the
-    reference below): five FN instances, a1 alone and the three cuffs at
-    2 pi, depth 5, leaves around the basepoint."""
+    """The low side of every positive-weight leaf, its right side as the
+    table's ``right_positive`` reads it off the endpoints, is the side of
+    the point at angle pi/2 - 0.05 in the leaf's frame (the reference
+    below): five FN instances, a1 alone and the three cuffs at 2 pi, depth
+    5, leaves around the basepoint."""
     from test_acceptance import FN_INSTANCES
 
     low = cmath.exp(1j * (math.pi / 2.0 - 0.05))
@@ -1480,7 +1481,7 @@ def test_low_sides_match_leaf_frames():
                 bool(table.sides(leaf_normalizer(gs, table[r]).inverse()(low))[r] > 0)
                 for r in rows
             ]
-            assert thurston._low_sides(table, rows) == ref
+            assert table.right_positive[rows].tolist() == ref
             checked += len(rows)
     assert checked > 2000
 
