@@ -343,11 +343,88 @@ class LeafTable(Sequence):
 # rounding, so the screen keeps and drops exactly what arccosh does.
 RADIUS_BAND = 1e-9
 
+# The radius screen's rounding bound, in units of eps times the sum of its
+# terms' magnitudes: the expanded ratio lies within 8 of the true one, and
+# the exact expression within 7.  A power of two, so scaling is exact.
+SCREEN_ROUNDING = 16.0 * np.finfo(float).eps
+
+
+class RadiusScreen:
+    """Whether UHP points lie within ``radius`` of some target: the
+    decision arccosh(1 + |z - t|^2 / (2 Im z Im t)) <= radius takes for the
+    least ratio over the targets, made mostly by one matrix product.
+
+    With c = (|z|^2, Re z, Im z, 1) per point and u = (1 / (2 Im t),
+    -Re t / Im t, -1, |t|^2 / (2 Im t)) per target, (U @ C).min(axis=0) /
+    Im z is each point's least ratio, expanded, with U (T, 4) and C (4, N).
+    A point is decided by it only where it clears the cut cosh(radius) - 1
+    by RADIUS_BAND * cosh(radius) plus its own rounding bound,
+    SCREEN_ROUNDING * (|z|^2 max u0 + |Re z| max |u1| + Im z + max u3) /
+    Im z, which bounds how far the expanded ratio may lie from the exact
+    one however much its terms cancel.  The same product gives the bound:
+    C has a fifth row |Re z|, which the targets' rows of U skip, and U a
+    last row of the bound's coefficients.  Every other point (nan and inf
+    among them, and all of them where cosh(radius) overflows) takes the
+    exact expression: its least ratio decides clearly below or above the
+    cut, and arccosh within RADIUS_BAND of it.  So the screen keeps and
+    drops what arccosh of every distance does.
+    """
+
+    def __init__(self, targets: np.ndarray, radius: float):
+        self.targets = targets[:, None]
+        self.radius = radius
+        x, y = targets.real, targets.imag
+        u = np.zeros((len(targets) + 1, 5))
+        u[:-1, 0], u[:-1, 1], u[:-1, 2], u[:-1, 3] = 0.5 / y, -x / y, -1.0, (x * x + y * y) / (2.0 * y)
+        bound = np.abs(u[:-1]).max(axis=0)
+        u[-1] = SCREEN_ROUNDING * np.array([bound[0], 0.0, 1.0, bound[3], bound[1]])
+        self.u = u
+        try:
+            cut = math.cosh(radius)
+            self.ratio_cut, self.band = cut - 1.0, RADIUS_BAND * cut
+        except OverflowError:  # every point takes the exact test
+            self.ratio_cut, self.band = 0.0, math.inf
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        """Whether each point of z is within the radius (bool per point)."""
+        x, y = z.real, z.imag
+        c = np.empty((5, len(z)))
+        np.multiply(x, x, out=c[0])
+        c[0] += y * y
+        c[1], c[2], c[3] = x, y, 1.0
+        np.abs(x, out=c[4])
+        # Each point's least ratio and its bound, both times Im z.
+        p = np.dot(self.u, c)
+        least, slack = p[:-1].min(axis=0), p[-1]
+        near = least + slack < (self.ratio_cut - self.band) * y
+        exact = np.flatnonzero(~(near | (least - slack > (self.ratio_cut + self.band) * y)))
+        if len(exact):
+            near[exact] = self._exact(z[exact])
+        return near
+
+    def _exact(self, z: np.ndarray) -> np.ndarray:
+        """The decision on each point's exact least ratio: clearly below or
+        above the cut outside the band; within it, and for nan, arccosh of
+        1 + each ratio against the radius."""
+        ratio = np.abs(z - self.targets) ** 2 / (2.0 * z.imag * self.targets.imag)
+        least = ratio.min(axis=0)
+        near = least < self.ratio_cut - self.band
+        exact = np.flatnonzero(~(near | (least > self.ratio_cut + self.band)))
+        if len(exact):
+            x = 1.0 + ratio[:, exact]
+            near[exact] = np.arccosh(np.maximum(x, 1.0)).min(axis=0) <= self.radius
+        return near
+
+
 # Group elements one leaf query may keep before it gives up.
 MAX_LEAF_ELEMENTS = 500_000
-# Nodes a WordTree may hold (about 10 MB): past this many, it is emptied
-# before its next query, which changes no output.
+# Nodes a WordTree may hold (about 10 MB with its leaf keys): past this
+# many, it is emptied before its next query, which changes no output.  Its
+# buffers double up to this many rows, and grow by what a level adds past
+# it, so they never hold much more than the tree does.
 MAX_TREE_NODES = 50_000
+# Rows a new or emptied WordTree has room for in each of its buffers.
+TREE_ROWS_INITIAL = 256
 
 # A row of a WordTree: one reduced word.
 _NODE = np.dtype([
@@ -384,6 +461,12 @@ class WordTree:
     tree's distinct keys in lexicographic order (``key_ranks``, int32),
     rebuilt whenever rows are added.  A query then keeps the first lift of
     each key, in key order, with one ``np.unique`` of its ranks.
+
+    The tree grows in place: ``nodes`` and the leaf-key columns ``ok``,
+    ``keys`` and ``real`` are views of the used rows of buffers with room
+    for more (``_grown``), so a level appends its rows without copying the
+    table.  A buffer that fills is replaced by one of twice its rows, up to
+    MAX_TREE_NODES.
     """
 
     def __init__(self, hol: FuchsianHolonomy, mc: WeightedMulticurve):
@@ -409,40 +492,52 @@ class WordTree:
     def clear(self):
         """Forget every word but the root."""
         identity = MoebiusMap.identity().matrix[None]
-        self.nodes = np.empty(0, dtype=_NODE)
+        self.nodes = np.empty(TREE_ROWS_INITIAL, dtype=_NODE)[:0]
+        # The leaf keys: resolution mask, keys, real endpoints and key ranks,
+        # element-major then curve.
+        n_curves = len(self.axis_ends)
+        self.ok = np.empty((TREE_ROWS_INITIAL, n_curves), dtype=bool)[:0]
+        self.keys = np.empty((TREE_ROWS_INITIAL, n_curves, 7))[:0]
+        self.real = np.empty((TREE_ROWS_INITIAL, n_curves, 2))[:0]
+        self.rank = np.empty((0, n_curves), dtype=np.int32)
         self._append(identity, -1, 0)
         self.nodes["dedup"][0] = 0
         # Class ids are unique, not dense: a batch reserves one per key.
         self.classes: dict[bytes, int] = dict.fromkeys(element_keys(identity), 0)
         self.next_class = 1
-        # The leaf keys: resolution mask, keys, real endpoints and key ranks,
-        # element-major then curve.
-        n_curves = len(self.axis_ends)
-        self.ok = np.empty((0, n_curves), dtype=bool)
-        self.keys = np.empty((0, n_curves, 7))
-        self.real = np.empty((0, n_curves, 2))
-        self.rank = np.empty((0, n_curves), dtype=np.int32)
 
     @property
     def size(self) -> int:
         return len(self.nodes)
 
     def copy(self) -> WordTree:
-        """A tree with the same words, which grows apart from this one.  It
-        shares the leaf-key arrays, which growth replaces and never writes."""
+        """A tree with the same words, which grows apart from this one: it
+        has buffers of its own, of the same room, and shares only ``rank``,
+        which growth replaces and never writes."""
         twin = copy.copy(self)
-        twin.nodes = self.nodes.copy()
+        for name in ("nodes", "ok", "keys", "real"):
+            used = getattr(self, name)
+            setattr(twin, name, _buffer_of(used, len(used.base))[:len(used)])
         twin.classes = dict(self.classes)
         return twin
 
+    def _extend(self, name: str, count: int) -> np.ndarray:
+        """Grow the column ``name`` by ``count`` rows, in place while its
+        buffer (the view's base) has room; returns the new rows, to be
+        filled."""
+        used = getattr(self, name)
+        start, stop = len(used), len(used) + count
+        buffer = _grown(used.base, start, stop)
+        setattr(self, name, buffer[:stop])
+        return buffer[start:stop]
+
     def _append(self, mats: np.ndarray, parent, letter):
         """Append rows for the words with these matrices."""
-        rows = np.empty(len(mats), dtype=_NODE)
+        rows = self._extend("nodes", len(mats))
         orbit = stack_times(mats, self.start)
         rows["mat"], rows["orbit"] = mats, orbit[:, 0] / orbit[:, 1]
         rows["parent"], rows["letter"] = parent, letter
         rows["child"] = rows["dedup"] = rows["leaf"] = -1
-        self.nodes = np.concatenate([self.nodes, rows])
 
     def _expand(self, nodes: np.ndarray) -> np.ndarray:
         """Give the nodes that have no children yet their children, in
@@ -489,9 +584,9 @@ class WordTree:
             curve = np.tile(np.arange(len(self.axis_ends)), len(new))
             ok, keys, real = _leaf_keys(self._ends(self.nodes["mat"][new]).reshape(-1, 2, 2), curve)
             leaf[new] = len(self.ok) + np.arange(len(new))
-            self.ok = np.concatenate([self.ok, ok.reshape(len(new), -1)])
-            self.keys = np.concatenate([self.keys, keys.reshape(len(new), -1, 7)])
-            self.real = np.concatenate([self.real, real.reshape(len(new), -1, 2)])
+            self._extend("ok", len(new))[:] = ok.reshape(len(new), -1)
+            self._extend("keys", len(new))[:] = keys.reshape(len(new), -1, 7)
+            self._extend("real", len(new))[:] = real.reshape(len(new), -1, 2)
             self.rank = key_ranks(self.keys.reshape(-1, 7)).reshape(self.ok.shape)
         return leaf[nodes]
 
@@ -499,14 +594,9 @@ class WordTree:
         """``enumerate_leaf_lifts`` on this tree."""
         if self.size > MAX_TREE_NODES:
             self.clear()
-        radius = self.reach + margin
         # Each focus point once: the minimum over targets is the same.
-        targets = np.array(list(dict.fromkeys([self.x0, *focus])), dtype=complex)[:, None]
-        try:
-            cut = math.cosh(radius)
-            ratio_cut, band = cut - 1.0, RADIUS_BAND * cut
-        except OverflowError:  # every candidate takes the exact test
-            ratio_cut, band = 0.0, math.inf
+        targets = np.array(list(dict.fromkeys([self.x0, *focus])), dtype=complex)
+        within = RadiusScreen(targets, self.reach + margin)
         seen = {0}
         frontier = np.array([0])
         kept, parents = [frontier], [np.array([-1])]
@@ -514,21 +604,7 @@ class WordTree:
         for k in range(1, depth + 1):
             width = 8 if k == 1 else 7
             cand = (self._expand(frontier)[:, None] + np.arange(width)).ravel()
-
-            # Distances in (targets, candidates) layout: each candidate's
-            # nearest target is a reduction down its column.  A candidate
-            # is kept when its least ratio (cosh of the distance, minus 1)
-            # is clearly below cosh(radius) - 1; within the band, and for
-            # nan, the distances decide as arccosh of 1 + each ratio.
-            z = self.nodes["orbit"][cand]
-            ratio = np.abs(z - targets) ** 2 / (2.0 * z.imag * targets.imag)
-            least = ratio.min(axis=0)
-            near = least < ratio_cut - band
-            exact = np.nonzero(~(near | (least > ratio_cut + band)))[0]
-            if len(exact):
-                x = 1.0 + ratio[:, exact]
-                near[exact] = np.arccosh(np.maximum(x, 1.0)).min(axis=0) <= radius
-            alive = np.nonzero(near)[0]
+            alive = np.nonzero(within(self.nodes["orbit"][cand]))[0]
             # The first node of each class this query has not kept yet.
             new = []
             for i, c in enumerate(self._classes(cand[alive]).tolist()):
@@ -560,6 +636,25 @@ class WordTree:
             letter=self.nodes["letter"][kept].astype(int),
             real_ends=self.real[leaf[element], curve],
         )
+
+
+def _grown(buffer: np.ndarray, used: int, need: int) -> np.ndarray:
+    """``buffer`` if it has room for ``need`` rows, otherwise a new buffer
+    with its first ``used`` rows and room for twice as many rows (at most
+    MAX_TREE_NODES, and at least ``need``)."""
+    if need <= len(buffer):
+        return buffer
+    return _buffer_of(buffer[:used], max(need, min(2 * len(buffer), MAX_TREE_NODES)))
+
+
+def _buffer_of(rows: np.ndarray, capacity: int) -> np.ndarray:
+    """A new buffer of ``capacity`` rows that starts with ``rows``, copied as
+    raw bytes: numpy copies a structured dtype field by field, several
+    times slower."""
+    out = np.empty((capacity, *rows.shape[1:]), dtype=rows.dtype)
+    raw = np.dtype((np.void, rows.dtype.itemsize))
+    out[:len(rows)].view(raw)[...] = rows.view(raw)
+    return out
 
 
 # Chords this close to TOL_GEO are taken from sphere_xyz in ``_leaf_keys``;
@@ -620,10 +715,12 @@ def enumerate_leaf_lifts(
     LETTER_ORDER, each with the matrix ``hol.rho(word)`` has.  A candidate
     is kept unless its orbit point x0 is farther than the radius from every
     focus point, an earlier element has the same ``element_keys`` key, or
-    its product is singular.  The radius test takes the distances of a
-    level in (targets, candidates) layout and each candidate's minimum down
-    its column; the query keeps the classes it has met in one set.  Lifts
-    whose endpoints contract below resolution are dropped.  Rows are sorted
+    its product is singular.  The radius test is a ``RadiusScreen`` over
+    the focus points: one (targets, candidates) matrix product per level
+    gives each candidate's least distance ratio down its column, and only
+    candidates it cannot decide take the exact ratio; the query keeps the
+    classes it has met in one set.  Lifts whose endpoints contract below
+    resolution are dropped.  Rows are sorted
     by ``LiftedLeaf.key`` (curve index, then the two rounded endpoint
     sphere coordinates) and the keys are unique; each row's conjugator is
     the first element, in BFS order, whose image of the axis has that key,
@@ -632,10 +729,11 @@ def enumerate_leaf_lifts(
     ``LiftedLeaf.key`` under ``==`` and ``<`` (only the sign of a zero may
     differ, which no comparison sees), and the chord test drops exactly the
     lifts whose endpoints GeodesicH3 rejects as closer than TOL_GEO.  The
-    radius test screens each candidate's least distance ratio against
-    cosh(radius) - 1 and takes arccosh only within RADIUS_BAND of it, so
-    it keeps and drops what arccosh of every distance does.  Every column
-    is the one the per-element reference gives, bit for bit.
+    radius test decides a candidate from its expanded ratio only where
+    that clears cosh(radius) - 1 by RADIUS_BAND and its rounding bound, and
+    takes arccosh only within RADIUS_BAND of the cut, so it keeps and drops
+    what arccosh of every distance does.  Every column is the one the
+    per-element reference gives, bit for bit.
     """
     if tree is None:
         tree = WordTree(hol, mc)

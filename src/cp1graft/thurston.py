@@ -1090,6 +1090,9 @@ def verify_covering(
 
     A lift is (signs, None, None) in the stratum with leaf sides ``signs``,
     or (None, j, psi) in the crescent of leaf j at angle psi of its frame.
+    Path lifting enters each crescent from the side the table's
+    ``right_positive`` names; that side is also read from the leaf's frame,
+    and a row where the two disagree is a ``crescent-side`` violation.
     """
     if not all(map(is_two_pi_multiple, gs.multicurve.weights)):
         raise PreconditionError("verify_covering requires weights in 2 pi Z")
@@ -1106,6 +1109,12 @@ def verify_covering(
     low_positive = table.right_positive[rows].tolist()
 
     checks, violations = [], []
+    # The low sides read from the geometry: the frame point at angle
+    # pi/2 - 0.1, mapped back, has the side value low_positive names.
+    probe = cmath.exp(1j * (math.pi / 2.0 - 0.1))
+    for i, n, low in zip(rows.tolist(), normalizers, low_positive):
+        if (table.sides(n.inverse()(probe), i) > 0) != low:
+            violations.append({"kind": "crescent-side", "row": i})
     values = {"loops": len(loops), "lifts_tested": 0, "closures": 0}
     embedding_radii = []
 

@@ -38,6 +38,7 @@ from cp1graft.grafting import (
     PerturbInputError,
     PleatedEdge,
     PleatedFace,
+    RadiusScreen,
     WeightedMulticurve,
     WordTree,
     _hyperbolic_circle_euclidean,
@@ -611,6 +612,49 @@ def test_radius_screen_decides_as_arccosh_on_the_radius(holonomy):
     assert radius_screen_mismatches(holonomy) == []
 
 
+def screen_mismatches(seed: int, cases: int = 60) -> tuple[int, int]:
+    """(decisions checked, decisions wrong) of RadiusScreen against arccosh
+    on the exact ratio, least over the targets, on seeded cases.  Half the
+    cases sit about a real part up to 1e6, where the expanded ratio's terms
+    cancel by up to 12 digits; targets have Im t from 1e-3 to 1e3, points
+    Im z down to 1e-12, and each case takes the radius on four points'
+    exact distances and one ulp either side."""
+    rng = np.random.default_rng(seed)
+    checked = wrong = 0
+    for case in range(cases):
+        far = rng.uniform(-1e6, 1e6) if case % 2 else 0.0
+        scale = 10.0 ** rng.uniform(-2.0, 3.0)
+        targets = far + scale * (rng.normal(size=5) + 1j * rng.uniform(0.1, 1.0, 5))
+        im = 10.0 ** rng.uniform(-12.0, math.log10(scale) + 0.5, 400)
+        z = far + scale * rng.normal(size=400) * rng.uniform(0.0, 3.0, 400) + 1j * im
+        ratio = np.abs(z - targets[:, None]) ** 2 / (2.0 * z.imag * targets.imag[:, None])
+        dist = np.arccosh(np.maximum(1.0 + ratio, 1.0)).min(axis=0)
+        for d in rng.choice(dist[dist < 50.0], 4, replace=False).tolist():
+            for radius in (math.nextafter(d, -math.inf), d, math.nextafter(d, math.inf)):
+                checked += len(z)
+                wrong += int(np.count_nonzero(RadiusScreen(targets, radius)(z) != (dist <= radius)))
+    return checked, wrong
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_radius_screen_decides_as_arccosh_far_out(seed):
+    checked, wrong = screen_mismatches(seed)
+    assert checked == 60 * 12 * 400 and wrong == 0
+
+
+def test_radius_screen_takes_the_exact_test_off_its_product():
+    # nan and inf points, and every point where cosh(radius) overflows.  An
+    # infinite point's product is nan (inf - inf), which numpy warns of.
+    targets = np.array([0.5 + 1.0j, -2.0 + 0.3j])
+    z = np.array([complex(np.nan, 1.0), complex(np.inf, 1.0), complex(-np.inf, 2.0), 0.4 + 0.9j,
+                  40.0 + 0.01j])
+    ratio = np.abs(z - targets[:, None]) ** 2 / (2.0 * z.imag * targets.imag[:, None])
+    for radius in (0.5, 3.0, 1000.0):
+        want = np.arccosh(np.maximum(1.0 + ratio, 1.0)).min(axis=0) <= radius
+        with np.errstate(invalid="ignore"):
+            assert RadiusScreen(targets, radius)(z).tolist() == want.tolist()
+
+
 def _rank_dedup(ranks):
     """The leaf query's dedup: first index of each rank, ranks ascending."""
     return np.unique(ranks, return_index=True)[1]
@@ -723,6 +767,72 @@ def test_tree_copy_grows_apart(holonomy):
     assert _differing(tree.leaf_table(*narrow),
                       _columns(reference_leaf_lifts(holonomy, CUFF_MULTICURVE, *narrow))) == []
     assert _differing(tree.leaf_table(*wide), want) == []
+
+
+def test_tree_grows_by_doubling(holonomy, monkeypatch):
+    # A depth-6 three-cuff query on a fresh tree: each buffer is replaced
+    # at most log2(rows / TREE_ROWS_INITIAL) times, rounded up, and holds at
+    # most twice its rows.
+    replaced = {}
+    grown = grafting._grown
+
+    def counting(buffer, used, need):
+        out = grown(buffer, used, need)
+        if out is not buffer:
+            key = (buffer.dtype.str, buffer.shape[1:])
+            replaced[key] = replaced.get(key, 0) + 1
+        return out
+
+    monkeypatch.setattr(grafting, "_grown", counting)
+    tree = WordTree(holonomy, CUFF_MULTICURVE)
+    tree.leaf_table(6, segment_focus([holonomy.basepoint, 0.5 + 2.0j]), 4.0)
+    columns = [tree.nodes, tree.ok, tree.keys, tree.real]
+    assert tree.size > 4 * grafting.TREE_ROWS_INITIAL and len(tree.ok) > grafting.TREE_ROWS_INITIAL
+    assert len(replaced) == len(columns)
+    for column in columns:
+        rows = len(column)
+        times = replaced[(column.dtype.str, column.shape[1:])]
+        assert 1 <= times <= math.ceil(math.log2(rows / grafting.TREE_ROWS_INITIAL)), (rows, times)
+        assert column.base.shape[1:] == column.shape[1:] and len(column.base) <= 2 * rows
+        assert column.flags.c_contiguous
+
+
+def test_tree_copy_has_buffers_of_its_own(holonomy):
+    # The twin and the original each grow into room they both had at the
+    # copy; neither sees the other's rows.
+    x0 = holonomy.basepoint
+    tree = WordTree(holonomy, CUFF_MULTICURVE)
+    tree.leaf_table(4, [x0], 4.0)
+
+    def state(t):
+        return [getattr(t, name).tobytes() for name in ("nodes", "ok", "keys", "real", "rank")]
+
+    twin = tree.copy()
+    for name in ("nodes", "ok", "keys", "real"):
+        mine, its = getattr(tree, name), getattr(twin, name)
+        assert len(its.base) == len(mine.base) and not np.shares_memory(mine.base, its.base)
+    before = state(tree)
+    twin.leaf_table(4, segment_focus([x0, -1.2 + 0.4j]), 4.0)
+    assert state(tree) == before
+    grown = state(twin)
+    tree.leaf_table(4, segment_focus([x0, 3.0 + 5.0j]), 4.0)
+    assert state(twin) == grown
+    for t in (tree, twin):
+        _assert_ranks_consistent(t)
+
+
+def test_tree_buffers_stop_doubling_at_the_node_bound(holonomy, monkeypatch):
+    # Past MAX_TREE_NODES a buffer grows by what a level adds, so it never
+    # holds much more than its rows, and the tree is emptied at the next
+    # query.
+    monkeypatch.setattr(grafting, "MAX_TREE_NODES", 600)
+    tree = WordTree(holonomy, CUFF_MULTICURVE)
+    query = (5, segment_focus([holonomy.basepoint, 0.5 + 2.0j]), 4.0)
+    table = tree.leaf_table(*query)
+    assert tree.size > 600 and len(tree.nodes.base) == tree.size
+    assert _differing(table, _columns(reference_leaf_lifts(holonomy, CUFF_MULTICURVE, *query))) == []
+    tree.leaf_table(1, [holonomy.basepoint], 4.0)
+    assert len(tree.nodes.base) <= 600
 
 
 def test_tree_rows_hold_the_matrices_their_expansion_built(holonomy, monkeypatch):

@@ -375,6 +375,33 @@ def test_med_support_on_boundary():
         assert abs(abs(pts[i] - d.center) - d.radius) < 1e-9
 
 
+def welzl_outside(span: float) -> list[float]:
+    """How far, in units of ``span``, the farthest point of each of 200
+    seeded 8-point sets lies outside its minimal_enclosing_disk: the points
+    are 0.3 + 0.2i plus ``span`` times a complex normal deviate."""
+    rng = np.random.default_rng(0)
+    out = []
+    for _ in range(200):
+        pts = 0.3 + 0.2j + span * (rng.normal(size=8) + 1j * rng.normal(size=8))
+        d = minimal_enclosing_disk(pts.tolist())
+        out.append(float((np.abs(pts - d.center) - d.radius).max()) / span)
+    return out
+
+
+def test_welzl_known_defect_tiny_span():
+    """KNOWN DEFECT (ROADMAP item 11): Welzl's disk leaves points out of
+    sets that span less than about 1e-7.  _circumcircle's collinearity
+    test is absolute below span 1, so every triple of such a set reads as
+    collinear and the widest pair's disk is kept where the next points do
+    not fit.  At span 1e-8, 115 of the 200 sets leave a point outside the
+    disk by more than 1e-6 of the span, the worst by 2.4 spans; at span
+    1e-7 none does.  The fix, a relative test with item 12's re-recording,
+    must flip this test: then no set at 1e-8 leaves a point out either."""
+    tiny = welzl_outside(1e-8)
+    assert sum(x > 1e-6 for x in tiny) >= 100 and max(tiny) > 1.0
+    assert max(welzl_outside(1e-7)) < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # minimal_enclosing_disks: the lockstep kernel against Welzl, bit for bit
 

@@ -26,7 +26,7 @@ from oracles import lockstep_med_mismatches
 from test_acceptance import (
     criterion_1, criterion_4, criterion_5, criterion_7, two_pi_structures,
 )
-from test_grafting import radius_screen_mismatches
+from test_grafting import radius_screen_mismatches, screen_mismatches
 from test_hyperbolic import dome_golden_mismatches
 from test_moebius import key_mismatches
 
@@ -410,6 +410,27 @@ def test_criterion_5_catches_negated_right_sides(which, monkeypatch):
     assert not passed, detail
 
 
+@pytest.mark.parametrize("which", ["every", "circle", "vertical"])
+def test_covering_catches_negated_right_sides(which, two_pi_structure, monkeypatch):
+    """Path lifting enters each crescent from the side ``right_positive``
+    names and leaves it by the same column, so a column negated alike
+    everywhere still closes every loop; the crescent-side check reads each
+    positive-weight row's low side from its leaf's frame and reports every
+    negated row."""
+    limit = limit_domain(two_pi_structure)
+    clean = verify_covering(two_pi_structure, [CROSSING_LOOP], limit)
+    assert clean["violations"] == [] and all(c["passed"] for c in clean["checks"])
+    table = two_pi_structure.leaves_near([two_pi_structure.basepoint])
+    vertical = np.isnan(table.real_ends).any(axis=1)
+    flipped = {"every": np.ones_like(vertical), "circle": ~vertical, "vertical": vertical}[which]
+    want = [{"kind": "crescent-side", "row": i} for i in np.flatnonzero(flipped).tolist()]
+    _right_sides_negated(monkeypatch, which)
+    report = verify_covering(two_pi_structure, [CROSSING_LOOP], limit)
+    assert [v for v in report["violations"] if v["kind"] == "crescent-side"] == want and want
+    assert report["checks"][0] == {"name": "all-lifts-close", "passed": False,
+                                   "details": {"lifts": clean["values"]["lifts_tested"]}}
+
+
 def test_criterion_5_catches_every_crossing_dropped(monkeypatch):
     """No crossing found anywhere: the structure is the unbent one, which
     satisfies both relations, and no crossing sign is read."""
@@ -470,3 +491,13 @@ def test_radius_screen_catches_a_zero_band(holonomy, monkeypatch):
     assert radius_screen_mismatches(holonomy) == []
     monkeypatch.setattr(grafting, "RADIUS_BAND", 0.0)
     assert radius_screen_mismatches(holonomy) != []
+
+
+def test_radius_screen_catches_a_missing_rounding_bound(monkeypatch):
+    """The radius screen with no rounding bound: about a real part near
+    1e6, the expanded ratio lies up to about 1e-4 from the exact one, far
+    outside RADIUS_BAND, and decides points that arccosh puts on the other
+    side of the radius."""
+    assert screen_mismatches(0)[1] == 0
+    monkeypatch.setattr(grafting, "SCREEN_ROUNDING", 0.0)
+    assert screen_mismatches(0)[1] > 0
