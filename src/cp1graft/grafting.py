@@ -57,7 +57,6 @@ from .hyperbolic import (
     PlaneH3,
     PointH3,
     apply_isometry,
-    geodesic_point,
     rotation_about_geodesic,
 )
 from .surface import (
@@ -65,6 +64,7 @@ from .surface import (
     GroupWord,
     Representation,
     axis,
+    cuff_length_from_trace,
     key_ranks,
     word_children,
     word_products,
@@ -197,10 +197,36 @@ def distance_to_leaf(z: complex, leaf_geodesic: GeodesicH3) -> float:
     return math.asinh(abs(w.real) / w.imag)
 
 
+def _geodesic_frame(p: complex, q: complex) -> tuple[float, float, float]:
+    """(c, t, d) of the H^2 geodesic from p to q: the cosine and sine of
+    half the angle of u = (q - p) / (q - conj p), q's direction at p once
+    p is taken to the centre of the disk, and the length d.  Raises
+    DegenerateInputError unless both points are finite and above the real
+    axis."""
+    for z in (p, q):
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise DegenerateInputError("point must be finite")
+        if z.imag <= 0:
+            raise DegenerateInputError("point must lie in the upper half-plane")
+    half = cmath.phase((q - p) / (q - p.conjugate())) / 2.0
+    d = 2.0 * math.asinh(abs(q - p) / (2.0 * math.sqrt(p.imag) * math.sqrt(q.imag)))
+    return math.cos(half), math.sin(half), d
+
+
+def _frame_point(p: complex, frame: tuple[float, float, float], s: float) -> complex:
+    """The point at arclength s * d from p along the geodesic of ``frame``:
+    with x = s d and D = c^2 e^-x + t^2 e^x, it is
+    Re p - Im p * 2 c t sinh(x) / D + i Im p / D.  D is a sum of positive
+    terms and sinh(x) keeps its digits at small x, so no step cancels."""
+    c, t, d = frame
+    x = s * d
+    den = c * c * math.exp(-x) + t * t * math.exp(x)
+    return complex(p.real - p.imag * (2.0 * c * t * math.sinh(x)) / den, p.imag / den)
+
+
 def uhp_geodesic_point(p: complex, q: complex, s: float) -> complex:
     """Constant-speed point at parameter s in [0,1] on the H^2 geodesic p->q."""
-    g = geodesic_point(embed_h3(p), embed_h3(q), s)
-    return complex(g.z.real, g.t)
+    return _frame_point(p, _geodesic_frame(p, q), s)
 
 
 def element_keys(mats: np.ndarray) -> list[bytes]:
@@ -478,8 +504,7 @@ class WordTree:
             if cls.kind not in ("hyperbolic", "loxodromic"):
                 raise InvalidMulticurveError(f"curve {word} is not hyperbolic ({cls.kind})")
             base_axes.append(axis(m))
-            t2 = m.trace_squared().real
-            half_lengths.append(math.acosh(math.sqrt(max(t2, 4.0)) / 2.0))
+            half_lengths.append(cuff_length_from_trace(m) / 2.0)
         x0 = hol.basepoint
         reach = max(distance_to_leaf(x0, g) for g in base_axes) if base_axes else 0.0
         self.reach = reach + (max(half_lengths) if half_lengths else 0.0)
@@ -502,9 +527,8 @@ class WordTree:
         self.rank = np.empty((0, n_curves), dtype=np.int32)
         self._append(identity, -1, 0)
         self.nodes["dedup"][0] = 0
-        # Class ids are unique, not dense: a batch reserves one per key.
+        # A class is numbered by the first node row that met its key.
         self.classes: dict[bytes, int] = dict.fromkeys(element_keys(identity), 0)
-        self.next_class = 1
 
     @property
     def size(self) -> int:
@@ -556,15 +580,13 @@ class WordTree:
         return child
 
     def _classes(self, nodes: np.ndarray) -> np.ndarray:
-        """The ``element_keys`` class of each node, numbered in the order
-        the tree met them."""
+        """The ``element_keys`` class of each node, numbered by the first
+        node row that met it."""
         dedup = self.nodes["dedup"]
         untyped = nodes[dedup[nodes] < 0]
         if len(untyped):
             keys = element_keys(self.nodes["mat"][untyped])
-            ids = range(self.next_class, self.next_class + len(keys))
-            self.next_class += len(keys)
-            dedup[untyped] = list(map(self.classes.setdefault, keys, ids))
+            dedup[untyped] = list(map(self.classes.setdefault, keys, untyped.tolist()))
         return dedup[nodes]
 
     def _ends(self, mats: np.ndarray) -> np.ndarray:
@@ -936,12 +958,19 @@ class GraftedStructure:
     @cached_property
     def base_leaves(self) -> LeafTable:
         """Leaf lifts around the basepoint and its segments to the generator
-        translates, reused by holonomy and meshes."""
+        translates, reused by holonomy and meshes, once the multicurve is
+        checked: every read of the structure comes through here, so each
+        one refuses a multicurve whose leaf lifts cross."""
         x0 = self.hol.basepoint
         focus = [x0]
         for l in LETTER_ORDER:
             focus.extend(segment_focus([x0, self.hol.generator(l)(x0)])[1:])
-        return self.leaves_near(focus)
+        leaves = self.leaves_near(focus)
+        # The check replays on a copy of the structure's tree: it reuses the
+        # base leaves' words, and the structure keeps none of its own.
+        check_multicurve(self.hol, self.multicurve, depth=min(self.depth, 4),
+                         tree=self.word_tree.copy())
+        return leaves
 
     @cached_property
     def basepoint(self) -> complex:
@@ -957,13 +986,9 @@ class GraftedStructure:
     @cached_property
     def generator_crossings(self) -> tuple:
         """The crossings of [x0, g x0] for g = a1, b1, a2, b2 on the base
-        leaves, once the multicurve is checked; rho' at any angles is one
-        ``bending_product`` per generator over them."""
+        leaves; rho' at any angles is one ``bending_product`` per generator
+        over them."""
         leaves = self.base_leaves
-        # The check replays on a copy of the structure's tree: it reuses the
-        # base leaves' words, and the structure keeps none of its own.
-        check_multicurve(self.hol, self.multicurve, depth=min(self.depth, 4),
-                         tree=self.word_tree.copy())
         x0 = self.basepoint
         return tuple(lift_crossings(x0, g(x0), leaves=leaves) for g in self.hol.generators)
 
@@ -1026,9 +1051,11 @@ class GraftedStructure:
 def segment_focus(path: list[complex]) -> list[complex]:
     """Where a path's leaf table is taken: each vertex, then the points at
     1/4, 1/2 and 3/4 of each segment."""
-    return list(path) + [
-        uhp_geodesic_point(p, q, s) for p, q in zip(path, path[1:]) for s in (0.25, 0.5, 0.75)
-    ]
+    out = list(path)
+    for p, q in zip(path, path[1:]):
+        frame = _geodesic_frame(p, q)
+        out.extend(_frame_point(p, frame, s) for s in (0.25, 0.5, 0.75))
+    return out
 
 
 def grafted_holonomy(gs: GraftedStructure) -> DeformedHolonomy:

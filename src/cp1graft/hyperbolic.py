@@ -29,7 +29,6 @@ from .moebius import (
     circle_rows,
     circles_through,
     cp1,
-    cross_ratio,
     moebius_three_points,
     moebius_two_points,
     side_signs,
@@ -99,39 +98,6 @@ def rotation_about_geodesic(g: GeodesicH3, theta: complex) -> MoebiusMap:
     half = theta / 2.0
     diag = np.array([[cmath.exp(1j * half), 0.0], [0.0, cmath.exp(-1j * half)]], dtype=complex)
     return t.inverse() @ MoebiusMap(diag) @ t
-
-
-def geodesic_point(p: PointH3, q: PointH3, s: float) -> PointH3:
-    """Point at parameter s in [0, 1] along the geodesic from p to q."""
-    if abs(p.z - q.z) < 1e-15 and abs(p.t - q.t) < 1e-15:
-        return p
-    d = h3_distance(p, q)
-    # Normalize p to (0, 1) and q to (0, e^d) along the vertical axis: a
-    # horizontal translation followed by the plane rotation making both
-    # vertical works, but it is simpler to interpolate in the plane
-    # containing both points, which is isometric to H^2 (upper half-plane).
-    dz = q.z - p.z
-    if abs(dz) < 1e-15:
-        # Same vertical line.
-        tval = p.t * math.exp(s * math.copysign(d, q.t - p.t))
-        return PointH3(p.z, tval)
-    u = dz / abs(dz)
-    # Work in the vertical half-plane through p, q with coordinates (x, t).
-    a = complex(0.0, p.t)
-    b = complex(abs(dz), q.t)
-    # Geodesic of UHP through a, b: semicircle centered on the real axis.
-    ca = (abs(b) ** 2 - abs(a) ** 2) / (2.0 * (b.real - a.real))
-    r = abs(a - ca)
-    pha = math.atan2(a.imag, a.real - ca)
-    phb = math.atan2(b.imag, b.real - ca)
-    # Constant-speed parameterization uses hyperbolic arc length.
-    # Angles relate to arc length by d(s) with tan(phi/2) monotone.
-    la = math.log(math.tan(pha / 2.0))
-    lb = math.log(math.tan(phb / 2.0))
-    ls = la + s * (lb - la)
-    phi = 2.0 * math.atan(math.exp(ls))
-    w = ca + r * cmath.exp(1j * phi)
-    return PointH3(p.z + u * w.real, w.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +400,6 @@ def _fit_plane(xs):
     _, _, vh = np.linalg.svd(xs - centroid)
     n = vh[-1] / np.linalg.norm(vh[-1])
     return n, float(np.dot(n, centroid))
-
-
-def concircular(p: PointCP1, q: PointCP1, r: PointCP1, s: PointCP1) -> bool:
-    """Four points lie on a common round circle iff their cross-ratio is real."""
-    return abs(cross_ratio(p, q, r, s).imag) < TOL_GEO
 
 
 # ---------------------------------------------------------------------------

@@ -411,5 +411,8 @@ def jorgensen_flags(hol: FuchsianHolonomy, word_pairs) -> list[dict]:
 
 
 def cuff_length_from_trace(m: MoebiusMap) -> float:
+    """Translation length 2 acosh(|tr| / 2) of m, 0 unless hyperbolic:
+    demo 03's cuff-length check, and each curve's half length in the
+    grafting word tree's reach."""
     t2 = m.trace_squared()
     return 2.0 * math.acosh(math.sqrt(max(t2.real, 4.0)) / 2.0)

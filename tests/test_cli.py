@@ -313,6 +313,9 @@ def _endpoint_on_leaf(monkeypatch):
 
 # (id, config, command, extra flags, exit code, stderr prefix[, defect
 # planted before the command runs])
+CROSSING_2PI = dict(BASE_CONFIG, depth=4, multicurve=[{"word": "a", "weight": "2*pi"},
+                                                      {"word": "b", "weight": "2*pi"}])
+
 CLI_ERROR_CASES = [
     ("limit-depth-0-limitset", dict(BASE_CONFIG, limit_depth=0),
      ("export", "limitset"), (), EXIT_CONFIG, "error:"),
@@ -406,6 +409,11 @@ CLI_ERROR_CASES = [
                                             {"word": "b", "weight": 1.0}]),
      ("graft",), (), EXIT_CONFIG,
      "error: leaf lifts intersect: BcDC*curve0 crosses BcDC*curve1"),
+    # Every command that builds a structure refuses the crossing multicurve
+    # alike, including those that never read rho'.
+    *((f"crossing-multicurve-{command[-1]}", CROSSING_2PI, command, (), EXIT_CONFIG,
+       "error: leaf lifts intersect: BcDC*curve0 crosses BcDC*curve1")
+      for command in (("verify", "goldman"), ("verify", "covering"), ("export", "pleat"))),
     # The CLI picks every segment endpoint itself (basepoint, generator
     # images, face samples, transversal ends), so one on a leaf is a
     # numeric failure, not a config error.

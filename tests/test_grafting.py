@@ -95,6 +95,22 @@ def test_crossing_curves_rejected(holonomy):
         check_multicurve(holonomy, CROSSING_MULTICURVE, depth=3)
 
 
+@pytest.mark.parametrize("read", ["rho_prime", "basepoint", "develop", "pleated_surface"])
+def test_every_read_refuses_a_crossing_multicurve(holonomy, read):
+    # The check runs with the base leaves, which every read of a structure
+    # takes first, so none of them gets past a multicurve that crosses.
+    gs = GraftedStructure(holonomy, CROSSING_MULTICURVE, depth=4)
+    reads = {
+        "rho_prime": lambda: gs.rho_prime,
+        "basepoint": lambda: gs.basepoint,
+        "develop": lambda: gs.develop(0.2 + 1.0j),
+        "pleated_surface": lambda: pleated_surface(
+            holonomy, CROSSING_MULTICURVE, depth=4, truncation_radius=1.5, structure=gs),
+    }
+    with pytest.raises(InvalidMulticurveError, match=r"^leaf lifts intersect: "):
+        reads[read]()
+
+
 @pytest.mark.parametrize("depth", [3, 4])
 @pytest.mark.parametrize("curves", [1, 2, 3, "crossing"])
 def test_first_linked_pair_matches_matrix_on_leaf_sets(holonomy, curves, depth):
@@ -245,6 +261,78 @@ def test_lift_crossings_count_vs_oracle(holonomy):
         got = len(GraftedStructure(hol, mc, depth=4).crossings([p, q]))
         want = _oracle_crossings(hol, mc, p, q, 4)
         assert got == want, (p, q, got, want)
+
+
+def _geodesic_segment_kinds():
+    """200 seeded segments of each kind: generic, exactly vertical, 1e-9
+    and -1e-12 off vertical, 1e3 wide, and 1e-6 above the real axis."""
+    rng = np.random.default_rng(41)
+
+    def points(n, low=-2.0, high=2.0):
+        return rng.uniform(-3, 3, n) + 1j * np.exp(rng.uniform(low, high, n))
+
+    p, q = points(200), points(200)
+    low = rng.uniform(-3, 3, (2, 200)) + 1j * rng.uniform(0.5e-6, 2e-6, (2, 200))
+    kinds = {
+        "generic": (p, q),
+        "vertical": (p, p.real + 1j * q.imag),
+        "dx=1e-9": (p, p.real + 1e-9 + 1j * q.imag),
+        "dx=-1e-12": (p, p.real - 1e-12 + 1j * q.imag),
+        "dx=1e3": (p, p.real + 1e3 + 1j * q.imag),
+        "im=1e-6": tuple(low),
+    }
+    return {name: list(zip(a.tolist(), b.tolist())) for name, (a, b) in kinds.items()}
+
+
+def test_uhp_geodesic_point_matches_50_digits():
+    # The exact point, at 50 digits from p and q as exact: the disk map
+    # z -> (z - p) / (z - conj p) takes p to 0 and the geodesic to the ray
+    # through q's image, on which the point lies at tanh(s d / 2).  The
+    # error is its distance from the computed point, over the length d.
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+
+    def dist(a, b):
+        return 2 * mp.asinh(abs(a - b) / (2 * mp.sqrt(a.imag * b.imag)))
+
+    worst = {}
+    for name, segments in _geodesic_segment_kinds().items():
+        worst[name] = 0.0
+        for p, q in segments:
+            a, b = mp.mpc(p), mp.mpc(q)
+            length = dist(a, b)
+            u = (b - a) / (b - mp.conj(a))
+            for s in (0.25, 0.5, 0.75):
+                w = mp.tanh(s * length / 2) * u / abs(u)
+                want = (a - mp.conj(a) * w) / (1 - w)
+                got = mp.mpc(uhp_geodesic_point(p, q, s))
+                worst[name] = max(worst[name], float(dist(got, want) / length))
+    assert max(worst.values()) < 1e-12, worst
+
+
+def test_segment_focus_is_uhp_geodesic_point_bit_for_bit():
+    path = [0.1 + 1.0j, 2.0 + 0.5j, 2.0 + 3.0j, -1e3 + 1e-6j, 0.3 + 0.2j]
+    for name, segments in _geodesic_segment_kinds().items():
+        path += [z for segment in segments[:4] for z in segment]
+    want = list(path) + [uhp_geodesic_point(p, q, s)
+                         for p, q in zip(path, path[1:]) for s in (0.25, 0.5, 0.75)]
+    assert np.array(segment_focus(path)).tobytes() == np.array(want).tobytes()
+
+
+BELOW = "point must lie in the upper half-plane"
+
+
+@pytest.mark.parametrize("p, q, message", [
+    (1j, 0.3 - 0.5j, BELOW), (1j, 0.3 + 0j, BELOW), (1j, complex(0.3, math.nan), None),
+    (1j, complex(math.inf, 1.0), None), (complex(0.2, math.inf), 1j, None),
+])
+def test_uhp_geodesic_point_refuses_points_off_the_plane(p, q, message):
+    with pytest.raises(DegenerateInputError, match=message):
+        uhp_geodesic_point(p, q, 0.5)
+    with pytest.raises(DegenerateInputError):
+        segment_focus([p, q])
 
 
 def _bisection_crossings(leaves, p, q):

@@ -30,7 +30,6 @@ from cp1graft.hyperbolic import (
     PlaneH3,
     PointH3,
     apply_isometry,
-    concircular,
     dome,
     h3_distance,
     nearest_point_projection,
@@ -429,12 +428,6 @@ SQUARE = np.array([[1, 1], [1j, 1], [-1, 1], [-1j, 1]], dtype=complex)
 @settings(max_examples=60, deadline=None)
 def test_dome_matches_reference_dome_bit_for_bit(rows):
     assert _mesh_or_fault(dome, rows) == _mesh_or_fault(reference_dome, rows)
-
-
-def test_concircular_predicate():
-    assert concircular(cp1(1), cp1(1j), cp1(-1), cp1(-1j))
-    assert concircular(cp1(0), cp1(1), cp1(2), INFINITY)
-    assert not concircular(cp1(0), cp1(1), INFINITY, cp1(0.5 + 0.5j))
 
 
 if __name__ == "__main__":
