@@ -806,7 +806,13 @@ def angle_between(c1: OrientedCircle, c2: OrientedCircle) -> float:
     Circles equal or tangent within tolerance get the limiting angle (0 or
     pi); an inversive product beyond 1 + TOL_GEO means no intersection.
     """
-    ip = inversive_product(c1, c2)
+    return angle_from_product(inversive_product(c1, c2))
+
+
+def angle_from_product(ip: float) -> float:
+    """The angle of ``angle_between`` from the circles' inversive product:
+    NoIntersectionError beyond 1 + TOL_GEO, else ``math.acos`` of the
+    product clamped to [-1, 1] (``np.arccos`` may differ in the last bit)."""
     if abs(ip) > 1.0 + TOL_GEO:
         raise NoIntersectionError(f"circles do not intersect transversally (product {ip:.6g})")
     return math.acos(min(1.0, max(-1.0, ip)))

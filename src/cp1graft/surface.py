@@ -282,6 +282,8 @@ class Representation:
         return self.rho(RELATION).proj_distance(MoebiusMap.identity())
 
     def max_imag_entry(self) -> float:
+        """The largest |Im| of a generator matrix entry, 0 for a real
+        (Fuchsian) holonomy.  Demo 03 prints it; no library code reads it."""
         return max(float(np.max(np.abs(g.matrix.imag))) for g in self.generators)
 
 

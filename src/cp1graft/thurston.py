@@ -30,7 +30,7 @@ from .moebius import (
     RoundDisk,
     affine_rows,
     affine_stack,
-    angle_between,
+    angle_from_product,
     apply,
     apply_rows,
     apply_stack,
@@ -63,6 +63,13 @@ TOL_SAME_POINT = 10 * TOL_GEO  # chordal distance of one ideal point
 # Relative band around a threshold inside which a batched value, which may
 # differ from its scalar counterpart in the last bits, is not trusted.
 BATCH_BAND = 1e-12
+
+
+def same_disk_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether Hermitian forms a and b, flattened to rows of four entries,
+    are one disk: their ``frobenius_rows`` distance is below TOL_SAME_DISK.
+    Broadcast over the leading axes."""
+    return frobenius_rows(a, b) < TOL_SAME_DISK
 
 
 class PreconditionError(ValueError):
@@ -260,7 +267,9 @@ class MaximalDiskRecord:
         return _core_region(MoebiusMap(u.matrix @ t[0]), tuple(ws))
 
     def same_disk(self, other: "MaximalDiskRecord") -> bool:
-        return self.disk.circle.proj_distance(other.disk.circle) < TOL_SAME_DISK
+        """``same_disk_rows`` on the two records' forms."""
+        return bool(same_disk_rows(self.disk.circle.hermitian.ravel(),
+                                   other.disk.circle.hermitian.ravel()))
 
 
 def _geodesic_center(u: complex, v: complex):
@@ -508,21 +517,41 @@ def stratification_check(dom: DiskComplementDomain, samples) -> dict:
     }
 
 
+# Record pairs whose same-disk test one block of the grouping takes.
+GROUP_PAIRS = 1 << 12
+
+
 def _group_by_disk(records) -> list:
     """(sample, record) pairs grouped by disk, groups in order of first
     appearance: a record joins the first group whose first record is its
-    ``same_disk``, tested against a stack of all groups at once by the
-    same Frobenius-row expression."""
-    groups = []
-    stack = np.empty((len(records), 4), dtype=complex)
-    for i, rec in records:
-        h = rec.disk.circle.hermitian.ravel()
-        same = np.flatnonzero(frobenius_rows(stack[: len(groups)], h) < TOL_SAME_DISK)
-        if len(same):
-            groups[same[0]].append((i, rec))
-        else:
-            stack[len(groups)] = h
-            groups.append([(i, rec)])
+    same disk (``same_disk_rows``), else it starts a group.
+
+    Blocks of records are compared with every record up to the block's end
+    at once (a difference's negation squares to the same bits).  A record
+    whose first same-disk record is itself starts a group, and one whose
+    first same-disk record is a group's first joins that group; only the
+    others are walked against the groups' firsts, on the block's rows."""
+    forms = np.array([rec.disk.circle.hermitian for _, rec in records]).reshape(-1, 4)
+    n = len(forms)
+    is_first = np.zeros(n, dtype=bool)
+    group_of, groups = [], []
+    step = max(1, GROUP_PAIRS // max(n, 1))
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        same = same_disk_rows(forms[start:stop, None], forms[None, :stop])
+        # A form that is not its own same disk (NaN) is its own first.
+        first = np.where(same.any(axis=1), same.argmax(axis=1), np.arange(start, stop))
+        for k, j in enumerate(first.tolist(), start):
+            if j != k and not is_first[j]:
+                hits = np.flatnonzero(same[k - start, :k] & is_first[:k])
+                j = int(hits[0]) if len(hits) else k
+            if j == k:
+                is_first[k] = True
+                group_of.append(len(groups))
+                groups.append([records[k]])
+            else:
+                group_of.append(group_of[j])
+                groups[group_of[j]].append(records[k])
     return groups
 
 
@@ -572,17 +601,27 @@ def _pairs_to_test(dom: DiskComplementDomain, recs: list) -> np.ndarray:
         probe = unit_pairs(as_pairs([recs[j].disk.circle.boundary_points(1)[0] for j in inner]))
         nests[:, inner] &= _form_values(probe, a, b, d).T < -TOL_GEO + band[:, inner]
 
-    # worst[a, b]: the largest H_a - H_b value over the ideal points of a,
-    # which is the scalar test's worst_a; its worst_b is -worst[b, a].  Only
-    # the records' contact rows are read, so only they get form values.
+    overlap = _worst_sides(dom, recs, a, b, d) > TOL_GEO - band
+    return np.argwhere(np.triu(nests | nests.T | overlap | overlap.T, 1))
+
+
+def _worst_sides(dom: DiskComplementDomain, recs: list, a, b, d) -> np.ndarray:
+    """worst[k, m]: the largest H_k - H_m value over the ideal points of
+    record k, for the forms H = [[a, b], [conj b, d]] of the records, which
+    is ``_check_pair``'s worst_a; its worst_b is -worst[m, k].  Only the
+    records' contact rows get form values.  The maximum is taken one
+    contact slot at a time, over all records at once; a record with fewer
+    contacts repeats its last one."""
     ids = np.array(sorted({i for r in recs for i in r.ideal_ids}), dtype=int)
     forms = _form_values(dom.pairs[ids], a, b, d)
-    worst = np.empty_like(band)
-    for k, r in enumerate(recs):
-        rows = forms[np.searchsorted(ids, r.ideal_ids)]
-        worst[k] = (rows[:, k : k + 1] - rows).max(axis=0)
-    overlap = worst > TOL_GEO - band
-    return np.argwhere(np.triu(nests | nests.T | overlap | overlap.T, 1))
+    count = np.array([len(r.ideal_ids) for r in recs])
+    rows = np.searchsorted(ids, [i for r in recs for i in r.ideal_ids])
+    first, own = np.cumsum(count) - count, np.arange(len(recs))
+    worst = np.full((len(recs), len(recs)), -np.inf)
+    for slot in range(count.max(initial=0)):
+        values = forms[rows[first + np.minimum(slot, count - 1)]]
+        np.maximum(worst, values[own, own][:, None] - values, out=worst)
+    return worst
 
 
 def _nested(ra: MaximalDiskRecord, rb: MaximalDiskRecord) -> bool:
@@ -669,10 +708,10 @@ def transverse_measure(
 
 class _Refinement:
     """One path's refinement: its disks, keyed by their point's index on the
-    finest grid, and its trace.  The path is any object with ``at(s)``, its
-    point at parameter s in [0, ``total``].  ``result`` stays None while it
-    refines, then holds what ``transverse_measure`` returns or raises on
-    the path."""
+    finest grid, the forms of the disks of its last grid in path order, and
+    its trace.  The path is any object with ``at(s)``, its point at
+    parameter s in [0, ``total``].  ``result`` stays None while it refines,
+    then holds what ``transverse_measure`` returns or raises on the path."""
 
     FINEST = MEASURE_SUBDIVISION << MEASURE_MAX_LEVELS
 
@@ -680,16 +719,29 @@ class _Refinement:
         self.path = path
         self.tol = tol_measure
         self.disks, self.trace, self.prev, self.result = {}, [], None, None
+        self.forms = None
         if path.total <= 0:
             self.result = DegenerateInputError("path has zero length")
 
     def missing(self, level: int) -> list:
         """(key, point) of every point of the level's grid without a disk:
-        the point i / n of the path's parameter range has key i * (FINEST // n)."""
+        the point i / n of the path's parameter range has key i * (FINEST // n).
+        Past level 0 these are the odd i, as every coarser point has one."""
         n = MEASURE_SUBDIVISION << level
         step, total = self.FINEST // n, self.path.total
         return [(i * step, self.path.at(i / n * total))
                 for i in range(n + 1) if i * step not in self.disks]
+
+    def add_forms(self, forms: np.ndarray) -> np.ndarray:
+        """The grid's forms, once the forms of the disks ``missing`` named
+        are found, in its order: at level 0 they are the grid, and later
+        they fall between the coarser grid's."""
+        if self.forms is not None:
+            grid = np.empty((2 * len(self.forms) - 1, 4), dtype=complex)
+            grid[0::2], grid[1::2] = self.forms, forms
+            forms = grid
+        self.forms = forms
+        return forms
 
     def _disk(self, key: int) -> MaximalDiskRecord:
         rec = self.disks[key]
@@ -697,19 +749,21 @@ class _Refinement:
             raise rec
         return rec
 
-    def sum_level(self, level: int) -> None:
-        """Theta at the level, once every disk of its grid is found.  The
-        sum reads the disks in order and raises the first stored error it
-        reads; disks that do not intersect send the path to the next level."""
+    def sum_level(self, level: int, same: list, products: list) -> None:
+        """Theta at the level, once every disk of its grid is found, from
+        whether each consecutive pair of its disks is one disk and their
+        inversive products, in path order.  The sum reads the disks in
+        order and raises the first stored error it reads; disks that do not
+        intersect send the path to the next level."""
         n = MEASURE_SUBDIVISION << level
         step = self.FINEST // n
         try:
             theta = 0.0
+            self._disk(0)
             for i in range(n):
-                d0, d1 = self._disk(i * step), self._disk((i + 1) * step)
-                if d0.same_disk(d1):
-                    continue
-                theta += angle_between(d0.disk.circle, d1.disk.circle)
+                self._disk((i + 1) * step)
+                if not same[i]:
+                    theta += angle_from_product(products[i])
         except NoIntersectionError:
             self.prev = None
             return  # refine further
@@ -735,22 +789,48 @@ class _Refinement:
                                         levels=MEASURE_MAX_LEVELS, converged=False)
 
 
+# The form row standing for a grid point whose disk is an error; the sum
+# raises that error before it reads a value of the row.
+NO_FORM = np.zeros((2, 2), dtype=complex)
+
+
 def _measure_paths(dom: DiskComplementDomain, paths, tol_measure: float) -> list:
     """``transverse_measure`` of every path, refined in lockstep: each
     path's finished ``_Refinement``, whose ``result`` is its MeasureResult
     or the exception it raises.  At each level the grid points without a
     disk, on every path still refining, are one ``maximal_disks`` batch; a
-    path raises only an error its own sum reads."""
+    path raises only an error its own sum reads.
+
+    Each level then takes every consecutive pair of grid disks of every
+    path at once: one ``same_disk_rows`` call, and the inversive products
+    of ``inversive_product``, as it rounds them: (2 (b0r b1r + b0i b1i)
+    - a0 d1 - a1 d0) / 2 for forms [[a, b], [conj b, d]]."""
     runs = [_Refinement(path, tol_measure) for path in paths]
     for level in range(MEASURE_MAX_LEVELS + 1):
         active = [r for r in runs if r.result is None]
         if not active:
             break
-        wanted = [(r, key, z) for r in active for key, z in r.missing(level)]
-        for (r, key, _), rec in zip(wanted, maximal_disks(dom, [z for _, _, z in wanted])):
+        asked = [r.missing(level) for r in active]
+        wanted = [(r, key, z) for r, keys in zip(active, asked) for key, z in keys]
+        recs = maximal_disks(dom, [z for _, _, z in wanted])
+        for (r, key, _), rec in zip(wanted, recs):
             r.disks[key] = rec
-        for r in active:
-            r.sum_level(level)
+        forms = np.array([NO_FORM if isinstance(rec, Exception) else rec.disk.circle.hermitian
+                          for rec in recs]).reshape(-1, 4)
+        ends = np.cumsum([len(keys) for keys in asked])[:-1]
+        grids = [r.add_forms(f) for r, f in zip(active, np.split(forms, ends))]
+        h0 = np.concatenate([g[:-1] for g in grids])
+        h1 = np.concatenate([g[1:] for g in grids])
+        same = same_disk_rows(h0, h1).tolist()
+        a0, b0, d0 = h0[:, 0].real, h0[:, 1], h0[:, 3].real
+        a1, b1, d1 = h1[:, 0].real, h1[:, 1], h1[:, 3].real
+        products = ((2.0 * (b0.real * b1.real + b0.imag * b1.imag) - a0 * d1 - a1 * d0)
+                    / 2.0).tolist()
+        start = 0
+        for r, g in zip(active, grids):
+            stop = start + len(g) - 1
+            r.sum_level(level, same[start:stop], products[start:stop])
+            start = stop
     for r in runs:
         r.finish()
     return runs
@@ -783,9 +863,10 @@ def face_core_point(dom: DiskComplementDomain, face) -> PointCP1:
              for r in [k / 24.0 for k in range(24)] + [0.97, 0.985, 0.993]]
     cands = [c for c in cands if not c.is_infinity]
     cands = list(itertools.compress(cands, dom.contains(cands)))
+    face_form = face.plane.boundary.hermitian.ravel()
     for cand, rec in zip(cands, maximal_disks(dom, cands)):
         if (not isinstance(rec, Exception)
-                and rec.disk.circle.proj_distance(face.plane.boundary) < TOL_SAME_DISK):
+                and same_disk_rows(rec.disk.circle.hermitian.ravel(), face_form)):
             return cand
     raise DegenerateInputError("no core point found for dome face")
 
@@ -855,13 +936,13 @@ def _edge_spirals(dom: DiskComplementDomain, mesh) -> list:
 def _path_labels(mesh, edge, recs: list) -> list:
     """The label of each maximal disk record on a measure path of ``edge``,
     or of the error found in its place: ``face1`` or ``face2`` when its
-    circle is that face's within TOL_SAME_DISK, ``family`` when its contacts
+    circle is that face's (``same_disk_rows``), ``family`` when its contacts
     are the edge's two vertices (the domain's rows are the mesh's
     vertices), and ``other`` otherwise."""
     ok = [r for r in recs if not isinstance(r, Exception)]
     faces = np.array([mesh.faces[f].plane.boundary.hermitian.ravel() for f in edge.face_ids])
     forms = np.array([r.disk.circle.hermitian.ravel() for r in ok]).reshape(-1, 1, 4)
-    near = iter((frobenius_rows(forms, faces) < TOL_SAME_DISK).tolist())
+    near = iter(same_disk_rows(forms, faces).tolist())
     ends = tuple(sorted(edge.vertex_ids))
     out = []
     for r in recs:

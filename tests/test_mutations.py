@@ -38,8 +38,8 @@ TETRA = {
 
 
 def _measure_angle_scaled(monkeypatch):
-    angle = thurston.angle_between
-    monkeypatch.setattr(thurston, "angle_between", lambda c1, c2: 1.01 * angle(c1, c2))
+    angle = thurston.angle_from_product
+    monkeypatch.setattr(thurston, "angle_from_product", lambda ip: 1.01 * angle(ip))
 
 
 def _sigma_negated(monkeypatch):

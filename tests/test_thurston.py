@@ -1,7 +1,10 @@
 import cmath
+import collections
 import dataclasses
+import hashlib
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -795,13 +798,14 @@ def _ideal_point_dropped(rec):
     return dataclasses.replace(rec, ideal_ids=rec.ideal_ids[:-1])
 
 
-def _nudged_disk(rec):
-    """The disk's form moved by 0.9e-6 (Frobenius) along a direction that
-    keeps det = -1 to first order: the same disk for same_disk."""
+def _nudged_disk(rec, size=0.9e-6):
+    """The disk's form moved by |size| = 0.9e-6 (Frobenius) along a
+    direction that keeps det = -1 to first order, backwards for a negative
+    size: the same disk for same_disk."""
     h = rec.disk.circle.hermitian
     b = complex(h[0, 1])
     e = 1j * (b / abs(b) if abs(b) > 1e-9 else 1.0)
-    step = np.array([[0.0, e], [np.conj(e), 0.0]]) * (0.9e-6 / math.sqrt(2.0))
+    step = np.array([[0.0, e], [np.conj(e), 0.0]]) * (size / math.sqrt(2.0))
     disk = RoundDisk(OrientedCircle(h + step))
     assert 0.8e-6 < disk.circle.proj_distance(rec.disk.circle) < 1e-6
     return dataclasses.replace(rec, disk=disk)
@@ -818,6 +822,54 @@ def test_stratification_groups_near_same_disk_threshold(monkeypatch):
     assert report["values"] == plain["values"]
     # Both the batch and the reference's one-point calls got nudged disks.
     assert planted.changed == samples[::3] * 2
+
+
+def test_stratification_groups_records_near_a_member(monkeypatch):
+    """Disks nudged by +0.9e-6 at samples[::3] and by -0.9e-6 at
+    samples[1::3], each along its own direction: nudged records are the
+    same disk as the unnudged ones, but 1.8e-6 from those nudged the other
+    way.  So some records' first same-disk record is a member that is no
+    group's first, and those walk the greedy rule, while others are the
+    same disk as two groups' firsts.  The grouping is the per-pair
+    reference's."""
+    dom = DiskComplementDomain.from_ideal_points(ACCEPTANCE_SETS["6-point"])
+    samples = sample_queries(dom, 120, seed=9)
+    monkeypatch.setattr(thurston, "maximal_disks", _plant(_nudged_disk, set(samples[::3])))
+    down = _plant(lambda rec: _nudged_disk(rec, -0.9e-6), set(samples[1::3]))
+    monkeypatch.setattr(thurston, "maximal_disks", down)
+    report = stratification_check(dom, samples)
+    assert report == per_pair_stratification_reference(dom, samples)
+
+    # Which branch each record takes, from all pairwise distances.
+    recs = thurston.maximal_disks(dom, samples)
+    forms = np.array([r.disk.circle.hermitian.ravel() for r in recs])
+    same = moebius.frobenius_rows(forms[:, None], forms[None]) < thurston.TOL_SAME_DISK
+    firsts = []
+    for k, row in enumerate(same):
+        if not row[firsts].any():
+            firsts.append(k)
+    walked = [k for k, row in enumerate(same) if row.argmax() != k and row.argmax() not in firsts]
+    two_firsts = [k for k, row in enumerate(same) if row[firsts].sum() >= 2]
+    assert walked and two_firsts, (walked, two_firsts)
+    assert report["values"]["distinct_disks"] == len(firsts)
+
+
+def test_worst_sides_match_per_record_loop():
+    """``_worst_sides``, one contact slot at a time, against the loop it
+    replaced, one record at a time, bit for bit, on the cube set, whose
+    records have two to four contacts."""
+    dom = DiskComplementDomain.from_ideal_points(domain_round_sets(7)[3])
+    recs = maximal_disks(dom, sample_queries(dom, 150, seed=10))
+    assert min(len(r.ideal_ids) for r in recs) == 2 and max(len(r.ideal_ids) for r in recs) == 4
+    h = np.array([r.disk.circle.hermitian for r in recs]).reshape(len(recs), 4)
+    a, b, d = h[:, 0].real, h[:, 1], h[:, 3].real
+    ids = np.array(sorted({i for r in recs for i in r.ideal_ids}))
+    forms = thurston._form_values(dom.pairs[ids], a, b, d)
+    want = np.empty((len(recs), len(recs)))
+    for k, r in enumerate(recs):
+        rows = forms[np.searchsorted(ids, r.ideal_ids)]
+        want[k] = (rows[:, k : k + 1] - rows).max(axis=0)
+    assert thurston._worst_sides(dom, recs, a, b, d).tobytes() == want.tobytes()
 
 
 def test_stratification_nested_disks_with_small_side_values(monkeypatch):
@@ -883,6 +935,78 @@ def test_stratification_known_defect_seed_3202(tmp_path):
     assert abs(side_a) < 1e-15 and side_b == pytest.approx(-4.9129e-7, rel=1e-4)
 
 
+# sha256 of the seed-7 domain round's outputs (see below), recorded before
+# the measure sums, the grouping and the pair screen were taken in rows.
+DOMAIN_ROUND_DIGEST = "728d655a803667d32265e0738fe10e8db38cfca4578d6a0db7e62fd12e5e2100"
+
+
+def test_domain_round_keeps_its_bits(tmp_path):
+    """The seed-7 domain round's dome-measure thetas as float hex, every
+    stratification report, and each operation's violation count."""
+    ops = bench_workloads().domain(7, str(tmp_path))
+    assert len(ops) == 15
+    digest = hashlib.sha256()
+    for op in ops:
+        if op.kind == "dome-measure":
+            _, report = op.run()
+            digest.update(" ".join(e["theta"].hex() for e in report["values"]["edges"]).encode())
+        else:
+            report = op.run()
+            digest.update(json.dumps(report, sort_keys=True, default=int).encode())
+        digest.update(str(len(report["violations"])).encode())
+    assert digest.hexdigest() == DOMAIN_ROUND_DIGEST
+
+
+def test_domain_round_takes_frobenius_rows_per_level_and_block(tmp_path, monkeypatch):
+    """A seed-7 domain round calls frobenius_rows from thurston (directly,
+    through ``same_disk_rows`` or through ``proj_distance``) at most once
+    per measure level of each dome, once per grouping block and once per
+    ``_path_labels`` call.  A silent return to per-pair numpy (1,452
+    consecutive disk pairs in the measure, one call per record in the
+    grouping) then shows."""
+    calls = collections.Counter()
+    inside = []
+    frobenius, labels = moebius.frobenius_rows, thurston._path_labels
+    find, measure, group = thurston.maximal_disks, thurston._measure_paths, thurston._group_by_disk
+
+    def counted_frobenius(a, b):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "proj_distance":
+            caller = caller.f_back
+        calls["frobenius_rows"] += caller.f_code.co_filename == thurston.__file__
+        return frobenius(a, b)
+
+    def counted_labels(*args):
+        calls["bound"] += 1
+        return labels(*args)
+
+    def counted_find(dom, points):
+        calls["bound"] += bool(inside)  # one batch per measure level
+        return find(dom, points)
+
+    def counted_measure(*args):
+        inside.append(True)
+        try:
+            return measure(*args)
+        finally:
+            inside.pop()
+
+    def counted_group(records):
+        n = len(records)
+        calls["bound"] += -(-n // max(1, thurston.GROUP_PAIRS // max(n, 1)))
+        return group(records)
+
+    monkeypatch.setattr(moebius, "frobenius_rows", counted_frobenius)
+    monkeypatch.setattr(thurston, "frobenius_rows", counted_frobenius)
+    monkeypatch.setattr(thurston, "_path_labels", counted_labels)
+    monkeypatch.setattr(thurston, "maximal_disks", counted_find)
+    monkeypatch.setattr(thurston, "_measure_paths", counted_measure)
+    monkeypatch.setattr(thurston, "_group_by_disk", counted_group)
+    for op in bench_workloads().domain(7, str(tmp_path)):
+        op.run()
+    assert 0 < calls["frobenius_rows"] <= calls["bound"] < 400, calls
+
+
 # ---------------------------------------------------------------------------
 # transverse measure
 
@@ -932,10 +1056,10 @@ def test_measure_raises_when_no_level_intersects(tetrahedron_points, monkeypatch
     """With every pair of distinct disks planted as disjoint, no level
     sums: the measure raises TransversalityError, and the report raises it
     too.  Two levels keep the planted refinement short."""
-    def disjoint(c1, c2):
+    def disjoint(ip):
         raise NoIntersectionError("planted")
 
-    monkeypatch.setattr(thurston, "angle_between", disjoint)
+    monkeypatch.setattr(thurston, "angle_from_product", disjoint)
     monkeypatch.setattr(thurston, "MEASURE_MAX_LEVELS", 2)
     dom = DiskComplementDomain.from_ideal_points(tetrahedron_points)
     with pytest.raises(TransversalityError, match="maximal refinement"):
