@@ -59,6 +59,7 @@ from .grafting import (
 from .thurston import (
     DiskComplementDomain,
     MaximalDiskRecord,
+    MaximalDisks,
     maximal_disk_at,
     maximal_disks,
     projection_psi,

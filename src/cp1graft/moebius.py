@@ -603,6 +603,29 @@ def exterior_rows(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
     return -h
 
 
+def first_boundary_rows(forms: np.ndarray) -> np.ndarray:
+    """``unit_pairs`` of ``OrientedCircle.boundary_points(1)[0]`` for every
+    row [a, b, conj b, d] of an (N, 4) stack of circle forms, bit for bit,
+    zero signs included: -b / a + 1 / |a| on a circle, and on a line
+    (|a| < TOL_GEO) -d b / (2 |b| ** 2) + 0 (1j b), its products and its
+    quotient written out part by part as numpy's and CPython's scalars
+    take them."""
+    a, br, bi, d = forms[:, 0].real, forms[:, 1].real, forms[:, 1].imag, forms[:, 3].real
+    line = np.abs(a) < TOL_GEO
+    z = np.empty(len(forms), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z.real, z.imag = -br / a + 1.0 / np.abs(a), -bi / a + 0.0
+    br, bi, d = br[line], bi[line], d[line]
+    nr, ni = -d * br - 0.0 * bi, -d * bi + 0.0 * br
+    scale = 1.0 / (2.0 * _squares(np.hypot(br, bi)))
+    er, ei = 0.0 * (0.0 * br - bi), 0.0 * (0.0 * bi + br)
+    if _FLOAT_AS_COMPLEX:
+        er, ei = er - 0.0 * (0.0 * bi + br), ei + 0.0 * (0.0 * br - bi)
+    z.real[line] = (nr + ni * 0.0) * scale + er
+    z.imag[line] = (ni - nr * 0.0) * scale + ei
+    return unit_pairs(np.stack([z, np.ones_like(z)], axis=-1))
+
+
 @dataclass(frozen=True)
 class OrientedCircle:
     """Round circle with a chosen side, as a Hermitian matrix of det -1.

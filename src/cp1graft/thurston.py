@@ -14,7 +14,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -39,6 +40,7 @@ from .moebius import (
     circle_rows,
     cp1,
     exterior_rows,
+    first_boundary_rows,
     frobenius_rows,
     inversive_product,
     minimal_enclosing_disks,
@@ -325,10 +327,45 @@ def maximal_disk_at(dom: DiskComplementDomain, x) -> MaximalDiskRecord:
     the minimal enclosing disk of the transported complement, and return its
     complement; ideal points are the boundary contacts.  The record's core is
     built on first access.  The one-point case of ``maximal_disks``."""
-    (rec,) = maximal_disks(dom, [x])
+    rec = maximal_disks(dom, [x])[0]
     if isinstance(rec, Exception):
         raise rec
     return rec
+
+
+@dataclass(frozen=True, eq=False)
+class MaximalDisks(Sequence):
+    """The maximal disks of a batch of queries as columns, one entry per
+    query: ``forms`` (N, 4), read-only, rows of the checked ``circle_rows``
+    stack; ``contacts``, ascending indices into ``rows``; ``meds``, the
+    enclosing disks of the transported complements; ``queries`` (N, 2),
+    read-only, the query pairs; and ``errors``, by position, the error of
+    each rejected query, whose contacts are (), med None and form zeros,
+    which is no same disk of a form of det -1.  Row j is the
+    MaximalDiskRecord built from row j of the columns on each read, or its
+    error."""
+
+    forms: np.ndarray
+    contacts: tuple
+    meds: tuple
+    queries: np.ndarray
+    errors: dict
+    rows: np.ndarray = field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self.forms)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self[k] for k in range(len(self))[j]]
+        j = range(len(self))[j]
+        if j in self.errors:
+            return self.errors[j]
+        return MaximalDiskRecord(
+            disk=RoundDisk(OrientedCircle.from_row(self.forms[j].reshape(2, 2))),
+            ideal_ids=self.contacts[j], normalized=self.meds[j],
+            query_row=self.queries[j], rows=self.rows,
+        )
 
 
 # Queries of a maximal_disks block: as many as transport about this many
@@ -336,23 +373,27 @@ def maximal_disk_at(dom: DiskComplementDomain, x) -> MaximalDiskRecord:
 DISK_BLOCK = 1 << 15
 
 
-def maximal_disks(dom: DiskComplementDomain, points) -> list:
-    """For each point, its maximal disk record, or the PreconditionError or
-    DegenerateInputError it raises instead: the query too close to the
-    complement, or a step of the construction rejecting its input.
+def maximal_disks(dom: DiskComplementDomain, points) -> MaximalDisks:
+    """For each point (as ``as_pairs`` takes it) its maximal disk, or the
+    error it raises instead: the query too close to the complement, or a
+    step of the construction rejecting its input.
 
     Each step runs as one array pass over a block of queries, the minimal
     enclosing disks included (``minimal_enclosing_disks``, which keeps
     Welzl's bits and hands ties and rows it cannot take to Welzl).  Every
     array step keeps the bits of the scalar steps it stands for (the pair
-    kernel, stacked matmul, ``moebius_rows`` and ``circle_rows``), and the
-    circles of a record are rows of the checked stacks."""
-    points = list(points)
+    kernel, stacked matmul, ``moebius_rows`` and ``circle_rows``), and each
+    block writes its disks into the table's columns at their positions."""
+    queries = np.array(as_pairs(points), dtype=complex).reshape(-1, 2)
+    n = len(queries)
+    table = MaximalDisks(np.zeros((n, 4), dtype=complex), [()] * n, [None] * n, queries, {},
+                         dom.rows)
     step = max(1, DISK_BLOCK // len(dom.pairs))
-    out = []
-    for s in range(0, len(points), step):
-        out += _disk_block(dom, points[s : s + step])
-    return out
+    for s in range(0, n, step):
+        _disk_block(dom, table, s, min(n, s + step))
+    for col in (table.forms, table.queries):
+        col.setflags(write=False)
+    return replace(table, contacts=tuple(table.contacts), meds=tuple(table.meds))
 
 
 def _normalizers(rows: np.ndarray) -> np.ndarray:
@@ -367,19 +408,15 @@ def _normalizers(rows: np.ndarray) -> np.ndarray:
     return moebius_rows(t)[0]
 
 
-class _Alive:
-    """The queries of a block still alive: their indices in the block, and
-    columns of values aligned with them, arrays or lists.  A query dropped
-    for a fault gets its error in ``out`` and leaves every column."""
+class _Alive(dict):
+    """The queries of a block still alive: their positions in the table,
+    and columns of values aligned with them by name, arrays or lists.  A
+    query dropped for a fault gets its error in the table's ``errors`` and
+    leaves every column."""
 
-    def __init__(self, out: list, index: list, **cols):
-        self.out, self.index, self.cols = out, index, cols
-
-    def __getitem__(self, name: str):
-        return self.cols[name]
-
-    def add(self, **cols) -> None:
-        self.cols.update(cols)
+    def __init__(self, errors: dict, index: np.ndarray, **cols):
+        super().__init__(cols)
+        self.errors, self.index = errors, index
 
     def drop(self, faults: dict) -> None:
         """Drop the queries at the positions ``faults`` maps to their error:
@@ -388,28 +425,28 @@ class _Alive:
             return
         for j, fault in faults.items():
             exc = fault if isinstance(fault, Exception) else DegenerateInputError(fault)
-            self.out[self.index[j]] = exc
+            self.errors[int(self.index[j])] = exc
         keep = np.ones(len(self.index), dtype=bool)
         keep[list(faults)] = False
-        self.index = [k for k, ok in zip(self.index, keep) if ok]
-        for name, col in self.cols.items():
-            self.cols[name] = (col[keep] if isinstance(col, np.ndarray)
+        self.index = self.index[keep]
+        for name, col in self.items():
+            self[name] = (col[keep] if isinstance(col, np.ndarray)
                                else [v for v, ok in zip(col, keep) if ok])
 
 
-def _disk_block(dom: DiskComplementDomain, points: list) -> list:
-    """``maximal_disks`` on one block of queries, step by step as
-    ``maximal_disk_at`` once took them for one point: a query leaves at the
-    step that rejects it, with that step's error."""
-    out = [None] * len(points)
-    rows = as_pairs(points)
-    q = _Alive(out, list(range(len(rows))), x=rows)
+def _disk_block(dom: DiskComplementDomain, table: MaximalDisks, start: int, stop: int) -> None:
+    """``maximal_disks`` on the queries at positions start to stop of the
+    table, step by step as ``maximal_disk_at`` once took them for one point:
+    a query leaves at the step that rejects it, with that step's error.  The
+    survivors' columns are written at their positions."""
+    rows = table.queries[start:stop]
+    q = _Alive(table.errors, np.arange(start, stop), x=rows)
     q.drop(row_faults(rows, range(len(rows) + 1)))
-    if q.index:
+    if len(q.index):
         near = (dom.distances(q["x"]) <= TOL_GEO).nonzero()[0].tolist()
         q.drop({j: PreconditionError("query point is too close to the complement") for j in near})
-    if not q.index:
-        return out
+    if not len(q.index):
+        return
 
     t = _normalizers(q["x"])
     # ``apply_stack`` of every normalizer: its column products, broadcast.
@@ -417,15 +454,15 @@ def _disk_block(dom: DiskComplementDomain, points: list) -> list:
     moved = np.empty((len(t), len(p0), 2), dtype=complex)
     moved[..., 0] = t[:, 0, 0, None] * p0 + t[:, 0, 1, None] * p1
     moved[..., 1] = t[:, 1, 0, None] * p0 + t[:, 1, 1, None] * p1
-    q.add(t=t, moved=moved)
+    q.update(t=t, moved=moved)
     q.drop(row_faults(moved.reshape(-1, 2), range(0, len(t) * len(p0) + 1, len(p0))))
 
     z, at_inf = affine_rows(q["moved"].reshape(-1, 2))
     z, at_inf = z.reshape(len(q.index), -1), at_inf.reshape(len(q.index), -1)
-    q.add(z=z)
+    q.update(z=z)
     q.drop(dict.fromkeys(at_inf.any(axis=1).nonzero()[0].tolist(), "point is at infinity"))
     meds, faults = minimal_enclosing_disks(q["z"])
-    q.add(med=meds)
+    q.update(med=meds)
     q.drop(faults)
 
     # Contacts: the points within a relative TOL_CONTACT of the circle.  The
@@ -437,8 +474,8 @@ def _disk_block(dom: DiskComplementDomain, points: list) -> list:
     off = np.hypot(z.real - centers.real[:, None], z.imag - centers.imag[:, None])
     on = np.abs(off - radii[:, None]) <= TOL_CONTACT * radii[:, None]
     cols, ends = on.nonzero()[1].tolist(), np.cumsum(on.sum(axis=1)).tolist()
-    contacts = [cols[a:b] for a, b in zip([0] + ends, ends)]
-    q.add(center=centers, radius=radii, contacts=contacts)
+    contacts = [tuple(cols[a:b]) for a, b in zip([0] + ends, ends)]
+    q.update(center=centers, radius=radii, contacts=contacts)
     q.drop(dict.fromkeys((radii <= 0).nonzero()[0].tolist(), "radius must be positive"))
 
     # The disk is the push-forward of the normalized one by t^-1, t* H t.
@@ -446,22 +483,16 @@ def _disk_block(dom: DiskComplementDomain, points: list) -> list:
     # ``transform(t.inverse())`` gives back t's entries (up to the signs of
     # zeros) and this form has the same bits.
     norm, faults = circle_rows(exterior_rows(q["center"], q["radius"]))
-    q.add(norm=norm)
+    q.update(norm=norm)
     q.drop(faults)
     t = q["t"]
     disk, faults = circle_rows(np.conj(t).transpose(0, 2, 1) @ q["norm"] @ t)
-    q.add(disk=disk)
+    q.update(disk=disk)
     q.drop(faults)
 
-    for name in ("x", "disk"):
-        q[name].setflags(write=False)
-    for j, k in enumerate(q.index):
-        out[k] = MaximalDiskRecord(
-            disk=RoundDisk(OrientedCircle.from_row(q["disk"][j])),
-            ideal_ids=tuple(q["contacts"][j]), normalized=q["med"][j],
-            query_row=q["x"][j], rows=dom.rows,
-        )
-    return out
+    table.forms[q.index] = q["disk"].reshape(-1, 4)
+    for k, c, m in zip(q.index.tolist(), q["contacts"], q["med"]):
+        table.contacts[k], table.meds[k] = c, m
 
 
 # ---------------------------------------------------------------------------
@@ -476,37 +507,34 @@ def stratification_check(dom: DiskComplementDomain, samples) -> dict:
     samples = list(samples)
     if not samples:
         raise DegenerateInputError("stratification check needs at least one sample")
-    records, failures = [], []
-    for i, rec in enumerate(maximal_disks(dom, samples)):
-        if isinstance(rec, Exception):
-            failures.append({"sample": i, "error": str(rec)})
-        else:
-            records.append((i, rec))
+    table = maximal_disks(dom, samples)
+    failures = [{"sample": i, "error": str(exc)} for i, exc in sorted(table.errors.items())]
+    found = [i for i in range(len(table)) if i not in table.errors]
+    forms, contacts = table.forms[found], [table.contacts[i] for i in found]
 
-    groups = _group_by_disk(records)
+    groups = _group_by_disk(forms)
     violations = [{"kind": "no-disk", **fail} for fail in failures]
 
     # (iii) identical disks share ideal points (as sets; the stored cyclic
     # order depends on the query frame).
-    for members in groups:
-        rec0 = members[0][1]
-        for i, rec in members[1:]:
-            if not _same_ideal_sets(dom, rec, rec0):
-                violations.append({"kind": "ideal-point-mismatch", "sample": i})
+    for first, *rest in groups:
+        for k in rest:
+            if not _same_ideal_sets(dom, contacts[k], contacts[first]):
+                violations.append({"kind": "ideal-point-mismatch", "sample": found[k]})
 
     # (ii) distinct disks: no nesting (which would contradict maximality),
     # and cores on opposite sides of the separating form H1 - H2.  The side
     # test holds whether or not the disks intersect: an ideal point of D1
     # lies on its own circle and outside the open D2, so its H1 - H2 value
     # is nonpositive, and symmetrically for D2.
-    firsts = [members[0][1] for members in groups]
-    for a, b in _pairs_to_test(dom, firsts):
-        _check_pair(dom, firsts[a], firsts[b], a, b, violations)
+    firsts = [found[members[0]] for members in groups]
+    for a, b in _pairs_to_test(dom, table.forms[firsts], [table.contacts[i] for i in firsts]):
+        _check_pair(dom, table[firsts[a]], table[firsts[b]], a, b, violations)
 
     return {
         "checks": [
             {"name": "every-sample-assigned", "passed": not failures,
-             "details": {"samples": len(samples), "assigned": len(records)}},
+             "details": {"samples": len(samples), "assigned": len(found)}},
             {"name": "core-disjointness", "passed": not any(
                 v["kind"] in ("core-overlap", "nested-disks") for v in violations)},
             {"name": "ideal-point-consistency", "passed": not any(
@@ -517,21 +545,20 @@ def stratification_check(dom: DiskComplementDomain, samples) -> dict:
     }
 
 
-# Record pairs whose same-disk test one block of the grouping takes.
+# Form pairs whose same-disk test one block of the grouping takes.
 GROUP_PAIRS = 1 << 12
 
 
-def _group_by_disk(records) -> list:
-    """(sample, record) pairs grouped by disk, groups in order of first
-    appearance: a record joins the first group whose first record is its
-    same disk (``same_disk_rows``), else it starts a group.
+def _group_by_disk(forms: np.ndarray) -> list:
+    """Rows of an (N, 4) stack of forms grouped by disk, as lists of row
+    indices in order of first appearance: a row joins the first group whose
+    first row is its same disk (``same_disk_rows``), else starts a group.
 
-    Blocks of records are compared with every record up to the block's end
-    at once (a difference's negation squares to the same bits).  A record
-    whose first same-disk record is itself starts a group, and one whose
-    first same-disk record is a group's first joins that group; only the
-    others are walked against the groups' firsts, on the block's rows."""
-    forms = np.array([rec.disk.circle.hermitian for _, rec in records]).reshape(-1, 4)
+    Blocks of rows are compared with every row up to the block's end at
+    once (a difference's negation squares to the same bits).  A row whose
+    first same-disk row is itself starts a group, and one whose first
+    same-disk row is a group's first joins that group; only the others are
+    walked against the groups' firsts, on the block's rows."""
     n = len(forms)
     is_first = np.zeros(n, dtype=bool)
     group_of, groups = [], []
@@ -548,20 +575,21 @@ def _group_by_disk(records) -> list:
             if j == k:
                 is_first[k] = True
                 group_of.append(len(groups))
-                groups.append([records[k]])
+                groups.append([k])
             else:
                 group_of.append(group_of[j])
-                groups[group_of[j]].append(records[k])
+                groups[group_of[j]].append(k)
     return groups
 
 
-def _same_ideal_sets(dom: DiskComplementDomain, a: MaximalDiskRecord, b: MaximalDiskRecord) -> bool:
-    if len(a.ideal_ids) != len(b.ideal_ids):
+def _same_ideal_sets(dom: DiskComplementDomain, a: tuple, b: tuple) -> bool:
+    """Whether contact tuples a and b name one set of ideal points."""
+    if len(a) != len(b):
         return False
     # A complement point is at chordal distance 0 from itself.
-    if set(a.ideal_ids) == set(b.ideal_ids):
+    if set(a) == set(b):
         return True
-    near = chordal_rows(dom.xyz[list(a.ideal_ids), None], dom.xyz[list(b.ideal_ids)])
+    near = chordal_rows(dom.xyz[list(a), None], dom.xyz[list(b)])
     return bool((near < TOL_SAME_POINT).any(axis=1).all())
 
 
@@ -576,15 +604,15 @@ def _form_values(pairs: np.ndarray, a, b, d) -> np.ndarray:
     )
 
 
-def _pairs_to_test(dom: DiskComplementDomain, recs: list) -> np.ndarray:
-    """Pairs (a, b), a < b in lexicographic order, of disks that ``_check_pair``
+def _pairs_to_test(dom: DiskComplementDomain, forms: np.ndarray, contacts: list) -> np.ndarray:
+    """Pairs (a, b), a < b in lexicographic order, of the disks of an
+    (N, 4) stack of forms with these contact tuples that ``_check_pair``
     might report; every other pair is nested in neither order and has both
     side values within their bounds.  All pairs are tested at once: the
     inversive products as one matrix, the side values from one matrix of
     contact points x disks.  A value within a relative BATCH_BAND of a
     threshold counts as crossing it."""
-    h = np.array([r.disk.circle.hermitian for r in recs]).reshape(len(recs), 4)
-    a, b, d = h[:, 0].real, h[:, 1], h[:, 3].real
+    a, b, d = forms[:, 0].real, forms[:, 1], forms[:, 3].real
     # A form of det -1 has scale >= 2, and its values at unit vectors round
     # by less than scale * 1e-15, so this band covers every rounding below.
     scale = np.abs(a) + 2.0 * np.abs(b) + np.abs(d)
@@ -598,26 +626,27 @@ def _pairs_to_test(dom: DiskComplementDomain, recs: list) -> np.ndarray:
     nests = np.abs(ip) > 1.0 + TOL_GEO - band  # nests[outer, inner]
     inner = np.flatnonzero(nests.any(axis=0))
     if len(inner):
-        probe = unit_pairs(as_pairs([recs[j].disk.circle.boundary_points(1)[0] for j in inner]))
+        probe = first_boundary_rows(forms[inner])
         nests[:, inner] &= _form_values(probe, a, b, d).T < -TOL_GEO + band[:, inner]
 
-    overlap = _worst_sides(dom, recs, a, b, d) > TOL_GEO - band
+    overlap = _worst_sides(dom, contacts, a, b, d) > TOL_GEO - band
     return np.argwhere(np.triu(nests | nests.T | overlap | overlap.T, 1))
 
 
-def _worst_sides(dom: DiskComplementDomain, recs: list, a, b, d) -> np.ndarray:
+def _worst_sides(dom: DiskComplementDomain, contacts: list, a, b, d) -> np.ndarray:
     """worst[k, m]: the largest H_k - H_m value over the ideal points of
-    record k, for the forms H = [[a, b], [conj b, d]] of the records, which
-    is ``_check_pair``'s worst_a; its worst_b is -worst[m, k].  Only the
-    records' contact rows get form values.  The maximum is taken one
-    contact slot at a time, over all records at once; a record with fewer
+    disk k, for the disks' forms H = [[a, b], [conj b, d]] and contact
+    tuples, which is ``_check_pair``'s worst_a; its worst_b is -worst[m, k].
+    Only the contact rows get form values.  The maximum is taken one
+    contact slot at a time, over all disks at once; a disk with fewer
     contacts repeats its last one."""
-    ids = np.array(sorted({i for r in recs for i in r.ideal_ids}), dtype=int)
+    flat = [i for c in contacts for i in c]
+    ids = np.array(sorted(set(flat)), dtype=int)
     forms = _form_values(dom.pairs[ids], a, b, d)
-    count = np.array([len(r.ideal_ids) for r in recs])
-    rows = np.searchsorted(ids, [i for r in recs for i in r.ideal_ids])
-    first, own = np.cumsum(count) - count, np.arange(len(recs))
-    worst = np.full((len(recs), len(recs)), -np.inf)
+    count = np.array([len(c) for c in contacts])
+    rows = np.searchsorted(ids, flat)
+    first, own = np.cumsum(count) - count, np.arange(len(contacts))
+    worst = np.full((len(contacts), len(contacts)), -np.inf)
     for slot in range(count.max(initial=0)):
         values = forms[rows[first + np.minimum(slot, count - 1)]]
         np.maximum(worst, values[own, own][:, None] - values, out=worst)
@@ -667,17 +696,16 @@ class _Polyline:
         self.starts = [0.0, *itertools.accumulate(self.lengths)]
         self.total = self.starts[-1]
 
-    def at(self, target: float) -> complex:
-        """The point at arclength target, on the first segment that reaches
-        it; the last segment takes every target past the end, and the
-        parameter is cut to [0, 1]."""
+    def at(self, target: float) -> tuple:
+        """The point at arclength target, as its homogeneous pair (z, 1), on
+        the first segment that reaches it; the last segment takes every
+        target past the end, and the parameter is cut to [0, 1]."""
         last = len(self.lengths) - 1
         for k, length in enumerate(self.lengths):
             if target <= self.starts[k + 1] or k == last:
                 s = (target - self.starts[k]) / length if length > 0 else 0.0
                 a, b = self.pts[k], self.pts[k + 1]
-                return a + (b - a) * min(max(s, 0.0), 1.0)
-        return self.pts[-1]
+                return a + (b - a) * min(max(s, 0.0), 1.0), 1.0 + 0.0j
 
 
 @dataclass(frozen=True)
@@ -707,68 +735,61 @@ def transverse_measure(
 
 
 class _Refinement:
-    """One path's refinement: its disks, keyed by their point's index on the
-    finest grid, the forms of the disks of its last grid in path order, and
-    its trace.  The path is any object with ``at(s)``, its point at
-    parameter s in [0, ``total``].  ``result`` stays None while it refines,
-    then holds what ``transverse_measure`` returns or raises on the path."""
-
-    FINEST = MEASURE_SUBDIVISION << MEASURE_MAX_LEVELS
+    """One path's refinement: the maximal disks of its last grid in path
+    order, as the columns of ``maximal_disks`` (``forms``, ``contacts``,
+    and ``errors`` by grid position), and its trace.  The path is any
+    object with ``at(s)``, the homogeneous pair of its point at parameter s
+    in [0, ``total``].  ``result`` stays None while it refines, then holds
+    what ``transverse_measure`` returns or raises on the path."""
 
     def __init__(self, path, tol_measure: float):
-        self.path = path
-        self.tol = tol_measure
-        self.disks, self.trace, self.prev, self.result = {}, [], None, None
-        self.forms = None
+        self.path, self.tol = path, tol_measure
+        self.trace, self.prev, self.result = [], None, None
+        self.forms, self.contacts, self.errors = np.zeros((0, 4), dtype=complex), [], {}
         if path.total <= 0:
             self.result = DegenerateInputError("path has zero length")
 
-    def missing(self, level: int) -> list:
-        """(key, point) of every point of the level's grid without a disk:
-        the point i / n of the path's parameter range has key i * (FINEST // n).
-        Past level 0 these are the odd i, as every coarser point has one."""
-        n = MEASURE_SUBDIVISION << level
-        step, total = self.FINEST // n, self.path.total
-        return [(i * step, self.path.at(i / n * total))
-                for i in range(n + 1) if i * step not in self.disks]
+    def missing(self, level: int) -> np.ndarray:
+        """The pairs of the points of the level's grid without a disk, the
+        points i / n of the path's parameter range: at level 0 all of them,
+        and later the odd i, as every coarser point has one."""
+        n, odd, total = MEASURE_SUBDIVISION << level, int(level > 0), self.path.total
+        return np.array([self.path.at(i / n * total) for i in range(odd, n + 1, 1 + odd)])
 
-    def add_forms(self, forms: np.ndarray) -> np.ndarray:
-        """The grid's forms, once the forms of the disks ``missing`` named
-        are found, in its order: at level 0 they are the grid, and later
-        they fall between the coarser grid's."""
-        if self.forms is not None:
+    def add(self, table: MaximalDisks, start: int, stop: int) -> np.ndarray:
+        """The grid's forms, once rows start to stop of the table hold the
+        disks ``missing`` named: at level 0 they are the grid, and later
+        they fall between the coarser grid's, as contacts and errors do."""
+        forms, contacts = table.forms[start:stop], list(table.contacts[start:stop])
+        errors = {j - start: exc for j, exc in table.errors.items() if start <= j < stop}
+        if self.contacts:
             grid = np.empty((2 * len(self.forms) - 1, 4), dtype=complex)
             grid[0::2], grid[1::2] = self.forms, forms
-            forms = grid
-        self.forms = forms
+            pairs = itertools.chain(*zip(self.contacts, contacts))
+            forms, contacts = grid, [*pairs, self.contacts[-1]]
+            errors = {**{2 * j: exc for j, exc in self.errors.items()},
+                      **{2 * j + 1: exc for j, exc in errors.items()}}
+        self.forms, self.contacts, self.errors = forms, contacts, errors
         return forms
-
-    def _disk(self, key: int) -> MaximalDiskRecord:
-        rec = self.disks[key]
-        if isinstance(rec, Exception):
-            raise rec
-        return rec
 
     def sum_level(self, level: int, same: list, products: list) -> None:
         """Theta at the level, once every disk of its grid is found, from
         whether each consecutive pair of its disks is one disk and their
-        inversive products, in path order.  The sum reads the disks in
-        order and raises the first stored error it reads; disks that do not
-        intersect send the path to the next level."""
-        n = MEASURE_SUBDIVISION << level
-        step = self.FINEST // n
+        inversive products, in path order.  The first stored error the sum
+        reads is the result; disks that do not intersect send the path to
+        the next level."""
+        n = len(same)
+        error = min(self.errors, default=n + 1)  # the first disk in error
+        theta = 0.0
         try:
-            theta = 0.0
-            self._disk(0)
-            for i in range(n):
-                self._disk((i + 1) * step)
+            for i in range(min(n, error - 1)):
                 if not same[i]:
                     theta += angle_from_product(products[i])
         except NoIntersectionError:
             self.prev = None
             return  # refine further
-        except (PreconditionError, DegenerateInputError) as exc:
-            self.result = exc
+        if error <= n:
+            self.result = self.errors[error]
             return
         self.trace.append(theta)
         if self.prev is not None and abs(theta - self.prev) < self.tol:
@@ -778,20 +799,12 @@ class _Refinement:
 
     def finish(self) -> None:
         """The result of a path still refining after the last level."""
-        if self.result is not None:
-            return
-        if not self.trace:
+        if self.result is None and not self.trace:
             self.result = TransversalityError(
-                "consecutive maximal disks do not intersect at maximal refinement"
-            )
-        else:
+                "consecutive maximal disks do not intersect at maximal refinement")
+        elif self.result is None:
             self.result = MeasureResult(value=self.trace[-1], trace=tuple(self.trace),
                                         levels=MEASURE_MAX_LEVELS, converged=False)
-
-
-# The form row standing for a grid point whose disk is an error; the sum
-# raises that error before it reads a value of the row.
-NO_FORM = np.zeros((2, 2), dtype=complex)
 
 
 def _measure_paths(dom: DiskComplementDomain, paths, tol_measure: float) -> list:
@@ -811,14 +824,9 @@ def _measure_paths(dom: DiskComplementDomain, paths, tol_measure: float) -> list
         if not active:
             break
         asked = [r.missing(level) for r in active]
-        wanted = [(r, key, z) for r, keys in zip(active, asked) for key, z in keys]
-        recs = maximal_disks(dom, [z for _, _, z in wanted])
-        for (r, key, _), rec in zip(wanted, recs):
-            r.disks[key] = rec
-        forms = np.array([NO_FORM if isinstance(rec, Exception) else rec.disk.circle.hermitian
-                          for rec in recs]).reshape(-1, 4)
-        ends = np.cumsum([len(keys) for keys in asked])[:-1]
-        grids = [r.add_forms(f) for r, f in zip(active, np.split(forms, ends))]
+        table = maximal_disks(dom, np.concatenate(asked))
+        ends = np.cumsum([len(pairs) for pairs in asked]).tolist()
+        grids = [r.add(table, start, stop) for r, start, stop in zip(active, [0] + ends, ends)]
         h0 = np.concatenate([g[:-1] for g in grids])
         h1 = np.concatenate([g[1:] for g in grids])
         same = same_disk_rows(h0, h1).tolist()
@@ -864,10 +872,9 @@ def face_core_point(dom: DiskComplementDomain, face) -> PointCP1:
     cands = [c for c in cands if not c.is_infinity]
     cands = list(itertools.compress(cands, dom.contains(cands)))
     face_form = face.plane.boundary.hermitian.ravel()
-    for cand, rec in zip(cands, maximal_disks(dom, cands)):
-        if (not isinstance(rec, Exception)
-                and same_disk_rows(rec.disk.circle.hermitian.ravel(), face_form)):
-            return cand
+    hits = np.flatnonzero(same_disk_rows(maximal_disks(dom, cands).forms, face_form))
+    if len(hits):
+        return cands[hits[0]]
     raise DegenerateInputError("no core point found for dome face")
 
 
@@ -889,10 +896,10 @@ class _Spiral:
     def __init__(self, ninv: list, start: complex, end: complex):
         self.ninv, self.start, self.end = ninv, start, end
 
-    def at(self, s: float) -> PointCP1:
+    def at(self, s: float) -> tuple:
         w = cmath.exp((1.0 - s) * self.start + s * self.end)
         (a, b), (c, d) = self.ninv
-        return PointCP1(a * w + b, c * w + d)
+        return a * w + b, c * w + d
 
 
 def _edge_spirals(dom: DiskComplementDomain, mesh) -> list:
@@ -933,26 +940,17 @@ def _edge_spirals(dom: DiskComplementDomain, mesh) -> list:
     return [_Spiral(m, z0, z1) for m, z0, z1 in zip(ninv.tolist(), start.tolist(), end.tolist())]
 
 
-def _path_labels(mesh, edge, recs: list) -> list:
-    """The label of each maximal disk record on a measure path of ``edge``,
-    or of the error found in its place: ``face1`` or ``face2`` when its
-    circle is that face's (``same_disk_rows``), ``family`` when its contacts
-    are the edge's two vertices (the domain's rows are the mesh's
-    vertices), and ``other`` otherwise."""
-    ok = [r for r in recs if not isinstance(r, Exception)]
+def _path_labels(mesh, edge, run: _Refinement) -> list:
+    """The label of each maximal disk of a measure path of ``edge``, on the
+    run's last grid in path order: ``face1`` or ``face2`` when its circle
+    is that face's (``same_disk_rows``), ``family`` when its contacts are
+    the edge's two vertices (the domain's rows are the mesh's vertices),
+    and ``other`` otherwise, as an error is."""
     faces = np.array([mesh.faces[f].plane.boundary.hermitian.ravel() for f in edge.face_ids])
-    forms = np.array([r.disk.circle.hermitian.ravel() for r in ok]).reshape(-1, 1, 4)
-    near = iter(same_disk_rows(forms, faces).tolist())
+    near = same_disk_rows(run.forms[:, None], faces).tolist()
     ends = tuple(sorted(edge.vertex_ids))
-    out = []
-    for r in recs:
-        if isinstance(r, Exception):
-            out.append("other")
-            continue
-        f1, f2 = next(near)
-        family = r.ideal_ids == ends
-        out.append("face1" if f1 else "face2" if f2 else "family" if family else "other")
-    return out
+    return ["face1" if f1 else "face2" if f2 else "family" if ids == ends else "other"
+            for (f1, f2), ids in zip(near, run.contacts)]
 
 
 def dome_measure_report(ideal_points, tol: float = TOL_MEASURE) -> dict:
@@ -972,7 +970,7 @@ def dome_measure_report(ideal_points, tol: float = TOL_MEASURE) -> dict:
     runs = _measure_paths(dom, _edge_spirals(dom, mesh), tol)
     checks, violations, edge_values = [], [], []
     for ei, (edge, run) in enumerate(zip(mesh.edges, runs)):
-        labels = _path_labels(mesh, edge, [run.disks[k] for k in sorted(run.disks)])
+        labels = _path_labels(mesh, edge, run)
         if [k for k, _ in itertools.groupby(labels)] not in (
                 ["face1", "face2"], ["face1", "family", "face2"]):
             violations.append({"kind": "no-measure-path", "edge": ei})

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from cp1graft.moebius import INFINITY, cp1
 from cp1graft.surface import FNCoordinates, GroupWord, fuchsian_from_fn, limit_set_sample
 from cp1graft.grafting import GraftedStructure, WeightedMulticurve
+import cp1graft.thurston as thurston
 from cp1graft.thurston import DiskComplementDomain
 
 TWO_PI = 2.0 * math.pi
@@ -19,6 +21,35 @@ def limit_domain(gs):
     """The domain off the depth-4 limit-set sample of the structure's
     Fuchsian holonomy, which the covering checks keep their loops clear of."""
     return DiskComplementDomain(limit_set_sample(gs.hol, 4))
+
+
+def planted_disks(change):
+    """``thurston.maximal_disks`` with records changed: ``change(x, rec)``
+    gets each query x that has a record rec, in order, and returns None to
+    keep it, or the record or exception to put in its place, which is
+    written into copies of the table's columns.  ``planted.changed`` lists
+    the changed queries."""
+    find = thurston.maximal_disks
+
+    def planted(dom, points):
+        if not isinstance(points, np.ndarray):
+            points = list(points)
+        table = find(dom, points)
+        forms, contacts, errors = table.forms.copy(), list(table.contacts), dict(table.errors)
+        for j, x in enumerate(points):
+            new = None if j in errors else change(x, table[j])
+            if new is None:
+                continue
+            planted.changed.append(x)
+            if isinstance(new, Exception):
+                errors[j], forms[j], contacts[j] = new, 0.0, ()
+            else:
+                forms[j], contacts[j] = new.disk.circle.hermitian.ravel(), new.ideal_ids
+        forms.setflags(write=False)
+        return dataclasses.replace(table, forms=forms, contacts=tuple(contacts), errors=errors)
+
+    planted.changed = []
+    return planted
 
 
 def tree_words(tree) -> list:

@@ -499,7 +499,7 @@ def reference_transverse_measure(dom, path, tol_measure):
     """Reference for the lockstep refinement of ``transverse_measure``: its
     body as it was, one path at a time, each disk found by
     ``reference_maximal_disk`` when the sum first reads it."""
-    from cp1graft.moebius import DegenerateInputError, NoIntersectionError, angle_between
+    from cp1graft.moebius import DegenerateInputError, NoIntersectionError, PointCP1, angle_between
     from cp1graft.thurston import (
         MEASURE_MAX_LEVELS,
         MEASURE_SUBDIVISION,
@@ -519,7 +519,7 @@ def reference_transverse_measure(dom, path, tol_measure):
     def disk_at(i, n):
         key = i * (finest // n)
         if key not in disk_cache:
-            disk_cache[key] = reference_maximal_disk(dom, line.at(i / n * line.total))
+            disk_cache[key] = reference_maximal_disk(dom, PointCP1(*line.at(i / n * line.total)))
         return disk_cache[key]
 
     trace = []

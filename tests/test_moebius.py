@@ -788,3 +788,27 @@ def test_kernels_match_the_scalar_constructors():
             assert rows[i].tobytes() == stored.tobytes()
         assert errors == len(faults) > 0
         assert len(set(faults.values())) == (1 if make is MoebiusMap else 2)
+
+
+def test_first_boundary_rows_keep_the_scalar_bits_and_zero_signs():
+    """``first_boundary_rows`` is the unit pair of each form's first
+    ``boundary_points(1)`` point bit for bit, on seeded circles and lines
+    (a of 0.0, -0.0 or below TOL_GEO) whose b and d have parts of 0.0 and
+    -0.0 among them."""
+    rng = np.random.default_rng(47)
+    rows = []
+    for k in range(3000):
+        b = complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-3, 3)
+        d = rng.normal() * 10.0 ** rng.uniform(-3, 3)
+        zero = (0.0, -0.0)[k % 2]
+        b = (b, complex(zero, b.imag), complex(b.real, zero), b)[k // 2 % 4]
+        d = zero if k // 8 % 3 == 0 else d
+        a = (0.0, -0.0, 3e-8, -2e-9)[k % 4] if k % 3 else rng.normal() * 10.0 ** rng.uniform(-3, 3)
+        if abs(b) ** 2 - a * d > 1e-12:
+            rows.append([a, b, np.conj(b), d])
+    forms = np.array(rows, dtype=complex)
+    want = moebius.unit_pairs(moebius.as_pairs(
+        [OrientedCircle.from_row(h.reshape(2, 2)).boundary_points(1)[0] for h in forms]))
+    assert moebius.first_boundary_rows(forms).tobytes() == want.tobytes()
+    lines = np.abs(forms[:, 0].real) < moebius.TOL_GEO
+    assert 1000 < lines.sum() < len(forms) - 500

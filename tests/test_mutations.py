@@ -21,7 +21,7 @@ from cp1graft.grafting import GraftedStructure, WeightedMulticurve
 from cp1graft.moebius import DegenerateInputError, MoebiusMap
 from cp1graft.surface import GroupWord
 from cp1graft.thurston import RoundDisk, verify_covering
-from conftest import REPO, cocircular_rows, domain_round_sets, limit_domain
+from conftest import REPO, cocircular_rows, domain_round_sets, limit_domain, planted_disks
 from oracles import lockstep_med_mismatches
 from test_acceptance import (
     criterion_1, criterion_4, criterion_5, criterion_7, two_pi_structures,
@@ -217,16 +217,9 @@ def test_goldman_known_survivor_disabled_bending_rotation(holonomy, monkeypatch,
 
 def _every_seventh_record(monkeypatch, defect):
     """``defect`` applied to every seventh query's record of ``maximal_disks``."""
-    find = thurston.maximal_disks
     found = itertools.count()
-
-    def planted(dom, points):
-        return [
-            rec if isinstance(rec, Exception) or next(found) % 7 else defect(rec)
-            for rec in find(dom, points)
-        ]
-
-    monkeypatch.setattr(thurston, "maximal_disks", planted)
+    monkeypatch.setattr(thurston, "maximal_disks", planted_disks(
+        lambda x, rec: None if next(found) % 7 else defect(rec)))
 
 
 

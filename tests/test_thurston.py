@@ -29,6 +29,7 @@ from cp1graft.moebius import (
     inversive_product,
     minimal_enclosing_disk,
     sphere_xyz,
+    unit_pairs,
 )
 from cp1graft.cli import RunConfig
 from cp1graft.hyperbolic import PlaneH3, apply_isometry, dome
@@ -54,7 +55,7 @@ from cp1graft.thurston import (
     transverse_measure,
     verify_covering,
 )
-from conftest import REPO, bench_workloads, domain_round_sets, limit_domain
+from conftest import REPO, bench_workloads, domain_round_sets, limit_domain, planted_disks
 from oracles import (
     lockstep_med_mismatches,
     maximal_disk_support_search,
@@ -477,7 +478,32 @@ def test_maximal_disks_match_per_point_reference(group):
             assert_matches_reference(dom, rec, reference(x), (group, k, x))
         rejected = sum(isinstance(r, PreconditionError) for r in got)
         assert rejected >= 2 * len(near)
-        assert maximal_disks(dom, []) == []
+        assert len(maximal_disks(dom, [])) == 0
+
+
+def test_disk_table_rows_are_its_records():
+    """On a mixed batch built as the per-point reference test builds one,
+    each column of the table holds its records' values: the form's bytes,
+    the contacts, and an error only at a rejected position, where the form
+    is zeros and the contacts none.  The form column is read-only."""
+    dom = DiskComplementDomain.from_ideal_points(domain_round_sets(7)[6])
+    near = [p.as_complex() + 3e-8 for p in dom.complement if not p.is_infinity]
+    queries = sample_queries(dom, 40, seed=6) + list(dom.complement) + near
+    queries += [INFINITY, "inf", 1e8 + 1j, complex(math.nan, 0.0)]
+    table = maximal_disks(dom, queries)
+    rejected = []
+    for j in range(len(table)):
+        rec = table[j]
+        if isinstance(rec, Exception):
+            rejected.append(j)
+            assert table.errors[j] is rec
+            assert not table.forms[j].any() and table.contacts[j] == () and table.meds[j] is None
+            continue
+        assert table.forms[j].tobytes() == rec.disk.circle.hermitian.ravel().tobytes()
+        assert table.contacts[j] == rec.ideal_ids and table.meds[j] is rec.normalized
+    assert sorted(table.errors) == rejected and len(rejected) >= 2 * len(near) + 1
+    with pytest.raises(ValueError):
+        table.forms[0, 0] = 1.0
 
 
 def test_maximal_disks_blocks_keep_positions(holonomy, monkeypatch):
@@ -762,17 +788,7 @@ def test_stratification_matches_per_pair_reference(name):
 def _plant(change, targets):
     """maximal_disks with the record at each target query replaced by
     change(record); ``planted.changed`` lists the queries it changed."""
-    find = thurston.maximal_disks
-
-    def planted(dom, points):
-        points = list(points)
-        recs = find(dom, points)
-        hit = [x in targets and not isinstance(rec, Exception) for x, rec in zip(points, recs)]
-        planted.changed += [x for x, h in zip(points, hit) if h]
-        return [change(rec) if h else rec for h, rec in zip(hit, recs)]
-
-    planted.changed = []
-    return planted
+    return planted_disks(lambda x, rec: change(rec) if x in targets else None)
 
 
 def _moved_disk(rec):
@@ -869,7 +885,32 @@ def test_worst_sides_match_per_record_loop():
     for k, r in enumerate(recs):
         rows = forms[np.searchsorted(ids, r.ideal_ids)]
         want[k] = (rows[:, k : k + 1] - rows).max(axis=0)
-    assert thurston._worst_sides(dom, recs, a, b, d).tobytes() == want.tobytes()
+    assert thurston._worst_sides(dom, recs.contacts, a, b, d).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [7, 3202])
+def test_nesting_probe_is_the_first_boundary_point(seed, tmp_path, monkeypatch):
+    """The nesting probe of every group first of a domain round's
+    stratification checks, from the forms in one array pass, is bit for bit
+    the unit pair of the first of its circle's ``boundary_points(1)``; the
+    12-point set with infinity gives lines as well as circles."""
+    seen = []
+    screen = thurston._pairs_to_test
+
+    def recording(dom, forms, contacts):
+        seen.append(forms)
+        return screen(dom, forms, contacts)
+
+    monkeypatch.setattr(thurston, "_pairs_to_test", recording)
+    for op in bench_workloads().domain(seed, str(tmp_path)):
+        if op.kind == "stratification":
+            op.run()
+    forms = np.concatenate(seen)
+    want = unit_pairs(as_pairs([OrientedCircle.from_row(h.reshape(2, 2)).boundary_points(1)[0]
+                                for h in forms]))
+    assert moebius.first_boundary_rows(forms).tobytes() == want.tobytes()
+    lines = int((np.abs(forms[:, 0].real) < TOL_GEO).sum())
+    assert len(forms) > 400 and 0 < lines < len(forms), (len(forms), lines)
 
 
 def test_stratification_nested_disks_with_small_side_values(monkeypatch):
@@ -886,12 +927,7 @@ def test_stratification_nested_disks_with_small_side_values(monkeypatch):
         0.3: dict(disk=inner, ideal_ids=(3,)),
     }
 
-    find = thurston.maximal_disks
-
-    def planted(d, points):
-        points = list(points)
-        return [dataclasses.replace(rec, **fakes[x]) for x, rec in zip(points, find(d, points))]
-
+    planted = planted_disks(lambda x, rec: dataclasses.replace(rec, **fakes[x]))
     monkeypatch.setattr(thurston, "maximal_disks", planted)
     report = stratification_check(dom, list(fakes))
     assert report == per_pair_stratification_reference(dom, list(fakes))
@@ -935,15 +971,21 @@ def test_stratification_known_defect_seed_3202(tmp_path):
     assert abs(side_a) < 1e-15 and side_b == pytest.approx(-4.9129e-7, rel=1e-4)
 
 
-# sha256 of the seed-7 domain round's outputs (see below), recorded before
-# the measure sums, the grouping and the pair screen were taken in rows.
-DOMAIN_ROUND_DIGEST = "728d655a803667d32265e0738fe10e8db38cfca4578d6a0db7e62fd12e5e2100"
+# sha256 of a domain round's outputs (see below) by seed: seed 7's recorded
+# before the measure sums, the grouping and the pair screen were taken in
+# rows, seed 3202's (the round of the known stratification defect) before
+# the maximal disks became one table.
+DOMAIN_ROUND_DIGESTS = {
+    7: "728d655a803667d32265e0738fe10e8db38cfca4578d6a0db7e62fd12e5e2100",
+    3202: "4a845b005bc3fdf36c936d85dc9138706dd65e19010f00d42bd7059753f6103b",
+}
 
 
-def test_domain_round_keeps_its_bits(tmp_path):
-    """The seed-7 domain round's dome-measure thetas as float hex, every
+@pytest.mark.parametrize("seed", sorted(DOMAIN_ROUND_DIGESTS))
+def test_domain_round_keeps_its_bits(seed, tmp_path):
+    """A domain round's dome-measure thetas as float hex, every
     stratification report, and each operation's violation count."""
-    ops = bench_workloads().domain(7, str(tmp_path))
+    ops = bench_workloads().domain(seed, str(tmp_path))
     assert len(ops) == 15
     digest = hashlib.sha256()
     for op in ops:
@@ -954,7 +996,33 @@ def test_domain_round_keeps_its_bits(tmp_path):
             report = op.run()
             digest.update(json.dumps(report, sort_keys=True, default=int).encode())
         digest.update(str(len(report["violations"])).encode())
-    assert digest.hexdigest() == DOMAIN_ROUND_DIGEST
+    assert digest.hexdigest() == DOMAIN_ROUND_DIGESTS[seed]
+
+
+def test_measure_builds_no_points(tmp_path, monkeypatch):
+    """The seed-7 domain round's dome measures build no PointCP1 inside
+    ``_measure_paths``: the spirals' grid points reach ``maximal_disks`` as
+    pair rows."""
+    inside, built = [], []
+    measure, post_init = thurston._measure_paths, PointCP1.__post_init__
+
+    def counted(p):
+        built.append(bool(inside))
+        post_init(p)
+
+    def flagged(*args):
+        inside.append(True)
+        try:
+            return measure(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(PointCP1, "__post_init__", counted)
+    monkeypatch.setattr(thurston, "_measure_paths", flagged)
+    ops = [op for op in bench_workloads().domain(7, str(tmp_path)) if op.kind == "dome-measure"]
+    for op in ops:
+        op.run()
+    assert len(ops) == 8 and built and not any(built)
 
 
 def test_domain_round_takes_frobenius_rows_per_level_and_block(tmp_path, monkeypatch):
@@ -1204,11 +1272,11 @@ def dome_measure_runs():
     return reports, measured
 
 
-def certificate_reads(run) -> tuple:
-    """The points of a refinement's disks and the disks, in path order: what
-    the certificate of its edge reads."""
-    keys = sorted(run.disks)
-    return [run.path.at(k / run.FINEST) for k in keys], [run.disks[k] for k in keys]
+def certificate_reads(run) -> np.ndarray:
+    """The pairs of the points of a refinement's last grid, in path order:
+    the points of the disks the certificate of its edge reads."""
+    n = len(run.forms) - 1
+    return np.array([run.path.at(i / n * run.path.total) for i in range(n + 1)])
 
 
 def no_path_edges(report) -> list:
@@ -1262,10 +1330,10 @@ def test_strata_labels_match_maximal_disk_labels(dome_measure_runs):
         if not name.startswith("seed7-"):
             continue
         for edge, run in zip(mesh.edges, runs):
-            points, recs = certificate_reads(run)
-            assert thurston._path_labels(mesh, edge, recs) == reference_classify_on_path(
+            points = certificate_reads(run)
+            assert thurston._path_labels(mesh, edge, run) == reference_classify_on_path(
                 dom, mesh, edge, points), (name, edge)
-            disks += len(recs)
+            disks += len(points)
     assert disks >= 1000
 
 
@@ -1276,8 +1344,8 @@ def test_strata_labels_on_a_face_with_clustered_vertices(dome_measure_runs):
     reports, measured = dome_measure_runs
     dom, mesh, runs, _ = measured["clustered"]
     for edge, run in zip(mesh.edges, runs):
-        points, recs = certificate_reads(run)
-        assert thurston._path_labels(mesh, edge, recs) == reference_classify_on_path(
+        points = certificate_reads(run)
+        assert thurston._path_labels(mesh, edge, run) == reference_classify_on_path(
             dom, mesh, edge, points), edge
     assert no_path_edges(reports["clustered"]) == NO_PATH_EDGES["clustered"]
 
@@ -1292,9 +1360,7 @@ def test_edge_paths_match_per_edge_search(dome_measure_runs, name):
     for edge, run in zip(mesh.edges, runs):
         (alone,) = thurston._measure_paths(dom, [run.path], tol)
         assert measure_bits(alone.result) == measure_bits(run.result), edge
-        assert sorted(alone.disks) == sorted(run.disks)
-        assert [alone.disks[k].disk.circle.hermitian.tobytes() for k in sorted(alone.disks)] == [
-            run.disks[k].disk.circle.hermitian.tobytes() for k in sorted(run.disks)]
+        assert alone.forms.tobytes() == run.forms.tobytes()
     assert no_path_edges(reports[name]) == NO_PATH_EDGES.get(name, [])
 
 
@@ -1324,14 +1390,16 @@ def test_maximal_disk_matches_two_inversions(dome_measure_runs):
     """The disk of every maximal disk record is bit for bit the push-forward
     by ``t.inverse()`` through ``OrientedCircle.transform``, on every
     refinement point of every measure path of the seed-7 round, as the
-    measure's batches built them."""
+    measure's batches built them; the query and the normalized disk are
+    read from the point's record."""
     _, measured = dome_measure_runs
     checked = 0
-    for name, (_, _, runs, _) in measured.items():
+    for name, (dom, _, runs, _) in measured.items():
         if not name.startswith("seed7-"):
             continue
         for run in runs:
-            for z, rec in zip(*certificate_reads(run)):
+            points = certificate_reads(run)
+            for z, form, rec in zip(points, run.forms, maximal_disks(dom, points)):
                 # t as the per-point oracle builds it from the query.
                 x = rec.query
                 if x.is_infinity:
@@ -1341,7 +1409,7 @@ def test_maximal_disk_matches_two_inversions(dome_measure_runs):
                 med = rec.normalized
                 circle = OrientedCircle.from_center_radius(med.center, med.radius, disk_inside=False)
                 old = circle.transform(t.inverse()).hermitian
-                assert rec.disk.circle.hermitian.tobytes() == old.tobytes(), z
+                assert form.tobytes() == old.tobytes(), z
                 checked += 1
     assert checked >= 1000  # 1,089 points
 
