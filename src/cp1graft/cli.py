@@ -78,7 +78,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class Weight:
     """Grafting weight in radians, given as a number or as a rational
-    multiple of pi such as "1/2*pi"."""
+    multiple of pi such as "1/2*pi", with one "pi"."""
 
     value: float
 
@@ -91,6 +91,8 @@ class Weight:
         elif isinstance(spec, str):
             text = spec.replace(" ", "")
             if "pi" in text:
+                if text.count("pi") > 1:
+                    raise ConfigError(f"cannot parse weight {spec!r}")
                 coeff = text.replace("*pi", "").replace("pi", "")
                 try:
                     frac = Fraction({"": "1", "+": "1", "-": "-1"}.get(coeff, coeff))
@@ -207,6 +209,8 @@ class RunConfig:
             raise ConfigError("truncation_radius must be positive and finite")
         if min(config.loops, config.samples) < 1:
             raise ConfigError("loops and samples must be >= 1")
+        if config.seed < 0:
+            raise ConfigError("seed must be >= 0")
         # A word level of length d holds 8 * 7^(d - 1) matrices; the bounds keep
         # the largest level under a million.
         if not 1 <= config.limit_depth <= 7:
@@ -227,8 +231,10 @@ TOLERANCE_DEFAULTS = {"two_pi": 1e-9, "goldman": 1e-6, "measure": TOL_MEASURE}
 
 def _convert(kind, value, what):
     """kind(value), with a failed conversion reported as a ConfigError.  A
-    JSON boolean is not read as a number."""
-    if isinstance(value, bool):
+    JSON boolean is not read as a number, nor a float that is not integral
+    as an int."""
+    fraction = kind is int and isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) or fraction:
         raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}")
     try:
         return kind(value)

@@ -1088,7 +1088,7 @@ class PleatedFace:
 
     @property
     def plane(self) -> PlaneH3:
-        return PlaneH3(OrientedCircle.real_line(disk_upper=True).transform(self.isometry))
+        return PlaneH3(OrientedCircle.real_line().transform(self.isometry))
 
     def image_polygon(self) -> list[PointH3]:
         return [apply_isometry(self.isometry, embed_h3(z)) for z in self.polygon]

@@ -21,7 +21,7 @@ from .moebius import (
     MoebiusMap,
     OrientedCircle,
     PointCP1,
-    angle_between,
+    angle_from_product,
     apply,
     as_pairs,
     chordal_distance,
@@ -29,6 +29,8 @@ from .moebius import (
     circle_rows,
     circles_through,
     cp1,
+    inversive_rows,
+    leader_rows,
     moebius_three_points,
     moebius_two_points,
     side_signs,
@@ -307,24 +309,11 @@ _DEDUP_PAIRS = 1 << 15
 
 
 def _distinct_ids(xs: np.ndarray) -> np.ndarray:
-    """Ids of the sphere points xs that ``dome`` keeps: a point is dropped
-    when it lies within TOL_GEO (chordal) of an earlier kept point.  A point
-    with no earlier point that close is kept outright; blocks of rows find
-    these at once, from the same ``chordal_rows`` distances (a difference's
-    negation squares to the same bits), and only the other points walk the
-    greedy rule."""
-    n = len(xs)
-    near = np.zeros(n, dtype=bool)
-    step = max(1, _DEDUP_PAIRS // max(n, 1))
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        apart = chordal_rows(xs[start:stop, None], xs[None, :stop]) >= TOL_GEO
-        earlier = np.arange(stop) < np.arange(start, stop)[:, None]
-        near[start:stop] = (earlier & ~apart).any(axis=1)
-    kept = ~near
-    for i in np.flatnonzero(near):
-        kept[i] = (chordal_rows(xs[:i][kept[:i]], xs[i]) >= TOL_GEO).all()
-    return np.flatnonzero(kept)
+    """Ids of the sphere points xs that ``dome`` keeps: the ``leader_rows``
+    leaders, a point being close to one within TOL_GEO (chordal), so a
+    point is dropped when it lies that close to an earlier kept point."""
+    leader = leader_rows(xs, lambda a, b: chordal_rows(a, b) < TOL_GEO, _DEDUP_PAIRS)
+    return np.flatnonzero(leader == np.arange(len(xs)))
 
 
 def dome(ideal_points) -> DomeMesh:
@@ -336,7 +325,8 @@ def dome(ideal_points) -> DomeMesh:
     bending weight.  A concircular input yields a single flat face and no
     bending (the degenerate planar case).  The face circles are built as
     one batch (``circles_through``) and turned to their outward caps by one
-    ``side_signs`` pass.
+    ``side_signs`` pass; the edge weights come from one ``inversive_rows``
+    pass over the face pairs.
     """
     rows = as_pairs(ideal_points)
     xs = sphere_xyz(rows)
@@ -384,13 +374,11 @@ def dome(ideal_points) -> DomeMesh:
         for e in {(min(a, b), max(a, b)) for a, b in zip(vids, vids[1:] + vids[:1])}:
             pair_faces.setdefault(e, []).append(fi)
 
+    shared = [(e, tuple(fids)) for e, fids in sorted(pair_faces.items()) if len(fids) == 2]
+    forms = circles.reshape(-1, 4)[np.array([fids for _, fids in shared], dtype=int).reshape(-1, 2)]
     edges = tuple(
-        DomeEdge(
-            vertex_ids=(a, b),
-            face_ids=tuple(fids),
-            weight=angle_between(faces[fids[0]].plane.boundary, faces[fids[1]].plane.boundary),
-        )
-        for (a, b), fids in sorted(pair_faces.items()) if len(fids) == 2
+        DomeEdge(vertex_ids=e, face_ids=fids, weight=angle_from_product(ip))
+        for (e, fids), ip in zip(shared, inversive_rows(forms[:, 0], forms[:, 1]).tolist())
     )
     return DomeMesh(tuple(pts), tuple(faces), edges)
 

@@ -271,6 +271,33 @@ def frobenius_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(d.real * d.real + d.imag * d.imag, axis=-1))
 
 
+def leader_rows(rows: np.ndarray, close, pairs: int) -> np.ndarray:
+    """The leader of each row of a stack: the first earlier leader that
+    ``close`` finds it close to, or else the row itself.  ``close(a, b)``
+    compares rows broadcast over the leading axes, with the same bits in
+    either order, as ``chordal_rows`` and ``frobenius_rows`` under a
+    tolerance do (a difference's negation squares to the same bits).
+
+    Blocks of about ``pairs`` pairs compare their rows with every row up
+    to the block's end at once.  A row with no earlier close row leads, and
+    one whose first close row leads joins it; only the others walk the
+    earlier leaders, on the block's comparisons."""
+    n = len(rows)
+    leader, leads = np.arange(n), np.ones(n, dtype=bool)
+    step = max(1, pairs // max(n, 1))
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        near = close(rows[start:stop, None], rows[None, :stop])
+        first = np.where(near.any(axis=1), near.argmax(axis=1), n)
+        for k in (np.flatnonzero(first < np.arange(start, stop)) + start).tolist():
+            j = first[k - start]
+            if not leads[j]:
+                hits = np.flatnonzero(near[k - start, :k] & leads[:k])
+                j = hits[0] if len(hits) else k
+            leader[k], leads[k] = j, j == k
+    return leader
+
+
 def bracket(p: PointCP1, q: PointCP1) -> complex:
     """Determinant [p, q] = p0 q1 - p1 q0 of normalized representatives."""
     pn, qn = p.normalized(), q.normalized()
@@ -592,9 +619,10 @@ def circle_rows(h: np.ndarray) -> tuple:
 
 
 def exterior_rows(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """The forms ``OrientedCircle.from_center_radius(c, r, disk_inside=False)``
-    hands to OrientedCircle, for arrays of centers and positive radii, bit
-    for bit: an (N, 2, 2) stack."""
+    """The forms of the circles of arrays of centers and positive radii with
+    the exterior as disk side, as an (N, 2, 2) stack: [[-1, c], [conj c,
+    r^2 - |c|^2]], the squares as CPython takes them.  Negated, a row is
+    the form ``OrientedCircle.from_center_radius`` normalizes."""
     h = np.empty((len(centers), 2, 2), dtype=complex)
     h[:, 0, 0] = 1.0
     h[:, 0, 1] = -centers
@@ -636,15 +664,10 @@ class OrientedCircle:
     hermitian: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        h = np.asarray(self.hermitian, dtype=complex).reshape(2, 2)
-        hh = h.conj().T
-        if frobenius_rows(h.ravel(), hh.ravel()) > TOL_ALG * max(1.0, frobenius_rows(h.ravel(), 0.0)):
-            raise DegenerateInputError(NOT_HERMITIAN)
-        h = (h + hh) / 2.0
-        det = det_parts(*h.ravel().view(float).tolist())[0]
-        if det >= -1e-300:
-            raise DegenerateInputError(NOT_A_CIRCLE)
-        h = h / math.sqrt(-det)
+        h, faults = circle_rows(np.asarray(self.hermitian, dtype=complex).reshape(1, 2, 2))
+        if faults:
+            raise DegenerateInputError(faults[0])
+        h = h[0]
         h.setflags(write=False)
         object.__setattr__(self, "hermitian", h)
 
@@ -659,25 +682,18 @@ class OrientedCircle:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_center_radius(center: complex, radius: float, disk_inside: bool = True) -> "OrientedCircle":
+    def from_center_radius(center: complex, radius: float) -> "OrientedCircle":
+        """The circle of a center and a positive radius, its interior the
+        disk side: the negated ``exterior_rows`` form."""
         if radius <= 0:
             raise DegenerateInputError("radius must be positive")
-        c = complex(center)
-        h = np.array(
-            [[1.0, -c], [-np.conj(c), abs(c) ** 2 - radius**2]],
-            dtype=complex,
-        )
-        if not disk_inside:
-            h = -h
-        return OrientedCircle(h)
+        centers, radii = np.array([complex(center)]), np.array([radius], dtype=float)
+        return OrientedCircle(-exterior_rows(centers, radii)[0])
 
     @staticmethod
-    def real_line(disk_upper: bool = True) -> "OrientedCircle":
-        """The extended real line; disk side defaults to the upper half-plane."""
-        h = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
-        if not disk_upper:
-            h = -h
-        return OrientedCircle(h)
+    def real_line() -> "OrientedCircle":
+        """The extended real line, the upper half-plane its disk side."""
+        return OrientedCircle(np.array([[0.0, -1j], [1j, 0.0]], dtype=complex))
 
     # -- basic queries ------------------------------------------------------
 
@@ -759,14 +775,22 @@ class RoundDisk:
         return self.circle.contains_in_disk(p)
 
 
+def inversive_rows(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Normalized inversive products of circle forms f and g, flattened to
+    rows [a, b, conj b, d], broadcast over the leading axes: +1 for equal
+    circles with equal orientation, 0 for orthogonal, |.| > 1 for disjoint
+    circles.  The one expression of the product,
+    (2 (bf_r bg_r + bf_i bg_i) - af dg - ag df) / 2, which has the bits of
+    numpy's and CPython's scalar products."""
+    af, bf, df = f[..., 0].real, f[..., 1], f[..., 3].real
+    ag, bg, dg = g[..., 0].real, g[..., 1], g[..., 3].real
+    return (2.0 * (bf.real * bg.real + bf.imag * bg.imag) - af * dg - ag * df) / 2.0
+
+
 def inversive_product(c1: OrientedCircle, c2: OrientedCircle) -> float:
-    """Normalized inversive product; +1 for equal circles with equal
-    orientation, 0 for orthogonal, |.| > 1 for disjoint circles."""
-    h1, h2 = c1.hermitian, c2.hermitian
-    a1, d1 = h1[0, 0].real, h1[1, 1].real
-    a2, d2 = h2[0, 0].real, h2[1, 1].real
-    b1, b2 = complex(h1[0, 1]), complex(h2[0, 1])
-    return float((2.0 * (b1 * np.conj(b2)).real - a1 * d2 - a2 * d1) / 2.0)
+    """The normalized inversive product of two circles: ``inversive_rows``
+    of their forms."""
+    return float(inversive_rows(c1.hermitian.ravel(), c2.hermitian.ravel()))
 
 
 def circle_through(p: PointCP1, q: PointCP1, r: PointCP1) -> OrientedCircle:

@@ -43,6 +43,8 @@ from .moebius import (
     first_boundary_rows,
     frobenius_rows,
     inversive_product,
+    inversive_rows,
+    leader_rows,
     minimal_enclosing_disks,
     moebius_rows,
     row_faults,
@@ -267,11 +269,6 @@ class MaximalDiskRecord:
             raise faults[0]
         ws = sorted(affine_stack(ws), key=lambda w: math.atan2(w.imag, w.real))
         return _core_region(MoebiusMap(u.matrix @ t[0]), tuple(ws))
-
-    def same_disk(self, other: "MaximalDiskRecord") -> bool:
-        """``same_disk_rows`` on the two records' forms."""
-        return bool(same_disk_rows(self.disk.circle.hermitian.ravel(),
-                                   other.disk.circle.hermitian.ravel()))
 
 
 def _geodesic_center(u: complex, v: complex):
@@ -551,35 +548,13 @@ GROUP_PAIRS = 1 << 12
 
 def _group_by_disk(forms: np.ndarray) -> list:
     """Rows of an (N, 4) stack of forms grouped by disk, as lists of row
-    indices in order of first appearance: a row joins the first group whose
-    first row is its same disk (``same_disk_rows``), else starts a group.
-
-    Blocks of rows are compared with every row up to the block's end at
-    once (a difference's negation squares to the same bits).  A row whose
-    first same-disk row is itself starts a group, and one whose first
-    same-disk row is a group's first joins that group; only the others are
-    walked against the groups' firsts, on the block's rows."""
-    n = len(forms)
-    is_first = np.zeros(n, dtype=bool)
-    group_of, groups = [], []
-    step = max(1, GROUP_PAIRS // max(n, 1))
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        same = same_disk_rows(forms[start:stop, None], forms[None, :stop])
-        # A form that is not its own same disk (NaN) is its own first.
-        first = np.where(same.any(axis=1), same.argmax(axis=1), np.arange(start, stop))
-        for k, j in enumerate(first.tolist(), start):
-            if j != k and not is_first[j]:
-                hits = np.flatnonzero(same[k - start, :k] & is_first[:k])
-                j = int(hits[0]) if len(hits) else k
-            if j == k:
-                is_first[k] = True
-                group_of.append(len(groups))
-                groups.append([k])
-            else:
-                group_of.append(group_of[j])
-                groups[group_of[j]].append(k)
-    return groups
+    indices in order of first appearance: a row joins the group of its
+    ``leader_rows`` leader under ``same_disk_rows``, the first group whose
+    first row is its same disk, else starts a group."""
+    groups = {}
+    for k, j in enumerate(leader_rows(forms, same_disk_rows, GROUP_PAIRS).tolist()):
+        groups.setdefault(j, []).append(k)
+    return list(groups.values())
 
 
 def _same_ideal_sets(dom: DiskComplementDomain, a: tuple, b: tuple) -> bool:
@@ -621,8 +596,7 @@ def _pairs_to_test(dom: DiskComplementDomain, forms: np.ndarray, contacts: list)
     # Nesting needs disjoint circles, |inversive product| > 1 + TOL_GEO,
     # and every test point of the inner disk inside the outer one; the
     # first boundary point is one of them.
-    ip = np.outer(b.real, b.real) + np.outer(b.imag, b.imag)
-    ip -= (np.outer(a, d) + np.outer(d, a)) / 2.0
+    ip = inversive_rows(forms[:, None], forms[None, :])
     nests = np.abs(ip) > 1.0 + TOL_GEO - band  # nests[outer, inner]
     inner = np.flatnonzero(nests.any(axis=0))
     if len(inner):
@@ -815,9 +789,8 @@ def _measure_paths(dom: DiskComplementDomain, paths, tol_measure: float) -> list
     path raises only an error its own sum reads.
 
     Each level then takes every consecutive pair of grid disks of every
-    path at once: one ``same_disk_rows`` call, and the inversive products
-    of ``inversive_product``, as it rounds them: (2 (b0r b1r + b0i b1i)
-    - a0 d1 - a1 d0) / 2 for forms [[a, b], [conj b, d]]."""
+    path at once: one ``same_disk_rows`` call and one ``inversive_rows``
+    call."""
     runs = [_Refinement(path, tol_measure) for path in paths]
     for level in range(MEASURE_MAX_LEVELS + 1):
         active = [r for r in runs if r.result is None]
@@ -830,10 +803,7 @@ def _measure_paths(dom: DiskComplementDomain, paths, tol_measure: float) -> list
         h0 = np.concatenate([g[:-1] for g in grids])
         h1 = np.concatenate([g[1:] for g in grids])
         same = same_disk_rows(h0, h1).tolist()
-        a0, b0, d0 = h0[:, 0].real, h0[:, 1], h0[:, 3].real
-        a1, b1, d1 = h1[:, 0].real, h1[:, 1], h1[:, 3].real
-        products = ((2.0 * (b0.real * b1.real + b0.imag * b1.imag) - a0 * d1 - a1 * d0)
-                    / 2.0).tolist()
+        products = inversive_rows(h0, h1).tolist()
         start = 0
         for r, g in zip(active, grids):
             stop = start + len(g) - 1

@@ -394,6 +394,16 @@ def reference_leaf_lifts(hol, mc, depth, focus, margin=4.0):
     )
 
 
+def reference_exterior_circle(center, radius):
+    """The circle of a center and a radius with the exterior as disk side,
+    from the scalar form its constructor once built,
+    -[[1, -c], [-conj c, |c|^2 - r^2]]."""
+    from cp1graft.moebius import OrientedCircle
+
+    c = complex(center)
+    return OrientedCircle(-np.array([[1.0, -c], [-np.conj(c), abs(c) ** 2 - radius**2]], dtype=complex))
+
+
 def reference_maximal_disk(dom, x):
     """Reference for ``maximal_disks``: the per-point body ``maximal_disk_at``
     had before the batch, kept as it was, with the loop ``affine_stack`` then
@@ -431,7 +441,7 @@ def reference_maximal_disk(dom, x):
     ]
     if len(contacts) < 2:
         contacts = sorted(set(contacts) | set(med.support))
-    circle_norm = OrientedCircle.from_center_radius(med.center, med.radius, disk_inside=False)
+    circle_norm = reference_exterior_circle(med.center, med.radius)
     m = t.matrix
     disk = RoundDisk(OrientedCircle(m.conj().T @ circle_norm.hermitian @ m))
     return MaximalDiskRecord(
@@ -506,6 +516,7 @@ def reference_transverse_measure(dom, path, tol_measure):
         MeasureResult,
         TransversalityError,
         _Polyline,
+        same_disk_rows,
     )
 
     line = _Polyline(path)
@@ -530,7 +541,7 @@ def reference_transverse_measure(dom, path, tol_measure):
             theta = 0.0
             for i in range(n):
                 d0, d1 = disk_at(i, n), disk_at(i + 1, n)
-                if d0.same_disk(d1):
+                if same_disk_rows(d0.disk.circle.hermitian.ravel(), d1.disk.circle.hermitian.ravel()):
                     continue
                 theta += angle_between(d0.disk.circle, d1.disk.circle)
         except NoIntersectionError:
@@ -626,16 +637,23 @@ def reference_circle_through(p, q, r):
     return circle
 
 
-def reference_distinct_ids(xs):
-    """Reference for ``hyperbolic._distinct_ids``: the greedy loop as it was,
-    one ``chordal_rows`` call per point against the points kept so far."""
+def reference_distinct_ids(rows, close=None):
+    """Reference for the leader rule of ``_distinct_ids`` and
+    ``_group_by_disk``: the greedy loop, one ``close`` call per row against
+    the leaders so far (``chordal_rows`` under TOL_GEO by default).  A row
+    joins the first leader it is close to, else leads.  Returns a dict from
+    each leader, in row order, to the rows it leads."""
     from cp1graft.moebius import TOL_GEO, chordal_rows
 
-    uniq = []
-    for i in range(len(xs)):
-        if (chordal_rows(xs[uniq], xs[i]) >= TOL_GEO).all():
-            uniq.append(i)
-    return uniq
+    if close is None:
+        def close(a, b):
+            return chordal_rows(a, b) < TOL_GEO
+    groups = {}
+    for i in range(len(rows)):
+        leaders = list(groups)
+        near = np.flatnonzero(close(rows[leaders], rows[i]))
+        groups.setdefault(leaders[near[0]] if len(near) else i, []).append(i)
+    return groups
 
 
 def reference_dome(ideal_points):
@@ -654,7 +672,7 @@ def reference_dome(ideal_points):
 
     rows = as_pairs(ideal_points)
     xs = sphere_xyz(rows)
-    uniq = reference_distinct_ids(xs)
+    uniq = list(reference_distinct_ids(xs))
     if len(uniq) < 3:
         raise DegenerateInputError("dome needs at least 3 distinct ideal points")
     pts, xs = [PointCP1(z0, z1) for z0, z1 in rows[uniq].tolist()], xs[uniq]

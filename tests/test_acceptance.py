@@ -261,7 +261,7 @@ def criterion_5():
         if min(distance_to_leaf(z, lf.geodesic) for lf in gs.base_leaves) < 1e-4:
             continue
         bmap = gs.bending_map(z)
-        plane = PlaneH3(OrientedCircle.real_line(True).transform(bmap))
+        plane = PlaneH3(OrientedCircle.real_line().transform(bmap))
         psi = nearest_point_projection(plane, gs.develop(z))
         beta = apply_isometry(bmap, embed_h3(z))
         worst_psi = max(worst_psi, float(np.linalg.norm(psi.coords() - beta.coords())))

@@ -333,6 +333,18 @@ CLI_ERROR_CASES = [
     ("one-twist", _surface(twists=[0.1]), ("graft",), (), EXIT_CONFIG, "error:"),
     ("depth-text", dict(BASE_CONFIG, depth="x"), ("graft",), (), EXIT_CONFIG, "error:"),
     ("seed-text", dict(BASE_CONFIG, seed="x"), ("graft",), (), EXIT_CONFIG, "error:"),
+    # A negative seed would reach the generator of samples and loops.
+    ("seed-negative", dict(TETRA, seed=-1), ("verify", "stratification"), (), EXIT_CONFIG,
+     "error: seed must be >= 0"),
+    ("seed-negative-flag", BASE_CONFIG, ("verify", "covering"), ("--seed", "-1"), EXIT_CONFIG,
+     "error: seed must be >= 0"),
+    # A float that is not integral would be truncated, or fail to convert.
+    ("depth-fraction", dict(BASE_CONFIG, depth=5.5), ("graft",), (), EXIT_CONFIG,
+     "error: depth must be int, got 5.5"),
+    ("depth-inf", dict(BASE_CONFIG, depth=math.inf), ("graft",), (), EXIT_CONFIG,
+     "error: depth must be int, got inf"),
+    ("samples-fraction", dict(TETRA, samples=2.5), ("verify", "stratification"), (), EXIT_CONFIG,
+     "error: samples must be int, got 2.5"),
     ("samples-text", dict(TETRA, samples="x"),
      ("verify", "stratification"), (), EXIT_CONFIG, "error:"),
     ("length-text", _surface(lengths=["a", 2.5, 1.7]), ("graft",), (), EXIT_CONFIG, "error:"),
@@ -353,6 +365,10 @@ CLI_ERROR_CASES = [
     ("weight-pi", _weight("pi"), ("verify", "covering"), (), EXIT_CONFIG, "error:"),
     ("weight-minus-pi", _weight("-pi"), ("graft",), (), EXIT_CONFIG, "error:"),
     ("weight-bad-pi-multiple", _weight("x*pi"), ("graft",), (), EXIT_CONFIG, "error:"),
+    # A second pi would be dropped.
+    ("weight-pi-squared", _weight("2*pi*pi"), ("graft",), (), EXIT_CONFIG,
+     "error: cannot parse weight '2*pi*pi'"),
+    ("weight-pipi", _weight("pipi"), ("graft",), (), EXIT_CONFIG, "error: cannot parse weight 'pipi'"),
     ("weight-bad-number", _weight("abc"), ("graft",), (), EXIT_CONFIG, "error:"),
     ("weight-bad-type", _weight([1]), ("graft",), (), EXIT_CONFIG, "error:"),
     ("weight-negative", _weight(-1.0), ("graft",), (), EXIT_CONFIG, "error:"),

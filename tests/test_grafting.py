@@ -1490,7 +1490,7 @@ def test_pleated_projection_relation(holonomy, half_pi_structure):
         if min(distance_to_leaf(z, lf.geodesic) for lf in gs.base_leaves) < 1e-4:
             continue
         bmap = gs.bending_map(z)
-        plane = PlaneH3(OrientedCircle.real_line(True).transform(bmap))
+        plane = PlaneH3(OrientedCircle.real_line().transform(bmap))
         psi = nearest_point_projection(plane, gs.develop(z))
         beta = apply_isometry(bmap, embed_h3(z))
         assert np.linalg.norm(psi.coords() - beta.coords()) < 1e-6

@@ -1,4 +1,6 @@
 import cmath
+import collections
+import hashlib
 import math
 import random
 
@@ -812,3 +814,75 @@ def test_first_boundary_rows_keep_the_scalar_bits_and_zero_signs():
     assert moebius.first_boundary_rows(forms).tobytes() == want.tobytes()
     lines = np.abs(forms[:, 0].real) < moebius.TOL_GEO
     assert 1000 < lines.sum() < len(forms) - 500
+
+
+# ---------------------------------------------------------------------------
+# circle rules, pinned
+
+
+# sha256 of the circle rules' outputs over the seeded inputs below, recorded
+# before OrientedCircle, from_center_radius and inversive_product took their
+# arithmetic from the row kernels: OrientedCircle(h).hermitian, or the
+# message it raises, over _pinned_matrices; from_center_radius(c, r).hermitian
+# over _pinned_centers; and inversive_product over consecutive circles.
+PINNED_CIRCLE_BITS = {
+    "OrientedCircle": "9aa21498d1dac87d277f6c815ed22ebf5486d6385f0f115e1b41ef2f8678df2e",
+    "from_center_radius": "138c914e8556ad3412597acb7b6cc2768ddaf4db7a85703ec97e36341ff0b9f8",
+    "inversive_product": "707c64541b12ecafc1756fcdd483f763be481b36fe9b6be8e15d235c84bde15a",
+}
+
+
+def _pinned_matrices(rng, n=300) -> np.ndarray:
+    """Seeded 2 x 2 matrices, each at a scale from 1e-150 to 1e150:
+    Hermitian forms of either determinant sign; Hermitian forms of det >= 0
+    (det 0 up to rounding among them); forms off Hermitian by 1e-12 and by
+    1e-9 of their size; and plain complex matrices."""
+    a, d = rng.normal(size=(2, n))
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    herm = np.empty((n, 2, 2), dtype=complex)
+    herm[:, 0, 0], herm[:, 0, 1], herm[:, 1, 0], herm[:, 1, 1] = a, b, np.conj(b), d
+    definite = herm.copy()
+    definite[:, 0, 0] = np.abs(a)
+    definite[:, 1, 1] = (np.abs(b) ** 2 + rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.5)) / np.abs(a)
+    gauss = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    mats = np.concatenate([herm, definite, herm + 1e-12 * gauss, herm + 1e-9 * gauss, gauss])
+    return mats * 10.0 ** rng.integers(-150, 151, len(mats))[:, None, None]
+
+
+def _pinned_centers(rng, n=500) -> tuple:
+    """Seeded centres over six decades, signed zeros among them, and radii."""
+    c = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-3, 3, n)
+    c[:4] = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    return c.tolist(), (10.0 ** rng.uniform(-3, 3, n)).tolist()
+
+
+def test_circle_rules_keep_their_bits():
+    rng = np.random.default_rng(4501)
+    digest, circles, messages = hashlib.sha256(), [], collections.Counter()
+    for m in _pinned_matrices(rng):
+        try:
+            circles.append(OrientedCircle(m))
+        except DegenerateInputError as exc:
+            messages[str(exc)] += 1
+            digest.update(str(exc).encode())
+            continue
+        digest.update(circles[-1].hermitian.tobytes())
+    assert digest.hexdigest() == PINNED_CIRCLE_BITS["OrientedCircle"]
+    assert len(messages) == 2 and min(messages.values()) > 100 and len(circles) > 500
+
+    digest = hashlib.sha256()
+    for c, r in zip(*_pinned_centers(rng)):
+        circles.append(OrientedCircle.from_center_radius(c, r))
+        digest.update(circles[-1].hermitian.tobytes())
+    assert digest.hexdigest() == PINNED_CIRCLE_BITS["from_center_radius"]
+
+    circles.append(OrientedCircle.real_line())
+    circles = [circles[i] for i in rng.permutation(len(circles))]
+    products = np.array([inversive_product(a, b) for a, b in zip(circles, circles[1:])])
+    digest = hashlib.sha256(products.tobytes())
+    assert digest.hexdigest() == PINNED_CIRCLE_BITS["inversive_product"]
+    # inversive_rows gives the same bits on rows, and broadcast.
+    forms = np.array([c.hermitian.ravel() for c in circles])
+    assert moebius.inversive_rows(forms[:-1], forms[1:]).tobytes() == products.tobytes()
+    square = np.array([[inversive_product(a, b) for b in circles[:40]] for a in circles[:40]])
+    assert moebius.inversive_rows(forms[:40, None], forms[None, :40]).tobytes() == square.tobytes()

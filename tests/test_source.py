@@ -50,19 +50,45 @@ def _reads(tree: ast.AST, strings: bool = False) -> set:
     return read
 
 
+def _definitions(stmt: ast.stmt) -> list:
+    """The definitions of a module-level statement, each with the tree it
+    reads from: a function or a class by its name, and each method of a
+    class by its name, dunders excluded and properties included.  A
+    class's tree holds what its body reads outside its methods."""
+    if isinstance(stmt, ast.FunctionDef):
+        return [(stmt.name, stmt)]
+    if not isinstance(stmt, ast.ClassDef):
+        return [(None, stmt)]
+    methods = [node for node in stmt.body if isinstance(node, ast.FunctionDef)
+               and not (node.name.startswith("__") and node.name.endswith("__"))]
+    rest = ast.Module(body=[node for node in stmt.body if node not in methods]
+                      + stmt.bases + stmt.keywords + stmt.decorator_list, type_ignores=[])
+    return [(stmt.name, rest)] + [(node.name, node) for node in methods]
+
+
+def test_definitions_list_methods_and_properties():
+    stmt = ast.parse("class A(B):\n    x = f()\n    def __init__(self): g()\n"
+                     "    @property\n    def p(self): return self.q()\n    def q(self): return self.q\n").body[0]
+    found = {name: _reads(tree) for name, tree in _definitions(stmt)}
+    assert list(found) == ["A", "p", "q"]
+    assert found == {"A": {"B", "x", "f", "g"}, "p": {"property", "self", "q"},
+                     "q": {"self", "q"}}
+
+
 def test_every_library_definition_is_read():
-    # A module-level function or class of the library is read in ``src``
-    # outside its own definition, in a demo or in the benchmark (whose
-    # tracer names what it wraps in strings), or exported by the package.
+    # A module-level function or class of the library, or a method of such a
+    # class, is read by name in ``src`` outside its own definition, in a demo
+    # or in the benchmark (whose tracer names what it wraps in strings), or
+    # exported by the package.
     package = REPO / "src" / "cp1graft"
     defined, read_in_src = [], set()
     for path in sorted(package.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
-            own = set()
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((path.name, stmt.name))
-                own = {stmt.name}
-            read_in_src |= _reads(stmt) - own
+            outer = getattr(stmt, "name", None)
+            for name, tree in _definitions(stmt):
+                if name is not None:
+                    defined.append((path.name, name))
+                read_in_src |= _reads(tree) - {outer, name}
     scripts = sorted((REPO / "demos").glob("*.py")) + sorted((REPO / "bench").glob("*.py"))
     read_outside = set().union(*(_reads(ast.parse(p.read_text()), strings=True) for p in scripts))
     exported = {a.asname or a.name

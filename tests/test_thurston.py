@@ -32,7 +32,7 @@ from cp1graft.moebius import (
     unit_pairs,
 )
 from cp1graft.cli import RunConfig
-from cp1graft.hyperbolic import PlaneH3, apply_isometry, dome
+from cp1graft.hyperbolic import PlaneH3, _distinct_ids, apply_isometry, dome
 from cp1graft.surface import GroupWord, fuchsian_from_fn, limit_set_sample
 from cp1graft.grafting import (
     GraftedStructure,
@@ -61,6 +61,8 @@ from oracles import (
     maximal_disk_support_search,
     reference_classify_on_path,
     reference_core,
+    reference_distinct_ids,
+    reference_exterior_circle,
     reference_face_core_point,
     reference_geodesic,
     reference_maximal_disk,
@@ -136,7 +138,7 @@ def test_cores_partition_samples():
     )
     a = maximal_disk_at(dom, cp1(0.4 - 0.9j))
     b = maximal_disk_at(dom, cp1(0.6 - 0.8j))
-    assert a.same_disk(b)
+    assert thurston.same_disk_rows(a.disk.circle.hermitian.ravel(), b.disk.circle.hermitian.ravel())
     assert a.core.contains(cp1(0.4 - 0.9j))
 
 
@@ -709,7 +711,8 @@ def per_pair_stratification_reference(dom, samples):
     groups = []
     for i, rec in records:
         for g in groups:
-            if rec.same_disk(g["record"]):
+            if thurston.same_disk_rows(rec.disk.circle.hermitian.ravel(),
+                                       g["record"].disk.circle.hermitian.ravel()):
                 g["samples"].append(i)
                 break
         else:
@@ -806,7 +809,7 @@ def _shrunk_disk(rec):
     if circle.hermitian[0, 0].real > 0:
         circle = OrientedCircle.from_center_radius(c, 0.5 * r)
     else:
-        circle = OrientedCircle.from_center_radius(c, 2.0 * r, disk_inside=False)
+        circle = OrientedCircle.from_center_radius(c, 2.0 * r).reversed()
     return dataclasses.replace(rec, disk=RoundDisk(circle))
 
 
@@ -817,7 +820,7 @@ def _ideal_point_dropped(rec):
 def _nudged_disk(rec, size=0.9e-6):
     """The disk's form moved by |size| = 0.9e-6 (Frobenius) along a
     direction that keeps det = -1 to first order, backwards for a negative
-    size: the same disk for same_disk."""
+    size: the same disk for same_disk_rows."""
     h = rec.disk.circle.hermitian
     b = complex(h[0, 1])
     e = 1j * (b / abs(b) if abs(b) > 1e-9 else 1.0)
@@ -911,6 +914,49 @@ def test_nesting_probe_is_the_first_boundary_point(seed, tmp_path, monkeypatch):
     assert moebius.first_boundary_rows(forms).tobytes() == want.tobytes()
     lines = int((np.abs(forms[:, 0].real) < TOL_GEO).sum())
     assert len(forms) > 400 and 0 < lines < len(forms), (len(forms), lines)
+
+
+def _planted(rng, base, tol):
+    """Rows of base, then neighbours of random rows at 0.9 or 1.1 times tol
+    (the norm of the step), then neighbours of those, shuffled."""
+    rows = base
+    for _ in range(2):
+        src = rng.integers(0, len(rows), size=len(base))
+        step = rng.standard_normal(base.shape)
+        if np.iscomplexobj(base):
+            step = step + 1j * rng.standard_normal(base.shape)
+        step *= (tol * rng.choice([0.9, 1.1], len(src)) / np.sqrt(
+            np.add.reduce(np.abs(step) ** 2, axis=1)))[:, None]
+        rows = np.concatenate([rows, rows[src] + step])
+    return rows[rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("n", [1, 30, 300])
+def test_leaders_match_the_greedy_loop_at_planted_neighbours(n):
+    """``_distinct_ids`` (chordal, TOL_GEO) and ``_group_by_disk``
+    (Frobenius, TOL_SAME_DISK) keep the rows and the groups of the one
+    greedy reference loop, on seeded rows with planted neighbours at 0.9
+    and 1.1 times each tolerance and chains of them, over many blocks.  At
+    300 base rows, some rows' first close earlier row leads nothing, so
+    they walk the leaders."""
+    rng = np.random.default_rng(4502 + n)
+    xs = rng.standard_normal((n, 3))
+    xs = _planted(rng, xs / np.linalg.norm(xs, axis=1)[:, None], TOL_GEO)
+    forms = _planted(rng, rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4)),
+                     thurston.TOL_SAME_DISK)
+    kept = reference_distinct_ids(xs)
+    groups = reference_distinct_ids(forms, thurston.same_disk_rows)
+    assert _distinct_ids(xs).tolist() == list(kept)
+    assert thurston._group_by_disk(forms) == list(groups.values())
+
+    def walked(rows, close, leaders):
+        near = close(rows[:, None], rows[None])
+        first = [row[:k].argmax() if row[:k].any() else k for k, row in enumerate(near)]
+        return sum(j != k and j not in leaders for k, j in enumerate(first))
+
+    assert n < 300 or (walked(xs, lambda a, b: chordal_rows(a, b) < TOL_GEO, kept) > 0
+                       and walked(forms, thurston.same_disk_rows, groups) > 0)
+    assert n == 1 or (len(kept) < len(xs) and len(groups) < len(forms))
 
 
 def test_stratification_nested_disks_with_small_side_values(monkeypatch):
@@ -1407,7 +1453,7 @@ def test_maximal_disk_matches_two_inversions(dome_measure_runs):
                 else:
                     t = MoebiusMap(np.array([[0.0, 1.0], [1.0, -x.as_complex()]], dtype=complex))
                 med = rec.normalized
-                circle = OrientedCircle.from_center_radius(med.center, med.radius, disk_inside=False)
+                circle = reference_exterior_circle(med.center, med.radius)
                 old = circle.transform(t.inverse()).hermitian
                 assert form.tobytes() == old.tobytes(), z
                 checked += 1
